@@ -15,6 +15,9 @@ penalty.  Solvers act on that container:
 - :func:`~pdsplit.shard.run_fb_sharded` replays the plain iteration across
   feature shards and accounts for the communicated scalars.
 
+All five runners share one iteration loop, the private driver in
+:mod:`pdsplit.fb`; each supplies only its step and its trace columns.
+
 :mod:`pdsplit.bench` generates test problems, stores them as bundles, and
 computes reference solutions and empirical rate slopes.  The ``pdsplit``
 console script (:mod:`pdsplit.cli`) drives all of it from flat config files.

@@ -10,24 +10,23 @@ iterates with vanishing weights.  Two operator modes are supported:
 
 Schedules come in a bounded-domain flavor (constant dual step, iterate-norm
 bounds supplied) and an unbounded flavor (horizon-tied growing steps).  Both
-satisfy two per-iteration inequalities that are asserted at construction.
+satisfy two per-iteration inequalities that are asserted at construction;
+:class:`ScheduleLaws` holds those checks and the relaxation and
+extrapolation laws for this module's schedule and the stochastic one.
+
+:func:`run_accel` supplies only :func:`accel_step` and its schedule columns;
+the iteration loop is the shared driver in :mod:`pdsplit.fb`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-import time
 
 import numpy as np
 
 from . import saddle
-from .errors import (
-    ConstraintViolation,
-    DimensionError,
-    MissingHistory,
-    UnknownKind,
-)
-from .fb import IterTrace, _require_finite
+from .errors import ConstraintViolation, MissingHistory, UnknownKind
+from .fb import IterTrace, _drive, _start_point
 from .linops import ZeroOp, scaled_copy
 
 ACCEL_TRACE_COLUMNS = [
@@ -108,13 +107,75 @@ def mode_operators(problem, mode, kappa=0.0):
     return scaled_copy(problem.K, -1.0), ZeroOp(problem.K.shape)
 
 
+class ScheduleLaws:
+    """Laws shared by the deterministic and the noisy schedules.
+
+    Relaxation ``rho = 2 / (k + 1)``, extrapolation ``theta = (k - 1) / k``,
+    and the two per-iteration inequalities.  A subclass supplies ``tau``,
+    ``sigma`` and the inequality budgets: ``(1 - q, 1 - r)`` for the
+    deterministic schedule and ``(s - q, t - r)`` for the noisy one.
+    """
+
+    def budgets(self):
+        raise NotImplementedError
+
+    def rho(self, k):
+        k = np.asarray(k, dtype=float)
+        out = 2.0 / (k + 1.0)
+        return float(out) if out.ndim == 0 else out
+
+    def theta(self, k):
+        k = np.asarray(k, dtype=float)
+        out = (k - 1.0) / k
+        return float(out) if out.ndim == 0 else out
+
+    def condition_margins(self, k):
+        """Margins of the two schedule inequalities at index ``k``.
+
+        Both must stay nonnegative: the primal one controls the curvature
+        and primal extrapolation budget, the dual one the coupling budget.
+        """
+        a, b, c, d = self.factors
+        tau = self.tau(k)
+        sigma = self.sigma(k)
+        primal, dual = self.budgets()
+        bq = (b * b / self.q) if b > 0 else 0.0
+        m1 = (
+            primal / tau
+            - self.l_f * self.rho(k)
+            - (a * self.k_norm) ** 2 * sigma / self.r
+        )
+        m2 = dual / sigma - tau * (2.0 * c * d + bq) * self.k_norm**2
+        return m1, m2
+
+    def assert_conditions(self, ks):
+        """Raise unless both inequalities hold (to rounding) on ``ks``."""
+        ks = np.asarray(ks, dtype=float)
+        m1, m2 = self.condition_margins(ks)
+        a, _, _, _ = self.factors
+        primal, dual = self.budgets()
+        scale1 = (
+            primal / self.tau(ks)
+            + self.l_f * self.rho(ks)
+            + (a * self.k_norm) ** 2 * self.sigma(ks) / self.r
+        )
+        scale2 = dual / self.sigma(ks) + np.abs(m2 - dual / self.sigma(ks))
+        bad1 = m1 < -COND_TOL * scale1
+        bad2 = m2 < -COND_TOL * scale2
+        if np.any(bad1) or np.any(bad2):
+            k_bad = ks[np.argmax(bad1 | bad2)]
+            raise ConstraintViolation(
+                f"schedule inequalities fail at k = {k_bad:g}"
+            )
+
+
 @dataclass
-class Schedule:
+class Schedule(ScheduleLaws):
     """Step, relaxation, and extrapolation schedule.
 
-    ``rho``, ``theta``, ``tau``, ``sigma``, and ``gamma`` accept scalar or
-    ndarray iteration indices.  ``P`` and ``Q`` are the schedule constants
-    entering the convergence bounds.
+    ``rho``, ``theta``, ``tau``, and ``sigma`` accept scalar or ndarray
+    iteration indices.  ``P`` and ``Q`` are the schedule constants entering
+    the convergence bounds.
     """
 
     setting: str
@@ -129,19 +190,8 @@ class Schedule:
     omega_x: float | None = None
     omega_y: float | None = None
 
-    def rho(self, k):
-        k = np.asarray(k, dtype=float)
-        out = 2.0 / (k + 1.0)
-        return float(out) if out.ndim == 0 else out
-
-    def theta(self, k):
-        k = np.asarray(k, dtype=float)
-        out = (k - 1.0) / k
-        return float(out) if out.ndim == 0 else out
-
-    def gamma(self, k):
-        k = np.asarray(k, dtype=float)
-        return float(k) if k.ndim == 0 else k.copy()
+    def budgets(self):
+        return 1.0 - self.q, 1.0 - self.r
 
     def tau(self, k):
         k = np.asarray(k, dtype=float)
@@ -161,45 +211,6 @@ class Schedule:
         else:
             out = k / (self.horizon * self.k_norm)
         return float(out) if out.ndim == 0 else out
-
-    def condition_margins(self, k):
-        """Margins of the two schedule inequalities at index ``k``.
-
-        Both must stay nonnegative: the primal one controls the curvature
-        and primal extrapolation budget, the dual one the coupling budget.
-        """
-        a, b, c, d = self.factors
-        tau = self.tau(k)
-        sigma = self.sigma(k)
-        bq = (b * b / self.q) if b > 0 else 0.0
-        m1 = (
-            (1.0 - self.q) / tau
-            - self.l_f * self.rho(k)
-            - (a * self.k_norm) ** 2 * sigma / self.r
-        )
-        m2 = (1.0 - self.r) / sigma - tau * (2.0 * c * d + bq) * self.k_norm**2
-        return m1, m2
-
-    def assert_conditions(self, ks):
-        """Raise unless both inequalities hold (to rounding) on ``ks``."""
-        ks = np.asarray(ks, dtype=float)
-        m1, m2 = self.condition_margins(ks)
-        a, _, _, _ = self.factors
-        scale1 = (
-            (1.0 - self.q) / self.tau(ks)
-            + self.l_f * self.rho(ks)
-            + (a * self.k_norm) ** 2 * self.sigma(ks) / self.r
-        )
-        scale2 = (1.0 - self.r) / self.sigma(ks) + np.abs(
-            m2 - (1.0 - self.r) / self.sigma(ks)
-        )
-        bad1 = m1 < -COND_TOL * scale1
-        bad2 = m2 < -COND_TOL * scale2
-        if np.any(bad1) or np.any(bad2):
-            k_bad = ks[np.argmax(bad1 | bad2)]
-            raise ConstraintViolation(
-                f"schedule inequalities fail at k = {k_bad:g}"
-            )
 
 
 def _check_qr(q, r, r_cap):
@@ -353,14 +364,19 @@ class AccelState:
         return cls(x0.copy(), y0.copy(), x0.copy(), y0.copy(), x0.copy(), y0.copy())
 
 
-def _accel_core(grad, k_fwd, k_adj, a_fwd, b_adj, prox, tau, tau_prev, sigma, rho, theta, state):
-    """One accelerated update from operator callbacks.
+def _accel_core(grad, k_fwd, k_adj, a_fwd, b_adj, prox, schedule, k, state):
+    """One accelerated update at index ``k`` from operator callbacks.
 
     The stochastic variant runs this exact function with estimate-drawing
     callbacks, so a zero-variance oracle reproduces deterministic runs
     bitwise.  The dual extrapolation term ``B'(yt - yt_prev)`` is evaluated
     once and reused by the post-prox correction line.
     """
+    tau = schedule.tau(k)
+    tau_prev = schedule.tau(k - 1) if k > 1 else 0.0
+    sigma = schedule.sigma(k)
+    rho = schedule.rho(k)
+    theta = schedule.theta(k)
     dxt = state.xt - state.xt_prev
     dyt = state.yt - state.yt_prev
     u_bar = k_fwd(state.xt) - theta * a_fwd(dxt)
@@ -389,11 +405,8 @@ def accel_step(problem, a_op, b_op, schedule, k, state):
         a_op.apply,
         b_op.apply_adjoint,
         problem.hconj.prox,
-        schedule.tau(k),
-        schedule.tau(k - 1) if k > 1 else 0.0,
-        schedule.sigma(k),
-        schedule.rho(k),
-        schedule.theta(k),
+        schedule,
+        k,
         state,
     )
 
@@ -443,6 +456,57 @@ def build_schedule(problem, params):
     raise UnknownKind(f"unknown schedule setting {params.setting!r}")
 
 
+def _run_schedule(problem, schedule, advance, x, y, n_steps, record_every, **stamp):
+    """Accelerated recursion from ``(x, y)`` through the shared driver.
+
+    ``advance(k, state)`` is the step; ``stamp`` adds constant trace
+    columns after ``ACCEL_TRACE_COLUMNS`` (the stochastic runner's ``seed``).
+
+    Returns
+    -------
+    AccelResult
+    """
+    state = AccelState.start(x, y)
+    first = (None, None)
+
+    def step(k):
+        nonlocal state, first
+        state = advance(k, state)
+        if k == 1:
+            first = (state.xt.copy(), state.yt.copy())
+        return state.xt, state.yt, None
+
+    def row(k, res):
+        dx = state.xt - state.xt_prev
+        dy = state.yt - state.yt_prev
+        return dict(
+            objective=saddle.primal_objective(problem, state.xt),
+            ergodic_objective=saddle.primal_objective(problem, state.x),
+            residual=float(np.sqrt(dx @ dx + dy @ dy)),
+            mdist=np.nan,
+            tau_k=schedule.tau(k),
+            sigma_k=schedule.sigma(k),
+            rho_k=schedule.rho(k),
+            **stamp,
+        )
+
+    columns = ACCEL_TRACE_COLUMNS + list(stamp)
+    trace, k, _ = _drive(step, row, n_steps, record_every, columns)
+    return AccelResult(
+        x=state.x,
+        y=state.y,
+        xt=state.xt,
+        yt=state.yt,
+        xt_prev=state.xt_prev,
+        yt_prev=state.yt_prev,
+        xt_first=first[0],
+        yt_first=first[1],
+        trace=trace,
+        iterations=k,
+        schedule=schedule,
+    )
+
+
 def run_accel(problem, params, x0=None, y0=None):
     """Run the accelerated iteration.
 
@@ -455,11 +519,7 @@ def run_accel(problem, params, x0=None, y0=None):
     -------
     AccelResult
     """
-    p, l = problem.dims
-    x = np.zeros(p) if x0 is None else np.asarray(x0, dtype=float).copy()
-    y = np.zeros(l) if y0 is None else np.asarray(y0, dtype=float).copy()
-    if x.shape != (p,) or y.shape != (l,):
-        raise DimensionError("starting point does not match problem dimensions")
+    x, y = _start_point(problem, x0, y0)
     schedule = build_schedule(problem, params)
     if params.setting == "bounded":
         if params.max_iters is None or params.max_iters < 0:
@@ -470,45 +530,14 @@ def run_accel(problem, params, x0=None, y0=None):
             params.horizon, params.max_iters
         )
     a_op, b_op = mode_operators(problem, params.mode, params.kappa)
-    state = AccelState.start(x, y)
-    xt_first = None
-    yt_first = None
-    trace = IterTrace(ACCEL_TRACE_COLUMNS)
-    start = time.perf_counter()
-    k = 0
-    for k in range(1, n_steps + 1):
-        prev = state
-        state = accel_step(problem, a_op, b_op, schedule, k, prev)
-        _require_finite(state.xt, state.yt, k)
-        if k == 1:
-            xt_first = state.xt.copy()
-            yt_first = state.yt.copy()
-        if k % params.record_every == 0 or k == n_steps:
-            dx = state.xt - prev.xt
-            dy = state.yt - prev.yt
-            trace.append(
-                k=k,
-                objective=saddle.primal_objective(problem, state.xt),
-                ergodic_objective=saddle.primal_objective(problem, state.x),
-                residual=float(np.sqrt(dx @ dx + dy @ dy)),
-                mdist=np.nan,
-                seconds=time.perf_counter() - start,
-                tau_k=schedule.tau(k),
-                sigma_k=schedule.sigma(k),
-                rho_k=schedule.rho(k),
-            )
-    return AccelResult(
-        x=state.x,
-        y=state.y,
-        xt=state.xt,
-        yt=state.yt,
-        xt_prev=state.xt_prev,
-        yt_prev=state.yt_prev,
-        xt_first=xt_first,
-        yt_first=yt_first,
-        trace=trace,
-        iterations=k,
-        schedule=schedule,
+    return _run_schedule(
+        problem,
+        schedule,
+        lambda k, state: accel_step(problem, a_op, b_op, schedule, k, state),
+        x,
+        y,
+        n_steps,
+        params.record_every,
     )
 
 

@@ -5,6 +5,14 @@ continuum: ``kappa = 0`` evaluates the penalty prox at a gradient-corrected
 point and leaves the metric block diagonal, while ``|kappa| = 1`` anchors
 the prox fully on one side and couples the metric blocks.  All members share
 the same fixed points, step-size region arithmetic, and relaxation cap.
+
+This module also holds the iteration loop of every runner in the package:
+``_start_point`` copies and checks the starting pair, and ``_drive`` runs
+the steps, checks each resolvent pair for finiteness, records trace rows on
+the cadence with their timer, and stops at the tolerance.  :func:`run_fb`,
+:func:`run_fbf`, :func:`pdsplit.shard.run_fb_sharded`,
+:func:`pdsplit.accel.run_accel` and :func:`pdsplit.stoch.run_stoc` supply
+only their step and their solver-specific trace columns.
 """
 
 from __future__ import annotations
@@ -327,6 +335,109 @@ def _require_finite(x, y, k):
         raise NonFiniteIterate(f"iterate left the finite range at iteration {k}")
 
 
+def _start_point(problem, x0, y0):
+    """Copy the starting pair (zeros by default) and check its shape."""
+    p, l = problem.dims
+    x = np.zeros(p) if x0 is None else np.asarray(x0, dtype=float).copy()
+    y = np.zeros(l) if y0 is None else np.asarray(y0, dtype=float).copy()
+    if x.shape != (p,) or y.shape != (l,):
+        raise DimensionError("starting point does not match problem dimensions")
+    return x, y
+
+
+def _drive(step, row, n_steps, record_every, columns, tol=None):
+    """The iteration loop shared by every runner.
+
+    ``step(k)`` advances the runner's state by one iteration and returns the
+    new resolvent pair and the step residual (``None`` for runners that
+    evaluate it only on recorded rows); the pair must be finite.
+    ``row(k, res)`` returns the trace columns other than ``k`` and
+    ``seconds``.  A row is recorded every ``record_every`` steps, at the
+    last step, and on convergence (``res <= tol``), which ends the loop.
+
+    Returns
+    -------
+    (IterTrace, int, bool)
+        The trace, the last iteration index and the convergence flag.
+    """
+    trace = IterTrace(columns)
+    converged = False
+    k = 0
+    start = time.perf_counter()
+    for k in range(1, n_steps + 1):
+        x_t, y_t, res = step(k)
+        _require_finite(x_t, y_t, k)
+        converged = tol is not None and res <= tol
+        if k % record_every == 0 or k == n_steps or converged:
+            trace.append(k=k, seconds=time.perf_counter() - start, **row(k, res))
+        if converged:
+            break
+    return trace, k, converged
+
+
+class _ErgodicMean:
+    """Weighted running mean of the resolvent points."""
+
+    def __init__(self, p):
+        self.total = np.zeros(p)
+        self.weight = 0.0
+
+    def add(self, weight, point):
+        self.total += weight * point
+        self.weight += weight
+
+    def row(self, problem, x, res, mdist):
+        """Trace columns of the forward-backward family at iterate ``x``."""
+        return {
+            "objective": saddle.primal_objective(problem, x),
+            "ergodic_objective": saddle.primal_objective(
+                problem, self.total / self.weight
+            ),
+            "residual": res,
+            "mdist": mdist,
+        }
+
+
+def _relaxed_run(problem, stepped, params, rho, x, y, tol, metric=None, on_step=None):
+    """Relaxed iteration on ``stepped`` through the shared driver.
+
+    ``fb_step`` runs on ``stepped`` (the sharded run passes its counting
+    copy of ``problem``) while trace rows are evaluated on ``problem``.
+    ``on_step(k, x, y)`` sees every relaxed pair.
+
+    Returns
+    -------
+    (x, y, x_tilde, y_tilde, trace, iterations, converged)
+    """
+    erg = _ErgodicMean(x.size)
+    x_t, y_t, mdist = x, y, np.nan
+
+    def step(k):
+        nonlocal x, y, x_t, y_t, mdist
+        x_t, y_t = fb_step(stepped, params.kappa, params.tau, params.sigma, x, y)
+        dx = x_t - x
+        dy = y_t - y
+        res = float(np.sqrt(dx @ dx + dy @ dy))
+        if metric is not None:
+            mdist = m_norm(metric, np.concatenate([dx, dy]))
+        x = x + rho * dx
+        y = y + rho * dy
+        erg.add(rho, x_t)
+        if on_step is not None:
+            on_step(k, x, y)
+        return x_t, y_t, res
+
+    trace, k, converged = _drive(
+        step,
+        lambda k, res: erg.row(problem, x, res, mdist),
+        params.max_iters,
+        params.record_every,
+        TRACE_COLUMNS,
+        tol,
+    )
+    return x, y, x_t, y_t, trace, k, converged
+
+
 def run_fb(
     problem,
     params,
@@ -350,7 +461,7 @@ def run_fb(
     validate : bool
         Check the region before running.  Disabled by region scans, which
         probe inadmissible parameter pairs on purpose; in that case a
-        numeric ``relaxation`` is used as given (default 1).
+        numeric ``relaxation`` is used as given and ``"recipe"`` means 1.
     keep_iterates : bool
         Keep every relaxed iterate pair (including the start) in memory.
     record_mdist : bool or "auto"
@@ -361,12 +472,7 @@ def run_fb(
     -------
     FbResult
     """
-    p, l = problem.dims
-    x = np.zeros(p) if x0 is None else np.asarray(x0, dtype=float).copy()
-    y = np.zeros(l) if y0 is None else np.asarray(y0, dtype=float).copy()
-    if x.shape != (p,) or y.shape != (l,):
-        raise DimensionError("starting point does not match problem dimensions")
-
+    x, y = _start_point(problem, x0, y0)
     params = resolve_params(problem, params)
     if validate:
         info = validate_params(problem, params)
@@ -375,8 +481,9 @@ def run_fb(
         delta = relaxation_cap(
             problem.L_f, problem.k_norm, params.kappa, params.tau, params.sigma
         )
-        rho = params.relaxation if isinstance(params.relaxation, float) else 1.0
+        rho = 1.0 if params.relaxation == "recipe" else float(params.relaxation)
 
+    p, l = problem.dims
     if record_mdist == "auto":
         record_mdist = p + l <= M_DENSE_LIMIT
     metric = (
@@ -384,41 +491,15 @@ def run_fb(
         if record_mdist
         else None
     )
+    iterates = None
+    on_step = None
+    if keep_iterates:
+        iterates = [(x.copy(), y.copy())]
+        on_step = lambda k, x, y: iterates.append((x.copy(), y.copy()))
 
-    trace = IterTrace(TRACE_COLUMNS)
-    iterates = [(x.copy(), y.copy())] if keep_iterates else None
-    erg_x = np.zeros(p)
-    erg_w = 0.0
-    x_t, y_t = x, y
-    converged = False
-    k = 0
-    start = time.perf_counter()
-    for k in range(1, params.max_iters + 1):
-        x_t, y_t = fb_step(problem, params.kappa, params.tau, params.sigma, x, y)
-        _require_finite(x_t, y_t, k)
-        dx = x_t - x
-        dy = y_t - y
-        res = float(np.sqrt(dx @ dx + dy @ dy))
-        mdist = m_norm(metric, np.concatenate([dx, dy])) if metric is not None else np.nan
-        x = x + rho * dx
-        y = y + rho * dy
-        erg_x += rho * x_t
-        erg_w += rho
-        if keep_iterates:
-            iterates.append((x.copy(), y.copy()))
-        converged = tol is not None and res <= tol
-        if k % params.record_every == 0 or k == params.max_iters or converged:
-            trace.append(
-                k=k,
-                objective=saddle.primal_objective(problem, x),
-                ergodic_objective=saddle.primal_objective(problem, erg_x / erg_w),
-                residual=res,
-                mdist=mdist,
-                seconds=time.perf_counter() - start,
-            )
-        if converged:
-            break
-
+    x, y, x_t, y_t, trace, k, converged = _relaxed_run(
+        problem, problem, params, rho, x, y, tol, metric, on_step
+    )
     return FbResult(
         x=x,
         y=y,
@@ -532,9 +613,7 @@ def run_fbf(
     Returns an :class:`FbResult`; the metric-displacement column is not
     defined for this scheme and stays ``nan``.
     """
-    p, l = problem.dims
-    x = np.zeros(p) if x0 is None else np.asarray(x0, dtype=float).copy()
-    y = np.zeros(l) if y0 is None else np.asarray(y0, dtype=float).copy()
+    x, y = _start_point(problem, x0, y0)
     if tau is None:
         tau = fbf_default_step(problem)
     if tau <= 0 or tau * (problem.L_f + problem.k_norm) >= 1.0:
@@ -542,32 +621,27 @@ def run_fbf(
             "forward-backward-forward step must satisfy tau * (L_f + ||K||) < 1"
         )
     x_prev, y_prev = x.copy(), y.copy()
-    trace = IterTrace(TRACE_COLUMNS)
-    erg_x = np.zeros(p)
-    converged = False
-    k = 0
-    start = time.perf_counter()
-    for k in range(1, max_iters + 1):
+    erg = _ErgodicMean(x.size)
+
+    def step(k):
+        nonlocal x, y, x_prev, y_prev
         x_new, y_new = fbf_step(problem, tau, x, y, x_prev, y_prev, alpha1, alpha2)
-        _require_finite(x_new, y_new, k)
         res = float(
             np.sqrt(np.sum((x_new - x) ** 2) + np.sum((y_new - y) ** 2))
         )
         x_prev, y_prev = x, y
         x, y = x_new, y_new
-        erg_x += x
-        converged = tol is not None and res <= tol
-        if k % record_every == 0 or k == max_iters or converged:
-            trace.append(
-                k=k,
-                objective=saddle.primal_objective(problem, x),
-                ergodic_objective=saddle.primal_objective(problem, erg_x / k),
-                residual=res,
-                mdist=np.nan,
-                seconds=time.perf_counter() - start,
-            )
-        if converged:
-            break
+        erg.add(1.0, x)
+        return x, y, res
+
+    trace, k, converged = _drive(
+        step,
+        lambda k, res: erg.row(problem, x, res, np.nan),
+        max_iters,
+        record_every,
+        TRACE_COLUMNS,
+        tol,
+    )
     return FbResult(
         x=x,
         y=y,

@@ -261,16 +261,6 @@ def scaled_copy(op, alpha):
     return ScaledOp(alpha, op)
 
 
-def apply(op, x):
-    """Forward product ``op @ x`` for any operator kind."""
-    return op.apply(x)
-
-
-def apply_adjoint(op, y):
-    """Adjoint product ``op.T @ y`` for any operator kind."""
-    return op.apply_adjoint(y)
-
-
 def densify(op):
     """Materialize an operator as a dense array.
 

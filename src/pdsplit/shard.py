@@ -5,7 +5,10 @@ contiguous, balanced blocks, one per worker, and every operator product is
 evaluated blockwise with the partial results reduced left to right.  The
 run itself stays single-process; what the sharding changes is the
 *accounting*: a ledger records how many vector entries would cross worker
-boundaries per iteration.
+boundaries per iteration.  The run is :func:`pdsplit.fb.fb_step` on a
+counting copy of the problem, iterated by the shared driver in
+:mod:`pdsplit.fb`; the step closes one ledger row, and trace rows are
+evaluated on the original problem, so they are never charged.
 
 Counting rules per product:
 
@@ -18,7 +21,6 @@ Counting rules per product:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +28,7 @@ import scipy.sparse as sp
 
 from . import fb, saddle
 from .errors import ConstraintViolation, DegenerateProblem, DimensionError, TooManyWorkers
-from .fb import IterTrace, TRACE_COLUMNS
+from .fb import IterTrace
 from .linops import DenseOp, LinearOperator, SparseOp, densify
 
 LEDGER_COLUMNS = ["iter", "loss_comm", "penalty_comm", "total_comm"]
@@ -284,15 +286,16 @@ def run_fb_sharded(problem, params, m_workers, x0=None, y0=None, tol=None):
 
     The arithmetic differs from the dense run only in summation order, so
     the trajectories agree to rounding.  Objective reporting happens on the
-    gathered iterate and is not charged to the ledger.
+    gathered iterate and is not charged to the ledger.  ``x0`` and ``y0``
+    are starting points (zeros by default).
 
     Returns
     -------
     ShardResult
     """
+    x, y = fb._start_point(problem, x0, y0)
     info = fb.validate_params(problem, params)
     params = fb.resolve_params(problem, params)
-    tau, sigma, rho = params.tau, params.sigma, info["rho"]
     plan = partition_problem(problem, m_workers)
     ledger = CommLedger()
     b = np.asarray(problem.loss_rhs, dtype=float)
@@ -307,38 +310,16 @@ def run_fb_sharded(problem, params, m_workers, x0=None, y0=None, tol=None):
     )
     shadow._k_norm = problem.k_norm
 
-    p, l = problem.dims
-    x = np.zeros(p) if x0 is None else np.asarray(x0, dtype=float).copy()
-    y = np.zeros(l) if y0 is None else np.asarray(y0, dtype=float).copy()
-    trace = IterTrace(TRACE_COLUMNS)
-    erg_x = np.zeros(p)
-    erg_w = 0.0
-    converged = False
-    k = 0
-    start = time.perf_counter()
-    for k in range(1, params.max_iters + 1):
-        x_t, y_t = fb.fb_step(shadow, params.kappa, tau, sigma, x, y)
-        fb._require_finite(x_t, y_t, k)
-        dx = x_t - x
-        dy = y_t - y
-        res = float(np.sqrt(dx @ dx + dy @ dy))
-        x = x + rho * dx
-        y = y + rho * dy
-        erg_x += rho * x_t
-        erg_w += rho
-        ledger.flush(k)
-        converged = tol is not None and res <= tol
-        if k % params.record_every == 0 or k == params.max_iters or converged:
-            trace.append(
-                k=k,
-                objective=saddle.primal_objective(problem, x),
-                ergodic_objective=saddle.primal_objective(problem, erg_x / erg_w),
-                residual=res,
-                mdist=np.nan,
-                seconds=time.perf_counter() - start,
-            )
-        if converged:
-            break
+    x, y, _, _, trace, k, converged = fb._relaxed_run(
+        problem,
+        shadow,
+        params,
+        info["rho"],
+        x,
+        y,
+        tol,
+        on_step=lambda k, x, y: ledger.flush(k),
+    )
     return ShardResult(
         x=x,
         y=y,

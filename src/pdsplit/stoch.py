@@ -8,33 +8,29 @@ so a zero-variance oracle reproduces a deterministic run bitwise.
 Convergence is established for the modes whose primal extrapolation
 operator is exactly ``-K`` (``kappa`` mode at 1 and ``chen``); other modes
 require the caller to opt in explicitly.
+
+Each seed of :func:`run_stoc` runs :func:`stoc_accel_step` through the
+accelerated module's runner, and so through the shared driver in
+:mod:`pdsplit.fb`; the cross-seed aggregate is built from the per-seed
+traces.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-import time
 
 import numpy as np
 
-from . import saddle
 from .accel import (
-    ACCEL_TRACE_COLUMNS,
-    AccelResult,
-    AccelState,
+    ScheduleLaws,
     _accel_core,
+    _run_schedule,
     mode_factors,
     mode_operators,
 )
-from .errors import (
-    ConstraintViolation,
-    DimensionError,
-    UnsupportedMode,
-)
-from .fb import IterTrace, _require_finite
-
-STOC_TRACE_COLUMNS = ACCEL_TRACE_COLUMNS + ["seed"]
+from .errors import ConstraintViolation, UnsupportedMode
+from .fb import IterTrace, _start_point
 
 AGGREGATE_COLUMNS = ["k", "mean_objective", "median_objective", "q10", "q90"]
 
@@ -42,9 +38,6 @@ AGGREGATE_COLUMNS = ["k", "mean_objective", "median_objective", "q10", "q90"]
 CHI_DRAWS = 1000
 CHI_INFLATION = 1.5
 _CHI_SEED = 987654321
-
-# Relative tolerance for asserting the noisy schedule inequalities.
-COND_TOL = 1e-12
 
 
 @dataclass
@@ -272,13 +265,15 @@ def estimate_chi(oracle, problem, x, y, n_draws=CHI_DRAWS, inflation=CHI_INFLATI
 
 
 @dataclass
-class StocSchedule:
+class StocSchedule(ScheduleLaws):
     """Noisy-setting schedule with horizon-tied steps.
 
-    Shares the relaxation and extrapolation laws of the deterministic
-    schedule (``rho = 2 / (k + 1)``, ``theta = (k - 1) / k``); both steps
-    grow linearly in ``k`` against constant denominators, so the
-    extrapolation ratio matches ``theta`` exactly.
+    Shares the relaxation and extrapolation laws and the inequality checks
+    of the deterministic schedule through :class:`ScheduleLaws`, with the
+    budgets ``(s - q, t - r)``.  Both steps grow linearly in ``k`` against
+    constant denominators, so the extrapolation ratio matches ``theta``
+    exactly.  A horizon-``N`` run executes steps ``1 .. N - 1``, which is
+    the range the inequalities are needed (and guaranteed) on.
     """
 
     setting: str
@@ -298,19 +293,8 @@ class StocSchedule:
     omega_y: float | None = None
     r_tilde: float | None = None
 
-    def rho(self, k):
-        k = np.asarray(k, dtype=float)
-        out = 2.0 / (k + 1.0)
-        return float(out) if out.ndim == 0 else out
-
-    def theta(self, k):
-        k = np.asarray(k, dtype=float)
-        out = (k - 1.0) / k
-        return float(out) if out.ndim == 0 else out
-
-    def gamma(self, k):
-        k = np.asarray(k, dtype=float)
-        return float(k) if k.ndim == 0 else k.copy()
+    def budgets(self):
+        return self.s - self.q, self.t - self.r
 
     def _noise_scale(self):
         return float(
@@ -353,40 +337,6 @@ class StocSchedule:
             ) * self._noise_scale() / self.r_tilde
             out = k / den
         return float(out) if out.ndim == 0 else out
-
-    def condition_margins(self, k):
-        """Margins of the noisy schedule inequalities at index ``k``."""
-        a, b, c, d = self.factors
-        tau = self.tau(k)
-        sigma = self.sigma(k)
-        bq = (b * b / self.q) if b > 0 else 0.0
-        m1 = (
-            (self.s - self.q) / tau
-            - self.l_f * self.rho(k)
-            - (a * self.k_norm) ** 2 * sigma / self.r
-        )
-        m2 = (self.t - self.r) / sigma - tau * (2.0 * c * d + bq) * self.k_norm**2
-        return m1, m2
-
-    def assert_conditions(self, ks):
-        """Raise unless both inequalities hold (to rounding) on ``ks``.
-
-        A horizon-``N`` run executes steps ``1 .. N - 1``, which is the
-        range the inequalities are needed (and guaranteed) on.
-        """
-        ks = np.asarray(ks, dtype=float)
-        m1, m2 = self.condition_margins(ks)
-        a, _, _, _ = self.factors
-        scale1 = (
-            (self.s - self.q) / self.tau(ks)
-            + self.l_f * self.rho(ks)
-            + (a * self.k_norm) ** 2 * self.sigma(ks) / self.r
-        )
-        scale2 = (self.t - self.r) / self.sigma(ks) + np.abs(
-            m2 - (self.t - self.r) / self.sigma(ks)
-        )
-        if np.any(m1 < -COND_TOL * scale1) or np.any(m2 < -COND_TOL * scale2):
-            raise ConstraintViolation("noisy schedule inequalities fail")
 
 
 def _check_qrst(q, r, s, t, r_cap=1.0):
@@ -570,11 +520,8 @@ def stoc_accel_step(problem, oracle, schedule, k, state):
         oracle.a_fwd,
         oracle.b_adj,
         problem.hconj.prox,
-        schedule.tau(k),
-        schedule.tau(k - 1) if k > 1 else 0.0,
-        schedule.sigma(k),
-        schedule.rho(k),
-        schedule.theta(k),
+        schedule,
+        k,
         state,
     )
 
@@ -612,11 +559,7 @@ def run_stoc(problem, params, oracle_factory, seeds, x0=None, y0=None, jobs=1):
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise ConstraintViolation("run_stoc needs at least one seed")
-    p, l = problem.dims
-    x_start = np.zeros(p) if x0 is None else np.asarray(x0, dtype=float).copy()
-    y_start = np.zeros(l) if y0 is None else np.asarray(y0, dtype=float).copy()
-    if x_start.shape != (p,) or y_start.shape != (l,):
-        raise DimensionError("starting point does not match problem dimensions")
+    x_start, y_start = _start_point(problem, x0, y0)
 
     chi_x, chi_y = params.chi_x, params.chi_y
     if chi_x is None or chi_y is None:
@@ -635,65 +578,26 @@ def run_stoc(problem, params, oracle_factory, seeds, x0=None, y0=None, jobs=1):
 
     def one_seed(seed):
         oracle = oracle_factory(seed)
-        state = AccelState.start(x_start, y_start)
-        xt_first = yt_first = None
-        trace = IterTrace(STOC_TRACE_COLUMNS)
-        ks = []
-        objs = []
-        start = time.perf_counter()
-        k = 0
-        for k in range(1, n_steps + 1):
-            prev = state
-            state = stoc_accel_step(problem, oracle, schedule, k, prev)
-            _require_finite(state.xt, state.yt, k)
-            if k == 1:
-                xt_first = state.xt.copy()
-                yt_first = state.yt.copy()
-            if k % resolved.record_every == 0 or k == n_steps:
-                dx = state.xt - prev.xt
-                dy = state.yt - prev.yt
-                erg = saddle.primal_objective(problem, state.x)
-                trace.append(
-                    k=k,
-                    objective=saddle.primal_objective(problem, state.xt),
-                    ergodic_objective=erg,
-                    residual=float(np.sqrt(dx @ dx + dy @ dy)),
-                    mdist=np.nan,
-                    seconds=time.perf_counter() - start,
-                    tau_k=schedule.tau(k),
-                    sigma_k=schedule.sigma(k),
-                    rho_k=schedule.rho(k),
-                    seed=seed,
-                )
-                ks.append(k)
-                objs.append(erg)
-        result = AccelResult(
-            x=state.x,
-            y=state.y,
-            xt=state.xt,
-            yt=state.yt,
-            xt_prev=state.xt_prev,
-            yt_prev=state.yt_prev,
-            xt_first=xt_first,
-            yt_first=yt_first,
-            trace=trace,
-            iterations=k,
-            schedule=schedule,
+        return _run_schedule(
+            problem,
+            schedule,
+            lambda k, state: stoc_accel_step(problem, oracle, schedule, k, state),
+            x_start,
+            y_start,
+            n_steps,
+            resolved.record_every,
+            seed=seed,
         )
-        return result, ks, objs
 
     if jobs > 1 and len(seeds) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(one_seed, seeds))
+            runs = list(pool.map(one_seed, seeds))
     else:
-        outcomes = [one_seed(seed) for seed in seeds]
-    runs = [run for run, _, _ in outcomes]
-    ks_ref = outcomes[0][1]
-    per_seed_obj = [objs for _, _, objs in outcomes]
+        runs = [one_seed(seed) for seed in seeds]
 
     aggregate = IterTrace(AGGREGATE_COLUMNS)
-    values = np.asarray(per_seed_obj)
-    for i, k in enumerate(ks_ref):
+    values = np.asarray([run.trace.column("ergodic_objective") for run in runs])
+    for i, k in enumerate(runs[0].trace.column("k")):
         col = values[:, i]
         aggregate.append(
             k=k,

@@ -319,6 +319,31 @@ def test_run_accel_chen_matches_six_line_oracle(dense_problem):
         np.testing.assert_allclose(res.yt, oyt, atol=1e-12)
 
 
+def test_run_accel_replays_step_loop(dense_problem):
+    problem, _, _, _ = dense_problem
+    rng = np.random.default_rng(63)
+    x0 = rng.standard_normal(6)
+    y0 = np.clip(rng.standard_normal(4), -1.0, 1.0)
+    for mode, kappa, setting in (("kappa", 0.5, "bounded"),
+                                 ("chen", 0.0, "unbounded")):
+        params = AccelParams(mode=mode, kappa=kappa, setting=setting,
+                             omega_x=2.0, omega_y=3.0, horizon=30,
+                             max_iters=30, record_every=7)
+        res = run_accel(problem, params, x0=x0, y0=y0)
+        a_op, b_op = mode_operators(problem, mode, kappa)
+        state = AccelState.start(x0, y0)
+        for k in range(1, 31):
+            state = accel_step(problem, a_op, b_op, res.schedule, k, state)
+            if k == 1:
+                first = state
+        for got, want in ((res.x, state.x), (res.y, state.y),
+                          (res.xt, state.xt), (res.yt, state.yt),
+                          (res.xt_prev, state.xt_prev),
+                          (res.xt_first, first.xt), (res.yt_first, first.yt)):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(res.trace.column("k"), [7, 14, 21, 28, 30])
+
+
 def test_run_accel_zero_iterations_returns_start(tiny_lasso):
     x0 = np.ones(tiny_lasso.problem.dims[0])
     params = AccelParams(mode="chen", setting="bounded", omega_x=2.0,

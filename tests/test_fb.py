@@ -27,7 +27,10 @@ from pdsplit.fb import (
     run_fbf,
     validate_params,
 )
+from pdsplit.accel import AccelParams, run_accel
 from pdsplit.saddle import SaddleProblem, primal_objective, quadratic_loss
+from pdsplit.shard import run_fb_sharded
+from pdsplit.stoch import StocParams, masked_oracle_factory, run_stoc
 
 import oracles
 from conftest import identity_lasso_problem, make_dense_problem
@@ -326,9 +329,64 @@ def test_run_fb_flags_divergence():
             run_fb(problem, params, x0=np.ones(2), validate=False)
 
 
-def test_run_fb_rejects_mismatched_start(tiny_lasso):
+def _stoc_run(problem, x0=None, y0=None):
+    params = StocParams(mode="kappa", kappa=1.0, omega_x=3.0, omega_y=3.0,
+                        horizon=3)
+    factory = masked_oracle_factory(problem, params, 1.0)
+    return run_stoc(problem, params, factory, seeds=[0], x0=x0, y0=y0)
+
+
+START_RUNNERS = {
+    "run_fb": lambda pr, **st: run_fb(pr, FbParams(max_iters=1), **st),
+    "run_fbf": lambda pr, **st: run_fbf(pr, max_iters=1, **st),
+    "run_fb_sharded": lambda pr, **st: run_fb_sharded(
+        pr, FbParams(max_iters=1), 3, **st
+    ),
+    "run_accel": lambda pr, **st: run_accel(
+        pr, AccelParams(omega_x=3.0, omega_y=3.0, max_iters=1), **st
+    ),
+    "run_stoc": _stoc_run,
+}
+
+
+@pytest.mark.parametrize("runner", sorted(START_RUNNERS))
+def test_run_fb_rejects_mismatched_start(tiny_lasso, runner):
+    problem = tiny_lasso.problem
+    p, l = problem.dims
+    run = START_RUNNERS[runner]
     with pytest.raises(DimensionError):
-        run_fb(tiny_lasso.problem, FbParams(max_iters=1), x0=np.zeros(3))
+        run(problem, x0=np.zeros(p + 1))
+    with pytest.raises(DimensionError):
+        run(problem, y0=np.zeros(l + 2))
+    with pytest.raises(DimensionError):
+        run(problem, x0=np.zeros((p, 1)))
+
+
+def test_run_fb_uses_numeric_relaxation_without_validation(tiny_lasso):
+    problem = tiny_lasso.problem
+    for relaxation, rho in ((2, 2.0), (0.5, 0.5), ("recipe", 1.0)):
+        res = run_fb(problem, FbParams(max_iters=2, relaxation=relaxation),
+                     validate=False)
+        assert res.rho == rho
+        assert type(res.rho) is float
+
+
+def test_run_fb_replays_relaxed_step_loop(tiny_lasso):
+    problem = tiny_lasso.problem
+    params = FbParams(kappa=0.5, relaxation=0.6, max_iters=23, record_every=5)
+    res = run_fb(problem, params)
+    info = validate_params(problem, params)
+    x = np.zeros(problem.dims[0])
+    y = np.zeros(problem.dims[1])
+    for _ in range(23):
+        xt, yt = fb_step(problem, 0.5, info["tau"], info["sigma"], x, y)
+        x = x + 0.6 * (xt - x)
+        y = y + 0.6 * (yt - y)
+    np.testing.assert_array_equal(res.x, x)
+    np.testing.assert_array_equal(res.y, y)
+    np.testing.assert_array_equal(res.x_tilde, xt)
+    np.testing.assert_array_equal(res.y_tilde, yt)
+    np.testing.assert_array_equal(res.trace.column("k"), [5, 10, 15, 20, 23])
 
 
 def test_fejer_constant_sequence_at_fixed_point_passes(tiny_lasso,
@@ -396,6 +454,22 @@ def test_fbf_zero_inertia_without_coupling_is_double_gradient_step():
     y = np.zeros(1)
     xt, _ = fbf_step(problem, 0.3, x, y, x, y)
     np.testing.assert_allclose(xt, x - 0.3 * x, atol=1e-15)
+
+
+def test_run_fbf_replays_inertial_step_loop(tiny_lasso):
+    problem = tiny_lasso.problem
+    tau = fbf_default_step(problem, margin=0.5)
+    res = run_fbf(problem, tau=tau, alpha1=0.2, alpha2=0.1, max_iters=17,
+                  record_every=4)
+    x = np.zeros(problem.dims[0])
+    y = np.zeros(problem.dims[1])
+    x_prev, y_prev = x, y
+    for _ in range(17):
+        x_new, y_new = fbf_step(problem, tau, x, y, x_prev, y_prev, 0.2, 0.1)
+        x_prev, y_prev, x, y = x, y, x_new, y_new
+    np.testing.assert_array_equal(res.x, x)
+    np.testing.assert_array_equal(res.y, y)
+    np.testing.assert_array_equal(res.trace.column("k"), [4, 8, 12, 16, 17])
 
 
 def test_fbf_objective_decreases_on_tiny_lasso(tiny_lasso):

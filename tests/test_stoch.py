@@ -307,6 +307,28 @@ def test_run_stoc_multi_seed_aggregate(tiny_lasso):
     assert np.all(np.diff(ks) > 0)
 
 
+def test_run_stoc_aggregate_summarizes_seed_traces(tiny_lasso):
+    problem = tiny_lasso.problem
+    params = StocParams(mode="chen", setting="bounded", omega_x=3.0,
+                        omega_y=3.0, horizon=22, record_every=4)
+    factory = masked_oracle_factory(problem, params, 0.5)
+    res = run_stoc(problem, params, factory, seeds=[3, 4, 5, 6], jobs=2)
+    objs = np.array([run.trace.column("ergodic_objective") for run in res.runs])
+    for run in res.runs:
+        np.testing.assert_array_equal(run.trace.column("k"),
+                                      [4, 8, 12, 16, 20, 21])
+    agg = res.aggregate
+    np.testing.assert_array_equal(agg.column("k"), [4, 8, 12, 16, 20, 21])
+    np.testing.assert_array_equal(agg.column("mean_objective"),
+                                  objs.mean(axis=0))
+    np.testing.assert_array_equal(agg.column("median_objective"),
+                                  np.median(objs, axis=0))
+    np.testing.assert_array_equal(agg.column("q10"),
+                                  np.quantile(objs, 0.1, axis=0))
+    np.testing.assert_array_equal(agg.column("q90"),
+                                  np.quantile(objs, 0.9, axis=0))
+
+
 def test_run_stoc_parallel_matches_serial(tiny_lasso):
     problem = tiny_lasso.problem
     params = StocParams(mode="kappa", kappa=1.0, setting="bounded",
