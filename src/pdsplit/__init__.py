@@ -1,8 +1,9 @@
 """Primal-dual splitting solvers for composite problems ``f(x) + h(Kx)``.
 
 The package is organized around :class:`~pdsplit.saddle.SaddleProblem`, which
-bundles a smooth loss, a coupling operator, and the conjugate prox of the
-penalty.  Solvers act on that container:
+bundles a smooth loss ``f(x) = phi(A x)`` that carries its design operator
+``A``, a coupling operator ``K``, and the conjugate prox of the penalty.
+Solvers act on that container:
 
 - :func:`~pdsplit.fb.run_fb` runs the relaxed preconditioned iteration whose
   position on the continuum is set by ``kappa`` in ``[-1, 1]``.
@@ -13,7 +14,8 @@ penalty.  Solvers act on that container:
 - :func:`~pdsplit.stoch.run_stoc` runs the stochastic accelerated variants on
   sampled oracles over one or more seeds.
 - :func:`~pdsplit.shard.run_fb_sharded` replays the plain iteration across
-  feature shards and accounts for the communicated scalars.
+  feature shards, with ``A`` and ``K`` as column-block stacks, and accounts
+  for the communicated scalars.
 
 All five runners share one iteration loop, the private driver in
 :mod:`pdsplit.fb`; each supplies only its step and its trace columns.
@@ -78,6 +80,7 @@ from .fb import (
 )
 from .linops import (
     DenseOp,
+    HStackOp,
     IdentityOp,
     LinearOperator,
     ScaledOp,
@@ -148,6 +151,7 @@ __all__ = [
     "FbResult",
     "GeneratedProblem",
     "GroupL2Balls",
+    "HStackOp",
     "HingeConj",
     "IdentityOp",
     "IdentityShift",

@@ -268,13 +268,7 @@ def gen_overlapping_group_lasso(spec):
     k_op = linops.build_group_membership(groups, spec.primal_dim)
     partition = GroupPartition([len(g) for g in groups])
     hconj = GroupL2Balls(partition, radii)
-    problem = saddle.SaddleProblem(
-        saddle.quadratic_loss(DenseOp(a), b),
-        k_op,
-        hconj,
-        loss_matrix=a,
-        loss_rhs=b,
-    )
+    problem = saddle.SaddleProblem(saddle.quadratic_loss(DenseOp(a), b), k_op, hconj)
     return GeneratedProblem(spec, problem, a, b, x_true, _base_meta(spec, problem))
 
 
@@ -353,13 +347,7 @@ def gen_graph_guided_fused_lasso(spec):
 
     k_op = linops.build_graph_difference(edges, p)
     hconj = BoxClip(spec.penalty_weight, len(edges))
-    problem = saddle.SaddleProblem(
-        saddle.quadratic_loss(DenseOp(a), b),
-        k_op,
-        hconj,
-        loss_matrix=a,
-        loss_rhs=b,
-    )
+    problem = saddle.SaddleProblem(saddle.quadratic_loss(DenseOp(a), b), k_op, hconj)
     meta = _base_meta(spec, problem)
     meta["n_edges"] = len(edges)
     return GeneratedProblem(spec, problem, a, b, x_true, meta)
@@ -376,8 +364,6 @@ def gen_lasso(spec):
         saddle.quadratic_loss(DenseOp(a), b),
         IdentityOp(p),
         BoxClip(spec.penalty_weight, p),
-        loss_matrix=a,
-        loss_rhs=b,
     )
     return GeneratedProblem(spec, problem, a, b, x_true, _base_meta(spec, problem))
 
@@ -457,26 +443,17 @@ def load_bundle(path):
         groups = overlapping_groups(spec.n_groups, spec.group_size)
         radii = spec.penalty_weight * np.sqrt([len(g) for g in groups])
         hconj = GroupL2Balls(GroupPartition([len(g) for g in groups]), radii)
-        problem = saddle.SaddleProblem(
-            loss, matrix_operator(coupling), hconj,
-            loss_matrix=design, loss_rhs=response,
-        )
+        problem = saddle.SaddleProblem(loss, matrix_operator(coupling), hconj)
     elif spec.kind == "graph-guided-fused-lasso":
         hconj = BoxClip(spec.penalty_weight, coupling.shape[0])
-        problem = saddle.SaddleProblem(
-            loss, matrix_operator(coupling), hconj,
-            loss_matrix=design, loss_rhs=response,
-        )
+        problem = saddle.SaddleProblem(loss, matrix_operator(coupling), hconj)
     elif spec.kind == "latent-group-lasso":
         groups = overlapping_groups(spec.n_groups, spec.group_size)
         radii = spec.penalty_weight * np.sqrt([len(g) for g in groups])
         problem = saddle.latent_group_construct(groups, DenseOp(design), response, radii)
     else:
         hconj = BoxClip(spec.penalty_weight, spec.primal_dim)
-        problem = saddle.SaddleProblem(
-            loss, IdentityOp(spec.primal_dim), hconj,
-            loss_matrix=design, loss_rhs=response,
-        )
+        problem = saddle.SaddleProblem(loss, IdentityOp(spec.primal_dim), hconj)
     return GeneratedProblem(spec, problem, design, response, signal, meta)
 
 

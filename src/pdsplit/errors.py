@@ -33,10 +33,6 @@ class BadLabels(SolverError):
     """Classification labels must take values in {-1, +1}."""
 
 
-class MissingPrimalEvaluator(SolverError):
-    """The problem lacks the penalty-value callback needed for objectives."""
-
-
 class DegenerateProblem(SolverError):
     """Problem data is degenerate (zero operator, empty groups, and alike)."""
 

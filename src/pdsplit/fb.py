@@ -248,9 +248,7 @@ def validate_params(problem, params):
     params = resolve_params(problem, params)
     if not -1.0 <= params.kappa <= 1.0:
         raise ConstraintViolation(f"kappa must lie in [-1, 1], got {params.kappa}")
-    if params.max_iters < 0 or params.record_every < 1:
-        raise ConstraintViolation("iteration budget must be nonnegative and "
-                                  "the recording cadence positive")
+    _check_budget(params.max_iters, params.record_every)
     valid, margins = convergence_region(
         problem.L_f, problem.k_norm, params.kappa, params.tau, params.sigma
     )
@@ -345,6 +343,12 @@ def _start_point(problem, x0, y0):
     return x, y
 
 
+def _check_budget(n_steps, record_every):
+    if n_steps < 0 or record_every < 1:
+        raise ConstraintViolation("iteration budget must be nonnegative and "
+                                  "the recording cadence positive")
+
+
 def _drive(step, row, n_steps, record_every, columns, tol=None):
     """The iteration loop shared by every runner.
 
@@ -359,7 +363,13 @@ def _drive(step, row, n_steps, record_every, columns, tol=None):
     -------
     (IterTrace, int, bool)
         The trace, the last iteration index and the convergence flag.
+
+    Raises
+    ------
+    ConstraintViolation
+        If ``n_steps`` is negative or ``record_every`` is not positive.
     """
+    _check_budget(n_steps, record_every)
     trace = IterTrace(columns)
     converged = False
     k = 0

@@ -4,6 +4,10 @@ Every operator exposes ``apply`` (forward product) and ``apply_adjoint``
 (transpose product) on 1-d numpy vectors, together with a ``kind`` tag and a
 ``shape`` attribute.  Structured operators (identity, zero, scalings, stacks)
 stay lazy so that large penalty operators never have to be materialized.
+Stacks go both ways: :class:`VStackOp` stacks row blocks (a coupling
+operator that pairs two penalties) and :class:`HStackOp` stacks column
+blocks (a design that reads part of a stacked variable, or a matrix split
+by feature columns across workers).
 """
 
 from __future__ import annotations
@@ -190,6 +194,47 @@ class VStackOp(LinearOperator):
         return out
 
 
+class HStackOp(LinearOperator):
+    """Horizontal stack of operators sharing a common row dimension.
+
+    The stack stays lazy: forward products sum the block products of the
+    matching column segments, left to right, and adjoint products
+    concatenate block adjoints.
+    """
+
+    kind = "hstack"
+
+    def __init__(self, blocks):
+        blocks = list(blocks)
+        if not blocks:
+            raise DegenerateProblem("hstack of zero blocks")
+        rows = blocks[0].shape[0]
+        for b in blocks:
+            if not isinstance(b, LinearOperator):
+                raise UnknownKind("hstack blocks must be LinearOperator instances")
+            if b.shape[0] != rows:
+                raise DimensionError(
+                    f"hstack blocks disagree on rows: {b.shape[0]} vs {rows}"
+                )
+        cols = sum(b.shape[1] for b in blocks)
+        super().__init__((rows, cols))
+        self.blocks = blocks
+        self.offsets = np.cumsum([0] + [b.shape[1] for b in blocks])
+
+    def apply(self, x):
+        x = self._check_vec(x, self.shape[1], "input")
+        bounds = zip(self.blocks, self.offsets[:-1], self.offsets[1:])
+        parts = [b.apply(x[lo:hi]) for b, lo, hi in bounds]
+        out = np.array(parts[0], dtype=float, copy=True)
+        for part in parts[1:]:
+            out = out + part
+        return out
+
+    def apply_adjoint(self, y):
+        y = self._check_vec(y, self.shape[0], "adjoint input")
+        return np.concatenate([b.apply_adjoint(y) for b in self.blocks])
+
+
 _KINDS = {
     "dense": DenseOp,
     "sparse-csr": SparseOp,
@@ -197,6 +242,7 @@ _KINDS = {
     "zero": ZeroOp,
     "scaled": ScaledOp,
     "vstack": VStackOp,
+    "hstack": HStackOp,
 }
 
 
@@ -207,7 +253,7 @@ def make_operator(kind, *args, **kwargs):
     ----------
     kind : str
         One of ``dense``, ``sparse-csr``, ``identity``, ``zero``, ``scaled``,
-        ``vstack``.
+        ``vstack``, ``hstack``.
 
     Returns
     -------
@@ -279,6 +325,8 @@ def densify(op):
         return op.alpha * densify(op.inner)
     if isinstance(op, VStackOp):
         return np.vstack([densify(b) for b in op.blocks])
+    if isinstance(op, HStackOp):
+        return np.hstack([densify(b) for b in op.blocks])
     raise UnknownKind(f"cannot densify operator kind {op.kind!r}")
 
 

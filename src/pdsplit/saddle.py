@@ -1,9 +1,12 @@
 """Smooth-plus-composite problems in saddle form.
 
 A problem ``min_x f(x) + h(Kx)`` is handled through its saddle formulation
-``min_x max_y f(x) + <Kx, y> - h*(y)``, so a problem bundle carries the
-smooth part (value, gradient, curvature bound), the coupling operator, and
-the conjugate-prox spec of the penalty.
+``min_x max_y f(x) + <Kx, y> - h*(y)``.  The smooth part is a loss on a
+linear model, ``f(x) = phi(A x)``: a :class:`SmoothLoss` carries its design
+operator ``A`` next to ``phi``, its gradient and the curvature bound, so
+whatever needs the design (a sharded run splitting it by feature columns)
+reads it from the loss.  A :class:`SaddleProblem` is exactly the loss, the
+coupling operator ``K`` and the conjugate-prox spec of the penalty.
 """
 
 from __future__ import annotations
@@ -12,8 +15,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import linops
-from .errors import BadLabels, DimensionError, MissingPrimalEvaluator
-from .linops import LinearOperator, matrix_operator
+from .errors import BadLabels, DimensionError
+from .linops import HStackOp, LinearOperator, ZeroOp, matrix_operator
 from .prox import Composite, ConjugateProx, GroupL2Balls, GroupPartition, HingeConj, IdentityShift
 
 # Tolerance used when deciding conjugate feasibility of computed duals;
@@ -22,22 +25,47 @@ FEAS_TOL = 1e-9
 
 
 class SmoothLoss:
-    """Smooth convex loss with an explicit curvature bound.
+    """Smooth convex loss ``f(x) = phi(A x)`` with an explicit curvature bound.
 
     Attributes
     ----------
-    value : callable
-        Maps a primal vector to the loss value.
-    grad : callable
-        Maps a primal vector to the gradient.
+    A : LinearOperator
+        Design operator of the linear model.
+    phi, phi_grad : callable
+        Outer function on the row space of ``A`` and its gradient.
     L_f : float
-        Lipschitz constant of the gradient (0 for a vanishing loss).
+        Lipschitz constant of the gradient of ``f`` (0 for a vanishing loss).
     """
 
-    def __init__(self, value, grad, lipschitz):
-        self.value = value
-        self.grad = grad
+    def __init__(self, design, phi, phi_grad, lipschitz):
+        self.A = design
+        self.phi = phi
+        self.phi_grad = phi_grad
         self.L_f = float(lipschitz)
+
+    def value(self, x):
+        return self.phi(self.A.apply(x))
+
+    def grad(self, x):
+        return self.A.apply_adjoint(self.phi_grad(self.A.apply(x)))
+
+    def on(self, design):
+        """The same loss read through another operator for the same matrix.
+
+        ``L_f`` is kept as it is, so ``design`` must have the spectral norm
+        of ``A`` (a column split of it, or ``A`` padded with zero columns).
+        """
+        return SmoothLoss(design, self.phi, self.phi_grad, self.L_f)
+
+
+def _design(a, b, what):
+    a_op = a if isinstance(a, LinearOperator) else matrix_operator(a)
+    b = np.asarray(b, dtype=float)
+    if b.ndim != 1 or b.shape[0] != a_op.shape[0]:
+        raise DimensionError(
+            f"{what} length {b.shape} does not match {a_op.shape[0]} rows"
+        )
+    return a_op, b
 
 
 def quadratic_loss(a, b):
@@ -56,21 +84,16 @@ def quadratic_loss(a, b):
     -------
     SmoothLoss
     """
-    a_op = a if isinstance(a, LinearOperator) else matrix_operator(a)
-    b = np.asarray(b, dtype=float)
-    if b.ndim != 1 or b.shape[0] != a_op.shape[0]:
-        raise DimensionError(
-            f"response length {b.shape} does not match {a_op.shape[0]} rows"
-        )
+    a_op, b = _design(a, b, "response")
 
-    def value(x):
-        r = a_op.apply(x) - b
+    def phi(t):
+        r = t - b
         return 0.5 * float(r @ r)
 
-    def grad(x):
-        return a_op.apply_adjoint(a_op.apply(x) - b)
+    def phi_grad(t):
+        return t - b
 
-    return SmoothLoss(value, grad, linops.safe_op_norm(a_op) ** 2)
+    return SmoothLoss(a_op, phi, phi_grad, linops.safe_op_norm(a_op) ** 2)
 
 
 def logistic_loss(a, b):
@@ -95,36 +118,33 @@ def logistic_loss(a, b):
     BadLabels
         If any label is outside ``{0, 1}``.
     """
-    a_op = a if isinstance(a, LinearOperator) else matrix_operator(a)
-    b = np.asarray(b, dtype=float)
-    if b.ndim != 1 or b.shape[0] != a_op.shape[0]:
-        raise DimensionError(
-            f"label length {b.shape} does not match {a_op.shape[0]} rows"
-        )
+    a_op, b = _design(a, b, "label")
     if not np.all(np.isin(b, (0.0, 1.0))):
         raise BadLabels("logistic labels must take values in {0, 1}")
 
-    def value(x):
-        t = a_op.apply(x)
+    def phi(t):
         return float(np.sum(np.logaddexp(0.0, t) - b * t))
 
-    def grad(x):
-        t = a_op.apply(x)
-        return a_op.apply_adjoint(1.0 / (1.0 + np.exp(-t)) - b)
+    def phi_grad(t):
+        return 1.0 / (1.0 + np.exp(-t)) - b
 
-    return SmoothLoss(value, grad, 0.25 * linops.safe_op_norm(a_op) ** 2)
+    return SmoothLoss(a_op, phi, phi_grad, 0.25 * linops.safe_op_norm(a_op) ** 2)
 
 
 def zero_loss(p):
-    """Vanishing smooth part for problems handled entirely by the penalty."""
+    """Vanishing smooth part for problems handled entirely by the penalty.
 
-    def value(x):
+    Its design has no rows, so the gradient is the zero vector of length
+    ``p`` and the value is 0.
+    """
+
+    def phi(t):
         return 0.0
 
-    def grad(x):
-        return np.zeros(p)
+    def phi_grad(t):
+        return t
 
-    return SmoothLoss(value, grad, 0.0)
+    return SmoothLoss(ZeroOp((0, p)), phi, phi_grad, 0.0)
 
 
 class SaddleProblem:
@@ -133,22 +153,16 @@ class SaddleProblem:
     Attributes
     ----------
     loss : SmoothLoss
-        Smooth part ``f``.
+        Smooth part ``f(x) = phi(A x)``.
     K : LinearOperator
         Coupling operator from primal to dual space.
     hconj : ConjugateProx
         Prox spec of the penalty conjugate ``h*``.
-    h_primal : callable or None
-        Optional override returning ``h(u)``; when absent the spec's own
-        primal value is used.
     dims : tuple of int
         ``(primal dimension, dual dimension)``.
-    loss_matrix, loss_rhs : optional
-        Concrete data behind a least-squares loss, kept when available so
-        feature-sharded runs can split the design matrix by columns.
     """
 
-    def __init__(self, loss, k_op, hconj, h_primal=None, loss_matrix=None, loss_rhs=None):
+    def __init__(self, loss, k_op, hconj):
         if not isinstance(k_op, LinearOperator):
             k_op = matrix_operator(k_op)
         if not isinstance(hconj, ConjugateProx):
@@ -157,13 +171,15 @@ class SaddleProblem:
             raise DimensionError(
                 f"penalty dimension {hconj.dim} does not match operator rows {k_op.shape[0]}"
             )
+        if loss.A.shape[1] != k_op.shape[1]:
+            raise DimensionError(
+                f"design columns {loss.A.shape[1]} do not match operator columns "
+                f"{k_op.shape[1]}"
+            )
         self.loss = loss
         self.K = k_op
         self.hconj = hconj
-        self.h_primal = h_primal
         self.dims = (k_op.shape[1], k_op.shape[0])
-        self.loss_matrix = loss_matrix
-        self.loss_rhs = loss_rhs
         self._k_norm = None
 
     @property
@@ -182,26 +198,12 @@ class SaddleProblem:
         return self._k_norm
 
 
-def penalty_value(problem, u):
-    """Value of the penalty ``h`` at a dual-space point ``u``."""
-    if problem.h_primal is not None:
-        return float(problem.h_primal(u))
-    if problem.hconj is None:
-        raise MissingPrimalEvaluator("problem has no penalty evaluator")
-    return float(problem.hconj.primal_value(u))
-
-
 def primal_objective(problem, x):
-    """Objective ``f(x) + h(Kx)``.
-
-    Raises
-    ------
-    MissingPrimalEvaluator
-        If neither an explicit penalty evaluator nor a prox spec with a
-        primal value is available.
-    """
+    """Objective ``f(x) + h(Kx)``."""
     x = np.asarray(x, dtype=float)
-    return float(problem.loss.value(x)) + penalty_value(problem, problem.K.apply(x))
+    return float(problem.loss.value(x)) + float(
+        problem.hconj.primal_value(problem.K.apply(x))
+    )
 
 
 def lagrangian(problem, x, y):
@@ -284,6 +286,9 @@ def latent_group_construct(groups, a, b, radii):
       through a linear conjugate (the reported penalty value of that block
       is zero; constraint violation shows up in the solver residual).
 
+    The loss reads only ``x``: its design is ``A`` padded with one zero
+    column per latent coordinate.
+
     Parameters
     ----------
     groups : sequence of sequences of int
@@ -302,7 +307,7 @@ def latent_group_construct(groups, a, b, radii):
     """
     a_op = a if isinstance(a, LinearOperator) else matrix_operator(a)
     loss = quadratic_loss(a_op, b)
-    p = a_op.shape[1]
+    n, p = a_op.shape
     member = linops.build_group_membership(groups, p)
     d_mat = sp.csr_array(linops.densify(member)) if member.kind == "dense" else member.matrix
     q = member.shape[0]
@@ -315,14 +320,5 @@ def latent_group_construct(groups, a, b, radii):
     )
     partition = GroupPartition([len(g) for g in groups])
     hconj = Composite([GroupL2Balls(partition, radii), IdentityShift(p)])
-
-    def value(z):
-        return loss.value(z[:p])
-
-    def grad(z):
-        out = np.zeros(p + q)
-        out[:p] = loss.grad(z[:p])
-        return out
-
-    stacked = SmoothLoss(value, grad, loss.L_f)
+    stacked = loss.on(HStackOp([a_op, ZeroOp((n, q))]))
     return SaddleProblem(stacked, matrix_operator(k_mat), hconj)

@@ -1,22 +1,26 @@
 """Feature-sharded execution with communication accounting.
 
-Columns of the design matrix and of the penalty operator are split into
-contiguous, balanced blocks, one per worker, and every operator product is
-evaluated blockwise with the partial results reduced left to right.  The
-run itself stays single-process; what the sharding changes is the
-*accounting*: a ledger records how many vector entries would cross worker
-boundaries per iteration.  The run is :func:`pdsplit.fb.fb_step` on a
-counting copy of the problem, iterated by the shared driver in
-:mod:`pdsplit.fb`; the step closes one ledger row, and trace rows are
-evaluated on the original problem, so they are never charged.
+Columns of the loss design ``A`` and of the penalty operator ``K`` are split
+into contiguous, balanced blocks, one per worker.  The run itself stays
+single-process; what the sharding changes is the *accounting*: a ledger
+records how many vector entries would cross worker boundaries per
+iteration.  The run is :func:`pdsplit.fb.fb_step` on a counting copy of the
+problem whose ``A`` and ``K`` are two counting column-block stacks
+(:class:`pdsplit.linops.HStackOp` of the blocks), iterated by the shared
+driver in :mod:`pdsplit.fb`.  A forward product sums the block partials
+left to right and an adjoint product concatenates the block adjoints.  The
+step closes one ledger row, and trace rows are evaluated on the original
+problem, so they are never charged.
 
 Counting rules per product:
 
 * design matrix: partial row-space vectors are dense, so a forward gather
   and an adjoint broadcast both move ``(workers - 1) * rows`` entries;
-* penalty operator: only structurally nonzero rows of the off-diagonal
-  sub-blocks (dual rows owned by one worker, columns by another) move, and
-  their count is the same in both directions.
+* penalty operator: a forward product reduces each dual row's partial sums
+  at the row's owner, and an adjoint product ships each needed dual entry
+  once, so one entry moves per structurally nonzero row of an off-diagonal
+  sub-block (dual rows owned by one worker, columns by another), in either
+  direction.
 """
 
 from __future__ import annotations
@@ -27,9 +31,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import fb, saddle
-from .errors import ConstraintViolation, DegenerateProblem, DimensionError, TooManyWorkers
+from .errors import ConstraintViolation, TooManyWorkers
 from .fb import IterTrace
-from .linops import DenseOp, LinearOperator, SparseOp, densify
+from .linops import DenseOp, HStackOp, SparseOp, densify
 
 LEDGER_COLUMNS = ["iter", "loss_comm", "penalty_comm", "total_comm"]
 
@@ -125,12 +129,11 @@ class ShardPlan:
 
 
 def partition_problem(problem, m_workers):
-    """Split a least-squares problem into a contiguous balanced plan.
+    """Split a problem's design and penalty operator into a balanced plan.
 
     Parameters
     ----------
     problem : SaddleProblem
-        Must carry explicit design data (``loss_matrix`` and ``loss_rhs``).
     m_workers : int
         Number of workers; block sizes differ by at most one.
 
@@ -142,8 +145,6 @@ def partition_problem(problem, m_workers):
     ------
     TooManyWorkers
         If there are more workers than feature columns.
-    DegenerateProblem
-        If the problem has no explicit design data.
     """
     m = int(m_workers)
     if m < 1:
@@ -151,16 +152,8 @@ def partition_problem(problem, m_workers):
     p, l = problem.dims
     if m > p:
         raise TooManyWorkers(f"{m} workers for {p} features")
-    if problem.loss_matrix is None or problem.loss_rhs is None:
-        raise DegenerateProblem("sharded runs need explicit least-squares data")
-    a_mat = _as_sparse(
-        problem.loss_matrix
-        if isinstance(problem.loss_matrix, LinearOperator)
-        else DenseOp(problem.loss_matrix)
-    )
+    a_mat = _as_sparse(problem.loss.A)
     k_mat = _as_sparse(problem.K)
-    if a_mat.shape[1] != p:
-        raise DimensionError("design matrix columns do not match the problem")
     n = a_mat.shape[0]
     col_offsets = _balanced_offsets(p, m)
     row_offsets = _balanced_offsets(l, m)
@@ -191,66 +184,6 @@ def partition_problem(problem, m_workers):
     )
 
 
-def _split(plan, x):
-    return [
-        x[plan.col_offsets[j] : plan.col_offsets[j + 1]] for j in range(plan.m)
-    ]
-
-
-def _reduce_left_to_right(parts):
-    out = np.array(parts[0], dtype=float, copy=True)
-    for part in parts[1:]:
-        out = out + part
-    return out
-
-
-def sharded_loss_matvec(plan, x, ledger=None):
-    """Design-matrix product ``A x`` via blockwise partials.
-
-    Workers contribute dense partial row-space vectors that are gathered
-    and reduced left to right; ``(m - 1) * n`` entries cross boundaries.
-    """
-    parts = [blk @ xj for blk, xj in zip(plan.a_blocks, _split(plan, x))]
-    if ledger is not None:
-        ledger.add_loss((plan.m - 1) * plan.n)
-    return _reduce_left_to_right(parts)
-
-
-def sharded_loss_adjoint_matvec(plan, r, ledger=None):
-    """Adjoint design product ``A' r``.
-
-    The row-space vector is broadcast to every worker (``(m - 1) * n``
-    entries); the per-worker outputs concatenate without further traffic.
-    """
-    if ledger is not None:
-        ledger.add_loss((plan.m - 1) * plan.n)
-    return np.concatenate([blk.T @ r for blk in plan.a_blocks])
-
-
-def sharded_penalty_matvec(plan, x, ledger=None):
-    """Penalty product ``K x`` via blockwise partials.
-
-    Only structurally nonzero rows of off-diagonal sub-blocks travel, so
-    the ledger grows by the plan's precomputed cross count.
-    """
-    parts = [blk @ xj for blk, xj in zip(plan.k_blocks, _split(plan, x))]
-    if ledger is not None:
-        ledger.add_penalty(plan.cross_total)
-    return _reduce_left_to_right(parts)
-
-
-def sharded_penalty_adjoint_matvec(plan, y, ledger=None):
-    """Adjoint penalty product ``K' y``.
-
-    Workers need the dual entries of rows meeting their columns; rows owned
-    elsewhere account for exactly the same cross count as the forward
-    direction.
-    """
-    if ledger is not None:
-        ledger.add_penalty(plan.cross_total)
-    return np.concatenate([blk.T @ y for blk in plan.k_blocks])
-
-
 @dataclass
 class ShardResult:
     """Outcome of a sharded run."""
@@ -264,21 +197,21 @@ class ShardResult:
     plan: ShardPlan
 
 
-class _CountingPenaltyOp(LinearOperator):
-    """Penalty operator routing products through the sharded paths."""
+class _CountingStack(HStackOp):
+    """Column-block stack that charges ``units`` to ``charge`` per product."""
 
-    kind = "sharded"
-
-    def __init__(self, plan, ledger):
-        super().__init__((plan.l, plan.p))
-        self.plan = plan
-        self.ledger = ledger
+    def __init__(self, blocks, charge, units):
+        super().__init__([SparseOp(blk) for blk in blocks])
+        self._charge = charge
+        self._units = units
 
     def apply(self, x):
-        return sharded_penalty_matvec(self.plan, x, self.ledger)
+        self._charge(self._units)
+        return super().apply(x)
 
     def apply_adjoint(self, y):
-        return sharded_penalty_adjoint_matvec(self.plan, y, self.ledger)
+        self._charge(self._units)
+        return super().apply_adjoint(y)
 
 
 def run_fb_sharded(problem, params, m_workers, x0=None, y0=None, tol=None):
@@ -298,16 +231,9 @@ def run_fb_sharded(problem, params, m_workers, x0=None, y0=None, tol=None):
     params = fb.resolve_params(problem, params)
     plan = partition_problem(problem, m_workers)
     ledger = CommLedger()
-    b = np.asarray(problem.loss_rhs, dtype=float)
-
-    def grad(x):
-        r = sharded_loss_matvec(plan, x, ledger) - b
-        return sharded_loss_adjoint_matvec(plan, r, ledger)
-
-    shadow_loss = saddle.SmoothLoss(problem.loss.value, grad, problem.L_f)
-    shadow = saddle.SaddleProblem(
-        shadow_loss, _CountingPenaltyOp(plan, ledger), problem.hconj
-    )
+    a_op = _CountingStack(plan.a_blocks, ledger.add_loss, (plan.m - 1) * plan.n)
+    k_op = _CountingStack(plan.k_blocks, ledger.add_penalty, plan.cross_total)
+    shadow = saddle.SaddleProblem(problem.loss.on(a_op), k_op, problem.hconj)
     shadow._k_norm = problem.k_norm
 
     x, y, _, _, trace, k, converged = fb._relaxed_run(

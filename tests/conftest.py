@@ -23,8 +23,6 @@ def make_dense_problem(p=6, l=4, lam=1.0, seed=7):
         quadratic_loss(DenseOp(a), b),
         DenseOp(k),
         BoxClip(lam, l),
-        loss_matrix=a,
-        loss_rhs=b,
     )
     return problem, a, b, k
 
@@ -66,6 +64,4 @@ def identity_lasso_problem(a, b, lam):
         quadratic_loss(DenseOp(a), b),
         IdentityOp(p),
         BoxClip(lam, p),
-        loss_matrix=a,
-        loss_rhs=b,
     )

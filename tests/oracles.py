@@ -507,6 +507,28 @@ def cross_block_nonzeros(k_dense, row_offsets, col_offsets):
     return count
 
 
+def cross_block_rows(k_dense, row_offsets, col_offsets):
+    """Per-block count of coupling rows that carry traffic.
+
+    Entry ``[i, j]`` counts the rows of the sub-block with rows in dual
+    block ``i`` and columns in primal block ``j`` that hold any nonzero.
+    For ``i != j`` each such row moves one scalar per product: a forward
+    product reduces that row's partial sum at the row's owner, and an
+    adjoint product ships that dual entry to worker ``j`` once.  The
+    off-diagonal sum is therefore the traffic of one product, at most
+    :func:`cross_block_nonzeros`.
+    """
+    k_dense = np.asarray(k_dense)
+    m = len(row_offsets) - 1
+    table = np.zeros((m, m), dtype=int)
+    for bi in range(m):
+        for bj in range(m):
+            block = k_dense[row_offsets[bi]:row_offsets[bi + 1],
+                            col_offsets[bj]:col_offsets[bj + 1]]
+            table[bi, bj] = int(np.any(block != 0, axis=1).sum())
+    return table
+
+
 def balanced_sizes(total, parts):
     """Contiguous balanced partition sizes (first blocks take the remainder)."""
     base, extra = divmod(total, parts)

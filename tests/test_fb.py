@@ -362,6 +362,41 @@ def test_run_fb_rejects_mismatched_start(tiny_lasso, runner):
         run(problem, x0=np.zeros((p, 1)))
 
 
+def _stoc_every(problem, n_steps, every):
+    params = StocParams(mode="kappa", kappa=1.0, omega_x=3.0, omega_y=3.0,
+                        horizon=3, record_every=every)
+    factory = masked_oracle_factory(problem, params, 1.0)
+    return run_stoc(problem, params, factory, seeds=[0, 1], jobs=2)
+
+
+BUDGET_RUNNERS = {
+    "run_fb": lambda pr, n, every: run_fb(
+        pr, FbParams(max_iters=n, record_every=every), validate=False
+    ),
+    "run_fbf": lambda pr, n, every: run_fbf(pr, max_iters=n, record_every=every),
+    "run_fb_sharded": lambda pr, n, every: run_fb_sharded(
+        pr, FbParams(max_iters=n, record_every=every), 3
+    ),
+    "run_accel": lambda pr, n, every: run_accel(
+        pr, AccelParams(setting="unbounded", horizon=5, max_iters=n,
+                        record_every=every)
+    ),
+    # The stochastic budget is horizon - 1 >= 1; only the cadence can be bad.
+    "run_stoc": _stoc_every,
+}
+
+
+@pytest.mark.parametrize(
+    "runner, n_steps, every",
+    [(name, n, every) for name in sorted(BUDGET_RUNNERS)
+     for n, every in ((-2, 1), (4, 0)) if name != "run_stoc" or every == 0],
+)
+def test_runners_reject_negative_budget_and_zero_cadence(tiny_lasso, runner,
+                                                         n_steps, every):
+    with pytest.raises(ConstraintViolation):
+        BUDGET_RUNNERS[runner](tiny_lasso.problem, n_steps, every)
+
+
 def test_run_fb_uses_numeric_relaxation_without_validation(tiny_lasso):
     problem = tiny_lasso.problem
     for relaxation, rho in ((2, 2.0), (0.5, 0.5), ("recipe", 1.0)):

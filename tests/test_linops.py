@@ -66,6 +66,38 @@ def test_vstack_forward_concatenates_blocks():
     np.testing.assert_allclose(op.apply(v), np.concatenate([d @ v, a @ v]))
 
 
+def test_hstack_forward_sums_column_segment_products():
+    rng = np.random.default_rng(3)
+    d1 = rng.standard_normal((5, 2))
+    d2 = rng.standard_normal((5, 4))
+    op = linops.HStackOp([linops.DenseOp(d1), linops.SparseOp(sp.csr_array(d2))])
+    x = rng.standard_normal(6)
+    np.testing.assert_allclose(op.apply(x), d1 @ x[:2] + d2 @ x[2:], atol=1e-14)
+    w = rng.standard_normal(5)
+    np.testing.assert_allclose(
+        op.apply_adjoint(w), np.concatenate([d1.T @ w, d2.T @ w]), atol=1e-14
+    )
+
+
+def test_hstack_densify_equals_hstack_of_blocks():
+    rng = np.random.default_rng(4)
+    d1 = rng.standard_normal((3, 2))
+    op = linops.HStackOp(
+        [linops.DenseOp(d1), linops.ZeroOp((3, 2)), linops.IdentityOp(3)]
+    )
+    np.testing.assert_array_equal(
+        linops.densify(op), np.hstack([d1, np.zeros((3, 2)), np.eye(3)])
+    )
+    assert linops.make_operator("hstack", [linops.IdentityOp(2)]).shape == (2, 2)
+
+
+def test_hstack_rejects_blocks_with_different_rows():
+    with pytest.raises(DimensionError):
+        linops.HStackOp([linops.IdentityOp(2), linops.IdentityOp(3)])
+    with pytest.raises(DegenerateProblem):
+        linops.HStackOp([])
+
+
 def test_apply_rejects_wrong_length():
     with pytest.raises(DimensionError):
         linops.IdentityOp(3).apply(np.zeros(4))
@@ -135,6 +167,7 @@ def test_adjoint_consistency_on_random_pairs():
         linops.SparseOp(sp.csr_array(mat)),
         linops.ScaledOp(0.3, linops.DenseOp(mat)),
         linops.VStackOp([linops.DenseOp(mat), linops.IdentityOp(6)]),
+        linops.HStackOp([linops.DenseOp(mat), linops.IdentityOp(4)]),
     ]
     for op in ops:
         rows, cols = op.shape

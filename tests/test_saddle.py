@@ -1,12 +1,11 @@
 """Problem bundles: losses, objectives, saddle values, constructors."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from pdsplit import linops, prox
-from pdsplit.errors import BadLabels, DimensionError, MissingPrimalEvaluator
+from pdsplit.errors import BadLabels, DimensionError
 from pdsplit.fb import FbParams, run_fb
 from pdsplit.saddle import (
     SaddleProblem,
@@ -14,7 +13,6 @@ from pdsplit.saddle import (
     lagrangian,
     latent_group_construct,
     logistic_loss,
-    penalty_value,
     primal_objective,
     quadratic_loss,
     split_dual_construct,
@@ -82,6 +80,43 @@ def test_zero_loss_vanishes():
     assert loss.value(np.ones(4)) == 0.0
     np.testing.assert_array_equal(loss.grad(np.ones(4)), np.zeros(4))
     assert loss.L_f == 0.0
+
+
+def test_loss_reads_through_another_operator_for_the_same_matrix():
+    rng = np.random.default_rng(19)
+    a = rng.standard_normal((7, 5))
+    b = rng.standard_normal(7)
+    loss = quadratic_loss(linops.DenseOp(a), b)
+    split = linops.HStackOp(
+        [linops.DenseOp(a[:, :2]), linops.SparseOp(sp.csr_array(a[:, 2:]))]
+    )
+    moved = loss.on(split)
+    assert moved.A is split and moved.L_f == loss.L_f
+    x = rng.standard_normal(5)
+    assert moved.value(x) == pytest.approx(loss.value(x), rel=1e-12)
+    np.testing.assert_allclose(moved.grad(x), a.T @ (a @ x - b), atol=1e-12)
+
+
+def test_latent_loss_ignores_the_latent_block():
+    rng = np.random.default_rng(23)
+    a = rng.standard_normal((6, 4))
+    b = rng.standard_normal(6)
+    problem = latent_group_construct([[0, 1], [1, 2, 3]], a, b, 1.0)
+    p, q = 4, 5
+    assert problem.loss.A.shape == (6, p + q)
+    z = rng.standard_normal(p + q)
+    assert problem.loss.value(z) == pytest.approx(
+        0.5 * float(np.sum((a @ z[:p] - b) ** 2)), rel=1e-12
+    )
+    grad = problem.grad_f(z)
+    np.testing.assert_allclose(grad[:p], a.T @ (a @ z[:p] - b), atol=1e-12)
+    np.testing.assert_array_equal(grad[p:], np.zeros(q))
+
+
+def test_problem_rejects_design_with_other_column_count():
+    with pytest.raises(DimensionError):
+        SaddleProblem(quadratic_loss(np.eye(3), np.zeros(3)), np.eye(2),
+                      prox.BoxClip(1.0, 2))
 
 
 def test_gradient_lipschitz_bound_holds_on_samples():
@@ -162,18 +197,6 @@ def test_primal_objective_group_penalty_blockwise():
         + radii[1] * np.linalg.norm(x[3:])
     )
     assert primal_objective(problem, x) == pytest.approx(expected)
-
-
-def test_primal_objective_honors_override():
-    problem = identity_lasso_problem(np.eye(2), np.zeros(2), 1.0)
-    problem.h_primal = lambda u: 42.0
-    assert primal_objective(problem, np.zeros(2)) == pytest.approx(42.0)
-
-
-def test_penalty_value_requires_an_evaluator():
-    bare = SimpleNamespace(h_primal=None, hconj=None)
-    with pytest.raises(MissingPrimalEvaluator):
-        penalty_value(bare, np.zeros(2))
 
 
 def test_fixed_point_residual_vanishes_at_reference(tiny_lasso,

@@ -3,11 +3,16 @@
 import numpy as np
 import pytest
 
-from pdsplit import bench
-from pdsplit.errors import DegenerateProblem, TooManyWorkers
+from pdsplit import bench, linops
+from pdsplit.errors import TooManyWorkers
 from pdsplit.fb import FbParams, run_fb
 from pdsplit.prox import BoxClip
-from pdsplit.saddle import SaddleProblem, quadratic_loss
+from pdsplit.saddle import (
+    SaddleProblem,
+    latent_group_construct,
+    logistic_loss,
+    quadratic_loss,
+)
 from pdsplit.shard import partition_problem, run_fb_sharded
 
 import oracles
@@ -26,11 +31,10 @@ def _rel_dist(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
 
 
-@pytest.mark.parametrize("workers", [1, 3, 7])
-def test_sharded_run_agrees_with_plain_run(small_ggfl, workers):
+def _assert_agrees_with_plain_run(problem, workers):
     params = FbParams(kappa=0.5, max_iters=200, record_every=50)
-    plain = run_fb(small_ggfl, params)
-    sharded = run_fb_sharded(small_ggfl, params, workers)
+    plain = run_fb(problem, params)
+    sharded = run_fb_sharded(problem, params, workers)
     assert sharded.iterations == plain.iterations == 200
     assert _rel_dist(sharded.x, plain.x) <= 1e-12
     assert _rel_dist(sharded.y, plain.y) <= 1e-12
@@ -38,6 +42,32 @@ def test_sharded_run_agrees_with_plain_run(small_ggfl, workers):
                                   plain.trace.column("k"))
     np.testing.assert_allclose(sharded.trace.column("objective"),
                                plain.trace.column("objective"), rtol=1e-12)
+    return sharded
+
+
+@pytest.mark.parametrize("workers", [1, 3, 7])
+def test_sharded_run_agrees_with_plain_run(small_ggfl, workers):
+    _assert_agrees_with_plain_run(small_ggfl, workers)
+
+
+def test_latent_group_problem_shards():
+    rng = np.random.default_rng(61)
+    a = rng.standard_normal((12, 8))
+    groups = [[0, 1, 2, 3], [3, 4, 5], [5, 6, 7]]
+    problem = latent_group_construct(groups, a, rng.standard_normal(12), 0.5)
+    res = _assert_agrees_with_plain_run(problem, 3)
+    # The loss design is A padded with zero columns: its blocks keep all
+    # 12 rows, so each of the two loss products moves 2 * 12 entries.
+    assert np.all(res.ledger.column("loss_comm") == 2 * 2 * 12)
+
+
+def test_logistic_problem_shards():
+    rng = np.random.default_rng(62)
+    a = rng.standard_normal((20, 9))
+    labels = (rng.random(20) < 0.5).astype(float)
+    diff = linops.build_graph_difference([(i, i + 1) for i in range(8)], 9)
+    problem = SaddleProblem(logistic_loss(a, labels), diff, BoxClip(0.3, 8))
+    _assert_agrees_with_plain_run(problem, 3)
 
 
 def test_ledger_rows_count_one_step_of_traffic(small_ggfl):
@@ -83,7 +113,7 @@ def test_more_workers_than_features_is_refused(small_ggfl):
         run_fb_sharded(small_ggfl, FbParams(max_iters=1), 31)
 
 
-def test_problem_without_design_data_is_refused():
+def test_hand_built_problem_reads_its_design_from_the_loss():
     rng = np.random.default_rng(60)
     a = rng.standard_normal((8, 6))
     problem = SaddleProblem(
@@ -91,5 +121,17 @@ def test_problem_without_design_data_is_refused():
         rng.standard_normal((4, 6)),
         BoxClip(1.0, 4),
     )
-    with pytest.raises(DegenerateProblem):
-        run_fb_sharded(problem, FbParams(max_iters=1), 2)
+    res = _assert_agrees_with_plain_run(problem, 2)
+    assert res.plan.n == 8
+
+
+@pytest.mark.parametrize("workers", [1, 3, 7])
+def test_cross_counts_are_rows_of_off_diagonal_blocks(small_ggfl, workers):
+    plan = partition_problem(small_ggfl, workers)
+    k_dense = linops.densify(small_ggfl.K)
+    rows = oracles.cross_block_rows(k_dense, plan.row_offsets, plan.col_offsets)
+    np.testing.assert_array_equal(plan.cross_table, rows)
+    assert plan.cross_total == rows.sum() - np.trace(rows)
+    entries = oracles.cross_block_nonzeros(k_dense, plan.row_offsets,
+                                           plan.col_offsets)
+    assert plan.cross_total <= entries
