@@ -60,6 +60,7 @@ _INT_META_KEYS = {
     "n_subnets",
     "n_active",
     "dim",
+    "n_edges",
     "primal_dim",
     "dual_dim",
 }

@@ -13,6 +13,11 @@ the cadence with their timer, and stops at the tolerance.  :func:`run_fb`,
 :func:`run_fbf`, :func:`pdsplit.shard.run_fb_sharded`,
 :func:`pdsplit.accel.run_accel` and :func:`pdsplit.stoch.run_stoc` supply
 only their step and their solver-specific trace columns.
+
+:func:`run_fb` and :func:`run_fbf` compute the design image ``A x`` of the
+loss ``f(x) = phi(A x)`` once per iterate and hand it to the next step's
+gradient and to the trace row, and :class:`_ErgodicMean` carries the image
+of the ergodic mean by linearity, so a trace row costs no design product.
 """
 
 from __future__ import annotations
@@ -278,10 +283,11 @@ def validate_params(problem, params):
     }
 
 
-def fb_step(problem, kappa, tau, sigma, x, y):
+def fb_step(problem, kappa, tau, sigma, x, y, ax=None):
     """One resolvent evaluation of the preconditioned iteration.
 
-    Evaluates the gradient at ``x``, forms the prox anchor
+    Evaluates the gradient at ``x`` (reading the design image ``ax = A x``
+    when supplied), forms the prox anchor
     ``w = x + tau * (kappa - 1) * (grad + K' y)``, updates the dual through
     the conjugate prox at ``y + sigma * K w``, and completes the primal as
     ``x - tau * (grad - kappa * K' y + (1 + kappa) * K' y_new)``.
@@ -291,7 +297,7 @@ def fb_step(problem, kappa, tau, sigma, x, y):
     (ndarray, ndarray)
         The unrelaxed output pair.
     """
-    g = problem.grad_f(x)
+    g = problem.loss.grad(x, ax)
     kty = problem.K.apply_adjoint(y)
     w = x + (tau * (kappa - 1.0)) * (g + kty)
     y_new = problem.hconj.prox(y + sigma * problem.K.apply(w), sigma)
@@ -386,22 +392,35 @@ def _drive(step, row, n_steps, record_every, columns, tol=None):
 
 
 class _ErgodicMean:
-    """Weighted running mean of the resolvent points."""
+    """Weighted running mean of the resolvent points.
 
-    def __init__(self, p):
+    Given the design's row count ``n``, it also carries the weighted sum of
+    the points' design images, so the ergodic objective reads its ``A x``
+    from the sum instead of a design product.
+    """
+
+    def __init__(self, p, n=None):
         self.total = np.zeros(p)
+        self.image = None if n is None else np.zeros(n)
         self.weight = 0.0
 
-    def add(self, weight, point):
+    def add(self, weight, point, image=None):
+        """Add ``weight * point``; ``image`` is its design image when carried."""
         self.total += weight * point
         self.weight += weight
+        if self.image is not None:
+            self.image += image
 
-    def row(self, problem, x, res, mdist):
-        """Trace columns of the forward-backward family at iterate ``x``."""
+    def row(self, problem, x, res, mdist, ax=None):
+        """Trace columns of the forward-backward family at iterate ``x``.
+
+        ``ax`` is the design image of ``x``, or ``None`` to compute it.
+        """
+        mean_image = None if self.image is None else self.image / self.weight
         return {
-            "objective": saddle.primal_objective(problem, x),
+            "objective": saddle.primal_objective(problem, x, ax),
             "ergodic_objective": saddle.primal_objective(
-                problem, self.total / self.weight
+                problem, self.total / self.weight, mean_image
             ),
             "residual": res,
             "mdist": mdist,
@@ -415,16 +434,25 @@ def _relaxed_run(problem, stepped, params, rho, x, y, tol, metric=None, on_step=
     copy of ``problem``) while trace rows are evaluated on ``problem``.
     ``on_step(k, x, y)`` sees every relaxed pair.
 
+    When ``stepped`` is ``problem``, the design image ``A x`` of each relaxed
+    iterate is computed once and read by the next gradient and the trace
+    row; the ergodic image grows by ``A (rho x~_k) = A x_k - (1 - rho)
+    A x_{k-1}``.  On a counting copy every product stays inside the step, so
+    rows evaluate their objectives directly and charge nothing.
+
     Returns
     -------
     (x, y, x_tilde, y_tilde, trace, iterations, converged)
     """
-    erg = _ErgodicMean(x.size)
+    design = problem.loss.A
+    carry = stepped is problem
+    erg = _ErgodicMean(x.size, design.shape[0] if carry else None)
+    ax = design.apply(x) if carry else None
     x_t, y_t, mdist = x, y, np.nan
 
     def step(k):
-        nonlocal x, y, x_t, y_t, mdist
-        x_t, y_t = fb_step(stepped, params.kappa, params.tau, params.sigma, x, y)
+        nonlocal x, y, ax, x_t, y_t, mdist
+        x_t, y_t = fb_step(stepped, params.kappa, params.tau, params.sigma, x, y, ax)
         dx = x_t - x
         dy = y_t - y
         res = float(np.sqrt(dx @ dx + dy @ dy))
@@ -432,14 +460,18 @@ def _relaxed_run(problem, stepped, params, rho, x, y, tol, metric=None, on_step=
             mdist = m_norm(metric, np.concatenate([dx, dy]))
         x = x + rho * dx
         y = y + rho * dy
-        erg.add(rho, x_t)
+        if carry:
+            ax_prev, ax = ax, design.apply(x)
+            erg.add(rho, x_t, ax - (1.0 - rho) * ax_prev)
+        else:
+            erg.add(rho, x_t)
         if on_step is not None:
             on_step(k, x, y)
         return x_t, y_t, res
 
     trace, k, converged = _drive(
         step,
-        lambda k, res: erg.row(problem, x, res, mdist),
+        lambda k, res: erg.row(problem, x, res, mdist, ax),
         params.max_iters,
         params.record_every,
         TRACE_COLUMNS,
@@ -583,21 +615,22 @@ def fbf_default_step(problem, margin=0.99):
     return margin / (problem.L_f + problem.k_norm)
 
 
-def fbf_step(problem, tau, x, y, x_prev, y_prev, alpha1=0.0, alpha2=0.0):
+def fbf_step(problem, tau, x, y, x_prev, y_prev, alpha1=0.0, alpha2=0.0, ax=None):
     """One inertial forward-backward-forward update.
 
     A tentative pair moves along the forward map with inertia ``alpha1``,
     then both blocks are corrected with the re-evaluated coupling and
     inertia ``alpha2``.  With zero inertia this is the classical
     two-forward-evaluation scheme; the dual prox uses the same step as the
-    primal.
+    primal.  A supplied ``ax`` is the design image ``A x`` the gradient
+    reads.
 
     Returns
     -------
     (ndarray, ndarray)
         The corrected iterate pair.
     """
-    g = problem.grad_f(x)
+    g = problem.loss.grad(x, ax)
     x_mid = x - tau * (g + problem.K.apply_adjoint(y)) + alpha1 * (x - x_prev)
     y_mid = problem.hconj.prox(
         y + tau * problem.K.apply(x) + alpha1 * (y - y_prev), tau
@@ -631,22 +664,25 @@ def run_fbf(
             "forward-backward-forward step must satisfy tau * (L_f + ||K||) < 1"
         )
     x_prev, y_prev = x.copy(), y.copy()
-    erg = _ErgodicMean(x.size)
+    design = problem.loss.A
+    ax = design.apply(x)
+    erg = _ErgodicMean(x.size, design.shape[0])
 
     def step(k):
-        nonlocal x, y, x_prev, y_prev
-        x_new, y_new = fbf_step(problem, tau, x, y, x_prev, y_prev, alpha1, alpha2)
+        nonlocal x, y, x_prev, y_prev, ax
+        x_new, y_new = fbf_step(problem, tau, x, y, x_prev, y_prev, alpha1, alpha2, ax)
         res = float(
             np.sqrt(np.sum((x_new - x) ** 2) + np.sum((y_new - y) ** 2))
         )
         x_prev, y_prev = x, y
         x, y = x_new, y_new
-        erg.add(1.0, x)
+        ax = design.apply(x)
+        erg.add(1.0, x, ax)
         return x, y, res
 
     trace, k, converged = _drive(
         step,
-        lambda k, res: erg.row(problem, x, res, np.nan),
+        lambda k, res: erg.row(problem, x, res, np.nan, ax),
         max_iters,
         record_every,
         TRACE_COLUMNS,

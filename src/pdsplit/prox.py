@@ -49,10 +49,13 @@ class GroupPartition:
     def total(self):
         return int(self.offsets[-1])
 
-    def iter_blocks(self):
-        """Yield ``(lo, hi)`` slices of consecutive blocks."""
-        for j in range(self.n_blocks):
-            yield int(self.offsets[j]), int(self.offsets[j + 1])
+    def block_norms(self, v):
+        """Euclidean norm of every block of ``v``."""
+        return np.sqrt(np.add.reduceat(v * v, self.offsets[:-1]))
+
+    def expand(self, per_block):
+        """Repeat one value per block over the block's coordinates."""
+        return np.repeat(per_block, self.sizes)
 
 
 class ConjugateProx:
@@ -213,6 +216,8 @@ class GroupL2Balls(ConjugateProx):
     With partition blocks ``u_g`` and weights ``radii[g]`` the penalty is
     ``sum_g radii[g] * ||u_g||_2`` and the conjugate is the indicator of the
     product of Euclidean balls, so the prox projects each block radially.
+    Every map works on all blocks at once through the partition's block
+    norms.
     """
 
     kind = "group-l2-balls"
@@ -231,30 +236,24 @@ class GroupL2Balls(ConjugateProx):
 
     def prox(self, v, sigma):
         v = self._check(v)
-        out = v.copy()
-        for j, (lo, hi) in enumerate(self.partition.iter_blocks()):
-            nrm = np.linalg.norm(out[lo:hi])
-            r = self.radii[j]
-            if nrm > r:
-                out[lo:hi] *= r / nrm
-        return out
+        nrm = self.partition.block_norms(v)
+        over = nrm > self.radii
+        scale = np.ones_like(nrm)
+        scale[over] = self.radii[over] / nrm[over]
+        return v * self.partition.expand(scale)
 
     def conj_value(self, y):
         return self.conj_value_with_tol(y, 0.0)
 
     def conj_value_with_tol(self, y, tol):
         y = self._check(y)
-        for j, (lo, hi) in enumerate(self.partition.iter_blocks()):
-            if np.linalg.norm(y[lo:hi]) > self.radii[j] + tol:
-                return np.inf
+        if np.any(self.partition.block_norms(y) > self.radii + tol):
+            return np.inf
         return 0.0
 
     def primal_value(self, u):
         u = self._check(u)
-        total = 0.0
-        for j, (lo, hi) in enumerate(self.partition.iter_blocks()):
-            total += self.radii[j] * np.linalg.norm(u[lo:hi])
-        return float(total)
+        return float(self.radii @ self.partition.block_norms(u))
 
 
 class HingeConj(ConjugateProx):
@@ -481,10 +480,12 @@ def primal_prox(spec, z, scale):
     if isinstance(spec, L2Ball):
         return _shrink_vector(z, scale * spec.lam)
     if isinstance(spec, GroupL2Balls):
-        out = z.copy()
-        for j, (lo, hi) in enumerate(spec.partition.iter_blocks()):
-            out[lo:hi] = _shrink_vector(out[lo:hi], scale * spec.radii[j])
-        return out
+        t = scale * spec.radii
+        nrm = spec.partition.block_norms(z)
+        keep = nrm > t
+        factor = np.zeros_like(nrm)
+        factor[keep] = 1.0 - t[keep] / nrm[keep]
+        return z * spec.partition.expand(factor)
     raise UnsupportedPrimalProx(
         f"no direct primal prox rule for kind {spec.kind!r}"
     )

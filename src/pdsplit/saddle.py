@@ -7,6 +7,12 @@ operator ``A`` next to ``phi``, its gradient and the curvature bound, so
 whatever needs the design (a sharded run splitting it by feature columns)
 reads it from the loss.  A :class:`SaddleProblem` is exactly the loss, the
 coupling operator ``K`` and the conjugate-prox spec of the penalty.
+
+The design image ``A x`` is what both the loss value and its gradient read.
+``SmoothLoss.value``, ``SmoothLoss.grad`` and :func:`primal_objective` take
+it as an optional ``ax``: a caller that already holds ``A x`` (the
+forward-backward runners compute it once per iterate) passes it in, and
+the design product is then skipped.
 """
 
 from __future__ import annotations
@@ -43,11 +49,13 @@ class SmoothLoss:
         self.phi_grad = phi_grad
         self.L_f = float(lipschitz)
 
-    def value(self, x):
-        return self.phi(self.A.apply(x))
+    def value(self, x, ax=None):
+        """``phi(A x)``; a supplied ``ax`` must equal ``A x``."""
+        return self.phi(self.A.apply(x) if ax is None else ax)
 
-    def grad(self, x):
-        return self.A.apply_adjoint(self.phi_grad(self.A.apply(x)))
+    def grad(self, x, ax=None):
+        """``A' phi_grad(A x)``; a supplied ``ax`` must equal ``A x``."""
+        return self.A.apply_adjoint(self.phi_grad(self.A.apply(x) if ax is None else ax))
 
     def on(self, design):
         """The same loss read through another operator for the same matrix.
@@ -198,10 +206,10 @@ class SaddleProblem:
         return self._k_norm
 
 
-def primal_objective(problem, x):
-    """Objective ``f(x) + h(Kx)``."""
+def primal_objective(problem, x, ax=None):
+    """Objective ``f(x) + h(Kx)``; a supplied ``ax`` must equal ``A x``."""
     x = np.asarray(x, dtype=float)
-    return float(problem.loss.value(x)) + float(
+    return float(problem.loss.value(x, ax)) + float(
         problem.hconj.primal_value(problem.K.apply(x))
     )
 

@@ -8,9 +8,12 @@ iteration.  The run is :func:`pdsplit.fb.fb_step` on a counting copy of the
 problem whose ``A`` and ``K`` are two counting column-block stacks
 (:class:`pdsplit.linops.HStackOp` of the blocks), iterated by the shared
 driver in :mod:`pdsplit.fb`.  A forward product sums the block partials
-left to right and an adjoint product concatenates the block adjoints.  The
-step closes one ledger row, and trace rows are evaluated on the original
-problem, so they are never charged.
+left to right and an adjoint product concatenates the block adjoints.
+A dense design is cut into dense column slices and any other design into
+CSR slices; penalty blocks are CSR, whose row structure gives the traffic
+counts.  The step computes its own ``A x``
+on the counting copy and closes one ledger row; trace rows evaluate their
+objectives directly on the original problem, so they are never charged.
 
 Counting rules per product:
 
@@ -90,6 +93,16 @@ def _as_sparse(op):
     return sp.csr_array(densify(op))
 
 
+def _column_blocks(op, offsets):
+    """Split ``op`` at the column ``offsets``: dense slices of a dense
+    design, CSR slices of anything else."""
+    bounds = zip(offsets[:-1], offsets[1:])
+    if isinstance(op, DenseOp):
+        return [DenseOp(op.array[:, lo:hi]) for lo, hi in bounds]
+    mat = _as_sparse(op)
+    return [SparseOp(mat[:, lo:hi]) for lo, hi in bounds]
+
+
 @dataclass
 class ShardPlan:
     """Blockwise layout of a problem across workers.
@@ -104,10 +117,11 @@ class ShardPlan:
         Feature boundaries; worker ``j`` owns ``col_offsets[j]:col_offsets[j+1]``.
     row_offsets : ndarray
         Dual-row boundaries under the same balancing rule.
-    a_blocks : list
-        Column blocks of the design matrix, one per worker.
-    k_blocks : list
-        Column blocks of the penalty operator, one per worker.
+    a_blocks : list of LinearOperator
+        Column blocks of the design, one per worker: dense slices of a
+        dense design, CSR slices otherwise.
+    k_blocks : list of SparseOp
+        CSR column blocks of the penalty operator, one per worker.
     cross_table : ndarray
         ``cross_table[i, j]`` counts structurally nonzero rows of the
         penalty sub-block with rows owned by ``i`` and columns by ``j``.
@@ -152,27 +166,23 @@ def partition_problem(problem, m_workers):
     p, l = problem.dims
     if m > p:
         raise TooManyWorkers(f"{m} workers for {p} features")
-    a_mat = _as_sparse(problem.loss.A)
     k_mat = _as_sparse(problem.K)
-    n = a_mat.shape[0]
     col_offsets = _balanced_offsets(p, m)
     row_offsets = _balanced_offsets(l, m)
-    a_blocks = []
+    a_blocks = _column_blocks(problem.loss.A, col_offsets)
     k_blocks = []
     row_owner = np.searchsorted(row_offsets, np.arange(l), side="right") - 1
     cross_table = np.zeros((m, m), dtype=int)
     for j in range(m):
-        lo, hi = col_offsets[j], col_offsets[j + 1]
-        a_blocks.append(sp.csr_array(a_mat[:, lo:hi]))
-        kj = sp.csr_array(k_mat[:, lo:hi])
-        k_blocks.append(kj)
+        kj = sp.csr_array(k_mat[:, col_offsets[j] : col_offsets[j + 1]])
+        k_blocks.append(SparseOp(kj))
         nz_rows = np.flatnonzero(np.diff(kj.indptr) > 0)
         for r in nz_rows:
             cross_table[row_owner[r], j] += 1
     cross_total = int(cross_table.sum() - np.trace(cross_table))
     return ShardPlan(
         m=m,
-        n=n,
+        n=problem.loss.A.shape[0],
         p=p,
         l=l,
         col_offsets=col_offsets,
@@ -201,7 +211,7 @@ class _CountingStack(HStackOp):
     """Column-block stack that charges ``units`` to ``charge`` per product."""
 
     def __init__(self, blocks, charge, units):
-        super().__init__([SparseOp(blk) for blk in blocks])
+        super().__init__(blocks)
         self._charge = charge
         self._units = units
 

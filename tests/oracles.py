@@ -450,6 +450,58 @@ def linprog_hinge_l1(a, labels, lam):
 
 
 # ---------------------------------------------------------------------------
+# blockwise Euclidean balls, one block at a time
+
+
+def _consecutive_blocks(sizes):
+    lo = 0
+    for size in sizes:
+        yield lo, lo + size
+        lo += size
+
+
+def _euclid(v):
+    return float(np.sqrt(sum(float(t) * float(t) for t in v)))
+
+
+def group_ball_project(v, sizes, radii):
+    """Radial projection of every block onto its ball of radius ``radii[g]``."""
+    out = np.array(v, dtype=float)
+    for g, (lo, hi) in enumerate(_consecutive_blocks(sizes)):
+        nrm = _euclid(out[lo:hi])
+        if nrm > radii[g]:
+            out[lo:hi] = out[lo:hi] * (radii[g] / nrm)
+    return out
+
+
+def group_norm_sum(u, sizes, radii):
+    """Weighted sum ``sum_g radii[g] * ||u_g||`` of the block norms."""
+    return sum(radii[g] * _euclid(u[lo:hi])
+               for g, (lo, hi) in enumerate(_consecutive_blocks(sizes)))
+
+
+def group_ball_indicator(y, sizes, radii, tol):
+    """0 when every block lies within its radius plus ``tol``, else inf."""
+    for g, (lo, hi) in enumerate(_consecutive_blocks(sizes)):
+        if _euclid(y[lo:hi]) > radii[g] + tol:
+            return np.inf
+    return 0.0
+
+
+def group_shrink(z, sizes, thresholds):
+    """Block soft threshold: zero a block whose norm is at most its
+    threshold, otherwise shorten it by the threshold."""
+    out = np.array(z, dtype=float)
+    for g, (lo, hi) in enumerate(_consecutive_blocks(sizes)):
+        nrm = _euclid(out[lo:hi])
+        if nrm <= thresholds[g]:
+            out[lo:hi] = 0.0
+        else:
+            out[lo:hi] = out[lo:hi] * (1.0 - thresholds[g] / nrm)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # combinatorial enumerations for generators and masking
 
 

@@ -540,3 +540,80 @@ def test_trace_rejects_mismatched_row_keys():
     trace = IterTrace(["k", "objective"])
     with pytest.raises(DimensionError):
         trace.append(k=1.0, wrong=2.0)
+
+
+class _CountingDesign(linops.DenseOp):
+    """Dense design that counts its forward and adjoint products."""
+
+    def __init__(self, array):
+        super().__init__(array)
+        self.forward = self.adjoint = 0
+
+    def apply(self, x):
+        self.forward += 1
+        return super().apply(x)
+
+    def apply_adjoint(self, y):
+        self.adjoint += 1
+        return super().apply_adjoint(y)
+
+
+def _counted_problem():
+    _, a, b, k = make_dense_problem(p=8, l=5, seed=19)
+    design = _CountingDesign(a)
+    problem = SaddleProblem(quadratic_loss(design, b), linops.DenseOp(k),
+                            prox.BoxClip(0.4, 5))
+    design.forward = design.adjoint = 0
+    return problem, design
+
+
+@pytest.mark.parametrize("runner", ["run_fb", "run_fbf"])
+def test_trace_rows_reuse_the_carried_design_image(runner):
+    problem, design = _counted_problem()
+    n = 12
+    if runner == "run_fb":
+        res = run_fb(problem, FbParams(kappa=0.5, max_iters=n, record_every=1))
+    else:
+        res = run_fbf(problem, alpha1=0.1, alpha2=0.05, max_iters=n, record_every=1)
+    assert len(res.trace) == n
+    # One product per iterate, start included, read by the gradient and
+    # both objectives of the row; one adjoint per gradient.
+    assert design.forward == n + 1
+    assert design.adjoint == n
+    assert res.trace.column("objective")[-1] == primal_objective(problem, res.x)
+
+
+def test_run_fb_ergodic_image_matches_direct_evaluation():
+    problem, _ = _counted_problem()
+    params = FbParams(kappa=0.5, relaxation=0.6, max_iters=30, record_every=1)
+    res = run_fb(problem, params, x0=np.linspace(-1.0, 1.0, 8))
+    info = validate_params(problem, params)
+    x = np.linspace(-1.0, 1.0, 8)
+    y = np.zeros(5)
+    tilde_sum = np.zeros_like(x)
+    direct = []
+    for k in range(1, 31):
+        xt, yt = fb_step(problem, 0.5, info["tau"], info["sigma"], x, y)
+        tilde_sum += xt
+        x, y = x + 0.6 * (xt - x), y + 0.6 * (yt - y)
+        direct.append(primal_objective(problem, tilde_sum / k))
+    np.testing.assert_allclose(res.trace.column("ergodic_objective"), direct,
+                               rtol=1e-12, atol=0.0)
+
+
+def test_run_fbf_ergodic_image_matches_direct_evaluation():
+    problem, _ = _counted_problem()
+    tau = fbf_default_step(problem, margin=0.8)
+    res = run_fbf(problem, tau=tau, alpha1=0.2, alpha2=0.1, max_iters=30)
+    x = np.zeros(8)
+    y = np.zeros(5)
+    x_prev, y_prev = x, y
+    total = np.zeros_like(x)
+    direct = []
+    for k in range(1, 31):
+        x_new, y_new = fbf_step(problem, tau, x, y, x_prev, y_prev, 0.2, 0.1)
+        x_prev, y_prev, x, y = x, y, x_new, y_new
+        total += x
+        direct.append(primal_objective(problem, total / k))
+    np.testing.assert_allclose(res.trace.column("ergodic_objective"), direct,
+                               rtol=1e-12, atol=0.0)

@@ -208,7 +208,7 @@ def test_group_partition_blocks_cover_total():
     partition = prox.GroupPartition([2, 3, 1])
     assert partition.total == 6
     assert partition.n_blocks == 3
-    assert list(partition.iter_blocks()) == [(0, 2), (2, 5), (5, 6)]
+    np.testing.assert_array_equal(partition.offsets, [0, 2, 5, 6])
 
 
 def test_feasibility_and_conj_values():
@@ -255,3 +255,65 @@ def test_l1_projection_feasible_and_idempotent(z, radius):
     out = prox.project_l1_ball(z, radius)
     assert np.abs(out).sum() <= radius * (1.0 + 1e-12) + 1e-12
     np.testing.assert_allclose(prox.project_l1_ball(out, radius), out, atol=1e-12)
+
+
+def _group_case():
+    """Blocks that are zero, on their ball's boundary, inside, outside and
+    of zero radius (one of those zero itself)."""
+    sizes = [3, 2, 4, 1, 3, 2]
+    radii = np.array([1.0, 2.5, 0.0, 0.5, 1.5, 0.0])
+    v = np.concatenate([
+        np.zeros(3),                    # zero block
+        [1.5, -2.0],                    # norm exactly 2.5: on the boundary
+        [0.3, -1.2, 0.7, 2.0],          # zero radius
+        [0.2],                          # inside
+        [3.0, -4.0, 1.0],               # outside
+        np.zeros(2),                    # zero block of zero radius
+    ])
+    return sizes, radii, v
+
+
+def test_group_l2_balls_prox_matches_per_block_oracle():
+    sizes, radii, v = _group_case()
+    spec = prox.GroupL2Balls(prox.GroupPartition(sizes), radii)
+    out = spec.prox(v, 0.7)
+    np.testing.assert_allclose(out, oracles.group_ball_project(v, sizes, radii),
+                               rtol=1e-15, atol=0.0)
+    np.testing.assert_array_equal(out[:5], v[:5])
+    np.testing.assert_array_equal(out[5:9], 0.0)
+    rng = np.random.default_rng(72)
+    w = 3.0 * rng.standard_normal(v.size)
+    np.testing.assert_allclose(spec.prox(w, 1.0), oracles.group_ball_project(w, sizes, radii),
+                               rtol=1e-14, atol=0.0)
+
+
+def test_group_l2_balls_values_match_per_block_oracle():
+    sizes, radii, v = _group_case()
+    spec = prox.GroupL2Balls(prox.GroupPartition(sizes), radii)
+    assert spec.primal_value(v) == pytest.approx(
+        oracles.group_norm_sum(v, sizes, radii), rel=1e-15)
+    assert spec.primal_value(np.zeros(v.size)) == 0.0
+    inside = v.copy()                   # feasible, one block on its boundary
+    inside[5:9] = 0.0
+    inside[10:13] = [0.6, -0.8, 0.0]
+    nudged = inside.copy()
+    nudged[3:5] *= 1.0 + 1e-10
+    for y in (v, inside, nudged):
+        for tol in (0.0, 1e-9):
+            assert spec.conj_value_with_tol(y, tol) == oracles.group_ball_indicator(
+                y, sizes, radii, tol)
+    assert spec.conj_value(inside) == 0.0
+    assert spec.conj_value(nudged) == np.inf
+    assert spec.conj_value_with_tol(nudged, 1e-9) == 0.0
+
+
+@pytest.mark.parametrize("scale", [0.3, 1.0])
+def test_group_primal_prox_matches_per_block_oracle(scale):
+    sizes, radii, v = _group_case()
+    spec = prox.GroupL2Balls(prox.GroupPartition(sizes), radii)
+    out = prox.primal_prox(spec, v, scale)
+    np.testing.assert_allclose(out, oracles.group_shrink(v, sizes, scale * radii),
+                               rtol=1e-15, atol=0.0)
+    np.testing.assert_array_equal(out[5:9], v[5:9])
+    if scale == 1.0:
+        np.testing.assert_array_equal(out[3:5], 0.0)

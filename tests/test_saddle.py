@@ -20,7 +20,7 @@ from pdsplit.saddle import (
 )
 
 import oracles
-from conftest import identity_lasso_problem
+from conftest import identity_lasso_problem, make_dense_problem
 
 
 def test_quadratic_loss_identity_design():
@@ -294,3 +294,14 @@ def test_latent_single_group_ties_latent_block_to_x():
     res = run_fb(problem, FbParams(max_iters=60000), tol=1e-14)
     assert res.converged
     np.testing.assert_allclose(res.x[:6], res.x[6:], atol=1e-8)
+
+
+def test_supplied_design_image_replaces_the_product():
+    problem, a, _, _ = make_dense_problem(seed=23)
+    x = np.random.default_rng(24).standard_normal(problem.dims[0])
+    ax = problem.loss.A.apply(x)
+    assert problem.loss.value(x, ax) == problem.loss.value(x)
+    np.testing.assert_array_equal(problem.loss.grad(x, ax), problem.loss.grad(x))
+    assert primal_objective(problem, x, ax) == primal_objective(problem, x)
+    # The supplied image is what the loss reads.
+    assert problem.loss.value(x, np.zeros_like(ax)) == problem.loss.value(np.zeros_like(x))

@@ -135,3 +135,29 @@ def test_cross_counts_are_rows_of_off_diagonal_blocks(small_ggfl, workers):
     entries = oracles.cross_block_nonzeros(k_dense, plan.row_offsets,
                                            plan.col_offsets)
     assert plan.cross_total <= entries
+
+
+def _assert_blocks_cover(design, plan):
+    full = linops.densify(design)
+    bounds = zip(plan.a_blocks, plan.col_offsets[:-1], plan.col_offsets[1:])
+    for blk, lo, hi in bounds:
+        np.testing.assert_array_equal(linops.densify(blk), full[:, lo:hi])
+
+
+def test_design_blocks_keep_dense_storage(small_ggfl):
+    plan = partition_problem(small_ggfl, 3)
+    assert all(isinstance(b, linops.DenseOp) for b in plan.a_blocks)
+    assert all(isinstance(b, linops.SparseOp) for b in plan.k_blocks)
+    _assert_blocks_cover(small_ggfl.loss.A, plan)
+
+
+def test_other_design_kinds_are_split_through_csr():
+    rng = np.random.default_rng(64)
+    a = rng.standard_normal((9, 5))
+    design = linops.ScaledOp(2.0, linops.DenseOp(a))
+    problem = SaddleProblem(quadratic_loss(design, rng.standard_normal(9)),
+                            linops.IdentityOp(5), BoxClip(0.5, 5))
+    plan = partition_problem(problem, 2)
+    assert all(isinstance(b, linops.SparseOp) for b in plan.a_blocks)
+    _assert_blocks_cover(design, plan)
+    _assert_agrees_with_plain_run(problem, 2)
