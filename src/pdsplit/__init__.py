@@ -32,8 +32,8 @@ from .accel import (
     bounded_gap_bound,
     build_schedule,
     compute_perturbation,
+    mode_coefficients,
     mode_factors,
-    mode_operators,
     run_accel,
     tune_qr,
 )
@@ -83,7 +83,6 @@ from .linops import (
     HStackOp,
     IdentityOp,
     LinearOperator,
-    ScaledOp,
     SparseOp,
     VStackOp,
     ZeroOp,
@@ -167,7 +166,6 @@ __all__ = [
     "ReferenceSolution",
     "ResidualTooLarge",
     "SaddleProblem",
-    "ScaledOp",
     "Schedule",
     "ShardPlan",
     "ShardResult",
@@ -203,8 +201,8 @@ __all__ = [
     "make_prox",
     "masked_oracle_factory",
     "matrix_operator",
+    "mode_coefficients",
     "mode_factors",
-    "mode_operators",
     "moreau_prox_primal",
     "primal_prox",
     "op_norm",

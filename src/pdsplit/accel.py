@@ -2,11 +2,17 @@
 
 The accelerated iteration extrapolates the coupling products with two
 auxiliary operators ``A`` (primal side) and ``B`` (dual side) and averages
-iterates with vanishing weights.  Two operator modes are supported:
+iterates with vanishing weights.  Each mode fixes both operators as signed
+multiples of ``K``, ``A = -alpha K`` and ``B = beta K``, through the scalar
+pair ``(alpha, beta)`` of :func:`mode_coefficients`:
 
-* ``kappa``: ``A = -kappa * K`` and ``B = kappa * K``, matching the
-  preconditioner continuum of the base iteration;
-* ``chen``: ``A = -K`` and ``B = 0``, the gradient-extrapolation scheme.
+* ``kappa``: ``(kappa, kappa)``, matching the preconditioner continuum of
+  the base iteration;
+* ``chen``: ``(1, 0)``, the gradient-extrapolation scheme.
+
+By linearity the step folds every ``A`` and ``B`` term onto products with
+``K`` and ``K'`` at combined arguments: two ``K`` and two ``K'`` products
+per step, one ``K`` fewer when ``alpha = 1``.
 
 Schedules come in a bounded-domain flavor (constant dual step, iterate-norm
 bounds supplied) and an unbounded flavor (horizon-tied growing steps).  Both
@@ -27,7 +33,6 @@ import numpy as np
 from . import saddle
 from .errors import ConstraintViolation, MissingHistory, UnknownKind
 from .fb import IterTrace, _drive, _start_point
-from .linops import ZeroOp, scaled_copy
 
 ACCEL_TRACE_COLUMNS = [
     "k",
@@ -84,27 +89,35 @@ class AccelParams:
     record_every: int = 1
 
 
+def mode_coefficients(mode, kappa=0.0):
+    """Signed scalars ``(alpha, beta)`` of a mode: ``A = -alpha K``, ``B = beta K``.
+
+    ``kappa`` mode gives ``(kappa, kappa)`` and ``chen`` gives ``(1, 0)``.
+
+    Raises
+    ------
+    ConstraintViolation
+        If ``kappa`` lies outside ``[-1, 1]``.
+    UnknownKind
+        If the mode is neither ``kappa`` nor ``chen``.
+    """
+    if mode == "kappa":
+        if not -1.0 <= kappa <= 1.0:
+            raise ConstraintViolation(f"kappa must lie in [-1, 1], got {kappa}")
+        return float(kappa), float(kappa)
+    if mode == "chen":
+        return 1.0, 0.0
+    raise UnknownKind(f"unknown accelerated mode {mode!r}")
+
+
 def mode_factors(mode, kappa=0.0):
     """Norm factors ``(a, b, c, d)`` of the mode's auxiliary operators.
 
     They scale the coupling norm: ``||A|| = a ||K||``, ``||B|| = b ||K||``,
     ``||K + A|| = c ||K||``, ``||K + B|| = d ||K||``.
     """
-    if mode == "kappa":
-        if not -1.0 <= kappa <= 1.0:
-            raise ConstraintViolation(f"kappa must lie in [-1, 1], got {kappa}")
-        return abs(kappa), abs(kappa), abs(1.0 - kappa), abs(1.0 + kappa)
-    if mode == "chen":
-        return 1.0, 0.0, 0.0, 1.0
-    raise UnknownKind(f"unknown accelerated mode {mode!r}")
-
-
-def mode_operators(problem, mode, kappa=0.0):
-    """Auxiliary operator pair ``(A, B)`` for a mode, sharing ``K``'s data."""
-    mode_factors(mode, kappa)
-    if mode == "kappa":
-        return scaled_copy(problem.K, -kappa), scaled_copy(problem.K, kappa)
-    return scaled_copy(problem.K, -1.0), ZeroOp(problem.K.shape)
+    alpha, beta = mode_coefficients(mode, kappa)
+    return abs(alpha), abs(beta), abs(1.0 - alpha), abs(1.0 + beta)
 
 
 class ScheduleLaws:
@@ -364,13 +377,16 @@ class AccelState:
         return cls(x0.copy(), y0.copy(), x0.copy(), y0.copy(), x0.copy(), y0.copy())
 
 
-def _accel_core(grad, k_fwd, k_adj, a_fwd, b_adj, prox, schedule, k, state):
-    """One accelerated update at index ``k`` from operator callbacks.
+def _accel_core(grad, k_fwd, k_adj, prox, alpha, beta, schedule, k, state):
+    """One accelerated update at index ``k`` from ``K``/``K'`` callbacks.
 
+    With ``A = -alpha K`` and ``B = beta K`` every auxiliary term folds into
+    the argument of a coupling product, so a step makes two ``K`` and two
+    ``K'`` products; the primal correction ``(K + A) w = (1 - alpha) K w``
+    is skipped when ``alpha = 1``, where its coefficient is exactly zero.
     The stochastic variant runs this exact function with estimate-drawing
     callbacks, so a zero-variance oracle reproduces deterministic runs
-    bitwise.  The dual extrapolation term ``B'(yt - yt_prev)`` is evaluated
-    once and reused by the post-prox correction line.
+    bitwise.
     """
     tau = schedule.tau(k)
     tau_prev = schedule.tau(k - 1) if k > 1 else 0.0
@@ -379,32 +395,33 @@ def _accel_core(grad, k_fwd, k_adj, a_fwd, b_adj, prox, schedule, k, state):
     theta = schedule.theta(k)
     dxt = state.xt - state.xt_prev
     dyt = state.yt - state.yt_prev
-    u_bar = k_fwd(state.xt) - theta * a_fwd(dxt)
-    bt_dyt = b_adj(dyt)
-    v_bar = k_adj(state.yt) + theta * (
-        (tau_prev / tau) * (k_adj(dyt) + bt_dyt) - bt_dyt
-    )
+    u_bar = k_fwd(state.xt + theta * alpha * dxt)
+    v_bar = k_adj(state.yt + theta * ((tau_prev / tau) * (1.0 + beta) - beta) * dyt)
     x_md = (1.0 - rho) * state.x + rho * state.xt
     g = grad(x_md)
-    w = g + v_bar
-    u_new = u_bar - tau * (k_fwd(w) + a_fwd(w))
+    u_new = u_bar
+    if alpha != 1.0:
+        u_new = u_bar - tau * (1.0 - alpha) * k_fwd(g + v_bar)
     yt_new = prox(state.yt + sigma * u_new, sigma)
-    vt_new = k_adj(yt_new) + b_adj(yt_new - state.yt) - theta * bt_dyt
+    vt_new = k_adj((1.0 + beta) * yt_new - beta * state.yt - theta * beta * dyt)
     xt_new = state.xt - tau * (g + vt_new)
     x_new = (1.0 - rho) * state.x + rho * xt_new
     y_new = (1.0 - rho) * state.y + rho * yt_new
     return AccelState(x_new, y_new, xt_new, yt_new, state.xt, state.yt)
 
 
-def accel_step(problem, a_op, b_op, schedule, k, state):
-    """One deterministic accelerated update at iteration index ``k``."""
+def accel_step(problem, alpha, beta, schedule, k, state):
+    """One deterministic accelerated update at iteration index ``k``.
+
+    ``(alpha, beta)`` are the mode's scalars from :func:`mode_coefficients`.
+    """
     return _accel_core(
         problem.grad_f,
         problem.K.apply,
         problem.K.apply_adjoint,
-        a_op.apply,
-        b_op.apply_adjoint,
         problem.hconj.prox,
+        alpha,
+        beta,
         schedule,
         k,
         state,
@@ -529,11 +546,11 @@ def run_accel(problem, params, x0=None, y0=None):
         n_steps = params.horizon if params.max_iters is None else min(
             params.horizon, params.max_iters
         )
-    a_op, b_op = mode_operators(problem, params.mode, params.kappa)
+    alpha, beta = mode_coefficients(params.mode, params.kappa)
     return _run_schedule(
         problem,
         schedule,
-        lambda k, state: accel_step(problem, a_op, b_op, schedule, k, state),
+        lambda k, state: accel_step(problem, alpha, beta, schedule, k, state),
         x,
         y,
         n_steps,
@@ -564,10 +581,11 @@ def compute_perturbation(problem, params, result, anchor):
     ``v = rho_k * ((xt1 - xt_new) / tau_k - B'(dy),
     (yt1 - yt_new) / sigma_k + A dx + tau_k (K + A)(K + B)' dy)``
 
-    with ``dx = xt_new - xt_prev`` and ``dy = yt_new - yt_prev``.  The
-    diagnostic also evaluates the norm envelope and the perturbation-energy
-    value ``eps`` relative to the supplied anchor pair (a solution or a
-    trusted approximation of one).
+    with ``dx = xt_new - xt_prev`` and ``dy = yt_new - yt_prev``; with
+    ``A = -alpha K`` and ``B = beta K`` it takes one ``K'`` and one ``K``
+    product.  The diagnostic also evaluates the norm envelope and the
+    perturbation-energy value ``eps`` relative to the supplied anchor pair
+    (a solution or a trusted approximation of one).
 
     Raises
     ------
@@ -585,15 +603,14 @@ def compute_perturbation(problem, params, result, anchor):
     tau = schedule.tau(k)
     sigma = schedule.sigma(k)
     rho = schedule.rho(k)
-    a_op, b_op = mode_operators(problem, params.mode, params.kappa)
+    alpha, beta = mode_coefficients(params.mode, params.kappa)
     dx = result.xt - result.xt_prev
     dy = result.yt - result.yt_prev
-    v_x = rho * ((result.xt_first - result.xt) / tau - b_op.apply_adjoint(dy))
-    cross = problem.K.apply_adjoint(dy) + b_op.apply_adjoint(dy)
+    kt_dy = problem.K.apply_adjoint(dy)
+    v_x = rho * ((result.xt_first - result.xt) / tau - beta * kt_dy)
     v_y = rho * (
         (result.yt_first - result.yt) / sigma
-        + a_op.apply(dx)
-        + tau * (problem.K.apply(cross) + a_op.apply(cross))
+        + problem.K.apply(tau * (1.0 - alpha) * (1.0 + beta) * kt_dy - alpha * dx)
     )
     v_norm = float(np.sqrt(v_x @ v_x + v_y @ v_y))
 

@@ -2,7 +2,7 @@
 
 Every operator exposes ``apply`` (forward product) and ``apply_adjoint``
 (transpose product) on 1-d numpy vectors, together with a ``kind`` tag and a
-``shape`` attribute.  Structured operators (identity, zero, scalings, stacks)
+``shape`` attribute.  Structured operators (identity, zero, stacks)
 stay lazy so that large penalty operators never have to be materialized.
 Stacks go both ways: :class:`VStackOp` stacks row blocks (a coupling
 operator that pairs two penalties) and :class:`HStackOp` stacks column
@@ -137,25 +137,6 @@ class ZeroOp(LinearOperator):
         return np.zeros(self.shape[1])
 
 
-class ScaledOp(LinearOperator):
-    """A scalar multiple ``alpha * inner`` of another operator."""
-
-    kind = "scaled"
-
-    def __init__(self, alpha, inner):
-        if not isinstance(inner, LinearOperator):
-            raise UnknownKind("scaled operator needs a LinearOperator inner part")
-        super().__init__(inner.shape)
-        self.alpha = float(alpha)
-        self.inner = inner
-
-    def apply(self, x):
-        return self.alpha * self.inner.apply(x)
-
-    def apply_adjoint(self, y):
-        return self.alpha * self.inner.apply_adjoint(y)
-
-
 class VStackOp(LinearOperator):
     """Vertical stack of operators sharing a common column dimension.
 
@@ -240,7 +221,6 @@ _KINDS = {
     "sparse-csr": SparseOp,
     "identity": IdentityOp,
     "zero": ZeroOp,
-    "scaled": ScaledOp,
     "vstack": VStackOp,
     "hstack": HStackOp,
 }
@@ -252,8 +232,8 @@ def make_operator(kind, *args, **kwargs):
     Parameters
     ----------
     kind : str
-        One of ``dense``, ``sparse-csr``, ``identity``, ``zero``, ``scaled``,
-        ``vstack``, ``hstack``.
+        One of ``dense``, ``sparse-csr``, ``identity``, ``zero``, ``vstack``,
+        ``hstack``.
 
     Returns
     -------
@@ -291,27 +271,11 @@ def matrix_operator(a):
     return SparseOp(sp.csr_array(a))
 
 
-def scaled_copy(op, alpha):
-    """Return ``alpha * op`` without copying the underlying data.
-
-    Nested scalings are flattened and scaling by zero collapses to the zero
-    operator so downstream code can branch on the kind tag.
-    """
-    alpha = float(alpha)
-    if alpha == 0.0:
-        return ZeroOp(op.shape)
-    if isinstance(op, ScaledOp):
-        return ScaledOp(alpha * op.alpha, op.inner)
-    if isinstance(op, ZeroOp):
-        return ZeroOp(op.shape)
-    return ScaledOp(alpha, op)
-
-
 def densify(op):
     """Materialize an operator as a dense array.
 
-    Intended for diagnostics and small problems only; stacks and scalings are
-    resolved recursively.
+    Intended for diagnostics and small problems only; stacks are resolved
+    recursively.
     """
     if isinstance(op, DenseOp):
         return op.array.copy()
@@ -321,8 +285,6 @@ def densify(op):
         return np.eye(op.shape[0])
     if isinstance(op, ZeroOp):
         return np.zeros(op.shape)
-    if isinstance(op, ScaledOp):
-        return op.alpha * densify(op.inner)
     if isinstance(op, VStackOp):
         return np.vstack([densify(b) for b in op.blocks])
     if isinstance(op, HStackOp):

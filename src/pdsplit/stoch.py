@@ -1,9 +1,12 @@
 """Stochastic-oracle variants of the accelerated iteration.
 
-Every coupling product and gradient in the accelerated update may be
-replaced by an unbiased estimate.  The step arithmetic is shared with the
+The gradient and the coupling products of the accelerated update may be
+replaced by unbiased estimates drawn from an oracle with three channels:
+the gradient, ``K`` and ``K'``.  The step arithmetic is shared with the
 deterministic module (the same core runs with estimate-drawing callbacks),
-so a zero-variance oracle reproduces a deterministic run bitwise.
+so each coupling draw estimates ``K`` or ``K'`` at the combined argument the
+folded step forms, and a zero-variance oracle reproduces a deterministic
+run bitwise.
 
 Convergence is established for the modes whose primal extrapolation
 operator is exactly ``-K`` (``kappa`` mode at 1 and ``chen``); other modes
@@ -26,8 +29,8 @@ from .accel import (
     ScheduleLaws,
     _accel_core,
     _run_schedule,
+    mode_coefficients,
     mode_factors,
-    mode_operators,
 )
 from .errors import ConstraintViolation, UnsupportedMode
 from .fb import IterTrace, _start_point
@@ -83,23 +86,24 @@ class StocParams:
 
 
 class StochasticOracle:
-    """Interface for unbiased estimate draws.
+    """Interface for unbiased estimate draws on three channels.
 
+    The channels are the gradient (``grad``), the primal-to-dual coupling
+    ``K x`` (``kx``) and the dual-to-primal coupling ``K' y`` (``ky``).
     Each method call draws a fresh estimate; the expectations must equal
-    the exact products for every argument.  Implementations declare their
-    noise levels through the per-channel attributes ``chi_xf`` (gradient),
-    ``chi_xk`` (dual-to-primal coupling), ``chi_yk`` (primal-to-dual
-    coupling), ``chi_a``, and ``chi_b``: each bounds the root mean squared
-    deviation of its channel over the region the iterates can visit.
-    ``None`` means undeclared, in which case the runner falls back to
-    measuring at the starting point.
+    the exact products for every argument, because the accelerated step
+    draws each coupling estimate at a combined argument that folds in the
+    mode's auxiliary operators.  Implementations declare their noise levels
+    through the per-channel attributes ``chi_xf`` (gradient), ``chi_xk``
+    (dual-to-primal coupling) and ``chi_yk`` (primal-to-dual coupling):
+    each bounds the root mean squared deviation of its channel over the
+    region the iterates can visit.  ``None`` means undeclared, in which
+    case the runner falls back to measuring at the starting point.
     """
 
     chi_xf: float | None = None
     chi_xk: float | None = None
     chi_yk: float | None = None
-    chi_a: float | None = None
-    chi_b: float | None = None
 
     @property
     def chi_x(self):
@@ -125,14 +129,6 @@ class StochasticOracle:
         """Estimate of ``K' y``."""
         raise NotImplementedError
 
-    def a_fwd(self, x):
-        """Estimate of ``A x``."""
-        raise NotImplementedError
-
-    def b_adj(self, y):
-        """Estimate of ``B' y``."""
-        raise NotImplementedError
-
 
 class MaskedGradOracle(StochasticOracle):
     """Coordinate-masked gradient oracle with exact coupling products.
@@ -153,8 +149,6 @@ class MaskedGradOracle(StochasticOracle):
     Parameters
     ----------
     problem : SaddleProblem
-    a_op, b_op : LinearOperator
-        Mode operators used by the accelerated recursion.
     pi : float
         Keep probability in ``(0, 1]``.
     seed : int
@@ -164,22 +158,18 @@ class MaskedGradOracle(StochasticOracle):
         declared noise level.
     """
 
-    def __init__(self, problem, a_op, b_op, pi, seed, radius=1.0):
+    def __init__(self, problem, pi, seed, radius=1.0):
         if not 0.0 < pi <= 1.0:
             raise ConstraintViolation(f"keep probability must lie in (0, 1], got {pi}")
         if radius <= 0.0:
             raise ConstraintViolation(f"declaration radius must be positive, got {radius}")
         self.problem = problem
-        self.a_op = a_op
-        self.b_op = b_op
         self.pi = float(pi)
         self.radius = float(radius)
         self.rng = np.random.Generator(np.random.Philox(seed))
         self.chi_xf = problem.L_f * np.sqrt((1.0 - self.pi) / self.pi) * self.radius
         self.chi_xk = 0.0
         self.chi_yk = 0.0
-        self.chi_a = 0.0
-        self.chi_b = 0.0
 
     def grad(self, x):
         p = self.problem.dims[0]
@@ -192,22 +182,10 @@ class MaskedGradOracle(StochasticOracle):
     def ky(self, y):
         return self.problem.K.apply_adjoint(y)
 
-    def a_fwd(self, x):
-        return self.a_op.apply(x)
-
-    def b_adj(self, y):
-        return self.b_op.apply_adjoint(y)
-
 
 def oracle_sample(oracle, x, y):
-    """Draw one estimate tuple ``(grad, Kx, K'y, Ax, B'y)`` at ``(x, y)``."""
-    return (
-        oracle.grad(x),
-        oracle.kx(x),
-        oracle.ky(y),
-        oracle.a_fwd(x),
-        oracle.b_adj(y),
-    )
+    """Draw one estimate tuple ``(grad, Kx, K'y)`` at ``(x, y)``."""
+    return oracle.grad(x), oracle.kx(x), oracle.ky(y)
 
 
 def masked_oracle_factory(problem, params, pi):
@@ -216,13 +194,12 @@ def masked_oracle_factory(problem, params, pi):
     The declaration radius follows the setting: the primal norm bound when
     given, otherwise the anchor-radius estimate, otherwise one.
     """
-    a_op, b_op = mode_operators(problem, params.mode, params.kappa)
     radius = params.omega_x if params.omega_x is not None else params.r_tilde
     if radius is None:
         radius = 1.0
 
     def factory(seed):
-        return MaskedGradOracle(problem, a_op, b_op, pi, seed, radius=radius)
+        return MaskedGradOracle(problem, pi, seed, radius=radius)
 
     return factory
 
@@ -452,11 +429,11 @@ def stoc_gap_bound(schedule):
 def check_proven_mode(params):
     """Raise unless the mode carries a stochastic guarantee (or opted out).
 
-    The guarantee needs the primal extrapolation operator to equal ``-K``:
-    mode ``kappa`` at exactly 1, or mode ``chen``.
+    The guarantee needs the primal extrapolation operator to equal ``-K``,
+    that is ``alpha = 1``: mode ``kappa`` at exactly 1, or mode ``chen``.
     """
-    proven = params.mode == "chen" or (params.mode == "kappa" and params.kappa == 1.0)
-    if not proven and not params.unproven:
+    alpha, _ = mode_coefficients(params.mode, params.kappa)
+    if alpha != 1.0 and not params.unproven:
         raise UnsupportedMode(
             f"mode {params.mode!r} (kappa = {params.kappa}) has no stochastic "
             "guarantee; pass unproven to run it anyway"
@@ -505,21 +482,22 @@ def build_stoc_schedule(problem, params):
     raise ConstraintViolation(f"unknown schedule setting {params.setting!r}")
 
 
-def stoc_accel_step(problem, oracle, schedule, k, state):
+def stoc_accel_step(problem, oracle, alpha, beta, schedule, k, state):
     """One stochastic accelerated update at iteration index ``k``.
 
     Runs the deterministic step core with the oracle's estimate draws in
-    place of the exact products, one draw per operator evaluation; the
-    dual extrapolation draw is reused by the post-prox correction exactly
-    as the deterministic step reuses its cached product.
+    place of the exact products: one gradient draw at the averaged point
+    and one ``K`` or ``K'`` draw per coupling product of the folded step.
+    ``(alpha, beta)`` are the mode's scalars from
+    :func:`~pdsplit.accel.mode_coefficients`.
     """
     return _accel_core(
         oracle.grad,
         oracle.kx,
         oracle.ky,
-        oracle.a_fwd,
-        oracle.b_adj,
         problem.hconj.prox,
+        alpha,
+        beta,
         schedule,
         k,
         state,
@@ -575,13 +553,14 @@ def run_stoc(problem, params, oracle_factory, seeds, x0=None, y0=None, jobs=1):
     schedule = build_stoc_schedule(problem, resolved)
 
     n_steps = resolved.horizon - 1
+    alpha, beta = mode_coefficients(params.mode, params.kappa)
 
     def one_seed(seed):
         oracle = oracle_factory(seed)
         return _run_schedule(
             problem,
             schedule,
-            lambda k, state: stoc_accel_step(problem, oracle, schedule, k, state),
+            lambda k, state: stoc_accel_step(problem, oracle, alpha, beta, schedule, k, state),
             x_start,
             y_start,
             n_steps,

@@ -1,4 +1,4 @@
-"""Shared fixtures: tiny hand-built problems and the desk-scale benchmark."""
+"""Shared fixtures: tiny hand-built problems and a counting operator."""
 
 import numpy as np
 import pytest
@@ -27,6 +27,36 @@ def make_dense_problem(p=6, l=4, lam=1.0, seed=7):
     return problem, a, b, k
 
 
+class CountingDenseOp(DenseOp):
+    """Dense operator that counts its forward and adjoint products."""
+
+    def __init__(self, array):
+        super().__init__(array)
+        self.forward = self.adjoint = 0
+
+    def apply(self, x):
+        self.forward += 1
+        return super().apply(x)
+
+    def apply_adjoint(self, y):
+        self.adjoint += 1
+        return super().apply_adjoint(y)
+
+
+def counted_coupling_problem():
+    """Dense problem whose coupling ``K`` counts its products.
+
+    The cached coupling norm is computed first, so the counters start at
+    zero for the solver that runs next.
+    """
+    _, a, b, k = make_dense_problem(p=8, l=5, seed=19)
+    coupling = CountingDenseOp(k)
+    problem = SaddleProblem(quadratic_loss(DenseOp(a), b), coupling, BoxClip(0.4, 5))
+    assert problem.k_norm > 0.0
+    coupling.forward = coupling.adjoint = 0
+    return problem, coupling
+
+
 @pytest.fixture
 def dense_problem():
     return make_dense_problem()
@@ -37,19 +67,6 @@ def tiny_lasso():
     """Identity-coupling lasso small enough for long oracle runs."""
     spec = bench.SyntheticSpec(kind="lasso", seed=3, n_samples=10, dim=5, lam=0.5)
     return bench.generate(spec)
-
-
-@pytest.fixture(scope="session")
-def desk_ogl():
-    """Desk-scale overlapping-group problem shared by the rate tests."""
-    spec = bench.SyntheticSpec(kind="overlapping-group-lasso", seed=11)
-    return bench.generate(spec)
-
-
-@pytest.fixture(scope="session")
-def desk_ogl_reference(desk_ogl):
-    """High-accuracy solution of the desk-scale problem (computed once)."""
-    return bench.reference_solve(desk_ogl.problem)
 
 
 @pytest.fixture(scope="session")

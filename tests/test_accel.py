@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pdsplit import bench, linops
+from pdsplit import bench
 from pdsplit.accel import (
     AccelParams,
     AccelState,
@@ -11,8 +11,8 @@ from pdsplit.accel import (
     bounded_gap_bound,
     build_schedule,
     compute_perturbation,
+    mode_coefficients,
     mode_factors,
-    mode_operators,
     run_accel,
     schedule_bounded,
     schedule_unbounded,
@@ -27,6 +27,7 @@ from pdsplit.fb import fb_step
 from pdsplit.saddle import primal_objective
 
 import oracles
+from conftest import counted_coupling_problem
 
 
 def test_mode_factors_closed_forms():
@@ -44,14 +45,10 @@ def test_mode_factors_reject_bad_inputs():
         mode_factors("nesterov")
 
 
-def test_mode_operators_scale_the_coupling(dense_problem):
-    problem, _, _, k = dense_problem
-    a_op, b_op = mode_operators(problem, "kappa", 0.5)
-    np.testing.assert_allclose(linops.densify(a_op), -0.5 * k, atol=1e-15)
-    np.testing.assert_allclose(linops.densify(b_op), 0.5 * k, atol=1e-15)
-    a_op, b_op = mode_operators(problem, "chen")
-    np.testing.assert_allclose(linops.densify(a_op), -k, atol=1e-15)
-    assert isinstance(b_op, linops.ZeroOp)
+def test_mode_coefficients_closed_forms():
+    assert mode_coefficients("kappa", 0.5) == (0.5, 0.5)
+    assert mode_coefficients("kappa", -1.0) == (-1.0, -1.0)
+    assert mode_coefficients("chen") == (1.0, 0.0)
 
 
 def _bounded(problem, mode="kappa", kappa=0.0, q=0.5, r=0.25, ox=2.0, oy=3.0):
@@ -262,9 +259,9 @@ def test_accel_step_at_first_index_equals_base_step(dense_problem):
     y = np.clip(rng.standard_normal(4), -1.0, 1.0)
     for kappa in (0.0, 0.5, 1.0):
         sched = _bounded(problem, kappa=kappa)
-        a_op, b_op = mode_operators(problem, "kappa", kappa)
+        alpha, beta = mode_coefficients("kappa", kappa)
         state = AccelState.start(x, y)
-        new = accel_step(problem, a_op, b_op, sched, 1, state)
+        new = accel_step(problem, alpha, beta, sched, 1, state)
         xt, yt = fb_step(problem, kappa, sched.tau(1), sched.sigma(1), x, y)
         np.testing.assert_allclose(new.xt, xt, atol=1e-12)
         np.testing.assert_allclose(new.yt, yt, atol=1e-12)
@@ -282,7 +279,8 @@ def test_run_accel_matches_general_recursion_oracle(dense_problem):
     rng = np.random.default_rng(61)
     x0 = rng.standard_normal(6)
     y0 = np.clip(rng.standard_normal(4), -1.0, 1.0)
-    for mode, kappa in (("kappa", 0.0), ("kappa", 0.5), ("kappa", 1.0)):
+    for mode, kappa in (("kappa", 0.0), ("kappa", 0.5), ("kappa", 1.0),
+                        ("kappa", -0.5), ("kappa", -1.0)):
         for setting in ("bounded", "unbounded"):
             params = AccelParams(mode=mode, kappa=kappa, setting=setting,
                                  omega_x=2.0, omega_y=3.0, horizon=40,
@@ -330,10 +328,10 @@ def test_run_accel_replays_step_loop(dense_problem):
                              omega_x=2.0, omega_y=3.0, horizon=30,
                              max_iters=30, record_every=7)
         res = run_accel(problem, params, x0=x0, y0=y0)
-        a_op, b_op = mode_operators(problem, mode, kappa)
+        alpha, beta = mode_coefficients(mode, kappa)
         state = AccelState.start(x0, y0)
         for k in range(1, 31):
-            state = accel_step(problem, a_op, b_op, res.schedule, k, state)
+            state = accel_step(problem, alpha, beta, res.schedule, k, state)
             if k == 1:
                 first = state
         for got, want in ((res.x, state.x), (res.y, state.y),
@@ -342,6 +340,23 @@ def test_run_accel_replays_step_loop(dense_problem):
                           (res.xt_first, first.xt), (res.yt_first, first.yt)):
             np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(res.trace.column("k"), [7, 14, 21, 28, 30])
+
+
+@pytest.mark.parametrize("mode, kappa, per_step", [
+    ("kappa", 0.5, (2, 2)),
+    ("kappa", -0.5, (2, 2)),
+    ("kappa", 1.0, (1, 2)),
+    ("chen", 0.0, (1, 2)),
+])
+def test_run_accel_makes_folded_coupling_products(mode, kappa, per_step):
+    problem, coupling = counted_coupling_problem()
+    n = 12
+    params = AccelParams(mode=mode, kappa=kappa, setting="bounded",
+                         omega_x=2.0, omega_y=3.0, max_iters=n, record_every=n)
+    run_accel(problem, params)
+    # The single trace row evaluates ``K`` at the resolvent and averaged points.
+    assert (coupling.forward - 2, coupling.adjoint) == (per_step[0] * n,
+                                                        per_step[1] * n)
 
 
 def test_run_accel_zero_iterations_returns_start(tiny_lasso):
@@ -396,23 +411,24 @@ def test_four_modes_agree_on_tiny_lasso(tiny_lasso, tiny_lasso_reference):
 
 def test_perturbation_matches_oracle(dense_problem):
     problem, a, b, k = dense_problem
-    kappa = 1.0
-    params = AccelParams(mode="kappa", kappa=kappa, setting="unbounded",
-                         horizon=50)
-    res = run_accel(problem, params)
-    anchor = (np.zeros(6), np.zeros(4))
-    diag = compute_perturbation(problem, params, res, anchor)
-    sched = res.schedule
-    v_x, v_y = oracles.perturbation_vector(
-        -kappa * k, kappa * k, k, sched.tau(50), sched.sigma(50),
-        sched.rho(50), res.xt_first, res.yt_first, res.xt, res.yt,
-        res.xt_prev, res.yt_prev
-    )
-    np.testing.assert_allclose(diag.v_x, v_x, atol=1e-12)
-    np.testing.assert_allclose(diag.v_y, v_y, atol=1e-12)
-    assert diag.v_norm == pytest.approx(
-        np.sqrt(v_x @ v_x + v_y @ v_y), rel=1e-12
-    )
+    # At kappa 1 the ``(K + A)`` factor vanishes; the others exercise it.
+    for kappa in (1.0, 0.5, -0.5):
+        params = AccelParams(mode="kappa", kappa=kappa, setting="unbounded",
+                             horizon=50)
+        res = run_accel(problem, params)
+        anchor = (np.zeros(6), np.zeros(4))
+        diag = compute_perturbation(problem, params, res, anchor)
+        sched = res.schedule
+        v_x, v_y = oracles.perturbation_vector(
+            -kappa * k, kappa * k, k, sched.tau(50), sched.sigma(50),
+            sched.rho(50), res.xt_first, res.yt_first, res.xt, res.yt,
+            res.xt_prev, res.yt_prev
+        )
+        np.testing.assert_allclose(diag.v_x, v_x, atol=1e-12)
+        np.testing.assert_allclose(diag.v_y, v_y, atol=1e-12)
+        assert diag.v_norm == pytest.approx(
+            np.sqrt(v_x @ v_x + v_y @ v_y), rel=1e-12
+        )
 
 
 def test_perturbation_shrinks_with_horizon(tiny_lasso, tiny_lasso_reference):

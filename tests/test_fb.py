@@ -33,7 +33,7 @@ from pdsplit.shard import run_fb_sharded
 from pdsplit.stoch import StocParams, masked_oracle_factory, run_stoc
 
 import oracles
-from conftest import identity_lasso_problem, make_dense_problem
+from conftest import CountingDenseOp, identity_lasso_problem, make_dense_problem
 
 
 def test_region_reduces_to_two_inequalities_at_kappa_zero():
@@ -542,25 +542,9 @@ def test_trace_rejects_mismatched_row_keys():
         trace.append(k=1.0, wrong=2.0)
 
 
-class _CountingDesign(linops.DenseOp):
-    """Dense design that counts its forward and adjoint products."""
-
-    def __init__(self, array):
-        super().__init__(array)
-        self.forward = self.adjoint = 0
-
-    def apply(self, x):
-        self.forward += 1
-        return super().apply(x)
-
-    def apply_adjoint(self, y):
-        self.adjoint += 1
-        return super().apply_adjoint(y)
-
-
 def _counted_problem():
     _, a, b, k = make_dense_problem(p=8, l=5, seed=19)
-    design = _CountingDesign(a)
+    design = CountingDenseOp(a)
     problem = SaddleProblem(quadratic_loss(design, b), linops.DenseOp(k),
                             prox.BoxClip(0.4, 5))
     design.forward = design.adjoint = 0

@@ -26,11 +26,6 @@ def test_identity_apply_returns_input():
     np.testing.assert_array_equal(op.apply_adjoint(v), v)
 
 
-def test_scaled_identity_doubles():
-    op = linops.ScaledOp(2.0, linops.IdentityOp(2))
-    np.testing.assert_array_equal(op.apply(np.array([1.0, -1.0])), [2.0, -2.0])
-
-
 def test_sparse_chain_difference_matches_dense_multiply():
     dense = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]])
     op = linops.SparseOp(sp.csr_array(dense))
@@ -126,14 +121,6 @@ def test_op_norm_matches_gram_eigen_oracle():
     assert est == pytest.approx(oracles.spectral_norm_gram(a), rel=1e-8)
 
 
-def test_op_norm_of_scaled_operator_scales():
-    rng = np.random.default_rng(4)
-    a = rng.standard_normal((5, 3))
-    base = linops.op_norm(linops.DenseOp(a), tol=1e-10)
-    scaled = linops.op_norm(linops.ScaledOp(-2.5, linops.DenseOp(a)), tol=1e-10)
-    assert scaled == pytest.approx(2.5 * base, rel=1e-8)
-
-
 def test_op_norm_zero_operator_is_zero():
     assert linops.op_norm(linops.ZeroOp((3, 2))) == 0.0
 
@@ -165,7 +152,6 @@ def test_adjoint_consistency_on_random_pairs():
     ops = [
         linops.DenseOp(mat),
         linops.SparseOp(sp.csr_array(mat)),
-        linops.ScaledOp(0.3, linops.DenseOp(mat)),
         linops.VStackOp([linops.DenseOp(mat), linops.IdentityOp(6)]),
         linops.HStackOp([linops.DenseOp(mat), linops.IdentityOp(4)]),
     ]

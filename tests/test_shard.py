@@ -154,7 +154,7 @@ def test_design_blocks_keep_dense_storage(small_ggfl):
 def test_other_design_kinds_are_split_through_csr():
     rng = np.random.default_rng(64)
     a = rng.standard_normal((9, 5))
-    design = linops.ScaledOp(2.0, linops.DenseOp(a))
+    design = linops.VStackOp([linops.DenseOp(a[:4]), linops.DenseOp(a[4:])])
     problem = SaddleProblem(quadratic_loss(design, rng.standard_normal(9)),
                             linops.IdentityOp(5), BoxClip(0.5, 5))
     plan = partition_problem(problem, 2)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pdsplit import bench
-from pdsplit.accel import AccelState, accel_step, mode_factors, mode_operators
+from pdsplit.accel import AccelState, accel_step, mode_coefficients, mode_factors
 from pdsplit.errors import ConstraintViolation, UnsupportedMode
 from pdsplit.saddle import quadratic_loss
 from pdsplit.stoch import (
@@ -24,12 +24,11 @@ from pdsplit.stoch import (
 )
 
 import oracles
-from conftest import identity_lasso_problem
+from conftest import counted_coupling_problem, identity_lasso_problem
 
 
 def _masked(problem, pi, seed=0, radius=1.0):
-    a_op, b_op = mode_operators(problem, "kappa", 1.0)
-    return MaskedGradOracle(problem, a_op, b_op, pi, seed, radius=radius)
+    return MaskedGradOracle(problem, pi, seed, radius=radius)
 
 
 def test_masked_gradient_is_unbiased():
@@ -80,10 +79,10 @@ def test_masked_coupling_channels_are_exact():
     oracle = _masked(problem, 0.5, seed=5)
     x = rng.standard_normal(3)
     y = rng.standard_normal(3)
-    _, kx, ky, ax,by = oracle_sample(oracle, x, y)
+    _, kx, ky = oracle_sample(oracle, x, y)
     np.testing.assert_array_equal(kx, problem.K.apply(x))
     np.testing.assert_array_equal(ky, problem.K.apply_adjoint(y))
-    assert oracle.chi_yk == 0.0 and oracle.chi_a == 0.0 and oracle.chi_b == 0.0
+    assert oracle.chi_yk == 0.0
 
 
 def test_masked_oracle_declares_noise_from_radius():
@@ -263,16 +262,29 @@ def test_zero_variance_oracle_reproduces_deterministic_steps(tiny_lasso):
                         chi_y=0.0)
     sched = build_stoc_schedule(problem, params)
     oracle = _masked(problem, 1.0, seed=4)
-    a_op, b_op = mode_operators(problem, "kappa", 1.0)
+    alpha, beta = mode_coefficients("kappa", 1.0)
     p, l = problem.dims
     state_s = AccelState.start(np.zeros(p), np.zeros(l))
     state_d = AccelState.start(np.zeros(p), np.zeros(l))
     for k in range(1, 60):
-        state_s = stoc_accel_step(problem, oracle, sched, k, state_s)
-        state_d = accel_step(problem, a_op, b_op, sched, k, state_d)
+        state_s = stoc_accel_step(problem, oracle, alpha, beta, sched, k, state_s)
+        state_d = accel_step(problem, alpha, beta, sched, k, state_d)
         np.testing.assert_array_equal(state_s.xt, state_d.xt)
         np.testing.assert_array_equal(state_s.yt, state_d.yt)
         np.testing.assert_array_equal(state_s.x, state_d.x)
+
+
+def test_run_stoc_makes_folded_coupling_products():
+    problem, coupling = counted_coupling_problem()
+    n = 12
+    params = StocParams(mode="kappa", kappa=1.0, setting="bounded",
+                        omega_x=2.0, omega_y=3.0, horizon=n + 1,
+                        record_every=n)
+    run_stoc(problem, params, masked_oracle_factory(problem, params, 0.5),
+             seeds=[0])
+    # One ``K`` and two ``K'`` products per step, as in the deterministic
+    # run; the single trace row evaluates ``K`` at two points.
+    assert (coupling.forward - 2, coupling.adjoint) == (n, 2 * n)
 
 
 def test_run_stoc_is_seed_reproducible(tiny_lasso):
