@@ -1,11 +1,18 @@
-"""Generators' bundle I/O and the rate-slope fit."""
+"""Generators' bundle I/O, the reference solver and the rate-slope fit."""
+
+import dataclasses
+import math
+import warnings
 
 import numpy as np
 import pytest
 
-from pdsplit import bench, linops
-from pdsplit.errors import InsufficientData
+import oracles
+from conftest import CountingDenseOp
+from pdsplit import accel, bench, fb, linops, saddle
+from pdsplit.errors import ConstraintViolation, InsufficientData, ResidualTooLarge
 from pdsplit.fb import IterTrace
+from pdsplit.prox import BoxClip
 
 SMALL_SPECS = [
     bench.SyntheticSpec(kind="overlapping-group-lasso", seed=5, n_groups=3,
@@ -61,3 +68,107 @@ def test_rate_slope_needs_ten_usable_points():
         bench.rate_slope(_trace(ks, np.full(ks.size, 5.0)), 5.0)
     with pytest.raises(InsufficientData):
         bench.rate_slope(_trace([], []), 5.0)
+
+
+def test_reference_matches_ista_on_tiny_lasso(tiny_lasso, tiny_lasso_reference):
+    ref = tiny_lasso_reference
+    lam = tiny_lasso.spec.penalty_weight
+    x_star = oracles.ista_lasso(tiny_lasso.design, tiny_lasso.response, lam)
+    f_star = oracles.lasso_objective(tiny_lasso.design, tiny_lasso.response, lam, x_star)
+    assert not ref.best_effort
+    assert ref.method == "accel-bounded-polish"
+    np.testing.assert_allclose(ref.x, x_star, rtol=0, atol=1e-9)
+    assert ref.objective == pytest.approx(f_star, rel=1e-12)
+
+
+def test_reference_residual_is_recomputed_independently(tiny_lasso,
+                                                        tiny_lasso_reference):
+    ref = tiny_lasso_reference
+    problem = tiny_lasso.problem
+    tau, sigma = fb.default_step_sizes(problem, 0.0)
+    resid = saddle.fixed_point_residual(problem, ref.x, ref.y, tau, sigma)
+    scale = 1.0 + np.linalg.norm(ref.x) + np.linalg.norm(ref.y)
+    assert ref.residual_rel == pytest.approx(resid / scale, rel=1e-12, abs=1e-300)
+    assert ref.residual_rel <= 1e-8
+
+
+def test_reference_stops_at_its_certificate(tiny_lasso_reference):
+    # Default budget: a 2,000-step warm start and a 100,000-step cap.
+    assert tiny_lasso_reference.iterations <= (2000 + 100000) // 20
+
+
+def test_reference_reports_best_effort_when_the_budget_is_short():
+    spec = bench.SyntheticSpec(kind="graph-guided-fused-lasso", seed=6,
+                               subnet_size=4, n_subnets=3, n_active=1,
+                               n_samples=14)
+    problem = bench.generate(spec).problem
+    with pytest.warns(ResidualTooLarge):
+        ref = bench.reference_solve(problem, budget=20)
+    assert ref.best_effort
+    assert ref.residual_rel > 1e-8
+
+
+def test_reference_of_a_zero_coupling_problem_is_least_squares():
+    rng = np.random.default_rng(41)
+    a = rng.standard_normal((9, 4))
+    b = rng.standard_normal(9)
+    problem = saddle.SaddleProblem(saddle.quadratic_loss(linops.DenseOp(a), b),
+                                   linops.ZeroOp((3, 4)), BoxClip(1.0, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResidualTooLarge)
+        ref = bench.reference_solve(problem, budget=2000)
+    assert ref.method == "plain"
+    np.testing.assert_allclose(ref.x, np.linalg.lstsq(a, b, rcond=None)[0],
+                               rtol=0, atol=1e-7)
+    np.testing.assert_array_equal(ref.y, np.zeros(3))
+
+
+@pytest.mark.parametrize("budget, tol", [
+    (1, 1e-8), (0, 1e-8),
+    (100, math.nan), (100, math.inf), (100, 0.0), (100, -1e-8),
+])
+def test_reference_rejects_bad_budget_or_tolerance_before_any_step(budget, tol):
+    rng = np.random.default_rng(42)
+    design = CountingDenseOp(rng.standard_normal((8, 5)))
+    problem = saddle.SaddleProblem(
+        saddle.quadratic_loss(design, rng.standard_normal(8)),
+        linops.IdentityOp(5), BoxClip(0.5, 5))
+    # Norm estimates are cached first, so only solver steps would count.
+    assert problem.L_f > 0.0 and problem.k_norm > 0.0
+    design.forward = design.adjoint = 0
+    with pytest.raises(ConstraintViolation):
+        bench.reference_solve(problem, budget=budget, tol=tol)
+    assert (design.forward, design.adjoint) == (0, 0)
+
+
+def test_stopped_accelerated_phase_replays_a_fixed_length_run(monkeypatch):
+    spec = bench.SyntheticSpec(kind="overlapping-group-lasso", seed=1,
+                               n_groups=20, group_size=20, n_samples=300)
+    problem = bench.generate(spec).problem
+    calls = []
+    run_accel = accel.run_accel
+
+    def spy(problem, params, x0=None, y0=None, stop=None):
+        result = run_accel(problem, params, x0=x0, y0=y0, stop=stop)
+        calls.append((params, x0, y0, stop, result))
+        return result
+
+    monkeypatch.setattr(accel, "run_accel", spy)
+    ref = bench.reference_solve(problem, budget=3000)
+    monkeypatch.undo()
+    assert not ref.best_effort
+    (params, x0, y0, stop, stopped), = calls
+    n = stopped.iterations
+    # The warm pair (300 steps) falls short; the accelerated phase stops on
+    # a check, well inside its cap.
+    assert 0 < n < params.max_iters and n % accel.STOP_EVERY == 0
+    assert stop(stopped.x, stopped.y)
+    fixed = accel.run_accel(problem, dataclasses.replace(params, max_iters=n),
+                            x0=x0, y0=y0)
+    for got, want in ((stopped.x, fixed.x), (stopped.y, fixed.y),
+                      (stopped.xt, fixed.xt), (stopped.yt, fixed.yt)):
+        np.testing.assert_array_equal(got, want)
+    earlier = accel.run_accel(
+        problem, dataclasses.replace(params, max_iters=n - accel.STOP_EVERY),
+        x0=x0, y0=y0)
+    assert not stop(earlier.x, earlier.y)

@@ -1,6 +1,8 @@
 """Command-line runner: exit codes and the artifacts of each solver path."""
 
-from pdsplit import cli
+import numpy as np
+
+from pdsplit import bench, cli
 
 TINY = """\
 problem=lasso
@@ -43,3 +45,22 @@ def test_stoc_in_a_proven_mode_writes_the_aggregate(tmp_path):
 def test_stoc_in_an_unproven_mode_is_a_solver_error(tmp_path, capsys):
     assert _run(tmp_path, TINY + "algorithm=stoc\nkappa=0.5\nhorizon=6\n") == 2
     assert "no stochastic guarantee" in capsys.readouterr().err
+
+
+def test_region_scan_grid_counts_match_its_trace():
+    spec = bench.SyntheticSpec(kind="lasso", seed=3, n_samples=10, dim=5, lam=0.5)
+    problem = bench.generate(spec).problem
+    kappas = [0.0, 0.5, 1.0]
+    args = (problem, kappas, 3, 0.4, 5.0, 500, 1e-6)
+    trace, n_ran, n_interior, n_agree = cli.region_scan_grid(*args)
+    assert len(trace) == len(kappas) * 3 * 3
+    ran = trace.column("ran") > 0
+    interior = ran & (trace.column("interior") > 0)
+    agree = interior & (trace.column("valid") == trace.column("converged"))
+    assert (n_ran, n_interior, n_agree) == (ran.sum(), interior.sum(), agree.sum())
+    # Both outcomes occur among the cells that ran.
+    assert set(trace.column("converged")[ran]) == {0.0, 1.0}
+    threaded = cli.region_scan_grid(*args, jobs=2)
+    assert threaded[1:] == (n_ran, n_interior, n_agree)
+    for column in cli.REGION_COLUMNS:
+        np.testing.assert_array_equal(threaded[0].column(column), trace.column(column))
