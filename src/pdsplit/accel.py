@@ -50,9 +50,6 @@ ACCEL_TRACE_COLUMNS = [
 # configurations are exactly tight in real arithmetic.
 COND_TOL = 1e-12
 
-# Step cadence at which a run evaluates its optional stop predicate.
-STOP_EVERY = 50
-
 
 @dataclass
 class AccelParams:
@@ -476,16 +473,11 @@ def build_schedule(problem, params):
     raise UnknownKind(f"unknown schedule setting {params.setting!r}")
 
 
-def _run_schedule(
-    problem, schedule, advance, x, y, n_steps, record_every, stop=None, **stamp
-):
+def _run_schedule(problem, schedule, advance, x, y, n_steps, record_every, **stamp):
     """Accelerated recursion from ``(x, y)`` through the shared driver.
 
     ``advance(k, state)`` is the step; ``stamp`` adds constant trace
     columns after ``ACCEL_TRACE_COLUMNS`` (the stochastic runner's ``seed``).
-    ``stop(x, y)``, when given, is asked on the averaged pair every
-    ``STOP_EVERY`` steps; a true answer reaches ``_drive`` as a zero
-    residual against a zero tolerance and ends the run there.
 
     Returns
     -------
@@ -499,8 +491,7 @@ def _run_schedule(
         state = advance(k, state)
         if k == 1:
             first = (state.xt.copy(), state.yt.copy())
-        met = stop is not None and k % STOP_EVERY == 0 and stop(state.x, state.y)
-        return state.xt, state.yt, 0.0 if met else None
+        return state.xt, state.yt, None
 
     def row(k, res):
         dx = state.xt - state.xt_prev
@@ -517,7 +508,7 @@ def _run_schedule(
         )
 
     columns = ACCEL_TRACE_COLUMNS + list(stamp)
-    trace, k, _ = _drive(step, row, n_steps, record_every, columns, tol=0.0)
+    trace, k, _ = _drive(step, row, n_steps, record_every, columns)
     return AccelResult(
         x=state.x,
         y=state.y,
@@ -533,15 +524,13 @@ def _run_schedule(
     )
 
 
-def run_accel(problem, params, x0=None, y0=None, stop=None):
+def run_accel(problem, params, x0=None, y0=None):
     """Run the accelerated iteration.
 
     Bounded runs take ``params.max_iters`` steps; unbounded runs take
     ``params.horizon`` steps.  The trace's ``objective`` column tracks the
     resolvent point and ``ergodic_objective`` the averaged point carrying
-    the rate guarantee.  A predicate ``stop(x, y)`` on the averaged pair,
-    asked every ``STOP_EVERY`` steps, ends the run early when it holds;
-    without one the run makes no extra product.
+    the rate guarantee.
 
     Returns
     -------
@@ -566,7 +555,6 @@ def run_accel(problem, params, x0=None, y0=None, stop=None):
         y,
         n_steps,
         params.record_every,
-        stop,
     )
 
 

@@ -359,8 +359,8 @@ def _drive(step, row, n_steps, record_every, columns, tol=None):
     """The iteration loop shared by every runner.
 
     ``step(k)`` advances the runner's state by one iteration and returns the
-    new resolvent pair and the step residual (``None`` on steps that do not
-    evaluate it, which never count as converged); the pair must be finite.
+    new resolvent pair and the step residual (``None`` for runners that
+    evaluate it only on recorded rows); the pair must be finite.
     ``row(k, res)`` returns the trace columns other than ``k`` and
     ``seconds``.  A row is recorded every ``record_every`` steps, at the
     last step, and on convergence (``res <= tol``), which ends the loop.
@@ -383,7 +383,7 @@ def _drive(step, row, n_steps, record_every, columns, tol=None):
     for k in range(1, n_steps + 1):
         x_t, y_t, res = step(k)
         _require_finite(x_t, y_t, k)
-        converged = tol is not None and res is not None and res <= tol
+        converged = tol is not None and res <= tol
         if k % record_every == 0 or k == n_steps or converged:
             trace.append(k=k, seconds=time.perf_counter() - start, **row(k, res))
         if converged:

@@ -1,13 +1,10 @@
 """Accelerated recursion: modes, schedules, bounds, perturbation."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 from pdsplit import bench
 from pdsplit.accel import (
-    STOP_EVERY,
     AccelParams,
     AccelState,
     accel_step,
@@ -343,40 +340,6 @@ def test_run_accel_replays_step_loop(dense_problem):
                           (res.xt_first, first.xt), (res.yt_first, first.yt)):
             np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(res.trace.column("k"), [7, 14, 21, 28, 30])
-
-
-def test_run_accel_stop_predicate_is_asked_on_its_cadence(dense_problem):
-    problem, _, _, _ = dense_problem
-    n = 3 * STOP_EVERY
-    params = AccelParams(mode="kappa", kappa=0.5, setting="bounded",
-                         omega_x=2.0, omega_y=3.0, max_iters=n, record_every=40)
-    plain = run_accel(problem, params)
-    asked = []
-
-    def never(x, y):
-        asked.append((x.copy(), y.copy()))
-        return False
-
-    kept = run_accel(problem, params, stop=never)
-    assert len(asked) == 3
-    np.testing.assert_array_equal(asked[-1][0], plain.x)
-    for got, want in ((kept.x, plain.x), (kept.y, plain.y),
-                      (kept.xt, plain.xt), (kept.yt, plain.yt)):
-        np.testing.assert_array_equal(got, want)
-    np.testing.assert_array_equal(kept.trace.column("k"), plain.trace.column("k"))
-
-    calls = []
-
-    def second_check(x, y):
-        calls.append(None)
-        return len(calls) == 2
-
-    stopped = run_accel(problem, params, stop=second_check)
-    assert stopped.iterations == 2 * STOP_EVERY
-    np.testing.assert_array_equal(stopped.trace.column("k"), [40, 80, 100])
-    short = run_accel(problem, dataclasses.replace(params, max_iters=2 * STOP_EVERY))
-    np.testing.assert_array_equal(stopped.x, short.x)
-    np.testing.assert_array_equal(stopped.y, short.y)
 
 
 @pytest.mark.parametrize("mode, kappa, per_step", [
