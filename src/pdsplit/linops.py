@@ -1,4 +1,4 @@
-"""Linear operators with lazy composition and power-iteration norms.
+"""Linear operators with lazy composition and Lanczos norm estimates.
 
 Every operator exposes ``apply`` (forward product) and ``apply_adjoint``
 (transpose product) on 1-d numpy vectors, together with a ``kind`` tag and a
@@ -24,7 +24,7 @@ from .errors import (
     UnknownKind,
 )
 
-# Matrices strictly smaller than this along both axes are stored dense.
+# Sparse matrices strictly smaller than this along both axes are stored dense.
 DENSE_FALLBACK_DIM = 64
 
 # Safety factor applied on top of iterative norm estimates.
@@ -252,23 +252,18 @@ def make_operator(kind, *args, **kwargs):
 
 
 def matrix_operator(a):
-    """Wrap a concrete matrix, choosing dense or CSR storage.
+    """Wrap a concrete matrix, keeping its storage kind.
 
-    Matrices smaller than ``DENSE_FALLBACK_DIM`` along both axes are stored
-    dense; anything larger goes to CSR.
+    A numpy array stays dense.  A scipy sparse matrix is stored as CSR,
+    unless it is smaller than ``DENSE_FALLBACK_DIM`` along both axes, where
+    it is densified.
     """
     if sp.issparse(a):
         rows, cols = a.shape
         if rows < DENSE_FALLBACK_DIM and cols < DENSE_FALLBACK_DIM:
             return DenseOp(a.toarray())
         return SparseOp(a)
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2:
-        raise DimensionError("matrix_operator needs a 2-d matrix")
-    rows, cols = a.shape
-    if rows < DENSE_FALLBACK_DIM and cols < DENSE_FALLBACK_DIM:
-        return DenseOp(a)
-    return SparseOp(sp.csr_array(a))
+    return DenseOp(a)
 
 
 def densify(op):
@@ -293,18 +288,27 @@ def densify(op):
 
 
 def op_norm(op, tol=1e-9, max_iters=10000):
-    """Largest singular value via power iteration on the normal operator.
+    """Largest singular value by Lanczos on the smaller normal operator.
 
-    The starting vector comes from a counter-based generator keyed at zero so
+    The three-term Lanczos recurrence runs on ``A'A`` when ``rows >= cols``
+    and on ``A A'`` otherwise, and builds a tridiagonal matrix ``T_j`` one
+    normal-operator product at a time.  The top eigenvalue of ``T_j`` (the
+    top Ritz value) interlaces upward toward the top eigenvalue of the
+    normal operator, so the estimate approaches the norm from below.  The
+    starting vector comes from a counter-based generator keyed at zero so
     repeated calls give identical results.
 
     Parameters
     ----------
     op : LinearOperator
     tol : float
-        Relative tolerance on successive Rayleigh quotients.
+        Relative tolerance on the Lanczos residual bound
+        ``beta_j * |s_j|``, where ``s_j`` is the last entry of the top
+        eigenvector of ``T_j``.  The bound caps the distance from the top
+        Ritz value to an eigenvalue of the normal operator.
     max_iters : int
-        Iteration budget.
+        Budget of normal-operator products; each is one forward and one
+        adjoint product of ``op``.
 
     Returns
     -------
@@ -314,37 +318,48 @@ def op_norm(op, tol=1e-9, max_iters=10000):
     Raises
     ------
     NonConvergence
-        If the Rayleigh quotient has not settled within the budget.
+        If the residual bound has not met the tolerance within the budget.
+    DegenerateProblem
+        If a normal-operator product is not finite, as when ``op`` holds a
+        NaN or an infinite entry.
     """
     rows, cols = op.shape
     if rows == 0 or cols == 0:
         return 0.0
+    first, second = op.apply, op.apply_adjoint
+    if rows < cols:
+        first, second = second, first
     rng = np.random.Generator(np.random.Philox(0))
-    v = rng.standard_normal(cols)
-    nrm = np.linalg.norm(v)
-    v /= nrm
-    lam_prev = np.inf
+    q = rng.standard_normal(min(rows, cols))
+    q /= np.linalg.norm(q)
+    q_prev = np.zeros_like(q)
+    alphas, betas = [], []
+    beta = 0.0
     for _ in range(max_iters):
-        w = op.apply_adjoint(op.apply(v))
-        lam = float(v @ w)
-        nrm = np.linalg.norm(w)
-        if nrm == 0.0:
-            return 0.0
-        v = w / nrm
-        if abs(lam - lam_prev) <= tol * max(1.0, abs(lam)):
+        w = second(first(q))
+        if not np.all(np.isfinite(w)):
+            raise DegenerateProblem("normal-operator product is not finite")
+        w = w - beta * q_prev
+        alpha = float(q @ w)
+        w = w - alpha * q
+        beta = float(np.linalg.norm(w))
+        alphas.append(alpha)
+        tri = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+        ritz, vecs = np.linalg.eigh(tri)
+        lam = float(ritz[-1])
+        if beta * abs(vecs[-1, -1]) <= tol * max(1.0, lam):
             return float(np.sqrt(max(lam, 0.0)))
-        lam_prev = lam
-    raise NonConvergence(
-        f"power iteration did not settle in {max_iters} iterations"
-    )
+        betas.append(beta)
+        q_prev, q = q, w / beta
+    raise NonConvergence(f"Lanczos did not settle in {max_iters} products")
 
 
 def safe_op_norm(op, tol=1e-9, max_iters=10000):
     """Spectral norm estimate inflated by the safety factor.
 
-    Power iteration approaches the top singular value from below, so values
-    fed into step-size bounds get multiplied by ``NORM_SAFETY`` to stay on
-    the conservative side.
+    The Lanczos estimate approaches the top singular value from below, so
+    values fed into step-size bounds get multiplied by ``NORM_SAFETY`` to
+    stay on the conservative side.
     """
     return NORM_SAFETY * op_norm(op, tol=tol, max_iters=max_iters)
 

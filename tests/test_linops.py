@@ -1,5 +1,10 @@
 """Operator abstraction: dispatch, adjoints, norms, builders, triplet IO."""
 
+import os
+import subprocess
+import sys
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -15,8 +20,10 @@ from pdsplit.errors import (
     SelfLoop,
     UnknownKind,
 )
+from pdsplit.saddle import quadratic_loss
 
 import oracles
+from conftest import CountingDenseOp
 
 
 def test_identity_apply_returns_input():
@@ -132,6 +139,106 @@ def test_op_norm_reports_non_convergence():
         linops.op_norm(linops.DenseOp(a), tol=1e-14, max_iters=2)
 
 
+def test_op_norm_budget_counts_normal_products():
+    op = CountingDenseOp(np.random.default_rng(5).standard_normal((8, 8)))
+    with pytest.raises(NonConvergence):
+        linops.op_norm(op, tol=1e-14, max_iters=3)
+    assert (op.forward, op.adjoint) == (3, 3)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_op_norm_of_non_finite_operator_fails_at_first_product(bad):
+    a = np.random.default_rng(9).standard_normal((12, 7))
+    a[4, 2] = bad
+    op = CountingDenseOp(a)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateProblem):
+            linops.op_norm(op)
+        assert (op.forward, op.adjoint) == (1, 1)
+        with pytest.raises(DegenerateProblem):
+            quadratic_loss(op, np.zeros(12))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda a: linops.DenseOp(a[:, :30].T), id="dense-tall"),
+        pytest.param(lambda a: linops.DenseOp(a), id="dense-wide"),
+        pytest.param(lambda a: linops.SparseOp(sp.csr_array(a)), id="csr"),
+        pytest.param(
+            lambda a: linops.VStackOp([linops.DenseOp(a), linops.IdentityOp(45)]),
+            id="vstack",
+        ),
+        pytest.param(
+            lambda a: linops.HStackOp([linops.DenseOp(a), linops.IdentityOp(20)]),
+            id="hstack",
+        ),
+    ],
+)
+def test_op_norm_matches_oracle_on_every_stack_and_storage(build):
+    rng = np.random.default_rng(11)
+    a = rng.standard_normal((20, 45)) * (rng.random((20, 45)) < 0.5)
+    op = build(a)
+    expected = oracles.spectral_norm_gram(linops.densify(op))
+    assert linops.op_norm(op) == pytest.approx(expected, rel=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rows=st.integers(min_value=1, max_value=8),
+    cols=st.integers(min_value=1, max_value=8),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_op_norm_stays_below_and_safe_norm_above_oracle(rows, cols, seed):
+    a = np.random.default_rng(seed).standard_normal((rows, cols))
+    op = linops.DenseOp(a)
+    expected = oracles.spectral_norm_gram(a)
+    assert linops.op_norm(op) <= expected * (1.0 + 1e-10)
+    assert linops.safe_op_norm(op) >= expected
+
+
+def test_op_norm_repeats_bitwise():
+    op = linops.DenseOp(np.random.default_rng(12).standard_normal((40, 90)))
+    assert linops.op_norm(op) == linops.op_norm(op)
+
+
+# Normal-operator products that power iteration (tol 1e-9) spent on the
+# 300 x 1200 Gaussian designs of seeds 0 to 15 before Lanczos replaced it.
+POWER_ITERATION_PRODUCTS = [
+    207, 217, 215, 972, 275, 235, 1251, 379,
+    1678, 2162, 872, 242, 852, 727, 1811, 348,
+]
+
+
+def test_op_norm_spends_a_fifth_of_the_power_iteration_products():
+    spent = []
+    for seed in range(len(POWER_ITERATION_PRODUCTS)):
+        op = CountingDenseOp(np.random.default_rng(seed).standard_normal((300, 1200)))
+        linops.op_norm(op)
+        assert op.forward == op.adjoint
+        spent.append(op.adjoint)
+    assert 5 * sum(spent) <= sum(POWER_ITERATION_PRODUCTS)
+
+
+def test_norm_estimates_import_no_scipy_linear_algebra():
+    script = (
+        "import sys\n"
+        "from pdsplit import bench\n"
+        "spec = bench.SyntheticSpec(kind='overlapping-group-lasso', seed=1)\n"
+        "assert bench.generate(spec).problem.k_norm > 0.0\n"
+        "print(sorted(m for m in ('scipy.linalg', 'scipy.sparse.linalg')"
+        " if m in sys.modules))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(linops.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, check=True, timeout=120, env=env,
+    )
+    assert out.stdout.strip() == "[]"
+
+
 def test_vstack_norm_bounded_by_stacked_squares():
     rng = np.random.default_rng(6)
     d = rng.standard_normal((3, 4))
@@ -178,6 +285,20 @@ def test_densify_round_trips_apply(rows, cols, seed):
     op = linops.matrix_operator(sp.csr_array(mat))
     v = rng.standard_normal(cols)
     np.testing.assert_allclose(linops.densify(op) @ v, op.apply(v), atol=1e-12)
+
+
+def test_matrix_operator_keeps_arrays_dense_and_large_sparse_as_csr():
+    big = np.random.default_rng(13).standard_normal((100, 200))
+    op = linops.matrix_operator(big)
+    assert op.kind == "dense"
+    np.testing.assert_array_equal(op.array, big)
+    assert linops.matrix_operator(sp.csr_array(big)).kind == "sparse-csr"
+    assert linops.matrix_operator(sp.csr_array(big[:10])).kind == "sparse-csr"
+    small = linops.matrix_operator(sp.csr_array(big[:10, :20]))
+    assert small.kind == "dense"
+    np.testing.assert_array_equal(small.array, big[:10, :20])
+    with pytest.raises(DimensionError):
+        linops.matrix_operator(np.zeros(3))
 
 
 def test_group_membership_marks_overlap_column_twice():
