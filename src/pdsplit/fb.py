@@ -659,7 +659,7 @@ def run_fbf(
     x, y = _start_point(problem, x0, y0)
     if tau is None:
         tau = fbf_default_step(problem)
-    if tau <= 0 or tau * (problem.L_f + problem.k_norm) >= 1.0:
+    if tau <= 0 or tau >= 1.0 / (problem.L_f + problem.k_norm):
         raise ConstraintViolation(
             "forward-backward-forward step must satisfy tau * (L_f + ||K||) < 1"
         )

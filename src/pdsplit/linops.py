@@ -30,6 +30,10 @@ DENSE_FALLBACK_DIM = 64
 # Safety factor applied on top of iterative norm estimates.
 NORM_SAFETY = 1.01
 
+# Lanczos basis size, and the top Ritz vectors kept when a full basis restarts.
+LANCZOS_BASIS = 64
+LANCZOS_KEPT = 16
+
 
 class LinearOperator:
     """Base class for all operator kinds.
@@ -290,22 +294,31 @@ def densify(op):
 def op_norm(op, tol=1e-9, max_iters=10000):
     """Largest singular value by Lanczos on the smaller normal operator.
 
-    The three-term Lanczos recurrence runs on ``A'A`` when ``rows >= cols``
-    and on ``A A'`` otherwise, and builds a tridiagonal matrix ``T_j`` one
-    normal-operator product at a time.  The top eigenvalue of ``T_j`` (the
-    top Ritz value) interlaces upward toward the top eigenvalue of the
-    normal operator, so the estimate approaches the norm from below.  The
-    starting vector comes from a counter-based generator keyed at zero so
-    repeated calls give identical results.
+    Lanczos runs on ``A'A`` when ``rows >= cols`` and on ``A A'``
+    otherwise, one normal-operator product per step.  Each new basis vector
+    is orthogonalized against the whole stored basis (twice), and the
+    projection of the normal operator onto the basis (tridiagonal apart
+    from restart couplings) is kept as a small dense matrix.  Its top
+    eigenvalue, the top Ritz value, is a Rayleigh quotient of the normal
+    operator, so the estimate approaches the norm from below.  When the
+    basis holds ``LANCZOS_BASIS`` vectors it restarts thick: it keeps the
+    top ``LANCZOS_KEPT`` Ritz vectors and goes on from the residual
+    direction (Wu & Simon, SIAM J. Matrix Anal. Appl. 22(2), 2000).  The
+    stored basis and the eigenproblem solved at every step therefore stay
+    bounded whatever the budget.  The starting vector comes from a
+    counter-based generator keyed at zero so repeated calls give identical
+    results.
 
     Parameters
     ----------
     op : LinearOperator
     tol : float
         Relative tolerance on the Lanczos residual bound
-        ``beta_j * |s_j|``, where ``s_j`` is the last entry of the top
-        eigenvector of ``T_j``.  The bound caps the distance from the top
-        Ritz value to an eigenvalue of the normal operator.
+        ``beta * |s| <= tol * lambda``, where ``lambda`` is the top Ritz
+        value, ``s`` the last entry of its eigenvector in the projected
+        matrix and ``beta`` the norm of the residual direction.  The bound
+        caps the distance from ``lambda`` to an eigenvalue of the normal
+        operator, at any scale of ``op``.
     max_iters : int
         Budget of normal-operator products; each is one forward and one
         adjoint product of ``op``.
@@ -331,26 +344,34 @@ def op_norm(op, tol=1e-9, max_iters=10000):
         first, second = second, first
     rng = np.random.Generator(np.random.Philox(0))
     q = rng.standard_normal(min(rows, cols))
-    q /= np.linalg.norm(q)
-    q_prev = np.zeros_like(q)
-    alphas, betas = [], []
-    beta = 0.0
+    basis = np.empty((LANCZOS_BASIS, q.size))
+    proj = np.zeros((LANCZOS_BASIS, LANCZOS_BASIS))
+    basis[0] = q / np.linalg.norm(q)
+    j = 0
     for _ in range(max_iters):
-        w = second(first(q))
+        w = second(first(basis[j]))
         if not np.all(np.isfinite(w)):
             raise DegenerateProblem("normal-operator product is not finite")
-        w = w - beta * q_prev
-        alpha = float(q @ w)
-        w = w - alpha * q
+        done = basis[: j + 1]
+        h = done @ w
+        w = w - h @ done
+        again = done @ w
+        w = w - again @ done
+        proj[: j + 1, j] = proj[j, : j + 1] = h + again
         beta = float(np.linalg.norm(w))
-        alphas.append(alpha)
-        tri = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
-        ritz, vecs = np.linalg.eigh(tri)
-        lam = float(ritz[-1])
-        if beta * abs(vecs[-1, -1]) <= tol * max(1.0, lam):
-            return float(np.sqrt(max(lam, 0.0)))
-        betas.append(beta)
-        q_prev, q = q, w / beta
+        ritz, vecs = np.linalg.eigh(proj[: j + 1, : j + 1])
+        lam = max(float(ritz[-1]), 0.0)
+        if beta * abs(vecs[-1, -1]) <= tol * lam:
+            return float(np.sqrt(lam))
+        if j + 1 == LANCZOS_BASIS:
+            kept = vecs[:, -LANCZOS_KEPT:]
+            basis[:LANCZOS_KEPT] = kept.T @ basis
+            proj[:] = 0.0
+            proj[:LANCZOS_KEPT, :LANCZOS_KEPT] = np.diag(ritz[-LANCZOS_KEPT:])
+            j = LANCZOS_KEPT
+        else:
+            j += 1
+        basis[j] = w / beta
     raise NonConvergence(f"Lanczos did not settle in {max_iters} products")
 
 

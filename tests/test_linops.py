@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -189,13 +190,43 @@ def test_op_norm_matches_oracle_on_every_stack_and_storage(build):
     rows=st.integers(min_value=1, max_value=8),
     cols=st.integers(min_value=1, max_value=8),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
+    exponent=st.integers(min_value=-8, max_value=4),
 )
-def test_op_norm_stays_below_and_safe_norm_above_oracle(rows, cols, seed):
-    a = np.random.default_rng(seed).standard_normal((rows, cols))
+def test_op_norm_stays_below_and_safe_norm_above_oracle(rows, cols, seed, exponent):
+    a = 10.0**exponent * np.random.default_rng(seed).standard_normal((rows, cols))
     op = linops.DenseOp(a)
     expected = oracles.spectral_norm_gram(a)
     assert linops.op_norm(op) <= expected * (1.0 + 1e-10)
     assert linops.safe_op_norm(op) >= expected
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e4])
+def test_op_norm_is_relative_at_every_scale(scale):
+    a = scale * np.random.default_rng(0).standard_normal((50, 30))
+    expected = oracles.spectral_norm_gram(a)
+    assert linops.op_norm(linops.DenseOp(a)) == pytest.approx(expected, rel=1e-9)
+    assert linops.safe_op_norm(linops.DenseOp(a)) >= expected
+
+
+def test_op_norm_separates_a_near_degenerate_top_pair_in_bounded_work(monkeypatch):
+    # Top pair 1e-8 apart over a dense spectrum reaching 1 - 1e-7: Lanczos
+    # needs several hundred products, so the restarts must bound the size
+    # of every tridiagonal eigenproblem and the time of the whole call.
+    gram = np.concatenate([[1.0, 1.0 - 1e-8], np.linspace(0.0, 1.0 - 1e-7, 3000)])
+    op = linops.SparseOp(sp.diags_array(np.sqrt(gram)).tocsr())
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(matrix):
+        sizes.append(matrix.shape[0])
+        return eigh(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    start = time.perf_counter()
+    assert linops.op_norm(op) == pytest.approx(1.0, rel=1e-9)
+    assert time.perf_counter() - start < 4.0
+    assert len(sizes) > linops.LANCZOS_BASIS
+    assert max(sizes) == linops.LANCZOS_BASIS
 
 
 def test_op_norm_repeats_bitwise():
