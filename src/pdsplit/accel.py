@@ -182,6 +182,24 @@ class ScheduleLaws:
             )
 
 
+class ScheduleTable:
+    """A schedule's ``tau``, ``sigma``, ``rho`` and ``theta`` at ``k = 1..n``.
+
+    The laws are evaluated once, on the index vector, and read back by
+    index, so a run pays no schedule arithmetic per step.  Elementwise IEEE
+    arithmetic makes every entry bitwise equal to the scalar call, so the
+    table stands in for its schedule wherever only those four laws are read
+    at integer indices in range (index 0 reads ``nan``).
+    """
+
+    def __init__(self, schedule, n):
+        ks = np.arange(1, n + 1, dtype=float)
+        self.tau, self.sigma, self.rho, self.theta = (
+            np.concatenate([[np.nan], law(ks)]).item
+            for law in (schedule.tau, schedule.sigma, schedule.rho, schedule.theta)
+        )
+
+
 @dataclass
 class Schedule(ScheduleLaws):
     """Step, relaxation, and extrapolation schedule.
@@ -386,7 +404,8 @@ def _accel_core(grad, k_fwd, k_adj, prox, alpha, beta, schedule, k, state):
     is skipped when ``alpha = 1``, where its coefficient is exactly zero.
     The stochastic variant runs this exact function with estimate-drawing
     callbacks, so a zero-variance oracle reproduces deterministic runs
-    bitwise.
+    bitwise.  Only the four laws of ``schedule`` are read, so it may be a
+    schedule or its :class:`ScheduleTable`.
     """
     tau = schedule.tau(k)
     tau_prev = schedule.tau(k - 1) if k > 1 else 0.0
@@ -413,7 +432,8 @@ def _accel_core(grad, k_fwd, k_adj, prox, alpha, beta, schedule, k, state):
 def accel_step(problem, alpha, beta, schedule, k, state):
     """One deterministic accelerated update at iteration index ``k``.
 
-    ``(alpha, beta)`` are the mode's scalars from :func:`mode_coefficients`.
+    ``(alpha, beta)`` are the mode's scalars from :func:`mode_coefficients`;
+    ``schedule`` is a :class:`Schedule` or its :class:`ScheduleTable`.
     """
     return _accel_core(
         problem.grad_f,
@@ -476,8 +496,10 @@ def build_schedule(problem, params):
 def _run_schedule(problem, schedule, advance, x, y, n_steps, record_every, **stamp):
     """Accelerated recursion from ``(x, y)`` through the shared driver.
 
-    ``advance(k, state)`` is the step; ``stamp`` adds constant trace
-    columns after ``ACCEL_TRACE_COLUMNS`` (the stochastic runner's ``seed``).
+    ``advance(k, state, table)`` is the step, where ``table`` is the
+    schedule tabulated over the run's ``n_steps`` indices; ``stamp`` adds
+    constant trace columns after ``ACCEL_TRACE_COLUMNS`` (the stochastic
+    runner's ``seed``).
 
     Returns
     -------
@@ -485,10 +507,11 @@ def _run_schedule(problem, schedule, advance, x, y, n_steps, record_every, **sta
     """
     state = AccelState.start(x, y)
     first = (None, None)
+    table = ScheduleTable(schedule, n_steps)
 
     def step(k):
         nonlocal state, first
-        state = advance(k, state)
+        state = advance(k, state, table)
         if k == 1:
             first = (state.xt.copy(), state.yt.copy())
         return state.xt, state.yt, None
@@ -501,9 +524,9 @@ def _run_schedule(problem, schedule, advance, x, y, n_steps, record_every, **sta
             ergodic_objective=saddle.primal_objective(problem, state.x),
             residual=float(np.sqrt(dx @ dx + dy @ dy)),
             mdist=np.nan,
-            tau_k=schedule.tau(k),
-            sigma_k=schedule.sigma(k),
-            rho_k=schedule.rho(k),
+            tau_k=table.tau(k),
+            sigma_k=table.sigma(k),
+            rho_k=table.rho(k),
             **stamp,
         )
 
@@ -550,7 +573,7 @@ def run_accel(problem, params, x0=None, y0=None):
     return _run_schedule(
         problem,
         schedule,
-        lambda k, state: accel_step(problem, alpha, beta, schedule, k, state),
+        lambda k, state, table: accel_step(problem, alpha, beta, table, k, state),
         x,
         y,
         n_steps,

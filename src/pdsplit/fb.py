@@ -9,7 +9,11 @@ the same fixed points, step-size region arithmetic, and relaxation cap.
 This module also holds the iteration loop of every runner in the package:
 ``_start_point`` copies and checks the starting pair, and ``_drive`` runs
 the steps, checks each resolvent pair for finiteness, records trace rows on
-the cadence with their timer, and stops at the tolerance.  :func:`run_fb`,
+the cadence with their timer, and stops at the tolerance.  A step pays only
+for what the step needs: the finiteness scan runs when the step residual is
+missing or non-finite (a non-finite entry always makes the residual
+non-finite), and whatever only a trace row reads, such as the metric
+distance, is evaluated in the row.  :func:`run_fb`,
 :func:`run_fbf`, :func:`pdsplit.shard.run_fb_sharded`,
 :func:`pdsplit.accel.run_accel` and :func:`pdsplit.stoch.run_stoc` supply
 only their step and their solver-specific trace columns.
@@ -22,6 +26,7 @@ of the ergodic mean by linearity, so a trace row costs no design product.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -360,7 +365,11 @@ def _drive(step, row, n_steps, record_every, columns, tol=None):
 
     ``step(k)`` advances the runner's state by one iteration and returns the
     new resolvent pair and the step residual (``None`` for runners that
-    evaluate it only on recorded rows); the pair must be finite.
+    evaluate it only on recorded rows); the pair must be finite.  The pair
+    is scanned only when the residual is ``None`` or non-finite: a
+    non-finite entry always makes a residual of the pair non-finite, while
+    squares of large finite entries can overflow it, so the scan decides and
+    an overflowing residual of a finite pair is recorded, not raised.
     ``row(k, res)`` returns the trace columns other than ``k`` and
     ``seconds``.  A row is recorded every ``record_every`` steps, at the
     last step, and on convergence (``res <= tol``), which ends the loop.
@@ -382,7 +391,8 @@ def _drive(step, row, n_steps, record_every, columns, tol=None):
     start = time.perf_counter()
     for k in range(1, n_steps + 1):
         x_t, y_t, res = step(k)
-        _require_finite(x_t, y_t, k)
+        if res is None or not math.isfinite(res):
+            _require_finite(x_t, y_t, k)
         converged = tol is not None and res <= tol
         if k % record_every == 0 or k == n_steps or converged:
             trace.append(k=k, seconds=time.perf_counter() - start, **row(k, res))
@@ -440,6 +450,10 @@ def _relaxed_run(problem, stepped, params, rho, x, y, tol, metric=None, on_step=
     A x_{k-1}``.  On a counting copy every product stays inside the step, so
     rows evaluate their objectives directly and charge nothing.
 
+    The step keeps its displacement ``(dx, dy)``, and the metric distance
+    ``||(dx, dy)||_M`` (a dense ``(p + l)^2`` product) is evaluated only for
+    recorded rows.
+
     Returns
     -------
     (x, y, x_tilde, y_tilde, trace, iterations, converged)
@@ -448,16 +462,14 @@ def _relaxed_run(problem, stepped, params, rho, x, y, tol, metric=None, on_step=
     carry = stepped is problem
     erg = _ErgodicMean(x.size, design.shape[0] if carry else None)
     ax = design.apply(x) if carry else None
-    x_t, y_t, mdist = x, y, np.nan
+    x_t, y_t, dx, dy = x, y, None, None
 
     def step(k):
-        nonlocal x, y, ax, x_t, y_t, mdist
+        nonlocal x, y, ax, x_t, y_t, dx, dy
         x_t, y_t = fb_step(stepped, params.kappa, params.tau, params.sigma, x, y, ax)
         dx = x_t - x
         dy = y_t - y
         res = float(np.sqrt(dx @ dx + dy @ dy))
-        if metric is not None:
-            mdist = m_norm(metric, np.concatenate([dx, dy]))
         x = x + rho * dx
         y = y + rho * dy
         if carry:
@@ -469,9 +481,13 @@ def _relaxed_run(problem, stepped, params, rho, x, y, tol, metric=None, on_step=
             on_step(k, x, y)
         return x_t, y_t, res
 
+    def row(k, res):
+        mdist = np.nan if metric is None else m_norm(metric, np.concatenate([dx, dy]))
+        return erg.row(problem, x, res, mdist, ax)
+
     trace, k, converged = _drive(
         step,
-        lambda k, res: erg.row(problem, x, res, mdist, ax),
+        row,
         params.max_iters,
         params.record_every,
         TRACE_COLUMNS,

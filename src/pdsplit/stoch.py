@@ -560,7 +560,9 @@ def run_stoc(problem, params, oracle_factory, seeds, x0=None, y0=None, jobs=1):
         return _run_schedule(
             problem,
             schedule,
-            lambda k, state: stoc_accel_step(problem, oracle, alpha, beta, schedule, k, state),
+            lambda k, state, table: stoc_accel_step(
+                problem, oracle, alpha, beta, table, k, state
+            ),
             x_start,
             y_start,
             n_steps,

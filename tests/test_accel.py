@@ -7,6 +7,7 @@ from pdsplit import bench
 from pdsplit.accel import (
     AccelParams,
     AccelState,
+    ScheduleTable,
     accel_step,
     bounded_gap_bound,
     build_schedule,
@@ -25,6 +26,7 @@ from pdsplit.errors import (
 )
 from pdsplit.fb import fb_step
 from pdsplit.saddle import primal_objective
+from pdsplit.stoch import schedule_stoc_bounded, schedule_stoc_unbounded
 
 import oracles
 from conftest import counted_coupling_problem
@@ -462,3 +464,40 @@ def test_perturbation_requires_unbounded_history(tiny_lasso):
     res_u.xt_first = None
     with pytest.raises(MissingHistory):
         compute_perturbation(problem, unb, res_u, (res_u.x, res_u.y))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def _assert_table_matches_scalar_calls(schedule, n):
+    table = ScheduleTable(schedule, n)
+    for law in ("tau", "sigma", "rho", "theta"):
+        got = [getattr(table, law)(k) for k in range(1, n + 1)]
+        want = [getattr(schedule, law)(k) for k in range(1, n + 1)]
+        assert all(type(v) is float for v in got)
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
+def test_tabulated_schedule_is_bitwise_the_scalar_laws(tiny_lasso):
+    problem = tiny_lasso.problem
+    l_f, k_norm = problem.L_f, problem.k_norm
+    n = 2000
+    for mode, kappa in (("kappa", 0.5), ("chen", 0.0)):
+        factors = mode_factors(mode, kappa)
+        bounded = schedule_bounded(l_f, k_norm, factors, 2.0, 3.0, 0.5, 0.25,
+                                   check_up_to=n)
+        _assert_table_matches_scalar_calls(bounded, n)
+        unbounded = schedule_unbounded(l_f, k_norm, factors, n, 0.5, 0.25)
+        _assert_table_matches_scalar_calls(unbounded, n)
+    # A horizon-N noisy run executes k = 1 .. N - 1.
+    factors = mode_factors("kappa", 1.0)
+    noisy = (
+        schedule_stoc_bounded(l_f, k_norm, factors, n, 2.0, 3.0, 0.25, 0.2, 0.75,
+                              0.8, 0.5, 0.3),
+        schedule_stoc_unbounded(l_f, k_norm, factors, n, 0.25, 0.2, 0.75, 0.8, 0.5,
+                                0.3, 2.5),
+    )
+    for schedule in noisy:
+        _assert_table_matches_scalar_calls(schedule, n - 1)
+    assert np.isnan(ScheduleTable(bounded, 3).tau(0))

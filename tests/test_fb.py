@@ -329,6 +329,125 @@ def test_run_fb_flags_divergence():
             run_fb(problem, params, x0=np.ones(2), validate=False)
 
 
+def _fb_pairs(problem, tau, sigma, rho, x, y, kappa=0.0):
+    """Resolvent pairs and relaxed predecessors of a plain ``fb_step`` loop."""
+    while True:
+        xt, yt = fb_step(problem, kappa, tau, sigma, x, y)
+        yield xt, yt, x, y
+        x = x + rho * (xt - x)
+        y = y + rho * (yt - y)
+
+
+def _fbf_pairs(problem, tau, alpha, x, y):
+    """Iterate pairs of a plain inertial ``fbf_step`` loop."""
+    x_prev, y_prev = x, y
+    while True:
+        x_new, y_new = fbf_step(problem, tau, x, y, x_prev, y_prev, alpha, alpha)
+        yield x_new, y_new
+        x_prev, y_prev, x, y = x, y, x_new, y_new
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.5, 1.0])
+def test_sparse_rows_read_the_metric_of_their_own_step(tiny_lasso, kappa):
+    problem = tiny_lasso.problem
+    n = 120
+    dense = run_fb(problem, FbParams(kappa=kappa, max_iters=n, record_every=1))
+    info = validate_params(problem, FbParams(kappa=kappa))
+    metric = build_m_matrix(problem, kappa, info["tau"], info["sigma"])
+    pairs = _fb_pairs(problem, info["tau"], info["sigma"], info["rho"],
+                      np.zeros(problem.dims[0]), np.zeros(problem.dims[1]), kappa)
+    replay = {"residual": [], "mdist": []}
+    for _, (xt, yt, x, y) in zip(range(n), pairs):
+        dx, dy = xt - x, yt - y
+        replay["residual"].append(float(np.sqrt(dx @ dx + dy @ dy)))
+        replay["mdist"].append(m_norm(metric, np.concatenate([dx, dy])))
+    for column, values in replay.items():
+        np.testing.assert_array_equal(dense.trace.column(column), values)
+
+    residual = dense.trace.column("residual")
+    # A tolerance whose first crossing falls between two cadence points.
+    first_hits = [int(np.argmax(residual <= tol)) + 1 for tol in residual[20:]]
+    stop = next(k for k in first_hits if k % 7 and k > 14)
+    sparse = run_fb(problem, FbParams(kappa=kappa, max_iters=n, record_every=7))
+    stopped = run_fb(problem, FbParams(kappa=kappa, max_iters=n, record_every=7),
+                     tol=residual[stop - 1])
+    assert stopped.converged and stopped.iterations == stop
+    for res in (sparse, stopped):
+        rows = res.trace.column("k").astype(int) - 1
+        assert rows[-1] == res.iterations - 1
+        for column in ("objective", "ergodic_objective", "residual", "mdist"):
+            np.testing.assert_array_equal(res.trace.column(column),
+                                          dense.trace.column(column)[rows])
+    unmetered = run_fb(problem, FbParams(kappa=kappa, max_iters=20, record_every=7),
+                       record_mdist=False)
+    assert np.isnan(unmetered.trace.column("mdist")).all()
+
+
+def _first_nonfinite_pair(pairs, n):
+    """Index of the first pair with a non-finite entry, checking every pair."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (x_t, y_t, *_) in zip(range(1, n + 1), pairs):
+            if not (np.isfinite(x_t).all() and np.isfinite(y_t).all()):
+                return k
+    return None
+
+
+def _nonfinite_iteration(run):
+    """Iteration named by the ``NonFiniteIterate`` that ``run`` raises."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteIterate) as err:
+            run()
+    return int(str(err.value).rsplit(" ", 1)[-1])
+
+
+def test_runners_flag_the_first_nonfinite_pair_of_an_independent_replay():
+    problem = identity_lasso_problem(np.eye(2), np.array([3.0, -1.0]), 0.5)
+    x0, y0 = np.ones(2), np.zeros(2)
+
+    params = FbParams(tau=50.0, sigma=50.0, relaxation=1.0, max_iters=2000)
+    want = _first_nonfinite_pair(_fb_pairs(problem, 50.0, 50.0, 1.0, x0, y0), 2000)
+    got = _nonfinite_iteration(lambda: run_fb(problem, params, x0=x0, validate=False))
+    assert want is not None and got == want
+
+    tau = fbf_default_step(problem)
+    want = _first_nonfinite_pair(_fbf_pairs(problem, tau, 3.0, x0, y0), 5000)
+    got = _nonfinite_iteration(
+        lambda: run_fbf(problem, alpha1=3.0, alpha2=3.0, max_iters=5000, x0=x0))
+    assert want is not None and got == want
+
+    # The sharded run validates its parameters, so it diverges on a loss
+    # that understates its curvature: the recipe steps then leave the region.
+    loss = problem.loss
+    understated = SaddleProblem(
+        type(loss)(loss.A, loss.phi, loss.phi_grad, 0.01), problem.K, problem.hconj
+    )
+    params = FbParams(max_iters=5000)
+    info = validate_params(understated, params)
+    want = _first_nonfinite_pair(
+        _fb_pairs(understated, info["tau"], info["sigma"], info["rho"], x0, y0), 5000)
+    got = _nonfinite_iteration(lambda: run_fb_sharded(understated, params, 2, x0=x0))
+    assert want is not None and got == want
+
+
+@pytest.mark.parametrize("runner", ["run_fb", "run_fbf", "run_fb_sharded"])
+def test_overflowing_residual_of_a_finite_pair_does_not_raise(runner):
+    problem = identity_lasso_problem(np.eye(2), np.array([3.0, -1.0]), 0.5)
+    x0 = np.array([1e200, -1e200])
+    run = {
+        "run_fb": lambda: run_fb(problem, FbParams(max_iters=1), x0=x0),
+        "run_fbf": lambda: run_fbf(problem, max_iters=1, x0=x0),
+        "run_fb_sharded": lambda: run_fb_sharded(problem, FbParams(max_iters=1), 2,
+                                                 x0=x0),
+    }[runner]
+    with np.errstate(over="ignore"):
+        res = run()
+    # The step moves by about 1e200, so its squared residual overflows while
+    # the pair stays finite.
+    assert np.isfinite(res.x).all() and np.isfinite(res.y).all()
+    assert res.iterations == 1
+    np.testing.assert_array_equal(res.trace.column("residual"), [np.inf])
+
+
 def _stoc_run(problem, x0=None, y0=None):
     params = StocParams(mode="kappa", kappa=1.0, omega_x=3.0, omega_y=3.0,
                         horizon=3)
