@@ -493,17 +493,22 @@ def build_schedule(problem, params):
     raise UnknownKind(f"unknown schedule setting {params.setting!r}")
 
 
-def _run_schedule(problem, schedule, advance, x, y, n_steps, record_every, **stamp):
+def _run_schedule(problem, schedule, advance, x, y, n_steps, record_every, seeds=None):
     """Accelerated recursion from ``(x, y)`` through the shared driver.
 
     ``advance(k, state, table)`` is the step, where ``table`` is the
-    schedule tabulated over the run's ``n_steps`` indices; ``stamp`` adds
-    constant trace columns after ``ACCEL_TRACE_COLUMNS`` (the stochastic
-    runner's ``seed``).
+    schedule tabulated over the run's ``n_steps`` indices.
+
+    With ``seeds``, ``(x, y)`` is a block pair with one column per seed and
+    every step advances all columns at once.  Each seed then gets its own
+    result, whose trace adds a constant ``seed`` column after
+    ``ACCEL_TRACE_COLUMNS`` and whose rows are evaluated on contiguous
+    copies of its columns, as a run on that column alone would.  A
+    non-finite column raises naming its seed.
 
     Returns
     -------
-    AccelResult
+    AccelResult, or a list of one per seed when ``seeds`` is given
     """
     state = AccelState.start(x, y)
     first = (None, None)
@@ -516,12 +521,10 @@ def _run_schedule(problem, schedule, advance, x, y, n_steps, record_every, **sta
             first = (state.xt.copy(), state.yt.copy())
         return state.xt, state.yt, None
 
-    def row(k, res):
-        dx = state.xt - state.xt_prev
-        dy = state.yt - state.yt_prev
+    def columns(k, xt, x, dx, dy, **stamp):
         return dict(
-            objective=saddle.primal_objective(problem, state.xt),
-            ergodic_objective=saddle.primal_objective(problem, state.x),
+            objective=saddle.primal_objective(problem, xt),
+            ergodic_objective=saddle.primal_objective(problem, x),
             residual=float(np.sqrt(dx @ dx + dy @ dy)),
             mdist=np.nan,
             tau_k=table.tau(k),
@@ -530,21 +533,25 @@ def _run_schedule(problem, schedule, advance, x, y, n_steps, record_every, **sta
             **stamp,
         )
 
-    columns = ACCEL_TRACE_COLUMNS + list(stamp)
-    trace, k, _ = _drive(step, row, n_steps, record_every, columns)
-    return AccelResult(
-        x=state.x,
-        y=state.y,
-        xt=state.xt,
-        yt=state.yt,
-        xt_prev=state.xt_prev,
-        yt_prev=state.yt_prev,
-        xt_first=first[0],
-        yt_first=first[1],
-        trace=trace,
-        iterations=k,
-        schedule=schedule,
-    )
+    def row(k, res):
+        parts = (state.xt, state.x, state.xt - state.xt_prev, state.yt - state.yt_prev)
+        if seeds is None:
+            return columns(k, *parts)
+        by_seed = zip(seeds, *(np.ascontiguousarray(a.T) for a in parts))
+        return [columns(k, *cols, seed=s) for s, *cols in by_seed]
+
+    labels = None if seeds is None else [f"seed {s}" for s in seeds]
+    names = ACCEL_TRACE_COLUMNS + ([] if seeds is None else ["seed"])
+    traced, k, _ = _drive(step, row, n_steps, record_every, names, labels=labels)
+    arrays = (state.x, state.y, state.xt, state.yt, state.xt_prev, state.yt_prev, *first)
+
+    def result(trace, pick):
+        picked = (None if a is None else pick(a) for a in arrays)
+        return AccelResult(*picked, trace=trace, iterations=k, schedule=schedule)
+
+    if seeds is None:
+        return result(traced, lambda a: a)
+    return [result(t, lambda a, j=j: a[:, j].copy()) for j, t in enumerate(traced)]
 
 
 def run_accel(problem, params, x0=None, y0=None):

@@ -469,11 +469,13 @@ def auto_norm_bounds(problem, warm_iters=2000):
 
     Runs the plain iteration from zero for ``warm_iters`` steps and returns
     ``2 * sqrt(2)`` times each block norm, floored at 1, together with the
-    warmup result for warm-starting.
+    warmup result for warm-starting.  No caller reads the warmup's metric
+    distance, so its dense metric matrix is not built.
     """
     warm = fb.run_fb(
         problem,
         fb.FbParams(kappa=0.0, max_iters=warm_iters, record_every=warm_iters),
+        record_mdist=False,
     )
     omega_x = 2.0 * math.sqrt(2.0) * max(1.0, float(np.linalg.norm(warm.x)))
     omega_y = 2.0 * math.sqrt(2.0) * max(1.0, float(np.linalg.norm(warm.y)))
@@ -579,6 +581,7 @@ def reference_solve(problem, budget=100000, tol=1e-8):
             x0=x,
             y0=y,
             tol=step_tol,
+            record_mdist=False,
         )
         iterations += pol.iterations
         x, y = pol.x, pol.y

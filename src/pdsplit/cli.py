@@ -517,7 +517,7 @@ def _job_stoc(problem, config, args, reference, out_dir):
         if config.seeds is not None
         else [_base_seed(args) + i for i in range(5)]
     )
-    result = stoch.run_stoc(problem, params, factory, seeds, jobs=args.jobs)
+    result = stoch.run_stoc(problem, params, factory, seeds)
     result.aggregate.to_csv(os.path.join(out_dir, f"stoc-{mode_label}-aggregate.csv"))
     outputs = []
     for seed, run in zip(result.seeds, result.runs):
@@ -795,7 +795,12 @@ def build_parser():
         sp.add_argument("--config", required=True, help="path to key=value config")
         sp.add_argument("--out", default="out", help="output directory")
         sp.add_argument("--seed", type=int, default=None, help="base seed")
-        sp.add_argument("--jobs", type=int, default=1, help="worker threads")
+        sp.add_argument(
+            "--jobs",
+            type=int,
+            default=1,
+            help="worker threads for the accelerated modes of run and for region-scan",
+        )
         sp.add_argument(
             "--unproven",
             action="store_true",

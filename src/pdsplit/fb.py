@@ -339,9 +339,15 @@ def m_norm(m, d):
     return float(np.sqrt(max(float(d @ (m @ d)), 0.0)))
 
 
-def _require_finite(x, y, k):
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-        raise NonFiniteIterate(f"iterate left the finite range at iteration {k}")
+def _require_finite(x, y, k, labels=None):
+    """Raise unless the pair is finite; ``labels`` name the columns of a block."""
+    if np.all(np.isfinite(x)) and np.all(np.isfinite(y)):
+        return
+    where = ""
+    if labels is not None:
+        bad = ~(np.isfinite(x).all(axis=0) & np.isfinite(y).all(axis=0))
+        where = " in " + ", ".join(labels[j] for j in np.flatnonzero(bad))
+    raise NonFiniteIterate(f"iterate left the finite range at iteration {k}{where}")
 
 
 def _start_point(problem, x0, y0):
@@ -360,7 +366,7 @@ def _check_budget(n_steps, record_every):
                                   "the recording cadence positive")
 
 
-def _drive(step, row, n_steps, record_every, columns, tol=None):
+def _drive(step, row, n_steps, record_every, columns, tol=None, labels=None):
     """The iteration loop shared by every runner.
 
     ``step(k)`` advances the runner's state by one iteration and returns the
@@ -374,10 +380,16 @@ def _drive(step, row, n_steps, record_every, columns, tol=None):
     ``seconds``.  A row is recorded every ``record_every`` steps, at the
     last step, and on convergence (``res <= tol``), which ends the loop.
 
+    With ``labels`` the pair is a block with one column per label (one
+    seed of a multi-seed run each): ``row`` returns one dict per label, one
+    trace is kept per label, and a non-finite pair names the labels of its
+    non-finite columns.
+
     Returns
     -------
     (IterTrace, int, bool)
-        The trace, the last iteration index and the convergence flag.
+        The trace (a list of one per label when ``labels`` is given), the
+        last iteration index and the convergence flag.
 
     Raises
     ------
@@ -385,20 +397,23 @@ def _drive(step, row, n_steps, record_every, columns, tol=None):
         If ``n_steps`` is negative or ``record_every`` is not positive.
     """
     _check_budget(n_steps, record_every)
-    trace = IterTrace(columns)
+    traces = [IterTrace(columns) for _ in labels or [None]]
     converged = False
     k = 0
     start = time.perf_counter()
     for k in range(1, n_steps + 1):
         x_t, y_t, res = step(k)
         if res is None or not math.isfinite(res):
-            _require_finite(x_t, y_t, k)
+            _require_finite(x_t, y_t, k, labels)
         converged = tol is not None and res <= tol
         if k % record_every == 0 or k == n_steps or converged:
-            trace.append(k=k, seconds=time.perf_counter() - start, **row(k, res))
+            seconds = time.perf_counter() - start
+            rows = row(k, res)
+            for trace, values in zip(traces, rows if labels else [rows]):
+                trace.append(k=k, seconds=seconds, **values)
         if converged:
             break
-    return trace, k, converged
+    return (traces if labels else traces[0]), k, converged
 
 
 class _ErgodicMean:

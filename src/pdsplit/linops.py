@@ -2,8 +2,11 @@
 
 Every operator exposes ``apply`` (forward product) and ``apply_adjoint``
 (transpose product) on 1-d numpy vectors, together with a ``kind`` tag and a
-``shape`` attribute.  Structured operators (identity, zero, stacks)
-stay lazy so that large penalty operators never have to be materialized.
+``shape`` attribute.  Both products also map a block of vectors, a 2-d
+array with one vector per column, to the block of their images; a
+multi-seed run advances all its seeds through one block product.
+Structured operators (identity, zero, stacks) stay lazy so that large
+penalty operators never have to be materialized.
 Stacks go both ways: :class:`VStackOp` stacks row blocks (a coupling
 operator that pairs two penalties) and :class:`HStackOp` stacks column
 blocks (a design that reads part of a stacked variable, or a matrix split
@@ -55,10 +58,12 @@ class LinearOperator:
         self.shape = (rows, cols)
 
     def _check_vec(self, v, length, what):
+        """``v`` as floats, a vector or a column block of ``length`` rows."""
         v = np.asarray(v, dtype=float)
-        if v.ndim != 1 or v.shape[0] != length:
+        if v.ndim not in (1, 2) or v.shape[0] != length:
             raise DimensionError(
-                f"{what} must be a vector of length {length}, got shape {v.shape}"
+                f"{what} must be a vector or a column block of length {length}, "
+                f"got shape {v.shape}"
             )
         return v
 
@@ -133,12 +138,12 @@ class ZeroOp(LinearOperator):
     kind = "zero"
 
     def apply(self, x):
-        self._check_vec(x, self.shape[1], "input")
-        return np.zeros(self.shape[0])
+        x = self._check_vec(x, self.shape[1], "input")
+        return np.zeros((self.shape[0],) + x.shape[1:])
 
     def apply_adjoint(self, y):
-        self._check_vec(y, self.shape[0], "adjoint input")
-        return np.zeros(self.shape[1])
+        y = self._check_vec(y, self.shape[0], "adjoint input")
+        return np.zeros((self.shape[1],) + y.shape[1:])
 
 
 class VStackOp(LinearOperator):
@@ -173,7 +178,7 @@ class VStackOp(LinearOperator):
 
     def apply_adjoint(self, y):
         y = self._check_vec(y, self.shape[0], "adjoint input")
-        out = np.zeros(self.shape[1])
+        out = np.zeros((self.shape[1],) + y.shape[1:])
         for b, lo, hi in zip(self.blocks, self.offsets[:-1], self.offsets[1:]):
             out += b.apply_adjoint(y[lo:hi])
         return out

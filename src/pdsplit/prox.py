@@ -6,6 +6,10 @@ indicator of a simple set (so the prox is a projection), a linear function,
 or a blockwise combination of those.  Each spec also knows the primal value
 ``h(u)`` so objective reporting does not need a second description, and the
 primal prox is always reachable through the Moreau identity.
+
+Every ``prox`` also maps a block, a 2-d array with one dual vector per
+column, column by column: a multi-seed run projects all its seeds in one
+call, and each column comes out bitwise as the 1-d map of that column.
 """
 
 from __future__ import annotations
@@ -54,8 +58,21 @@ class GroupPartition:
         return np.sqrt(np.add.reduceat(v * v, self.offsets[:-1]))
 
     def expand(self, per_block):
-        """Repeat one value per block over the block's coordinates."""
-        return np.repeat(per_block, self.sizes)
+        """Repeat one value (or row) per block over the block's coordinates."""
+        return np.repeat(per_block, self.sizes, axis=0)
+
+
+def _per_row(values, v):
+    """One value per row of ``v``, shaped to broadcast over its columns."""
+    return values.reshape(values.shape + (1,) * (v.ndim - 1))
+
+
+def _columnwise(vector_map, block):
+    """Apply a map of 1-d vectors to every column of a 2-d block."""
+    out = np.empty_like(block)
+    for j in range(block.shape[1]):
+        out[:, j] = vector_map(np.ascontiguousarray(block[:, j]))
+    return out
 
 
 class ConjugateProx:
@@ -77,16 +94,17 @@ class ConjugateProx:
             raise DegenerateProblem("prox spec needs a positive dimension")
         self.dim = dim
 
-    def _check(self, v):
+    def _check(self, v, block=False):
+        """``v`` as floats: a ``dim`` vector, or with ``block`` also a column block."""
         v = np.asarray(v, dtype=float)
-        if v.ndim != 1 or v.shape[0] != self.dim:
+        if v.ndim not in ((1, 2) if block else (1,)) or v.shape[0] != self.dim:
             raise DimensionError(
                 f"expected a vector of length {self.dim}, got shape {v.shape}"
             )
         return v
 
     def prox(self, v, sigma):
-        """Proximal point of ``sigma * h*`` at ``v``."""
+        """Proximal point of ``sigma * h*`` at ``v`` (a vector or a block)."""
         raise NotImplementedError
 
     def conj_value(self, y):
@@ -122,7 +140,7 @@ class BoxClip(ConjugateProx):
         self.lam = float(lam)
 
     def prox(self, v, sigma):
-        v = self._check(v)
+        v = self._check(v, block=True)
         return np.clip(v, -self.lam, self.lam)
 
     def conj_value(self, y):
@@ -155,7 +173,9 @@ class L2Ball(ConjugateProx):
         self.lam = float(lam)
 
     def prox(self, v, sigma):
-        v = self._check(v)
+        v = self._check(v, block=True)
+        if v.ndim == 2:
+            return _columnwise(lambda c: self.prox(c, sigma), v)
         nrm = np.linalg.norm(v)
         if nrm <= self.lam:
             return v.copy()
@@ -193,7 +213,9 @@ class L1Ball(ConjugateProx):
         self.lam = float(lam)
 
     def prox(self, v, sigma):
-        v = self._check(v)
+        v = self._check(v, block=True)
+        if v.ndim == 2:
+            return _columnwise(lambda c: project_l1_ball(c, self.lam), v)
         return project_l1_ball(v, self.lam)
 
     def conj_value(self, y):
@@ -235,11 +257,12 @@ class GroupL2Balls(ConjugateProx):
         self.radii = radii
 
     def prox(self, v, sigma):
-        v = self._check(v)
+        v = self._check(v, block=True)
         nrm = self.partition.block_norms(v)
-        over = nrm > self.radii
+        radii = _per_row(self.radii, nrm)
+        over = nrm > radii
         scale = np.ones_like(nrm)
-        scale[over] = self.radii[over] / nrm[over]
+        np.divide(radii, nrm, out=scale, where=over)
         return v * self.partition.expand(scale)
 
     def conj_value(self, y):
@@ -279,8 +302,12 @@ class HingeConj(ConjugateProx):
         self._hi = np.maximum(-labels, 0.0)
 
     def prox(self, v, sigma):
-        v = self._check(v)
-        return np.clip(v - sigma * self.labels, self._lo, self._hi)
+        v = self._check(v, block=True)
+        return np.clip(
+            v - sigma * _per_row(self.labels, v),
+            _per_row(self._lo, v),
+            _per_row(self._hi, v),
+        )
 
     def conj_value(self, y):
         return self.conj_value_with_tol(y, 0.0)
@@ -315,8 +342,8 @@ class IdentityShift(ConjugateProx):
         self.shift = self._check(shift)
 
     def prox(self, v, sigma):
-        v = self._check(v)
-        return v - sigma * self.shift
+        v = self._check(v, block=True)
+        return v - sigma * _per_row(self.shift, v)
 
     def conj_value(self, y):
         return self.conj_value_with_tol(y, 0.0)
@@ -355,7 +382,7 @@ class Composite(ConjugateProx):
             yield part, v[lo:hi]
 
     def prox(self, v, sigma):
-        v = self._check(v)
+        v = self._check(v, block=True)
         return np.concatenate(
             [part.prox(seg, sigma) for part, seg in self._segments(v)]
         )

@@ -13,6 +13,10 @@ The design image ``A x`` is what both the loss value and its gradient read.
 it as an optional ``ax``: a caller that already holds ``A x`` (the
 forward-backward runners compute it once per iterate) passes it in, and
 the design product is then skipped.
+
+``SmoothLoss.grad`` also maps a block of points, one per column, to the
+block of their gradients: the design products and ``phi_grad`` of every
+loss here act column by column.
 """
 
 from __future__ import annotations
@@ -23,7 +27,15 @@ import scipy.sparse as sp
 from . import linops
 from .errors import BadLabels, DimensionError
 from .linops import HStackOp, LinearOperator, ZeroOp, matrix_operator
-from .prox import Composite, ConjugateProx, GroupL2Balls, GroupPartition, HingeConj, IdentityShift
+from .prox import (
+    Composite,
+    ConjugateProx,
+    GroupL2Balls,
+    GroupPartition,
+    HingeConj,
+    IdentityShift,
+    _per_row,
+)
 
 # Tolerance used when deciding conjugate feasibility of computed duals;
 # prox outputs land on constraint boundaries up to rounding.
@@ -38,7 +50,8 @@ class SmoothLoss:
     A : LinearOperator
         Design operator of the linear model.
     phi, phi_grad : callable
-        Outer function on the row space of ``A`` and its gradient.
+        Outer function on the row space of ``A`` and its gradient;
+        ``phi_grad`` maps a block of images, one per column, columnwise.
     L_f : float
         Lipschitz constant of the gradient of ``f`` (0 for a vanishing loss).
     """
@@ -99,7 +112,7 @@ def quadratic_loss(a, b):
         return 0.5 * float(r @ r)
 
     def phi_grad(t):
-        return t - b
+        return t - _per_row(b, t)
 
     return SmoothLoss(a_op, phi, phi_grad, linops.safe_op_norm(a_op) ** 2)
 
@@ -134,7 +147,7 @@ def logistic_loss(a, b):
         return float(np.sum(np.logaddexp(0.0, t) - b * t))
 
     def phi_grad(t):
-        return 1.0 / (1.0 + np.exp(-t)) - b
+        return 1.0 / (1.0 + np.exp(-t)) - _per_row(b, t)
 
     return SmoothLoss(a_op, phi, phi_grad, 0.25 * linops.safe_op_norm(a_op) ** 2)
 

@@ -12,15 +12,19 @@ Convergence is established for the modes whose primal extrapolation
 operator is exactly ``-K`` (``kappa`` mode at 1 and ``chen``); other modes
 require the caller to opt in explicitly.
 
-Each seed of :func:`run_stoc` runs :func:`stoc_accel_step` through the
-accelerated module's runner, and so through the shared driver in
-:mod:`pdsplit.fb`; the cross-seed aggregate is built from the per-seed
+:func:`run_stoc` advances all its seeds together as one block iterate, a
+``(dim, B)`` array with one column per seed, by :func:`stoc_accel_step`
+through the accelerated module's runner and so through the iteration loop
+shared by every runner in :mod:`pdsplit.fb`.  A step makes the products of
+one single-seed step, whatever the seed count: every operator, prox and
+loss gradient maps a block column by column, and one oracle draws every
+seed's estimate from that seed's own stream.  Each seed keeps its own
+result and trace, and the cross-seed aggregate is built from the per-seed
 traces.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +36,7 @@ from .accel import (
     mode_coefficients,
     mode_factors,
 )
-from .errors import ConstraintViolation, UnsupportedMode
+from .errors import ConstraintViolation, DimensionError, UnsupportedMode
 from .fb import IterTrace, _start_point
 
 AGGREGATE_COLUMNS = ["k", "mean_objective", "median_objective", "q10", "q90"]
@@ -90,8 +94,10 @@ class StochasticOracle:
 
     The channels are the gradient (``grad``), the primal-to-dual coupling
     ``K x`` (``kx``) and the dual-to-primal coupling ``K' y`` (``ky``).
-    Each method call draws a fresh estimate; the expectations must equal
-    the exact products for every argument, because the accelerated step
+    Each method call draws a fresh estimate; the argument is a point or, in
+    a multi-seed run, a block with one point per column, each column drawn
+    from its own seed's stream.  The expectations must equal the exact
+    products for every argument, because the accelerated step
     draws each coupling estimate at a combined argument that folds in the
     mode's auxiliary operators.  Implementations declare their noise levels
     through the per-channel attributes ``chi_xf`` (gradient), ``chi_xk``
@@ -146,13 +152,18 @@ class MaskedGradOracle(StochasticOracle):
     with ``||x|| <= radius`` the deviation of the draw is bounded by
     ``L_f sqrt((1 - pi) / pi) radius``.
 
+    One oracle serves every seed of a run: it keeps a counter-based
+    generator per seed, and a draw at a block gives column ``j`` the mask
+    that seed ``j``'s own oracle would draw at that column, followed by one
+    block gradient.
+
     Parameters
     ----------
     problem : SaddleProblem
     pi : float
         Keep probability in ``(0, 1]``.
-    seed : int
-        Key of the counter-based generator.
+    seed : int or sequence of int
+        Key of the counter-based generator, or one key per block column.
     radius : float
         Bound on the norm of gradient arguments, used only for the
         declared noise level.
@@ -166,14 +177,21 @@ class MaskedGradOracle(StochasticOracle):
         self.problem = problem
         self.pi = float(pi)
         self.radius = float(radius)
-        self.rng = np.random.Generator(np.random.Philox(seed))
+        seeds = [seed] if np.ndim(seed) == 0 else list(seed)
+        self.rngs = [np.random.Generator(np.random.Philox(s)) for s in seeds]
         self.chi_xf = problem.L_f * np.sqrt((1.0 - self.pi) / self.pi) * self.radius
         self.chi_xk = 0.0
         self.chi_yk = 0.0
 
     def grad(self, x):
+        x = np.asarray(x, dtype=float)
+        if (x.shape[1] if x.ndim == 2 else 1) != len(self.rngs):
+            raise DimensionError(
+                f"an oracle of {len(self.rngs)} seeds cannot draw at shape {x.shape}"
+            )
         p = self.problem.dims[0]
-        mask = (self.rng.random(p) < self.pi).astype(float) / self.pi
+        draws = np.array([rng.random(p) for rng in self.rngs]).T
+        mask = (draws < self.pi).reshape(x.shape).astype(float) / self.pi
         return self.problem.grad_f(mask * x)
 
     def kx(self, x):
@@ -191,8 +209,9 @@ def oracle_sample(oracle, x, y):
 def masked_oracle_factory(problem, params, pi):
     """Factory of masked-gradient oracles matching a parameter set.
 
-    The declaration radius follows the setting: the primal norm bound when
-    given, otherwise the anchor-radius estimate, otherwise one.
+    ``factory(seed)`` takes one seed or a list of seeds, one per block
+    column.  The declaration radius follows the setting: the primal norm
+    bound when given, otherwise the anchor-radius estimate, otherwise one.
     """
     radius = params.omega_x if params.omega_x is not None else params.r_tilde
     if radius is None:
@@ -516,15 +535,20 @@ class StocResult:
     seeds: list
 
 
-def run_stoc(problem, params, oracle_factory, seeds, x0=None, y0=None, jobs=1):
+def run_stoc(problem, params, oracle_factory, seeds, x0=None, y0=None):
     """Run the stochastic accelerated iteration over one or more seeds.
 
-    Each seed gets a fresh oracle from ``oracle_factory(seed)`` and runs
-    ``horizon - 1`` steps under one shared schedule.  Unset noise levels
-    are measured at the starting point with a dedicated estimation oracle.
-    Seeds are independent given the schedule, so ``jobs > 1`` fans them out
-    across worker threads; results are collected in seed order and identical
-    for any job count.
+    All seeds run ``horizon - 1`` steps under one shared schedule, advanced
+    together as the columns of one block iterate: ``oracle_factory(seeds)``
+    is called once and must return an oracle whose draws at a block give
+    column ``j`` the estimate of seed ``seeds[j]``, from that seed's own
+    stream.  Column ``j`` therefore follows the run of seed ``seeds[j]``
+    alone, bitwise apart from the rounding of dense block products (a
+    single-seed run is bitwise the one-column block).  Unset noise levels
+    are measured at the starting point with a dedicated estimation oracle,
+    ``oracle_factory`` of one seed.  A seed whose pair leaves the finite
+    range raises :class:`~pdsplit.errors.NonFiniteIterate` naming the seed
+    at the first such step.
 
     Returns
     -------
@@ -552,41 +576,32 @@ def run_stoc(problem, params, oracle_factory, seeds, x0=None, y0=None, jobs=1):
     resolved = StocParams(**{**params.__dict__, "chi_x": chi_x, "chi_y": chi_y})
     schedule = build_stoc_schedule(problem, resolved)
 
-    n_steps = resolved.horizon - 1
     alpha, beta = mode_coefficients(params.mode, params.kappa)
+    oracle = oracle_factory(seeds)
+    runs = _run_schedule(
+        problem,
+        schedule,
+        lambda k, state, table: stoc_accel_step(
+            problem, oracle, alpha, beta, table, k, state
+        ),
+        np.repeat(x_start[:, None], len(seeds), axis=1),
+        np.repeat(y_start[:, None], len(seeds), axis=1),
+        resolved.horizon - 1,
+        resolved.record_every,
+        seeds=seeds,
+    )
 
-    def one_seed(seed):
-        oracle = oracle_factory(seed)
-        return _run_schedule(
-            problem,
-            schedule,
-            lambda k, state, table: stoc_accel_step(
-                problem, oracle, alpha, beta, table, k, state
-            ),
-            x_start,
-            y_start,
-            n_steps,
-            resolved.record_every,
-            seed=seed,
-        )
-
-    if jobs > 1 and len(seeds) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            runs = list(pool.map(one_seed, seeds))
-    else:
-        runs = [one_seed(seed) for seed in seeds]
-
-    aggregate = IterTrace(AGGREGATE_COLUMNS)
     values = np.asarray([run.trace.column("ergodic_objective") for run in runs])
-    for i, k in enumerate(runs[0].trace.column("k")):
-        col = values[:, i]
-        aggregate.append(
-            k=k,
-            mean_objective=float(col.mean()),
-            median_objective=float(np.median(col)),
-            q10=float(np.quantile(col, 0.1)),
-            q90=float(np.quantile(col, 0.9)),
-        )
+    summary = (
+        runs[0].trace.column("k"),
+        values.mean(axis=0),
+        np.median(values, axis=0),
+        np.quantile(values, 0.1, axis=0),
+        np.quantile(values, 0.9, axis=0),
+    )
+    aggregate = IterTrace(AGGREGATE_COLUMNS)
+    for row in zip(*summary):
+        aggregate.append(**dict(zip(AGGREGATE_COLUMNS, row)))
     return StocResult(
         runs=runs,
         aggregate=aggregate,

@@ -23,6 +23,19 @@ def spectral_norm_gram(a):
     return float(np.sqrt(max(np.linalg.eigvalsh(gram).max(), 0.0)))
 
 
+def column_by_column(vector_map, block):
+    """Image of a 2-d block under a map of 1-d vectors, one column at a time.
+
+    Each column is copied out contiguous before the map sees it, so the
+    result is what the map gives on each column as a standalone vector.
+    """
+    block = np.asarray(block, dtype=float)
+    columns = []
+    for j in range(block.shape[1]):
+        columns.append(np.asarray(vector_map(block[:, j].copy()), dtype=float))
+    return np.column_stack(columns)
+
+
 def central_diff_grad(fun, x, step=1e-6):
     """Central finite-difference gradient of a scalar function."""
     x = np.asarray(x, dtype=float)

@@ -140,3 +140,31 @@ def test_reference_rejects_bad_budget_or_tolerance_before_any_step(budget, tol):
         bench.reference_solve(problem, budget=budget, tol=tol)
     assert (design.forward, design.adjoint) == (0, 0)
 
+
+
+def test_warm_and_polish_runs_build_no_metric_matrix(monkeypatch):
+    problem = bench.generate(SMALL_SPECS[0]).problem
+    fb_runs = []
+    run_fb = fb.run_fb
+
+    def recorded_run_fb(*args, **kwargs):
+        fb_runs.append(kwargs.get("record_mdist", "auto"))
+        return run_fb(*args, **kwargs)
+
+    def no_metric(*args, **kwargs):
+        raise AssertionError("the metric matrix was built")
+
+    with_metric = run_fb(problem, fb.FbParams(kappa=0.0, max_iters=300,
+                                               record_every=300))
+    monkeypatch.setattr(fb, "build_m_matrix", no_metric)
+    monkeypatch.setattr(fb, "run_fb", recorded_run_fb)
+    _, _, warm = bench.auto_norm_bounds(problem, 300)
+    # Skipping the metric leaves the warm pair bitwise as it was.
+    assert _bits(warm.x) == _bits(with_metric.x)
+    assert _bits(warm.y) == _bits(with_metric.y)
+    assert np.isnan(warm.trace.column("mdist")).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResidualTooLarge)
+        bench.reference_solve(problem, budget=200, tol=1e-12)
+    # The warm run and at least one polish run went through ``run_fb``.
+    assert len(fb_runs) >= 3 and set(fb_runs) == {False}

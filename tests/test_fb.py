@@ -485,7 +485,7 @@ def _stoc_every(problem, n_steps, every):
     params = StocParams(mode="kappa", kappa=1.0, omega_x=3.0, omega_y=3.0,
                         horizon=3, record_every=every)
     factory = masked_oracle_factory(problem, params, 1.0)
-    return run_stoc(problem, params, factory, seeds=[0, 1], jobs=2)
+    return run_stoc(problem, params, factory, seeds=[0, 1])
 
 
 BUDGET_RUNNERS = {

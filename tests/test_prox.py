@@ -317,3 +317,50 @@ def test_group_primal_prox_matches_per_block_oracle(scale):
     np.testing.assert_array_equal(out[5:9], v[5:9])
     if scale == 1.0:
         np.testing.assert_array_equal(out[3:5], 0.0)
+
+
+def _block_specs():
+    """One spec of every prox kind."""
+    rng = np.random.default_rng(92)
+    partition = prox.GroupPartition([3, 5, 1, 4])
+    labels = np.where(rng.standard_normal(6) > 0, 1.0, -1.0)
+    return {
+        "box-clip": prox.BoxClip(0.7, 6),
+        "l2-ball": prox.L2Ball(1.5, 6),
+        "l1-ball": prox.L1Ball(1.2, 6),
+        "group-l2-balls": prox.GroupL2Balls(partition, [0.5, 2.0, 0.1, 1.0]),
+        "hinge-conj": prox.HingeConj(labels),
+        "identity-shift": prox.IdentityShift(6, rng.standard_normal(6)),
+        "composite": prox.Composite(
+            [prox.GroupL2Balls(prox.GroupPartition([2, 2]), 0.8),
+             prox.L1Ball(0.5, 3), prox.IdentityShift(2)]
+        ),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(_block_specs()))
+def test_block_prox_maps_each_column_bitwise(kind):
+    spec = _block_specs()[kind]
+    assert spec.kind == kind
+    rng = np.random.default_rng(93)
+    # Columns from deep inside to far outside every set, plus a zero column.
+    scales = np.array([0.01, 0.3, 1.0, 3.0, 0.0])
+    block = rng.standard_normal((spec.dim, scales.size)) * scales
+    for width in (1, scales.size):
+        got = spec.prox(block[:, :width], 0.6)
+        want = oracles.column_by_column(lambda v: spec.prox(v, 0.6),
+                                        block[:, :width])
+        assert got.shape == want.shape
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def test_block_is_accepted_by_prox_only():
+    spec = prox.L2Ball(1.0, 3)
+    block = np.ones((3, 2))
+    for method in (spec.conj_value, spec.primal_value):
+        with pytest.raises(DimensionError):
+            method(block)
+    with pytest.raises(DimensionError):
+        spec.prox(np.ones((4, 2)), 1.0)
+    with pytest.raises(DimensionError):
+        spec.prox(np.ones((3, 2, 1)), 1.0)

@@ -305,3 +305,17 @@ def test_supplied_design_image_replaces_the_product():
     assert primal_objective(problem, x, ax) == primal_objective(problem, x)
     # The supplied image is what the loss reads.
     assert problem.loss.value(x, np.zeros_like(ax)) == problem.loss.value(np.zeros_like(x))
+
+
+@pytest.mark.parametrize("make_loss", [quadratic_loss, logistic_loss])
+def test_loss_gradient_maps_each_column_of_a_block(make_loss):
+    rng = np.random.default_rng(94)
+    a = sp.random(80, 70, density=0.1, random_state=4, format="csr")
+    b = (rng.standard_normal(80) > 0).astype(float)
+    loss = make_loss(a, b)
+    assert loss.A.kind == "sparse-csr"
+    t = rng.standard_normal((80, 3))
+    x = rng.standard_normal((70, 3))
+    for fn, block in ((loss.phi_grad, t), (loss.grad, x)):
+        want = oracles.column_by_column(fn, block)
+        assert fn(block).tobytes() == np.ascontiguousarray(want).tobytes()

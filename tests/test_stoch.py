@@ -1,12 +1,15 @@
 """Stochastic variant: oracles, noisy schedules, multi-seed runner."""
 
+import threading
+
 import numpy as np
 import pytest
 
-from pdsplit import bench
+from pdsplit import bench, stoch
 from pdsplit.accel import AccelState, accel_step, mode_coefficients, mode_factors
-from pdsplit.errors import ConstraintViolation, UnsupportedMode
-from pdsplit.saddle import quadratic_loss
+from pdsplit.errors import ConstraintViolation, NonFiniteIterate, UnsupportedMode
+from pdsplit.prox import BoxClip
+from pdsplit.saddle import SaddleProblem, primal_objective, quadratic_loss
 from pdsplit.stoch import (
     MaskedGradOracle,
     StocParams,
@@ -24,7 +27,12 @@ from pdsplit.stoch import (
 )
 
 import oracles
-from conftest import counted_coupling_problem, identity_lasso_problem
+from conftest import (
+    CountingDenseOp,
+    counted_coupling_problem,
+    identity_lasso_problem,
+    make_dense_problem,
+)
 
 
 def _masked(problem, pi, seed=0, radius=1.0):
@@ -324,7 +332,7 @@ def test_run_stoc_aggregate_summarizes_seed_traces(tiny_lasso):
     params = StocParams(mode="chen", setting="bounded", omega_x=3.0,
                         omega_y=3.0, horizon=22, record_every=4)
     factory = masked_oracle_factory(problem, params, 0.5)
-    res = run_stoc(problem, params, factory, seeds=[3, 4, 5, 6], jobs=2)
+    res = run_stoc(problem, params, factory, seeds=[3, 4, 5, 6])
     objs = np.array([run.trace.column("ergodic_objective") for run in res.runs])
     for run in res.runs:
         np.testing.assert_array_equal(run.trace.column("k"),
@@ -341,16 +349,172 @@ def test_run_stoc_aggregate_summarizes_seed_traces(tiny_lasso):
                                   np.quantile(objs, 0.9, axis=0))
 
 
-def test_run_stoc_parallel_matches_serial(tiny_lasso):
+class _RecordingStream:
+    """Generator stand-in that keeps every uniform draw it hands out."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.draws = []
+
+    def random(self, n):
+        out = self.rng.random(n)
+        self.draws.append(out.copy())
+        return out
+
+
+def _recording_factory(problem, params, pi):
+    """Masked-oracle factory keeping the run oracles by their seed tuple."""
+    made = {}
+    base = masked_oracle_factory(problem, params, pi)
+
+    def factory(seeds):
+        oracle = base(seeds)
+        oracle.rngs = [_RecordingStream(rng) for rng in oracle.rngs]
+        if isinstance(seeds, list):
+            made[tuple(seeds)] = oracle
+        return oracle
+
+    return factory, made
+
+
+def _rel(a, b):
+    return float(np.linalg.norm(a - b)) / max(float(np.linalg.norm(b)), 1e-300)
+
+
+def test_run_stoc_block_matches_single_seed_runs(tiny_lasso):
     problem = tiny_lasso.problem
     params = StocParams(mode="kappa", kappa=1.0, setting="bounded",
-                        omega_x=3.0, omega_y=3.0, horizon=25, record_every=25)
-    factory = masked_oracle_factory(problem, params, 0.4)
-    serial = run_stoc(problem, params, factory, seeds=[5, 6, 7], jobs=1)
-    parallel = run_stoc(problem, params, factory, seeds=[5, 6, 7], jobs=3)
-    for rs, rp in zip(serial.runs, parallel.runs):
-        np.testing.assert_array_equal(rs.x, rp.x)
-        np.testing.assert_array_equal(rs.y, rp.y)
+                        omega_x=3.0, omega_y=3.0, horizon=25, record_every=6)
+    factory, made = _recording_factory(problem, params, 0.4)
+    seeds = [5, 6, 7]
+    singles = [run_stoc(problem, params, factory, seeds=[s]) for s in seeds]
+    block = run_stoc(problem, params, factory, seeds=seeds)
+
+    # A single-seed run is bitwise the per-seed recursion on plain vectors.
+    for seed, single in zip(seeds, singles):
+        run = single.runs[0]
+        oracle = MaskedGradOracle(problem, 0.4, seed, radius=3.0)
+        alpha, beta = mode_coefficients("kappa", 1.0)
+        p, l = problem.dims
+        state = AccelState.start(np.zeros(p), np.zeros(l))
+        ks = list(run.trace.column("k"))
+        assert ks == [6, 12, 18, 24]
+        for k in range(1, 25):
+            state = stoc_accel_step(problem, oracle, alpha, beta,
+                                    single.schedule, k, state)
+            if k in ks:
+                i = ks.index(k)
+                dx, dy = state.xt - state.xt_prev, state.yt - state.yt_prev
+                assert run.trace.column("objective")[i] == primal_objective(
+                    problem, state.xt)
+                assert run.trace.column("ergodic_objective")[i] == (
+                    primal_objective(problem, state.x))
+                assert run.trace.column("residual")[i] == float(
+                    np.sqrt(dx @ dx + dy @ dy))
+        for name in ("x", "y", "xt", "yt", "xt_prev", "yt_prev"):
+            assert getattr(run, name).tobytes() == getattr(state, name).tobytes()
+
+    # Each column of the block follows its own seed's run, drawing the same masks.
+    for j, (seed, single) in enumerate(zip(seeds, singles)):
+        run, alone = block.runs[j], single.runs[0]
+        assert np.all(run.trace.column("seed") == seed)
+        np.testing.assert_array_equal(run.trace.column("k"),
+                                      alone.trace.column("k"))
+        for name in ("x", "y", "xt", "yt", "xt_first", "yt_first"):
+            assert _rel(getattr(run, name), getattr(alone, name)) <= 1e-12
+        for name in ("objective", "ergodic_objective", "residual"):
+            assert _rel(run.trace.column(name), alone.trace.column(name)) <= 1e-12
+        block_draws = made[tuple(seeds)].rngs[j].draws
+        single_draws = made[(seed,)].rngs[0].draws
+        assert len(block_draws) == len(single_draws) == 24
+        for got, want in zip(block_draws, single_draws):
+            assert got.tobytes() == want.tobytes()
+
+
+def _count_step_products(problem, coupling, design, seeds, monkeypatch):
+    """Products and prox calls made inside the steps of one run."""
+    counts = dict.fromkeys(("K", "K'", "A", "A'", "prox", "steps"), 0)
+    spec_prox = problem.hconj.prox
+    step = stoch.stoc_accel_step
+
+    def counted_prox(v, sigma):
+        counts["prox"] += 1
+        return spec_prox(v, sigma)
+
+    def counted_step(*args):
+        before = (coupling.forward, coupling.adjoint, design.forward, design.adjoint)
+        out = step(*args)
+        after = (coupling.forward, coupling.adjoint, design.forward, design.adjoint)
+        for key, lo, hi in zip(("K", "K'", "A", "A'"), before, after):
+            counts[key] += hi - lo
+        counts["steps"] += 1
+        return out
+
+    params = StocParams(mode="kappa", kappa=1.0, setting="bounded",
+                        omega_x=2.0, omega_y=3.0, horizon=15, record_every=7)
+    with monkeypatch.context() as m:
+        m.setattr(problem.hconj, "prox", counted_prox)
+        m.setattr(stoch, "stoc_accel_step", counted_step)
+        run_stoc(problem, params, masked_oracle_factory(problem, params, 0.5),
+                 seeds=seeds)
+    return counts
+
+
+def test_run_stoc_step_cost_does_not_grow_with_seeds(monkeypatch):
+    started = []
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: started.append(self))
+    _, a, b, k = make_dense_problem(p=8, l=5, seed=19)
+    coupling, design = CountingDenseOp(k), CountingDenseOp(a)
+    problem = SaddleProblem(quadratic_loss(design, b), coupling, BoxClip(0.4, 5))
+    assert problem.k_norm > 0.0
+    one = _count_step_products(problem, coupling, design, [0], monkeypatch)
+    four = _count_step_products(problem, coupling, design, [0, 1, 2, 3],
+                                monkeypatch)
+    # One ``K``, two ``K'``, one gradient (``A`` and ``A'``) and one prox
+    # per step, for the whole block.
+    assert one == four == {"K": 14, "K'": 28, "A": 14, "A'": 14, "prox": 14,
+                           "steps": 14}
+    assert started == []
+
+
+class _PoisonedOracle(MaskedGradOracle):
+    """Masked oracle whose draw for one block column turns NaN at one call."""
+
+    def __init__(self, problem, seeds, column, at_call):
+        super().__init__(problem, 0.5, seeds, radius=3.0)
+        self.column = column
+        self.at_call = at_call
+        self.calls = 0
+
+    def grad(self, x):
+        g = super().grad(x)
+        self.calls += 1
+        if self.calls == self.at_call:
+            g[:, self.column] = np.nan
+        return g
+
+
+def test_run_stoc_names_the_seed_that_diverges(tiny_lasso):
+    problem = tiny_lasso.problem
+    params = StocParams(mode="kappa", kappa=1.0, setting="bounded",
+                        omega_x=3.0, omega_y=3.0, horizon=30, record_every=5,
+                        chi_x=0.5, chi_y=0.0)
+    oracles_made = []
+
+    def factory(seeds):
+        oracles_made.append(_PoisonedOracle(problem, seeds, column=2, at_call=9))
+        return oracles_made[-1]
+
+    with pytest.raises(NonFiniteIterate) as info:
+        run_stoc(problem, params, factory, seeds=[11, 12, 13, 14])
+    message = str(info.value)
+    assert "iteration 9 " in message and message.endswith("seed 13")
+    assert oracles_made[-1].calls == 9
+    # The same draws with no poison run to the horizon.
+    clean = run_stoc(problem, params, masked_oracle_factory(problem, params, 0.5),
+                     seeds=[11, 12, 13, 14])
+    assert all(run.iterations == 29 for run in clean.runs)
 
 
 def test_run_stoc_uses_declared_noise_levels(tiny_lasso):
