@@ -7,20 +7,24 @@ and records predicted against observed convergence; ``gen`` emits a problem
 bundle; ``reference`` computes and stores a high-accuracy solution.
 
 Configuration is flat ``key=value`` text (``#`` comments and blank lines
-allowed); values may use JSON escaping where needed.  Unknown or duplicate
-keys are rejected before anything runs.  Exit codes: 0 on success, 1 for
-configuration errors, 2 for solver failures.
+allowed); values may use JSON escaping where needed.  Each key is one field
+of :class:`ExperimentConfig`, which declares its converter and its default.
+Unknown or duplicate keys and values that would be coerced (a fraction for
+an integer, a boolean or non-finite number for a float, an empty list) are
+rejected before anything runs.  Every verb runs serially in the calling
+thread.  Exit codes: 0 on success, 1 for configuration errors, 2 for solver
+failures.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -75,20 +79,25 @@ _STRING_SUMMARY_COLUMNS = {"label", "algorithm", "mode", "setting"}
 
 
 def _parse_scalar(key, value, kind):
+    if isinstance(value, bool):
+        raise ConfigError(f"config key {key!r}: expected a number, got {value!r}")
     try:
         return kind(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"config key {key!r}: cannot read {value!r} as {kind.__name__}")
 
 
 def _as_int(key, value):
-    if isinstance(value, bool):
-        raise ConfigError(f"config key {key!r}: expected an integer")
+    if isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"config key {key!r}: {value!r} is not an integer")
     return _parse_scalar(key, value, int)
 
 
 def _as_float(key, value):
-    return _parse_scalar(key, value, float)
+    number = _parse_scalar(key, value, float)
+    if not math.isfinite(number):
+        raise ConfigError(f"config key {key!r}: {value!r} is not finite")
+    return number
 
 
 def _as_bool(key, value):
@@ -99,6 +108,10 @@ def _as_bool(key, value):
     if isinstance(value, str) and value.lower() in ("true", "false"):
         return value.lower() == "true"
     raise ConfigError(f"config key {key!r}: expected a boolean (0/1/true/false)")
+
+
+def _as_str(key, value):
+    return str(value)
 
 
 def _as_choice(options):
@@ -113,27 +126,27 @@ def _as_choice(options):
     return parse
 
 
-def _as_list(value):
-    if isinstance(value, list):
-        return value
-    return [tok.strip() for tok in str(value).split(",") if tok.strip()]
+def _as_list(key, value):
+    if not isinstance(value, list):
+        value = [tok.strip() for tok in str(value).split(",") if tok.strip()]
+    if not value:
+        raise ConfigError(f"config key {key!r}: empty list")
+    return value
 
 
 def _as_int_list(key, value):
-    return [_as_int(key, tok) for tok in _as_list(value)]
+    return [_as_int(key, tok) for tok in _as_list(key, value)]
 
 
 def _as_float_list(key, value):
-    return [_as_float(key, tok) for tok in _as_list(value)]
+    return tuple(_as_float(key, tok) for tok in _as_list(key, value))
 
 
 def _as_mode_list(key, value):
-    tokens = [str(tok) for tok in _as_list(value)]
+    tokens = [str(tok) for tok in _as_list(key, value)]
     for tok in tokens:
         if tok != "chen":
             _as_float(key, tok)
-    if not tokens:
-        raise ConfigError(f"config key {key!r}: empty mode list")
     return tokens
 
 
@@ -143,110 +156,69 @@ def _as_relaxation(key, value):
     return _as_float(key, value)
 
 
-_SCHEMA = {
-    "bundle": lambda k, v: str(v),
-    "problem": _as_choice(bench.GENERATOR_KINDS),
-    "problem_seed": _as_int,
-    "n_samples": _as_int,
-    "n_groups": _as_int,
-    "group_size": _as_int,
-    "subnet_size": _as_int,
-    "n_subnets": _as_int,
-    "n_active": _as_int,
-    "dim": _as_int,
-    "lam": _as_float,
-    "noise_sd": _as_float,
-    "algorithm": _as_choice(("fb", "fbf", "accel", "stoc")),
-    "kappa": _as_float,
-    "mode": _as_choice(("kappa", "chen")),
-    "modes": _as_mode_list,
-    "setting": _as_choice(("bounded", "unbounded")),
-    "omega_x": _as_float,
-    "omega_y": _as_float,
-    "horizon": _as_int,
-    "q": _as_float,
-    "r": _as_float,
-    "s": _as_float,
-    "t": _as_float,
-    "tau": _as_float,
-    "sigma": _as_float,
-    "relaxation": _as_relaxation,
-    "alpha1": _as_float,
-    "alpha2": _as_float,
-    "max_iters": _as_int,
-    "record_every": _as_int,
-    "tol": _as_float,
-    "seeds": _as_int_list,
-    "pi": _as_float,
-    "chi_x": _as_float,
-    "chi_y": _as_float,
-    "r_tilde": _as_float,
-    "reference": _as_bool,
-    "reference_budget": _as_int,
-    "kappas": _as_float_list,
-    "grid": _as_int,
-    "span_lo": _as_float,
-    "span_hi": _as_float,
-    "region_budget": _as_int,
-    "region_tol": _as_float,
-    "empirics": _as_choice(("interior", "all", "none")),
-}
+def _key(convert, default=None):
+    """A config key: the converter of its value and its default when absent."""
+    return field(default=default, metadata={"convert": convert})
 
 
 @dataclass
 class ExperimentConfig:
     """Validated flat experiment configuration.
 
-    Every field mirrors one config key; ``None`` means the key was absent
-    and a verb-specific default applies.
+    Every field is one config key and carries its converter and default.
+    A ``None`` default marks a key whose value, when absent, the verb works
+    out from the problem, the base seed or another key, or goes without.
     """
 
-    bundle: str | None = None
-    problem: str | None = None
-    problem_seed: int | None = None
-    n_samples: int | None = None
-    n_groups: int | None = None
-    group_size: int | None = None
-    subnet_size: int | None = None
-    n_subnets: int | None = None
-    n_active: int | None = None
-    dim: int | None = None
-    lam: float | None = None
-    noise_sd: float | None = None
-    algorithm: str | None = None
-    kappa: float | None = None
-    mode: str | None = None
-    modes: list | None = None
-    setting: str | None = None
-    omega_x: float | None = None
-    omega_y: float | None = None
-    horizon: int | None = None
-    q: float | None = None
-    r: float | None = None
-    s: float | None = None
-    t: float | None = None
-    tau: float | None = None
-    sigma: float | None = None
-    relaxation: float | str | None = None
-    alpha1: float | None = None
-    alpha2: float | None = None
-    max_iters: int | None = None
-    record_every: int | None = None
-    tol: float | None = None
-    seeds: list | None = None
-    pi: float | None = None
-    chi_x: float | None = None
-    chi_y: float | None = None
-    r_tilde: float | None = None
-    reference: bool = False
-    reference_budget: int | None = None
-    kappas: list | None = None
-    grid: int | None = None
-    span_lo: float | None = None
-    span_hi: float | None = None
-    region_budget: int | None = None
-    region_tol: float | None = None
-    empirics: str | None = None
+    bundle: str | None = _key(_as_str)
+    problem: str | None = _key(_as_choice(bench.GENERATOR_KINDS))
+    problem_seed: int | None = _key(_as_int)
+    n_samples: int | None = _key(_as_int)
+    n_groups: int | None = _key(_as_int)
+    group_size: int | None = _key(_as_int)
+    subnet_size: int | None = _key(_as_int)
+    n_subnets: int | None = _key(_as_int)
+    n_active: int | None = _key(_as_int)
+    dim: int | None = _key(_as_int)
+    lam: float | None = _key(_as_float)
+    noise_sd: float | None = _key(_as_float)
+    algorithm: str | None = _key(_as_choice(("fb", "fbf", "accel", "stoc")))
+    kappa: float | None = _key(_as_float)
+    mode: str = _key(_as_choice(("kappa", "chen")), "kappa")
+    modes: list | None = _key(_as_mode_list)
+    setting: str = _key(_as_choice(("bounded", "unbounded")), "bounded")
+    omega_x: float | None = _key(_as_float)
+    omega_y: float | None = _key(_as_float)
+    horizon: int | None = _key(_as_int)
+    q: float | None = _key(_as_float)
+    r: float | None = _key(_as_float)
+    s: float | None = _key(_as_float)
+    t: float | None = _key(_as_float)
+    tau: float | None = _key(_as_float)
+    sigma: float | None = _key(_as_float)
+    relaxation: float | str = _key(_as_relaxation, "recipe")
+    alpha1: float = _key(_as_float, 0.0)
+    alpha2: float = _key(_as_float, 0.0)
+    max_iters: int = _key(_as_int, 1000)
+    record_every: int = _key(_as_int, 1)
+    tol: float | None = _key(_as_float)
+    seeds: list | None = _key(_as_int_list)
+    pi: float = _key(_as_float, 0.5)
+    chi_x: float | None = _key(_as_float)
+    chi_y: float | None = _key(_as_float)
+    r_tilde: float | None = _key(_as_float)
+    reference: bool = _key(_as_bool, False)
+    reference_budget: int = _key(_as_int, 100000)
+    kappas: tuple = _key(_as_float_list, (0.0, 0.25, 0.5, 0.75, 1.0))
+    grid: int = _key(_as_int, 20)
+    span_lo: float = _key(_as_float, 0.4)
+    span_hi: float = _key(_as_float, 5.0)
+    region_budget: int = _key(_as_int, 2000)
+    region_tol: float = _key(_as_float, 1e-6)
+    empirics: str = _key(_as_choice(("interior", "all", "none")), "interior")
+
+
+_CONVERTERS = {f.name: f.metadata["convert"] for f in fields(ExperimentConfig)}
 
 
 def parse_config(path):
@@ -254,8 +226,9 @@ def parse_config(path):
 
     Values are JSON-decoded when they parse as JSON (so quoted strings may
     carry escapes) and kept as raw text otherwise; each key's converter then
-    normalizes the type.  Unknown and duplicate keys raise
-    :class:`ConfigError` naming the key.
+    normalizes the type.  Unknown and duplicate keys, empty lists, and values
+    that are not finite or would lose their fraction or type in conversion
+    raise :class:`ConfigError` naming the key.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -272,7 +245,7 @@ def parse_config(path):
         key, _, text = line.partition("=")
         key = key.strip()
         text = text.strip()
-        if key not in _SCHEMA:
+        if key not in _CONVERTERS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         if key in raw:
             raise ConfigError(f"{path}:{lineno}: duplicate config key {key!r}")
@@ -280,12 +253,8 @@ def parse_config(path):
             value = json.loads(text)
         except json.JSONDecodeError:
             value = text
-        raw[key] = _SCHEMA[key](key, value)
+        raw[key] = _CONVERTERS[key](key, value)
     return ExperimentConfig(**raw)
-
-
-def _base_seed(args):
-    return args.seed if args.seed is not None else 0
 
 
 def resolve_problem(config, base_seed):
@@ -300,12 +269,12 @@ def resolve_problem(config, base_seed):
     kwargs["seed"] = (
         config.problem_seed if config.problem_seed is not None else base_seed
     )
-    for field in fields(bench.SyntheticSpec):
-        if field.name in ("kind", "seed"):
+    for spec_field in fields(bench.SyntheticSpec):
+        if spec_field.name in ("kind", "seed"):
             continue
-        value = getattr(config, field.name, None)
+        value = getattr(config, spec_field.name, None)
         if value is not None:
-            kwargs[field.name] = value
+            kwargs[spec_field.name] = value
     try:
         spec = bench.SyntheticSpec(**kwargs)
     except SolverError as exc:
@@ -355,10 +324,7 @@ def _mode_token(token):
     token = str(token)
     if token == "chen":
         return "chen", 0.0, "chen"
-    try:
-        kappa = float(token)
-    except ValueError:
-        raise ConfigError(f"unknown mode token {token!r}")
+    kappa = float(token)
     return "kappa", kappa, f"kappa{kappa:g}"
 
 
@@ -368,9 +334,9 @@ def _job_fb(problem, config, reference):
         kappa=kappa,
         tau=config.tau,
         sigma=config.sigma,
-        relaxation=config.relaxation if config.relaxation is not None else "recipe",
-        max_iters=config.max_iters if config.max_iters is not None else 1000,
-        record_every=config.record_every if config.record_every is not None else 1,
+        relaxation=config.relaxation,
+        max_iters=config.max_iters,
+        record_every=config.record_every,
     )
     info = fb.validate_params(problem, params)
     result = fb.run_fb(problem, params, tol=config.tol)
@@ -394,15 +360,14 @@ def _job_fb(problem, config, reference):
 
 def _job_fbf(problem, config, reference):
     tau = config.tau if config.tau is not None else fb.fbf_default_step(problem)
-    max_iters = config.max_iters if config.max_iters is not None else 1000
     result = fb.run_fbf(
         problem,
         tau=tau,
-        alpha1=config.alpha1 if config.alpha1 is not None else 0.0,
-        alpha2=config.alpha2 if config.alpha2 is not None else 0.0,
-        max_iters=max_iters,
+        alpha1=config.alpha1,
+        alpha2=config.alpha2,
+        max_iters=config.max_iters,
         tol=config.tol,
-        record_every=config.record_every if config.record_every is not None else 1,
+        record_every=config.record_every,
     )
     row = _summary_row(
         "fbf",
@@ -411,7 +376,7 @@ def _job_fbf(problem, config, reference):
         None,
         "-",
         tau=tau,
-        max_iters=max_iters,
+        max_iters=config.max_iters,
         iterations=result.iterations,
         final_objective=saddle.primal_objective(problem, result.x),
     )
@@ -421,8 +386,7 @@ def _job_fbf(problem, config, reference):
 
 def _job_accel(problem, config, token, reference, omega_x, omega_y):
     mode, kappa, mode_label = _mode_token(token)
-    setting = config.setting if config.setting is not None else "bounded"
-    max_iters = config.max_iters if config.max_iters is not None else 1000
+    setting, max_iters = config.setting, config.max_iters
     horizon = config.horizon
     if setting == "unbounded" and horizon is None:
         horizon = max_iters
@@ -451,7 +415,7 @@ def _job_accel(problem, config, token, reference, omega_x, omega_y):
         q=q,
         r=r,
         max_iters=max_iters,
-        record_every=config.record_every if config.record_every is not None else 1,
+        record_every=config.record_every,
     )
     result = accel.run_accel(problem, params)
     label = f"accel-{mode_label}-{setting}"
@@ -474,23 +438,22 @@ def _job_accel(problem, config, token, reference, omega_x, omega_y):
     return label, result.trace, row
 
 
-def _need_auto_omegas(config, setting):
-    return setting == "bounded" and (config.omega_x is None or config.omega_y is None)
-
-
-def _job_stoc(problem, config, args, reference, out_dir):
-    mode = config.mode if config.mode is not None else "kappa"
-    kappa = config.kappa if config.kappa is not None else 1.0
-    mode_label = "chen" if mode == "chen" else f"kappa{kappa:g}"
-    setting = config.setting if config.setting is not None else "bounded"
-    horizon = config.horizon
-    if horizon is None:
-        horizon = config.max_iters if config.max_iters is not None else 1000
+def _omegas(problem, config):
+    """The configured omegas, gaps filled by automatic bounds when bounded."""
     omega_x, omega_y = config.omega_x, config.omega_y
-    if _need_auto_omegas(config, setting):
+    if config.setting == "bounded" and (omega_x is None or omega_y is None):
         auto_x, auto_y, _ = bench.auto_norm_bounds(problem)
         omega_x = auto_x if omega_x is None else omega_x
         omega_y = auto_y if omega_y is None else omega_y
+    return omega_x, omega_y
+
+
+def _job_stoc(problem, config, args, reference):
+    mode, setting = config.mode, config.setting
+    kappa = config.kappa if config.kappa is not None else 1.0
+    mode_label = "chen" if mode == "chen" else f"kappa{kappa:g}"
+    horizon = config.horizon if config.horizon is not None else config.max_iters
+    omega_x, omega_y = _omegas(problem, config)
     split_kwargs = {}
     for name in ("q", "r", "s", "t"):
         value = getattr(config, name)
@@ -506,19 +469,14 @@ def _job_stoc(problem, config, args, reference, out_dir):
         chi_x=config.chi_x,
         chi_y=config.chi_y,
         r_tilde=config.r_tilde,
-        record_every=config.record_every if config.record_every is not None else 1,
+        record_every=config.record_every,
         unproven=args.unproven,
         **split_kwargs,
     )
-    pi = config.pi if config.pi is not None else 0.5
-    factory = stoch.masked_oracle_factory(problem, params, pi)
-    seeds = (
-        config.seeds
-        if config.seeds is not None
-        else [_base_seed(args) + i for i in range(5)]
-    )
+    factory = stoch.masked_oracle_factory(problem, params, config.pi)
+    seeds = config.seeds if config.seeds is not None else [args.seed + i for i in range(5)]
     result = stoch.run_stoc(problem, params, factory, seeds)
-    result.aggregate.to_csv(os.path.join(out_dir, f"stoc-{mode_label}-aggregate.csv"))
+    result.aggregate.to_csv(os.path.join(args.out, f"stoc-{mode_label}-aggregate.csv"))
     outputs = []
     for seed, run in zip(result.seeds, result.runs):
         label = f"stoc-{mode_label}-seed{seed}"
@@ -532,7 +490,7 @@ def _job_stoc(problem, config, args, reference, out_dir):
             r=params.r,
             s=params.s,
             t=params.t,
-            pi=pi,
+            pi=config.pi,
             chi_x=result.chi_x,
             chi_y=result.chi_y,
             omega_x=omega_x,
@@ -553,16 +511,12 @@ def cmd_run(config, args):
         raise ConfigError("run needs an algorithm (fb, fbf, accel, or stoc)")
     if config.modes is not None and config.algorithm != "accel":
         raise ConfigError("the modes key only applies to algorithm=accel")
+    problem = resolve_problem(config, args.seed).problem
     os.makedirs(args.out, exist_ok=True)
-    generated = resolve_problem(config, _base_seed(args))
-    problem = generated.problem
 
     reference = None
     if config.reference:
-        budget = (
-            config.reference_budget if config.reference_budget is not None else 100000
-        )
-        reference = bench.reference_solve(problem, budget=budget)
+        reference = bench.reference_solve(problem, budget=config.reference_budget)
         bench.save_reference(os.path.join(args.out, "reference"), reference)
 
     outputs = []
@@ -576,23 +530,11 @@ def cmd_run(config, args):
         else:
             default_token = str(config.kappa if config.kappa is not None else 0.0)
         tokens = config.modes if config.modes is not None else [default_token]
-        setting = config.setting if config.setting is not None else "bounded"
-        omega_x, omega_y = config.omega_x, config.omega_y
-        if _need_auto_omegas(config, setting):
-            auto_x, auto_y, _ = bench.auto_norm_bounds(problem)
-            omega_x = auto_x if omega_x is None else omega_x
-            omega_y = auto_y if omega_y is None else omega_y
-
-        def one_mode(token):
-            return _job_accel(problem, config, token, reference, omega_x, omega_y)
-
-        if args.jobs > 1 and len(tokens) > 1:
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                outputs.extend(pool.map(one_mode, tokens))
-        else:
-            outputs.extend(one_mode(tok) for tok in tokens)
+        omega_x, omega_y = _omegas(problem, config)
+        for token in tokens:
+            outputs.append(_job_accel(problem, config, token, reference, omega_x, omega_y))
     else:
-        outputs.extend(_job_stoc(problem, config, args, reference, args.out))
+        outputs.extend(_job_stoc(problem, config, args, reference))
 
     rows = []
     for label, trace, row in outputs:
@@ -606,15 +548,7 @@ def cmd_run(config, args):
 
 
 def region_scan_grid(
-    problem,
-    kappas,
-    grid,
-    span_lo,
-    span_hi,
-    budget,
-    tol,
-    empirics="interior",
-    jobs=1,
+    problem, kappas, grid, span_lo, span_hi, budget, tol, empirics="interior"
 ):
     """Sweep a normalized step-size grid per continuum position.
 
@@ -623,7 +557,8 @@ def region_scan_grid(
     theoretical boundary sits near 1 on both.  For each cell the region test
     is recorded, and the plain iteration is run when ``empirics`` selects the
     cell, marking it converged when the relative residual falls below ``tol``
-    within ``budget`` iterations.
+    within ``budget`` iterations.  Cells run one after another, kappa by
+    kappa, row by row.
 
     Returns the cell trace plus the (ran, interior, agree) counters used for
     the prediction/empirics summary.
@@ -634,110 +569,80 @@ def region_scan_grid(
     inv_taus = np.linspace(span_lo, span_hi, grid) * curv_scale
     inv_sigmas = np.linspace(span_lo, span_hi, grid) * coup_scale
 
-    def scan_row(task):
-        kappa, i = task
-        tau = 1.0 / inv_taus[i]
-        cells = []
-        for inv_sigma in inv_sigmas:
-            sigma = 1.0 / inv_sigma
-            valid, margins = fb.convergence_region(l_f, k_norm, kappa, tau, sigma)
-            rel_min = min(margins["rel_curvature"], margins["rel_coupling"])
-            if valid:
-                interior = 1.0 if rel_min > INTERIOR_SLACK else 0.0
-            else:
-                interior = 1.0 if rel_min < -INTERIOR_SLACK else 0.0
-            run_it = empirics == "all" or (empirics == "interior" and interior > 0)
-            ran, converged, residual = 0.0, math.nan, math.nan
-            if run_it:
-                ran = 1.0
-                params = fb.FbParams(
-                    kappa=kappa,
-                    tau=tau,
-                    sigma=sigma,
-                    relaxation=1.0,
-                    max_iters=budget,
-                    record_every=budget,
-                )
-                try:
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        res = fb.run_fb(
-                            problem,
-                            params,
-                            tol=tol,
-                            validate=False,
-                            record_mdist=False,
-                        )
-                    converged = 1.0 if res.converged else 0.0
-                    residual = float(res.trace.column("residual")[-1])
-                except NonFiniteIterate:
-                    converged = 0.0
-                    residual = math.inf
-            cells.append(
-                dict(
-                    kappa=kappa,
-                    inv_tau=inv_taus[i],
-                    inv_sigma=inv_sigma,
-                    tau=tau,
-                    sigma=sigma,
-                    valid=float(valid),
-                    interior=interior,
-                    ran=ran,
-                    converged=converged,
-                    residual=residual,
-                )
-            )
-        return cells
-
-    tasks = [(kappa, i) for kappa in kappas for i in range(grid)]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(scan_row, tasks))
-    else:
-        results = [scan_row(task) for task in tasks]
-
     trace = IterTrace(REGION_COLUMNS)
     n_interior = n_ran = n_agree = 0
-    for cells in results:
-        for cell in cells:
-            trace.append(**cell)
-            if cell["ran"] > 0:
-                n_ran += 1
-                if cell["interior"] > 0:
-                    n_interior += 1
-                    if cell["valid"] == cell["converged"]:
-                        n_agree += 1
+    for kappa, inv_tau, inv_sigma in itertools.product(kappas, inv_taus, inv_sigmas):
+        tau, sigma = 1.0 / inv_tau, 1.0 / inv_sigma
+        valid, margins = fb.convergence_region(l_f, k_norm, kappa, tau, sigma)
+        rel_min = min(margins["rel_curvature"], margins["rel_coupling"])
+        if valid:
+            interior = 1.0 if rel_min > INTERIOR_SLACK else 0.0
+        else:
+            interior = 1.0 if rel_min < -INTERIOR_SLACK else 0.0
+        ran, converged, residual = 0.0, math.nan, math.nan
+        if empirics == "all" or (empirics == "interior" and interior > 0):
+            ran = 1.0
+            params = fb.FbParams(
+                kappa=kappa,
+                tau=tau,
+                sigma=sigma,
+                relaxation=1.0,
+                max_iters=budget,
+                record_every=budget,
+            )
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    res = fb.run_fb(
+                        problem,
+                        params,
+                        tol=tol,
+                        validate=False,
+                        record_mdist=False,
+                    )
+                converged = 1.0 if res.converged else 0.0
+                residual = float(res.trace.column("residual")[-1])
+            except NonFiniteIterate:
+                converged = 0.0
+                residual = math.inf
+            n_ran += 1
+            if interior > 0:
+                n_interior += 1
+                if float(valid) == converged:
+                    n_agree += 1
+        trace.append(
+            kappa=kappa,
+            inv_tau=inv_tau,
+            inv_sigma=inv_sigma,
+            tau=tau,
+            sigma=sigma,
+            valid=float(valid),
+            interior=interior,
+            ran=ran,
+            converged=converged,
+            residual=residual,
+        )
     return trace, n_ran, n_interior, n_agree
 
 
 def cmd_region_scan(config, args):
     """Sweep a step-size grid per continuum position and record outcomes."""
-    generated = resolve_problem(config, _base_seed(args))
-    problem = generated.problem
-    kappas = config.kappas if config.kappas is not None else [0.0, 0.25, 0.5, 0.75, 1.0]
-    grid = config.grid if config.grid is not None else 20
-    span_lo = config.span_lo if config.span_lo is not None else 0.4
-    span_hi = config.span_hi if config.span_hi is not None else 5.0
-    budget = config.region_budget if config.region_budget is not None else 2000
-    tol = config.region_tol if config.region_tol is not None else 1e-6
-    empirics = config.empirics if config.empirics is not None else "interior"
-    if grid < 2:
+    if config.grid < 2:
         raise ConfigError("grid must be at least 2")
-    if not 0.0 < span_lo < span_hi:
+    if not 0.0 < config.span_lo < config.span_hi:
         raise ConfigError("need 0 < span_lo < span_hi")
-    for kappa in kappas:
+    for kappa in config.kappas:
         if not -1.0 <= kappa <= 1.0:
             raise ConfigError(f"kappa {kappa} outside [-1, 1]")
 
     trace, n_ran, n_interior, n_agree = region_scan_grid(
-        problem,
-        kappas,
-        grid,
-        span_lo,
-        span_hi,
-        budget,
-        tol,
-        empirics=empirics,
-        jobs=args.jobs,
+        resolve_problem(config, args.seed).problem,
+        config.kappas,
+        config.grid,
+        config.span_lo,
+        config.span_hi,
+        config.region_budget,
+        config.region_tol,
+        empirics=config.empirics,
     )
     os.makedirs(args.out, exist_ok=True)
     trace.to_csv(os.path.join(args.out, "region.csv"))
@@ -755,7 +660,7 @@ def cmd_gen(config, args):
     """Generate a problem and write its bundle directory."""
     if config.problem is None:
         raise ConfigError("gen needs a problem kind")
-    generated = resolve_problem(config, _base_seed(args))
+    generated = resolve_problem(config, args.seed)
     bundle_dir = os.path.join(args.out, "bundle")
     bench.save_bundle(bundle_dir, generated)
     p, l = generated.problem.dims
@@ -765,9 +670,8 @@ def cmd_gen(config, args):
 
 def cmd_reference(config, args):
     """Compute and store a reference solution for the configured problem."""
-    generated = resolve_problem(config, _base_seed(args))
-    budget = config.reference_budget if config.reference_budget is not None else 100000
-    ref = bench.reference_solve(generated.problem, budget=budget)
+    problem = resolve_problem(config, args.seed).problem
+    ref = bench.reference_solve(problem, budget=config.reference_budget)
     ref_dir = os.path.join(args.out, "reference")
     bench.save_reference(ref_dir, ref)
     tag = " (best effort)" if ref.best_effort else ""
@@ -794,12 +698,12 @@ def build_parser():
         sp = sub.add_parser(verb, help=text)
         sp.add_argument("--config", required=True, help="path to key=value config")
         sp.add_argument("--out", default="out", help="output directory")
-        sp.add_argument("--seed", type=int, default=None, help="base seed")
+        sp.add_argument("--seed", type=int, default=0, help="base seed")
         sp.add_argument(
             "--jobs",
             type=int,
             default=1,
-            help="worker threads for the accelerated modes of run and for region-scan",
+            help="accepted for compatibility and has no effect: every verb runs serially",
         )
         sp.add_argument(
             "--unproven",

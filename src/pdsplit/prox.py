@@ -431,26 +431,6 @@ def make_prox(kind, *args, **kwargs):
     return cls(*args, **kwargs)
 
 
-def prox_conjugate(spec, v, sigma):
-    """Proximal point of ``sigma * h*`` at ``v`` for the given spec.
-
-    Parameters
-    ----------
-    spec : ConjugateProx
-    v : ndarray
-        Dual vector of length ``spec.dim``.
-    sigma : float
-        Positive dual step size.
-
-    Returns
-    -------
-    ndarray
-    """
-    if sigma <= 0:
-        raise DegenerateProblem("prox step must be positive")
-    return spec.prox(v, float(sigma))
-
-
 def project_l1_ball(v, radius):
     """Exact Euclidean projection onto the l1 ball of a given radius.
 

@@ -201,11 +201,6 @@ class MaskedGradOracle(StochasticOracle):
         return self.problem.K.apply_adjoint(y)
 
 
-def oracle_sample(oracle, x, y):
-    """Draw one estimate tuple ``(grad, Kx, K'y)`` at ``(x, y)``."""
-    return oracle.grad(x), oracle.kx(x), oracle.ky(y)
-
-
 def masked_oracle_factory(problem, params, pi):
     """Factory of masked-gradient oracles matching a parameter set.
 

@@ -1,6 +1,9 @@
 """Command-line runner: exit codes and the artifacts of each solver path."""
 
+import threading
+
 import numpy as np
+import pytest
 
 from pdsplit import bench, cli, fb
 
@@ -12,10 +15,115 @@ n_samples=10
 TINY_FBF = TINY + "algorithm=fbf\nmax_iters=4\n"
 
 
-def _run(tmp_path, text):
-    config = tmp_path / "run.cfg"
+def _verb(tmp_path, verb, text, out="out", jobs=1):
+    config = tmp_path / f"{out}.cfg"
     config.write_text(text)
-    return cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+    return cli.main([verb, "--config", str(config), "--out", str(tmp_path / out),
+                     "--jobs", str(jobs)])
+
+
+def _run(tmp_path, text):
+    return _verb(tmp_path, "run", text)
+
+
+def _artifacts(out):
+    """Every file under ``out``, minus the ``seconds`` column of trace CSVs."""
+    files = {}
+    for path in sorted(out.rglob("*")):
+        if path.is_file():
+            lines = path.read_text().splitlines()
+            header = lines[0].split(",")
+            if "seconds" in header:
+                k = header.index("seconds")
+                lines = [",".join(c for i, c in enumerate(line.split(",")) if i != k)
+                         for line in lines]
+            files[str(path.relative_to(out))] = lines
+    return files
+
+
+def test_gen_writes_the_bundle_that_run_reads(tmp_path):
+    assert _verb(tmp_path, "gen", TINY) == 0
+    bundle = tmp_path / "out" / "bundle"
+    # The files that perfbench's cli-mix workload checks for.
+    assert sorted(p.name for p in bundle.iterdir()) == sorted(
+        ["meta.txt", "design.txt", "response.txt", "coupling.txt", "signal.txt"])
+    text = f"bundle={bundle}\nalgorithm=fb\nmax_iters=3\n"
+    assert _verb(tmp_path, "run", text, out="run") == 0
+
+
+def test_reference_writes_the_solution(tmp_path):
+    assert _verb(tmp_path, "reference", TINY + "reference_budget=2000\n") == 0
+    reference = tmp_path / "out" / "reference"
+    for name in ("reference.txt", "solution_x.txt", "solution_y.txt"):
+        assert (reference / name).is_file()
+    assert not bench.load_reference(str(reference)).best_effort
+
+
+def test_region_scan_writes_one_row_per_cell(tmp_path):
+    text = TINY + "kappas=0,0.5,1\ngrid=3\nregion_budget=50\n"
+    assert _verb(tmp_path, "region-scan", text) == 0
+    trace = fb.IterTrace.from_csv(str(tmp_path / "out" / "region.csv"))
+    assert list(trace.columns) == cli.REGION_COLUMNS
+    assert len(trace) == 3 * 3**2
+
+
+def test_run_fb_exits_zero(tmp_path):
+    assert _verb(tmp_path, "run", TINY + "algorithm=fb\nmax_iters=5\n") == 0
+    for name in ("summary.csv", "trace-fb-kappa0.csv"):
+        assert (tmp_path / "out" / name).is_file()
+
+
+@pytest.mark.parametrize("verb, text, named", [
+    ("run", "algorithm=fb\nstep=1\n", "'step'"),
+    ("run", "algorithm=fb\nalgorithm=fbf\n", "'algorithm'"),
+    ("run", "algorithm fb\n", "key=value"),
+    ("run", "bundle=elsewhere\nalgorithm=fb\n", "bundle"),
+    ("region-scan", "grid=1\n", "grid"),
+    ("run", "algorithm=fb\nmax_iters=2.5\n", "'max_iters'"),
+    ("run", "algorithm=stoc\nseeds=[1.5, 2]\n", "'seeds'"),
+    ("run", "algorithm=fb\ntau=true\n", "'tau'"),
+    ("run", "algorithm=fb\ntol=NaN\n", "'tol'"),
+    ("run", "algorithm=fb\ntau=Infinity\n", "'tau'"),
+    ("run", "algorithm=fb\nlam=-Infinity\n", "'lam'"),
+    ("run", "algorithm=stoc\nseeds=\n", "'seeds'"),
+    ("run", "algorithm=accel\nmodes=[]\n", "'modes'"),
+    ("region-scan", "kappas=\n", "'kappas'"),
+])
+def test_config_errors_exit_one_before_any_problem_or_output(
+        tmp_path, monkeypatch, capsys, verb, text, named):
+    generated = []
+    monkeypatch.setattr(bench, "generate", generated.append)
+    assert _verb(tmp_path, verb, TINY + text) == 1
+    assert named in capsys.readouterr().err
+    assert generated == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_integral_floats_are_read_as_integers(tmp_path):
+    path = tmp_path / "c.cfg"
+    path.write_text("grid=1e1\nseeds=[1.0, 2]\n")
+    config = cli.parse_config(str(path))
+    assert config.grid == 10 and isinstance(config.grid, int)
+    assert config.seeds == [1, 2]
+
+
+@pytest.mark.parametrize("verb, text", [
+    ("run", TINY + "algorithm=accel\nmodes=0.5,chen\nmax_iters=6\n"),
+    ("region-scan", TINY + "kappas=0,0.5\ngrid=3\nregion_budget=50\n"),
+])
+def test_jobs_starts_no_thread_and_changes_no_artifact(tmp_path, monkeypatch, verb, text):
+    started = []
+
+    def refuse(thread):
+        started.append(thread)
+        raise AssertionError("the CLI started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    for jobs in (1, 2):
+        assert _verb(tmp_path, verb, text, out=f"jobs{jobs}", jobs=jobs) == 0
+    assert started == []
+    serial = _artifacts(tmp_path / "jobs1")
+    assert serial and _artifacts(tmp_path / "jobs2") == serial
 
 
 def test_run_writes_artifacts_and_exits_zero(tmp_path):
@@ -60,10 +168,6 @@ def test_region_scan_grid_counts_match_its_trace():
     assert (n_ran, n_interior, n_agree) == (ran.sum(), interior.sum(), agree.sum())
     # Both outcomes occur among the cells that ran.
     assert set(trace.column("converged")[ran]) == {0.0, 1.0}
-    threaded = cli.region_scan_grid(*args, jobs=2)
-    assert threaded[1:] == (n_ran, n_interior, n_agree)
-    for column in cli.REGION_COLUMNS:
-        np.testing.assert_array_equal(threaded[0].column(column), trace.column(column))
 
 
 def test_region_scan_misses_are_region_errors_not_budget_limits():
