@@ -88,7 +88,6 @@ from .linops import (
     ZeroOp,
     build_graph_difference,
     build_group_membership,
-    make_operator,
     matrix_operator,
     op_norm,
 )
@@ -100,7 +99,6 @@ from .prox import (
     IdentityShift,
     L1Ball,
     L2Ball,
-    make_prox,
     moreau_prox_primal,
     primal_prox,
     project_l1_ball,
@@ -197,8 +195,6 @@ __all__ = [
     "load_bundle",
     "load_reference",
     "logistic_loss",
-    "make_operator",
-    "make_prox",
     "masked_oracle_factory",
     "matrix_operator",
     "mode_coefficients",

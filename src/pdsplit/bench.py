@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from . import accel, fb, linops, saddle
+from . import accel, fb, linops, saddle, textio
 from .errors import (
     ConfigError,
     ConstraintViolation,
@@ -29,7 +29,7 @@ from .errors import (
     ResidualTooLarge,
     UnknownKind,
 )
-from .linops import DenseOp, IdentityOp, matrix_operator
+from .linops import IdentityOp
 from .prox import BoxClip, GroupL2Balls, GroupPartition
 
 # Number of coordinates shared by consecutive groups of the chained design.
@@ -39,33 +39,17 @@ OVERLAP = 10
 # the clustered network design.
 HUB_CORRELATION = 0.7
 
-GENERATOR_KINDS = (
-    "overlapping-group-lasso",
-    "graph-guided-fused-lasso",
-    "latent-group-lasso",
-    "lasso",
-)
-
 BUNDLE_META = "meta.txt"
 BUNDLE_DESIGN = "design.txt"
 BUNDLE_RESPONSE = "response.txt"
 BUNDLE_COUPLING = "coupling.txt"
 BUNDLE_SIGNAL = "signal.txt"
 
-_INT_META_KEYS = {
-    "seed",
-    "n_samples",
-    "n_groups",
-    "group_size",
-    "subnet_size",
-    "n_subnets",
-    "n_active",
-    "dim",
-    "n_edges",
-    "primal_dim",
-    "dual_dim",
-}
-_FLOAT_META_KEYS = {"lam", "noise_sd"}
+# Types of the numeric keys of bundle metadata and reference summaries.
+_VALUE_TYPES = dict.fromkeys(("lam", "noise_sd", "objective", "residual_rel"), float)
+_VALUE_TYPES.update(dict.fromkeys((
+    "seed", "n_samples", "n_groups", "group_size", "subnet_size", "n_subnets", "n_active",
+    "dim", "n_edges", "primal_dim", "dual_dim", "iterations", "best_effort"), int))
 
 
 @dataclass(frozen=True)
@@ -228,12 +212,31 @@ def _chained_group_data(spec):
     a = rng.standard_normal((spec.n_samples, p))
     x_true = _decaying_signal(p)
     b = a @ x_true + spec.noise_scale * rng.standard_normal(spec.n_samples)
-    groups = overlapping_groups(spec.n_groups, spec.group_size)
-    radii = spec.penalty_weight * np.sqrt([len(g) for g in groups])
-    return a, b, x_true, groups, radii
+    return a, b, x_true
 
 
-def _base_meta(spec, problem):
+def _assemble(spec, a, b, coupling):
+    """The saddle problem of ``spec`` on design ``a``, response ``b`` and
+    ``coupling`` (an operator or a matrix): the one assembly of each kind,
+    shared by the generators and :func:`load_bundle`.  The lasso and latent
+    kinds build their coupling from the spec and ignore the one given."""
+    lam, p = spec.penalty_weight, spec.primal_dim
+    if spec.kind == "graph-guided-fused-lasso":
+        hconj = BoxClip(lam, coupling.shape[0])
+    elif spec.kind == "lasso":
+        coupling, hconj = IdentityOp(p), BoxClip(lam, p)
+    else:
+        groups = overlapping_groups(spec.n_groups, spec.group_size)
+        radii = lam * np.sqrt([len(g) for g in groups])
+        if spec.kind == "latent-group-lasso":
+            return saddle.latent_group_construct(groups, a, b, radii)
+        hconj = GroupL2Balls(GroupPartition([len(g) for g in groups]), radii)
+    return saddle.SaddleProblem(saddle.quadratic_loss(a, b), coupling, hconj)
+
+
+def _generated(spec, a, b, x_true, coupling=None, **extra_meta):
+    """Assemble a generated problem and its metadata."""
+    problem = _assemble(spec, a, b, coupling)
     meta = {
         "kind": spec.kind,
         "seed": spec.seed,
@@ -252,7 +255,7 @@ def _base_meta(spec, problem):
         meta["n_active"] = spec.n_active
     else:
         meta["dim"] = spec.dim
-    return meta
+    return GeneratedProblem(spec, problem, a, b, x_true, {**meta, **extra_meta})
 
 
 def gen_overlapping_group_lasso(spec):
@@ -266,12 +269,9 @@ def gen_overlapping_group_lasso(spec):
     -------
     GeneratedProblem
     """
-    a, b, x_true, groups, radii = _chained_group_data(spec)
+    groups = overlapping_groups(spec.n_groups, spec.group_size)
     k_op = linops.build_group_membership(groups, spec.primal_dim)
-    partition = GroupPartition([len(g) for g in groups])
-    hconj = GroupL2Balls(partition, radii)
-    problem = saddle.SaddleProblem(saddle.quadratic_loss(DenseOp(a), b), k_op, hconj)
-    return GeneratedProblem(spec, problem, a, b, x_true, _base_meta(spec, problem))
+    return _generated(spec, *_chained_group_data(spec), k_op)
 
 
 def gen_latent_group_lasso(spec):
@@ -281,9 +281,7 @@ def gen_latent_group_lasso(spec):
     duplicated-variable construction, so the primal variable stacks ``x``
     with one latent block per group.
     """
-    a, b, x_true, groups, radii = _chained_group_data(spec)
-    problem = saddle.latent_group_construct(groups, DenseOp(a), b, radii)
-    return GeneratedProblem(spec, problem, a, b, x_true, _base_meta(spec, problem))
+    return _generated(spec, *_chained_group_data(spec))
 
 
 def gen_graph_guided_fused_lasso(spec):
@@ -348,11 +346,7 @@ def gen_graph_guided_fused_lasso(spec):
                 edges.append((v, int(w)))
 
     k_op = linops.build_graph_difference(edges, p)
-    hconj = BoxClip(spec.penalty_weight, len(edges))
-    problem = saddle.SaddleProblem(saddle.quadratic_loss(DenseOp(a), b), k_op, hconj)
-    meta = _base_meta(spec, problem)
-    meta["n_edges"] = len(edges)
-    return GeneratedProblem(spec, problem, a, b, x_true, meta)
+    return _generated(spec, a, b, x_true, k_op, n_edges=len(edges))
 
 
 def gen_lasso(spec):
@@ -362,12 +356,7 @@ def gen_lasso(spec):
     a = rng.standard_normal((spec.n_samples, p))
     x_true = _decaying_signal(p)
     b = a @ x_true + spec.noise_scale * rng.standard_normal(spec.n_samples)
-    problem = saddle.SaddleProblem(
-        saddle.quadratic_loss(DenseOp(a), b),
-        IdentityOp(p),
-        BoxClip(spec.penalty_weight, p),
-    )
-    return GeneratedProblem(spec, problem, a, b, x_true, _base_meta(spec, problem))
+    return _generated(spec, a, b, x_true)
 
 
 _GENERATORS = {
@@ -376,6 +365,7 @@ _GENERATORS = {
     "latent-group-lasso": gen_latent_group_lasso,
     "lasso": gen_lasso,
 }
+GENERATOR_KINDS = tuple(_GENERATORS)
 
 
 def generate(spec):
@@ -390,72 +380,43 @@ def save_bundle(path, generated):
     coupling matrices in triplet format, and the response and ground-truth
     vectors as one value per line.
     """
-    os.makedirs(path, exist_ok=True)
-    tmp = os.path.join(path, BUNDLE_META + ".tmp")
-    with open(tmp, "w", encoding="ascii") as fh:
-        for key, value in generated.meta.items():
-            fh.write(f"{key}={value}\n")
-    os.replace(tmp, os.path.join(path, BUNDLE_META))
-    linops.write_triplets(os.path.join(path, BUNDLE_DESIGN), generated.design)
-    linops.write_vector(os.path.join(path, BUNDLE_RESPONSE), generated.response)
-    linops.write_triplets(os.path.join(path, BUNDLE_COUPLING), generated.problem.K)
-    linops.write_vector(os.path.join(path, BUNDLE_SIGNAL), generated.signal)
+    textio.write_keyvalue(os.path.join(path, BUNDLE_META), generated.meta)
+    textio.write_triplets(os.path.join(path, BUNDLE_DESIGN), generated.design)
+    textio.write_vector(os.path.join(path, BUNDLE_RESPONSE), generated.response)
+    coupling = linops.to_sparse(generated.problem.K)
+    textio.write_triplets(os.path.join(path, BUNDLE_COUPLING), coupling)
+    textio.write_vector(os.path.join(path, BUNDLE_SIGNAL), generated.signal)
 
 
-def _parse_meta(path):
-    meta = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if key in _INT_META_KEYS:
-                meta[key] = int(value)
-            elif key in _FLOAT_META_KEYS:
-                meta[key] = float(value)
-            else:
-                meta[key] = value
-    return meta
+def _read_typed(path):
+    """The entries of a ``key=value`` file, typed by ``_VALUE_TYPES``."""
+    values = {}
+    for lineno, key, text in textio.read_keyvalue(path):
+        kind = _VALUE_TYPES.get(key, str)
+        try:
+            values[key] = kind(text)
+        except ValueError:
+            raise ConfigError(f"{path}:{lineno}: {key}={text!r} is not {kind.__name__}") from None
+    return values
 
 
 def load_bundle(path):
     """Read a bundle directory back into a :class:`GeneratedProblem`.
 
-    The stored matrices are authoritative: the coupling operator is rebuilt
-    from its triplet file (the latent construction, whose operator is a
-    deterministic function of the group layout, is reassembled instead).
+    The stored matrices are authoritative and go through the assembly of
+    the kind's generator; the latent and lasso couplings, deterministic
+    functions of the spec, are reassembled instead of read.
     """
-    meta = _parse_meta(os.path.join(path, BUNDLE_META))
+    meta = _read_typed(os.path.join(path, BUNDLE_META))
     if "kind" not in meta:
         raise ConfigError(f"bundle {path} lacks a kind entry")
     spec_fields = {f.name for f in fields(SyntheticSpec)}
     spec = SyntheticSpec(**{k: v for k, v in meta.items() if k in spec_fields})
-    design = linops.read_triplets(os.path.join(path, BUNDLE_DESIGN)).toarray()
-    response = linops.read_vector(os.path.join(path, BUNDLE_RESPONSE))
-    signal = linops.read_vector(os.path.join(path, BUNDLE_SIGNAL))
-    coupling = linops.read_triplets(os.path.join(path, BUNDLE_COUPLING))
-
-    loss = saddle.quadratic_loss(DenseOp(design), response)
-    if spec.kind == "overlapping-group-lasso":
-        groups = overlapping_groups(spec.n_groups, spec.group_size)
-        radii = spec.penalty_weight * np.sqrt([len(g) for g in groups])
-        hconj = GroupL2Balls(GroupPartition([len(g) for g in groups]), radii)
-        problem = saddle.SaddleProblem(loss, matrix_operator(coupling), hconj)
-    elif spec.kind == "graph-guided-fused-lasso":
-        hconj = BoxClip(spec.penalty_weight, coupling.shape[0])
-        problem = saddle.SaddleProblem(loss, matrix_operator(coupling), hconj)
-    elif spec.kind == "latent-group-lasso":
-        groups = overlapping_groups(spec.n_groups, spec.group_size)
-        radii = spec.penalty_weight * np.sqrt([len(g) for g in groups])
-        problem = saddle.latent_group_construct(groups, DenseOp(design), response, radii)
-    else:
-        hconj = BoxClip(spec.penalty_weight, spec.primal_dim)
-        problem = saddle.SaddleProblem(loss, IdentityOp(spec.primal_dim), hconj)
+    design = textio.read_triplets(os.path.join(path, BUNDLE_DESIGN)).toarray()
+    response = textio.read_vector(os.path.join(path, BUNDLE_RESPONSE))
+    signal = textio.read_vector(os.path.join(path, BUNDLE_SIGNAL))
+    coupling = textio.read_triplets(os.path.join(path, BUNDLE_COUPLING))
+    problem = _assemble(spec, design, response, coupling)
     return GeneratedProblem(spec, problem, design, response, signal, meta)
 
 
@@ -614,30 +575,25 @@ REFERENCE_Y = "solution_y.txt"
 
 def save_reference(path, ref):
     """Write a reference solution to a directory of text artifacts."""
-    os.makedirs(path, exist_ok=True)
-    linops.write_vector(os.path.join(path, REFERENCE_X), ref.x)
-    linops.write_vector(os.path.join(path, REFERENCE_Y), ref.y)
-    tmp = os.path.join(path, REFERENCE_SUMMARY + ".tmp")
-    with open(tmp, "w", encoding="ascii") as fh:
-        fh.write(f"objective={ref.objective:.17g}\n")
-        fh.write(f"method={ref.method}\n")
-        fh.write(f"iterations={ref.iterations}\n")
-        fh.write(f"residual_rel={ref.residual_rel:.17g}\n")
-        fh.write(f"best_effort={int(ref.best_effort)}\n")
-    os.replace(tmp, os.path.join(path, REFERENCE_SUMMARY))
+    textio.write_vector(os.path.join(path, REFERENCE_X), ref.x)
+    textio.write_vector(os.path.join(path, REFERENCE_Y), ref.y)
+    summary = dict(objective=f"{ref.objective:.17g}", method=ref.method,
+                   iterations=ref.iterations, residual_rel=f"{ref.residual_rel:.17g}",
+                   best_effort=int(ref.best_effort))
+    textio.write_keyvalue(os.path.join(path, REFERENCE_SUMMARY), summary)
 
 
 def load_reference(path):
     """Read a reference solution written by :func:`save_reference`."""
-    summary = _parse_meta(os.path.join(path, REFERENCE_SUMMARY))
+    summary = _read_typed(os.path.join(path, REFERENCE_SUMMARY))
     return ReferenceSolution(
-        x=linops.read_vector(os.path.join(path, REFERENCE_X)),
-        y=linops.read_vector(os.path.join(path, REFERENCE_Y)),
-        objective=float(summary["objective"]),
-        method=str(summary["method"]),
-        iterations=int(summary["iterations"]),
-        residual_rel=float(summary["residual_rel"]),
-        best_effort=bool(int(summary["best_effort"])),
+        x=textio.read_vector(os.path.join(path, REFERENCE_X)),
+        y=textio.read_vector(os.path.join(path, REFERENCE_Y)),
+        objective=summary["objective"],
+        method=summary["method"],
+        iterations=summary["iterations"],
+        residual_rel=summary["residual_rel"],
+        best_effort=bool(summary["best_effort"]),
     )
 
 

@@ -9,11 +9,12 @@ bundle; ``reference`` computes and stores a high-accuracy solution.
 Configuration is flat ``key=value`` text (``#`` comments and blank lines
 allowed); values may use JSON escaping where needed.  Each key is one field
 of :class:`ExperimentConfig`, which declares its converter and its default.
-Unknown or duplicate keys and values that would be coerced (a fraction for
-an integer, a boolean or non-finite number for a float, an empty list) are
-rejected before anything runs.  Every verb runs serially in the calling
-thread.  Exit codes: 0 on success, 1 for configuration errors, 2 for solver
-failures.
+Unknown or duplicate keys, values that would be coerced (a fraction for an
+integer, a boolean or non-finite number for a float, an empty list) and
+lists that repeat an entry are rejected before anything runs.  Every verb
+runs serially in the calling thread, and every artifact is written through
+:mod:`pdsplit.textio`.  Exit codes: 0 on success, 1 for configuration
+errors, 2 for solver failures.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import accel, bench, fb, saddle, stoch
+from . import accel, bench, fb, saddle, stoch, textio
 from .errors import ConfigError, InsufficientData, NonFiniteIterate, SolverError
 from .fb import IterTrace
 
@@ -74,8 +75,6 @@ _SUMMARY_COLUMNS = [
     "slope",
     "slope_stderr",
 ]
-
-_STRING_SUMMARY_COLUMNS = {"label", "algorithm", "mode", "setting"}
 
 
 def _parse_scalar(key, value, kind):
@@ -134,19 +133,25 @@ def _as_list(key, value):
     return value
 
 
+def _distinct(key, values):
+    """``values``, once no two of them are equal."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ConfigError(f"config key {key!r}: {value!r} is repeated")
+    return values
+
+
 def _as_int_list(key, value):
-    return [_as_int(key, tok) for tok in _as_list(key, value)]
+    return _distinct(key, [_as_int(key, tok) for tok in _as_list(key, value)])
 
 
 def _as_float_list(key, value):
-    return tuple(_as_float(key, tok) for tok in _as_list(key, value))
+    return _distinct(key, tuple(_as_float(key, tok) for tok in _as_list(key, value)))
 
 
 def _as_mode_list(key, value):
     tokens = [str(tok) for tok in _as_list(key, value)]
-    for tok in tokens:
-        if tok != "chen":
-            _as_float(key, tok)
+    _distinct(key, [tok if tok == "chen" else _as_float(key, tok) for tok in tokens])
     return tokens
 
 
@@ -226,25 +231,13 @@ def parse_config(path):
 
     Values are JSON-decoded when they parse as JSON (so quoted strings may
     carry escapes) and kept as raw text otherwise; each key's converter then
-    normalizes the type.  Unknown and duplicate keys, empty lists, and values
-    that are not finite or would lose their fraction or type in conversion
-    raise :class:`ConfigError` naming the key.
+    normalizes the type.  Unknown and duplicate keys, empty lists, lists
+    that repeat an entry (compared after conversion, so ``0.5,0.50`` is a
+    repeat), and values that are not finite or would lose their fraction or
+    type in conversion raise :class:`ConfigError` naming the key.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}")
     raw = {}
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, text = line.partition("=")
-        key = key.strip()
-        text = text.strip()
+    for lineno, key, text in textio.read_keyvalue(path):
         if key not in _CONVERTERS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         if key in raw:
@@ -283,19 +276,8 @@ def resolve_problem(config, base_seed):
 
 
 def _write_summary(path, rows):
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="ascii") as fh:
-        fh.write(",".join(_SUMMARY_COLUMNS) + "\n")
-        for row in rows:
-            cells = []
-            for col in _SUMMARY_COLUMNS:
-                value = row[col]
-                if col in _STRING_SUMMARY_COLUMNS:
-                    cells.append(str(value))
-                else:
-                    cells.append(f"{float(value):.17g}")
-            fh.write(",".join(cells) + "\n")
-    os.replace(tmp, path)
+    cells = ([row[c] for c in _SUMMARY_COLUMNS] for row in rows)
+    textio.write_table(path, _SUMMARY_COLUMNS, cells)
 
 
 def _summary_row(label, algorithm, mode, kappa, setting, **extra):
@@ -512,7 +494,6 @@ def cmd_run(config, args):
     if config.modes is not None and config.algorithm != "accel":
         raise ConfigError("the modes key only applies to algorithm=accel")
     problem = resolve_problem(config, args.seed).problem
-    os.makedirs(args.out, exist_ok=True)
 
     reference = None
     if config.reference:
@@ -555,9 +536,11 @@ def region_scan_grid(
     The grid spans ``[span_lo, span_hi]`` in units of ``L_f / 2`` on the
     ``1/tau`` axis and ``2 * k_norm^2 / L_f`` on the ``1/sigma`` axis, so the
     theoretical boundary sits near 1 on both.  For each cell the region test
-    is recorded, and the plain iteration is run when ``empirics`` selects the
-    cell, marking it converged when the relative residual falls below ``tol``
-    within ``budget`` iterations.  Cells run one after another, kappa by
+    is recorded, and the plain iteration (relaxation 1) is run when
+    ``empirics`` selects the cell, marking it converged when the absolute
+    unrelaxed step residual ``||(x~ - x, y~ - y)||`` falls to ``tol`` or
+    below within ``budget`` iterations (``tol`` is passed to
+    :func:`~pdsplit.fb.run_fb` as is).  Cells run one after another, kappa by
     kappa, row by row.
 
     Returns the cell trace plus the (ran, interior, agree) counters used for
@@ -644,7 +627,6 @@ def cmd_region_scan(config, args):
         config.region_tol,
         empirics=config.empirics,
     )
-    os.makedirs(args.out, exist_ok=True)
     trace.to_csv(os.path.join(args.out, "region.csv"))
     if n_interior:
         print(

@@ -27,13 +27,12 @@ of the ergodic mean by linearity, so a trace row costs no design product.
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import saddle
+from . import saddle, textio
 from .errors import (
     ConstraintViolation,
     DegenerateProblem,
@@ -102,29 +101,14 @@ class IterTrace:
         return np.asarray(self._data[name], dtype=float)
 
     def to_csv(self, path):
-        """Write the trace atomically (temp file plus rename)."""
-        tmp = f"{path}.tmp"
-        with open(tmp, "w", encoding="ascii") as fh:
-            fh.write(",".join(self.columns) + "\n")
-            for i in range(len(self)):
-                fh.write(
-                    ",".join(f"{self._data[c][i]:.17g}" for c in self.columns) + "\n"
-                )
-        os.replace(tmp, path)
+        """Write the trace atomically as a CSV table."""
+        textio.write_table(path, self.columns, zip(*(self._data[c] for c in self.columns)))
 
     @classmethod
     def from_csv(cls, path):
-        with open(path, "r", encoding="ascii") as fh:
-            header = fh.readline().strip()
-            if not header:
-                raise DimensionError(f"trace file {path} has no header")
-            trace = cls(header.split(","))
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                vals = line.split(",")
-                trace.append(**dict(zip(trace.columns, map(float, vals))))
+        columns, values = textio.read_table(path)
+        trace = cls(columns)
+        trace._data = {c: column.tolist() for c, column in zip(columns, values.T)}
         return trace
 
 

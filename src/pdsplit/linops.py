@@ -11,6 +11,9 @@ Stacks go both ways: :class:`VStackOp` stacks row blocks (a coupling
 operator that pairs two penalties) and :class:`HStackOp` stacks column
 blocks (a design that reads part of a stacked variable, or a matrix split
 by feature columns across workers).
+:func:`to_sparse` gives the CSR matrix of any operator, the stored one of a
+CSR operator.  This module does no file I/O; :mod:`pdsplit.textio` writes
+and reads matrices as triplet text.
 """
 
 from __future__ import annotations
@@ -225,41 +228,6 @@ class HStackOp(LinearOperator):
         return np.concatenate([b.apply_adjoint(y) for b in self.blocks])
 
 
-_KINDS = {
-    "dense": DenseOp,
-    "sparse-csr": SparseOp,
-    "identity": IdentityOp,
-    "zero": ZeroOp,
-    "vstack": VStackOp,
-    "hstack": HStackOp,
-}
-
-
-def make_operator(kind, *args, **kwargs):
-    """Construct an operator from its kind tag.
-
-    Parameters
-    ----------
-    kind : str
-        One of ``dense``, ``sparse-csr``, ``identity``, ``zero``, ``vstack``,
-        ``hstack``.
-
-    Returns
-    -------
-    LinearOperator
-
-    Raises
-    ------
-    UnknownKind
-        If the tag is not registered.
-    """
-    try:
-        cls = _KINDS[kind]
-    except KeyError:
-        raise UnknownKind(f"unknown operator kind {kind!r}") from None
-    return cls(*args, **kwargs)
-
-
 def matrix_operator(a):
     """Wrap a concrete matrix, keeping its storage kind.
 
@@ -273,6 +241,14 @@ def matrix_operator(a):
             return DenseOp(a.toarray())
         return SparseOp(a)
     return DenseOp(a)
+
+
+def to_sparse(op):
+    """The matrix of ``op`` as a CSR array: the stored one for a CSR
+    operator, converted from the dense matrix otherwise."""
+    if isinstance(op, SparseOp):
+        return op.matrix
+    return sp.csr_array(op.array if isinstance(op, DenseOp) else densify(op))
 
 
 def densify(op):
@@ -475,66 +451,3 @@ def build_graph_difference(edges, p):
     val = np.tile([1.0, -1.0], m)
     mat = sp.csr_array((val, (row, col)), shape=(m, p))
     return matrix_operator(mat)
-
-
-def write_triplets(path, matrix):
-    """Write a matrix in the 1-based triplet text format.
-
-    The first line holds ``rows cols nnz``; every following line holds one
-    entry as ``row col value`` with 1-based indices and 17 significant
-    digits.
-    """
-    if isinstance(matrix, LinearOperator):
-        matrix = matrix.matrix if matrix.kind == "sparse-csr" else densify(matrix)
-    coo = sp.coo_array(matrix)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{i + 1} {j + 1} {v:.17g}\n")
-
-
-def read_triplets(path):
-    """Read a matrix written by :func:`write_triplets`.
-
-    Returns
-    -------
-    scipy.sparse.csr_array
-
-    Raises
-    ------
-    DimensionError
-        If the header is malformed or an index exceeds the declared shape.
-    """
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
-        if len(header) != 3:
-            raise DimensionError(f"triplet header must hold 3 integers, got {header}")
-        rows, cols, nnz = (int(t) for t in header)
-        ii = np.empty(nnz, dtype=int)
-        jj = np.empty(nnz, dtype=int)
-        vv = np.empty(nnz, dtype=float)
-        for k in range(nnz):
-            parts = fh.readline().split()
-            if len(parts) != 3:
-                raise DimensionError(f"triplet line {k + 2} is malformed")
-            ii[k] = int(parts[0]) - 1
-            jj[k] = int(parts[1]) - 1
-            vv[k] = float(parts[2])
-    if nnz and (ii.min() < 0 or jj.min() < 0 or ii.max() >= rows or jj.max() >= cols):
-        raise DimensionError("triplet entry outside the declared shape")
-    return sp.csr_array(sp.coo_array((vv, (ii, jj)), shape=(rows, cols)))
-
-
-def write_vector(path, vec):
-    """Write a vector as one value per line with 17 significant digits."""
-    vec = np.asarray(vec, dtype=float).ravel()
-    with open(path, "w", encoding="ascii") as fh:
-        for v in vec:
-            fh.write(f"{v:.17g}\n")
-
-
-def read_vector(path):
-    """Read a vector written by :func:`write_vector`."""
-    with open(path, "r", encoding="ascii") as fh:
-        values = [float(line) for line in fh if line.strip()]
-    return np.array(values, dtype=float)

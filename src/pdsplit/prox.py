@@ -405,32 +405,6 @@ class Composite(ConjugateProx):
         return float(sum(part.primal_value(seg) for part, seg in self._segments(u)))
 
 
-_PROX_KINDS = {
-    "box-clip": BoxClip,
-    "l2-ball": L2Ball,
-    "l1-ball": L1Ball,
-    "group-l2-balls": GroupL2Balls,
-    "hinge-conj": HingeConj,
-    "identity-shift": IdentityShift,
-    "composite": Composite,
-}
-
-
-def make_prox(kind, *args, **kwargs):
-    """Construct a conjugate-prox spec from its kind tag.
-
-    Raises
-    ------
-    UnknownKind
-        If the tag is not registered.
-    """
-    try:
-        cls = _PROX_KINDS[kind]
-    except KeyError:
-        raise UnknownKind(f"unknown prox kind {kind!r}") from None
-    return cls(*args, **kwargs)
-
-
 def project_l1_ball(v, radius):
     """Exact Euclidean projection onto the l1 ball of a given radius.
 

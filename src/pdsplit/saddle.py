@@ -330,7 +330,7 @@ def latent_group_construct(groups, a, b, radii):
     loss = quadratic_loss(a_op, b)
     n, p = a_op.shape
     member = linops.build_group_membership(groups, p)
-    d_mat = sp.csr_array(linops.densify(member)) if member.kind == "dense" else member.matrix
+    d_mat = linops.to_sparse(member)
     q = member.shape[0]
     k_mat = sp.bmat(
         [

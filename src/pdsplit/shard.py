@@ -36,7 +36,7 @@ import scipy.sparse as sp
 from . import fb, saddle
 from .errors import ConstraintViolation, TooManyWorkers
 from .fb import IterTrace
-from .linops import DenseOp, HStackOp, SparseOp, densify
+from .linops import DenseOp, HStackOp, SparseOp, to_sparse
 
 LEDGER_COLUMNS = ["iter", "loss_comm", "penalty_comm", "total_comm"]
 
@@ -72,9 +72,6 @@ class CommLedger:
         self._loss_pending = 0
         self._penalty_pending = 0
 
-    def to_csv(self, path):
-        self.trace.to_csv(path)
-
     def column(self, name):
         return self.trace.column(name)
 
@@ -85,21 +82,13 @@ def _balanced_offsets(total, parts):
     return np.concatenate([[0], np.cumsum(sizes)])
 
 
-def _as_sparse(op):
-    if isinstance(op, SparseOp):
-        return op.matrix
-    if isinstance(op, DenseOp):
-        return sp.csr_array(op.array)
-    return sp.csr_array(densify(op))
-
-
 def _column_blocks(op, offsets):
     """Split ``op`` at the column ``offsets``: dense slices of a dense
     design, CSR slices of anything else."""
     bounds = zip(offsets[:-1], offsets[1:])
     if isinstance(op, DenseOp):
         return [DenseOp(op.array[:, lo:hi]) for lo, hi in bounds]
-    mat = _as_sparse(op)
+    mat = to_sparse(op)
     return [SparseOp(mat[:, lo:hi]) for lo, hi in bounds]
 
 
@@ -166,7 +155,7 @@ def partition_problem(problem, m_workers):
     p, l = problem.dims
     if m > p:
         raise TooManyWorkers(f"{m} workers for {p} features")
-    k_mat = _as_sparse(problem.K)
+    k_mat = to_sparse(problem.K)
     col_offsets = _balanced_offsets(p, m)
     row_offsets = _balanced_offsets(l, m)
     a_blocks = _column_blocks(problem.loss.A, col_offsets)

@@ -168,3 +168,19 @@ def test_warm_and_polish_runs_build_no_metric_matrix(monkeypatch):
         bench.reference_solve(problem, budget=200, tol=1e-12)
     # The warm run and at least one polish run went through ``run_fb``.
     assert len(fb_runs) >= 3 and set(fb_runs) == {False}
+
+
+def test_loading_a_latent_bundle_estimates_the_design_norm_once(tmp_path, monkeypatch):
+    generated = bench.generate(SMALL_SPECS[2])
+    bench.save_bundle(str(tmp_path), generated)
+    shapes = []
+    op_norm = linops.op_norm
+
+    def counting(op, *args, **kwargs):
+        shapes.append(op.shape)
+        return op_norm(op, *args, **kwargs)
+
+    monkeypatch.setattr(linops, "op_norm", counting)
+    loaded = bench.load_bundle(str(tmp_path))
+    assert shapes == [generated.design.shape]
+    assert loaded.problem.L_f == generated.problem.L_f

@@ -88,6 +88,12 @@ def test_run_fb_exits_zero(tmp_path):
     ("run", "algorithm=stoc\nseeds=\n", "'seeds'"),
     ("run", "algorithm=accel\nmodes=[]\n", "'modes'"),
     ("region-scan", "kappas=\n", "'kappas'"),
+    ("run", "algorithm=stoc\nseeds=1,1\n", "'seeds'"),
+    ("run", "algorithm=stoc\nseeds=[2, 2.0]\n", "'seeds'"),
+    ("run", "algorithm=accel\nmodes=0.5,0.5\n", "'modes'"),
+    ("run", "algorithm=accel\nmodes=0.5,0.50\n", "'modes'"),
+    ("run", "algorithm=accel\nmodes=chen,chen\n", "'modes'"),
+    ("region-scan", "kappas=0.5,0.5\n", "'kappas'"),
 ])
 def test_config_errors_exit_one_before_any_problem_or_output(
         tmp_path, monkeypatch, capsys, verb, text, named):

@@ -12,14 +12,13 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdsplit import linops
+from pdsplit import linops, textio
 from pdsplit.errors import (
     DegenerateProblem,
     DimensionError,
     IndexOutOfRange,
     NonConvergence,
     SelfLoop,
-    UnknownKind,
 )
 from pdsplit.saddle import quadratic_loss
 
@@ -91,7 +90,6 @@ def test_hstack_densify_equals_hstack_of_blocks():
     np.testing.assert_array_equal(
         linops.densify(op), np.hstack([d1, np.zeros((3, 2)), np.eye(3)])
     )
-    assert linops.make_operator("hstack", [linops.IdentityOp(2)]).shape == (2, 2)
 
 
 def test_hstack_rejects_blocks_with_different_rows():
@@ -106,11 +104,6 @@ def test_apply_rejects_wrong_length():
         linops.IdentityOp(3).apply(np.zeros(4))
     with pytest.raises(DimensionError):
         linops.DenseOp(np.ones((2, 3))).apply_adjoint(np.zeros(3))
-
-
-def test_make_operator_rejects_unknown_kind():
-    with pytest.raises(UnknownKind):
-        linops.make_operator("banded", np.eye(2))
 
 
 def test_op_norm_identity_is_one():
@@ -388,8 +381,8 @@ def test_triplet_round_trip_preserves_matrix(tmp_path):
     dense = rng.standard_normal((7, 5)) * (rng.random((7, 5)) < 0.4)
     mat = sp.csr_array(dense)
     path = tmp_path / "triplets.txt"
-    linops.write_triplets(str(path), mat)
-    back = linops.read_triplets(str(path))
+    textio.write_triplets(str(path), mat)
+    back = textio.read_triplets(str(path))
     assert (back != mat).nnz == 0
 
 
@@ -397,14 +390,14 @@ def test_triplet_reader_rejects_out_of_shape_entry(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("2 2 1\n3 1 5.0\n")
     with pytest.raises(DimensionError):
-        linops.read_triplets(str(path))
+        textio.read_triplets(str(path))
 
 
 def test_vector_round_trip(tmp_path):
     path = tmp_path / "vec.txt"
     vec = np.array([1.5, -2.25, 1e-17, 3.0])
-    linops.write_vector(str(path), vec)
-    np.testing.assert_array_equal(linops.read_vector(str(path)), vec)
+    textio.write_vector(str(path), vec)
+    np.testing.assert_array_equal(textio.read_vector(str(path)), vec)
 
 
 def _block_operators():

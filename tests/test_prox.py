@@ -220,13 +220,6 @@ def test_feasibility_and_conj_values():
     assert spec.primal_value(np.array([2.0, -3.0])) == pytest.approx(5.0)
 
 
-def test_make_prox_dispatch_and_unknown_kind():
-    spec = prox.make_prox("box-clip", 2.0, 3)
-    assert isinstance(spec, prox.BoxClip)
-    with pytest.raises(UnknownKind):
-        prox.make_prox("nuclear", 1.0, 3)
-
-
 def test_prox_conjugate_validates_step():
     spec = prox.BoxClip(1.0, 2)
     with pytest.raises(DimensionError):
