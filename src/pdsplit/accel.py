@@ -252,10 +252,24 @@ def _check_qr(q, r, r_cap):
 
 
 def _q_constant(factors, q, r, floor_one):
+    """The schedule constant ``Q``, elementwise over arrays ``q`` and ``r``."""
     a, b, c, d = factors
-    bq = (b * b / q) if b > 0 else 0.0
-    q_const = max(a * a / ((1.0 - q) * r), (2.0 * c * d + bq) / (1.0 - r))
-    return max(q_const, 1.0) if floor_one else q_const
+    bq = np.where(b > 0, b * b / q, 0.0)
+    q_const = np.maximum(a * a / ((1.0 - q) * r), (2.0 * c * d + bq) / (1.0 - r))
+    return np.maximum(q_const, 1.0) if floor_one else q_const
+
+
+def _gap_bound(p_const, q_const, l_f, k_norm, omega_x, omega_y, k):
+    """The bounded-setting gap bound at index ``k`` (see :func:`bounded_gap_bound`)."""
+    return (
+        4.0 * p_const * omega_x**2 * l_f / (k * (k - 1.0))
+        + 2.0 * omega_x * omega_y * (q_const + 1.0) * k_norm / k
+    )
+
+
+def _energy_factor(q, r):
+    """The factor ``2 + q/(1-q) + (2r+1)/(1-2r)`` of the perturbation energy."""
+    return 2.0 + q / (1.0 - q) + (2.0 * r + 1.0) / (1.0 - 2.0 * r)
 
 
 def schedule_bounded(l_f, k_norm, factors, omega_x, omega_y, q, r, check_up_to=10000):
@@ -276,7 +290,7 @@ def schedule_bounded(l_f, k_norm, factors, omega_x, omega_y, q, r, check_up_to=1
         q=q,
         r=r,
         P=1.0 / (1.0 - q),
-        Q=_q_constant(factors, q, r, floor_one=False),
+        Q=float(_q_constant(factors, q, r, floor_one=False)),
         factors=tuple(factors),
         l_f=l_f,
         k_norm=k_norm,
@@ -305,7 +319,7 @@ def schedule_unbounded(l_f, k_norm, factors, horizon, q, r):
         q=q,
         r=r,
         P=1.0 / (1.0 - q),
-        Q=_q_constant(factors, q, r, floor_one=True),
+        Q=float(_q_constant(factors, q, r, floor_one=True)),
         factors=tuple(factors),
         l_f=l_f,
         k_norm=k_norm,
@@ -324,15 +338,8 @@ def bounded_gap_bound(schedule, k):
     k = float(k)
     if k < 2:
         raise ConstraintViolation("the bounded gap bound starts at k = 2")
-    return (
-        4.0 * schedule.P * schedule.omega_x**2 * schedule.l_f / (k * (k - 1.0))
-        + 2.0
-        * schedule.omega_x
-        * schedule.omega_y
-        * (schedule.Q + 1.0)
-        * schedule.k_norm
-        / k
-    )
+    return _gap_bound(schedule.P, schedule.Q, schedule.l_f, schedule.k_norm,
+                      schedule.omega_x, schedule.omega_y, k)
 
 
 def tune_qr(setting, l_f, k_norm, factors, horizon, omega_x=None, omega_y=None):
@@ -354,19 +361,14 @@ def tune_qr(setting, l_f, k_norm, factors, horizon, omega_x=None, omega_y=None):
         r_grid = grid[grid < 0.5]
     else:
         raise UnknownKind(f"unknown schedule setting {setting!r}")
-    a, b, c, d = factors
     qq, rr = np.meshgrid(grid, r_grid, indexing="ij")
-    bq = np.where(b > 0, b * b / qq, 0.0)
-    q_const = np.maximum(a * a / ((1.0 - qq) * rr), (2.0 * c * d + bq) / (1.0 - rr))
+    q_const = _q_constant(factors, qq, rr, floor_one=setting == "unbounded")
     p_const = 1.0 / (1.0 - qq)
     if setting == "bounded":
-        obj = 4.0 * p_const * omega_x**2 * l_f / (
-            horizon * (horizon - 1.0)
-        ) + 2.0 * omega_x * omega_y * (q_const + 1.0) * k_norm / horizon
+        obj = _gap_bound(p_const, q_const, l_f, k_norm, omega_x, omega_y, horizon)
     else:
-        q_const = np.maximum(q_const, 1.0)
-        energy = 2.0 + qq / (1.0 - qq) + (2.0 * rr + 1.0) / (1.0 - 2.0 * rr)
-        obj = (4.0 * p_const * l_f / horizon**2 + 2.0 * q_const * k_norm / horizon) * energy
+        obj = ((4.0 * p_const * l_f / horizon**2 + 2.0 * q_const * k_norm / horizon)
+               * _energy_factor(qq, rr))
     best = obj.min()
     ties = np.argwhere(obj == best)
     # Ties resolve toward the smallest q, then the smallest r; the row-major
@@ -665,15 +667,7 @@ def compute_perturbation(problem, params, result, anchor):
         )
         * r_tilde
     )
-    eps = (
-        (rho / tau)
-        * (
-            2.0
-            + schedule.q / (1.0 - schedule.q)
-            + (2.0 * schedule.r + 1.0) / (1.0 - 2.0 * schedule.r)
-        )
-        * r_tilde**2
-    )
+    eps = (rho / tau) * _energy_factor(schedule.q, schedule.r) * r_tilde**2
     return PerturbationDiagnostic(
         k=k,
         v_x=v_x,

@@ -388,8 +388,9 @@ def save_bundle(path, generated):
     textio.write_vector(os.path.join(path, BUNDLE_SIGNAL), generated.signal)
 
 
-def _read_typed(path):
-    """The entries of a ``key=value`` file, typed by ``_VALUE_TYPES``."""
+def _read_typed(path, required):
+    """The entries of a ``key=value`` file, typed by ``_VALUE_TYPES``; each
+    key of ``required`` must be present."""
     values = {}
     for lineno, key, text in textio.read_keyvalue(path):
         kind = _VALUE_TYPES.get(key, str)
@@ -397,6 +398,9 @@ def _read_typed(path):
             values[key] = kind(text)
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: {key}={text!r} is not {kind.__name__}") from None
+    for key in required:
+        if key not in values:
+            raise ConfigError(f"{path} lacks a {key} entry")
     return values
 
 
@@ -407,9 +411,7 @@ def load_bundle(path):
     the kind's generator; the latent and lasso couplings, deterministic
     functions of the spec, are reassembled instead of read.
     """
-    meta = _read_typed(os.path.join(path, BUNDLE_META))
-    if "kind" not in meta:
-        raise ConfigError(f"bundle {path} lacks a kind entry")
+    meta = _read_typed(os.path.join(path, BUNDLE_META), ["kind"])
     spec_fields = {f.name for f in fields(SyntheticSpec)}
     spec = SyntheticSpec(**{k: v for k, v in meta.items() if k in spec_fields})
     design = textio.read_triplets(os.path.join(path, BUNDLE_DESIGN)).toarray()
@@ -430,13 +432,11 @@ def auto_norm_bounds(problem, warm_iters=2000):
 
     Runs the plain iteration from zero for ``warm_iters`` steps and returns
     ``2 * sqrt(2)`` times each block norm, floored at 1, together with the
-    warmup result for warm-starting.  No caller reads the warmup's metric
-    distance, so its dense metric matrix is not built.
+    warmup result for warm-starting.
     """
     warm = fb.run_fb(
         problem,
         fb.FbParams(kappa=0.0, max_iters=warm_iters, record_every=warm_iters),
-        record_mdist=False,
     )
     omega_x = 2.0 * math.sqrt(2.0) * max(1.0, float(np.linalg.norm(warm.x)))
     omega_y = 2.0 * math.sqrt(2.0) * max(1.0, float(np.linalg.norm(warm.y)))
@@ -542,7 +542,6 @@ def reference_solve(problem, budget=100000, tol=1e-8):
             x0=x,
             y0=y,
             tol=step_tol,
-            record_mdist=False,
         )
         iterations += pol.iterations
         x, y = pol.x, pol.y
@@ -585,7 +584,8 @@ def save_reference(path, ref):
 
 def load_reference(path):
     """Read a reference solution written by :func:`save_reference`."""
-    summary = _read_typed(os.path.join(path, REFERENCE_SUMMARY))
+    summary = _read_typed(os.path.join(path, REFERENCE_SUMMARY), [
+        "objective", "method", "iterations", "residual_rel", "best_effort"])
     return ReferenceSolution(
         x=textio.read_vector(os.path.join(path, REFERENCE_X)),
         y=textio.read_vector(os.path.join(path, REFERENCE_Y)),

@@ -575,13 +575,7 @@ def region_scan_grid(
             )
             try:
                 with np.errstate(over="ignore", invalid="ignore"):
-                    res = fb.run_fb(
-                        problem,
-                        params,
-                        tol=tol,
-                        validate=False,
-                        record_mdist=False,
-                    )
+                    res = fb.run_fb(problem, params, tol=tol, validate=False)
                 converged = 1.0 if res.converged else 0.0
                 residual = float(res.trace.column("residual")[-1])
             except NonFiniteIterate:

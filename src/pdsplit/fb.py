@@ -22,6 +22,11 @@ only their step and their solver-specific trace columns.
 loss ``f(x) = phi(A x)`` once per iterate and hand it to the next step's
 gradient and to the trace row, and :class:`_ErgodicMean` carries the image
 of the ergodic mean by linearity, so a trace row costs no design product.
+
+The metric distance ``mdist`` of a :func:`run_fb` or sharded row is the
+norm of its step in the preconditioner's metric (:func:`m_norm`), one
+``K'`` product per row at any problem size.  The metric is not defined for
+:func:`run_fbf` and the accelerated runners, whose rows record ``nan``.
 """
 
 from __future__ import annotations
@@ -40,10 +45,6 @@ from .errors import (
     MissingHistory,
     NonFiniteIterate,
 )
-from .linops import densify
-
-# Largest primal-plus-dual dimension for which the metric matrix is built.
-M_DENSE_LIMIT = 2000
 
 # Fraction of the theoretical caps used by the step and relaxation recipes.
 RECIPE_FACTOR = 0.9
@@ -296,31 +297,18 @@ def fb_step(problem, kappa, tau, sigma, x, y, ax=None):
     return x_new, y_new
 
 
-def build_m_matrix(problem, kappa, tau, sigma):
-    """Dense metric matrix of the preconditioned iteration.
+def m_norm(problem, kappa, tau, sigma, dx, dy):
+    """Metric norm ``||(dx, dy)||_M`` of the preconditioner, clipped against rounding.
 
-    Blocks: ``[[I/tau, C'], [C, I/sigma + tau * (C C' - K K')]]`` with
-    ``C = kappa * K``.  Only available while the stacked dimension stays at
-    or below ``M_DENSE_LIMIT``.
+    With ``C = kappa K`` the metric is ``[[I/tau, C'], [C, I/sigma + tau (C C'
+    - K K')]]``, so its quadratic form is ``|dx|^2/tau + 2 kappa <K' dy, dx>
+    + |dy|^2/sigma + tau (kappa^2 - 1) |K' dy|^2``: one ``K'`` product at any
+    problem size.
     """
-    p, l = problem.dims
-    if p + l > M_DENSE_LIMIT:
-        raise DimensionError(
-            f"metric matrix needs p + l <= {M_DENSE_LIMIT}, got {p + l}"
-        )
-    k_mat = densify(problem.K)
-    c_mat = kappa * k_mat
-    kkt = k_mat @ k_mat.T
-    top = np.hstack([np.eye(p) / tau, c_mat.T])
-    bottom = np.hstack(
-        [c_mat, np.eye(l) / sigma + tau * (kappa**2 * kkt - kkt)]
-    )
-    return np.vstack([top, bottom])
-
-
-def m_norm(m, d):
-    """Metric norm ``sqrt(d' M d)`` clipped against rounding."""
-    return float(np.sqrt(max(float(d @ (m @ d)), 0.0)))
+    kty = problem.K.apply_adjoint(dy)
+    square = (dx @ dx / tau + 2.0 * kappa * (kty @ dx) + dy @ dy / sigma
+              + tau * (kappa**2 - 1.0) * (kty @ kty))
+    return float(np.sqrt(max(float(square), 0.0)))
 
 
 def _require_finite(x, y, k, labels=None):
@@ -403,86 +391,77 @@ def _drive(step, row, n_steps, record_every, columns, tol=None, labels=None):
 class _ErgodicMean:
     """Weighted running mean of the resolvent points.
 
-    Given the design's row count ``n``, it also carries the weighted sum of
-    the points' design images, so the ergodic objective reads its ``A x``
-    from the sum instead of a design product.
+    It also carries the weighted sum of the points' design images (the
+    design has ``n`` rows), so the ergodic objective reads its ``A x`` from
+    the sum instead of a design product.
     """
 
-    def __init__(self, p, n=None):
+    def __init__(self, p, n):
         self.total = np.zeros(p)
-        self.image = None if n is None else np.zeros(n)
+        self.image = np.zeros(n)
         self.weight = 0.0
 
-    def add(self, weight, point, image=None):
-        """Add ``weight * point``; ``image`` is its design image when carried."""
+    def add(self, weight, point, image):
+        """Add ``weight * point``; ``image`` is its design image."""
         self.total += weight * point
         self.weight += weight
-        if self.image is not None:
-            self.image += image
+        self.image += image
 
-    def row(self, problem, x, res, mdist, ax=None):
-        """Trace columns of the forward-backward family at iterate ``x``.
-
-        ``ax`` is the design image of ``x``, or ``None`` to compute it.
-        """
-        mean_image = None if self.image is None else self.image / self.weight
+    def row(self, problem, x, res, mdist, ax):
+        """Trace columns of the forward-backward family at iterate ``x``,
+        whose design image is ``ax``."""
         return {
             "objective": saddle.primal_objective(problem, x, ax),
             "ergodic_objective": saddle.primal_objective(
-                problem, self.total / self.weight, mean_image
+                problem, self.total / self.weight, self.image / self.weight
             ),
             "residual": res,
             "mdist": mdist,
         }
 
 
-def _relaxed_run(problem, stepped, params, rho, x, y, tol, metric=None, on_step=None):
+def _relaxed_run(problem, stepped, params, rho, x, y, tol, on_step=None):
     """Relaxed iteration on ``stepped`` through the shared driver.
 
     ``fb_step`` runs on ``stepped`` (the sharded run passes its counting
     copy of ``problem``) while trace rows are evaluated on ``problem``.
     ``on_step(k, x, y)`` sees every relaxed pair.
 
-    When ``stepped`` is ``problem``, the design image ``A x`` of each relaxed
-    iterate is computed once and read by the next gradient and the trace
-    row; the ergodic image grows by ``A (rho x~_k) = A x_k - (1 - rho)
-    A x_{k-1}``.  On a counting copy every product stays inside the step, so
-    rows evaluate their objectives directly and charge nothing.
+    The design image ``A x`` of the start is read on ``problem``; that of
+    each relaxed iterate is computed once on ``stepped`` and read by the
+    next gradient and the trace row.  The ergodic image grows by
+    ``A (rho x~_k) = A x_k - (1 - rho) A x_{k-1}``.
 
     The step keeps its displacement ``(dx, dy)``, and the metric distance
-    ``||(dx, dy)||_M`` (a dense ``(p + l)^2`` product) is evaluated only for
-    recorded rows.
+    ``||(dx, dy)||_M`` (:func:`m_norm`, one ``K'`` product on ``problem``)
+    is evaluated only for recorded rows.
 
     Returns
     -------
     (x, y, x_tilde, y_tilde, trace, iterations, converged)
     """
-    design = problem.loss.A
-    carry = stepped is problem
-    erg = _ErgodicMean(x.size, design.shape[0] if carry else None)
-    ax = design.apply(x) if carry else None
+    kappa, tau, sigma = params.kappa, params.tau, params.sigma
+    design = stepped.loss.A
+    erg = _ErgodicMean(x.size, design.shape[0])
+    ax = problem.loss.A.apply(x)
     x_t, y_t, dx, dy = x, y, None, None
 
     def step(k):
         nonlocal x, y, ax, x_t, y_t, dx, dy
-        x_t, y_t = fb_step(stepped, params.kappa, params.tau, params.sigma, x, y, ax)
+        x_t, y_t = fb_step(stepped, kappa, tau, sigma, x, y, ax)
         dx = x_t - x
         dy = y_t - y
         res = float(np.sqrt(dx @ dx + dy @ dy))
         x = x + rho * dx
         y = y + rho * dy
-        if carry:
-            ax_prev, ax = ax, design.apply(x)
-            erg.add(rho, x_t, ax - (1.0 - rho) * ax_prev)
-        else:
-            erg.add(rho, x_t)
+        ax_prev, ax = ax, design.apply(x)
+        erg.add(rho, x_t, ax - (1.0 - rho) * ax_prev)
         if on_step is not None:
             on_step(k, x, y)
         return x_t, y_t, res
 
     def row(k, res):
-        mdist = np.nan if metric is None else m_norm(metric, np.concatenate([dx, dy]))
-        return erg.row(problem, x, res, mdist, ax)
+        return erg.row(problem, x, res, m_norm(problem, kappa, tau, sigma, dx, dy), ax)
 
     trace, k, converged = _drive(
         step,
@@ -503,9 +482,11 @@ def run_fb(
     tol=None,
     validate=True,
     keep_iterates=False,
-    record_mdist="auto",
 ):
     """Run the relaxed preconditioned iteration.
+
+    Every trace row records the metric distance ``mdist`` of its step
+    (:func:`m_norm`, one ``K'`` product per row).
 
     Parameters
     ----------
@@ -521,9 +502,6 @@ def run_fb(
         numeric ``relaxation`` is used as given and ``"recipe"`` means 1.
     keep_iterates : bool
         Keep every relaxed iterate pair (including the start) in memory.
-    record_mdist : bool or "auto"
-        Record the metric displacement per row; ``"auto"`` enables it while
-        the stacked dimension allows the dense metric.
 
     Returns
     -------
@@ -540,14 +518,6 @@ def run_fb(
         )
         rho = 1.0 if params.relaxation == "recipe" else float(params.relaxation)
 
-    p, l = problem.dims
-    if record_mdist == "auto":
-        record_mdist = p + l <= M_DENSE_LIMIT
-    metric = (
-        build_m_matrix(problem, params.kappa, params.tau, params.sigma)
-        if record_mdist
-        else None
-    )
     iterates = None
     on_step = None
     if keep_iterates:
@@ -555,7 +525,7 @@ def run_fb(
         on_step = lambda k, x, y: iterates.append((x.copy(), y.copy()))
 
     x, y, x_t, y_t, trace, k, converged = _relaxed_run(
-        problem, problem, params, rho, x, y, tol, metric, on_step
+        problem, problem, params, rho, x, y, tol, on_step
     )
     return FbResult(
         x=x,
@@ -573,6 +543,9 @@ def run_fb(
 
 def fejer_check(problem, params, iterates, z_star, slack_factor=1e-10):
     """Check monotone decrease of the metric distance to a fixed point.
+
+    Each distance is :func:`m_norm` of the iterate's offset from
+    ``z_star``, one ``K'`` product per iterate at any problem size.
 
     Parameters
     ----------
@@ -602,11 +575,11 @@ def fejer_check(problem, params, iterates, z_star, slack_factor=1e-10):
     if iterates is None or len(iterates) < 2:
         raise MissingHistory("fejer_check needs at least two recorded iterates")
     params = resolve_params(problem, params)
-    metric = build_m_matrix(problem, params.kappa, params.tau, params.sigma)
-    zs = np.concatenate([np.asarray(z_star[0]), np.asarray(z_star[1])])
-    dist = np.array(
-        [m_norm(metric, np.concatenate([xi, yi]) - zs) for xi, yi in iterates]
-    )
+    xs, ys = np.asarray(z_star[0]), np.asarray(z_star[1])
+    dist = np.array([
+        m_norm(problem, params.kappa, params.tau, params.sigma, xi - xs, yi - ys)
+        for xi, yi in iterates
+    ])
     slack = slack_factor * (1.0 + dist[0])
     increases = np.diff(dist)
     max_increase = float(increases.max()) if increases.size else 0.0
@@ -668,7 +641,7 @@ def run_fbf(
 ):
     """Run the forward-backward-forward benchmark iteration.
 
-    Returns an :class:`FbResult`; the metric-displacement column is not
+    Returns an :class:`FbResult`; the metric distance ``mdist`` is not
     defined for this scheme and stays ``nan``.
     """
     x, y = _start_point(problem, x0, y0)

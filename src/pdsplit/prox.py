@@ -109,7 +109,7 @@ class ConjugateProx:
 
     def conj_value(self, y):
         """Value of ``h*`` at ``y`` (``inf`` outside its domain)."""
-        raise NotImplementedError
+        return self.conj_value_with_tol(y, 0.0)
 
     def primal_value(self, u):
         """Value of the penalty ``h`` at ``u``."""
@@ -120,7 +120,8 @@ class ConjugateProx:
         return np.isfinite(self.conj_value_with_tol(y, tol))
 
     def conj_value_with_tol(self, y, tol):
-        """Like :meth:`conj_value` but declaring near-feasible points in."""
+        """Value of ``h*`` at ``y``, declaring points within ``tol`` of its
+        domain in."""
         raise NotImplementedError
 
 
@@ -142,9 +143,6 @@ class BoxClip(ConjugateProx):
     def prox(self, v, sigma):
         v = self._check(v, block=True)
         return np.clip(v, -self.lam, self.lam)
-
-    def conj_value(self, y):
-        return self.conj_value_with_tol(y, 0.0)
 
     def conj_value_with_tol(self, y, tol):
         y = self._check(y)
@@ -183,9 +181,6 @@ class L2Ball(ConjugateProx):
             return v.copy()
         return v * (self.lam / nrm)
 
-    def conj_value(self, y):
-        return self.conj_value_with_tol(y, 0.0)
-
     def conj_value_with_tol(self, y, tol):
         y = self._check(y)
         if np.linalg.norm(y) > self.lam + tol:
@@ -217,9 +212,6 @@ class L1Ball(ConjugateProx):
         if v.ndim == 2:
             return _columnwise(lambda c: project_l1_ball(c, self.lam), v)
         return project_l1_ball(v, self.lam)
-
-    def conj_value(self, y):
-        return self.conj_value_with_tol(y, 0.0)
 
     def conj_value_with_tol(self, y, tol):
         y = self._check(y)
@@ -265,9 +257,6 @@ class GroupL2Balls(ConjugateProx):
         np.divide(radii, nrm, out=scale, where=over)
         return v * self.partition.expand(scale)
 
-    def conj_value(self, y):
-        return self.conj_value_with_tol(y, 0.0)
-
     def conj_value_with_tol(self, y, tol):
         y = self._check(y)
         if np.any(self.partition.block_norms(y) > self.radii + tol):
@@ -309,9 +298,6 @@ class HingeConj(ConjugateProx):
             _per_row(self._hi, v),
         )
 
-    def conj_value(self, y):
-        return self.conj_value_with_tol(y, 0.0)
-
     def conj_value_with_tol(self, y, tol):
         y = self._check(y)
         by = self.labels * y
@@ -344,9 +330,6 @@ class IdentityShift(ConjugateProx):
     def prox(self, v, sigma):
         v = self._check(v, block=True)
         return v - sigma * _per_row(self.shift, v)
-
-    def conj_value(self, y):
-        return self.conj_value_with_tol(y, 0.0)
 
     def conj_value_with_tol(self, y, tol):
         y = self._check(y)
@@ -386,9 +369,6 @@ class Composite(ConjugateProx):
         return np.concatenate(
             [part.prox(seg, sigma) for part, seg in self._segments(v)]
         )
-
-    def conj_value(self, y):
-        return self.conj_value_with_tol(y, 0.0)
 
     def conj_value_with_tol(self, y, tol):
         y = self._check(y)

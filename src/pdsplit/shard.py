@@ -11,9 +11,14 @@ driver in :mod:`pdsplit.fb`.  A forward product sums the block partials
 left to right and an adjoint product concatenates the block adjoints.
 A dense design is cut into dense column slices and any other design into
 CSR slices; penalty blocks are CSR, whose row structure gives the traffic
-counts.  The step computes its own ``A x``
-on the counting copy and closes one ledger row; trace rows evaluate their
-objectives directly on the original problem, so they are never charged.
+counts.
+
+The run carries the design image ``A x`` as :func:`pdsplit.fb.run_fb` does.
+The image of the start is read on the original design and charged to no
+ledger row.  Each step makes one adjoint design product in the gradient and
+one forward design product on the relaxed iterate, then closes one ledger
+row.  Trace rows read the carried images and take their metric distance on
+the original problem, so they are never charged.
 
 Counting rules per product:
 
@@ -217,9 +222,9 @@ def run_fb_sharded(problem, params, m_workers, x0=None, y0=None, tol=None):
     """Run the base iteration with sharded products and a traffic ledger.
 
     The arithmetic differs from the dense run only in summation order, so
-    the trajectories agree to rounding.  Objective reporting happens on the
-    gathered iterate and is not charged to the ledger.  ``x0`` and ``y0``
-    are starting points (zeros by default).
+    the trajectories agree to rounding.  Trace rows read the carried design
+    images and are not charged to the ledger.  ``x0`` and ``y0`` are
+    starting points (zeros by default).
 
     Returns
     -------
@@ -233,7 +238,6 @@ def run_fb_sharded(problem, params, m_workers, x0=None, y0=None, tol=None):
     a_op = _CountingStack(plan.a_blocks, ledger.add_loss, (plan.m - 1) * plan.n)
     k_op = _CountingStack(plan.k_blocks, ledger.add_penalty, plan.cross_total)
     shadow = saddle.SaddleProblem(problem.loss.on(a_op), k_op, problem.hconj)
-    shadow._k_norm = problem.k_norm
 
     x, y, _, _, trace, k, converged = fb._relaxed_run(
         problem,

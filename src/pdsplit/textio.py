@@ -135,12 +135,23 @@ def write_triplets(path, matrix):
 
 def read_triplets(path):
     """Read a matrix written by :func:`write_triplets` as a CSR array; the
-    entries fill arrays sized by the header, one chunk at a time."""
+    entries fill arrays sized by the header, one chunk at a time.
+
+    A header is refused before anything is allocated when its ``nnz``
+    exceeds ``rows * cols`` or the bytes after it cannot hold ``nnz`` entry
+    lines (``1 1 0`` and a newline is the shortest, the last newline may be
+    missing).
+    """
     with _open(path) as fh:
-        header = fh.readline().split()
+        line = fh.readline()
+        header = line.split()
         if len(header) != 3 or not all(t.isdecimal() for t in header):
             raise DimensionError(f"{path}:1: not a rows cols nnz header: {header}")
         rows, cols, nnz = map(int, header)
+        rest = os.fstat(fh.fileno()).st_size - len(line.encode())
+        if nnz > rows * cols or rest < 6 * nnz - 1:
+            raise DimensionError(f"{path}:1: {nnz} entries do not fit a {rows}x{cols} "
+                                 f"matrix in the {rest} bytes that follow")
         ij, values, done = np.empty((2, nnz), dtype=np.int64), np.empty(nnz), 0
         for block in _blocks(path, itertools.islice(fh, nnz), 2, 3):
             index = block[:, :2].T

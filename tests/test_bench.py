@@ -9,7 +9,12 @@ import pytest
 import oracles
 from conftest import CountingDenseOp
 from pdsplit import bench, fb, linops, saddle
-from pdsplit.errors import ConstraintViolation, InsufficientData, ResidualTooLarge
+from pdsplit.errors import (
+    ConfigError,
+    ConstraintViolation,
+    InsufficientData,
+    ResidualTooLarge,
+)
 from pdsplit.fb import IterTrace
 from pdsplit.prox import BoxClip
 
@@ -142,32 +147,20 @@ def test_reference_rejects_bad_budget_or_tolerance_before_any_step(budget, tol):
 
 
 
-def test_warm_and_polish_runs_build_no_metric_matrix(monkeypatch):
-    problem = bench.generate(SMALL_SPECS[0]).problem
-    fb_runs = []
-    run_fb = fb.run_fb
-
-    def recorded_run_fb(*args, **kwargs):
-        fb_runs.append(kwargs.get("record_mdist", "auto"))
-        return run_fb(*args, **kwargs)
-
-    def no_metric(*args, **kwargs):
-        raise AssertionError("the metric matrix was built")
-
-    with_metric = run_fb(problem, fb.FbParams(kappa=0.0, max_iters=300,
-                                               record_every=300))
-    monkeypatch.setattr(fb, "build_m_matrix", no_metric)
-    monkeypatch.setattr(fb, "run_fb", recorded_run_fb)
-    _, _, warm = bench.auto_norm_bounds(problem, 300)
-    # Skipping the metric leaves the warm pair bitwise as it was.
-    assert _bits(warm.x) == _bits(with_metric.x)
-    assert _bits(warm.y) == _bits(with_metric.y)
-    assert np.isnan(warm.trace.column("mdist")).all()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ResidualTooLarge)
-        bench.reference_solve(problem, budget=200, tol=1e-12)
-    # The warm run and at least one polish run went through ``run_fb``.
-    assert len(fb_runs) >= 3 and set(fb_runs) == {False}
+@pytest.mark.parametrize("key", ["objective", "method", "iterations", "residual_rel",
+                                 "best_effort"])
+def test_a_reference_without_one_of_its_keys_is_a_config_error(tmp_path, key):
+    ref = bench.ReferenceSolution(x=np.array([1.0, -2.0]), y=np.array([0.5]),
+                                  objective=1.25, method="plain", iterations=7,
+                                  residual_rel=1e-9, best_effort=False)
+    bench.save_reference(str(tmp_path), ref)
+    loaded = bench.load_reference(str(tmp_path))
+    assert (loaded.method, loaded.iterations, loaded.best_effort) == ("plain", 7, False)
+    summary = tmp_path / bench.REFERENCE_SUMMARY
+    lines = summary.read_text().splitlines(keepends=True)
+    summary.write_text("".join(l for l in lines if not l.startswith(f"{key}=")))
+    with pytest.raises(ConfigError, match=f"reference.txt lacks a {key} entry"):
+        bench.load_reference(str(tmp_path))
 
 
 def test_loading_a_latent_bundle_estimates_the_design_norm_once(tmp_path, monkeypatch):

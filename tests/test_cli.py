@@ -197,6 +197,6 @@ def test_region_scan_misses_are_region_errors_not_budget_limits():
         params = fb.FbParams(kappa=cols["kappa"][i], tau=cols["tau"][i],
                              sigma=cols["sigma"][i], relaxation=1.0,
                              max_iters=5000, record_every=5000)
-        res = fb.run_fb(problem, params, tol=1e-6, validate=False, record_mdist=False)
+        res = fb.run_fb(problem, params, tol=1e-6, validate=False)
         assert res.converged and res.iterations <= 108
         assert res.trace.column("residual")[-1] == cols["residual"][i]

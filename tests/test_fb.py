@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from pdsplit import linops, prox
+from pdsplit import bench, linops, prox
 from pdsplit.errors import (
     ConstraintViolation,
     DegenerateProblem,
@@ -14,7 +15,6 @@ from pdsplit.errors import (
 from pdsplit.fb import (
     FbParams,
     IterTrace,
-    build_m_matrix,
     convergence_region,
     default_step_sizes,
     fb_step,
@@ -28,7 +28,12 @@ from pdsplit.fb import (
     validate_params,
 )
 from pdsplit.accel import AccelParams, run_accel
-from pdsplit.saddle import SaddleProblem, primal_objective, quadratic_loss
+from pdsplit.saddle import (
+    SaddleProblem,
+    primal_objective,
+    quadratic_loss,
+    split_dual_construct,
+)
 from pdsplit.shard import run_fb_sharded
 from pdsplit.stoch import StocParams, masked_oracle_factory, run_stoc
 
@@ -245,34 +250,54 @@ def test_fb_step_is_stationary_at_closed_form_fixed_point():
         np.testing.assert_allclose(yt, y_star, atol=1e-14)
 
 
-def test_m_matrix_matches_oracle_across_continuum(dense_problem):
-    problem, _, _, k = dense_problem
-    for kappa in (-1.0, -0.3, 0.0, 0.6, 1.0):
-        built = build_m_matrix(problem, kappa, 0.2, 0.3)
-        np.testing.assert_allclose(
-            built, oracles.metric_matrix(k, kappa, 0.2, 0.3), atol=1e-12
-        )
-        np.testing.assert_allclose(built, built.T, atol=1e-12)
-
-
-def test_m_matrix_refuses_oversized_problems():
+def _metric_problems():
+    """A dense, a CSR, a split-dual ``VStackOp`` and a latent coupling."""
     rng = np.random.default_rng(47)
-    a = np.zeros((1, 1500))
-    problem = SaddleProblem(
-        quadratic_loss(a, np.zeros(1)),
-        linops.matrix_operator(rng.standard_normal((600, 1500))),
-        prox.BoxClip(1.0, 600),
-    )
-    with pytest.raises(DimensionError):
-        build_m_matrix(problem, 0.0, 0.1, 0.1)
+    csr = sp.random_array((70, 80), density=0.05, format="csr", rng=rng)
+    a = rng.standard_normal((9, 80))
+    labels = np.where(rng.standard_normal(9) > 0, 1.0, -1.0)
+    latent = bench.SyntheticSpec(kind="latent-group-lasso", seed=7, n_groups=3,
+                                 group_size=12, n_samples=15)
+    return {
+        "dense": make_dense_problem()[0],
+        "csr": SaddleProblem(quadratic_loss(a, rng.standard_normal(9)),
+                             linops.SparseOp(csr), prox.BoxClip(1.0, 70)),
+        "split-dual": split_dual_construct(linops.SparseOp(csr), prox.BoxClip(1.0, 70),
+                                           a, labels),
+        "latent": bench.generate(latent).problem,
+    }
 
 
-def test_m_norm_agrees_with_quadratic_form(dense_problem):
-    problem, _, _, k = dense_problem
-    m = build_m_matrix(problem, 0.4, 0.2, 0.3)
+@pytest.mark.parametrize("name", ["dense", "csr", "split-dual", "latent"])
+def test_m_norm_matches_the_dense_metric_across_continuum(name):
+    problem = _metric_problems()[name]
+    k = linops.densify(problem.K)
     rng = np.random.default_rng(48)
-    d = rng.standard_normal(10)
-    assert m_norm(m, d) == pytest.approx(np.sqrt(d @ m @ d))
+    p, l = problem.dims
+    tau = 0.2
+    # ``tau sigma ||K||^2 < 1`` keeps the metric positive definite.
+    sigma = 0.5 / (tau * np.linalg.norm(k, 2) ** 2)
+    dx, dy = rng.standard_normal(p), rng.standard_normal(l)
+    d = np.concatenate([dx, dy])
+    for kappa in (-1.0, -0.5, 0.0, 0.5, 1.0):
+        want = np.sqrt(d @ oracles.metric_matrix(k, kappa, tau, sigma) @ d)
+        got = m_norm(problem, kappa, tau, sigma, dx, dy)
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_metric_distance_needs_no_dense_metric_above_two_thousand_rows():
+    p, lam = 1001, 0.5
+    b = np.random.default_rng(49).standard_normal(p)
+    problem = SaddleProblem(quadratic_loss(linops.IdentityOp(p), b),
+                            linops.IdentityOp(p), prox.BoxClip(lam, p))
+    assert sum(problem.dims) > 2000
+    x_star = np.sign(b) * np.maximum(np.abs(b) - lam, 0.0)
+    params = FbParams(kappa=0.5, max_iters=40)
+    res = run_fb(problem, params, keep_iterates=True)
+    mdist = res.trace.column("mdist")
+    assert np.isfinite(mdist).all() and (mdist > 0).all()
+    report = fejer_check(problem, params, res.iterates, (x_star, b - x_star))
+    assert report["ok"] and np.isfinite(report["distances"]).all()
 
 
 def test_run_fb_zero_iterations_returns_start(tiny_lasso):
@@ -353,14 +378,13 @@ def test_sparse_rows_read_the_metric_of_their_own_step(tiny_lasso, kappa):
     n = 120
     dense = run_fb(problem, FbParams(kappa=kappa, max_iters=n, record_every=1))
     info = validate_params(problem, FbParams(kappa=kappa))
-    metric = build_m_matrix(problem, kappa, info["tau"], info["sigma"])
     pairs = _fb_pairs(problem, info["tau"], info["sigma"], info["rho"],
                       np.zeros(problem.dims[0]), np.zeros(problem.dims[1]), kappa)
     replay = {"residual": [], "mdist": []}
     for _, (xt, yt, x, y) in zip(range(n), pairs):
         dx, dy = xt - x, yt - y
         replay["residual"].append(float(np.sqrt(dx @ dx + dy @ dy)))
-        replay["mdist"].append(m_norm(metric, np.concatenate([dx, dy])))
+        replay["mdist"].append(m_norm(problem, kappa, info["tau"], info["sigma"], dx, dy))
     for column, values in replay.items():
         np.testing.assert_array_equal(dense.trace.column(column), values)
 
@@ -378,9 +402,6 @@ def test_sparse_rows_read_the_metric_of_their_own_step(tiny_lasso, kappa):
         for column in ("objective", "ergodic_objective", "residual", "mdist"):
             np.testing.assert_array_equal(res.trace.column(column),
                                           dense.trace.column(column)[rows])
-    unmetered = run_fb(problem, FbParams(kappa=kappa, max_iters=20, record_every=7),
-                       record_mdist=False)
-    assert np.isnan(unmetered.trace.column("mdist")).all()
 
 
 def _first_nonfinite_pair(pairs, n):

@@ -1,6 +1,8 @@
 """Operator abstraction: dispatch, adjoints, norms, builders, triplet IO."""
 
+import ast
 import os
+import pathlib
 import subprocess
 import sys
 import time
@@ -295,6 +297,25 @@ def test_adjoint_consistency_on_random_pairs():
             rhs = float(u @ op.apply_adjoint(v))
             scale = max(abs(lhs), abs(rhs), 1.0)
             assert abs(lhs - rhs) <= 1e-10 * scale
+
+
+def test_only_linops_densifies_an_operator():
+    """No solver path materializes an operator: ``densify`` is called and
+    imported in ``linops.py`` alone (``to_sparse`` reaches it there)."""
+    package = pathlib.Path(linops.__file__).parent
+    users = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            elif isinstance(node, ast.ImportFrom):
+                name = "densify" if any(a.name == "densify" for a in node.names) else ""
+            else:
+                continue
+            if name == "densify":
+                users.add(path.name)
+    assert users == {"linops.py"}, users
 
 
 @settings(max_examples=25, deadline=None)

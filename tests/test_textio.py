@@ -117,6 +117,9 @@ def test_unreadable_and_unwritable_files_are_config_errors(tmp_path):
     ("2 2 3\n1 1 1.0\n\n0 1 1.0\n", ": entry 2 "),
     ("2 x 1\n", ":1:"),
     ("2 2 -1\n", ":1:"),
+    ("2 2 99999999999999\n", ":1:"),
+    ("1 1 2\n1 1 1\n1 1 2\n", ":1:"),
+    ("3 3 2\n1 1 1\n", ":1:"),
 ])
 def test_malformed_triplets_name_the_line(tmp_path, text, line):
     path = tmp_path / "m.txt"
@@ -168,6 +171,20 @@ def test_corrupt_bundles_exit_with_a_typed_error_naming_the_file(
     assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "run")]) == code
     err = capsys.readouterr().err
     assert err.startswith(f"{named}: ") and str(target) in err
+
+
+def test_an_impossible_triplet_header_exits_two_naming_the_file(tmp_path, capsys):
+    config = tmp_path / "gen.cfg"
+    config.write_text(TINY)
+    assert cli.main(["gen", "--config", str(config), "--out", str(tmp_path / "gen")]) == 0
+    target = tmp_path / "gen" / "bundle" / "coupling.txt"
+    lines = target.read_text().splitlines(keepends=True)
+    target.write_text("2 2 99999999999999\n" + "".join(lines[1:]))
+    capsys.readouterr()
+    config.write_text(f"bundle={tmp_path / 'gen' / 'bundle'}\nalgorithm=fb\nmax_iters=3\n")
+    assert cli.main(["run", "--config", str(config), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("solver error: ") and f"{target}:1:" in err
 
 
 def _writes(tree):
