@@ -16,9 +16,12 @@ per step, one ``K`` fewer when ``alpha = 1``.
 
 Schedules come in a bounded-domain flavor (constant dual step, iterate-norm
 bounds supplied) and an unbounded flavor (horizon-tied growing steps).  Both
-satisfy two per-iteration inequalities that are asserted at construction;
-:class:`ScheduleLaws` holds those checks and the relaxation and
-extrapolation laws for this module's schedule and the stochastic one.
+satisfy two per-iteration inequalities that are asserted at construction.
+:class:`Schedule` is the one schedule class: it holds those checks and the
+relaxation and extrapolation laws both for this module's schedules and for
+the noisy ones of :mod:`pdsplit.stoch`, which add noise levels and the
+splitting parameters ``s, t < 1``.  Every constructor validates its inputs
+in one private builder.
 
 :func:`run_accel` supplies only :func:`accel_step` and its schedule columns;
 the iteration loop is the shared driver in :mod:`pdsplit.fb`.
@@ -120,27 +123,105 @@ def mode_factors(mode, kappa=0.0):
     return abs(alpha), abs(beta), abs(1.0 - alpha), abs(1.0 + beta)
 
 
-class ScheduleLaws:
-    """Laws shared by the deterministic and the noisy schedules.
+def _scalar_or_array(out):
+    return float(out) if out.ndim == 0 else out
 
-    Relaxation ``rho = 2 / (k + 1)``, extrapolation ``theta = (k - 1) / k``,
-    and the two per-iteration inequalities.  A subclass supplies ``tau``,
-    ``sigma`` and the inequality budgets: ``(1 - q, 1 - r)`` for the
-    deterministic schedule and ``(s - q, t - r)`` for the noisy one.
+
+def _noise_scale(s, t, chi_x, chi_y):
+    """The combined noise level in the steps of an unbounded noisy schedule."""
+    return float(
+        np.sqrt((2.0 - s) / (1.0 - s) * chi_x**2 + (2.0 - t) / (1.0 - t) * chi_y**2)
+    )
+
+
+@dataclass
+class Schedule:
+    """Step, relaxation, and extrapolation schedule, deterministic or noisy.
+
+    ``rho``, ``theta``, ``tau``, and ``sigma`` accept scalar or ndarray
+    iteration indices.  ``P`` and ``Q`` are the schedule constants entering
+    the convergence bounds.  Relaxation is ``rho = 2 / (k + 1)`` and
+    extrapolation ``theta = (k - 1) / k``; the two per-iteration
+    inequalities have the budgets ``(s - q, t - r)``.
+
+    The schedule is deterministic when ``chi_x`` is ``None``, with
+    ``s = t = 1``.  A noisy schedule carries the noise levels
+    ``chi_x``/``chi_y`` (and, unbounded, the anchor-radius estimate
+    ``r_tilde``); both its steps grow linearly in ``k`` against constant
+    horizon-tied denominators, so its step ratio matches ``theta`` exactly.
     """
 
+    setting: str
+    q: float
+    r: float
+    P: float
+    Q: float
+    factors: tuple
+    l_f: float
+    k_norm: float
+    horizon: int | None = None
+    omega_x: float | None = None
+    omega_y: float | None = None
+    s: float = 1.0
+    t: float = 1.0
+    chi_x: float | None = None
+    chi_y: float | None = None
+    r_tilde: float | None = None
+
     def budgets(self):
-        raise NotImplementedError
+        return self.s - self.q, self.t - self.r
 
     def rho(self, k):
         k = np.asarray(k, dtype=float)
-        out = 2.0 / (k + 1.0)
-        return float(out) if out.ndim == 0 else out
+        return _scalar_or_array(2.0 / (k + 1.0))
 
     def theta(self, k):
         k = np.asarray(k, dtype=float)
-        out = (k - 1.0) / k
-        return float(out) if out.ndim == 0 else out
+        return _scalar_or_array((k - 1.0) / k)
+
+    def tau(self, k):
+        k = np.asarray(k, dtype=float)
+        if self.chi_x is None:
+            if self.setting == "bounded":
+                den = 2.0 * self.P * self.l_f + k * self.Q * self.k_norm * (
+                    self.omega_y / self.omega_x
+                )
+            else:
+                den = 2.0 * self.P * self.l_f + self.Q * self.horizon * self.k_norm
+            return _scalar_or_array(k / den)
+        n = float(self.horizon)
+        if self.setting == "bounded":
+            den = (
+                2.0 * self.P * self.l_f * self.omega_x
+                + self.Q * self.k_norm * self.omega_y * (n - 1.0)
+                + self.chi_x * n * np.sqrt(n - 1.0)
+            )
+            return _scalar_or_array(self.omega_x * k / den)
+        chi = _noise_scale(self.s, self.t, self.chi_x, self.chi_y)
+        den = (
+            2.0 * self.P * self.l_f
+            + self.Q * self.k_norm * (n - 1.0)
+            + n * np.sqrt(n - 1.0) * chi / self.r_tilde
+        )
+        return _scalar_or_array(k / den)
+
+    def sigma(self, k):
+        k = np.asarray(k, dtype=float)
+        if self.chi_x is None:
+            if self.setting == "bounded":
+                out = np.full_like(k, self.omega_y / (self.k_norm * self.omega_x))
+            else:
+                out = k / (self.horizon * self.k_norm)
+            return _scalar_or_array(out)
+        n = float(self.horizon)
+        if self.setting == "bounded":
+            den = self.k_norm * self.omega_x * (n - 1.0) + self.chi_y * n * np.sqrt(
+                n - 1.0
+            )
+            return _scalar_or_array(self.omega_y * k / den)
+        chi = _noise_scale(self.s, self.t, self.chi_x, self.chi_y)
+        den = self.k_norm * (n - 1.0) + n * np.sqrt(n - 1.0) * chi / self.r_tilde
+        return _scalar_or_array(k / den)
 
     def condition_margins(self, k):
         """Margins of the two schedule inequalities at index ``k``.
@@ -200,63 +281,79 @@ class ScheduleTable:
         )
 
 
-@dataclass
-class Schedule(ScheduleLaws):
-    """Step, relaxation, and extrapolation schedule.
+def _q_constant(factors, q, r, s, t, floor_one):
+    """The schedule constant ``Q``, elementwise over arrays ``q`` and ``r``.
 
-    ``rho``, ``theta``, ``tau``, and ``sigma`` accept scalar or ndarray
-    iteration indices.  ``P`` and ``Q`` are the schedule constants entering
-    the convergence bounds.
+    ``max(a^2 / ((s - q) r), (2 c d + b^2 / q) / (t - r))``, floored at one
+    when ``floor_one``; deterministic schedules take ``s = t = 1``.
     """
-
-    setting: str
-    q: float
-    r: float
-    P: float
-    Q: float
-    factors: tuple
-    l_f: float
-    k_norm: float
-    horizon: int | None = None
-    omega_x: float | None = None
-    omega_y: float | None = None
-
-    def budgets(self):
-        return 1.0 - self.q, 1.0 - self.r
-
-    def tau(self, k):
-        k = np.asarray(k, dtype=float)
-        if self.setting == "bounded":
-            den = 2.0 * self.P * self.l_f + k * self.Q * self.k_norm * (
-                self.omega_y / self.omega_x
-            )
-        else:
-            den = 2.0 * self.P * self.l_f + self.Q * self.horizon * self.k_norm
-        out = k / den
-        return float(out) if out.ndim == 0 else out
-
-    def sigma(self, k):
-        k = np.asarray(k, dtype=float)
-        if self.setting == "bounded":
-            out = np.full_like(k, self.omega_y / (self.k_norm * self.omega_x))
-        else:
-            out = k / (self.horizon * self.k_norm)
-        return float(out) if out.ndim == 0 else out
-
-
-def _check_qr(q, r, r_cap):
-    if not 0.0 < q < 1.0:
-        raise ConstraintViolation(f"q must lie in (0, 1), got {q}")
-    if not 0.0 < r < r_cap:
-        raise ConstraintViolation(f"r must lie in (0, {r_cap}), got {r}")
-
-
-def _q_constant(factors, q, r, floor_one):
-    """The schedule constant ``Q``, elementwise over arrays ``q`` and ``r``."""
     a, b, c, d = factors
     bq = np.where(b > 0, b * b / q, 0.0)
-    q_const = np.maximum(a * a / ((1.0 - q) * r), (2.0 * c * d + bq) / (1.0 - r))
+    q_const = np.maximum(a * a / ((s - q) * r), (2.0 * c * d + bq) / (t - r))
     return np.maximum(q_const, 1.0) if floor_one else q_const
+
+
+def _check_horizon(horizon):
+    horizon = int(horizon)
+    if horizon < 2:
+        raise ConstraintViolation("horizon must be at least 2")
+    return horizon
+
+
+def _schedule(setting, l_f, k_norm, factors, q, r, s=1.0, t=1.0, horizon=None,
+              omega_x=None, omega_y=None, chi_x=None, chi_y=None, r_tilde=None,
+              check_up_to=None):
+    """Check the inputs of any schedule, build it and assert its inequalities.
+
+    The schedule is noisy when ``chi_x`` is given.  The inequalities are
+    asserted on ``k = 1..check_up_to``, by default the indices a run steps
+    through: ``1..horizon`` when deterministic, ``1..horizon - 1`` when noisy.
+    """
+    noisy = chi_x is not None
+    if not 0.0 < q < s <= 1.0:
+        raise ConstraintViolation(f"need 0 < q < s <= 1, got q = {q}, s = {s}")
+    if not 0.0 < r < t <= 1.0:
+        raise ConstraintViolation(f"need 0 < r < t <= 1, got r = {r}, t = {t}")
+    if setting == "unbounded" and r >= 0.5:
+        raise ConstraintViolation(f"r must stay below 0.5 when unbounded, got {r}")
+    if noisy and not (s < 1.0 and t < 1.0):
+        raise ConstraintViolation(f"noisy schedules need s, t < 1, got {s}, {t}")
+    if not k_norm > 0:
+        raise ConstraintViolation("coupling norm must be positive")
+    if horizon is not None:
+        horizon = _check_horizon(horizon)
+    if setting == "bounded" and (
+        omega_x is None or omega_y is None or omega_x <= 0 or omega_y <= 0
+    ):
+        raise ConstraintViolation("bounded setting needs positive iterate-norm bounds")
+    if noisy and (chi_x < 0 or chi_y < 0):
+        raise ConstraintViolation("noise levels must be nonnegative")
+    if noisy and setting == "unbounded":
+        if r_tilde is None or r_tilde <= 0:
+            raise ConstraintViolation("unbounded setting needs a positive r_tilde")
+        r_tilde = float(r_tilde)
+    sched = Schedule(
+        setting=setting,
+        q=q,
+        r=r,
+        P=1.0 / (s - q),
+        Q=float(_q_constant(factors, q, r, s, t, floor_one=setting == "unbounded")),
+        factors=tuple(factors),
+        l_f=l_f,
+        k_norm=k_norm,
+        horizon=horizon,
+        omega_x=omega_x,
+        omega_y=omega_y,
+        s=s,
+        t=t,
+        chi_x=chi_x,
+        chi_y=chi_y,
+        r_tilde=r_tilde,
+    )
+    if check_up_to is None:
+        check_up_to = horizon - 1 if noisy else horizon
+    sched.assert_conditions(np.arange(1, check_up_to + 1))
+    return sched
 
 
 def _gap_bound(p_const, q_const, l_f, k_norm, omega_x, omega_y, k):
@@ -280,25 +377,8 @@ def schedule_bounded(l_f, k_norm, factors, omega_x, omega_y, q, r, check_up_to=1
     inequalities are asserted for ``k`` up to ``check_up_to`` (they hold for
     every ``k``; the check guards transcription drift).
     """
-    _check_qr(q, r, 1.0)
-    if omega_x <= 0 or omega_y <= 0:
-        raise ConstraintViolation("iterate-norm bounds must be positive")
-    if k_norm <= 0:
-        raise ConstraintViolation("coupling norm must be positive")
-    sched = Schedule(
-        setting="bounded",
-        q=q,
-        r=r,
-        P=1.0 / (1.0 - q),
-        Q=float(_q_constant(factors, q, r, floor_one=False)),
-        factors=tuple(factors),
-        l_f=l_f,
-        k_norm=k_norm,
-        omega_x=omega_x,
-        omega_y=omega_y,
-    )
-    sched.assert_conditions(np.arange(1, check_up_to + 1))
-    return sched
+    return _schedule("bounded", l_f, k_norm, factors, q, r, omega_x=omega_x,
+                     omega_y=omega_y, check_up_to=check_up_to)
 
 
 def schedule_unbounded(l_f, k_norm, factors, horizon, q, r):
@@ -308,25 +388,7 @@ def schedule_unbounded(l_f, k_norm, factors, horizon, q, r):
     the inequalities are asserted for ``k = 1..horizon``, the exact range a
     horizon-``N`` run uses.
     """
-    _check_qr(q, r, 0.5)
-    horizon = int(horizon)
-    if horizon < 2:
-        raise ConstraintViolation("horizon must be at least 2")
-    if k_norm <= 0:
-        raise ConstraintViolation("coupling norm must be positive")
-    sched = Schedule(
-        setting="unbounded",
-        q=q,
-        r=r,
-        P=1.0 / (1.0 - q),
-        Q=float(_q_constant(factors, q, r, floor_one=True)),
-        factors=tuple(factors),
-        l_f=l_f,
-        k_norm=k_norm,
-        horizon=horizon,
-    )
-    sched.assert_conditions(np.arange(1, horizon + 1))
-    return sched
+    return _schedule("unbounded", l_f, k_norm, factors, q, r, horizon=horizon)
 
 
 def bounded_gap_bound(schedule, k):
@@ -349,9 +411,7 @@ def tune_qr(setting, l_f, k_norm, factors, horizon, omega_x=None, omega_y=None):
     minimize the perturbation-energy bound.  Ties break toward smaller
     ``q``, then smaller ``r``.
     """
-    horizon = int(horizon)
-    if horizon < 2:
-        raise ConstraintViolation("horizon must be at least 2")
+    horizon = _check_horizon(horizon)
     grid = np.arange(1, 100) * 0.01
     if setting == "bounded":
         if omega_x is None or omega_y is None:
@@ -362,7 +422,7 @@ def tune_qr(setting, l_f, k_norm, factors, horizon, omega_x=None, omega_y=None):
     else:
         raise UnknownKind(f"unknown schedule setting {setting!r}")
     qq, rr = np.meshgrid(grid, r_grid, indexing="ij")
-    q_const = _q_constant(factors, qq, rr, floor_one=setting == "unbounded")
+    q_const = _q_constant(factors, qq, rr, 1.0, 1.0, floor_one=setting == "unbounded")
     p_const = 1.0 / (1.0 - qq)
     if setting == "bounded":
         obj = _gap_bound(p_const, q_const, l_f, k_norm, omega_x, omega_y, horizon)
@@ -475,8 +535,6 @@ def build_schedule(problem, params):
     """Construct the schedule requested by ``params`` for ``problem``."""
     factors = mode_factors(params.mode, params.kappa)
     if params.setting == "bounded":
-        if params.omega_x is None or params.omega_y is None:
-            raise ConstraintViolation("bounded setting needs omega_x and omega_y")
         return schedule_bounded(
             problem.L_f,
             problem.k_norm,

@@ -605,6 +605,8 @@ def cmd_region_scan(config, args):
     """Sweep a step-size grid per continuum position and record outcomes."""
     if config.grid < 2:
         raise ConfigError("grid must be at least 2")
+    if config.region_budget < 1:
+        raise ConfigError("region_budget must be at least 1")
     if not 0.0 < config.span_lo < config.span_hi:
         raise ConfigError("need 0 < span_lo < span_hi")
     for kappa in config.kappas:

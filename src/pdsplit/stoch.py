@@ -12,6 +12,10 @@ Convergence is established for the modes whose primal extrapolation
 operator is exactly ``-K`` (``kappa`` mode at 1 and ``chen``); other modes
 require the caller to opt in explicitly.
 
+The noisy schedules are instances of the deterministic module's
+:class:`~pdsplit.accel.Schedule` with noise levels set, so both share the
+laws, the inequality checks, the input checks and the constant ``Q``.
+
 :func:`run_stoc` advances all its seeds together as one block iterate, a
 ``(dim, B)`` array with one column per seed, by :func:`stoc_accel_step`
 through the accelerated module's runner and so through the iteration loop
@@ -30,13 +34,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accel import (
-    ScheduleLaws,
+    Schedule,
     _accel_core,
     _run_schedule,
+    _schedule,
     mode_coefficients,
     mode_factors,
 )
-from .errors import ConstraintViolation, DimensionError, UnsupportedMode
+from .errors import ConstraintViolation, DimensionError, UnknownKind, UnsupportedMode
 from .fb import IterTrace, _start_point
 
 AGGREGATE_COLUMNS = ["k", "mean_objective", "median_objective", "q10", "q90"]
@@ -255,97 +260,6 @@ def estimate_chi(oracle, problem, x, y, n_draws=CHI_DRAWS, inflation=CHI_INFLATI
     }
 
 
-@dataclass
-class StocSchedule(ScheduleLaws):
-    """Noisy-setting schedule with horizon-tied steps.
-
-    Shares the relaxation and extrapolation laws and the inequality checks
-    of the deterministic schedule through :class:`ScheduleLaws`, with the
-    budgets ``(s - q, t - r)``.  Both steps grow linearly in ``k`` against
-    constant denominators, so the extrapolation ratio matches ``theta``
-    exactly.  A horizon-``N`` run executes steps ``1 .. N - 1``, which is
-    the range the inequalities are needed (and guaranteed) on.
-    """
-
-    setting: str
-    q: float
-    r: float
-    s: float
-    t: float
-    P: float
-    Q: float
-    factors: tuple
-    l_f: float
-    k_norm: float
-    horizon: int
-    chi_x: float
-    chi_y: float
-    omega_x: float | None = None
-    omega_y: float | None = None
-    r_tilde: float | None = None
-
-    def budgets(self):
-        return self.s - self.q, self.t - self.r
-
-    def _noise_scale(self):
-        return float(
-            np.sqrt(
-                (2.0 - self.s) / (1.0 - self.s) * self.chi_x**2
-                + (2.0 - self.t) / (1.0 - self.t) * self.chi_y**2
-            )
-        )
-
-    def tau(self, k):
-        k = np.asarray(k, dtype=float)
-        n = float(self.horizon)
-        if self.setting == "bounded":
-            den = (
-                2.0 * self.P * self.l_f * self.omega_x
-                + self.Q * self.k_norm * self.omega_y * (n - 1.0)
-                + self.chi_x * n * np.sqrt(n - 1.0)
-            )
-            out = self.omega_x * k / den
-        else:
-            den = (
-                2.0 * self.P * self.l_f
-                + self.Q * self.k_norm * (n - 1.0)
-                + n * np.sqrt(n - 1.0) * self._noise_scale() / self.r_tilde
-            )
-            out = k / den
-        return float(out) if out.ndim == 0 else out
-
-    def sigma(self, k):
-        k = np.asarray(k, dtype=float)
-        n = float(self.horizon)
-        if self.setting == "bounded":
-            den = self.k_norm * self.omega_x * (n - 1.0) + self.chi_y * n * np.sqrt(
-                n - 1.0
-            )
-            out = self.omega_y * k / den
-        else:
-            den = self.k_norm * (n - 1.0) + n * np.sqrt(
-                n - 1.0
-            ) * self._noise_scale() / self.r_tilde
-            out = k / den
-        return float(out) if out.ndim == 0 else out
-
-
-def _check_qrst(q, r, s, t, r_cap=1.0):
-    if not 0.0 < q < s < 1.0:
-        raise ConstraintViolation(f"need 0 < q < s < 1, got q = {q}, s = {s}")
-    if not 0.0 < r < t < 1.0:
-        raise ConstraintViolation(f"need 0 < r < t < 1, got r = {r}, t = {t}")
-    if r >= r_cap:
-        raise ConstraintViolation(f"r must stay below {r_cap}, got {r}")
-
-
-def _stoc_q_constant(factors, q, r, s, t, floor_one):
-    a, b, _, _ = factors
-    bq = (b * b / q) if b > 0 else 0.0
-    q_const = max(a * a / (r * (s - q)), bq / (t - r))
-    return max(q_const, 1.0) if floor_one else q_const
-
-
 def schedule_stoc_bounded(
     l_f, k_norm, factors, horizon, omega_x, omega_y, q, r, s, t, chi_x, chi_y
 ):
@@ -355,33 +269,9 @@ def schedule_stoc_bounded(
     the noise levels; the inequalities are asserted on the executed range
     ``k = 1 .. horizon - 1``.
     """
-    _check_qrst(q, r, s, t)
-    horizon = int(horizon)
-    if horizon < 2:
-        raise ConstraintViolation("horizon must be at least 2")
-    if omega_x is None or omega_y is None or omega_x <= 0 or omega_y <= 0:
-        raise ConstraintViolation("bounded setting needs positive iterate-norm bounds")
-    if chi_x < 0 or chi_y < 0:
-        raise ConstraintViolation("noise levels must be nonnegative")
-    sched = StocSchedule(
-        setting="bounded",
-        q=q,
-        r=r,
-        s=s,
-        t=t,
-        P=1.0 / (s - q),
-        Q=_stoc_q_constant(factors, q, r, s, t, floor_one=False),
-        factors=tuple(factors),
-        l_f=l_f,
-        k_norm=k_norm,
-        horizon=horizon,
-        chi_x=float(chi_x),
-        chi_y=float(chi_y),
-        omega_x=omega_x,
-        omega_y=omega_y,
-    )
-    sched.assert_conditions(np.arange(1, horizon))
-    return sched
+    return _schedule("bounded", l_f, k_norm, factors, q, r, s, t, horizon=horizon,
+                     omega_x=omega_x, omega_y=omega_y, chi_x=float(chi_x),
+                     chi_y=float(chi_y))
 
 
 def schedule_stoc_unbounded(l_f, k_norm, factors, horizon, q, r, s, t, chi_x, chi_y, r_tilde):
@@ -390,32 +280,8 @@ def schedule_stoc_unbounded(l_f, k_norm, factors, horizon, q, r, s, t, chi_x, ch
     Needs an anchor-radius estimate ``r_tilde`` scaling the noise share of
     the step denominators, and ``r < 1/2``.
     """
-    _check_qrst(q, r, s, t, r_cap=0.5)
-    horizon = int(horizon)
-    if horizon < 2:
-        raise ConstraintViolation("horizon must be at least 2")
-    if r_tilde is None or r_tilde <= 0:
-        raise ConstraintViolation("unbounded setting needs a positive r_tilde")
-    if chi_x < 0 or chi_y < 0:
-        raise ConstraintViolation("noise levels must be nonnegative")
-    sched = StocSchedule(
-        setting="unbounded",
-        q=q,
-        r=r,
-        s=s,
-        t=t,
-        P=1.0 / (s - q),
-        Q=_stoc_q_constant(factors, q, r, s, t, floor_one=True),
-        factors=tuple(factors),
-        l_f=l_f,
-        k_norm=k_norm,
-        horizon=horizon,
-        chi_x=float(chi_x),
-        chi_y=float(chi_y),
-        r_tilde=float(r_tilde),
-    )
-    sched.assert_conditions(np.arange(1, horizon))
-    return sched
+    return _schedule("unbounded", l_f, k_norm, factors, q, r, s, t, horizon=horizon,
+                     chi_x=float(chi_x), chi_y=float(chi_y), r_tilde=r_tilde)
 
 
 def stoc_gap_bound(schedule):
@@ -493,7 +359,7 @@ def build_stoc_schedule(problem, params):
             params.chi_y,
             params.r_tilde,
         )
-    raise ConstraintViolation(f"unknown schedule setting {params.setting!r}")
+    raise UnknownKind(f"unknown schedule setting {params.setting!r}")
 
 
 def stoc_accel_step(problem, oracle, alpha, beta, schedule, k, state):
@@ -524,7 +390,7 @@ class StocResult:
 
     runs: list
     aggregate: IterTrace
-    schedule: StocSchedule
+    schedule: Schedule
     chi_x: float
     chi_y: float
     seeds: list

@@ -79,6 +79,7 @@ def test_run_fb_exits_zero(tmp_path):
     ("run", "algorithm fb\n", "key=value"),
     ("run", "bundle=elsewhere\nalgorithm=fb\n", "bundle"),
     ("region-scan", "grid=1\n", "grid"),
+    ("region-scan", "region_budget=0\n", "region_budget"),
     ("run", "algorithm=fb\nmax_iters=2.5\n", "'max_iters'"),
     ("run", "algorithm=stoc\nseeds=[1.5, 2]\n", "'seeds'"),
     ("run", "algorithm=fb\ntau=true\n", "'tau'"),

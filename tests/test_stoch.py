@@ -7,7 +7,12 @@ import pytest
 
 from pdsplit import bench, stoch
 from pdsplit.accel import AccelState, accel_step, mode_coefficients, mode_factors
-from pdsplit.errors import ConstraintViolation, NonFiniteIterate, UnsupportedMode
+from pdsplit.errors import (
+    ConstraintViolation,
+    NonFiniteIterate,
+    UnknownKind,
+    UnsupportedMode,
+)
 from pdsplit.prox import BoxClip
 from pdsplit.saddle import SaddleProblem, primal_objective, quadratic_loss
 from pdsplit.stoch import (
@@ -205,6 +210,32 @@ def test_noisy_schedule_conditions_hold_on_executed_range(dense_problem):
         assert m1 >= -1e-12 and m2 >= -1e-12
 
 
+def test_noisy_schedules_off_the_proven_modes_keep_their_inequalities():
+    # Opted-in modes with c = |1 - alpha| > 0 need the 2 c d term of Q.
+    spec = bench.SyntheticSpec(kind="lasso", seed=1, dim=20, n_samples=30)
+    problem = bench.generate(spec).problem
+    horizon = 200
+    d = StocParams()
+    ks = np.arange(1, horizon, dtype=float)
+    for kappa in (0.0, 0.5):
+        factors = mode_factors("kappa", kappa)
+        schedules = (
+            schedule_stoc_bounded(problem.L_f, problem.k_norm, factors, horizon,
+                                  5.0, 5.0, d.q, d.r, d.s, d.t, 0.0, 0.0),
+            schedule_stoc_unbounded(problem.L_f, problem.k_norm, factors, horizon,
+                                    d.q, d.r, d.s, d.t, 0.0, 0.0, 3.0),
+        )
+        for sched in schedules:
+            o1, o2 = oracles.stoc_conditions(
+                sched.tau(ks), sched.sigma(ks), sched.rho(ks), problem.L_f,
+                problem.k_norm, *factors, d.q, d.r, d.s, d.t
+            )
+            assert np.all(o1 >= 0.0) and np.all(o2 >= 0.0)
+            m1, m2 = sched.condition_margins(ks)
+            np.testing.assert_allclose(m1, o1, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(m2, o2, rtol=1e-12, atol=1e-12)
+
+
 def test_noisy_step_ratio_is_constant(dense_problem):
     problem, _, _, _ = dense_problem
     sched = schedule_stoc_bounded(problem.L_f, problem.k_norm,
@@ -227,6 +258,19 @@ def test_qrst_ordering_is_enforced(dense_problem):
     with pytest.raises(ConstraintViolation):
         schedule_stoc_unbounded(problem.L_f, problem.k_norm, factors, 100,
                                 0.25, 0.6, 0.75, 0.8, 0.5, 0.5, 1.0)
+    with pytest.raises(ConstraintViolation):
+        schedule_stoc_bounded(problem.L_f, 0.0, factors, 100,
+                              2.0, 3.0, 0.25, 0.2, 0.75, 0.8, 0.5, 0.5)
+    with pytest.raises(ConstraintViolation):
+        schedule_stoc_unbounded(problem.L_f, 0.0, factors, 100,
+                                0.25, 0.2, 0.75, 0.8, 0.5, 0.5, 1.0)
+
+
+def test_build_stoc_schedule_rejects_an_unknown_setting(dense_problem):
+    problem, _, _, _ = dense_problem
+    params = StocParams(setting="adaptive", horizon=10, chi_x=0.5, chi_y=0.5)
+    with pytest.raises(UnknownKind):
+        build_stoc_schedule(problem, params)
 
 
 def test_stoc_gap_bound_matches_oracle(dense_problem):
