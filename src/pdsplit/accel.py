@@ -35,7 +35,7 @@ import numpy as np
 
 from . import saddle
 from .errors import ConstraintViolation, MissingHistory, UnknownKind
-from .fb import IterTrace, _drive, _start_point
+from .fb import IterTrace, _drive, _start_point, _step_norm
 
 ACCEL_TRACE_COLUMNS = [
     "k",
@@ -585,7 +585,7 @@ def _run_schedule(problem, schedule, advance, x, y, n_steps, record_every, seeds
         return dict(
             objective=saddle.primal_objective(problem, xt),
             ergodic_objective=saddle.primal_objective(problem, x),
-            residual=float(np.sqrt(dx @ dx + dy @ dy)),
+            residual=_step_norm(dx, dy),
             mdist=np.nan,
             tau_k=table.tau(k),
             sigma_k=table.sigma(k),
@@ -593,25 +593,25 @@ def _run_schedule(problem, schedule, advance, x, y, n_steps, record_every, seeds
             **stamp,
         )
 
-    def row(k, res):
+    def row(k, res, which=None):
         parts = (state.xt, state.x, state.xt - state.xt_prev, state.yt - state.yt_prev)
         if seeds is None:
             return columns(k, *parts)
-        by_seed = zip(seeds, *(np.ascontiguousarray(a.T) for a in parts))
-        return [columns(k, *cols, seed=s) for s, *cols in by_seed]
+        return [columns(k, *(np.ascontiguousarray(a[:, j]) for a in parts), seed=seeds[j])
+                for j in which]
 
     labels = None if seeds is None else [f"seed {s}" for s in seeds]
     names = ACCEL_TRACE_COLUMNS + ([] if seeds is None else ["seed"])
     traced, k, _ = _drive(step, row, n_steps, record_every, names, labels=labels)
     arrays = (state.x, state.y, state.xt, state.yt, state.xt_prev, state.yt_prev, *first)
 
-    def result(trace, pick):
+    def result(trace, pick, iterations):
         picked = (None if a is None else pick(a) for a in arrays)
-        return AccelResult(*picked, trace=trace, iterations=k, schedule=schedule)
+        return AccelResult(*picked, trace=trace, iterations=iterations, schedule=schedule)
 
     if seeds is None:
-        return result(traced, lambda a: a)
-    return [result(t, lambda a, j=j: a[:, j].copy()) for j, t in enumerate(traced)]
+        return result(traced, lambda a: a, k)
+    return [result(t, lambda a, j=j: a[:, j].copy(), int(k[j])) for j, t in enumerate(traced)]
 
 
 def run_accel(problem, params, x0=None, y0=None):

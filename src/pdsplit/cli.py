@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import accel, bench, fb, saddle, stoch, textio
-from .errors import ConfigError, InsufficientData, NonFiniteIterate, SolverError
+from .errors import ConfigError, InsufficientData, SolverError
 from .fb import IterTrace
 
 # Minimum relative slack for a grid point to count as interior to its
@@ -539,9 +539,11 @@ def region_scan_grid(
     is recorded, and the plain iteration (relaxation 1) is run when
     ``empirics`` selects the cell, marking it converged when the absolute
     unrelaxed step residual ``||(x~ - x, y~ - y)||`` falls to ``tol`` or
-    below within ``budget`` iterations (``tol`` is passed to
-    :func:`~pdsplit.fb.run_fb` as is).  Cells run one after another, kappa by
-    kappa, row by row.
+    below within ``budget`` iterations.  The cells that run are the columns
+    of one block iterate (:func:`~pdsplit.fb.run_fb_block`), each column
+    bitwise the :func:`~pdsplit.fb.run_fb` of its cell; a cell whose pair
+    leaves the finite range records ``converged`` 0 and ``residual`` inf.
+    Cells are listed kappa by kappa, row by row.
 
     Returns the cell trace plus the (ran, interior, agree) counters used for
     the prediction/empirics summary.
@@ -552,8 +554,7 @@ def region_scan_grid(
     inv_taus = np.linspace(span_lo, span_hi, grid) * curv_scale
     inv_sigmas = np.linspace(span_lo, span_hi, grid) * coup_scale
 
-    trace = IterTrace(REGION_COLUMNS)
-    n_interior = n_ran = n_agree = 0
+    cells = []
     for kappa, inv_tau, inv_sigma in itertools.product(kappas, inv_taus, inv_sigmas):
         tau, sigma = 1.0 / inv_tau, 1.0 / inv_sigma
         valid, margins = fb.convergence_region(l_f, k_norm, kappa, tau, sigma)
@@ -562,43 +563,29 @@ def region_scan_grid(
             interior = 1.0 if rel_min > INTERIOR_SLACK else 0.0
         else:
             interior = 1.0 if rel_min < -INTERIOR_SLACK else 0.0
-        ran, converged, residual = 0.0, math.nan, math.nan
-        if empirics == "all" or (empirics == "interior" and interior > 0):
-            ran = 1.0
-            params = fb.FbParams(
-                kappa=kappa,
-                tau=tau,
-                sigma=sigma,
-                relaxation=1.0,
-                max_iters=budget,
-                record_every=budget,
-            )
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    res = fb.run_fb(problem, params, tol=tol, validate=False)
-                converged = 1.0 if res.converged else 0.0
-                residual = float(res.trace.column("residual")[-1])
-            except NonFiniteIterate:
-                converged = 0.0
-                residual = math.inf
-            n_ran += 1
-            if interior > 0:
-                n_interior += 1
-                if float(valid) == converged:
-                    n_agree += 1
-        trace.append(
-            kappa=kappa,
-            inv_tau=inv_tau,
-            inv_sigma=inv_sigma,
-            tau=tau,
-            sigma=sigma,
-            valid=float(valid),
-            interior=interior,
-            ran=ran,
-            converged=converged,
-            residual=residual,
-        )
-    return trace, n_ran, n_interior, n_agree
+        ran = empirics == "all" or (empirics == "interior" and interior > 0)
+        cells.append(dict(kappa=kappa, inv_tau=inv_tau, inv_sigma=inv_sigma, tau=tau,
+                          sigma=sigma, valid=float(valid), interior=interior,
+                          ran=float(ran), converged=math.nan, residual=math.nan))
+
+    runs = [cell for cell in cells if cell["ran"]]
+    kappa, tau, sigma = ([cell[name] for cell in runs] for name in ("kappa", "tau", "sigma"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        results = fb.run_fb_block(problem, kappa, tau, sigma, budget, budget, tol)
+    for cell, res in zip(runs, results):
+        if np.isfinite(res.x_tilde).all() and np.isfinite(res.y_tilde).all():
+            cell["converged"] = 1.0 if res.converged else 0.0
+            cell["residual"] = float(res.trace.column("residual")[-1])
+        else:
+            cell["converged"], cell["residual"] = 0.0, math.inf
+
+    trace = IterTrace(REGION_COLUMNS)
+    for cell in cells:
+        trace.append(**cell)
+    ran = trace.column("ran") > 0
+    interior = ran & (trace.column("interior") > 0)
+    agree = interior & (trace.column("valid") == trace.column("converged"))
+    return trace, int(ran.sum()), int(interior.sum()), int(agree.sum())
 
 
 def cmd_region_scan(config, args):

@@ -14,9 +14,16 @@ for what the step needs: the finiteness scan runs when the step residual is
 missing or non-finite (a non-finite entry always makes the residual
 non-finite), and whatever only a trace row reads, such as the metric
 distance, is evaluated in the row.  :func:`run_fb`,
-:func:`run_fbf`, :func:`pdsplit.shard.run_fb_sharded`,
+:func:`run_fbf`, :func:`run_fb_block`, :func:`pdsplit.shard.run_fb_sharded`,
 :func:`pdsplit.accel.run_accel` and :func:`pdsplit.stoch.run_stoc` supply
 only their step and their solver-specific trace columns.
+
+The loop also runs block iterates, one run per column: the seeds of
+:func:`pdsplit.stoch.run_stoc`, and the step-size cells of a region scan in
+:func:`run_fb_block`, where every column has its own ``kappa``, ``tau``
+and ``sigma`` and leaves the block at its own step.  Operators, prox maps,
+loss gradients and the step norm (:func:`_step_norm`) all act column by
+column, so each column is bitwise the run of that column alone.
 
 :func:`run_fb` and :func:`run_fbf` compute the design image ``A x`` of the
 loss ``f(x) = phi(A x)`` once per iterate and hand it to the next step's
@@ -282,6 +289,11 @@ def fb_step(problem, kappa, tau, sigma, x, y, ax=None):
     the conjugate prox at ``y + sigma * K w``, and completes the primal as
     ``x - tau * (grad - kappa * K' y + (1 + kappa) * K' y_new)``.
 
+    ``(x, y)`` may be a block pair with one column per run; ``kappa``,
+    ``tau`` and ``sigma`` are then scalars or ``(B,)`` rows with one entry
+    per column, and column ``j`` of the output is bitwise the step of
+    column ``j`` alone with its own entries.
+
     Returns
     -------
     (ndarray, ndarray)
@@ -311,15 +323,25 @@ def m_norm(problem, kappa, tau, sigma, dx, dy):
     return float(np.sqrt(max(float(square), 0.0)))
 
 
-def _require_finite(x, y, k, labels=None):
-    """Raise unless the pair is finite; ``labels`` name the columns of a block."""
-    if np.all(np.isfinite(x)) and np.all(np.isfinite(y)):
-        return
-    where = ""
-    if labels is not None:
-        bad = ~(np.isfinite(x).all(axis=0) & np.isfinite(y).all(axis=0))
-        where = " in " + ", ".join(labels[j] for j in np.flatnonzero(bad))
-    raise NonFiniteIterate(f"iterate left the finite range at iteration {k}{where}")
+def _step_norm(dx, dy):
+    """Euclidean norm of the step ``(dx, dy)``, or of each column of a block.
+
+    A block's squares are dot products of contiguous rows of the transposed
+    step, as the 1-d norm takes them: a dot product over a strided column
+    rounds differently, and column ``j`` must be bitwise the norm of that
+    column's step alone.
+    """
+    if dx.ndim == 1:
+        return float(np.sqrt(dx @ dx + dy @ dy))
+    rows = [np.ascontiguousarray(d.T) for d in (dx, dy)]
+    rx, ry = (np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0] for r in rows)
+    return np.sqrt(rx + ry)
+
+
+def _lost_columns(x, y):
+    """Mask of the block columns whose pair is not finite (one flag for a
+    pair of vectors)."""
+    return ~(np.isfinite(x).all(axis=0) & np.isfinite(y).all(axis=0))
 
 
 def _start_point(problem, x0, y0):
@@ -338,7 +360,7 @@ def _check_budget(n_steps, record_every):
                                   "the recording cadence positive")
 
 
-def _drive(step, row, n_steps, record_every, columns, tol=None, labels=None):
+def _drive(step, row, n_steps, record_every, columns, tol=None, labels=None, leave=None):
     """The iteration loop shared by every runner.
 
     ``step(k)`` advances the runner's state by one iteration and returns the
@@ -353,15 +375,25 @@ def _drive(step, row, n_steps, record_every, columns, tol=None, labels=None):
     last step, and on convergence (``res <= tol``), which ends the loop.
 
     With ``labels`` the pair is a block with one column per label (one
-    seed of a multi-seed run each): ``row`` returns one dict per label, one
-    trace is kept per label, and a non-finite pair names the labels of its
-    non-finite columns.
+    seed of a multi-seed run, or one cell of a region scan), and the
+    residual, if any, has one entry per column.  One trace is kept per
+    label, and ``row(k, res, which)`` returns one dict per block position in
+    ``which``.  A non-finite column raises, naming its label, unless
+    ``leave`` is given.  Then every column stops on its own: it leaves the
+    block when it converges (recording its row), at the last step, or when
+    its pair leaves the finite range, which is an outcome then (no row, not
+    converged).  ``leave(gone, where)`` receives the mask of the leaving
+    block positions and their label indices; the runner keeps their final
+    state and drops them from its block, so later steps get smaller.  The
+    loop ends when no column is left.  Without ``leave`` no column leaves
+    before the last step, so ``tol`` must be ``None``.
 
     Returns
     -------
     (IterTrace, int, bool)
-        The trace (a list of one per label when ``labels`` is given), the
-        last iteration index and the convergence flag.
+        The trace, the last iteration index and the convergence flag.  With
+        ``labels``: a list of one trace per label, and arrays of each
+        label's last iteration index and convergence flag.
 
     Raises
     ------
@@ -369,36 +401,71 @@ def _drive(step, row, n_steps, record_every, columns, tol=None, labels=None):
         If ``n_steps`` is negative or ``record_every`` is not positive.
     """
     _check_budget(n_steps, record_every)
-    traces = [IterTrace(columns) for _ in labels or [None]]
+    if labels is not None:
+        return _drive_block(step, row, n_steps, record_every, columns, tol, labels, leave)
+    trace = IterTrace(columns)
     converged = False
     k = 0
     start = time.perf_counter()
     for k in range(1, n_steps + 1):
         x_t, y_t, res = step(k)
-        if res is None or not math.isfinite(res):
-            _require_finite(x_t, y_t, k, labels)
+        if (res is None or not math.isfinite(res)) and _lost_columns(x_t, y_t):
+            raise NonFiniteIterate(f"iterate left the finite range at iteration {k}")
         converged = tol is not None and res <= tol
         if k % record_every == 0 or k == n_steps or converged:
-            seconds = time.perf_counter() - start
-            rows = row(k, res)
-            for trace, values in zip(traces, rows if labels else [rows]):
-                trace.append(k=k, seconds=seconds, **values)
+            trace.append(k=k, seconds=time.perf_counter() - start, **row(k, res))
         if converged:
             break
-    return (traces if labels else traces[0]), k, converged
+    return trace, k, converged
+
+
+def _drive_block(step, row, n_steps, record_every, columns, tol, labels, leave):
+    """The loop of :func:`_drive` on a block, one column per label."""
+    traces = [IterTrace(columns) for _ in labels]
+    last = np.zeros(len(labels), dtype=int)
+    converged = np.zeros(len(labels), dtype=bool)
+    where = np.arange(len(labels))
+    start = time.perf_counter()
+    for k in range(1, n_steps + 1):
+        if not where.size:
+            break
+        x_t, y_t, res = step(k)
+        lost = np.zeros(where.size, dtype=bool)
+        if res is None or not np.isfinite(res).all():
+            lost = _lost_columns(x_t, y_t)
+            if leave is None and lost.any():
+                names = ", ".join(labels[i] for i in where[lost])
+                raise NonFiniteIterate(
+                    f"iterate left the finite range at iteration {k} in {names}")
+        hit = np.zeros(where.size, dtype=bool) if tol is None else res <= tol
+        due = k % record_every == 0 or k == n_steps
+        record = np.flatnonzero(~lost if due else hit)
+        if record.size:
+            seconds = time.perf_counter() - start
+            for i, values in zip(where[record], row(k, res, record)):
+                traces[i].append(k=k, seconds=seconds, **values)
+        gone = hit | lost | (k == n_steps)
+        if gone.any():
+            last[where[gone]] = k
+            converged[where[gone]] = hit[gone]
+            if leave is not None:
+                leave(gone, where[gone])
+            where = where[~gone]
+    return traces, last, converged
 
 
 class _ErgodicMean:
     """Weighted running mean of the resolvent points.
 
-    It also carries the weighted sum of the points' design images (the
-    design has ``n`` rows), so the ergodic objective reads its ``A x`` from
-    the sum instead of a design product.
+    It also carries the weighted sum of the points' design images, so the
+    ergodic objective reads its ``A x`` from the sum instead of a design
+    product.  The sums are shaped like a first ``point`` and its ``image``:
+    vectors, or blocks with one column per run.
     """
 
-    def __init__(self, p, n):
-        self.total = np.zeros(p)
-        self.image = np.zeros(n)
+    def __init__(self, point, image):
+        self.total = np.zeros_like(point)
+        self.image = np.zeros_like(image)
         self.weight = 0.0
 
     def add(self, weight, point, image):
@@ -407,20 +474,29 @@ class _ErgodicMean:
         self.weight += weight
         self.image += image
 
-    def row(self, problem, x, res, mdist, ax):
+    def keep(self, mask):
+        """Drop the block columns outside ``mask``."""
+        self.total = self.total[:, mask]
+        self.image = self.image[:, mask]
+
+    def row(self, problem, x, res, mdist, ax, column=None):
         """Trace columns of the forward-backward family at iterate ``x``,
-        whose design image is ``ax``."""
+        whose design image is ``ax``; for a block, ``x`` and ``ax`` are the
+        given ``column`` of the block iterate and its image."""
+        total, image = self.total, self.image
+        if column is not None:
+            total, image = total[:, column], image[:, column]
         return {
             "objective": saddle.primal_objective(problem, x, ax),
             "ergodic_objective": saddle.primal_objective(
-                problem, self.total / self.weight, self.image / self.weight
+                problem, total / self.weight, image / self.weight
             ),
             "residual": res,
             "mdist": mdist,
         }
 
 
-def _relaxed_run(problem, stepped, params, rho, x, y, tol, on_step=None):
+def _relaxed_run(problem, stepped, params, rho, x, y, tol, on_step=None, labels=None):
     """Relaxed iteration on ``stepped`` through the shared driver.
 
     ``fb_step`` runs on ``stepped`` (the sharded run passes its counting
@@ -436,14 +512,22 @@ def _relaxed_run(problem, stepped, params, rho, x, y, tol, on_step=None):
     ``||(dx, dy)||_M`` (:func:`m_norm`, one ``K'`` product on ``problem``)
     is evaluated only for recorded rows.
 
+    With ``labels``, ``(x, y)`` is a block pair with one column per label,
+    ``params.kappa``, ``tau`` and ``sigma`` are ``(B,)`` rows, and each
+    column leaves the block at its own step (see :func:`_drive`); a row is
+    evaluated on contiguous copies of its column, as a run on that column
+    alone would.
+
     Returns
     -------
     (x, y, x_tilde, y_tilde, trace, iterations, converged)
+        With ``labels``: the final block pairs, one trace per label, and
+        arrays of the iteration counts and convergence flags.
     """
     kappa, tau, sigma = params.kappa, params.tau, params.sigma
     design = stepped.loss.A
-    erg = _ErgodicMean(x.size, design.shape[0])
     ax = problem.loss.A.apply(x)
+    erg = _ErgodicMean(x, ax)
     x_t, y_t, dx, dy = x, y, None, None
 
     def step(k):
@@ -451,7 +535,7 @@ def _relaxed_run(problem, stepped, params, rho, x, y, tol, on_step=None):
         x_t, y_t = fb_step(stepped, kappa, tau, sigma, x, y, ax)
         dx = x_t - x
         dy = y_t - y
-        res = float(np.sqrt(dx @ dx + dy @ dy))
+        res = _step_norm(dx, dy)
         x = x + rho * dx
         y = y + rho * dy
         ax_prev, ax = ax, design.apply(x)
@@ -460,8 +544,26 @@ def _relaxed_run(problem, stepped, params, rho, x, y, tol, on_step=None):
             on_step(k, x, y)
         return x_t, y_t, res
 
-    def row(k, res):
-        return erg.row(problem, x, res, m_norm(problem, kappa, tau, sigma, dx, dy), ax)
+    def row(k, res, which=None):
+        if which is None:
+            return erg.row(problem, x, res, m_norm(problem, kappa, tau, sigma, dx, dy), ax)
+        rows = []
+        for j in which:
+            xj, axj, dxj, dyj = (np.ascontiguousarray(a[:, j]) for a in (x, ax, dx, dy))
+            mdist = m_norm(problem, float(kappa[j]), float(tau[j]), float(sigma[j]), dxj, dyj)
+            rows.append(erg.row(problem, xj, float(res[j]), mdist, axj, column=j))
+        return rows
+
+    final = None if labels is None else [np.empty_like(a) for a in (x, y, x, y)]
+
+    def leave(gone, where):
+        nonlocal x, y, ax, x_t, y_t, dx, dy, kappa, tau, sigma
+        for out, a in zip(final, (x, y, x_t, y_t)):
+            out[:, where] = a[:, gone]
+        keep = ~gone
+        x, y, ax, x_t, y_t, dx, dy = (a[:, keep] for a in (x, y, ax, x_t, y_t, dx, dy))
+        kappa, tau, sigma = kappa[keep], tau[keep], sigma[keep]
+        erg.keep(keep)
 
     trace, k, converged = _drive(
         step,
@@ -470,7 +572,11 @@ def _relaxed_run(problem, stepped, params, rho, x, y, tol, on_step=None):
         params.record_every,
         TRACE_COLUMNS,
         tol,
+        labels,
+        leave,
     )
+    if labels is not None:
+        x, y, x_t, y_t = final
     return x, y, x_t, y_t, trace, k, converged
 
 
@@ -539,6 +645,60 @@ def run_fb(
         delta=delta,
         iterates=iterates,
     )
+
+
+def run_fb_block(problem, kappa, tau, sigma, max_iters, record_every, tol=None):
+    """Run the plain iteration once per column, all columns as one block.
+
+    Column ``j`` starts at zero and runs as
+    ``run_fb(problem, FbParams(kappa[j], tau[j], sigma[j], relaxation=1.0,
+    max_iters=max_iters, record_every=record_every), tol=tol,
+    validate=False)`` would, bitwise, but each step advances every column
+    still running through one :func:`fb_step` on the block, so the
+    products per step do not grow with the column count.  A column leaves
+    the block when it converges, at the budget, or when its pair leaves the
+    finite range.  The last is an outcome here, where :func:`run_fb`
+    raises: the column records no row at that step, its result holds the
+    non-finite resolvent pair, and it has not converged.
+
+    Parameters
+    ----------
+    problem : SaddleProblem
+    kappa, tau, sigma : sequence of float
+        One continuum position and step-size pair per column; nothing is
+        checked against the region, as a region scan probes inadmissible
+        pairs on purpose.
+    max_iters, record_every : int
+        Iteration budget and trace row cadence of every column.
+    tol : float, optional
+        Per-column stopping tolerance on the unrelaxed step residual.
+
+    Returns
+    -------
+    list of FbResult
+        One result per column, in order.
+    """
+    kappa, tau, sigma = (np.asarray(v, dtype=float) for v in (kappa, tau, sigma))
+    if kappa.ndim != 1 or tau.shape != kappa.shape or sigma.shape != kappa.shape:
+        raise DimensionError("kappa, tau and sigma must be rows of one length")
+    p, l = problem.dims
+    n = kappa.size
+    params = FbParams(kappa=kappa, tau=tau, sigma=sigma, relaxation=1.0,
+                      max_iters=max_iters, record_every=record_every)
+    x, y, x_t, y_t, traces, ks, converged = _relaxed_run(
+        problem, problem, params, 1.0, np.zeros((p, n)), np.zeros((l, n)), tol,
+        labels=[f"column {j}" for j in range(n)],
+    )
+    results = []
+    for j, trace in enumerate(traces):
+        cell = (float(kappa[j]), float(tau[j]), float(sigma[j]))
+        results.append(FbResult(
+            x=x[:, j].copy(), y=y[:, j].copy(),
+            x_tilde=x_t[:, j].copy(), y_tilde=y_t[:, j].copy(),
+            trace=trace, iterations=int(ks[j]), converged=bool(converged[j]), rho=1.0,
+            delta=relaxation_cap(problem.L_f, problem.k_norm, *cell),
+        ))
+    return results
 
 
 def fejer_check(problem, params, iterates, z_star, slack_factor=1e-10):
@@ -654,7 +814,7 @@ def run_fbf(
     x_prev, y_prev = x.copy(), y.copy()
     design = problem.loss.A
     ax = design.apply(x)
-    erg = _ErgodicMean(x.size, design.shape[0])
+    erg = _ErgodicMean(x, ax)
 
     def step(k):
         nonlocal x, y, x_prev, y_prev, ax

@@ -3,8 +3,10 @@
 Every operator exposes ``apply`` (forward product) and ``apply_adjoint``
 (transpose product) on 1-d numpy vectors, together with a ``kind`` tag and a
 ``shape`` attribute.  Both products also map a block of vectors, a 2-d
-array with one vector per column, to the block of their images; a
-multi-seed run advances all its seeds through one block product.
+array with one vector per column, to the block of their images, and every
+kind does so column-exactly: column ``j`` of a block image is bitwise the
+image of column ``j`` alone.  A multi-seed run and a region scan advance
+all their columns through one block product each.
 Structured operators (identity, zero, stacks) stay lazy so that large
 penalty operators never have to be materialized.
 Stacks go both ways: :class:`VStackOp` stacks row blocks (a coupling
@@ -77,8 +79,23 @@ class LinearOperator:
         raise NotImplementedError
 
 
+def _column_products(matrix, block):
+    """``matrix @ block`` as one matrix-vector product per column.
+
+    A matrix-matrix product rounds a column differently from the
+    matrix-vector product of that column alone, so the block is handed to
+    ``matmul`` as a stack of contiguous vectors: column ``j`` of the result
+    is bitwise ``matrix @ block[:, j]``.
+    """
+    return np.matmul(matrix, np.ascontiguousarray(block.T)[:, :, None])[:, :, 0].T
+
+
 class DenseOp(LinearOperator):
-    """Operator backed by a 2-d numpy array."""
+    """Operator backed by a 2-d numpy array.
+
+    Block products are column-exact: each column of the image is bitwise
+    the product of that column alone, as for every other operator kind.
+    """
 
     kind = "dense"
 
@@ -91,11 +108,11 @@ class DenseOp(LinearOperator):
 
     def apply(self, x):
         x = self._check_vec(x, self.shape[1], "input")
-        return self.array @ x
+        return self.array @ x if x.ndim == 1 else _column_products(self.array, x)
 
     def apply_adjoint(self, y):
         y = self._check_vec(y, self.shape[0], "adjoint input")
-        return self.array.T @ y
+        return self.array.T @ y if y.ndim == 1 else _column_products(self.array.T, y)
 
 
 class SparseOp(LinearOperator):

@@ -9,7 +9,9 @@ primal prox is always reachable through the Moreau identity.
 
 Every ``prox`` also maps a block, a 2-d array with one dual vector per
 column, column by column: a multi-seed run projects all its seeds in one
-call, and each column comes out bitwise as the 1-d map of that column.
+call, and each column comes out bitwise as the 1-d map of that column.  The
+step ``sigma`` of a block is a scalar or a ``(B,)`` row with one step per
+column, as a region scan gives every column its own.
 """
 
 from __future__ import annotations
@@ -104,7 +106,12 @@ class ConjugateProx:
         return v
 
     def prox(self, v, sigma):
-        """Proximal point of ``sigma * h*`` at ``v`` (a vector or a block)."""
+        """Proximal point of ``sigma * h*`` at ``v``.
+
+        ``v`` is a vector or a block with one vector per column; for a
+        block, ``sigma`` is a scalar or a ``(B,)`` row, and column ``j`` of
+        the result is bitwise the prox of column ``j`` alone at its step.
+        """
         raise NotImplementedError
 
     def conj_value(self, y):

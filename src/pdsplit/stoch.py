@@ -404,8 +404,7 @@ def run_stoc(problem, params, oracle_factory, seeds, x0=None, y0=None):
     is called once and must return an oracle whose draws at a block give
     column ``j`` the estimate of seed ``seeds[j]``, from that seed's own
     stream.  Column ``j`` therefore follows the run of seed ``seeds[j]``
-    alone, bitwise apart from the rounding of dense block products (a
-    single-seed run is bitwise the one-column block).  Unset noise levels
+    alone bitwise, as every block product is column-exact.  Unset noise levels
     are measured at the starting point with a dedicated estimation oracle,
     ``oracle_factory`` of one seed.  A seed whose pair leaves the finite
     range raises :class:`~pdsplit.errors.NonFiniteIterate` naming the seed

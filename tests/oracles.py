@@ -6,7 +6,14 @@ with the package under test.  Tests compare package outputs against these
 oracles; the oracles themselves are kept deliberately naive (explicit loops,
 dense algebra, bisection instead of sorting) so that agreement between the
 two routes is meaningful.
+
+The one exception is :func:`region_scan_cells`: it is the region scan as
+one single-column ``run_fb`` per cell, the route that the block scan must
+reproduce bitwise.
 """
+
+import itertools
+import math
 
 import numpy as np
 from scipy.optimize import linprog
@@ -284,10 +291,10 @@ def momentum_conditions(tau_k, sigma_k, rho_k, l_f, k_norm, a, b, c, d, q, r):
     return lhs1, lhs2
 
 
-def stoc_constants(q, r, s, t, a, b, floor_one):
+def stoc_constants(q, r, s, t, a, b, c, d, floor_one):
     """Curvature and coupling constants of the stochastic schedules."""
     p_const = 1.0 / (s - q)
-    q_const = max(a**2 / (r * (s - q)), (b**2 / q) / (t - r))
+    q_const = max(a**2 / (r * (s - q)), (2.0 * c * d + b**2 / q) / (t - r))
     if floor_one:
         q_const = max(q_const, 1.0)
     return p_const, q_const
@@ -598,3 +605,48 @@ def balanced_sizes(total, parts):
     """Contiguous balanced partition sizes (first blocks take the remainder)."""
     base, extra = divmod(total, parts)
     return [base + (1 if i < extra else 0) for i in range(parts)]
+
+
+# ---------------------------------------------------------------------------
+# region scan, one run per cell
+
+
+def region_scan_cells(problem, kappas, grid, span_lo, span_hi, budget, tol,
+                      empirics="interior"):
+    """Region-scan cells as dicts, each selected cell run by its own ``run_fb``.
+
+    The grid, the region test and the interior rule are those of
+    ``pdsplit.cli.region_scan_grid``; a cell whose run leaves the finite
+    range records ``converged`` 0 and ``residual`` inf.
+    """
+    from pdsplit import cli, fb
+    from pdsplit.errors import NonFiniteIterate
+
+    l_f, k_norm = problem.L_f, problem.k_norm
+    curv_scale = l_f / 2.0 if l_f > 0 else k_norm
+    coup_scale = 2.0 * k_norm**2 / l_f if l_f > 0 else k_norm
+    inv_taus = np.linspace(span_lo, span_hi, grid) * curv_scale
+    inv_sigmas = np.linspace(span_lo, span_hi, grid) * coup_scale
+    cells = []
+    for kappa, inv_tau, inv_sigma in itertools.product(kappas, inv_taus, inv_sigmas):
+        tau, sigma = 1.0 / inv_tau, 1.0 / inv_sigma
+        valid, margins = fb.convergence_region(l_f, k_norm, kappa, tau, sigma)
+        rel_min = min(margins["rel_curvature"], margins["rel_coupling"])
+        slack = cli.INTERIOR_SLACK
+        interior = float(rel_min > slack) if valid else float(rel_min < -slack)
+        ran, converged, residual = 0.0, math.nan, math.nan
+        if empirics == "all" or (empirics == "interior" and interior > 0):
+            ran = 1.0
+            params = fb.FbParams(kappa=kappa, tau=tau, sigma=sigma, relaxation=1.0,
+                                 max_iters=budget, record_every=budget)
+            try:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    res = fb.run_fb(problem, params, tol=tol, validate=False)
+                converged = 1.0 if res.converged else 0.0
+                residual = float(res.trace.column("residual")[-1])
+            except NonFiniteIterate:
+                converged, residual = 0.0, math.inf
+        cells.append(dict(kappa=kappa, inv_tau=inv_tau, inv_sigma=inv_sigma, tau=tau,
+                          sigma=sigma, valid=float(valid), interior=interior, ran=ran,
+                          converged=converged, residual=residual))
+    return cells

@@ -6,6 +6,11 @@ import numpy as np
 import pytest
 
 from pdsplit import bench, cli, fb
+from pdsplit.prox import BoxClip
+from pdsplit.saddle import SaddleProblem, quadratic_loss
+
+import oracles
+from conftest import CountingDenseOp, make_dense_problem
 
 TINY = """\
 problem=lasso
@@ -167,14 +172,25 @@ def test_region_scan_grid_counts_match_its_trace():
     problem = bench.generate(spec).problem
     kappas = [0.0, 0.5, 1.0]
     args = (problem, kappas, 3, 0.4, 5.0, 500, 1e-6)
-    trace, n_ran, n_interior, n_agree = cli.region_scan_grid(*args)
-    assert len(trace) == len(kappas) * 3 * 3
-    ran = trace.column("ran") > 0
-    interior = ran & (trace.column("interior") > 0)
-    agree = interior & (trace.column("valid") == trace.column("converged"))
-    assert (n_ran, n_interior, n_agree) == (ran.sum(), interior.sum(), agree.sum())
-    # Both outcomes occur among the cells that ran.
-    assert set(trace.column("converged")[ran]) == {0.0, 1.0}
+    for empirics, runs in (("interior", 25), ("all", 27), ("none", 0)):
+        trace, n_ran, n_interior, n_agree = cli.region_scan_grid(*args, empirics=empirics)
+        assert len(trace) == len(kappas) * 3 * 3
+        ran = trace.column("ran") > 0
+        interior = ran & (trace.column("interior") > 0)
+        agree = interior & (trace.column("valid") == trace.column("converged"))
+        assert (n_ran, n_interior, n_agree) == (ran.sum(), interior.sum(), agree.sum())
+        assert n_ran == runs
+        # Every cell, run or not, is bitwise the cell of one run_fb per cell.
+        cells = oracles.region_scan_cells(*args, empirics=empirics)
+        for name in cli.REGION_COLUMNS:
+            want = np.array([cell[name] for cell in cells], dtype=float)
+            assert trace.column(name).tobytes() == want.tobytes(), (empirics, name)
+        if empirics != "none":
+            # Both outcomes occur among the cells that ran.
+            assert set(trace.column("converged")[ran]) == {0.0, 1.0}
+        if empirics == "all":
+            # Cells outside the region also leave the finite range.
+            assert np.isinf(trace.column("residual")).sum() == 9
 
 
 def test_region_scan_misses_are_region_errors_not_budget_limits():
@@ -201,3 +217,40 @@ def test_region_scan_misses_are_region_errors_not_budget_limits():
         res = fb.run_fb(problem, params, tol=1e-6, validate=False)
         assert res.converged and res.iterations <= 108
         assert res.trace.column("residual")[-1] == cols["residual"][i]
+
+
+def test_region_scan_products_per_block_step_do_not_grow_with_cells(monkeypatch):
+    _, a, b, k = make_dense_problem(p=6, l=4, seed=23)
+    design, coupling = CountingDenseOp(a), CountingDenseOp(k)
+    problem = SaddleProblem(quadratic_loss(design, b), coupling, BoxClip(1.0, 4))
+    assert problem.k_norm > 0.0
+    counters = (coupling, design)
+    step = fb.fb_step
+    calls = []
+
+    def counted_step(*args):
+        before = [(op.forward, op.adjoint) for op in counters]
+        out = step(*args)
+        after = [(op.forward, op.adjoint) for op in counters]
+        calls.append(tuple(hi - lo for pair in zip(before, after) for lo, hi in zip(*pair)))
+        return out
+
+    monkeypatch.setattr(fb, "fb_step", counted_step)
+    for grid in (2, 6):
+        calls.clear()
+        for op in counters:
+            op.forward = op.adjoint = 0
+        trace, n_ran, _, _ = cli.region_scan_grid(
+            problem, [0.0, 0.5, 1.0], grid, 0.4, 5.0, 300, 1e-6, empirics="all")
+        assert n_ran == 3 * grid * grid
+        # One block step per iteration of the longest cell, whatever the
+        # cell count, and each makes one K, two K', no A and one A' product.
+        assert set(calls) == {(1, 2, 0, 1)}
+        assert len(calls) == 300
+        # Besides the steps: one design product per step and at the start,
+        # and per recorded row (at most one per cell) two K products for the
+        # objectives and one K' for the metric distance.
+        assert design.forward == len(calls) + 1 and design.adjoint == len(calls)
+        rows = coupling.adjoint - 2 * len(calls)
+        assert 0 < rows <= n_ran
+        assert coupling.forward == len(calls) + 2 * rows

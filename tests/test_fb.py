@@ -1,5 +1,7 @@
 """Base iteration: region, recipe steps, steps, runner, Fejér, FBF."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -24,6 +26,7 @@ from pdsplit.fb import (
     m_norm,
     relaxation_cap,
     run_fb,
+    run_fb_block,
     run_fbf,
     validate_params,
 )
@@ -283,6 +286,67 @@ def test_m_norm_matches_the_dense_metric_across_continuum(name):
         want = np.sqrt(d @ oracles.metric_matrix(k, kappa, tau, sigma) @ d)
         got = m_norm(problem, kappa, tau, sigma, dx, dy)
         assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def _assert_same_rows(got, want):
+    """Bitwise equal traces, apart from the wall-clock column."""
+    assert got.columns == want.columns
+    for name in got.columns:
+        if name != "seconds":
+            assert got.column(name).tobytes() == want.column(name).tobytes(), name
+
+
+@pytest.mark.parametrize("name", ["dense", "csr", "split-dual", "latent"])
+def test_run_fb_block_columns_are_run_fb(name):
+    problem = _metric_problems()[name]
+    kappa, tau, sigma = [], [], []
+    for k in (-0.5, 0.0, 1.0):
+        tau0, sigma0 = default_step_sizes(problem, k)
+        for scale in (0.5, 1.0, 3.0, 1e8):
+            kappa.append(k)
+            tau.append(scale * tau0)
+            sigma.append(scale * sigma0)
+    budget, every, tol = 80, 7, 1e-1
+    with np.errstate(over="ignore", invalid="ignore"):
+        block = run_fb_block(problem, kappa, tau, sigma, budget, every, tol)
+    outcomes = set()
+    for j, got in enumerate(block):
+        params = FbParams(kappa=kappa[j], tau=tau[j], sigma=sigma[j], relaxation=1.0,
+                          max_iters=budget, record_every=every)
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = run_fb(problem, params, tol=tol, validate=False)
+        except NonFiniteIterate as exc:
+            # The column left the finite range where run_fb raises: it holds
+            # the non-finite pair, has not converged and recorded the rows
+            # of the steps before.
+            left = int(re.search(r"iteration (\d+)", str(exc)).group(1))
+            assert got.iterations == left and not got.converged
+            assert not (np.isfinite(got.x_tilde).all() and np.isfinite(got.y_tilde).all())
+            with np.errstate(over="ignore", invalid="ignore"):
+                short = run_fb(problem, FbParams(**{**params.__dict__, "max_iters": left - 1}),
+                               tol=tol, validate=False)
+            on_cadence = short.trace.column("k") % every == 0
+            for column in ("k", "objective", "ergodic_objective", "residual", "mdist"):
+                assert (got.trace.column(column).tobytes()
+                        == short.trace.column(column)[on_cadence].tobytes())
+            outcomes.add("left")
+            continue
+        for field in ("x", "y", "x_tilde", "y_tilde"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+        assert (got.iterations, got.converged) == (want.iterations, want.converged)
+        assert (got.rho, got.delta) == (want.rho, want.delta)
+        _assert_same_rows(got.trace, want.trace)
+        outcomes.add("converged" if got.converged else "budget")
+    assert {"converged", "budget"} <= outcomes
+    if name != "split-dual":  # a bounded dual and no loss: its primal grows linearly
+        assert "left" in outcomes
+
+
+def test_run_fb_block_of_no_columns_makes_no_step(tiny_lasso):
+    assert run_fb_block(tiny_lasso.problem, [], [], [], 50, 50, 1e-6) == []
+    with pytest.raises(DimensionError):
+        run_fb_block(tiny_lasso.problem, [0.0, 0.5], [0.1], [0.1, 0.2], 50, 50)
 
 
 def test_metric_distance_needs_no_dense_metric_above_two_thousand_rows():

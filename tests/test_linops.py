@@ -422,7 +422,7 @@ def test_vector_round_trip(tmp_path):
 
 
 def _block_operators():
-    """One operator of every kind; stacks hold only exact-product blocks."""
+    """One operator of every kind; the stacks mix dense and CSR blocks."""
     rng = np.random.default_rng(90)
     csr = sp.csr_array(sp.random(70, 80, density=0.1, random_state=3))
     return {
@@ -431,11 +431,12 @@ def _block_operators():
         "identity": linops.IdentityOp(80),
         "zero": linops.ZeroOp((70, 80)),
         "vstack": linops.VStackOp(
-            [linops.SparseOp(csr), linops.IdentityOp(80), linops.ZeroOp((5, 80))]
+            [linops.SparseOp(csr), linops.IdentityOp(80), linops.ZeroOp((5, 80)),
+             linops.DenseOp(rng.standard_normal((15, 80)))]
         ),
         "hstack": linops.HStackOp(
             [linops.SparseOp(csr[:, :30]), linops.ZeroOp((70, 20)),
-             linops.SparseOp(csr[:, 30:])]
+             linops.SparseOp(csr[:, 30:]), linops.DenseOp(rng.standard_normal((70, 40)))]
         ),
     }
 
@@ -453,12 +454,56 @@ def test_block_products_map_each_column(kind, width):
         got = product(block)
         want = oracles.column_by_column(product, block)
         assert got.shape == want.shape
-        if kind == "dense" and width > 1:
-            # A multi-column gemm rounds differently from separate gemv calls.
-            np.testing.assert_allclose(got, want, rtol=1e-13,
-                                       atol=1e-13 * np.abs(want).max())
-        else:
-            assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+        assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def _operator_of_kind(kind, rows, cols, rng):
+    """A random operator of ``kind`` with the given shape (square for identity)."""
+    dense = lambda r, c: linops.DenseOp(rng.standard_normal((r, c)))
+    csr = lambda r, c: linops.SparseOp(
+        sp.random(r, c, density=0.3, random_state=rng, data_rvs=rng.standard_normal))
+    if kind == "dense":
+        return dense(rows, cols)
+    if kind == "sparse-csr":
+        return csr(rows, cols)
+    if kind == "identity":
+        return linops.IdentityOp(cols)
+    if kind == "zero":
+        return linops.ZeroOp((rows, cols))
+    if kind == "vstack":
+        return linops.VStackOp([dense(rows, cols), csr(2, cols), linops.IdentityOp(cols)])
+    return linops.HStackOp([dense(rows, cols), csr(rows, 3), linops.ZeroOp((rows, 2))])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(_block_operators())),
+    rows=st.integers(1, 45),
+    cols=st.integers(1, 45),
+    width=st.sampled_from([2, 5, 172]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_products_are_column_exact(kind, rows, cols, width, seed):
+    rng = np.random.default_rng(seed)
+    op = _operator_of_kind(kind, rows, cols, rng)
+    assert op.kind == kind
+    for length, product in ((op.shape[1], op.apply), (op.shape[0], op.apply_adjoint)):
+        block = rng.standard_normal((length, width))
+        got = product(block)
+        for j in range(width):
+            assert got[:, j].tobytes() == product(block[:, j].copy()).tobytes()
+
+
+@pytest.mark.parametrize("width", [2, 5, 172])
+def test_dense_adjoint_of_a_wide_design_is_column_exact(width):
+    # The latent problem's 15 x 40 design: its adjoint is the shape where a
+    # product over strided columns rounds differently.
+    rng = np.random.default_rng(width)
+    op = linops.DenseOp(rng.standard_normal((15, 40)))
+    block = rng.standard_normal((15, width))
+    got = op.apply_adjoint(block)
+    for j in range(width):
+        assert got[:, j].tobytes() == (op.array.T @ block[:, j].copy()).tobytes()
 
 
 def test_block_products_reject_wrong_rows_and_rank():

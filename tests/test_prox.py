@@ -345,6 +345,19 @@ def test_block_prox_maps_each_column_bitwise(kind):
         assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
+@pytest.mark.parametrize("kind", sorted(_block_specs()))
+@pytest.mark.parametrize("width", [2, 5, 172])
+def test_block_prox_takes_one_step_per_column(kind, width):
+    spec = _block_specs()[kind]
+    rng = np.random.default_rng(94)
+    block = rng.standard_normal((spec.dim, width)) * rng.uniform(0.0, 3.0, width)
+    sigma = rng.uniform(0.05, 4.0, width)
+    got = spec.prox(block, sigma)
+    for j in range(width):
+        want = spec.prox(block[:, j].copy(), float(sigma[j]))
+        assert got[:, j].tobytes() == want.tobytes()
+
+
 def test_block_is_accepted_by_prox_only():
     spec = prox.L2Ball(1.0, 3)
     block = np.ones((3, 2))

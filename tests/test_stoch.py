@@ -148,8 +148,7 @@ def test_bounded_noisy_schedule_matches_closed_forms(dense_problem):
     factors = mode_factors("kappa", 1.0)
     sched = schedule_stoc_bounded(problem.L_f, problem.k_norm, factors,
                                   horizon, ox, oy, q, r, s, t, chi_x, chi_y)
-    p_ref, q_ref = oracles.stoc_constants(q, r, s, t, 1.0, 1.0,
-                                          floor_one=False)
+    p_ref, q_ref = oracles.stoc_constants(q, r, s, t, *factors, floor_one=False)
     assert sched.P == pytest.approx(p_ref, rel=1e-15)
     assert sched.Q == pytest.approx(q_ref, rel=1e-15)
     assert sched.Q == pytest.approx(12.5)
@@ -175,8 +174,7 @@ def test_unbounded_noisy_schedule_matches_closed_forms(dense_problem):
     sched = schedule_stoc_unbounded(problem.L_f, problem.k_norm, factors,
                                     horizon, q, r, s, t, chi_x, chi_y,
                                     r_tilde)
-    p_ref, q_ref = oracles.stoc_constants(q, r, s, t, 1.0, 0.0,
-                                          floor_one=True)
+    p_ref, q_ref = oracles.stoc_constants(q, r, s, t, *factors, floor_one=True)
     chi = oracles.stoc_noise_scale(s, t, chi_x, chi_y)
     assert sched.Q == pytest.approx(q_ref, rel=1e-15)
     for k in (1, 50, 299):
@@ -188,6 +186,32 @@ def test_unbounded_noisy_schedule_matches_closed_forms(dense_problem):
         assert sched.sigma(k) == pytest.approx(
             oracles.stoc_unbounded_sigma(k, problem.k_norm, chi, r_tilde,
                                          horizon),
+            rel=1e-15,
+        )
+
+
+def test_noisy_constants_include_the_mixed_term_at_kappa_half(dense_problem):
+    # At kappa 0.5 the factors are (a, b, c, d) = (0.5, 0.5, 0.5, 1.5), so
+    # c != 0 and the coupling term of Q is (2 c d + b^2 / q) / (t - r)
+    # = 2.5 / 0.6, above the curvature term a^2 / ((s - q) r) = 2.5.
+    problem, _, _, _ = dense_problem
+    params = StocParams()
+    q, r, s, t = params.q, params.r, params.s, params.t
+    chi_x, chi_y = 0.7, 0.3
+    horizon, ox, oy = 300, 2.0, 3.0
+    factors = mode_factors("kappa", 0.5)
+    assert factors == (0.5, 0.5, 0.5, 1.5)
+    sched = schedule_stoc_bounded(problem.L_f, problem.k_norm, factors,
+                                  horizon, ox, oy, q, r, s, t, chi_x, chi_y)
+    p_ref, q_ref = oracles.stoc_constants(q, r, s, t, *factors, floor_one=False)
+    assert q_ref == pytest.approx(2.5 / 0.6, rel=1e-15)
+    assert sched.P == pytest.approx(p_ref, rel=1e-15)
+    assert sched.Q == pytest.approx(q_ref, rel=1e-15)
+    assert round(sched.Q, 2) == 4.17
+    for k in (1, 50, 299):
+        assert sched.tau(k) == pytest.approx(
+            oracles.stoc_bounded_tau(k, p_ref, q_ref, problem.L_f,
+                                     problem.k_norm, ox, oy, chi_x, horizon),
             rel=1e-15,
         )
 
@@ -419,10 +443,6 @@ def _recording_factory(problem, params, pi):
     return factory, made
 
 
-def _rel(a, b):
-    return float(np.linalg.norm(a - b)) / max(float(np.linalg.norm(b)), 1e-300)
-
-
 def test_run_stoc_block_matches_single_seed_runs(tiny_lasso):
     problem = tiny_lasso.problem
     params = StocParams(mode="kappa", kappa=1.0, setting="bounded",
@@ -462,10 +482,12 @@ def test_run_stoc_block_matches_single_seed_runs(tiny_lasso):
         assert np.all(run.trace.column("seed") == seed)
         np.testing.assert_array_equal(run.trace.column("k"),
                                       alone.trace.column("k"))
-        for name in ("x", "y", "xt", "yt", "xt_first", "yt_first"):
-            assert _rel(getattr(run, name), getattr(alone, name)) <= 1e-12
-        for name in ("objective", "ergodic_objective", "residual"):
-            assert _rel(run.trace.column(name), alone.trace.column(name)) <= 1e-12
+        for name in ("x", "y", "xt", "yt", "xt_prev", "yt_prev", "xt_first", "yt_first"):
+            assert getattr(run, name).tobytes() == getattr(alone, name).tobytes()
+        for name in ("objective", "ergodic_objective", "residual", "tau_k", "sigma_k",
+                     "rho_k"):
+            assert (run.trace.column(name).tobytes()
+                    == alone.trace.column(name).tobytes())
         block_draws = made[tuple(seeds)].rngs[j].draws
         single_draws = made[(seed,)].rngs[0].draws
         assert len(block_draws) == len(single_draws) == 24
