@@ -571,7 +571,7 @@ def region_scan_grid(
     runs = [cell for cell in cells if cell["ran"]]
     kappa, tau, sigma = ([cell[name] for cell in runs] for name in ("kappa", "tau", "sigma"))
     with np.errstate(over="ignore", invalid="ignore"):
-        results = fb.run_fb_block(problem, kappa, tau, sigma, budget, budget, tol)
+        results = fb.run_fb_block(problem, kappa, tau, sigma, budget, tol)
     for cell, res in zip(runs, results):
         if np.isfinite(res.x_tilde).all() and np.isfinite(res.y_tilde).all():
             cell["converged"] = 1.0 if res.converged else 0.0

@@ -554,7 +554,7 @@ def _relaxed_run(problem, stepped, params, rho, x, y, tol, on_step=None, labels=
             rows.append(erg.row(problem, xj, float(res[j]), mdist, axj, column=j))
         return rows
 
-    final = None if labels is None else [np.empty_like(a) for a in (x, y, x, y)]
+    final = None if labels is None else [a.copy() for a in (x, y, x, y)]
 
     def leave(gone, where):
         nonlocal x, y, ax, x_t, y_t, dx, dy, kappa, tau, sigma
@@ -647,13 +647,14 @@ def run_fb(
     )
 
 
-def run_fb_block(problem, kappa, tau, sigma, max_iters, record_every, tol=None):
+def run_fb_block(problem, kappa, tau, sigma, max_iters, tol):
     """Run the plain iteration once per column, all columns as one block.
 
     Column ``j`` starts at zero and runs as
     ``run_fb(problem, FbParams(kappa[j], tau[j], sigma[j], relaxation=1.0,
-    max_iters=max_iters, record_every=record_every), tol=tol,
-    validate=False)`` would, bitwise, but each step advances every column
+    max_iters=max_iters, record_every=max(max_iters, 1)), tol=tol,
+    validate=False)`` would, bitwise, so its trace holds only the row of its
+    last step or of its convergence.  Each step advances every column
     still running through one :func:`fb_step` on the block, so the
     products per step do not grow with the column count.  A column leaves
     the block when it converges, at the budget, or when its pair leaves the
@@ -668,9 +669,9 @@ def run_fb_block(problem, kappa, tau, sigma, max_iters, record_every, tol=None):
         One continuum position and step-size pair per column; nothing is
         checked against the region, as a region scan probes inadmissible
         pairs on purpose.
-    max_iters, record_every : int
-        Iteration budget and trace row cadence of every column.
-    tol : float, optional
+    max_iters : int
+        Iteration budget of every column.
+    tol : float
         Per-column stopping tolerance on the unrelaxed step residual.
 
     Returns
@@ -684,7 +685,7 @@ def run_fb_block(problem, kappa, tau, sigma, max_iters, record_every, tol=None):
     p, l = problem.dims
     n = kappa.size
     params = FbParams(kappa=kappa, tau=tau, sigma=sigma, relaxation=1.0,
-                      max_iters=max_iters, record_every=record_every)
+                      max_iters=max_iters, record_every=max(max_iters, 1))
     x, y, x_t, y_t, traces, ks, converged = _relaxed_run(
         problem, problem, params, 1.0, np.zeros((p, n)), np.zeros((l, n)), tol,
         labels=[f"column {j}" for j in range(n)],

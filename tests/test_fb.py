@@ -306,27 +306,27 @@ def test_run_fb_block_columns_are_run_fb(name):
             kappa.append(k)
             tau.append(scale * tau0)
             sigma.append(scale * sigma0)
-    budget, every, tol = 80, 7, 1e-1
+    budget, tol = 80, 1e-1
     with np.errstate(over="ignore", invalid="ignore"):
-        block = run_fb_block(problem, kappa, tau, sigma, budget, every, tol)
+        block = run_fb_block(problem, kappa, tau, sigma, budget, tol)
     outcomes = set()
     for j, got in enumerate(block):
         params = FbParams(kappa=kappa[j], tau=tau[j], sigma=sigma[j], relaxation=1.0,
-                          max_iters=budget, record_every=every)
+                          max_iters=budget, record_every=budget)
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 want = run_fb(problem, params, tol=tol, validate=False)
         except NonFiniteIterate as exc:
             # The column left the finite range where run_fb raises: it holds
             # the non-finite pair, has not converged and recorded the rows
-            # of the steps before.
+            # of the steps before (none before the budget's last step).
             left = int(re.search(r"iteration (\d+)", str(exc)).group(1))
             assert got.iterations == left and not got.converged
             assert not (np.isfinite(got.x_tilde).all() and np.isfinite(got.y_tilde).all())
             with np.errstate(over="ignore", invalid="ignore"):
                 short = run_fb(problem, FbParams(**{**params.__dict__, "max_iters": left - 1}),
                                tol=tol, validate=False)
-            on_cadence = short.trace.column("k") % every == 0
+            on_cadence = short.trace.column("k") % budget == 0
             for column in ("k", "objective", "ergodic_objective", "residual", "mdist"):
                 assert (got.trace.column(column).tobytes()
                         == short.trace.column(column)[on_cadence].tobytes())
@@ -344,9 +344,22 @@ def test_run_fb_block_columns_are_run_fb(name):
 
 
 def test_run_fb_block_of_no_columns_makes_no_step(tiny_lasso):
-    assert run_fb_block(tiny_lasso.problem, [], [], [], 50, 50, 1e-6) == []
+    assert run_fb_block(tiny_lasso.problem, [], [], [], 50, 1e-6) == []
     with pytest.raises(DimensionError):
-        run_fb_block(tiny_lasso.problem, [0.0, 0.5], [0.1], [0.1, 0.2], 50, 50)
+        run_fb_block(tiny_lasso.problem, [0.0, 0.5], [0.1], [0.1, 0.2], 50, 1e-6)
+
+
+def test_run_fb_block_of_no_steps_is_the_start_point(tiny_lasso):
+    problem = tiny_lasso.problem
+    block = run_fb_block(problem, [0.5, 0.0], [0.1, 0.2], [0.1, 0.3], 0, 1e-6)
+    for j, got in enumerate(block):
+        params = FbParams(kappa=[0.5, 0.0][j], tau=[0.1, 0.2][j], sigma=[0.1, 0.3][j],
+                          relaxation=1.0, max_iters=0)
+        want = run_fb(problem, params, tol=1e-6, validate=False)
+        for field in ("x", "y", "x_tilde", "y_tilde"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+        assert (got.iterations, got.converged) == (want.iterations, want.converged) == (0, False)
+        assert len(got.trace) == len(want.trace) == 0
 
 
 def test_metric_distance_needs_no_dense_metric_above_two_thousand_rows():
