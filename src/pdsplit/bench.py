@@ -294,8 +294,11 @@ def gen_graph_guided_fused_lasso(spec):
     graph joins every pair inside a cluster and links each signal-carrying
     variable to ``n_subnets - 1`` distinct silent variables.
 
-    Draw order: hub columns, satellite noise, observation noise, then the
-    cross-link targets for each signal variable in coordinate order.
+    Draw order: hub columns, satellite noise, observation noise, then one
+    ``rng.choice`` of ``n_subnets - 1`` cross-link targets per signal
+    variable, in coordinate order.  The edges are built as one ``(m, 2)``
+    array: the pairs of each cluster in row-major order, cluster by cluster,
+    then each signal variable's links in the order drawn.
 
     Raises
     ------
@@ -316,10 +319,10 @@ def gen_graph_guided_fused_lasso(spec):
     blocks = a.reshape(n, j_count, t_size)
     blocks[:, :, 0] = hub
     if t_size > 1:
-        blocks[:, :, 1:] = (
-            HUB_CORRELATION * hub[:, :, None]
-            + math.sqrt(1.0 - HUB_CORRELATION**2) * satellite
-        )
+        satellite *= math.sqrt(1.0 - HUB_CORRELATION**2)
+        satellite += HUB_CORRELATION * hub[:, :, None]
+        blocks[:, :, 1:] = satellite
+    del satellite  # design-sized; freed before the graph is built
 
     levels = np.zeros(j_count)
     j_idx = np.arange(1, j_active + 1)
@@ -327,12 +330,9 @@ def gen_graph_guided_fused_lasso(spec):
     x_true = np.repeat(levels, t_size)
     b = a @ x_true + spec.noise_scale * rng.standard_normal(n)
 
-    edges = []
-    for j in range(j_count):
-        base = j * t_size
-        for u in range(t_size):
-            for v in range(u + 1, t_size):
-                edges.append((base + u, base + v))
+    u, v = np.triu_indices(t_size, 1)
+    base = np.arange(0, p, t_size)[:, None]
+    edges = [np.stack([(base + u).ravel(), (base + v).ravel()], axis=1)]
     n_cross = j_count - 1
     active_count = j_active * t_size
     if j_active > 0 and n_cross > 0:
@@ -341,9 +341,12 @@ def gen_graph_guided_fused_lasso(spec):
             raise InsufficientInactives(
                 f"need {n_cross} distinct silent targets, only {silent.size} exist"
             )
-        for v in range(active_count):
-            for w in rng.choice(silent, size=n_cross, replace=False):
-                edges.append((v, int(w)))
+        targets = np.stack(
+            [rng.choice(silent, size=n_cross, replace=False) for _ in range(active_count)]
+        )
+        sources = np.repeat(np.arange(active_count), n_cross)
+        edges.append(np.stack([sources, targets.ravel()], axis=1))
+    edges = np.concatenate(edges)
 
     k_op = linops.build_graph_difference(edges, p)
     return _generated(spec, a, b, x_true, k_op, n_edges=len(edges))

@@ -383,6 +383,11 @@ def safe_op_norm(op, tol=1e-9, max_iters=10000):
     return NORM_SAFETY * op_norm(op, tol=tol, max_iters=max_iters)
 
 
+def _is_index(value):
+    """Whether ``value`` is an integer, of Python or numpy type (a bool is not)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def build_group_membership(groups, p):
     """Row-selector operator for (possibly overlapping) coordinate groups.
 
@@ -393,7 +398,8 @@ def build_group_membership(groups, p):
     Parameters
     ----------
     groups : sequence of sequences of int
-        0-based coordinate indices, one inner sequence per group.
+        0-based coordinate indices, one inner sequence per group.  Indices
+        may have any integer type; nothing else is converted.
     p : int
         Ambient dimension.
 
@@ -406,19 +412,29 @@ def build_group_membership(groups, p):
     ------
     DegenerateProblem
         If there are no groups or a group is empty.
+    DimensionError
+        If a group is not a flat sequence.
     IndexOutOfRange
-        If an index falls outside ``[0, p)``.
+        If an index is not an integer or falls outside ``[0, p)``; the
+        message names the first such group.
     """
-    groups = [np.asarray(g, dtype=int) for g in groups]
+    groups = list(groups)
     if not groups:
         raise DegenerateProblem("no groups given")
     rows = []
-    for j, g in enumerate(groups):
+    for j, group in enumerate(groups):
+        g = np.asarray(group)
+        if g.ndim != 1:
+            raise DimensionError(f"group {j} is not a flat sequence of indices")
         if g.size == 0:
             raise DegenerateProblem(f"group {j} is empty")
+        if not (isinstance(group, np.ndarray) and g.dtype.kind in "iu"):
+            # The array of a Python sequence can hide a bool among integers.
+            if not all(map(_is_index, group)):
+                raise IndexOutOfRange(f"group {j} holds a non-integer index")
         if np.any(g < 0) or np.any(g >= p):
             raise IndexOutOfRange(f"group {j} references a coordinate outside [0, {p})")
-        rows.append(g)
+        rows.append(g.astype(np.int64))
     cols = np.concatenate(rows)
     total = cols.size
     mat = sp.csr_array(
@@ -432,39 +448,64 @@ def build_graph_difference(edges, p):
 
     Each edge ``(i, j)`` contributes one row with ``+1`` at ``i`` and ``-1``
     at ``j``, so the forward product lists the differences ``x[i] - x[j]``.
+    The matrix is built as CSR directly: row ``k`` holds entries ``2k`` and
+    ``2k + 1`` (``indptr = 0, 2, 4, ...``), its two columns in ascending
+    order, with 64-bit indices.
 
     Parameters
     ----------
-    edges : sequence of (int, int)
-        0-based node pairs.
+    edges : (m, 2) integer array or sequence of (int, int)
+        0-based node pairs.  Indices may have any integer type; nothing
+        else is converted.  An integer array is checked by array code
+        alone; a Python sequence also has the type of each entry read,
+        since its array can hide a bool among integers.
     p : int
         Number of nodes.
 
     Returns
     -------
     LinearOperator
-        Operator of shape ``(len(edges), p)``.
+        Operator of shape ``(m, p)``.
 
     Raises
     ------
-    SelfLoop
-        If an edge joins a node to itself.
-    IndexOutOfRange
-        If an endpoint falls outside ``[0, p)``.
     DegenerateProblem
         If there are no edges.
+    DimensionError
+        If ``edges`` is not a sequence of pairs.
+    IndexOutOfRange
+        If an endpoint is not an integer (checked over all edges first), or
+        falls outside ``[0, p)``.
+    SelfLoop
+        If an edge joins a node to itself.  Each error names the first bad
+        edge; at one edge a self-loop is reported before a bad range.
     """
-    edges = [(int(i), int(j)) for i, j in edges]
-    if not edges:
+    try:
+        arr = np.asarray(edges)
+    except ValueError:
+        raise DimensionError("edges must be pairs of node indices") from None
+    if arr.ndim >= 1 and arr.shape[0] == 0:
         raise DegenerateProblem("no edges given")
-    for k, (i, j) in enumerate(edges):
-        if i == j:
-            raise SelfLoop(f"edge {k} joins node {i} to itself")
-        if not (0 <= i < p and 0 <= j < p):
-            raise IndexOutOfRange(f"edge {k} references a node outside [0, {p})")
-    m = len(edges)
-    row = np.repeat(np.arange(m), 2)
-    col = np.array([idx for e in edges for idx in e])
-    val = np.tile([1.0, -1.0], m)
-    mat = sp.csr_array((val, (row, col)), shape=(m, p))
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise DimensionError("edges must be pairs of node indices")
+    if not (isinstance(edges, np.ndarray) and arr.dtype.kind in "iu"):
+        # The array of a Python sequence can hide a bool among integers.
+        bad = next((k for k, e in enumerate(edges) if not all(map(_is_index, e))), None)
+        if bad is not None:
+            raise IndexOutOfRange(f"edge {bad} holds a non-integer node index")
+    tail, head = arr[:, 0], arr[:, 1]
+    loop = tail == head
+    bad = loop | (tail < 0) | (tail >= p) | (head < 0) | (head >= p)
+    if bad.any():
+        k = int(np.argmax(bad))
+        if loop[k]:
+            raise SelfLoop(f"edge {k} joins node {tail[k]} to itself")
+        raise IndexOutOfRange(f"edge {k} references a node outside [0, {p})")
+    arr = arr.astype(np.int64, copy=False)
+    tail, head = arr[:, 0], arr[:, 1]
+    indices = np.stack([np.minimum(tail, head), np.maximum(tail, head)], axis=1)
+    first = np.where(tail < head, 1.0, -1.0)
+    data = np.stack([first, -first], axis=1)
+    indptr = np.arange(0, indices.size + 1, 2, dtype=np.int64)
+    mat = sp.csr_array((data.ravel(), indices.ravel(), indptr), shape=(len(arr), p))
     return matrix_operator(mat)

@@ -9,13 +9,16 @@ two routes is meaningful.
 
 The one exception is :func:`region_scan_cells`: it is the region scan as
 one single-column ``run_fb`` per cell, the route that the block scan must
-reproduce bitwise.
+reproduce bitwise.  The graph oracles return their difference matrix as a
+scipy CSR array built from COO triplets, the arrays the package's direct
+CSR build must reproduce.
 """
 
 import itertools
 import math
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.optimize import linprog
 
 
@@ -173,8 +176,8 @@ def accel_run_dense(grad, k_mat, prox, a_mat, b_mat, taus, sigmas, x0, y0, n_ste
     yt_prev = y.copy()
     tilde_pairs = []
     for k in range(1, n_steps + 1):
-        rho = 2.0 / (k + 1.0)
-        theta = (k - 1.0) / k
+        rho = averaging_weight(k)
+        theta = extrapolation_factor(k)
         tau = taus(k)
         sigma = sigmas(k)
         tau_prev = taus(k - 1) if k > 1 else 0.0
@@ -212,8 +215,8 @@ def gradient_extrapolation_run_dense(grad, k_mat, prox, taus, sigmas, x0, y0, n_
     yt = y.copy()
     xt_prev = x.copy()
     for k in range(1, n_steps + 1):
-        rho = 2.0 / (k + 1.0)
-        theta = (k - 1.0) / k
+        rho = averaging_weight(k)
+        theta = extrapolation_factor(k)
         tau = taus(k)
         sigma = sigmas(k)
         x_bar = xt + theta * (xt - xt_prev)
@@ -536,6 +539,67 @@ def clustered_edge_count(n_subnets, subnet_size, n_active):
     clique = n_subnets * subnet_size * (subnet_size - 1) // 2
     cross = n_active * subnet_size * (n_subnets - 1) if n_active > 0 else 0
     return clique + cross
+
+
+def graph_difference_coo(edges, p):
+    """Signed edge-difference matrix checked edge by edge, built from COO.
+
+    Row ``k`` holds ``+1`` at ``i`` and ``-1`` at ``j`` for edge ``(i, j)``.
+    Raises ``ValueError`` on the first self-loop or out-of-range edge.
+    """
+    edges = [(int(i), int(j)) for i, j in edges]
+    for k, (i, j) in enumerate(edges):
+        if i == j or not (0 <= i < p and 0 <= j < p):
+            raise ValueError(f"bad edge {k}")
+    m = len(edges)
+    row = np.repeat(np.arange(m), 2)
+    col = np.array([idx for e in edges for idx in e])
+    val = np.tile([1.0, -1.0], m)
+    return sp.csr_array((val, (row, col)), shape=(m, p))
+
+
+def clustered_graph_problem(seed, subnet_size, n_subnets, n_active, n_samples,
+                            noise_sd, hub_correlation):
+    """The clustered-network least-squares data, column by column and edge
+    by edge.
+
+    Replays the generator's draws on a Philox stream in order: the hub
+    columns, the satellite noise, the observation noise, then one choice of
+    ``n_subnets - 1`` distinct silent targets per signal variable, in
+    coordinate order.  Returns the design, response, signal, and the CSR
+    difference matrix of :func:`graph_difference_coo` over the edge list:
+    every pair inside each cluster, then each signal variable's links.
+    Raises ``ValueError`` when there are too few silent targets.
+    """
+    rng = np.random.Generator(np.random.Philox(int(seed)))
+    t, n = subnet_size, n_samples
+    p = n_subnets * t
+    hub = rng.standard_normal((n, n_subnets))
+    satellite = rng.standard_normal((n, n_subnets, t - 1))
+    scale = math.sqrt(1.0 - hub_correlation**2)
+    a = np.empty((n, p))
+    x_true = np.zeros(p)
+    for j in range(n_subnets):
+        a[:, j * t] = hub[:, j]
+        for s in range(1, t):
+            a[:, j * t + s] = hub_correlation * hub[:, j] + scale * satellite[:, j, s - 1]
+        if j < n_active:
+            x_true[j * t:(j + 1) * t] = (-1.0) ** j * ((j + 2) // 2)
+    b = a @ x_true + noise_sd * rng.standard_normal(n)
+
+    edges = []
+    for j in range(n_subnets):
+        for u in range(t):
+            for v in range(u + 1, t):
+                edges.append((j * t + u, j * t + v))
+    signal = n_active * t
+    if n_active > 0 and n_subnets > 1:
+        if p - signal < n_subnets - 1:
+            raise ValueError("too few silent targets")
+        for v in range(signal):
+            for w in rng.choice(np.arange(signal, p), size=n_subnets - 1, replace=False):
+                edges.append((v, int(w)))
+    return a, b, x_true, graph_difference_coo(edges, p)
 
 
 def enumerate_mask_second_moment(grad, x, pi):

@@ -66,6 +66,17 @@ def test_schedule_first_step_laws(dense_problem):
     assert sched.theta(1) == 0.0
 
 
+def test_schedule_laws_are_the_closed_forms(dense_problem):
+    problem, _, _, _ = dense_problem
+    sched = _bounded(problem)
+    ks = np.arange(1, 201)
+    np.testing.assert_array_equal(sched.rho(ks), [oracles.averaging_weight(k) for k in ks])
+    np.testing.assert_array_equal(sched.theta(ks),
+                                  [oracles.extrapolation_factor(k) for k in ks])
+    assert sched.rho(7) == oracles.averaging_weight(7)
+    assert sched.theta(7) == oracles.extrapolation_factor(7)
+
+
 def test_averaging_extrapolation_recursion_is_exact(dense_problem):
     problem, _, _, _ = dense_problem
     sched = _bounded(problem)

@@ -1,6 +1,7 @@
 """Generators' bundle I/O, the reference solver and the rate-slope fit."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,6 +14,7 @@ from pdsplit.errors import (
     ConfigError,
     ConstraintViolation,
     InsufficientData,
+    InsufficientInactives,
     ResidualTooLarge,
 )
 from pdsplit.fb import IterTrace
@@ -45,6 +47,78 @@ def test_bundle_round_trip_is_exact(tmp_path, spec):
         linops.densify(generated.problem.K))
     assert loaded.meta == generated.meta
     assert loaded.problem.dims == generated.problem.dims
+
+
+# The benchmark's graph-guided instance size (p = 1,000, 14,400 edges).
+GGFL_SIZE = dict(subnet_size=10, n_subnets=100, n_active=10, n_samples=200)
+GRAPH_PARITY_SPECS = [
+    dict(seed=1, **GGFL_SIZE),
+    dict(seed=2, **GGFL_SIZE),
+    dict(seed=3, subnet_size=4, n_subnets=20, n_active=0, n_samples=30),
+    dict(seed=4, subnet_size=6, n_subnets=1, n_active=1, n_samples=20),
+    dict(seed=5, subnet_size=1, n_subnets=70, n_active=1, n_samples=25),
+    # The benchmark's warm-up instance.
+    dict(seed=0, subnet_size=5, n_subnets=10, n_active=2, n_samples=40),
+]
+
+
+def _graph_spec(**values):
+    return bench.SyntheticSpec(kind="graph-guided-fused-lasso", **values)
+
+
+@pytest.mark.parametrize("values", GRAPH_PARITY_SPECS,
+                         ids=lambda v: "-".join(f"{k}{v[k]}" for k in sorted(v)))
+def test_graph_generation_is_bitwise_the_loop_oracle(values):
+    spec = _graph_spec(**values)
+    generated = bench.generate(spec)
+    a, b, x_true, k_mat = oracles.clustered_graph_problem(
+        spec.seed, spec.subnet_size, spec.n_subnets, spec.n_active, spec.n_samples,
+        spec.noise_scale, bench.HUB_CORRELATION)
+    rows = oracles.clustered_edge_count(spec.n_subnets, spec.subnet_size, spec.n_active)
+    assert k_mat.shape == (rows, spec.primal_dim)
+    assert generated.meta["n_edges"] == rows
+    op = generated.problem.K
+    if isinstance(op, linops.SparseOp):
+        assert op.matrix.shape == k_mat.shape
+        for name in ("indices", "indptr", "data"):
+            got, want = getattr(op.matrix, name), getattr(k_mat, name)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+    else:
+        assert _bits(op.array) == _bits(k_mat.toarray())
+    for got, want in ((generated.design, a), (generated.response, b),
+                      (generated.signal, x_true)):
+        assert got.dtype == want.dtype and _bits(got) == _bits(want)
+    assert generated.meta == {
+        "kind": spec.kind, "seed": spec.seed, "n_samples": spec.n_samples,
+        "lam": 1.0, "noise_sd": spec.noise_scale, "primal_dim": spec.primal_dim,
+        "dual_dim": rows, "subnet_size": spec.subnet_size, "n_subnets": spec.n_subnets,
+        "n_active": spec.n_active, "n_edges": rows,
+    }
+
+
+def test_graph_generation_without_silent_targets_fails_like_the_oracle():
+    spec = _graph_spec(seed=4, subnet_size=3, n_subnets=4, n_active=4, n_samples=10)
+    with pytest.raises(InsufficientInactives):
+        bench.generate(spec)
+    with pytest.raises(ValueError):
+        oracles.clustered_graph_problem(4, 3, 4, 4, 10, 100.0, bench.HUB_CORRELATION)
+
+
+def test_graph_generation_peak_memory_stays_near_the_held_problem():
+    # At most twice what the generated problem holds: no full-size
+    # temporaries of the design or the edge list outlive their use.
+    spec = _graph_spec(seed=1, subnet_size=10, n_subnets=200, n_active=10, n_samples=200)
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        generated = bench.generate(spec)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert generated.meta["n_edges"] == 28900
+    assert peak - base <= 2.0 * (held - base)
 
 
 def _trace(ks, values):

@@ -227,6 +227,33 @@ def test_fb_step_matches_dual_extrapolated_form(dense_problem):
     np.testing.assert_allclose(yt, oy, atol=1e-12)
 
 
+def test_fb_step_at_primal_first_end_is_the_transformed_half_update(dense_problem):
+    # The paper's unification: kappa -1 is a block-diagonal-metric iteration
+    # on (u, v) = (x - tau K'y, y), mapped back by x = u + tau K'v.
+    problem, a, b, k = dense_problem
+    grad, prox_fn = _dense_pieces(a, b, k, 1.0)
+    rng = np.random.default_rng(47)
+    x = rng.standard_normal(6)
+    y = prox_fn(rng.standard_normal(4), 1.0)
+    tau, sigma = 0.08, 0.15
+    xt, yt = fb_step(problem, -1.0, tau, sigma, x, y)
+    u, v = oracles.transformed_half_update_step(grad, k, prox_fn, tau, sigma,
+                                                x - tau * (k.T @ y), y)
+    np.testing.assert_allclose(xt, u + tau * (k.T @ v), atol=1e-12)
+    np.testing.assert_allclose(yt, v, atol=1e-12)
+
+
+def test_primal_first_metric_is_block_diagonal_after_the_change_of_variables():
+    k = np.random.default_rng(49).standard_normal((4, 6))
+    tau, sigma = 0.08, 0.15
+    low = oracles.lower_triangular_change(k, tau)
+    diag = np.zeros((10, 10))
+    diag[:6, :6] = np.eye(6) / tau
+    diag[6:, 6:] = np.eye(4) / sigma - tau * (k @ k.T)
+    np.testing.assert_allclose(oracles.metric_matrix(k, -1.0, tau, sigma),
+                               low @ diag @ low.T, atol=1e-12)
+
+
 def test_fb_step_collapses_to_gradient_descent_without_coupling():
     problem = SaddleProblem(
         quadratic_loss(np.eye(3), np.array([1.0, 2.0, 3.0])),

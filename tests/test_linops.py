@@ -397,6 +397,103 @@ def test_graph_difference_rejects_self_loop_and_bad_index():
         linops.build_graph_difference([(0, 3)], 3)
 
 
+def test_graph_difference_rejects_fractional_indices():
+    # Truncating (0.5, 1.7) would silently build the edge (0, 1).
+    with pytest.raises(IndexOutOfRange, match="edge 0 holds a non-integer"):
+        linops.build_graph_difference([(0.5, 1.7)], 3)
+    with pytest.raises(IndexOutOfRange, match="edge 1 holds a non-integer"):
+        linops.build_graph_difference([(0, 1), (1, 2.0)], 3)
+    with pytest.raises(IndexOutOfRange, match="edge 0 holds a non-integer"):
+        linops.build_graph_difference(np.array([[0.0, 1.0]]), 3)
+
+
+def test_graph_difference_rejects_booleans_and_strings_as_indices():
+    with pytest.raises(IndexOutOfRange, match="edge 0 holds a non-integer"):
+        linops.build_graph_difference([(True, False)], 3)
+    with pytest.raises(IndexOutOfRange, match="edge 1 holds a non-integer"):
+        linops.build_graph_difference([(0, 1), (1, True)], 3)
+    with pytest.raises(IndexOutOfRange, match="edge 0 holds a non-integer"):
+        linops.build_graph_difference([("0", "1")], 3)
+
+
+def test_graph_difference_rejects_input_that_is_not_pairs():
+    for edges in ([(0, 1, 2)], [(0, 1), (1, 2, 0)], [0, 1], [()], np.zeros((2, 3), int)):
+        with pytest.raises(DimensionError, match="pairs of node indices"):
+            linops.build_graph_difference(edges, 3)
+    with pytest.raises(DegenerateProblem):
+        linops.build_graph_difference(np.empty((0, 2), dtype=int), 3)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64, np.uint16, np.uint64])
+def test_graph_difference_takes_any_integer_dtype(dtype):
+    edges = [(0, 1), (2, 1), (3, 0)] * 30
+    want = linops.build_graph_difference(edges, 70).matrix
+    for given in (np.array(edges, dtype=dtype), [tuple(map(dtype, e)) for e in edges],
+                  [(dtype(i), int(j)) for i, j in edges]):
+        got = linops.build_graph_difference(given, 70).matrix
+        for name in ("indices", "indptr", "data"):
+            assert getattr(got, name).dtype == getattr(want, name).dtype
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
+def test_graph_difference_names_the_first_bad_edge_self_loop_first():
+    with pytest.raises(SelfLoop, match="edge 2 joins node 1 to itself"):
+        linops.build_graph_difference([(0, 1), (1, 2), (1, 1), (0, 5)], 3)
+    with pytest.raises(IndexOutOfRange, match=r"edge 1 references a node outside \[0, 3\)"):
+        linops.build_graph_difference([(0, 1), (-1, 2), (1, 1)], 3)
+    with pytest.raises(SelfLoop, match="edge 0 joins node 7 to itself"):
+        linops.build_graph_difference([(7, 7), (0, 1)], 3)
+    with pytest.raises(IndexOutOfRange, match="edge 0 references"):
+        linops.build_graph_difference([(0, 2**70)], 3)
+
+
+def test_graph_difference_csr_layout_is_the_coo_build():
+    rng = np.random.default_rng(17)
+    tail, head = rng.integers(0, 90, 500), rng.integers(0, 90, 500)
+    keep = tail != head
+    edges = np.stack([tail[keep], head[keep]], axis=1)
+    got = linops.build_graph_difference(edges, 90).matrix
+    want = oracles.graph_difference_coo(edges.tolist(), 90)
+    np.testing.assert_array_equal(got.indptr, np.arange(0, 2 * len(edges) + 1, 2))
+    for name in ("indices", "indptr", "data"):
+        assert getattr(got, name).dtype == getattr(want, name).dtype
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+def test_group_membership_rejects_fractional_indices():
+    # Truncating [0.5, 1.7] would silently select [0, 1].
+    with pytest.raises(IndexOutOfRange, match="group 0 holds a non-integer"):
+        linops.build_group_membership([[0.5, 1.7]], 3)
+    with pytest.raises(IndexOutOfRange, match="group 1 holds a non-integer"):
+        linops.build_group_membership([[0, 1], [1, 2.0]], 3)
+
+
+def test_group_membership_rejects_booleans_and_strings_as_indices():
+    with pytest.raises(IndexOutOfRange, match="group 0 holds a non-integer"):
+        linops.build_group_membership([[True, False]], 3)
+    with pytest.raises(IndexOutOfRange, match="group 1 holds a non-integer"):
+        linops.build_group_membership([[0], ["1"]], 3)
+
+
+def test_group_membership_rejects_groups_that_are_not_flat():
+    with pytest.raises(DimensionError, match="group 1 is not a flat sequence"):
+        linops.build_group_membership([[0, 1], [[1, 2]]], 3)
+    with pytest.raises(DimensionError, match="group 0 is not a flat sequence"):
+        linops.build_group_membership([0, 1], 3)
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int32, np.uint16, np.uint64])
+def test_group_membership_takes_any_integer_dtype(dtype):
+    groups = [list(range(j, j + 30)) for j in range(0, 60, 20)]
+    want = linops.build_group_membership(groups, 90).matrix
+    for given in ([np.array(g, dtype=dtype) for g in groups],
+                  [[dtype(i) for i in g[:-1]] + [g[-1]] for g in groups]):
+        got = linops.build_group_membership(given, 90).matrix
+        for name in ("indices", "indptr", "data"):
+            assert getattr(got, name).dtype == getattr(want, name).dtype
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
 def test_triplet_round_trip_preserves_matrix(tmp_path):
     rng = np.random.default_rng(8)
     dense = rng.standard_normal((7, 5)) * (rng.random((7, 5)) < 0.4)
