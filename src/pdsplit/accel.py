@@ -23,8 +23,11 @@ the noisy ones of :mod:`pdsplit.stoch`, which add noise levels and the
 splitting parameters ``s, t < 1``.  Every constructor validates its inputs
 in one private builder.
 
-:func:`run_accel` supplies only :func:`accel_step` and its schedule columns;
-the iteration loop is the shared driver in :mod:`pdsplit.fb`.
+The recursion runs on a ``(dim, B)`` column block, through the one
+iteration loop of :mod:`pdsplit.fb`: :func:`run_accel` is its one-column
+case, and :func:`pdsplit.stoch.run_stoc` runs one column per seed.  Each
+supplies only its step (:func:`accel_step`, or the stochastic one) and the
+schedule columns of its trace.
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ import numpy as np
 
 from . import saddle
 from .errors import ConstraintViolation, MissingHistory, UnknownKind
-from .fb import IterTrace, _drive, _start_point, _step_norm
+from .fb import IterTrace, _column, _drive, _start_point, _step_norm
+from .linops import _is_index
 
 ACCEL_TRACE_COLUMNS = [
     "k",
@@ -294,10 +298,11 @@ def _q_constant(factors, q, r, s, t, floor_one):
 
 
 def _check_horizon(horizon):
-    horizon = int(horizon)
+    if not _is_index(horizon):
+        raise ConstraintViolation(f"horizon must be an integer, got {horizon!r}")
     if horizon < 2:
         raise ConstraintViolation("horizon must be at least 2")
-    return horizon
+    return int(horizon)
 
 
 def _schedule(setting, l_f, k_norm, factors, q, r, s=1.0, t=1.0, horizon=None,
@@ -553,22 +558,23 @@ def build_schedule(problem, params):
     raise UnknownKind(f"unknown schedule setting {params.setting!r}")
 
 
-def _run_schedule(problem, schedule, advance, x, y, n_steps, record_every, seeds=None):
-    """Accelerated recursion from ``(x, y)`` through the shared driver.
+def _run_schedule(problem, schedule, advance, x, y, n_steps, record_every,
+                  labels=("",), stamps=({},)):
+    """Accelerated recursion of a block pair through the shared driver.
 
     ``advance(k, state, table)`` is the step, where ``table`` is the
-    schedule tabulated over the run's ``n_steps`` indices.
-
-    With ``seeds``, ``(x, y)`` is a block pair with one column per seed and
-    every step advances all columns at once.  Each seed then gets its own
-    result, whose trace adds a constant ``seed`` column after
-    ``ACCEL_TRACE_COLUMNS`` and whose rows are evaluated on contiguous
-    copies of its columns, as a run on that column alone would.  A
-    non-finite column raises naming its seed.
+    schedule tabulated over the run's ``n_steps`` indices.  ``(x, y)`` is a
+    block pair with one column per label, and every step advances all
+    columns at once.  Each column gets its own result, whose trace adds the
+    constant columns of its ``stamps`` entry after ``ACCEL_TRACE_COLUMNS``
+    and whose rows are evaluated on contiguous copies of its columns, as a
+    run on that column alone would.  A non-finite column raises, naming its
+    label.
 
     Returns
     -------
-    AccelResult, or a list of one per seed when ``seeds`` is given
+    list of AccelResult
+        One per column, in order.
     """
     state = AccelState.start(x, y)
     first = (None, None)
@@ -581,37 +587,27 @@ def _run_schedule(problem, schedule, advance, x, y, n_steps, record_every, seeds
             first = (state.xt.copy(), state.yt.copy())
         return state.xt, state.yt, None
 
-    def columns(k, xt, x, dx, dy, **stamp):
-        return dict(
-            objective=saddle.primal_objective(problem, xt),
-            ergodic_objective=saddle.primal_objective(problem, x),
-            residual=_step_norm(dx, dy),
+    def row(k, res, which):
+        residual = _step_norm(state.xt - state.xt_prev, state.yt - state.yt_prev)
+        return [dict(
+            objective=saddle.primal_objective(problem, _column(state.xt, j)),
+            ergodic_objective=saddle.primal_objective(problem, _column(state.x, j)),
+            residual=residual[j],
             mdist=np.nan,
             tau_k=table.tau(k),
             sigma_k=table.sigma(k),
             rho_k=table.rho(k),
-            **stamp,
-        )
+            **stamps[j],
+        ) for j in which]
 
-    def row(k, res, which=None):
-        parts = (state.xt, state.x, state.xt - state.xt_prev, state.yt - state.yt_prev)
-        if seeds is None:
-            return columns(k, *parts)
-        return [columns(k, *(np.ascontiguousarray(a[:, j]) for a in parts), seed=seeds[j])
-                for j in which]
-
-    labels = None if seeds is None else [f"seed {s}" for s in seeds]
-    names = ACCEL_TRACE_COLUMNS + ([] if seeds is None else ["seed"])
-    traced, k, _ = _drive(step, row, n_steps, record_every, names, labels=labels)
+    names = ACCEL_TRACE_COLUMNS + list(stamps[0])
+    traces, ks, _ = _drive(step, row, n_steps, record_every, names, labels)
     arrays = (state.x, state.y, state.xt, state.yt, state.xt_prev, state.yt_prev, *first)
-
-    def result(trace, pick, iterations):
-        picked = (None if a is None else pick(a) for a in arrays)
-        return AccelResult(*picked, trace=trace, iterations=iterations, schedule=schedule)
-
-    if seeds is None:
-        return result(traced, lambda a: a, k)
-    return [result(t, lambda a, j=j: a[:, j].copy(), int(k[j])) for j, t in enumerate(traced)]
+    return [
+        AccelResult(*(None if a is None else a[:, j].copy() for a in arrays),
+                    trace=trace, iterations=int(ks[j]), schedule=schedule)
+        for j, trace in enumerate(traces)
+    ]
 
 
 def run_accel(problem, params, x0=None, y0=None):
@@ -637,15 +633,16 @@ def run_accel(problem, params, x0=None, y0=None):
             params.horizon, params.max_iters
         )
     alpha, beta = mode_coefficients(params.mode, params.kappa)
-    return _run_schedule(
+    [result] = _run_schedule(
         problem,
         schedule,
         lambda k, state, table: accel_step(problem, alpha, beta, table, k, state),
-        x,
-        y,
+        x[:, None],
+        y[:, None],
         n_steps,
         params.record_every,
     )
+    return result
 
 
 @dataclass

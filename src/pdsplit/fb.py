@@ -6,24 +6,23 @@ point and leaves the metric block diagonal, while ``|kappa| = 1`` anchors
 the prox fully on one side and couples the metric blocks.  All members share
 the same fixed points, step-size region arithmetic, and relaxation cap.
 
-This module also holds the iteration loop of every runner in the package:
-``_start_point`` copies and checks the starting pair, and ``_drive`` runs
-the steps, checks each resolvent pair for finiteness, records trace rows on
-the cadence with their timer, and stops at the tolerance.  A step pays only
-for what the step needs: the finiteness scan runs when the step residual is
-missing or non-finite (a non-finite entry always makes the residual
-non-finite), and whatever only a trace row reads, such as the metric
-distance, is evaluated in the row.  :func:`run_fb`,
-:func:`run_fbf`, :func:`run_fb_block`, :func:`pdsplit.shard.run_fb_sharded`,
-:func:`pdsplit.accel.run_accel` and :func:`pdsplit.stoch.run_stoc` supply
-only their step and their solver-specific trace columns.
-
-The loop also runs block iterates, one run per column: the seeds of
-:func:`pdsplit.stoch.run_stoc`, and the step-size cells of a region scan in
-:func:`run_fb_block`, where every column has its own ``kappa``, ``tau``
-and ``sigma`` and leaves the block at its own step.  Operators, prox maps,
-loss gradients and the step norm (:func:`_step_norm`) all act column by
-column, so each column is bitwise the run of that column alone.
+This module also holds ``_drive``, the one iteration loop of every runner.
+Its iterate is a ``(dim, B)`` block with one run per column: the one column
+of :func:`run_fb`, :func:`run_fbf`, :func:`pdsplit.shard.run_fb_sharded`
+and :func:`pdsplit.accel.run_accel`, the seeds of
+:func:`pdsplit.stoch.run_stoc`, or the step-size cells of a region scan in
+:func:`run_fb_block`, each with its own ``kappa``, ``tau`` and ``sigma``.
+The loop runs the steps, checks each column's pair for finiteness, records
+trace rows on the cadence with their timer and stops columns at the
+tolerance.  A step pays only for what it needs: the finiteness scan runs
+when a step residual is missing or non-finite, no mask is formed while no
+column stops or records, and what only a trace row reads, such as the
+metric distance, is evaluated in the row.  The runners supply only their
+step and their solver-specific trace columns; :func:`run_fb` is the
+one-column case of the relaxed block iteration behind :func:`run_fb_block`.
+Operators, prox maps, loss gradients and the step norm act column by
+column, and a one-column product is the product of its vector, so each
+column is bitwise the run of that column alone, at the cost of that run.
 
 :func:`run_fb` and :func:`run_fbf` compute the design image ``A x`` of the
 loss ``f(x) = phi(A x)`` once per iterate and hand it to the next step's
@@ -52,6 +51,7 @@ from .errors import (
     MissingHistory,
     NonFiniteIterate,
 )
+from .linops import _is_index
 
 # Fraction of the theoretical caps used by the step and relaxation recipes.
 RECIPE_FACTOR = 0.9
@@ -324,23 +324,19 @@ def m_norm(problem, kappa, tau, sigma, dx, dy):
 
 
 def _step_norm(dx, dy):
-    """Euclidean norm of the step ``(dx, dy)``, or of each column of a block.
+    """Euclidean norm of each column of the block step ``(dx, dy)``.
 
-    A block's squares are dot products of contiguous rows of the transposed
-    step, as the 1-d norm takes them: a dot product over a strided column
-    rounds differently, and column ``j`` must be bitwise the norm of that
-    column's step alone.
+    A column's squares are dot products of a contiguous row of the
+    transposed step, as the norm of a vector takes them: a dot product over
+    a strided column rounds differently, and column ``j`` must be bitwise
+    the norm of that column's step alone.
     """
-    if dx.ndim == 1:
-        return float(np.sqrt(dx @ dx + dy @ dy))
-    rows = [np.ascontiguousarray(d.T) for d in (dx, dy)]
-    rx, ry = (np.matmul(r[:, None, :], r[:, :, None])[:, 0, 0] for r in rows)
-    return np.sqrt(rx + ry)
+    rx, ry = np.ascontiguousarray(dx.T), np.ascontiguousarray(dy.T)
+    return np.sqrt(np.vecdot(rx, rx) + np.vecdot(ry, ry))
 
 
 def _lost_columns(x, y):
-    """Mask of the block columns whose pair is not finite (one flag for a
-    pair of vectors)."""
+    """Mask of the block columns whose pair is not finite."""
     return ~(np.isfinite(x).all(axis=0) & np.isfinite(y).all(axis=0))
 
 
@@ -355,97 +351,95 @@ def _start_point(problem, x0, y0):
 
 
 def _check_budget(n_steps, record_every):
+    if not (_is_index(n_steps) and _is_index(record_every)):
+        raise ConstraintViolation("iteration budget and recording cadence must be "
+                                  f"integers, got {n_steps!r} and {record_every!r}")
     if n_steps < 0 or record_every < 1:
         raise ConstraintViolation("iteration budget must be nonnegative and "
                                   "the recording cadence positive")
 
 
-def _drive(step, row, n_steps, record_every, columns, tol=None, labels=None, leave=None):
-    """The iteration loop shared by every runner.
+def _drive(step, row, n_steps, record_every, columns, labels=("",), tol=None,
+           raise_lost=True, leave=None):
+    """The iteration loop of every runner.
 
-    ``step(k)`` advances the runner's state by one iteration and returns the
-    new resolvent pair and the step residual (``None`` for runners that
-    evaluate it only on recorded rows); the pair must be finite.  The pair
-    is scanned only when the residual is ``None`` or non-finite: a
-    non-finite entry always makes a residual of the pair non-finite, while
-    squares of large finite entries can overflow it, so the scan decides and
-    an overflowing residual of a finite pair is recorded, not raised.
-    ``row(k, res)`` returns the trace columns other than ``k`` and
-    ``seconds``.  A row is recorded every ``record_every`` steps, at the
-    last step, and on convergence (``res <= tol``), which ends the loop.
+    The iterate is a block with one column per label (``""`` for the one
+    column of a single run).  ``step(k)`` advances every column still in the
+    block and returns the new resolvent block pair and the ``(B,)`` array of
+    step residuals (``None`` for runners that evaluate it only on recorded
+    rows, which cannot stop at ``tol``).  The pair is scanned for
+    finiteness only when a residual is missing or not finite: a non-finite
+    entry makes its column's residual non-finite, while squares of large
+    finite entries can overflow it, so the scan decides and an overflowing
+    residual of a finite pair is recorded.  ``row(k, res, which)`` returns a
+    dict of the trace columns other than ``k`` and ``seconds`` for each
+    block position in ``which``.  Each label keeps a trace, with a row every
+    ``record_every`` steps and when its column stops; every column stops at
+    the last step.  Three behaviours are set independently:
 
-    With ``labels`` the pair is a block with one column per label (one
-    seed of a multi-seed run, or one cell of a region scan), and the
-    residual, if any, has one entry per column.  One trace is kept per
-    label, and ``row(k, res, which)`` returns one dict per block position in
-    ``which``.  A non-finite column raises, naming its label, unless
-    ``leave`` is given.  Then every column stops on its own: it leaves the
-    block when it converges (recording its row), at the last step, or when
-    its pair leaves the finite range, which is an outcome then (no row, not
-    converged).  ``leave(gone, where)`` receives the mask of the leaving
-    block positions and their label indices; the runner keeps their final
-    state and drops them from its block, so later steps get smaller.  The
-    loop ends when no column is left.  Without ``leave`` no column leaves
-    before the last step, so ``tol`` must be ``None``.
+    * ``raise_lost``: a non-finite column raises
+      :class:`~pdsplit.errors.NonFiniteIterate` naming the iteration and its
+      label; otherwise it stops there, unconverged, with no row.
+    * ``tol``: a column whose residual is at or below ``tol`` stops,
+      converged.
+    * ``leave(gone, where)`` receives the mask of the stopping block
+      positions and their label indices; the runner keeps their final state
+      and drops them from its block.  Without it the block keeps its
+      columns, and the first step at which a column stops ends the loop.
 
     Returns
     -------
-    (IterTrace, int, bool)
-        The trace, the last iteration index and the convergence flag.  With
-        ``labels``: a list of one trace per label, and arrays of each
-        label's last iteration index and convergence flag.
+    (list of IterTrace, ndarray, ndarray)
+        One trace per label, and each label's last iteration index and
+        convergence flag.
 
     Raises
     ------
     ConstraintViolation
-        If ``n_steps`` is negative or ``record_every`` is not positive.
+        If ``n_steps`` or ``record_every`` is not an integer, ``n_steps`` is
+        negative or ``record_every`` is not positive.
     """
     _check_budget(n_steps, record_every)
-    if labels is not None:
-        return _drive_block(step, row, n_steps, record_every, columns, tol, labels, leave)
-    trace = IterTrace(columns)
-    converged = False
-    k = 0
-    start = time.perf_counter()
-    for k in range(1, n_steps + 1):
-        x_t, y_t, res = step(k)
-        if (res is None or not math.isfinite(res)) and _lost_columns(x_t, y_t):
-            raise NonFiniteIterate(f"iterate left the finite range at iteration {k}")
-        converged = tol is not None and res <= tol
-        if k % record_every == 0 or k == n_steps or converged:
-            trace.append(k=k, seconds=time.perf_counter() - start, **row(k, res))
-        if converged:
-            break
-    return trace, k, converged
-
-
-def _drive_block(step, row, n_steps, record_every, columns, tol, labels, leave):
-    """The loop of :func:`_drive` on a block, one column per label."""
     traces = [IterTrace(columns) for _ in labels]
     last = np.zeros(len(labels), dtype=int)
     converged = np.zeros(len(labels), dtype=bool)
     where = np.arange(len(labels))
     start = time.perf_counter()
+
+    def record(k, res, which):
+        seconds = time.perf_counter() - start
+        for i, values in zip(where[which], row(k, res, which)):
+            traces[i].append(k=k, seconds=seconds, **values)
+
     for k in range(1, n_steps + 1):
         if not where.size:
             break
         x_t, y_t, res = step(k)
-        lost = np.zeros(where.size, dtype=bool)
-        if res is None or not np.isfinite(res).all():
+        values = () if res is None else res.tolist()
+        lost = None
+        if res is None or not math.isfinite(sum(values)):
             lost = _lost_columns(x_t, y_t)
-            if leave is None and lost.any():
+            if not lost.any():
+                lost = None
+            elif raise_lost:
                 names = ", ".join(labels[i] for i in where[lost])
                 raise NonFiniteIterate(
-                    f"iterate left the finite range at iteration {k} in {names}")
-        hit = np.zeros(where.size, dtype=bool) if tol is None else res <= tol
+                    f"iterate left the finite range at iteration {k}"
+                    + (f" in {names}" if names else ""))
+        hit = tol is not None and any(r <= tol for r in values)
         due = k % record_every == 0 or k == n_steps
-        record = np.flatnonzero(~lost if due else hit)
-        if record.size:
-            seconds = time.perf_counter() - start
-            for i, values in zip(where[record], row(k, res, record)):
-                traces[i].append(k=k, seconds=seconds, **values)
+        if not (hit or lost is not None or k == n_steps):
+            if due:
+                record(k, res, np.arange(where.size))
+            continue
+        none = np.zeros(where.size, dtype=bool)
+        lost = none if lost is None else lost
+        hit = res <= tol if hit else none
+        record(k, res, np.flatnonzero(~lost if due else hit))
         gone = hit | lost | (k == n_steps)
         if gone.any():
+            if leave is None:
+                gone[:] = True
             last[where[gone]] = k
             converged[where[gone]] = hit[gone]
             if leave is not None:
@@ -454,13 +448,18 @@ def _drive_block(step, row, n_steps, record_every, columns, tol, labels, leave):
     return traces, last, converged
 
 
+def _column(block, j):
+    """Column ``j`` of a block as a contiguous vector, as a run on that
+    column alone holds it."""
+    return np.ascontiguousarray(block[:, j])
+
+
 class _ErgodicMean:
-    """Weighted running mean of the resolvent points.
+    """Weighted running mean of the resolvent points of a block iterate.
 
     It also carries the weighted sum of the points' design images, so the
     ergodic objective reads its ``A x`` from the sum instead of a design
-    product.  The sums are shaped like a first ``point`` and its ``image``:
-    vectors, or blocks with one column per run.
+    product.  The sums are blocks with one column per run.
     """
 
     def __init__(self, point, image):
@@ -479,29 +478,30 @@ class _ErgodicMean:
         self.total = self.total[:, mask]
         self.image = self.image[:, mask]
 
-    def row(self, problem, x, res, mdist, ax, column=None):
-        """Trace columns of the forward-backward family at iterate ``x``,
-        whose design image is ``ax``; for a block, ``x`` and ``ax`` are the
-        given ``column`` of the block iterate and its image."""
-        total, image = self.total, self.image
-        if column is not None:
-            total, image = total[:, column], image[:, column]
+    def row(self, problem, j, x, ax, res, mdist):
+        """Trace columns of the forward-backward family for block column
+        ``j``, whose iterate is the vector ``x`` with design image ``ax``."""
         return {
             "objective": saddle.primal_objective(problem, x, ax),
             "ergodic_objective": saddle.primal_objective(
-                problem, total / self.weight, image / self.weight
+                problem, self.total[:, j] / self.weight, self.image[:, j] / self.weight
             ),
             "residual": res,
             "mdist": mdist,
         }
 
 
-def _relaxed_run(problem, stepped, params, rho, x, y, tol, on_step=None, labels=None):
-    """Relaxed iteration on ``stepped`` through the shared driver.
+def _relaxed_run(problem, stepped, kappa, tau, sigma, rho, x, y, max_iters,
+                 record_every, tol, on_step=None, labels=("",), raise_lost=True):
+    """Relaxed iteration of a block through the shared driver.
 
+    ``(x, y)`` is a block pair with one column per label, and ``kappa``,
+    ``tau`` and ``sigma`` are scalars shared by every column or ``(B,)``
+    rows with one entry per column, as :func:`fb_step` takes them; each
+    column stops at its own step and leaves the block (see :func:`_drive`).
     ``fb_step`` runs on ``stepped`` (the sharded run passes its counting
     copy of ``problem``) while trace rows are evaluated on ``problem``.
-    ``on_step(k, x, y)`` sees every relaxed pair.
+    ``on_step(k, x, y)`` sees every relaxed block pair.
 
     The design image ``A x`` of the start is read on ``problem``; that of
     each relaxed iterate is computed once on ``stepped`` and read by the
@@ -510,25 +510,20 @@ def _relaxed_run(problem, stepped, params, rho, x, y, tol, on_step=None, labels=
 
     The step keeps its displacement ``(dx, dy)``, and the metric distance
     ``||(dx, dy)||_M`` (:func:`m_norm`, one ``K'`` product on ``problem``)
-    is evaluated only for recorded rows.
-
-    With ``labels``, ``(x, y)`` is a block pair with one column per label,
-    ``params.kappa``, ``tau`` and ``sigma`` are ``(B,)`` rows, and each
-    column leaves the block at its own step (see :func:`_drive`); a row is
-    evaluated on contiguous copies of its column, as a run on that column
-    alone would.
+    is evaluated only for recorded rows, on contiguous copies of the
+    column, as a run on that column alone would.
 
     Returns
     -------
-    (x, y, x_tilde, y_tilde, trace, iterations, converged)
-        With ``labels``: the final block pairs, one trace per label, and
-        arrays of the iteration counts and convergence flags.
+    (x, y, x_tilde, y_tilde, traces, iterations, converged)
+        The final block pairs, one trace per label, and arrays of the
+        iteration counts and convergence flags.
     """
-    kappa, tau, sigma = params.kappa, params.tau, params.sigma
     design = stepped.loss.A
     ax = problem.loss.A.apply(x)
     erg = _ErgodicMean(x, ax)
     x_t, y_t, dx, dy = x, y, None, None
+    final = [a.copy() for a in (x, y, x, y)]
 
     def step(k):
         nonlocal x, y, ax, x_t, y_t, dx, dy
@@ -544,40 +539,43 @@ def _relaxed_run(problem, stepped, params, rho, x, y, tol, on_step=None, labels=
             on_step(k, x, y)
         return x_t, y_t, res
 
-    def row(k, res, which=None):
-        if which is None:
-            return erg.row(problem, x, res, m_norm(problem, kappa, tau, sigma, dx, dy), ax)
+    # Each column's kappa, tau and sigma, for its rows and for leaving.
+    cells = np.array([np.broadcast_to(v, x.shape[1:]) for v in (kappa, tau, sigma)])
+
+    def row(k, res, which):
         rows = []
         for j in which:
-            xj, axj, dxj, dyj = (np.ascontiguousarray(a[:, j]) for a in (x, ax, dx, dy))
-            mdist = m_norm(problem, float(kappa[j]), float(tau[j]), float(sigma[j]), dxj, dyj)
-            rows.append(erg.row(problem, xj, float(res[j]), mdist, axj, column=j))
+            dxj, dyj = _column(dx, j), _column(dy, j)
+            mdist = m_norm(problem, *cells[:, j].tolist(), dxj, dyj)
+            rows.append(erg.row(problem, j, _column(x, j), _column(ax, j), res[j], mdist))
         return rows
 
-    final = None if labels is None else [a.copy() for a in (x, y, x, y)]
-
     def leave(gone, where):
-        nonlocal x, y, ax, x_t, y_t, dx, dy, kappa, tau, sigma
+        nonlocal x, y, ax, x_t, y_t, dx, dy, kappa, tau, sigma, cells
         for out, a in zip(final, (x, y, x_t, y_t)):
             out[:, where] = a[:, gone]
         keep = ~gone
+        cells = cells[:, keep]
+        kappa, tau, sigma = cells
         x, y, ax, x_t, y_t, dx, dy = (a[:, keep] for a in (x, y, ax, x_t, y_t, dx, dy))
-        kappa, tau, sigma = kappa[keep], tau[keep], sigma[keep]
         erg.keep(keep)
 
-    trace, k, converged = _drive(
-        step,
-        row,
-        params.max_iters,
-        params.record_every,
-        TRACE_COLUMNS,
-        tol,
-        labels,
-        leave,
-    )
-    if labels is not None:
-        x, y, x_t, y_t = final
-    return x, y, x_t, y_t, trace, k, converged
+    traces, ks, converged = _drive(step, row, max_iters, record_every, TRACE_COLUMNS,
+                                   labels, tol, raise_lost, leave)
+    return (*final, traces, ks, converged)
+
+
+def _relaxed_column(problem, stepped, params, rho, x, y, tol, on_step=None):
+    """One relaxed run from the vector pair ``(x, y)`` with resolved
+    ``params``: the one-column case of :func:`_relaxed_run`.
+
+    A non-finite pair raises.  Returns ``(x, y, x_tilde, y_tilde, trace,
+    iterations, converged)`` with vectors and one trace.
+    """
+    *pairs, traces, ks, converged = _relaxed_run(
+        problem, stepped, params.kappa, params.tau, params.sigma, rho, x[:, None],
+        y[:, None], params.max_iters, params.record_every, tol, on_step)
+    return (*(a[:, 0] for a in pairs), traces[0], int(ks[0]), bool(converged[0]))
 
 
 def run_fb(
@@ -592,7 +590,8 @@ def run_fb(
     """Run the relaxed preconditioned iteration.
 
     Every trace row records the metric distance ``mdist`` of its step
-    (:func:`m_norm`, one ``K'`` product per row).
+    (:func:`m_norm`, one ``K'`` product per row).  The run is the
+    one-column case of :func:`run_fb_block`'s block iteration.
 
     Parameters
     ----------
@@ -628,9 +627,9 @@ def run_fb(
     on_step = None
     if keep_iterates:
         iterates = [(x.copy(), y.copy())]
-        on_step = lambda k, x, y: iterates.append((x.copy(), y.copy()))
+        on_step = lambda k, x, y: iterates.append((x[:, 0].copy(), y[:, 0].copy()))
 
-    x, y, x_t, y_t, trace, k, converged = _relaxed_run(
+    x, y, x_t, y_t, trace, k, converged = _relaxed_column(
         problem, problem, params, rho, x, y, tol, on_step
     )
     return FbResult(
@@ -684,11 +683,10 @@ def run_fb_block(problem, kappa, tau, sigma, max_iters, tol):
         raise DimensionError("kappa, tau and sigma must be rows of one length")
     p, l = problem.dims
     n = kappa.size
-    params = FbParams(kappa=kappa, tau=tau, sigma=sigma, relaxation=1.0,
-                      max_iters=max_iters, record_every=max(max_iters, 1))
     x, y, x_t, y_t, traces, ks, converged = _relaxed_run(
-        problem, problem, params, 1.0, np.zeros((p, n)), np.zeros((l, n)), tol,
-        labels=[f"column {j}" for j in range(n)],
+        problem, problem, kappa, tau, sigma, 1.0, np.zeros((p, n)), np.zeros((l, n)),
+        max_iters, max(max_iters, 1), tol, labels=[f"column {j}" for j in range(n)],
+        raise_lost=False,
     )
     results = []
     for j, trace in enumerate(traces):
@@ -812,6 +810,7 @@ def run_fbf(
         raise ConstraintViolation(
             "forward-backward-forward step must satisfy tau * (L_f + ||K||) < 1"
         )
+    x, y = x[:, None], y[:, None]
     x_prev, y_prev = x.copy(), y.copy()
     design = problem.loss.A
     ax = design.apply(x)
@@ -820,32 +819,19 @@ def run_fbf(
     def step(k):
         nonlocal x, y, x_prev, y_prev, ax
         x_new, y_new = fbf_step(problem, tau, x, y, x_prev, y_prev, alpha1, alpha2, ax)
-        res = float(
-            np.sqrt(np.sum((x_new - x) ** 2) + np.sum((y_new - y) ** 2))
-        )
+        res = np.sqrt(np.sum((x_new - x) ** 2, axis=0) + np.sum((y_new - y) ** 2, axis=0))
         x_prev, y_prev = x, y
         x, y = x_new, y_new
         ax = design.apply(x)
         erg.add(1.0, x, ax)
         return x, y, res
 
-    trace, k, converged = _drive(
-        step,
-        lambda k, res: erg.row(problem, x, res, np.nan, ax),
-        max_iters,
-        record_every,
-        TRACE_COLUMNS,
-        tol,
-    )
-    return FbResult(
-        x=x,
-        y=y,
-        x_tilde=x,
-        y_tilde=y,
-        trace=trace,
-        iterations=k,
-        converged=converged,
-        rho=1.0,
-        delta=np.nan,
-        iterates=None,
-    )
+    def row(k, res, which):
+        return [erg.row(problem, j, _column(x, j), _column(ax, j), res[j], np.nan)
+                for j in which]
+
+    [trace], [k], [converged] = _drive(step, row, max_iters, record_every, TRACE_COLUMNS,
+                                       tol=tol)
+    x, y = x[:, 0], y[:, 0]
+    return FbResult(x=x, y=y, x_tilde=x, y_tilde=y, trace=trace, iterations=int(k),
+                    converged=bool(converged), rho=1.0, delta=np.nan)

@@ -79,15 +79,20 @@ class LinearOperator:
         raise NotImplementedError
 
 
-def _column_products(matrix, block):
-    """``matrix @ block`` as one matrix-vector product per column.
+def _column_products(matrix, v):
+    """``matrix @ v`` for a vector, or one matrix-vector product per column.
 
     A matrix-matrix product rounds a column differently from the
-    matrix-vector product of that column alone, so the block is handed to
+    matrix-vector product of that column alone, so a block is handed to
     ``matmul`` as a stack of contiguous vectors: column ``j`` of the result
-    is bitwise ``matrix @ block[:, j]``.
+    is bitwise ``matrix @ block[:, j]``.  A one-column block is the gemv of
+    its contiguous column, which costs what the product of a vector costs.
     """
-    return np.matmul(matrix, np.ascontiguousarray(block.T)[:, :, None])[:, :, 0].T
+    if v.ndim == 1:
+        return matrix @ v
+    if v.shape[1] == 1:
+        return (matrix @ np.ascontiguousarray(v[:, 0]))[:, None]
+    return np.matmul(matrix, np.ascontiguousarray(v.T)[:, :, None])[:, :, 0].T
 
 
 class DenseOp(LinearOperator):
@@ -107,23 +112,22 @@ class DenseOp(LinearOperator):
         self.array = array
 
     def apply(self, x):
-        x = self._check_vec(x, self.shape[1], "input")
-        return self.array @ x if x.ndim == 1 else _column_products(self.array, x)
+        return _column_products(self.array, self._check_vec(x, self.shape[1], "input"))
 
     def apply_adjoint(self, y):
-        y = self._check_vec(y, self.shape[0], "adjoint input")
-        return self.array.T @ y if y.ndim == 1 else _column_products(self.array.T, y)
+        return _column_products(self.array.T, self._check_vec(y, self.shape[0], "adjoint input"))
 
 
 class SparseOp(LinearOperator):
-    """Operator backed by a scipy CSR matrix."""
+    """Operator backed by a scipy CSR matrix; a float64 CSR array is shared,
+    not copied, as :class:`DenseOp` shares its array."""
 
     kind = "sparse-csr"
 
     def __init__(self, matrix):
         matrix = sp.csr_array(matrix)
         super().__init__(matrix.shape)
-        self.matrix = matrix.astype(float)
+        self.matrix = matrix.astype(float, copy=False)
         self._adjoint = None
 
     def apply(self, x):

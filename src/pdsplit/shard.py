@@ -6,9 +6,11 @@ single-process; what the sharding changes is the *accounting*: a ledger
 records how many vector entries would cross worker boundaries per
 iteration.  The run is :func:`pdsplit.fb.fb_step` on a counting copy of the
 problem whose ``A`` and ``K`` are two counting column-block stacks
-(:class:`pdsplit.linops.HStackOp` of the blocks), iterated by the shared
-driver in :mod:`pdsplit.fb`.  A forward product sums the block partials
-left to right and an adjoint product concatenates the block adjoints.
+(:class:`pdsplit.linops.HStackOp` of the blocks), iterated as the one-column
+case of the relaxed block iteration behind :func:`pdsplit.fb.run_fb`, in the
+one iteration loop of :mod:`pdsplit.fb`.  A forward product sums the block
+partials left to right and an adjoint product concatenates the block
+adjoints.
 A dense design is cut into dense column slices and any other design into
 CSR slices; penalty blocks are CSR, whose row structure gives the traffic
 counts.
@@ -239,14 +241,8 @@ def run_fb_sharded(problem, params, m_workers, x0=None, y0=None, tol=None):
     k_op = _CountingStack(plan.k_blocks, ledger.add_penalty, plan.cross_total)
     shadow = saddle.SaddleProblem(problem.loss.on(a_op), k_op, problem.hconj)
 
-    x, y, _, _, trace, k, converged = fb._relaxed_run(
-        problem,
-        shadow,
-        params,
-        info["rho"],
-        x,
-        y,
-        tol,
+    x, y, _, _, trace, k, converged = fb._relaxed_column(
+        problem, shadow, params, info["rho"], x, y, tol,
         on_step=lambda k, x, y: ledger.flush(k),
     )
     return ShardResult(

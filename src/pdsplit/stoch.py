@@ -18,13 +18,14 @@ laws, the inequality checks, the input checks and the constant ``Q``.
 
 :func:`run_stoc` advances all its seeds together as one block iterate, a
 ``(dim, B)`` array with one column per seed, by :func:`stoc_accel_step`
-through the accelerated module's runner and so through the iteration loop
-shared by every runner in :mod:`pdsplit.fb`.  A step makes the products of
-one single-seed step, whatever the seed count: every operator, prox and
-loss gradient maps a block column by column, and one oracle draws every
-seed's estimate from that seed's own stream.  Each seed keeps its own
-result and trace, and the cross-seed aggregate is built from the per-seed
-traces.
+through the accelerated module's block recursion, whose one-column case is
+:func:`~pdsplit.accel.run_accel`, and so through the one iteration loop of
+:mod:`pdsplit.fb`.  A step makes the products of one single-seed step,
+whatever the seed count: every operator, prox and loss gradient maps a
+block column by column, and one oracle draws every seed's estimate from
+that seed's own stream.  Each seed keeps its own result and trace, labelled
+and stamped with its seed, and the cross-seed aggregate is built from the
+per-seed traces.
 """
 
 from __future__ import annotations
@@ -448,7 +449,8 @@ def run_stoc(problem, params, oracle_factory, seeds, x0=None, y0=None):
         np.repeat(y_start[:, None], len(seeds), axis=1),
         resolved.horizon - 1,
         resolved.record_every,
-        seeds=seeds,
+        labels=[f"seed {s}" for s in seeds],
+        stamps=[{"seed": s} for s in seeds],
     )
 
     values = np.asarray([run.trace.column("ergodic_objective") for run in runs])

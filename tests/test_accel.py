@@ -392,6 +392,19 @@ def test_run_accel_unbounded_runs_horizon_steps(tiny_lasso):
     assert run_accel(tiny_lasso.problem, capped).iterations == 10
 
 
+def test_horizon_must_be_an_integer(tiny_lasso):
+    problem = tiny_lasso.problem
+    for horizon in (10.7, 10.0, np.float64(10.0), True):
+        params = AccelParams(setting="unbounded", horizon=horizon)
+        with pytest.raises(ConstraintViolation):
+            run_accel(problem, params)
+        with pytest.raises(ConstraintViolation):
+            tune_qr("unbounded", problem.L_f, problem.k_norm, mode_factors("kappa"),
+                    horizon)
+    res = run_accel(problem, AccelParams(setting="unbounded", horizon=np.int64(10)))
+    assert res.iterations == 10 and res.schedule.horizon == 10
+
+
 def test_run_accel_trace_records_schedule_values(tiny_lasso):
     params = AccelParams(mode="kappa", kappa=0.0, setting="bounded",
                          omega_x=2.0, omega_y=2.0, max_iters=20,

@@ -5,6 +5,8 @@ import re
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdsplit import bench, linops, prox
 from pdsplit.errors import (
@@ -630,10 +632,16 @@ BUDGET_RUNNERS = {
 }
 
 
+# A negative or non-integer budget, and a zero or non-integer cadence; a bool
+# is not an integer here.
+BAD_BUDGETS = ((-2, 1), (4, 0), (2.5, 1), (np.float64(3.0), 1), (True, 1), (4, 1.5),
+               (4, True))
+
+
 @pytest.mark.parametrize(
     "runner, n_steps, every",
     [(name, n, every) for name in sorted(BUDGET_RUNNERS)
-     for n, every in ((-2, 1), (4, 0)) if name != "run_stoc" or every == 0],
+     for n, every in BAD_BUDGETS if name != "run_stoc" or n == 4],
 )
 def test_runners_reject_negative_budget_and_zero_cadence(tiny_lasso, runner,
                                                          n_steps, every):
@@ -704,6 +712,61 @@ def test_fejer_passes_on_valid_run(tiny_lasso, tiny_lasso_reference):
     report = fejer_check(tiny_lasso.problem, FbParams(), res.iterates,
                          (ref.x, ref.y))
     assert report["ok"]
+
+
+def _diagonal_lasso(d, b, lam):
+    """``0.5 ||diag(d) x - b||^2 + lam ||x||_1`` with identity coupling, and
+    its saddle point in closed form: ``x*`` soft-thresholds ``d b`` at
+    ``lam`` and divides by ``d^2``, and ``y* = d (b - d x*)`` is the
+    negative gradient there."""
+    problem = identity_lasso_problem(np.diag(d), b, lam)
+    x_star = np.sign(b) * np.maximum(d * np.abs(b) - lam, 0.0) / d**2
+    return problem, (x_star, d * (b - d * x_star))
+
+
+def test_diagonal_lasso_saddle_point_is_stationary():
+    d, b, lam = np.array([0.5, 2.0, 1.0]), np.array([3.0, 0.2, -2.0]), 0.5
+    problem, (x_star, y_star) = _diagonal_lasso(d, b, lam)
+    for kappa in (-1.0, 0.0, 0.5, 1.0):
+        xt, yt = fb_step(problem, kappa, 0.3, 0.4, x_star, y_star)
+        np.testing.assert_allclose(xt, x_star, atol=1e-14)
+        np.testing.assert_allclose(yt, y_star, atol=1e-14)
+
+
+@st.composite
+def _region_runs(draw):
+    """A diagonal lasso, a start, ``kappa`` in ``[-1, 1]``, a step pair
+    strictly inside the region and a relaxation below its cap."""
+    p = draw(st.integers(1, 6))
+    unit = st.floats(0.05, 0.95)
+    d = np.array(draw(st.lists(st.floats(0.2, 3.0), min_size=p, max_size=p)))
+    b = np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=p, max_size=p)))
+    start = [np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=p, max_size=p)))
+             for _ in range(2)]
+    problem, z_star = _diagonal_lasso(d, b, draw(st.floats(0.05, 2.0)))
+    kappa = draw(st.floats(-1.0, 1.0))
+    # A fraction of the curvature cap, then of the largest dual step there.
+    tau = draw(unit) * 2.0 / problem.L_f
+    half = tau * problem.L_f / 2.0
+    sigma = draw(unit) * (1.0 - half) / (
+        (1.0 - (1.0 - kappa**2) * half) * tau * problem.k_norm**2)
+    rho = draw(unit) * relaxation_cap(problem.L_f, problem.k_norm, kappa, tau, sigma)
+    params = FbParams(kappa=kappa, tau=tau, sigma=sigma, relaxation=rho, max_iters=60)
+    return problem, params, start, z_star
+
+
+@settings(max_examples=60, deadline=None)
+@given(_region_runs())
+def test_runs_inside_the_region_are_fejer_monotone(run):
+    # The paper's central claim: every member of the kappa continuum, with
+    # steps inside the region and a relaxation below the cap, moves no
+    # farther from the saddle point in the preconditioner's metric.
+    problem, params, (x0, y0), z_star = run
+    assert convergence_region(problem.L_f, problem.k_norm, params.kappa,
+                              params.tau, params.sigma)[0]
+    res = run_fb(problem, params, x0=x0, y0=y0, keep_iterates=True)
+    report = fejer_check(problem, params, res.iterates, z_star)
+    assert report["ok"], report["first_violation"]
 
 
 def test_fbf_step_matches_oracle(dense_problem):
