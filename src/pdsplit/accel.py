@@ -558,18 +558,17 @@ def build_schedule(problem, params):
     raise UnknownKind(f"unknown schedule setting {params.setting!r}")
 
 
-def _run_schedule(problem, schedule, advance, x, y, n_steps, record_every,
-                  labels=("",), stamps=({},)):
+def _run_schedule(problem, schedule, advance, x, y, n_steps, record_every, stamps=({},)):
     """Accelerated recursion of a block pair through the shared driver.
 
     ``advance(k, state, table)`` is the step, where ``table`` is the
     schedule tabulated over the run's ``n_steps`` indices.  ``(x, y)`` is a
-    block pair with one column per label, and every step advances all
-    columns at once.  Each column gets its own result, whose trace adds the
-    constant columns of its ``stamps`` entry after ``ACCEL_TRACE_COLUMNS``
-    and whose rows are evaluated on contiguous copies of its columns, as a
-    run on that column alone would.  A non-finite column raises, naming its
-    label.
+    block pair with one column per ``stamps`` entry, and every step advances
+    all columns at once.  Each column gets its own result, whose trace adds
+    the constant columns of its entry after ``ACCEL_TRACE_COLUMNS`` and
+    whose rows are evaluated on contiguous copies of its columns, as a run
+    on that column alone would.  A non-finite column raises, naming its
+    stamps (``seed 13``).
 
     Returns
     -------
@@ -601,6 +600,7 @@ def _run_schedule(problem, schedule, advance, x, y, n_steps, record_every,
         ) for j in which]
 
     names = ACCEL_TRACE_COLUMNS + list(stamps[0])
+    labels = [" ".join(f"{key} {value}" for key, value in stamp.items()) for stamp in stamps]
     traces, ks, _ = _drive(step, row, n_steps, record_every, names, labels)
     arrays = (state.x, state.y, state.xt, state.yt, state.xt_prev, state.yt_prev, *first)
     return [

@@ -23,9 +23,9 @@ through the accelerated module's block recursion, whose one-column case is
 :mod:`pdsplit.fb`.  A step makes the products of one single-seed step,
 whatever the seed count: every operator, prox and loss gradient maps a
 block column by column, and one oracle draws every seed's estimate from
-that seed's own stream.  Each seed keeps its own result and trace, labelled
-and stamped with its seed, and the cross-seed aggregate is built from the
-per-seed traces.
+that seed's own stream.  Each seed keeps its own result and trace, stamped
+with its seed, and the cross-seed aggregate is built from the per-seed
+traces.
 """
 
 from __future__ import annotations
@@ -449,7 +449,6 @@ def run_stoc(problem, params, oracle_factory, seeds, x0=None, y0=None):
         np.repeat(y_start[:, None], len(seeds), axis=1),
         resolved.horizon - 1,
         resolved.record_every,
-        labels=[f"seed {s}" for s in seeds],
         stamps=[{"seed": s} for s in seeds],
     )
 
