@@ -202,6 +202,22 @@ def test_op_norm_is_relative_at_every_scale(scale):
     assert linops.safe_op_norm(linops.DenseOp(a)) >= expected
 
 
+class CountingSparseOp(linops.SparseOp):
+    """CSR operator that counts its forward and adjoint products."""
+
+    def __init__(self, matrix):
+        super().__init__(matrix)
+        self.forward = self.adjoint = 0
+
+    def apply(self, x):
+        self.forward += 1
+        return super().apply(x)
+
+    def apply_adjoint(self, y):
+        self.adjoint += 1
+        return super().apply_adjoint(y)
+
+
 def test_op_norm_separates_a_near_degenerate_top_pair_in_bounded_work(monkeypatch):
     # Top pair 1e-8 apart over a dense spectrum reaching 1 - 1e-7: Lanczos
     # needs several hundred products, so the restarts must bound the size
@@ -224,26 +240,10 @@ def test_op_norm_separates_a_near_degenerate_top_pair_in_bounded_work(monkeypatc
     assert max(sizes) == linops.LANCZOS_BASIS
 
 
-class CountingSparseOp(linops.SparseOp):
-    """CSR operator that counts its forward and adjoint products."""
-
-    def __init__(self, matrix):
-        super().__init__(matrix)
-        self.forward = self.adjoint = 0
-
-    def apply(self, x):
-        self.forward += 1
-        return super().apply(x)
-
-    def apply_adjoint(self, y):
-        self.adjoint += 1
-        return super().apply_adjoint(y)
-
-
 def test_sparse_operator_shares_a_float64_csr_matrix():
     m = sp.random_array((50, 40), density=0.1, format="csr", rng=np.random.default_rng(3))
     assert np.shares_memory(linops.SparseOp(m).matrix.data, m.data)
-    # Any other input is converted, and the conversion is a copy.
+    # Any other input is converted to float64.
     ints = sp.csr_array(np.eye(3, dtype=int))
     assert linops.SparseOp(ints).matrix.dtype == np.float64
 
