@@ -20,8 +20,8 @@ satisfy two per-iteration inequalities that are asserted at construction.
 :class:`Schedule` is the one schedule class: it holds those checks and the
 relaxation and extrapolation laws both for this module's schedules and for
 the noisy ones of :mod:`pdsplit.stoch`, which add noise levels and the
-splitting parameters ``s, t < 1``.  Every constructor validates its inputs
-in one private builder.
+splitting parameters ``s, t < 1``.  Every schedule comes from
+:meth:`Schedule.build`, the one place that validates a schedule's inputs.
 
 The recursion runs on a ``(dim, B)`` column block, through the one
 iteration loop of :mod:`pdsplit.fb`: :func:`run_accel` is its one-column
@@ -56,6 +56,11 @@ ACCEL_TRACE_COLUMNS = [
 # Relative tolerance when asserting schedule inequalities whose sharp
 # configurations are exactly tight in real arithmetic.
 COND_TOL = 1e-12
+
+SETTINGS = ("bounded", "unbounded")
+# Last index at which a deterministic bounded schedule, which has no horizon,
+# asserts its inequalities by default.
+BOUNDED_CHECK_UP_TO = 10000
 
 
 @dataclass
@@ -171,6 +176,64 @@ class Schedule:
     chi_x: float | None = None
     chi_y: float | None = None
     r_tilde: float | None = None
+
+    @classmethod
+    def build(cls, setting, l_f, k_norm, factors, q, r, *, s=1.0, t=1.0, horizon=None,
+              omega_x=None, omega_y=None, chi_x=None, chi_y=None, r_tilde=None,
+              check_up_to=None):
+        """Check the inputs of any schedule, build it and assert its inequalities.
+
+        The schedule is noisy when ``chi_x`` is given (a ``nan`` level is
+        unresolved) and then needs a horizon, as the unbounded setting does.
+        The bounded setting reads ``omega_x``/``omega_y``, a noisy unbounded
+        one ``r_tilde``.  The inequalities are asserted on ``k = 1..check_up_to``,
+        by default the indices a run steps through (``1..horizon``, or
+        ``1..horizon - 1`` when noisy) and ``1..BOUNDED_CHECK_UP_TO`` for a
+        deterministic bounded schedule.  An unknown ``setting`` raises
+        :class:`UnknownKind`, any other bad input :class:`ConstraintViolation`.
+        """
+        noisy = chi_x is not None
+        if horizon is None and (noisy or setting == "unbounded"):
+            raise ConstraintViolation(
+                "stochastic runs need a horizon" if noisy else "unbounded setting needs a horizon"
+            )
+        if noisy and (np.isnan(chi_x) or np.isnan(chi_y)):
+            raise ConstraintViolation("noise levels are unresolved; run estimate_chi first")
+        _check_setting(setting)
+        if noisy:
+            chi_x, chi_y = float(chi_x), float(chi_y)
+        if not 0.0 < q < s <= 1.0:
+            raise ConstraintViolation(f"need 0 < q < s <= 1, got q = {q}, s = {s}")
+        if not 0.0 < r < t <= 1.0:
+            raise ConstraintViolation(f"need 0 < r < t <= 1, got r = {r}, t = {t}")
+        if setting == "unbounded" and r >= 0.5:
+            raise ConstraintViolation(f"r must stay below 0.5 when unbounded, got {r}")
+        if noisy and not (s < 1.0 and t < 1.0):
+            raise ConstraintViolation(f"noisy schedules need s, t < 1, got {s}, {t}")
+        if not k_norm > 0:
+            raise ConstraintViolation("coupling norm must be positive")
+        if horizon is not None:
+            horizon = _check_horizon(horizon)
+        if setting == "bounded" and (
+            omega_x is None or omega_y is None or omega_x <= 0 or omega_y <= 0
+        ):
+            raise ConstraintViolation("bounded setting needs positive iterate-norm bounds")
+        if noisy and (chi_x < 0 or chi_y < 0):
+            raise ConstraintViolation("noise levels must be nonnegative")
+        if noisy and setting == "unbounded":
+            if r_tilde is None or r_tilde <= 0:
+                raise ConstraintViolation("unbounded setting needs a positive r_tilde")
+            r_tilde = float(r_tilde)
+        q_const = _q_constant(factors, q, r, s, t, floor_one=setting == "unbounded")
+        sched = cls(setting=setting, q=q, r=r, P=1.0 / (s - q), Q=float(q_const),
+                    factors=tuple(factors), l_f=l_f, k_norm=k_norm, horizon=horizon,
+                    omega_x=omega_x, omega_y=omega_y, s=s, t=t, chi_x=chi_x,
+                    chi_y=chi_y, r_tilde=r_tilde)
+        if check_up_to is None:
+            check_up_to = (horizon - 1 if noisy else
+                           BOUNDED_CHECK_UP_TO if setting == "bounded" else horizon)
+        sched.assert_conditions(np.arange(1, check_up_to + 1))
+        return sched
 
     def budgets(self):
         return self.s - self.q, self.t - self.r
@@ -297,68 +360,17 @@ def _q_constant(factors, q, r, s, t, floor_one):
     return np.maximum(q_const, 1.0) if floor_one else q_const
 
 
+def _check_setting(setting):
+    if setting not in SETTINGS:
+        raise UnknownKind(f"unknown schedule setting {setting!r}")
+
+
 def _check_horizon(horizon):
     if not _is_index(horizon):
         raise ConstraintViolation(f"horizon must be an integer, got {horizon!r}")
     if horizon < 2:
         raise ConstraintViolation("horizon must be at least 2")
     return int(horizon)
-
-
-def _schedule(setting, l_f, k_norm, factors, q, r, s=1.0, t=1.0, horizon=None,
-              omega_x=None, omega_y=None, chi_x=None, chi_y=None, r_tilde=None,
-              check_up_to=None):
-    """Check the inputs of any schedule, build it and assert its inequalities.
-
-    The schedule is noisy when ``chi_x`` is given.  The inequalities are
-    asserted on ``k = 1..check_up_to``, by default the indices a run steps
-    through: ``1..horizon`` when deterministic, ``1..horizon - 1`` when noisy.
-    """
-    noisy = chi_x is not None
-    if not 0.0 < q < s <= 1.0:
-        raise ConstraintViolation(f"need 0 < q < s <= 1, got q = {q}, s = {s}")
-    if not 0.0 < r < t <= 1.0:
-        raise ConstraintViolation(f"need 0 < r < t <= 1, got r = {r}, t = {t}")
-    if setting == "unbounded" and r >= 0.5:
-        raise ConstraintViolation(f"r must stay below 0.5 when unbounded, got {r}")
-    if noisy and not (s < 1.0 and t < 1.0):
-        raise ConstraintViolation(f"noisy schedules need s, t < 1, got {s}, {t}")
-    if not k_norm > 0:
-        raise ConstraintViolation("coupling norm must be positive")
-    if horizon is not None:
-        horizon = _check_horizon(horizon)
-    if setting == "bounded" and (
-        omega_x is None or omega_y is None or omega_x <= 0 or omega_y <= 0
-    ):
-        raise ConstraintViolation("bounded setting needs positive iterate-norm bounds")
-    if noisy and (chi_x < 0 or chi_y < 0):
-        raise ConstraintViolation("noise levels must be nonnegative")
-    if noisy and setting == "unbounded":
-        if r_tilde is None or r_tilde <= 0:
-            raise ConstraintViolation("unbounded setting needs a positive r_tilde")
-        r_tilde = float(r_tilde)
-    sched = Schedule(
-        setting=setting,
-        q=q,
-        r=r,
-        P=1.0 / (s - q),
-        Q=float(_q_constant(factors, q, r, s, t, floor_one=setting == "unbounded")),
-        factors=tuple(factors),
-        l_f=l_f,
-        k_norm=k_norm,
-        horizon=horizon,
-        omega_x=omega_x,
-        omega_y=omega_y,
-        s=s,
-        t=t,
-        chi_x=chi_x,
-        chi_y=chi_y,
-        r_tilde=r_tilde,
-    )
-    if check_up_to is None:
-        check_up_to = horizon - 1 if noisy else horizon
-    sched.assert_conditions(np.arange(1, check_up_to + 1))
-    return sched
 
 
 def _gap_bound(p_const, q_const, l_f, k_norm, omega_x, omega_y, k):
@@ -372,28 +384,6 @@ def _gap_bound(p_const, q_const, l_f, k_norm, omega_x, omega_y, k):
 def _energy_factor(q, r):
     """The factor ``2 + q/(1-q) + (2r+1)/(1-2r)`` of the perturbation energy."""
     return 2.0 + q / (1.0 - q) + (2.0 * r + 1.0) / (1.0 - 2.0 * r)
-
-
-def schedule_bounded(l_f, k_norm, factors, omega_x, omega_y, q, r, check_up_to=10000):
-    """Schedule for the bounded setting.
-
-    Constant dual step ``omega_y / (||K|| omega_x)`` and a primal step
-    saturating toward ``omega_x / (Q ||K|| omega_y)``.  The two schedule
-    inequalities are asserted for ``k`` up to ``check_up_to`` (they hold for
-    every ``k``; the check guards transcription drift).
-    """
-    return _schedule("bounded", l_f, k_norm, factors, q, r, omega_x=omega_x,
-                     omega_y=omega_y, check_up_to=check_up_to)
-
-
-def schedule_unbounded(l_f, k_norm, factors, horizon, q, r):
-    """Schedule for the unbounded setting with a fixed step horizon.
-
-    Both steps grow linearly in ``k`` against horizon-tied denominators;
-    the inequalities are asserted for ``k = 1..horizon``, the exact range a
-    horizon-``N`` run uses.
-    """
-    return _schedule("unbounded", l_f, k_norm, factors, q, r, horizon=horizon)
 
 
 def bounded_gap_bound(schedule, k):
@@ -417,19 +407,16 @@ def tune_qr(setting, l_f, k_norm, factors, horizon, omega_x=None, omega_y=None):
     ``q``, then smaller ``r``.
     """
     horizon = _check_horizon(horizon)
+    _check_setting(setting)
+    bounded = setting == "bounded"
+    if bounded and (omega_x is None or omega_y is None):
+        raise ConstraintViolation("bounded tuning needs omega_x and omega_y")
     grid = np.arange(1, 100) * 0.01
-    if setting == "bounded":
-        if omega_x is None or omega_y is None:
-            raise ConstraintViolation("bounded tuning needs omega_x and omega_y")
-        r_grid = grid
-    elif setting == "unbounded":
-        r_grid = grid[grid < 0.5]
-    else:
-        raise UnknownKind(f"unknown schedule setting {setting!r}")
+    r_grid = grid if bounded else grid[grid < 0.5]
     qq, rr = np.meshgrid(grid, r_grid, indexing="ij")
-    q_const = _q_constant(factors, qq, rr, 1.0, 1.0, floor_one=setting == "unbounded")
+    q_const = _q_constant(factors, qq, rr, 1.0, 1.0, floor_one=not bounded)
     p_const = 1.0 / (1.0 - qq)
-    if setting == "bounded":
+    if bounded:
         obj = _gap_bound(p_const, q_const, l_f, k_norm, omega_x, omega_y, horizon)
     else:
         obj = ((4.0 * p_const * l_f / horizon**2 + 2.0 * q_const * k_norm / horizon)
@@ -537,25 +524,19 @@ class AccelResult:
 
 
 def build_schedule(problem, params):
-    """Construct the schedule requested by ``params`` for ``problem``."""
+    """Construct the schedule requested by ``params`` for ``problem``.
+
+    A bounded schedule reads the iterate-norm bounds and an unbounded one
+    the horizon.
+    """
     factors = mode_factors(params.mode, params.kappa)
-    if params.setting == "bounded":
-        return schedule_bounded(
-            problem.L_f,
-            problem.k_norm,
-            factors,
-            params.omega_x,
-            params.omega_y,
-            params.q,
-            params.r,
-        )
-    if params.setting == "unbounded":
-        if params.horizon is None:
-            raise ConstraintViolation("unbounded setting needs a horizon")
-        return schedule_unbounded(
-            problem.L_f, problem.k_norm, factors, params.horizon, params.q, params.r
-        )
-    raise UnknownKind(f"unknown schedule setting {params.setting!r}")
+    bounded = params.setting == "bounded"
+    return Schedule.build(
+        params.setting, problem.L_f, problem.k_norm, factors, params.q, params.r,
+        horizon=None if bounded else params.horizon,
+        omega_x=params.omega_x if bounded else None,
+        omega_y=params.omega_y if bounded else None,
+    )
 
 
 def _run_schedule(problem, schedule, advance, x, y, n_steps, record_every, stamps=({},)):

@@ -45,11 +45,14 @@ BUNDLE_RESPONSE = "response.txt"
 BUNDLE_COUPLING = "coupling.txt"
 BUNDLE_SIGNAL = "signal.txt"
 
+# The integer fields of a spec.
+_SPEC_INTEGERS = ("seed", "n_samples", "n_groups", "group_size", "subnet_size", "n_subnets",
+                  "n_active", "dim")
+
 # Types of the numeric keys of bundle metadata and reference summaries.
 _VALUE_TYPES = dict.fromkeys(("lam", "noise_sd", "objective", "residual_rel"), float)
 _VALUE_TYPES.update(dict.fromkeys((
-    "seed", "n_samples", "n_groups", "group_size", "subnet_size", "n_subnets", "n_active",
-    "dim", "n_edges", "primal_dim", "dual_dim", "iterations", "best_effort"), int))
+    *_SPEC_INTEGERS, "n_edges", "primal_dim", "dual_dim", "iterations", "best_effort"), int))
 
 
 @dataclass(frozen=True)
@@ -96,6 +99,10 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.kind not in GENERATOR_KINDS:
             raise UnknownKind(f"unknown generator kind {self.kind!r}")
+        for name in _SPEC_INTEGERS:
+            value = getattr(self, name)
+            if not linops._is_index(value):
+                raise ConstraintViolation(f"{name} must be an integer, got {value!r}")
         if self.seed < 0:
             raise ConstraintViolation("seed must be nonnegative")
         if self.n_samples < 1:
@@ -471,8 +478,11 @@ def reference_solve(problem, budget=100000, tol=1e-8):
     Raises
     ------
     ConstraintViolation
-        If ``budget`` is below 2 or ``tol`` is not finite and positive.
+        If ``budget`` is not an integer of at least 2 or ``tol`` is not
+        finite and positive.
     """
+    if not linops._is_index(budget):
+        raise ConstraintViolation(f"reference budget must be an integer, got {budget!r}")
     budget = int(budget)
     if budget < 2:
         raise ConstraintViolation("reference budget must be at least 2")

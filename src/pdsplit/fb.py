@@ -38,6 +38,7 @@ norm of its step in the preconditioner's metric (:func:`m_norm`), one
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -233,6 +234,17 @@ def resolve_params(problem, params):
     )
 
 
+def _relaxation(params, recipe):
+    """The relaxation factor of ``params``, ``recipe`` standing for ``"recipe"``;
+    anything but ``"recipe"`` or a real, non-bool number raises."""
+    value = params.relaxation
+    if isinstance(value, str) and value == "recipe":
+        return recipe
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConstraintViolation(f"relaxation must be 'recipe' or a number, got {value!r}")
+    return float(value)
+
+
 def validate_params(problem, params):
     """Check a parameter set against the convergence region.
 
@@ -263,14 +275,11 @@ def validate_params(problem, params):
     delta = relaxation_cap(
         problem.L_f, problem.k_norm, params.kappa, params.tau, params.sigma
     )
-    if params.relaxation == "recipe":
-        rho = RECIPE_FACTOR * delta
-    else:
-        rho = float(params.relaxation)
-        if not 0.0 < rho < delta:
-            raise ConstraintViolation(
-                f"relaxation {rho} outside (0, {delta:.6g})"
-            )
+    rho = _relaxation(params, RECIPE_FACTOR * delta)
+    if params.relaxation != "recipe" and not 0.0 < rho < delta:
+        raise ConstraintViolation(
+            f"relaxation {rho} outside (0, {delta:.6g})"
+        )
     return {
         "tau": params.tau,
         "sigma": params.sigma,
@@ -621,7 +630,7 @@ def run_fb(
         delta = relaxation_cap(
             problem.L_f, problem.k_norm, params.kappa, params.tau, params.sigma
         )
-        rho = 1.0 if params.relaxation == "recipe" else float(params.relaxation)
+        rho = _relaxation(params, 1.0)
 
     iterates = None
     on_step = None

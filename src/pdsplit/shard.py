@@ -43,7 +43,7 @@ import scipy.sparse as sp
 from . import fb, saddle
 from .errors import ConstraintViolation, TooManyWorkers
 from .fb import IterTrace
-from .linops import DenseOp, HStackOp, SparseOp, to_sparse
+from .linops import DenseOp, HStackOp, SparseOp, _is_index, to_sparse
 
 LEDGER_COLUMNS = ["iter", "loss_comm", "penalty_comm", "total_comm"]
 
@@ -153,9 +153,13 @@ def partition_problem(problem, m_workers):
 
     Raises
     ------
+    ConstraintViolation
+        If the worker count is not a positive integer (a bool is not one).
     TooManyWorkers
         If there are more workers than feature columns.
     """
+    if not _is_index(m_workers):
+        raise ConstraintViolation(f"worker count must be an integer, got {m_workers!r}")
     m = int(m_workers)
     if m < 1:
         raise ConstraintViolation("worker count must be positive")

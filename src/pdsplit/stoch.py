@@ -13,8 +13,9 @@ operator is exactly ``-K`` (``kappa`` mode at 1 and ``chen``); other modes
 require the caller to opt in explicitly.
 
 The noisy schedules are instances of the deterministic module's
-:class:`~pdsplit.accel.Schedule` with noise levels set, so both share the
-laws, the inequality checks, the input checks and the constant ``Q``.
+:class:`~pdsplit.accel.Schedule` with noise levels set, built by the same
+:meth:`~pdsplit.accel.Schedule.build`, so both share the laws, the
+inequality checks, the input checks and the constant ``Q``.
 
 :func:`run_stoc` advances all its seeds together as one block iterate, a
 ``(dim, B)`` array with one column per seed, by :func:`stoc_accel_step`
@@ -38,12 +39,12 @@ from .accel import (
     Schedule,
     _accel_core,
     _run_schedule,
-    _schedule,
     mode_coefficients,
     mode_factors,
 )
-from .errors import ConstraintViolation, DimensionError, UnknownKind, UnsupportedMode
+from .errors import ConstraintViolation, DimensionError, UnsupportedMode
 from .fb import IterTrace, _start_point
+from .linops import _is_index
 
 AGGREGATE_COLUMNS = ["k", "mean_objective", "median_objective", "q10", "q90"]
 
@@ -261,30 +262,6 @@ def estimate_chi(oracle, problem, x, y, n_draws=CHI_DRAWS, inflation=CHI_INFLATI
     }
 
 
-def schedule_stoc_bounded(
-    l_f, k_norm, factors, horizon, omega_x, omega_y, q, r, s, t, chi_x, chi_y
-):
-    """Noisy schedule for the bounded setting.
-
-    Both steps grow linearly against denominators holding the horizon and
-    the noise levels; the inequalities are asserted on the executed range
-    ``k = 1 .. horizon - 1``.
-    """
-    return _schedule("bounded", l_f, k_norm, factors, q, r, s, t, horizon=horizon,
-                     omega_x=omega_x, omega_y=omega_y, chi_x=float(chi_x),
-                     chi_y=float(chi_y))
-
-
-def schedule_stoc_unbounded(l_f, k_norm, factors, horizon, q, r, s, t, chi_x, chi_y, r_tilde):
-    """Noisy schedule for the unbounded setting.
-
-    Needs an anchor-radius estimate ``r_tilde`` scaling the noise share of
-    the step denominators, and ``r < 1/2``.
-    """
-    return _schedule("unbounded", l_f, k_norm, factors, q, r, s, t, horizon=horizon,
-                     chi_x=float(chi_x), chi_y=float(chi_y), r_tilde=r_tilde)
-
-
 def stoc_gap_bound(schedule):
     """Expected-gap bound at the horizon iterate of a bounded noisy run."""
     if schedule.setting != "bounded":
@@ -324,43 +301,20 @@ def check_proven_mode(params):
 def build_stoc_schedule(problem, params):
     """Construct the noisy schedule requested by ``params``.
 
-    Noise levels must already be resolved (not ``None``).
+    An unresolved noise level (``None``) goes on as ``nan``, which the
+    schedule refuses.  A bounded schedule reads the iterate-norm bounds, an
+    unbounded one the anchor-radius estimate ``r_tilde``.
     """
     factors = mode_factors(params.mode, params.kappa)
-    if params.horizon is None:
-        raise ConstraintViolation("stochastic runs need a horizon")
-    if params.chi_x is None or params.chi_y is None:
-        raise ConstraintViolation("noise levels are unresolved; run estimate_chi first")
-    if params.setting == "bounded":
-        return schedule_stoc_bounded(
-            problem.L_f,
-            problem.k_norm,
-            factors,
-            params.horizon,
-            params.omega_x,
-            params.omega_y,
-            params.q,
-            params.r,
-            params.s,
-            params.t,
-            params.chi_x,
-            params.chi_y,
-        )
-    if params.setting == "unbounded":
-        return schedule_stoc_unbounded(
-            problem.L_f,
-            problem.k_norm,
-            factors,
-            params.horizon,
-            params.q,
-            params.r,
-            params.s,
-            params.t,
-            params.chi_x,
-            params.chi_y,
-            params.r_tilde,
-        )
-    raise UnknownKind(f"unknown schedule setting {params.setting!r}")
+    chi_x, chi_y = (np.nan if chi is None else chi for chi in (params.chi_x, params.chi_y))
+    bounded = params.setting == "bounded"
+    return Schedule.build(
+        params.setting, problem.L_f, problem.k_norm, factors, params.q, params.r,
+        s=params.s, t=params.t, horizon=params.horizon,
+        omega_x=params.omega_x if bounded else None,
+        omega_y=params.omega_y if bounded else None,
+        chi_x=chi_x, chi_y=chi_y, r_tilde=None if bounded else params.r_tilde,
+    )
 
 
 def stoc_accel_step(problem, oracle, alpha, beta, schedule, k, state):
@@ -417,11 +371,23 @@ def run_stoc(problem, params, oracle_factory, seeds, x0=None, y0=None):
         Per-seed results (with ``seed``-stamped traces) plus an aggregate
         trace of the averaged-point objective across seeds: mean, median,
         and the 10/90 percent quantiles per recorded index.
+
+    Raises
+    ------
+    ConstraintViolation
+        Before any draw, if ``seeds`` is empty or holds a seed that is not
+        an integer (a bool is not one) or that repeats.
     """
     check_proven_mode(params)
-    seeds = [int(s) for s in seeds]
+    seeds = list(seeds)
     if not seeds:
         raise ConstraintViolation("run_stoc needs at least one seed")
+    for j, seed in enumerate(seeds):
+        if not _is_index(seed):
+            raise ConstraintViolation(f"seeds must be integers, got {seed!r}")
+        if seed in seeds[:j]:
+            raise ConstraintViolation(f"seed {seed} repeats")
+    seeds = [int(s) for s in seeds]
     x_start, y_start = _start_point(problem, x0, y0)
 
     chi_x, chi_y = params.chi_x, params.chi_y

@@ -5,8 +5,10 @@ import pytest
 
 from pdsplit import bench
 from pdsplit.accel import (
+    BOUNDED_CHECK_UP_TO,
     AccelParams,
     AccelState,
+    Schedule,
     ScheduleTable,
     accel_step,
     bounded_gap_bound,
@@ -15,8 +17,6 @@ from pdsplit.accel import (
     mode_coefficients,
     mode_factors,
     run_accel,
-    schedule_bounded,
-    schedule_unbounded,
     tune_qr,
 )
 from pdsplit.errors import (
@@ -26,7 +26,6 @@ from pdsplit.errors import (
 )
 from pdsplit.fb import fb_step
 from pdsplit.saddle import primal_objective
-from pdsplit.stoch import schedule_stoc_bounded, schedule_stoc_unbounded
 
 import oracles
 from conftest import counted_coupling_problem
@@ -54,9 +53,9 @@ def test_mode_coefficients_closed_forms():
 
 
 def _bounded(problem, mode="kappa", kappa=0.0, q=0.5, r=0.25, ox=2.0, oy=3.0):
-    return schedule_bounded(
-        problem.L_f, problem.k_norm, mode_factors(mode, kappa), ox, oy, q, r
-    )
+    return Schedule.build("bounded", problem.L_f, problem.k_norm,
+                          mode_factors(mode, kappa), q=q, r=r, omega_x=ox,
+                          omega_y=oy)
 
 
 def test_schedule_first_step_laws(dense_problem):
@@ -92,8 +91,8 @@ def test_bounded_schedule_matches_closed_forms(dense_problem):
     for mode, kappa in (("kappa", 0.0), ("kappa", 0.5), ("kappa", 1.0),
                         ("chen", 0.0)):
         factors = mode_factors(mode, kappa)
-        sched = schedule_bounded(problem.L_f, problem.k_norm, factors, ox, oy,
-                                 q, r)
+        sched = Schedule.build("bounded", problem.L_f, problem.k_norm, factors,
+                               q=q, r=r, omega_x=ox, omega_y=oy)
         p_ref, q_ref = oracles.bounded_constants(*factors, q, r)
         assert sched.P == pytest.approx(p_ref, rel=1e-15)
         assert sched.Q == pytest.approx(q_ref, rel=1e-15)
@@ -121,8 +120,8 @@ def test_unbounded_schedule_matches_closed_forms(dense_problem):
     q, r, horizon = 0.3, 0.2, 500
     for mode, kappa in (("kappa", 0.0), ("kappa", 1.0), ("chen", 0.0)):
         factors = mode_factors(mode, kappa)
-        sched = schedule_unbounded(problem.L_f, problem.k_norm, factors,
-                                   horizon, q, r)
+        sched = Schedule.build("unbounded", problem.L_f, problem.k_norm,
+                               factors, q=q, r=r, horizon=horizon)
         p_ref, q_ref = oracles.unbounded_constants(*factors, q, r)
         assert sched.Q == pytest.approx(q_ref, rel=1e-15)
         assert sched.Q >= 1.0
@@ -139,8 +138,9 @@ def test_unbounded_schedule_matches_closed_forms(dense_problem):
 
 def test_unbounded_step_ratio_is_constant(dense_problem):
     problem, _, _, _ = dense_problem
-    sched = schedule_unbounded(problem.L_f, problem.k_norm,
-                               mode_factors("kappa", 1.0), 200, 0.5, 0.25)
+    sched = Schedule.build("unbounded", problem.L_f, problem.k_norm,
+                           mode_factors("kappa", 1.0), q=0.5, r=0.25,
+                           horizon=200)
     ks = np.arange(1, 201, dtype=float)
     ratios = sched.tau(ks) / sched.sigma(ks)
     np.testing.assert_allclose(ratios, ratios[0], rtol=1e-14)
@@ -148,15 +148,16 @@ def test_unbounded_step_ratio_is_constant(dense_problem):
 
 def test_unbounded_vanishing_loss_step():
     factors = mode_factors("kappa", 1.0)
-    sched = schedule_unbounded(0.0, 2.0, factors, 100, 0.5, 0.25)
+    sched = Schedule.build("unbounded", l_f=0.0, k_norm=2.0, factors=factors,
+                           q=0.5, r=0.25, horizon=100)
     q_ref = sched.Q
     assert sched.tau(10) == pytest.approx(10.0 / (q_ref * 100 * 2.0))
 
 
 def test_dual_step_chain_matches_extrapolation(dense_problem):
     problem, _, _, _ = dense_problem
-    unb = schedule_unbounded(problem.L_f, problem.k_norm,
-                             mode_factors("kappa", 0.5), 100, 0.5, 0.25)
+    unb = Schedule.build("unbounded", problem.L_f, problem.k_norm,
+                         mode_factors("kappa", 0.5), q=0.5, r=0.25, horizon=100)
     bnd = _bounded(problem, kappa=0.5)
     for k in range(2, 60):
         assert unb.sigma(k - 1) / unb.sigma(k) == pytest.approx(unb.theta(k))
@@ -168,8 +169,8 @@ def test_condition_margins_match_oracle(dense_problem):
     q, r = 0.35, 0.3
     for mode, kappa in (("kappa", 0.7), ("chen", 0.0)):
         factors = mode_factors(mode, kappa)
-        sched = schedule_bounded(problem.L_f, problem.k_norm, factors,
-                                 2.0, 3.0, q, r)
+        sched = Schedule.build("bounded", problem.L_f, problem.k_norm, factors,
+                               q=q, r=r, omega_x=2.0, omega_y=3.0)
         for k in (1, 5, 50, 5000):
             m1, m2 = sched.condition_margins(k)
             o1, o2 = oracles.momentum_conditions(
@@ -205,19 +206,21 @@ def test_bounded_gap_bound_matches_oracle(dense_problem):
 def test_schedule_constructors_reject_bad_settings(dense_problem):
     problem, _, _, _ = dense_problem
     factors = mode_factors("kappa", 0.5)
+    bounded = dict(setting="bounded", l_f=problem.L_f, factors=factors, r=0.25)
+    unbounded = dict(setting="unbounded", l_f=problem.L_f,
+                     k_norm=problem.k_norm, factors=factors, q=0.5)
     with pytest.raises(ConstraintViolation):
-        schedule_bounded(problem.L_f, problem.k_norm, factors, -1.0, 1.0,
-                         0.5, 0.25)
+        Schedule.build(**bounded, k_norm=problem.k_norm, q=0.5, omega_x=-1.0,
+                       omega_y=1.0)
     with pytest.raises(ConstraintViolation):
-        schedule_bounded(problem.L_f, problem.k_norm, factors, 1.0, 1.0,
-                         1.5, 0.25)
+        Schedule.build(**bounded, k_norm=problem.k_norm, q=1.5, omega_x=1.0,
+                       omega_y=1.0)
     with pytest.raises(ConstraintViolation):
-        schedule_unbounded(problem.L_f, problem.k_norm, factors, 1, 0.5, 0.25)
+        Schedule.build(**unbounded, r=0.25, horizon=1)
     with pytest.raises(ConstraintViolation):
-        schedule_unbounded(problem.L_f, problem.k_norm, factors, 100, 0.5,
-                           0.75)
+        Schedule.build(**unbounded, r=0.75, horizon=100)
     with pytest.raises(ConstraintViolation):
-        schedule_bounded(problem.L_f, 0.0, factors, 1.0, 1.0, 0.5, 0.25)
+        Schedule.build(**bounded, k_norm=0.0, q=0.5, omega_x=1.0, omega_y=1.0)
 
 
 def test_build_schedule_requires_setting_inputs(dense_problem):
@@ -228,6 +231,23 @@ def test_build_schedule_requires_setting_inputs(dense_problem):
         build_schedule(problem, AccelParams(setting="unbounded"))
     with pytest.raises(UnknownKind):
         build_schedule(problem, AccelParams(setting="adaptive", horizon=10))
+
+
+def test_schedules_assert_their_inequalities_on_the_indices_they_serve(
+        dense_problem, monkeypatch):
+    problem, _, _, _ = dense_problem
+    checked = []
+    monkeypatch.setattr(Schedule, "assert_conditions",
+                        lambda self, ks: checked.append((ks[0], ks[-1])))
+    factors = mode_factors("kappa", 1.0)
+    args = ("bounded", problem.L_f, problem.k_norm, factors)
+    Schedule.build(*args, q=0.5, r=0.25, omega_x=2.0, omega_y=3.0)
+    Schedule.build(*args, q=0.5, r=0.25, omega_x=2.0, omega_y=3.0, check_up_to=7)
+    Schedule.build("unbounded", *args[1:], q=0.5, r=0.25, horizon=40)
+    Schedule.build(*args, q=0.25, r=0.2, s=0.75, t=0.8, horizon=40, omega_x=2.0,
+                   omega_y=3.0, chi_x=0.5, chi_y=0.5)
+    assert BOUNDED_CHECK_UP_TO == 10000
+    assert checked == [(1, BOUNDED_CHECK_UP_TO), (1, 7), (1, 40), (1, 39)]
 
 
 def test_tune_qr_matches_grid_rescan():
@@ -509,18 +529,19 @@ def test_tabulated_schedule_is_bitwise_the_scalar_laws(tiny_lasso):
     n = 2000
     for mode, kappa in (("kappa", 0.5), ("chen", 0.0)):
         factors = mode_factors(mode, kappa)
-        bounded = schedule_bounded(l_f, k_norm, factors, 2.0, 3.0, 0.5, 0.25,
-                                   check_up_to=n)
+        bounded = Schedule.build("bounded", l_f, k_norm, factors, q=0.5, r=0.25,
+                                 omega_x=2.0, omega_y=3.0, check_up_to=n)
         _assert_table_matches_scalar_calls(bounded, n)
-        unbounded = schedule_unbounded(l_f, k_norm, factors, n, 0.5, 0.25)
+        unbounded = Schedule.build("unbounded", l_f, k_norm, factors, q=0.5,
+                                   r=0.25, horizon=n)
         _assert_table_matches_scalar_calls(unbounded, n)
     # A horizon-N noisy run executes k = 1 .. N - 1.
     factors = mode_factors("kappa", 1.0)
+    splitting = dict(q=0.25, r=0.2, s=0.75, t=0.8, horizon=n, chi_x=0.5, chi_y=0.3)
     noisy = (
-        schedule_stoc_bounded(l_f, k_norm, factors, n, 2.0, 3.0, 0.25, 0.2, 0.75,
-                              0.8, 0.5, 0.3),
-        schedule_stoc_unbounded(l_f, k_norm, factors, n, 0.25, 0.2, 0.75, 0.8, 0.5,
-                                0.3, 2.5),
+        Schedule.build("bounded", l_f, k_norm, factors, **splitting, omega_x=2.0,
+                       omega_y=3.0),
+        Schedule.build("unbounded", l_f, k_norm, factors, **splitting, r_tilde=2.5),
     )
     for schedule in noisy:
         _assert_table_matches_scalar_calls(schedule, n - 1)

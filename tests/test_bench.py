@@ -202,8 +202,20 @@ def test_reference_of_a_zero_coupling_problem_is_least_squares():
     np.testing.assert_array_equal(ref.y, np.zeros(3))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("seed", 1.5), ("seed", True), ("seed", np.float64(1.0)), ("n_samples", 20.0),
+    ("n_groups", 2.5), ("group_size", 12.0), ("subnet_size", 4.0), ("n_subnets", False),
+    ("n_active", 1.0), ("dim", "6"),
+])
+def test_spec_integer_fields_must_be_integers(field, value):
+    with pytest.raises(ConstraintViolation, match=field):
+        bench.SyntheticSpec(kind="lasso", **{field: value})
+    spec = bench.SyntheticSpec(kind="lasso", **{field: np.int64(1)})
+    assert getattr(spec, field) == 1
+
+
 @pytest.mark.parametrize("budget, tol", [
-    (1, 1e-8), (0, 1e-8),
+    (1, 1e-8), (0, 1e-8), (50.7, 1e-8), (50.0, 1e-8),
     (100, math.nan), (100, math.inf), (100, 0.0), (100, -1e-8),
 ])
 def test_reference_rejects_bad_budget_or_tolerance_before_any_step(budget, tol):

@@ -172,6 +172,12 @@ def test_validate_params_rejects_bad_settings(dense_problem):
         validate_params(problem, FbParams(tau=3.0 / problem.L_f, sigma=0.01))
     with pytest.raises(ConstraintViolation):
         validate_params(problem, FbParams(relaxation=5.0))
+    for relaxation in (True, "0.5", "abc"):
+        params = FbParams(relaxation=relaxation, max_iters=2)
+        with pytest.raises(ConstraintViolation):
+            validate_params(problem, params)
+        with pytest.raises(ConstraintViolation):
+            run_fb(problem, params, validate=False)
 
 
 def test_validate_params_recipe_relaxation(dense_problem):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pdsplit import bench, linops
-from pdsplit.errors import TooManyWorkers
+from pdsplit.errors import ConstraintViolation, TooManyWorkers
 from pdsplit.fb import FbParams, run_fb
 from pdsplit.prox import BoxClip
 from pdsplit.saddle import (
@@ -111,6 +111,13 @@ def test_sharded_run_stops_at_tolerance(small_ggfl):
 def test_more_workers_than_features_is_refused(small_ggfl):
     with pytest.raises(TooManyWorkers):
         run_fb_sharded(small_ggfl, FbParams(max_iters=1), 31)
+
+
+@pytest.mark.parametrize("m_workers", [2.5, 2.0, True, "2"])
+def test_worker_count_must_be_an_integer(small_ggfl, m_workers):
+    with pytest.raises(ConstraintViolation, match="worker count"):
+        run_fb_sharded(small_ggfl, FbParams(max_iters=1), m_workers)
+    assert partition_problem(small_ggfl, np.int64(2)).m == 2
 
 
 def test_hand_built_problem_reads_its_design_from_the_loss():

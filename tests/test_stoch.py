@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from pdsplit import bench, stoch
-from pdsplit.accel import AccelState, accel_step, mode_coefficients, mode_factors
+from pdsplit.accel import (
+    AccelState,
+    Schedule,
+    accel_step,
+    mode_coefficients,
+    mode_factors,
+)
 from pdsplit.errors import (
     ConstraintViolation,
     NonFiniteIterate,
@@ -24,8 +30,6 @@ from pdsplit.stoch import (
     estimate_chi,
     masked_oracle_factory,
     run_stoc,
-    schedule_stoc_bounded,
-    schedule_stoc_unbounded,
     stoc_accel_step,
     stoc_gap_bound,
 )
@@ -146,8 +150,9 @@ def test_bounded_noisy_schedule_matches_closed_forms(dense_problem):
     chi_x, chi_y = 0.7, 0.3
     horizon, ox, oy = 300, 2.0, 3.0
     factors = mode_factors("kappa", 1.0)
-    sched = schedule_stoc_bounded(problem.L_f, problem.k_norm, factors,
-                                  horizon, ox, oy, q, r, s, t, chi_x, chi_y)
+    sched = Schedule.build("bounded", problem.L_f, problem.k_norm, factors,
+                           q=q, r=r, s=s, t=t, horizon=horizon, omega_x=ox,
+                           omega_y=oy, chi_x=chi_x, chi_y=chi_y)
     p_ref, q_ref = oracles.stoc_constants(q, r, s, t, *factors, floor_one=False)
     assert sched.P == pytest.approx(p_ref, rel=1e-15)
     assert sched.Q == pytest.approx(q_ref, rel=1e-15)
@@ -171,9 +176,9 @@ def test_unbounded_noisy_schedule_matches_closed_forms(dense_problem):
     chi_x, chi_y, r_tilde = 0.7, 0.3, 2.5
     horizon = 300
     factors = mode_factors("chen")
-    sched = schedule_stoc_unbounded(problem.L_f, problem.k_norm, factors,
-                                    horizon, q, r, s, t, chi_x, chi_y,
-                                    r_tilde)
+    sched = Schedule.build("unbounded", problem.L_f, problem.k_norm, factors,
+                           q=q, r=r, s=s, t=t, horizon=horizon, chi_x=chi_x,
+                           chi_y=chi_y, r_tilde=r_tilde)
     p_ref, q_ref = oracles.stoc_constants(q, r, s, t, *factors, floor_one=True)
     chi = oracles.stoc_noise_scale(s, t, chi_x, chi_y)
     assert sched.Q == pytest.approx(q_ref, rel=1e-15)
@@ -201,8 +206,9 @@ def test_noisy_constants_include_the_mixed_term_at_kappa_half(dense_problem):
     horizon, ox, oy = 300, 2.0, 3.0
     factors = mode_factors("kappa", 0.5)
     assert factors == (0.5, 0.5, 0.5, 1.5)
-    sched = schedule_stoc_bounded(problem.L_f, problem.k_norm, factors,
-                                  horizon, ox, oy, q, r, s, t, chi_x, chi_y)
+    sched = Schedule.build("bounded", problem.L_f, problem.k_norm, factors,
+                           q=q, r=r, s=s, t=t, horizon=horizon, omega_x=ox,
+                           omega_y=oy, chi_x=chi_x, chi_y=chi_y)
     p_ref, q_ref = oracles.stoc_constants(q, r, s, t, *factors, floor_one=False)
     assert q_ref == pytest.approx(2.5 / 0.6, rel=1e-15)
     assert sched.P == pytest.approx(p_ref, rel=1e-15)
@@ -220,9 +226,9 @@ def test_noisy_schedule_conditions_hold_on_executed_range(dense_problem):
     problem, _, _, _ = dense_problem
     horizon = 120
     factors = mode_factors("kappa", 1.0)
-    sched = schedule_stoc_bounded(problem.L_f, problem.k_norm, factors,
-                                  horizon, 2.0, 3.0, 0.25, 0.2, 0.75, 0.8,
-                                  0.5, 0.5)
+    sched = Schedule.build("bounded", problem.L_f, problem.k_norm, factors,
+                           q=0.25, r=0.2, s=0.75, t=0.8, horizon=horizon,
+                           omega_x=2.0, omega_y=3.0, chi_x=0.5, chi_y=0.5)
     for k in range(1, horizon):
         m1, m2 = sched.condition_margins(k)
         o1, o2 = oracles.stoc_conditions(
@@ -243,11 +249,12 @@ def test_noisy_schedules_off_the_proven_modes_keep_their_inequalities():
     ks = np.arange(1, horizon, dtype=float)
     for kappa in (0.0, 0.5):
         factors = mode_factors("kappa", kappa)
+        noiseless = dict(l_f=problem.L_f, k_norm=problem.k_norm, factors=factors,
+                         q=d.q, r=d.r, s=d.s, t=d.t, horizon=horizon, chi_x=0.0,
+                         chi_y=0.0)
         schedules = (
-            schedule_stoc_bounded(problem.L_f, problem.k_norm, factors, horizon,
-                                  5.0, 5.0, d.q, d.r, d.s, d.t, 0.0, 0.0),
-            schedule_stoc_unbounded(problem.L_f, problem.k_norm, factors, horizon,
-                                    d.q, d.r, d.s, d.t, 0.0, 0.0, 3.0),
+            Schedule.build("bounded", **noiseless, omega_x=5.0, omega_y=5.0),
+            Schedule.build("unbounded", **noiseless, r_tilde=3.0),
         )
         for sched in schedules:
             o1, o2 = oracles.stoc_conditions(
@@ -262,9 +269,10 @@ def test_noisy_schedules_off_the_proven_modes_keep_their_inequalities():
 
 def test_noisy_step_ratio_is_constant(dense_problem):
     problem, _, _, _ = dense_problem
-    sched = schedule_stoc_bounded(problem.L_f, problem.k_norm,
-                                  mode_factors("kappa", 1.0), 100, 2.0, 3.0,
-                                  0.25, 0.2, 0.75, 0.8, 0.5, 0.5)
+    sched = Schedule.build("bounded", problem.L_f, problem.k_norm,
+                           mode_factors("kappa", 1.0), q=0.25, r=0.2, s=0.75,
+                           t=0.8, horizon=100, omega_x=2.0, omega_y=3.0,
+                           chi_x=0.5, chi_y=0.5)
     ks = np.arange(1, 100, dtype=float)
     ratios = sched.sigma(ks) / sched.tau(ks)
     np.testing.assert_allclose(ratios, ratios[0], rtol=1e-14)
@@ -273,21 +281,23 @@ def test_noisy_step_ratio_is_constant(dense_problem):
 def test_qrst_ordering_is_enforced(dense_problem):
     problem, _, _, _ = dense_problem
     factors = mode_factors("kappa", 1.0)
+    noisy = dict(l_f=problem.L_f, factors=factors, horizon=100, chi_x=0.5,
+                 chi_y=0.5)
+    bounded = dict(setting="bounded", **noisy, omega_x=2.0, omega_y=3.0)
+    unbounded = dict(setting="unbounded", **noisy, r_tilde=1.0)
     with pytest.raises(ConstraintViolation):
-        schedule_stoc_bounded(problem.L_f, problem.k_norm, factors, 100,
-                              2.0, 3.0, 0.6, 0.2, 0.5, 0.8, 0.5, 0.5)
+        Schedule.build(**bounded, k_norm=problem.k_norm, q=0.6, r=0.2, s=0.5,
+                       t=0.8)
     with pytest.raises(ConstraintViolation):
-        schedule_stoc_bounded(problem.L_f, problem.k_norm, factors, 100,
-                              2.0, 3.0, 0.25, 0.8, 0.75, 0.7, 0.5, 0.5)
+        Schedule.build(**bounded, k_norm=problem.k_norm, q=0.25, r=0.8, s=0.75,
+                       t=0.7)
     with pytest.raises(ConstraintViolation):
-        schedule_stoc_unbounded(problem.L_f, problem.k_norm, factors, 100,
-                                0.25, 0.6, 0.75, 0.8, 0.5, 0.5, 1.0)
+        Schedule.build(**unbounded, k_norm=problem.k_norm, q=0.25, r=0.6,
+                       s=0.75, t=0.8)
     with pytest.raises(ConstraintViolation):
-        schedule_stoc_bounded(problem.L_f, 0.0, factors, 100,
-                              2.0, 3.0, 0.25, 0.2, 0.75, 0.8, 0.5, 0.5)
+        Schedule.build(**bounded, k_norm=0.0, q=0.25, r=0.2, s=0.75, t=0.8)
     with pytest.raises(ConstraintViolation):
-        schedule_stoc_unbounded(problem.L_f, 0.0, factors, 100,
-                                0.25, 0.2, 0.75, 0.8, 0.5, 0.5, 1.0)
+        Schedule.build(**unbounded, k_norm=0.0, q=0.25, r=0.2, s=0.75, t=0.8)
 
 
 def test_build_stoc_schedule_rejects_an_unknown_setting(dense_problem):
@@ -297,14 +307,27 @@ def test_build_stoc_schedule_rejects_an_unknown_setting(dense_problem):
         build_stoc_schedule(problem, params)
 
 
+def test_unresolved_noise_levels_are_refused(dense_problem):
+    problem, _, _, _ = dense_problem
+    for chi_x, chi_y in ((None, 0.5), (0.5, None), (np.nan, 0.5), (0.5, np.nan)):
+        params = StocParams(omega_x=2.0, omega_y=3.0, horizon=50, chi_x=chi_x,
+                            chi_y=chi_y)
+        with pytest.raises(ConstraintViolation, match="unresolved"):
+            build_stoc_schedule(problem, params)
+    # A missing horizon is reported first, as the default parameters show.
+    with pytest.raises(ConstraintViolation, match="need a horizon"):
+        build_stoc_schedule(problem, StocParams())
+
+
 def test_stoc_gap_bound_matches_oracle(dense_problem):
     problem, _, _, _ = dense_problem
     q, r, s, t = 0.25, 0.2, 0.75, 0.8
     chi_x, chi_y = 0.4, 0.6
     horizon, ox, oy = 250, 2.0, 3.0
-    sched = schedule_stoc_bounded(problem.L_f, problem.k_norm,
-                                  mode_factors("kappa", 1.0), horizon, ox, oy,
-                                  q, r, s, t, chi_x, chi_y)
+    sched = Schedule.build("bounded", problem.L_f, problem.k_norm,
+                           mode_factors("kappa", 1.0), q=q, r=r, s=s, t=t,
+                           horizon=horizon, omega_x=ox, omega_y=oy,
+                           chi_x=chi_x, chi_y=chi_y)
     assert stoc_gap_bound(sched) == pytest.approx(
         oracles.stoc_gap_c0(horizon, sched.P, sched.Q, problem.L_f,
                             problem.k_norm, ox, oy, chi_x, chi_y, r, s),
@@ -314,9 +337,9 @@ def test_stoc_gap_bound_matches_oracle(dense_problem):
 
 def test_gap_bound_requires_bounded_setting(dense_problem):
     problem, _, _, _ = dense_problem
-    sched = schedule_stoc_unbounded(problem.L_f, problem.k_norm,
-                                    mode_factors("chen"), 100, 0.25, 0.2,
-                                    0.75, 0.8, 0.5, 0.5, 1.0)
+    sched = Schedule.build("unbounded", problem.L_f, problem.k_norm,
+                           mode_factors("chen"), q=0.25, r=0.2, s=0.75, t=0.8,
+                           horizon=100, chi_x=0.5, chi_y=0.5, r_tilde=1.0)
     with pytest.raises(ConstraintViolation):
         stoc_gap_bound(sched)
 
@@ -600,6 +623,17 @@ def test_run_stoc_requires_seeds_and_gates_modes(tiny_lasso):
     factory = masked_oracle_factory(problem, params, 0.5)
     with pytest.raises(ConstraintViolation):
         run_stoc(problem, params, factory, seeds=[])
+    drawn = []
+
+    def counting_factory(seed):
+        drawn.append(seed)
+        return factory(seed)
+
+    for seeds, named in (([1.5], "1.5"), ([True], "True"), ([1, 1], "seed 1"),
+                         ([3, np.int64(4), 3], "seed 3")):
+        with pytest.raises(ConstraintViolation, match=named):
+            run_stoc(problem, params, counting_factory, seeds=seeds)
+    assert drawn == []
     bad = StocParams(mode="kappa", kappa=0.0, setting="bounded", omega_x=3.0,
                      omega_y=3.0, horizon=20)
     with pytest.raises(UnsupportedMode):
