@@ -13,9 +13,9 @@ Solvers act on that container:
   or unbounded step-size schedules.
 - :func:`~pdsplit.stoch.run_stoc` runs the stochastic accelerated variants on
   sampled oracles over one or more seeds.
-- :func:`~pdsplit.shard.run_fb_sharded` replays the plain iteration across
-  feature shards, with ``A`` and ``K`` as column-block stacks, and accounts
-  for the communicated scalars.
+- :func:`~pdsplit.shard.run_fb_sharded` replays the plain iteration, bitwise,
+  on a layout of feature shards, and accounts for the scalars its products
+  would communicate.
 
 All five runners share one iteration loop, the private driver in
 :mod:`pdsplit.fb`; each supplies only its step and its trace columns.

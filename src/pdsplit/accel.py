@@ -193,10 +193,7 @@ class Schedule:
         :class:`UnknownKind`, any other bad input :class:`ConstraintViolation`.
         """
         noisy = chi_x is not None
-        if horizon is None and (noisy or setting == "unbounded"):
-            raise ConstraintViolation(
-                "stochastic runs need a horizon" if noisy else "unbounded setting needs a horizon"
-            )
+        horizon = _schedule_horizon(horizon, noisy, setting)
         if noisy and (np.isnan(chi_x) or np.isnan(chi_y)):
             raise ConstraintViolation("noise levels are unresolved; run estimate_chi first")
         _check_setting(setting)
@@ -212,8 +209,6 @@ class Schedule:
             raise ConstraintViolation(f"noisy schedules need s, t < 1, got {s}, {t}")
         if not k_norm > 0:
             raise ConstraintViolation("coupling norm must be positive")
-        if horizon is not None:
-            horizon = _check_horizon(horizon)
         if setting == "bounded" and (
             omega_x is None or omega_y is None or omega_x <= 0 or omega_y <= 0
         ):
@@ -371,6 +366,18 @@ def _check_horizon(horizon):
     if horizon < 2:
         raise ConstraintViolation("horizon must be at least 2")
     return int(horizon)
+
+
+def _schedule_horizon(horizon, noisy, setting):
+    """The checked horizon of a schedule: a noisy or unbounded one needs one,
+    a deterministic bounded one may go without (``None``)."""
+    if horizon is None:
+        if noisy or setting == "unbounded":
+            raise ConstraintViolation(
+                "stochastic runs need a horizon" if noisy else "unbounded setting needs a horizon"
+            )
+        return None
+    return _check_horizon(horizon)
 
 
 def _gap_bound(p_const, q_const, l_f, k_norm, omega_x, omega_y, k):

@@ -77,11 +77,12 @@ class SyntheticSpec:
     dim : int
         Coordinate count of the plain lasso design.
     lam : float or None
-        Penalty weight; ``None`` selects the kind's default rule
-        (``n_groups / 100`` for the group designs, 1 otherwise).
+        Penalty weight, a finite nonnegative number (a bool is not one);
+        ``None`` selects the kind's default rule (``n_groups / 100`` for the
+        group designs, 1 otherwise).
     noise_sd : float or None
-        Observation noise level; ``None`` selects the kind's default
-        (100 for the network design, 1 otherwise).
+        Observation noise level, a finite nonnegative number; ``None``
+        selects the kind's default (100 for the network design, 1 otherwise).
     """
 
     kind: str
@@ -123,10 +124,14 @@ class SyntheticSpec:
                 )
         elif self.dim < 1:
             raise ConstraintViolation("dim must be positive")
-        if self.lam is not None and self.lam < 0:
-            raise ConstraintViolation("lam must be nonnegative")
-        if self.noise_sd is not None and self.noise_sd < 0:
-            raise ConstraintViolation("noise_sd must be nonnegative")
+        for name in ("lam", "noise_sd"):
+            value = getattr(self, name)
+            if value is None:
+                continue
+            if not (linops._is_real(value) and math.isfinite(value)):
+                raise ConstraintViolation(f"{name} must be a finite number, got {value!r}")
+            if value < 0:
+                raise ConstraintViolation(f"{name} must be nonnegative")
 
     @property
     def primal_dim(self):

@@ -38,7 +38,6 @@ norm of its step in the preconditioner's metric (:func:`m_norm`), one
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass
 
@@ -52,7 +51,7 @@ from .errors import (
     MissingHistory,
     NonFiniteIterate,
 )
-from .linops import _is_index
+from .linops import _is_index, _is_real
 
 # Fraction of the theoretical caps used by the step and relaxation recipes.
 RECIPE_FACTOR = 0.9
@@ -240,7 +239,7 @@ def _relaxation(params, recipe):
     value = params.relaxation
     if isinstance(value, str) and value == "recipe":
         return recipe
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    if not _is_real(value):
         raise ConstraintViolation(f"relaxation must be 'recipe' or a number, got {value!r}")
     return float(value)
 

@@ -11,14 +11,15 @@ Structured operators (identity, zero, stacks) stay lazy so that large
 penalty operators never have to be materialized.
 Stacks go both ways: :class:`VStackOp` stacks row blocks (a coupling
 operator that pairs two penalties) and :class:`HStackOp` stacks column
-blocks (a design that reads part of a stacked variable, or a matrix split
-by feature columns across workers).
+blocks (a design that reads part of a stacked variable).
 :func:`to_sparse` gives the CSR matrix of any operator, the stored one of a
 CSR operator.  This module does no file I/O; :mod:`pdsplit.textio` writes
 and reads matrices as triplet text.
 """
 
 from __future__ import annotations
+
+import numbers
 
 import numpy as np
 import scipy.sparse as sp
@@ -390,6 +391,11 @@ def safe_op_norm(op, tol=1e-9, max_iters=10000):
 def _is_index(value):
     """Whether ``value`` is an integer, of Python or numpy type (a bool is not)."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value):
+    """Whether ``value`` is a real number, of Python or numpy type (a bool is not)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def build_group_membership(groups, p):

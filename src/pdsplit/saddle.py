@@ -4,8 +4,8 @@ A problem ``min_x f(x) + h(Kx)`` is handled through its saddle formulation
 ``min_x max_y f(x) + <Kx, y> - h*(y)``.  The smooth part is a loss on a
 linear model, ``f(x) = phi(A x)``: a :class:`SmoothLoss` carries its design
 operator ``A`` next to ``phi``, its gradient and the curvature bound, so
-whatever needs the design (a sharded run splitting it by feature columns)
-reads it from the loss.  A :class:`SaddleProblem` is exactly the loss, the
+whatever needs the design (a sharded run counting its products) reads it
+from the loss.  A :class:`SaddleProblem` is exactly the loss, the
 coupling operator ``K`` and the conjugate-prox spec of the penalty.
 
 The design image ``A x`` is what both the loss value and its gradient read.
@@ -74,7 +74,7 @@ class SmoothLoss:
         """The same loss read through another operator for the same matrix.
 
         ``L_f`` is kept as it is, so ``design`` must have the spectral norm
-        of ``A`` (a column split of it, or ``A`` padded with zero columns).
+        of ``A`` (a counting wrapper of it, or ``A`` padded with zero columns).
         """
         return SmoothLoss(design, self.phi, self.phi_grad, self.L_f)
 

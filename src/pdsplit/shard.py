@@ -1,26 +1,18 @@
 """Feature-sharded execution with communication accounting.
 
 Columns of the loss design ``A`` and of the penalty operator ``K`` are split
-into contiguous, balanced blocks, one per worker.  The run itself stays
-single-process; what the sharding changes is the *accounting*: a ledger
-records how many vector entries would cross worker boundaries per
-iteration.  The run is :func:`pdsplit.fb.fb_step` on a counting copy of the
-problem whose ``A`` and ``K`` are two counting column-block stacks
-(:class:`pdsplit.linops.HStackOp` of the blocks), iterated as the one-column
-case of the relaxed block iteration behind :func:`pdsplit.fb.run_fb`, in the
-one iteration loop of :mod:`pdsplit.fb`.  A forward product sums the block
-partials left to right and an adjoint product concatenates the block
-adjoints.
-A dense design is cut into dense column slices and any other design into
-CSR slices; penalty blocks are CSR, whose row structure gives the traffic
-counts.
+into contiguous, balanced blocks, one per worker, and dual rows likewise.
+The run stays single-process and its arithmetic is the plain run's; what
+the sharding changes is the *accounting*.  The run is
+:func:`pdsplit.fb.fb_step` on a counting copy of the problem, whose ``A``
+and ``K`` are the problem's own operators charging each product's traffic
+to a ledger, iterated as the one-column case of the relaxed iteration
+behind :func:`pdsplit.fb.run_fb`; the trajectory is bitwise the plain run's.
 
-The run carries the design image ``A x`` as :func:`pdsplit.fb.run_fb` does.
-The image of the start is read on the original design and charged to no
-ledger row.  Each step makes one adjoint design product in the gradient and
-one forward design product on the relaxed iterate, then closes one ledger
-row.  Trace rows read the carried images and take their metric distance on
-the original problem, so they are never charged.
+Each step makes one adjoint design product in the gradient and one forward
+design product on the relaxed iterate, then closes one ledger row.  The
+design image of the start and every trace row are evaluated on the
+original problem, so they are never charged.
 
 Counting rules per product:
 
@@ -30,7 +22,7 @@ Counting rules per product:
   at the row's owner, and an adjoint product ships each needed dual entry
   once, so one entry moves per structurally nonzero row of an off-diagonal
   sub-block (dual rows owned by one worker, columns by another), in either
-  direction.
+  direction.  The counts are read from the CSR structure of ``K``.
 """
 
 from __future__ import annotations
@@ -38,12 +30,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import fb, saddle
 from .errors import ConstraintViolation, TooManyWorkers
 from .fb import IterTrace
-from .linops import DenseOp, HStackOp, SparseOp, _is_index, to_sparse
+from .linops import LinearOperator, _is_index, to_sparse
 
 LEDGER_COLUMNS = ["iter", "loss_comm", "penalty_comm", "total_comm"]
 
@@ -68,16 +59,10 @@ class CommLedger:
         self._penalty_pending += int(units)
 
     def flush(self, iteration):
-        row_loss = self._loss_pending
-        row_pen = self._penalty_pending
-        self.trace.append(
-            iter=iteration,
-            loss_comm=row_loss,
-            penalty_comm=row_pen,
-            total_comm=row_loss + row_pen,
-        )
-        self._loss_pending = 0
-        self._penalty_pending = 0
+        loss, penalty = self._loss_pending, self._penalty_pending
+        self.trace.append(iter=iteration, loss_comm=loss, penalty_comm=penalty,
+                          total_comm=loss + penalty)
+        self._loss_pending = self._penalty_pending = 0
 
     def column(self, name):
         return self.trace.column(name)
@@ -89,19 +74,30 @@ def _balanced_offsets(total, parts):
     return np.concatenate([[0], np.cumsum(sizes)])
 
 
-def _column_blocks(op, offsets):
-    """Split ``op`` at the column ``offsets``: dense slices of a dense
-    design, CSR slices of anything else."""
-    bounds = zip(offsets[:-1], offsets[1:])
-    if isinstance(op, DenseOp):
-        return [DenseOp(op.array[:, lo:hi]) for lo, hi in bounds]
-    mat = to_sparse(op)
-    return [SparseOp(mat[:, lo:hi]) for lo, hi in bounds]
+def _owners(offsets, index):
+    """The worker that owns each entry of ``index`` under block ``offsets``."""
+    return np.searchsorted(offsets, index, side="right") - 1
+
+
+def _cross_table(k_op, row_offsets, col_offsets):
+    """Count, per (row owner, column owner) pair, the dual rows that hold a
+    stored entry of ``K`` in that owner's columns.
+
+    Each stored entry gives the key ``row * m + column owner``; the distinct
+    keys are the nonzero rows of the sub-blocks, binned by their owners.
+    """
+    k_mat = to_sparse(k_op)
+    m = len(col_offsets) - 1
+    rows = np.repeat(np.arange(k_mat.shape[0]), np.diff(k_mat.indptr))
+    keys = np.sort(rows * m + _owners(col_offsets, k_mat.indices))
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    pairs = _owners(row_offsets, keys // m) * m + keys % m
+    return np.bincount(pairs, minlength=m * m).reshape(m, m)
 
 
 @dataclass
 class ShardPlan:
-    """Blockwise layout of a problem across workers.
+    """Balanced layout of a problem across workers.
 
     Attributes
     ----------
@@ -113,11 +109,6 @@ class ShardPlan:
         Feature boundaries; worker ``j`` owns ``col_offsets[j]:col_offsets[j+1]``.
     row_offsets : ndarray
         Dual-row boundaries under the same balancing rule.
-    a_blocks : list of LinearOperator
-        Column blocks of the design, one per worker: dense slices of a
-        dense design, CSR slices otherwise.
-    k_blocks : list of SparseOp
-        CSR column blocks of the penalty operator, one per worker.
     cross_table : ndarray
         ``cross_table[i, j]`` counts structurally nonzero rows of the
         penalty sub-block with rows owned by ``i`` and columns by ``j``.
@@ -132,14 +123,12 @@ class ShardPlan:
     l: int
     col_offsets: np.ndarray
     row_offsets: np.ndarray
-    a_blocks: list
-    k_blocks: list
     cross_table: np.ndarray
     cross_total: int
 
 
 def partition_problem(problem, m_workers):
-    """Split a problem's design and penalty operator into a balanced plan.
+    """Lay a problem's features and dual rows out across balanced workers.
 
     Parameters
     ----------
@@ -166,32 +155,12 @@ def partition_problem(problem, m_workers):
     p, l = problem.dims
     if m > p:
         raise TooManyWorkers(f"{m} workers for {p} features")
-    k_mat = to_sparse(problem.K)
     col_offsets = _balanced_offsets(p, m)
     row_offsets = _balanced_offsets(l, m)
-    a_blocks = _column_blocks(problem.loss.A, col_offsets)
-    k_blocks = []
-    row_owner = np.searchsorted(row_offsets, np.arange(l), side="right") - 1
-    cross_table = np.zeros((m, m), dtype=int)
-    for j in range(m):
-        kj = sp.csr_array(k_mat[:, col_offsets[j] : col_offsets[j + 1]])
-        k_blocks.append(SparseOp(kj))
-        nz_rows = np.flatnonzero(np.diff(kj.indptr) > 0)
-        for r in nz_rows:
-            cross_table[row_owner[r], j] += 1
-    cross_total = int(cross_table.sum() - np.trace(cross_table))
-    return ShardPlan(
-        m=m,
-        n=problem.loss.A.shape[0],
-        p=p,
-        l=l,
-        col_offsets=col_offsets,
-        row_offsets=row_offsets,
-        a_blocks=a_blocks,
-        k_blocks=k_blocks,
-        cross_table=cross_table,
-        cross_total=cross_total,
-    )
+    cross_table = _cross_table(problem.K, row_offsets, col_offsets)
+    return ShardPlan(m=m, n=problem.loss.A.shape[0], p=p, l=l, col_offsets=col_offsets,
+                     row_offsets=row_offsets, cross_table=cross_table,
+                     cross_total=int(cross_table.sum() - np.trace(cross_table)))
 
 
 @dataclass
@@ -207,30 +176,30 @@ class ShardResult:
     plan: ShardPlan
 
 
-class _CountingStack(HStackOp):
-    """Column-block stack that charges ``units`` to ``charge`` per product."""
+class _Counted(LinearOperator):
+    """``op`` itself, charging ``units`` to ``charge`` per product."""
 
-    def __init__(self, blocks, charge, units):
-        super().__init__(blocks)
+    def __init__(self, op, charge, units):
+        super().__init__(op.shape)
+        self._op = op
         self._charge = charge
         self._units = units
 
     def apply(self, x):
         self._charge(self._units)
-        return super().apply(x)
+        return self._op.apply(x)
 
     def apply_adjoint(self, y):
         self._charge(self._units)
-        return super().apply_adjoint(y)
+        return self._op.apply_adjoint(y)
 
 
 def run_fb_sharded(problem, params, m_workers, x0=None, y0=None, tol=None):
-    """Run the base iteration with sharded products and a traffic ledger.
+    """Run the base iteration with a traffic ledger of a sharded layout.
 
-    The arithmetic differs from the dense run only in summation order, so
-    the trajectories agree to rounding.  Trace rows read the carried design
-    images and are not charged to the ledger.  ``x0`` and ``y0`` are
-    starting points (zeros by default).
+    The products are the problem's own, so the iterates and trace are
+    bitwise those of :func:`pdsplit.fb.run_fb`; trace rows are not charged
+    to the ledger.  ``x0`` and ``y0`` are starting points (zeros by default).
 
     Returns
     -------
@@ -241,20 +210,13 @@ def run_fb_sharded(problem, params, m_workers, x0=None, y0=None, tol=None):
     params = fb.resolve_params(problem, params)
     plan = partition_problem(problem, m_workers)
     ledger = CommLedger()
-    a_op = _CountingStack(plan.a_blocks, ledger.add_loss, (plan.m - 1) * plan.n)
-    k_op = _CountingStack(plan.k_blocks, ledger.add_penalty, plan.cross_total)
+    a_op = _Counted(problem.loss.A, ledger.add_loss, (plan.m - 1) * plan.n)
+    k_op = _Counted(problem.K, ledger.add_penalty, plan.cross_total)
     shadow = saddle.SaddleProblem(problem.loss.on(a_op), k_op, problem.hconj)
 
     x, y, _, _, trace, k, converged = fb._relaxed_column(
         problem, shadow, params, info["rho"], x, y, tol,
         on_step=lambda k, x, y: ledger.flush(k),
     )
-    return ShardResult(
-        x=x,
-        y=y,
-        trace=trace,
-        ledger=ledger,
-        iterations=k,
-        converged=converged,
-        plan=plan,
-    )
+    return ShardResult(x=x, y=y, trace=trace, ledger=ledger, iterations=k,
+                       converged=converged, plan=plan)

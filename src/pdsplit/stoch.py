@@ -39,12 +39,13 @@ from .accel import (
     Schedule,
     _accel_core,
     _run_schedule,
+    _schedule_horizon,
     mode_coefficients,
     mode_factors,
 )
 from .errors import ConstraintViolation, DimensionError, UnsupportedMode
 from .fb import IterTrace, _start_point
-from .linops import _is_index
+from .linops import _is_index, _is_real
 
 AGGREGATE_COLUMNS = ["k", "mean_objective", "median_objective", "q10", "q90"]
 
@@ -177,10 +178,10 @@ class MaskedGradOracle(StochasticOracle):
     """
 
     def __init__(self, problem, pi, seed, radius=1.0):
-        if not 0.0 < pi <= 1.0:
-            raise ConstraintViolation(f"keep probability must lie in (0, 1], got {pi}")
-        if radius <= 0.0:
-            raise ConstraintViolation(f"declaration radius must be positive, got {radius}")
+        if not (_is_real(pi) and 0.0 < pi <= 1.0):
+            raise ConstraintViolation(f"keep probability must lie in (0, 1], got {pi!r}")
+        if not (_is_real(radius) and radius > 0.0):
+            raise ConstraintViolation(f"declaration radius must be positive, got {radius!r}")
         self.problem = problem
         self.pi = float(pi)
         self.radius = float(radius)
@@ -376,7 +377,8 @@ def run_stoc(problem, params, oracle_factory, seeds, x0=None, y0=None):
     ------
     ConstraintViolation
         Before any draw, if ``seeds`` is empty or holds a seed that is not
-        an integer (a bool is not one) or that repeats.
+        an integer (a bool is not one) or that repeats, or if the horizon
+        is missing, not an integer or below 2.
     """
     check_proven_mode(params)
     seeds = list(seeds)
@@ -389,6 +391,7 @@ def run_stoc(problem, params, oracle_factory, seeds, x0=None, y0=None):
             raise ConstraintViolation(f"seed {seed} repeats")
     seeds = [int(s) for s in seeds]
     x_start, y_start = _start_point(problem, x0, y0)
+    _schedule_horizon(params.horizon, True, params.setting)
 
     chi_x, chi_y = params.chi_x, params.chi_y
     if chi_x is None or chi_y is None:

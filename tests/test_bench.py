@@ -214,6 +214,17 @@ def test_spec_integer_fields_must_be_integers(field, value):
     assert getattr(spec, field) == 1
 
 
+@pytest.mark.parametrize("field, value", [
+    ("lam", True), ("noise_sd", False), ("lam", math.nan), ("noise_sd", math.inf),
+    ("lam", "0.5"), ("noise_sd", np.bool_(True)),
+])
+def test_spec_real_fields_must_be_finite_numbers(field, value):
+    with pytest.raises(ConstraintViolation, match=field):
+        bench.SyntheticSpec(kind="lasso", **{field: value})
+    for ok in (np.float64(0.5), 2):
+        assert getattr(bench.SyntheticSpec(kind="lasso", **{field: ok}), field) == ok
+
+
 @pytest.mark.parametrize("budget, tol", [
     (1, 1e-8), (0, 1e-8), (50.7, 1e-8), (50.0, 1e-8),
     (100, math.nan), (100, math.inf), (100, 0.0), (100, -1e-8),

@@ -49,12 +49,16 @@ def test_tracer_sees_loss_and_both_operators_then_restores(spans):
         with tracer.enabled():
             shard.run_fb_sharded(problem, params, 3)
         sharded = {s.name for s in tracer.spans}
+        in_steps = {s.name for s in tracer.spans
+                    if s.parent >= 0 and tracer.spans[s.parent].name == "fb.fb_step"}
     finally:
         tracer.uninstall()
     assert {"saddle.loss.grad", "linops.K.apply", "linops.A.apply"} <= plain
-    # Sharded block products reach the leaf classes, so they are traced.
-    assert {"shard.run_fb_sharded", "linops.A.apply",
-            "linops.A.apply_adjoint"} <= sharded
+    # The sharded run counts products on the problem's own operators, so
+    # they reach the leaf classes and its steps' penalty products are named K.
+    assert {"shard.run_fb_sharded", "linops.A.apply", "linops.A.apply_adjoint",
+            "linops.K.apply", "linops.K.apply_adjoint"} <= sharded
+    assert {"linops.K.apply", "linops.K.apply_adjoint"} <= in_steps
     assert "grad" not in vars(problem.loss)
     assert problem.loss.grad.__func__ is SmoothLoss.grad
     for (cls, d), method in originals.items():

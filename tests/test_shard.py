@@ -50,12 +50,15 @@ def test_sharded_run_agrees_with_plain_run(small_ggfl, workers):
     _assert_agrees_with_plain_run(small_ggfl, workers)
 
 
-def test_latent_group_problem_shards():
+def _latent_problem():
     rng = np.random.default_rng(61)
     a = rng.standard_normal((12, 8))
     groups = [[0, 1, 2, 3], [3, 4, 5], [5, 6, 7]]
-    problem = latent_group_construct(groups, a, rng.standard_normal(12), 0.5)
-    res = _assert_agrees_with_plain_run(problem, 3)
+    return latent_group_construct(groups, a, rng.standard_normal(12), 0.5)
+
+
+def test_latent_group_problem_shards():
+    res = _assert_agrees_with_plain_run(_latent_problem(), 3)
     # The loss design is A padded with zero columns: its blocks keep all
     # 12 rows, so each of the two loss products moves 2 * 12 entries.
     assert np.all(res.ledger.column("loss_comm") == 2 * 2 * 12)
@@ -144,27 +147,46 @@ def test_cross_counts_are_rows_of_off_diagonal_blocks(small_ggfl, workers):
     assert plan.cross_total <= entries
 
 
-def _assert_blocks_cover(design, plan):
-    full = linops.densify(design)
-    bounds = zip(plan.a_blocks, plan.col_offsets[:-1], plan.col_offsets[1:])
-    for blk, lo, hi in bounds:
-        np.testing.assert_array_equal(linops.densify(blk), full[:, lo:hi])
-
-
-def test_design_blocks_keep_dense_storage(small_ggfl):
-    plan = partition_problem(small_ggfl, 3)
-    assert all(isinstance(b, linops.DenseOp) for b in plan.a_blocks)
-    assert all(isinstance(b, linops.SparseOp) for b in plan.k_blocks)
-    _assert_blocks_cover(small_ggfl.loss.A, plan)
-
-
-def test_other_design_kinds_are_split_through_csr():
+def _vstack_design_problem():
     rng = np.random.default_rng(64)
     a = rng.standard_normal((9, 5))
     design = linops.VStackOp([linops.DenseOp(a[:4]), linops.DenseOp(a[4:])])
-    problem = SaddleProblem(quadratic_loss(design, rng.standard_normal(9)),
-                            linops.IdentityOp(5), BoxClip(0.5, 5))
-    plan = partition_problem(problem, 2)
-    assert all(isinstance(b, linops.SparseOp) for b in plan.a_blocks)
-    _assert_blocks_cover(design, plan)
-    _assert_agrees_with_plain_run(problem, 2)
+    return SaddleProblem(quadratic_loss(design, rng.standard_normal(9)),
+                         linops.IdentityOp(5), BoxClip(0.5, 5))
+
+
+def test_vstack_design_problem_shards():
+    _assert_agrees_with_plain_run(_vstack_design_problem(), 2)
+
+
+def _assert_bitwise_plain_run(problem, workers):
+    params = FbParams(kappa=0.5, max_iters=200, record_every=7)
+    plain = run_fb(problem, params)
+    sharded = run_fb_sharded(problem, params, workers)
+    np.testing.assert_array_equal(sharded.x, plain.x)
+    np.testing.assert_array_equal(sharded.y, plain.y)
+    assert sharded.trace.columns == plain.trace.columns
+    for col in plain.trace.columns:
+        if col != "seconds":
+            np.testing.assert_array_equal(sharded.trace.column(col),
+                                          plain.trace.column(col))
+
+
+@pytest.mark.parametrize("workers", [1, 3, 7])
+def test_sharded_run_is_bitwise_the_plain_run(small_ggfl, workers):
+    _assert_bitwise_plain_run(small_ggfl, workers)
+
+
+@pytest.mark.parametrize("build, workers",
+                         [(_latent_problem, 3), (_vstack_design_problem, 2)])
+def test_other_design_kinds_run_bitwise_the_plain_run(build, workers):
+    _assert_bitwise_plain_run(build(), workers)
+
+
+def test_sharding_a_latent_problem_densifies_nothing(monkeypatch):
+    problem = _latent_problem()
+    calls = []
+    densify = linops.densify
+    monkeypatch.setattr(linops, "densify", lambda op: calls.append(op) or densify(op))
+    run_fb_sharded(problem, FbParams(max_iters=3), 3)
+    assert calls == []

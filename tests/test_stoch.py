@@ -118,6 +118,10 @@ def test_masked_oracle_rejects_bad_parameters(tiny_lasso):
         _masked(tiny_lasso.problem, 1.5)
     with pytest.raises(ConstraintViolation):
         _masked(tiny_lasso.problem, 0.5, radius=0.0)
+    for pi, radius in ((True, 1.0), ("0.5", 1.0), (np.nan, 1.0), (0.5, True),
+                       (0.5, "1"), (0.5, np.nan)):
+        with pytest.raises(ConstraintViolation):
+            _masked(tiny_lasso.problem, pi, radius=radius)
 
 
 def test_declared_channels_combine_in_quadrature():
@@ -317,6 +321,24 @@ def test_unresolved_noise_levels_are_refused(dense_problem):
     # A missing horizon is reported first, as the default parameters show.
     with pytest.raises(ConstraintViolation, match="need a horizon"):
         build_stoc_schedule(problem, StocParams())
+
+
+@pytest.mark.parametrize("horizon", [None, 50.5, True, 1])
+def test_bad_horizon_is_refused_before_noise_is_measured(tiny_lasso, horizon):
+    problem = tiny_lasso.problem
+    draws = []
+
+    def factory(seed):
+        oracle = _masked(problem, 0.5, seed)
+        oracle.chi_xf = None  # undeclared, so the run would measure it
+        grad = oracle.grad
+        oracle.grad = lambda x: draws.append(seed) or grad(x)
+        return oracle
+
+    params = StocParams(omega_x=2.0, omega_y=2.0, horizon=horizon)
+    with pytest.raises(ConstraintViolation, match="horizon"):
+        run_stoc(problem, params, factory, seeds=[0])
+    assert draws == []
 
 
 def test_stoc_gap_bound_matches_oracle(dense_problem):
