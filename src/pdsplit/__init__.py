@@ -13,12 +13,16 @@ Solvers act on that container:
   or unbounded step-size schedules.
 - :func:`~pdsplit.stoch.run_stoc` runs the stochastic accelerated variants on
   sampled oracles over one or more seeds.
-- :func:`~pdsplit.shard.run_fb_sharded` replays the plain iteration, bitwise,
-  on a layout of feature shards, and accounts for the scalars its products
-  would communicate.
+- :func:`~pdsplit.shard.run_fb_sharded` runs the plain iteration, bitwise,
+  on a layout of feature shards, with a ledger of the entries each step's
+  products would move between workers.
 
 All five runners share one iteration loop, the private driver in
-:mod:`pdsplit.fb`; each supplies only its step and its trace columns.
+:mod:`pdsplit.fb`; each supplies only its step and its trace columns.  The
+paper's guarantees that no run reports (Fejér monotonicity in the
+preconditioner's metric, the perturbation envelope of unbounded
+accelerated runs, the Moreau split behind the conjugate prox) are checked
+by the test suite against its own oracles.
 
 :mod:`pdsplit.bench` generates test problems, stores them as bundles, and
 computes reference solutions and empirical rate slopes.  The ``pdsplit``
@@ -31,7 +35,6 @@ from .accel import (
     Schedule,
     bounded_gap_bound,
     build_schedule,
-    compute_perturbation,
     mode_coefficients,
     mode_factors,
     run_accel,
@@ -72,7 +75,6 @@ from .fb import (
     convergence_region,
     default_step_sizes,
     fb_step,
-    fejer_check,
     relaxation_cap,
     run_fb,
     run_fbf,
@@ -99,8 +101,6 @@ from .prox import (
     IdentityShift,
     L1Ball,
     L2Ball,
-    moreau_prox_primal,
-    primal_prox,
     project_l1_ball,
 )
 from .saddle import (
@@ -115,7 +115,6 @@ from .saddle import (
     zero_loss,
 )
 from .shard import (
-    CommLedger,
     ShardPlan,
     ShardResult,
     partition_problem,
@@ -137,7 +136,6 @@ __all__ = [
     "AccelParams",
     "AccelResult",
     "BoxClip",
-    "CommLedger",
     "Composite",
     "ConfigError",
     "ConstraintViolation",
@@ -183,12 +181,10 @@ __all__ = [
     "build_graph_difference",
     "build_group_membership",
     "build_schedule",
-    "compute_perturbation",
     "convergence_region",
     "default_step_sizes",
     "estimate_chi",
     "fb_step",
-    "fejer_check",
     "fixed_point_residual",
     "generate",
     "latent_group_construct",
@@ -199,8 +195,6 @@ __all__ = [
     "matrix_operator",
     "mode_coefficients",
     "mode_factors",
-    "moreau_prox_primal",
-    "primal_prox",
     "op_norm",
     "overlapping_groups",
     "partition_problem",

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import saddle
-from .errors import ConstraintViolation, MissingHistory, UnknownKind
+from .errors import ConstraintViolation, UnknownKind
 from .fb import IterTrace, _column, _drive, _start_point, _step_norm
 from .linops import _is_index
 
@@ -513,8 +513,9 @@ def accel_step(problem, alpha, beta, schedule, k, state):
 class AccelResult:
     """Outcome of an accelerated run.
 
-    Keeps the first resolvent pair and the final two resolvent pairs so the
-    perturbation diagnostic can be evaluated afterwards.
+    Besides the averaged pair it keeps the final two resolvent pairs and the
+    first one (``xt_first``, ``yt_first``; ``None`` after zero steps): with
+    the schedule they fix the perturbation vector of an unbounded run.
     """
 
     x: np.ndarray
@@ -631,92 +632,3 @@ def run_accel(problem, params, x0=None, y0=None):
         params.record_every,
     )
     return result
-
-
-@dataclass
-class PerturbationDiagnostic:
-    """Perturbation vector of an unbounded run and its certified envelope."""
-
-    k: int
-    v_x: np.ndarray
-    v_y: np.ndarray
-    v_norm: float
-    v_norm_bound: float
-    eps: float
-    r_tilde: float
-
-
-def compute_perturbation(problem, params, result, anchor):
-    """Perturbation diagnostic of an unbounded accelerated run.
-
-    The final iterate of an unbounded run solves a perturbed inclusion
-    whose perturbation vector is computable from the first and last
-    resolvent pairs:
-
-    ``v = rho_k * ((xt1 - xt_new) / tau_k - B'(dy),
-    (yt1 - yt_new) / sigma_k + A dx + tau_k (K + A)(K + B)' dy)``
-
-    with ``dx = xt_new - xt_prev`` and ``dy = yt_new - yt_prev``; with
-    ``A = -alpha K`` and ``B = beta K`` it takes one ``K'`` and one ``K``
-    product.  The diagnostic also evaluates the norm envelope and the
-    perturbation-energy value ``eps`` relative to the supplied anchor pair
-    (a solution or a trusted approximation of one).
-
-    Raises
-    ------
-    MissingHistory
-        If the run result lacks the first resolvent pair.
-    ConstraintViolation
-        If the run is not an unbounded-setting run.
-    """
-    schedule = result.schedule
-    if schedule.setting != "unbounded":
-        raise ConstraintViolation("the perturbation diagnostic is defined for unbounded runs")
-    if result.xt_first is None or result.yt_first is None:
-        raise MissingHistory("run result lacks the first resolvent pair")
-    k = result.iterations
-    tau = schedule.tau(k)
-    sigma = schedule.sigma(k)
-    rho = schedule.rho(k)
-    alpha, beta = mode_coefficients(params.mode, params.kappa)
-    dx = result.xt - result.xt_prev
-    dy = result.yt - result.yt_prev
-    kt_dy = problem.K.apply_adjoint(dy)
-    v_x = rho * ((result.xt_first - result.xt) / tau - beta * kt_dy)
-    v_y = rho * (
-        (result.yt_first - result.yt) / sigma
-        + problem.K.apply(tau * (1.0 - alpha) * (1.0 + beta) * kt_dy - alpha * dx)
-    )
-    v_norm = float(np.sqrt(v_x @ v_x + v_y @ v_y))
-
-    tau1 = schedule.tau(1)
-    sigma1 = schedule.sigma(1)
-    x_hat = np.asarray(anchor[0], dtype=float)
-    y_hat = np.asarray(anchor[1], dtype=float)
-    ex = x_hat - result.xt_first
-    ey = y_hat - result.yt_first
-    r_tilde = float(np.sqrt(ex @ ex + (tau1 / sigma1) * (ey @ ey)))
-    mu = np.sqrt(1.0 / (1.0 - schedule.q))
-    nu = np.sqrt(2.0 * sigma1 / (tau1 * (1.0 - 2.0 * schedule.r)))
-    a, b, c, d = schedule.factors
-    nk = schedule.k_norm
-    v_norm_bound = (
-        (rho / tau) * np.linalg.norm(ex)
-        + (rho / sigma) * np.linalg.norm(ey)
-        + (
-            (rho / tau) * (mu + (tau1 / sigma1) * nu)
-            + 2.0 * rho * (mu * a * nk + nu * b * nk)
-            + 2.0 * tau * rho * nu * (c * nk) * (d * nk)
-        )
-        * r_tilde
-    )
-    eps = (rho / tau) * _energy_factor(schedule.q, schedule.r) * r_tilde**2
-    return PerturbationDiagnostic(
-        k=k,
-        v_x=v_x,
-        v_y=v_y,
-        v_norm=v_norm,
-        v_norm_bound=float(v_norm_bound),
-        eps=float(eps),
-        r_tilde=r_tilde,
-    )

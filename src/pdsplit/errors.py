@@ -25,10 +25,6 @@ class UnknownKind(SolverError):
     """A descriptor carries a kind tag this module does not recognize."""
 
 
-class UnsupportedPrimalProx(SolverError):
-    """No closed-form primal prox is available for the requested penalty."""
-
-
 class BadLabels(SolverError):
     """Classification labels must take values in {-1, +1}."""
 
@@ -43,10 +39,6 @@ class NonFiniteIterate(SolverError):
 
 class ConstraintViolation(SolverError):
     """A schedule or step-size validity condition fails."""
-
-
-class MissingHistory(SolverError):
-    """A diagnostic needs recorded iterates that the run did not keep."""
 
 
 class UnsupportedMode(SolverError):

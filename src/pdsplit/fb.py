@@ -44,13 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import saddle, textio
-from .errors import (
-    ConstraintViolation,
-    DegenerateProblem,
-    DimensionError,
-    MissingHistory,
-    NonFiniteIterate,
-)
+from .errors import ConstraintViolation, DegenerateProblem, DimensionError, NonFiniteIterate
 from .linops import _is_index, _is_real
 
 # Fraction of the theoretical caps used by the step and relaxation recipes.
@@ -84,10 +78,11 @@ class FbParams:
 
 
 class IterTrace:
-    """Columnar iteration trace with CSV round-tripping.
+    """Columnar iteration trace, written as a CSV table.
 
-    Values are written with 17 significant digits so that reloading a trace
-    reproduces the recorded doubles exactly.
+    Values are written with 17 significant digits so that reading the table
+    back (:func:`pdsplit.textio.read_table`) reproduces the recorded doubles
+    exactly.
     """
 
     def __init__(self, columns):
@@ -112,13 +107,6 @@ class IterTrace:
         """Write the trace atomically as a CSV table."""
         textio.write_table(path, self.columns, zip(*(self._data[c] for c in self.columns)))
 
-    @classmethod
-    def from_csv(cls, path):
-        columns, values = textio.read_table(path)
-        trace = cls(columns)
-        trace._data = {c: column.tolist() for c, column in zip(columns, values.T)}
-        return trace
-
 
 TRACE_COLUMNS = ["k", "objective", "ergodic_objective", "residual", "mdist", "seconds"]
 
@@ -136,7 +124,6 @@ class FbResult:
     converged: bool
     rho: float
     delta: float
-    iterates: list | None = None
 
 
 def convergence_region(l_f, k_norm, kappa, tau, sigma):
@@ -286,6 +273,14 @@ def validate_params(problem, params):
         "delta": delta,
         "margins": margins,
     }
+
+
+# Design and coupling products of one relaxed step: the gradient in
+# :func:`fb_step` reads the carried ``A x`` and makes one ``A'`` product, the
+# runner one ``A`` product on the relaxed iterate, and :func:`fb_step` the
+# coupling products ``K' y``, ``K w`` and ``K' y_new``.  Trace rows are not
+# steps and are not counted here.
+STEP_PRODUCTS = (2, 3)
 
 
 def fb_step(problem, kappa, tau, sigma, x, y, ax=None):
@@ -499,27 +494,24 @@ class _ErgodicMean:
         }
 
 
-def _relaxed_run(problem, stepped, kappa, tau, sigma, rho, x, y, max_iters,
-                 record_every, tol, on_step=None, labels=("",), raise_lost=True):
+def _relaxed_run(problem, kappa, tau, sigma, rho, x, y, max_iters, record_every, tol,
+                 labels=("",), raise_lost=True):
     """Relaxed iteration of a block through the shared driver.
 
     ``(x, y)`` is a block pair with one column per label, and ``kappa``,
     ``tau`` and ``sigma`` are scalars shared by every column or ``(B,)``
     rows with one entry per column, as :func:`fb_step` takes them; each
     column stops at its own step and leaves the block (see :func:`_drive`).
-    ``fb_step`` runs on ``stepped`` (the sharded run passes its counting
-    copy of ``problem``) while trace rows are evaluated on ``problem``.
-    ``on_step(k, x, y)`` sees every relaxed block pair.
 
-    The design image ``A x`` of the start is read on ``problem``; that of
-    each relaxed iterate is computed once on ``stepped`` and read by the
-    next gradient and the trace row.  The ergodic image grows by
-    ``A (rho x~_k) = A x_k - (1 - rho) A x_{k-1}``.
+    The design image ``A x`` of the start is computed once, and that of
+    each relaxed iterate once per step, read by the next gradient and the
+    trace row, so a step makes the products of ``STEP_PRODUCTS``.  The
+    ergodic image grows by ``A (rho x~_k) = A x_k - (1 - rho) A x_{k-1}``.
 
     The step keeps its displacement ``(dx, dy)``, and the metric distance
-    ``||(dx, dy)||_M`` (:func:`m_norm`, one ``K'`` product on ``problem``)
-    is evaluated only for recorded rows, on contiguous copies of the
-    column, as a run on that column alone would.
+    ``||(dx, dy)||_M`` (:func:`m_norm`, one ``K'`` product) is evaluated
+    only for recorded rows, on contiguous copies of the column, as a run on
+    that column alone would.
 
     Returns
     -------
@@ -527,15 +519,15 @@ def _relaxed_run(problem, stepped, kappa, tau, sigma, rho, x, y, max_iters,
         The final block pairs, one trace per label, and arrays of the
         iteration counts and convergence flags.
     """
-    design = stepped.loss.A
-    ax = problem.loss.A.apply(x)
+    design = problem.loss.A
+    ax = design.apply(x)
     erg = _ErgodicMean(x, ax)
     x_t, y_t, dx, dy = x, y, None, None
     final = [a.copy() for a in (x, y, x, y)]
 
     def step(k):
         nonlocal x, y, ax, x_t, y_t, dx, dy
-        x_t, y_t = fb_step(stepped, kappa, tau, sigma, x, y, ax)
+        x_t, y_t = fb_step(problem, kappa, tau, sigma, x, y, ax)
         dx = x_t - x
         dy = y_t - y
         res = _step_norm(dx, dy)
@@ -543,8 +535,6 @@ def _relaxed_run(problem, stepped, kappa, tau, sigma, rho, x, y, max_iters,
         y = y + rho * dy
         ax_prev, ax = ax, design.apply(x)
         erg.add(rho, x_t, ax - (1.0 - rho) * ax_prev)
-        if on_step is not None:
-            on_step(k, x, y)
         return x_t, y_t, res
 
     # Each column's kappa, tau and sigma, for its rows and for leaving.
@@ -573,16 +563,17 @@ def _relaxed_run(problem, stepped, kappa, tau, sigma, rho, x, y, max_iters,
     return (*final, traces, ks, converged)
 
 
-def _relaxed_column(problem, stepped, params, rho, x, y, tol, on_step=None):
+def _relaxed_column(problem, params, rho, x, y, tol):
     """One relaxed run from the vector pair ``(x, y)`` with resolved
-    ``params``: the one-column case of :func:`_relaxed_run`.
+    ``params`` and relaxation ``rho``: the one-column case of
+    :func:`_relaxed_run`, behind :func:`run_fb` and the sharded run.
 
     A non-finite pair raises.  Returns ``(x, y, x_tilde, y_tilde, trace,
     iterations, converged)`` with vectors and one trace.
     """
     *pairs, traces, ks, converged = _relaxed_run(
-        problem, stepped, params.kappa, params.tau, params.sigma, rho, x[:, None],
-        y[:, None], params.max_iters, params.record_every, tol, on_step)
+        problem, params.kappa, params.tau, params.sigma, rho, x[:, None], y[:, None],
+        params.max_iters, params.record_every, tol)
     return (*(a[:, 0] for a in pairs), traces[0], int(ks[0]), bool(converged[0]))
 
 
@@ -593,7 +584,6 @@ def run_fb(
     y0=None,
     tol=None,
     validate=True,
-    keep_iterates=False,
 ):
     """Run the relaxed preconditioned iteration.
 
@@ -613,8 +603,6 @@ def run_fb(
         Check the region before running.  Disabled by region scans, which
         probe inadmissible parameter pairs on purpose; in that case a
         numeric ``relaxation`` is used as given and ``"recipe"`` means 1.
-    keep_iterates : bool
-        Keep every relaxed iterate pair (including the start) in memory.
 
     Returns
     -------
@@ -631,15 +619,7 @@ def run_fb(
         )
         rho = _relaxation(params, 1.0)
 
-    iterates = None
-    on_step = None
-    if keep_iterates:
-        iterates = [(x.copy(), y.copy())]
-        on_step = lambda k, x, y: iterates.append((x[:, 0].copy(), y[:, 0].copy()))
-
-    x, y, x_t, y_t, trace, k, converged = _relaxed_column(
-        problem, problem, params, rho, x, y, tol, on_step
-    )
+    x, y, x_t, y_t, trace, k, converged = _relaxed_column(problem, params, rho, x, y, tol)
     return FbResult(
         x=x,
         y=y,
@@ -650,7 +630,6 @@ def run_fb(
         converged=converged,
         rho=rho,
         delta=delta,
-        iterates=iterates,
     )
 
 
@@ -692,7 +671,7 @@ def run_fb_block(problem, kappa, tau, sigma, max_iters, tol):
     p, l = problem.dims
     n = kappa.size
     x, y, x_t, y_t, traces, ks, converged = _relaxed_run(
-        problem, problem, kappa, tau, sigma, 1.0, np.zeros((p, n)), np.zeros((l, n)),
+        problem, kappa, tau, sigma, 1.0, np.zeros((p, n)), np.zeros((l, n)),
         max_iters, max(max_iters, 1), tol, labels=[f"column {j}" for j in range(n)],
         raise_lost=False,
     )
@@ -706,58 +685,6 @@ def run_fb_block(problem, kappa, tau, sigma, max_iters, tol):
             delta=relaxation_cap(problem.L_f, problem.k_norm, *cell),
         ))
     return results
-
-
-def fejer_check(problem, params, iterates, z_star, slack_factor=1e-10):
-    """Check monotone decrease of the metric distance to a fixed point.
-
-    Each distance is :func:`m_norm` of the iterate's offset from
-    ``z_star``, one ``K'`` product per iterate at any problem size.
-
-    Parameters
-    ----------
-    problem : SaddleProblem
-    params : FbParams
-        The parameters the iterates were produced with.
-    iterates : sequence of (ndarray, ndarray)
-        Relaxed iterate pairs, the starting point first.
-    z_star : (ndarray, ndarray)
-        Fixed-point pair against which distances are measured.
-    slack_factor : float
-        Allowed increase is ``slack_factor * (1 + initial distance)``.
-
-    Returns
-    -------
-    dict
-        ``ok`` flag, ``max_increase``, ``slack``, the distance array, and
-        ``first_violation``: the index (into ``iterates``) of the first
-        iterate whose distance exceeds its predecessor's by more than the
-        slack, or ``None`` when the sequence is monotone.
-
-    Raises
-    ------
-    MissingHistory
-        If fewer than two iterates are supplied.
-    """
-    if iterates is None or len(iterates) < 2:
-        raise MissingHistory("fejer_check needs at least two recorded iterates")
-    params = resolve_params(problem, params)
-    xs, ys = np.asarray(z_star[0]), np.asarray(z_star[1])
-    dist = np.array([
-        m_norm(problem, params.kappa, params.tau, params.sigma, xi - xs, yi - ys)
-        for xi, yi in iterates
-    ])
-    slack = slack_factor * (1.0 + dist[0])
-    increases = np.diff(dist)
-    max_increase = float(increases.max()) if increases.size else 0.0
-    offending = np.nonzero(increases > slack)[0]
-    return {
-        "ok": max_increase <= slack,
-        "max_increase": max_increase,
-        "slack": slack,
-        "distances": dist,
-        "first_violation": int(offending[0]) + 1 if offending.size else None,
-    }
 
 
 def fbf_default_step(problem, margin=0.99):

@@ -266,11 +266,29 @@ def matrix_operator(a):
 
 
 def to_sparse(op):
-    """The matrix of ``op`` as a CSR array: the stored one for a CSR
-    operator, converted from the dense matrix otherwise."""
+    """The matrix of ``op`` as a CSR array, the stored one for a CSR operator.
+
+    Any other kind is built from its own structure: a dense array is
+    converted, the identity and the zero operator are sparse, and a stack
+    stacks its blocks' CSR matrices.  No dense array is formed for a
+    structured operator, and its stored entries are exactly the nonzeros of
+    :func:`densify`'s array, row by row with sorted columns.
+    """
     if isinstance(op, SparseOp):
         return op.matrix
-    return sp.csr_array(op.array if isinstance(op, DenseOp) else densify(op))
+    if isinstance(op, DenseOp):
+        return sp.csr_array(op.array)
+    if isinstance(op, IdentityOp):
+        return sp.eye_array(op.shape[0], format="csr")
+    if isinstance(op, ZeroOp):
+        return sp.csr_array(op.shape)
+    if isinstance(op, (VStackOp, HStackOp)):
+        stack = sp.vstack if isinstance(op, VStackOp) else sp.hstack
+        out = stack([to_sparse(b) for b in op.blocks], format="csr")
+        out.sum_duplicates()
+        out.eliminate_zeros()
+        return out
+    raise UnknownKind(f"no sparse matrix for operator kind {op.kind!r}")
 
 
 def densify(op):

@@ -4,8 +4,9 @@ The dual update of every solver in this package needs the proximal map of a
 penalty conjugate ``h*``.  For the supported penalties ``h*`` is either an
 indicator of a simple set (so the prox is a projection), a linear function,
 or a blockwise combination of those.  Each spec also knows the primal value
-``h(u)`` so objective reporting does not need a second description, and the
-primal prox is always reachable through the Moreau identity.
+``h(u)`` so objective reporting does not need a second description.  The
+primal prox is ``prox_{s h}(z) = z - s * prox_{h*/s}(z / s)`` (the Moreau
+identity) and needs no rule of its own.
 
 Every ``prox`` also maps a block, a 2-d array with one dual vector per
 column, column by column: a multi-seed run projects all its seeds in one
@@ -18,13 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    BadLabels,
-    DegenerateProblem,
-    DimensionError,
-    UnknownKind,
-    UnsupportedPrimalProx,
-)
+from .errors import BadLabels, DegenerateProblem, DimensionError, UnknownKind
 
 
 class GroupPartition:
@@ -424,75 +419,3 @@ def project_l1_ball(v, radius):
     rho = np.nonzero(u * counts > cssv - radius)[0][-1]
     theta = (cssv[rho] - radius) / (rho + 1.0)
     return np.sign(v) * np.maximum(a - theta, 0.0)
-
-
-def primal_prox(spec, z, scale):
-    """Prox of ``scale * h`` at ``z`` through the direct primal rules.
-
-    Only the penalties with a standard closed-form primal prox are covered:
-    coordinatewise soft threshold for the weighted absolute-value penalty,
-    vector shrink for the Euclidean-norm penalty, and blockwise shrink for
-    the group penalty.
-
-    Raises
-    ------
-    UnsupportedPrimalProx
-        For specs without a primal rule here.
-    """
-    if scale <= 0:
-        raise DegenerateProblem("prox scale must be positive")
-    z = np.asarray(z, dtype=float)
-    if isinstance(spec, BoxClip):
-        t = scale * spec.lam
-        return np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
-    if isinstance(spec, L2Ball):
-        return _shrink_vector(z, scale * spec.lam)
-    if isinstance(spec, GroupL2Balls):
-        t = scale * spec.radii
-        nrm = spec.partition.block_norms(z)
-        keep = nrm > t
-        factor = np.zeros_like(nrm)
-        factor[keep] = 1.0 - t[keep] / nrm[keep]
-        return z * spec.partition.expand(factor)
-    raise UnsupportedPrimalProx(
-        f"no direct primal prox rule for kind {spec.kind!r}"
-    )
-
-
-def _shrink_vector(z, t):
-    nrm = np.linalg.norm(z)
-    if nrm <= t:
-        return np.zeros_like(z)
-    return z * (1.0 - t / nrm)
-
-
-def moreau_prox_primal(spec, z, sigma):
-    """Conjugate prox ``prox_{sigma h*}(z)`` reached through the primal rule.
-
-    Splits ``z`` into its two proximal parts and returns the conjugate one,
-    ``z - sigma * prox_{h / sigma}(z / sigma)``, with the inner prox computed
-    by the direct primal rule rather than any conjugate projection.  Agreement
-    with :meth:`ConjugateProx.prox` is the decomposition identity.
-
-    Parameters
-    ----------
-    spec : ConjugateProx
-        Spec whose penalty has a direct primal rule.
-    z : ndarray
-    sigma : float
-        Positive dual step size.
-
-    Returns
-    -------
-    ndarray
-
-    Raises
-    ------
-    UnsupportedPrimalProx
-        If the penalty has no direct primal rule.
-    """
-    if sigma <= 0:
-        raise DegenerateProblem("prox step must be positive")
-    z = np.asarray(z, dtype=float)
-    sigma = float(sigma)
-    return z - sigma * primal_prox(spec, z / sigma, 1.0 / sigma)

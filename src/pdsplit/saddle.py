@@ -4,8 +4,8 @@ A problem ``min_x f(x) + h(Kx)`` is handled through its saddle formulation
 ``min_x max_y f(x) + <Kx, y> - h*(y)``.  The smooth part is a loss on a
 linear model, ``f(x) = phi(A x)``: a :class:`SmoothLoss` carries its design
 operator ``A`` next to ``phi``, its gradient and the curvature bound, so
-whatever needs the design (a sharded run counting its products) reads it
-from the loss.  A :class:`SaddleProblem` is exactly the loss, the
+whatever needs the design (a sharded run sizing its traffic) reads it from
+the loss.  A :class:`SaddleProblem` is exactly the loss, the
 coupling operator ``K`` and the conjugate-prox spec of the penalty.
 
 The design image ``A x`` is what both the loss value and its gradient read.
@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import linops
-from .errors import BadLabels, DimensionError
+from .errors import BadLabels, DegenerateProblem, DimensionError
 from .linops import HStackOp, LinearOperator, ZeroOp, matrix_operator
 from .prox import (
     Composite,
@@ -36,11 +36,6 @@ from .prox import (
     IdentityShift,
     _per_row,
 )
-
-# Tolerance used when deciding conjugate feasibility of computed duals;
-# prox outputs land on constraint boundaries up to rounding.
-FEAS_TOL = 1e-9
-
 
 class SmoothLoss:
     """Smooth convex loss ``f(x) = phi(A x)`` with an explicit curvature bound.
@@ -74,7 +69,7 @@ class SmoothLoss:
         """The same loss read through another operator for the same matrix.
 
         ``L_f`` is kept as it is, so ``design`` must have the spectral norm
-        of ``A`` (a counting wrapper of it, or ``A`` padded with zero columns).
+        of ``A``, as ``A`` padded with zero columns has.
         """
         return SmoothLoss(design, self.phi, self.phi_grad, self.L_f)
 
@@ -104,8 +99,18 @@ def quadratic_loss(a, b):
     Returns
     -------
     SmoothLoss
+
+    Raises
+    ------
+    DegenerateProblem
+        If ``0.5 * ||b||^2``, the loss at zero, is not finite.
     """
     a_op, b = _design(a, b, "response")
+    with np.errstate(over="ignore"):
+        half = 0.5 * float(b @ b)
+    if not np.isfinite(half):
+        raise DegenerateProblem(f"the loss at zero, 0.5 * ||b||^2, is {half}: "
+                                "the response is not finite or too large")
 
     def phi(t):
         r = t - b
@@ -225,21 +230,6 @@ def primal_objective(problem, x, ax=None):
     return float(problem.loss.value(x, ax)) + float(
         problem.hconj.primal_value(problem.K.apply(x))
     )
-
-
-def lagrangian(problem, x, y):
-    """Saddle value ``f(x) + <Kx, y> - h*(y)``.
-
-    Returns ``-inf`` when ``y`` is infeasible for ``h*`` (the conjugate is
-    ``+inf`` there); a small tolerance absorbs boundary rounding of prox
-    outputs.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    conj = problem.hconj.conj_value_with_tol(y, FEAS_TOL)
-    if not np.isfinite(conj):
-        return -np.inf
-    return float(problem.loss.value(x)) + float(problem.K.apply(x) @ y) - conj
 
 
 def fixed_point_residual(problem, x, y, tau, sigma):

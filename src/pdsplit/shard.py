@@ -1,18 +1,17 @@
-"""Feature-sharded execution with communication accounting.
+"""Feature-sharded layout of a run, with its communication ledger.
 
 Columns of the loss design ``A`` and of the penalty operator ``K`` are split
 into contiguous, balanced blocks, one per worker, and dual rows likewise.
-The run stays single-process and its arithmetic is the plain run's; what
-the sharding changes is the *accounting*.  The run is
-:func:`pdsplit.fb.fb_step` on a counting copy of the problem, whose ``A``
-and ``K`` are the problem's own operators charging each product's traffic
-to a ledger, iterated as the one-column case of the relaxed iteration
-behind :func:`pdsplit.fb.run_fb`; the trajectory is bitwise the plain run's.
+The run stays single-process: it is the plain relaxed iteration behind
+:func:`pdsplit.fb.run_fb` on the problem's own operators, so its trajectory
+is bitwise the plain run's.  What the sharding adds is the ledger of the
+entries that the step's products would move between workers.
 
-Each step makes one adjoint design product in the gradient and one forward
-design product on the relaxed iterate, then closes one ledger row.  The
-design image of the start and every trace row are evaluated on the
-original problem, so they are never charged.
+Every step makes the same products, ``pdsplit.fb.STEP_PRODUCTS``: two
+design products (the gradient's ``A'``, and ``A`` on the relaxed iterate)
+and three penalty products.  Each ledger row therefore holds one step's
+traffic, a constant of the layout.  Trace rows and the design image of the
+start are evaluated apart from the steps and are not charged.
 
 Counting rules per product:
 
@@ -31,41 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import fb, saddle
+from . import fb
 from .errors import ConstraintViolation, TooManyWorkers
 from .fb import IterTrace
-from .linops import LinearOperator, _is_index, to_sparse
+from .linops import _is_index, to_sparse
 
 LEDGER_COLUMNS = ["iter", "loss_comm", "penalty_comm", "total_comm"]
-
-
-class CommLedger:
-    """Per-iteration record of cross-worker traffic.
-
-    Products accumulate into pending counters; ``flush`` closes one
-    iteration and appends a row with that iteration's loss-side and
-    penalty-side counts plus their sum.
-    """
-
-    def __init__(self):
-        self.trace = IterTrace(LEDGER_COLUMNS)
-        self._loss_pending = 0
-        self._penalty_pending = 0
-
-    def add_loss(self, units):
-        self._loss_pending += int(units)
-
-    def add_penalty(self, units):
-        self._penalty_pending += int(units)
-
-    def flush(self, iteration):
-        loss, penalty = self._loss_pending, self._penalty_pending
-        self.trace.append(iter=iteration, loss_comm=loss, penalty_comm=penalty,
-                          total_comm=loss + penalty)
-        self._loss_pending = self._penalty_pending = 0
-
-    def column(self, name):
-        return self.trace.column(name)
 
 
 def _balanced_offsets(total, parts):
@@ -165,41 +135,26 @@ def partition_problem(problem, m_workers):
 
 @dataclass
 class ShardResult:
-    """Outcome of a sharded run."""
+    """Outcome of a sharded run; ``ledger`` has the ``LEDGER_COLUMNS`` and
+    one row per step."""
 
     x: np.ndarray
     y: np.ndarray
     trace: IterTrace
-    ledger: CommLedger
+    ledger: IterTrace
     iterations: int
     converged: bool
     plan: ShardPlan
 
 
-class _Counted(LinearOperator):
-    """``op`` itself, charging ``units`` to ``charge`` per product."""
-
-    def __init__(self, op, charge, units):
-        super().__init__(op.shape)
-        self._op = op
-        self._charge = charge
-        self._units = units
-
-    def apply(self, x):
-        self._charge(self._units)
-        return self._op.apply(x)
-
-    def apply_adjoint(self, y):
-        self._charge(self._units)
-        return self._op.apply_adjoint(y)
-
-
 def run_fb_sharded(problem, params, m_workers, x0=None, y0=None, tol=None):
-    """Run the base iteration with a traffic ledger of a sharded layout.
+    """Run the base iteration with the traffic ledger of a sharded layout.
 
-    The products are the problem's own, so the iterates and trace are
-    bitwise those of :func:`pdsplit.fb.run_fb`; trace rows are not charged
-    to the ledger.  ``x0`` and ``y0`` are starting points (zeros by default).
+    The run is the relaxed iteration of :func:`pdsplit.fb.run_fb`, so the
+    iterates and trace are bitwise the plain run's.  The ledger has a row
+    for every step taken, each holding that step's traffic under the
+    counting rules of this module.  ``x0`` and ``y0`` are starting points
+    (zeros by default).
 
     Returns
     -------
@@ -209,14 +164,13 @@ def run_fb_sharded(problem, params, m_workers, x0=None, y0=None, tol=None):
     info = fb.validate_params(problem, params)
     params = fb.resolve_params(problem, params)
     plan = partition_problem(problem, m_workers)
-    ledger = CommLedger()
-    a_op = _Counted(problem.loss.A, ledger.add_loss, (plan.m - 1) * plan.n)
-    k_op = _Counted(problem.K, ledger.add_penalty, plan.cross_total)
-    shadow = saddle.SaddleProblem(problem.loss.on(a_op), k_op, problem.hconj)
-
     x, y, _, _, trace, k, converged = fb._relaxed_column(
-        problem, shadow, params, info["rho"], x, y, tol,
-        on_step=lambda k, x, y: ledger.flush(k),
-    )
+        problem, params, info["rho"], x, y, tol)
+    design, coupling = fb.STEP_PRODUCTS
+    loss = design * (plan.m - 1) * plan.n
+    penalty = coupling * plan.cross_total
+    ledger = IterTrace(LEDGER_COLUMNS)
+    for i in range(1, k + 1):
+        ledger.append(iter=i, loss_comm=loss, penalty_comm=penalty, total_comm=loss + penalty)
     return ShardResult(x=x, y=y, trace=trace, ledger=ledger, iterations=k,
                        converged=converged, plan=plan)

@@ -7,9 +7,15 @@ oracles; the oracles themselves are kept deliberately naive (explicit loops,
 dense algebra, bisection instead of sorting) so that agreement between the
 two routes is meaningful.
 
-The one exception is :func:`region_scan_cells`: it is the region scan as
-one single-column ``run_fb`` per cell, the route that the block scan must
-reproduce bitwise.  The graph oracles return their difference matrix as a
+The exceptions read the package's problems and steps: they check a
+guarantee that no run reports.  :func:`region_scan_cells` is the region
+scan as one single-column ``run_fb`` per cell, the route that the block
+scan must reproduce bitwise.  :func:`relaxed_iterates` is the plain
+``fb_step`` loop that ``run_fb`` is pinned to bitwise, and
+:func:`fejer_check` measures its pairs in the preconditioner's metric
+(``fb.m_norm``).  :func:`perturbation_envelope` reads the schedule of an
+accelerated result, and :func:`lagrangian` the loss, coupling and
+conjugate of a problem.  The graph oracles return their difference matrix as a
 scipy CSR array built from COO triplets, the arrays the package's direct
 CSR build must reproduce.
 """
@@ -373,6 +379,108 @@ def perturbation_vector(a_mat, b_mat, k_mat, tau, sigma, rho, xt_first, yt_first
         + tau * ((k_mat + a_mat) @ ((k_mat + b_mat).T @ dy))
     )
     return v_x, v_y
+
+
+def perturbation_envelope(result, anchor):
+    """Certified envelope of an unbounded accelerated run's perturbation.
+
+    ``result`` is the run's ``AccelResult`` and ``anchor`` a solution pair
+    or a trusted approximation of one.  Returns a dict with the bound
+    ``v_norm_bound`` on the norm of :func:`perturbation_vector` at the last
+    index, the perturbation energy ``eps`` and the anchor radius
+    ``r_tilde`` measured from the first resolvent pair.
+    """
+    schedule = result.schedule
+    k = result.iterations
+    tau, sigma, rho = schedule.tau(k), schedule.sigma(k), schedule.rho(k)
+    tau1, sigma1 = schedule.tau(1), schedule.sigma(1)
+    ex = np.asarray(anchor[0], dtype=float) - result.xt_first
+    ey = np.asarray(anchor[1], dtype=float) - result.yt_first
+    r_tilde = float(np.sqrt(ex @ ex + (tau1 / sigma1) * (ey @ ey)))
+    q, r = schedule.q, schedule.r
+    mu = np.sqrt(1.0 / (1.0 - q))
+    nu = np.sqrt(2.0 * sigma1 / (tau1 * (1.0 - 2.0 * r)))
+    a, b, c, d = schedule.factors
+    nk = schedule.k_norm
+    v_norm_bound = (
+        (rho / tau) * np.linalg.norm(ex)
+        + (rho / sigma) * np.linalg.norm(ey)
+        + ((rho / tau) * (mu + (tau1 / sigma1) * nu)
+           + 2.0 * rho * (mu * a * nk + nu * b * nk)
+           + 2.0 * tau * rho * nu * (c * nk) * (d * nk)) * r_tilde
+    )
+    energy = 2.0 + q / (1.0 - q) + (2.0 * r + 1.0) / (1.0 - 2.0 * r)
+    eps = (rho / tau) * energy * r_tilde**2
+    return {"v_norm_bound": float(v_norm_bound), "eps": float(eps), "r_tilde": r_tilde}
+
+
+# ---------------------------------------------------------------------------
+# saddle values and the relaxed iteration, step by step
+
+
+def lagrangian(problem, x, y, tol=1e-9):
+    """Saddle value ``f(x) + <Kx, y> - h*(y)`` of a problem.
+
+    Returns ``-inf`` when ``y`` is infeasible for ``h*`` (the conjugate is
+    ``+inf`` there); ``tol`` absorbs the boundary rounding of prox outputs.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    conj = problem.hconj.conj_value_with_tol(y, tol)
+    if not np.isfinite(conj):
+        return -np.inf
+    return float(problem.loss.value(x)) + float(problem.K.apply(x) @ y) - conj
+
+
+def relaxed_iterates(problem, params, x0=None, y0=None):
+    """Relaxed pairs of a plain ``fb_step`` loop, the start (zeros by
+    default) first: what ``run_fb(problem, params, x0, y0)`` steps through,
+    with the step sizes and relaxation that ``validate_params`` resolves."""
+    from pdsplit import fb
+
+    info = fb.validate_params(problem, params)
+    p, l = problem.dims
+    x = np.zeros(p) if x0 is None else np.array(x0, dtype=float)
+    y = np.zeros(l) if y0 is None else np.array(y0, dtype=float)
+    pairs = [(x, y)]
+    for _ in range(params.max_iters):
+        xt, yt = fb.fb_step(problem, params.kappa, info["tau"], info["sigma"], x, y)
+        x = x + info["rho"] * (xt - x)
+        y = y + info["rho"] * (yt - y)
+        pairs.append((x, y))
+    return pairs
+
+
+def fejer_check(problem, params, iterates, z_star, slack_factor=1e-10):
+    """Check monotone decrease of the metric distance to a fixed point.
+
+    Each distance is ``fb.m_norm`` of an iterate pair's offset from
+    ``z_star``, in the metric of the resolved ``params``.  An increase up to
+    ``slack_factor * (1 + initial distance)`` is allowed.  Returns a dict
+    with the ``ok`` flag, ``max_increase``, ``slack``, the ``distances`` and
+    ``first_violation``: the index into ``iterates`` of the first pair
+    whose distance exceeds its predecessor's by more than the slack, or
+    ``None`` when the sequence is monotone.
+    """
+    from pdsplit import fb
+
+    params = fb.resolve_params(problem, params)
+    xs, ys = np.asarray(z_star[0]), np.asarray(z_star[1])
+    dist = np.array([
+        fb.m_norm(problem, params.kappa, params.tau, params.sigma, xi - xs, yi - ys)
+        for xi, yi in iterates
+    ])
+    slack = slack_factor * (1.0 + dist[0])
+    increases = np.diff(dist)
+    max_increase = float(increases.max()) if increases.size else 0.0
+    offending = np.nonzero(increases > slack)[0]
+    return {
+        "ok": max_increase <= slack,
+        "max_increase": max_increase,
+        "slack": slack,
+        "distances": dist,
+        "first_violation": int(offending[0]) + 1 if offending.size else None,
+    }
 
 
 # ---------------------------------------------------------------------------

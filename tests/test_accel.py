@@ -1,9 +1,11 @@
 """Accelerated recursion: modes, schedules, bounds, perturbation."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from pdsplit import bench
+from pdsplit import bench, linops
 from pdsplit.accel import (
     BOUNDED_CHECK_UP_TO,
     AccelParams,
@@ -13,17 +15,12 @@ from pdsplit.accel import (
     accel_step,
     bounded_gap_bound,
     build_schedule,
-    compute_perturbation,
     mode_coefficients,
     mode_factors,
     run_accel,
     tune_qr,
 )
-from pdsplit.errors import (
-    ConstraintViolation,
-    MissingHistory,
-    UnknownKind,
-)
+from pdsplit.errors import ConstraintViolation, UnknownKind
 from pdsplit.fb import fb_step
 from pdsplit.saddle import primal_objective
 
@@ -455,26 +452,18 @@ def test_four_modes_agree_on_tiny_lasso(tiny_lasso, tiny_lasso_reference):
     assert max(finals) <= f_star * (1.0 + 1e-3) + 1e-9
 
 
-def test_perturbation_matches_oracle(dense_problem):
-    problem, a, b, k = dense_problem
-    # At kappa 1 the ``(K + A)`` factor vanishes; the others exercise it.
-    for kappa in (1.0, 0.5, -0.5):
-        params = AccelParams(mode="kappa", kappa=kappa, setting="unbounded",
-                             horizon=50)
-        res = run_accel(problem, params)
-        anchor = (np.zeros(6), np.zeros(4))
-        diag = compute_perturbation(problem, params, res, anchor)
-        sched = res.schedule
-        v_x, v_y = oracles.perturbation_vector(
-            -kappa * k, kappa * k, k, sched.tau(50), sched.sigma(50),
-            sched.rho(50), res.xt_first, res.yt_first, res.xt, res.yt,
-            res.xt_prev, res.yt_prev
-        )
-        np.testing.assert_allclose(diag.v_x, v_x, atol=1e-12)
-        np.testing.assert_allclose(diag.v_y, v_y, atol=1e-12)
-        assert diag.v_norm == pytest.approx(
-            np.sqrt(v_x @ v_x + v_y @ v_y), rel=1e-12
-        )
+def _perturbation(problem, params, res, anchor):
+    """The perturbation of an unbounded run: the norm of
+    ``oracles.perturbation_vector`` at its last index, with the envelope of
+    ``oracles.perturbation_envelope``."""
+    alpha, beta = mode_coefficients(params.mode, params.kappa)
+    k = linops.densify(problem.K)
+    sched, n = res.schedule, res.iterations
+    v_x, v_y = oracles.perturbation_vector(
+        -alpha * k, beta * k, k, sched.tau(n), sched.sigma(n), sched.rho(n),
+        res.xt_first, res.yt_first, res.xt, res.yt, res.xt_prev, res.yt_prev)
+    return SimpleNamespace(v_norm=float(np.sqrt(v_x @ v_x + v_y @ v_y)),
+                           **oracles.perturbation_envelope(res, anchor))
 
 
 def test_perturbation_shrinks_with_horizon(tiny_lasso, tiny_lasso_reference):
@@ -485,29 +474,13 @@ def test_perturbation_shrinks_with_horizon(tiny_lasso, tiny_lasso_reference):
         params = AccelParams(mode="kappa", kappa=1.0, setting="unbounded",
                              horizon=horizon)
         res = run_accel(problem, params)
-        diag = compute_perturbation(problem, params, res, (ref.x, ref.y))
+        diag = _perturbation(problem, params, res, (ref.x, ref.y))
         assert diag.v_norm <= diag.v_norm_bound
         stats[horizon] = diag
     assert stats[1000].v_norm < stats[100].v_norm
     assert stats[1000].eps < stats[200].eps < stats[100].eps
     ratio = stats[200].eps / stats[100].eps
     assert 0.2 < ratio < 0.55
-
-
-def test_perturbation_requires_unbounded_history(tiny_lasso):
-    problem = tiny_lasso.problem
-    bounded = AccelParams(mode="kappa", kappa=1.0, setting="bounded",
-                          omega_x=2.0, omega_y=2.0, max_iters=10)
-    res_b = run_accel(problem, bounded)
-    with pytest.raises(ConstraintViolation):
-        compute_perturbation(problem, bounded, res_b,
-                             (res_b.x, res_b.y))
-    unb = AccelParams(mode="kappa", kappa=1.0, setting="unbounded",
-                      horizon=10)
-    res_u = run_accel(problem, unb)
-    res_u.xt_first = None
-    with pytest.raises(MissingHistory):
-        compute_perturbation(problem, unb, res_u, (res_u.x, res_u.y))
 
 
 def _bits(values):

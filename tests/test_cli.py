@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from pdsplit import bench, cli, fb
+from pdsplit import bench, cli, fb, textio
 from pdsplit.prox import BoxClip
 from pdsplit.saddle import SaddleProblem, quadratic_loss
 
@@ -67,9 +67,9 @@ def test_reference_writes_the_solution(tmp_path):
 def test_region_scan_writes_one_row_per_cell(tmp_path):
     text = TINY + "kappas=0,0.5,1\ngrid=3\nregion_budget=50\n"
     assert _verb(tmp_path, "region-scan", text) == 0
-    trace = fb.IterTrace.from_csv(str(tmp_path / "out" / "region.csv"))
-    assert list(trace.columns) == cli.REGION_COLUMNS
-    assert len(trace) == 3 * 3**2
+    columns, values = textio.read_table(str(tmp_path / "out" / "region.csv"))
+    assert list(columns) == cli.REGION_COLUMNS
+    assert len(values) == 3 * 3**2
 
 
 def test_run_fb_exits_zero(tmp_path):
@@ -160,6 +160,15 @@ def test_stoc_in_a_proven_mode_writes_the_aggregate(tmp_path):
     config = TINY + "algorithm=stoc\nkappa=1\nhorizon=6\nseeds=0,1\n"
     assert _run(tmp_path, config) == 0
     assert (tmp_path / "out" / "stoc-kappa1-aggregate.csv").is_file()
+
+
+def test_an_overflowing_response_is_a_solver_error(tmp_path, capsys):
+    text = ("problem=graph-guided-fused-lasso\nn_subnets=6\nn_active=2\nn_samples=40\n"
+            "noise_sd=1e300\nalgorithm=fb\nmax_iters=3\n")
+    assert _run(tmp_path, text) == 2
+    err = capsys.readouterr().err
+    assert "solver error: the loss at zero, 0.5 * ||b||^2, is inf" in err
+    assert not (tmp_path / "out" / "summary.csv").exists()
 
 
 def test_stoc_in_an_unproven_mode_is_a_solver_error(tmp_path, capsys):

@@ -8,15 +8,15 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdsplit import bench, linops, prox
+from pdsplit import bench, linops, prox, textio
 from pdsplit.errors import (
     ConstraintViolation,
     DegenerateProblem,
     DimensionError,
-    MissingHistory,
     NonFiniteIterate,
 )
 from pdsplit.fb import (
+    STEP_PRODUCTS,
     FbParams,
     IterTrace,
     convergence_region,
@@ -24,7 +24,6 @@ from pdsplit.fb import (
     fb_step,
     fbf_default_step,
     fbf_step,
-    fejer_check,
     m_norm,
     relaxation_cap,
     run_fb,
@@ -405,10 +404,11 @@ def test_metric_distance_needs_no_dense_metric_above_two_thousand_rows():
     assert sum(problem.dims) > 2000
     x_star = np.sign(b) * np.maximum(np.abs(b) - lam, 0.0)
     params = FbParams(kappa=0.5, max_iters=40)
-    res = run_fb(problem, params, keep_iterates=True)
+    res = run_fb(problem, params)
     mdist = res.trace.column("mdist")
     assert np.isfinite(mdist).all() and (mdist > 0).all()
-    report = fejer_check(problem, params, res.iterates, (x_star, b - x_star))
+    iterates = oracles.relaxed_iterates(problem, params)
+    report = oracles.fejer_check(problem, params, iterates, (x_star, b - x_star))
     assert report["ok"] and np.isfinite(report["distances"]).all()
 
 
@@ -448,14 +448,6 @@ def test_run_fb_ergodic_average_replays_step_mean(tiny_lasso):
         x, y = xt, yt
     expected = primal_objective(problem, tilde_sum / 5.0)
     assert res.trace.column("ergodic_objective")[-1] == pytest.approx(expected)
-
-
-def test_run_fb_keeps_iterates_when_asked(tiny_lasso):
-    res = run_fb(tiny_lasso.problem, FbParams(max_iters=7), keep_iterates=True)
-    assert len(res.iterates) == 8
-    np.testing.assert_array_equal(res.iterates[0][0],
-                                  np.zeros(tiny_lasso.problem.dims[0]))
-    np.testing.assert_array_equal(res.iterates[-1][0], res.x)
 
 
 def test_run_fb_flags_divergence():
@@ -686,7 +678,7 @@ def test_fejer_constant_sequence_at_fixed_point_passes(tiny_lasso,
                                                        tiny_lasso_reference):
     ref = tiny_lasso_reference
     z = (ref.x, ref.y)
-    report = fejer_check(tiny_lasso.problem, FbParams(), [z, z, z], z)
+    report = oracles.fejer_check(tiny_lasso.problem, FbParams(), [z, z, z], z)
     assert report["ok"]
     assert report["first_violation"] is None
     assert report["max_increase"] == pytest.approx(0.0, abs=1e-15)
@@ -699,24 +691,17 @@ def test_fejer_reports_first_violation_on_synthetic_sequence(tiny_lasso):
     direction = np.ones(p)
     # Metric distances proportional to [3, 2, 2.5, 1]: one bump at index 2.
     iterates = [(c * direction, np.zeros(l)) for c in (3.0, 2.0, 2.5, 1.0)]
-    report = fejer_check(problem, FbParams(), iterates, z_star)
+    report = oracles.fejer_check(problem, FbParams(), iterates, z_star)
     assert not report["ok"]
     assert report["first_violation"] == 2
     assert len(report["distances"]) == 4
 
 
-def test_fejer_requires_history(tiny_lasso):
-    with pytest.raises(MissingHistory):
-        fejer_check(tiny_lasso.problem, FbParams(),
-                    [(np.zeros(5), np.zeros(5))], (np.zeros(5), np.zeros(5)))
-
-
 def test_fejer_passes_on_valid_run(tiny_lasso, tiny_lasso_reference):
-    res = run_fb(tiny_lasso.problem, FbParams(max_iters=300),
-                 keep_iterates=True)
+    iterates = oracles.relaxed_iterates(tiny_lasso.problem, FbParams(max_iters=300))
     ref = tiny_lasso_reference
-    report = fejer_check(tiny_lasso.problem, FbParams(), res.iterates,
-                         (ref.x, ref.y))
+    report = oracles.fejer_check(tiny_lasso.problem, FbParams(), iterates,
+                                 (ref.x, ref.y))
     assert report["ok"]
 
 
@@ -770,8 +755,8 @@ def test_runs_inside_the_region_are_fejer_monotone(run):
     problem, params, (x0, y0), z_star = run
     assert convergence_region(problem.L_f, problem.k_norm, params.kappa,
                               params.tau, params.sigma)[0]
-    res = run_fb(problem, params, x0=x0, y0=y0, keep_iterates=True)
-    report = fejer_check(problem, params, res.iterates, z_star)
+    iterates = oracles.relaxed_iterates(problem, params, x0, y0)
+    report = oracles.fejer_check(problem, params, iterates, z_star)
     assert report["ok"], report["first_violation"]
 
 
@@ -839,10 +824,11 @@ def test_trace_round_trips_through_csv(tmp_path, tiny_lasso):
     res = run_fb(tiny_lasso.problem, FbParams(max_iters=20, record_every=4))
     path = tmp_path / "trace.csv"
     res.trace.to_csv(path)
-    loaded = IterTrace.from_csv(path)
-    assert loaded.columns == res.trace.columns
+    columns, values = textio.read_table(path)
+    loaded = dict(zip(columns, values.T))
+    assert columns == res.trace.columns
     for col in res.trace.columns:
-        got = loaded.column(col)
+        got = loaded[col]
         want = res.trace.column(col)
         mask = ~np.isnan(want)
         np.testing.assert_array_equal(got[mask], want[mask])
@@ -878,6 +864,25 @@ def test_trace_rows_reuse_the_carried_design_image(runner):
     assert design.forward == n + 1
     assert design.adjoint == n
     assert res.trace.column("objective")[-1] == primal_objective(problem, res.x)
+
+
+def test_a_relaxed_step_makes_the_products_of_its_constant():
+    _, a, b, k = make_dense_problem(p=8, l=5, seed=19)
+    design, coupling = CountingDenseOp(a), CountingDenseOp(k)
+    problem = SaddleProblem(quadratic_loss(design, b), coupling, prox.BoxClip(0.4, 5))
+    assert problem.k_norm > 0.0
+    design.forward = design.adjoint = coupling.forward = coupling.adjoint = 0
+    n = 12
+    res = run_fb(problem, FbParams(kappa=0.5, max_iters=n, record_every=n))
+    assert len(res.trace) == 1
+    assert STEP_PRODUCTS == (2, 3)
+    # The design image of the start, then two design products per step.
+    assert (design.forward, design.adjoint) == (1 + n, n)
+    assert design.forward + design.adjoint == 1 + STEP_PRODUCTS[0] * n
+    # Three coupling products per step; the one trace row adds the K' of its
+    # metric distance and the K of each of its two objectives.
+    assert (coupling.forward, coupling.adjoint) == (n + 2, 2 * n + 1)
+    assert coupling.forward + coupling.adjoint == STEP_PRODUCTS[1] * n + 3
 
 
 def test_run_fb_ergodic_image_matches_direct_evaluation():

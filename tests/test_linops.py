@@ -325,7 +325,7 @@ def test_adjoint_consistency_on_random_pairs():
 
 def test_only_linops_densifies_an_operator():
     """No solver path materializes an operator: ``densify`` is called and
-    imported in ``linops.py`` alone (``to_sparse`` reaches it there)."""
+    imported in ``linops.py`` alone, by its own recursion over stacks."""
     package = pathlib.Path(linops.__file__).parent
     users = set()
     for path in sorted(package.glob("*.py")):
@@ -576,6 +576,28 @@ def test_block_products_map_each_column(kind, width):
         want = oracles.column_by_column(product, block)
         assert got.shape == want.shape
         assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+@pytest.mark.parametrize("kind", sorted(_block_operators()) + ["nested"])
+def test_to_sparse_stores_the_nonzeros_of_densify(kind, monkeypatch):
+    ops = _block_operators()
+    if kind == "nested":
+        # A stack in a stack, beside a CSR block with unsorted columns, a
+        # duplicate entry and an explicit zero.
+        odd = sp.csr_array((np.array([0.0, 2.0, 1.0, 1.5]), np.array([1, 0, 2, 2]),
+                            np.r_[0, 2, 4, np.full(168, 4)]), shape=(170, 3))
+        op = linops.HStackOp([ops["vstack"], linops.SparseOp(odd)])
+    else:
+        op = ops[kind]
+    want = sp.csr_array(linops.densify(op))
+    calls = []
+    densify = linops.densify
+    monkeypatch.setattr(linops, "densify", lambda op: calls.append(op) or densify(op))
+    got = linops.to_sparse(op)
+    assert calls == []
+    assert got.shape == want.shape
+    for field in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
 
 
 def _operator_of_kind(kind, rows, cols, rng):

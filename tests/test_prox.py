@@ -7,13 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from pdsplit import prox
-from pdsplit.errors import (
-    BadLabels,
-    DegenerateProblem,
-    DimensionError,
-    UnknownKind,
-    UnsupportedPrimalProx,
-)
+from pdsplit.errors import BadLabels, DegenerateProblem, DimensionError, UnknownKind
 
 import oracles
 
@@ -88,9 +82,25 @@ def test_project_l1_ball_matches_bisection_oracle():
         )
 
 
+def _primal_prox(spec, z, scale):
+    """Prox of ``scale * h`` by the oracles' direct primal rules: soft
+    threshold, vector shrink (one block) and block shrink."""
+    if isinstance(spec, prox.BoxClip):
+        return oracles.soft_threshold(z, scale * spec.lam)
+    if isinstance(spec, prox.L2Ball):
+        return oracles.group_shrink(z, [spec.dim], [scale * spec.lam])
+    return oracles.group_shrink(z, spec.partition.sizes, scale * spec.radii)
+
+
+def _moreau_prox_primal(spec, z, sigma):
+    """Conjugate prox ``z - sigma * prox_{h / sigma}(z / sigma)``, reached
+    through the primal rule."""
+    return z - sigma * _primal_prox(spec, z / sigma, 1.0 / sigma)
+
+
 def test_moreau_primal_route_matches_box_clip_scalar():
     spec = prox.BoxClip(1.0, 1)
-    out = prox.moreau_prox_primal(spec, np.array([2.0]), 1.0)
+    out = _moreau_prox_primal(spec, np.array([2.0]), 1.0)
     assert out[0] == pytest.approx(2.0 - 1.0)
     np.testing.assert_allclose(out, spec.prox(np.array([2.0]), 1.0), atol=1e-15)
 
@@ -102,20 +112,15 @@ def test_moreau_primal_route_matches_ball_projection():
     z = rng.standard_normal(4) * 3.0
     direct = prox.L2Ball(1.5, 4).prox(z, 2.0)
     np.testing.assert_allclose(
-        prox.moreau_prox_primal(spec, z, 2.0), direct, atol=1e-12
+        _moreau_prox_primal(spec, z, 2.0), direct, atol=1e-12
     )
 
 
 def test_moreau_primal_route_fixes_origin():
     spec = prox.BoxClip(0.8, 3)
     np.testing.assert_array_equal(
-        prox.moreau_prox_primal(spec, np.zeros(3), 1.7), np.zeros(3)
+        _moreau_prox_primal(spec, np.zeros(3), 1.7), np.zeros(3)
     )
-
-
-def test_moreau_primal_route_rejects_unsupported_kind():
-    with pytest.raises(UnsupportedPrimalProx):
-        prox.moreau_prox_primal(prox.HingeConj(np.array([1.0])), np.zeros(1), 1.0)
 
 
 def _moreau_cases():
@@ -133,7 +138,7 @@ def test_moreau_identity_holds_for_supported_penalties():
         for sigma in (0.25, 1.0, 3.5):
             z = rng.standard_normal(dim) * 4.0
             conj = spec.prox(z, sigma)
-            primal = prox.primal_prox(spec, z / sigma, 1.0 / sigma)
+            primal = _primal_prox(spec, z / sigma, 1.0 / sigma)
             np.testing.assert_allclose(conj + sigma * primal, z, atol=1e-12)
 
 
@@ -302,7 +307,8 @@ def test_group_l2_balls_values_match_per_block_oracle():
 def test_group_primal_prox_matches_per_block_oracle(scale):
     sizes, radii, v = _group_case()
     spec = prox.GroupL2Balls(prox.GroupPartition(sizes), radii)
-    out = prox.primal_prox(spec, v, scale)
+    # The primal prox through the Moreau identity on the package's projection.
+    out = v - scale * spec.prox(v / scale, 1.0 / scale)
     np.testing.assert_allclose(out, oracles.group_shrink(v, sizes, scale * radii),
                                rtol=1e-15, atol=0.0)
     np.testing.assert_array_equal(out[5:9], v[5:9])

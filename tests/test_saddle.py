@@ -5,12 +5,11 @@ import pytest
 import scipy.sparse as sp
 
 from pdsplit import linops, prox
-from pdsplit.errors import BadLabels, DimensionError
+from pdsplit.errors import BadLabels, DegenerateProblem, DimensionError
 from pdsplit.fb import FbParams, run_fb
 from pdsplit.saddle import (
     SaddleProblem,
     fixed_point_residual,
-    lagrangian,
     latent_group_construct,
     logistic_loss,
     primal_objective,
@@ -113,6 +112,13 @@ def test_latent_loss_ignores_the_latent_block():
     np.testing.assert_array_equal(grad[p:], np.zeros(q))
 
 
+@pytest.mark.parametrize("b", [[1e300, 2.3e300], [np.inf, 0.0], [np.nan, 1.0]])
+def test_quadratic_loss_refuses_a_response_whose_loss_at_zero_is_not_finite(b):
+    with pytest.raises(DegenerateProblem, match="not finite or too large"):
+        quadratic_loss(np.eye(2), np.array(b))
+    assert np.isfinite(quadratic_loss(np.eye(2), np.array([1e150, 1e150])).value(np.zeros(2)))
+
+
 def test_problem_rejects_design_with_other_column_count():
     with pytest.raises(DimensionError):
         SaddleProblem(quadratic_loss(np.eye(3), np.zeros(3)), np.eye(2),
@@ -139,14 +145,14 @@ def test_lagrangian_reduces_to_loss_at_zero_dual():
     problem = identity_lasso_problem(rng.standard_normal((6, 4)),
                                      rng.standard_normal(6), 1.0)
     x = rng.standard_normal(4)
-    assert lagrangian(problem, x, np.zeros(4)) == pytest.approx(
+    assert oracles.lagrangian(problem, x, np.zeros(4)) == pytest.approx(
         problem.loss.value(x)
     )
 
 
 def test_lagrangian_is_minus_inf_outside_conjugate_domain():
     problem = identity_lasso_problem(np.eye(2), np.zeros(2), 1.0)
-    assert lagrangian(problem, np.zeros(2), np.array([2.0, 0.0])) == -np.inf
+    assert oracles.lagrangian(problem, np.zeros(2), np.array([2.0, 0.0])) == -np.inf
 
 
 def test_lagrangian_matches_direct_formula_for_linear_conjugate():
@@ -161,7 +167,7 @@ def test_lagrangian_matches_direct_formula_for_linear_conjugate():
     x = rng.standard_normal(4)
     y = rng.standard_normal(3)
     expected = problem.loss.value(x) + float((k @ x) @ y) - float(shift @ y)
-    assert lagrangian(problem, x, y) == pytest.approx(expected)
+    assert oracles.lagrangian(problem, x, y) == pytest.approx(expected)
 
 
 def test_weak_duality_on_sampled_pairs():
@@ -171,7 +177,7 @@ def test_weak_duality_on_sampled_pairs():
     for _ in range(30):
         x = rng.standard_normal(4) * 2.0
         y = problem.hconj.prox(rng.standard_normal(4) * 3.0, 1.0)
-        assert lagrangian(problem, x, y) <= primal_objective(problem, x) + 1e-10
+        assert oracles.lagrangian(problem, x, y) <= primal_objective(problem, x) + 1e-10
 
 
 def test_primal_objective_lasso_at_origin():

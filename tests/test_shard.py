@@ -12,6 +12,7 @@ from pdsplit.saddle import (
     latent_group_construct,
     logistic_loss,
     quadratic_loss,
+    split_dual_construct,
 )
 from pdsplit.shard import partition_problem, run_fb_sharded
 
@@ -70,7 +71,26 @@ def test_logistic_problem_shards():
     labels = (rng.random(20) < 0.5).astype(float)
     diff = linops.build_graph_difference([(i, i + 1) for i in range(8)], 9)
     problem = SaddleProblem(logistic_loss(a, labels), diff, BoxClip(0.3, 8))
-    _assert_agrees_with_plain_run(problem, 3)
+    res = _assert_agrees_with_plain_run(problem, 3)
+    # Each of the two loss products moves 2 * 20 entries, at every step.
+    assert np.all(res.ledger.column("loss_comm") == 2 * 2 * 20)
+    assert np.all(res.ledger.column("penalty_comm") == 3 * res.plan.cross_total)
+
+
+def test_partitioning_a_split_dual_problem_densifies_nothing(monkeypatch):
+    rng = np.random.default_rng(63)
+    diff = linops.build_graph_difference([(i, i + 1) for i in range(8)], 9)
+    problem = split_dual_construct(diff, BoxClip(0.3, 8), rng.standard_normal((12, 9)),
+                                   np.where(rng.random(12) < 0.5, -1.0, 1.0))
+    assert isinstance(problem.K, linops.VStackOp)
+    k_dense = linops.densify(problem.K)
+    calls = []
+    densify = linops.densify
+    monkeypatch.setattr(linops, "densify", lambda op: calls.append(op) or densify(op))
+    plan = partition_problem(problem, 3)
+    assert calls == []
+    rows = oracles.cross_block_rows(k_dense, plan.row_offsets, plan.col_offsets)
+    np.testing.assert_array_equal(plan.cross_table, rows)
 
 
 def test_ledger_rows_count_one_step_of_traffic(small_ggfl):
