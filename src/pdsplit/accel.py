@@ -39,7 +39,7 @@ import numpy as np
 from . import saddle
 from .errors import ConstraintViolation, UnknownKind
 from .fb import IterTrace, _column, _drive, _start_point, _step_norm
-from .linops import _is_index
+from .linops import _is_finite, _is_index
 
 ACCEL_TRACE_COLUMNS = [
     "k",
@@ -109,13 +109,13 @@ def mode_coefficients(mode, kappa=0.0):
     Raises
     ------
     ConstraintViolation
-        If ``kappa`` lies outside ``[-1, 1]``.
+        If ``kappa`` is not a number in ``[-1, 1]`` (a bool is not one).
     UnknownKind
         If the mode is neither ``kappa`` nor ``chen``.
     """
     if mode == "kappa":
-        if not -1.0 <= kappa <= 1.0:
-            raise ConstraintViolation(f"kappa must lie in [-1, 1], got {kappa}")
+        if not (_is_finite(kappa) and -1.0 <= kappa <= 1.0):
+            raise ConstraintViolation(f"kappa must be a number in [-1, 1], got {kappa!r}")
         return float(kappa), float(kappa)
     if mode == "chen":
         return 1.0, 0.0
@@ -179,18 +179,17 @@ class Schedule:
 
     @classmethod
     def build(cls, setting, l_f, k_norm, factors, q, r, *, s=1.0, t=1.0, horizon=None,
-              omega_x=None, omega_y=None, chi_x=None, chi_y=None, r_tilde=None,
-              check_up_to=None):
+              omega_x=None, omega_y=None, chi_x=None, chi_y=None, r_tilde=None):
         """Check the inputs of any schedule, build it and assert its inequalities.
 
         The schedule is noisy when ``chi_x`` is given (a ``nan`` level is
         unresolved) and then needs a horizon, as the unbounded setting does.
         The bounded setting reads ``omega_x``/``omega_y``, a noisy unbounded
-        one ``r_tilde``.  The inequalities are asserted on ``k = 1..check_up_to``,
-        by default the indices a run steps through (``1..horizon``, or
-        ``1..horizon - 1`` when noisy) and ``1..BOUNDED_CHECK_UP_TO`` for a
-        deterministic bounded schedule.  An unknown ``setting`` raises
-        :class:`UnknownKind`, any other bad input :class:`ConstraintViolation`.
+        one ``r_tilde``.  The inequalities are asserted on the indices a run
+        steps through (``1..horizon``, or ``1..horizon - 1`` when noisy) and
+        on ``1..BOUNDED_CHECK_UP_TO`` for a deterministic bounded schedule.
+        An unknown ``setting`` raises :class:`UnknownKind`, any other bad
+        input :class:`ConstraintViolation`.
         """
         noisy = chi_x is not None
         horizon = _schedule_horizon(horizon, noisy, setting)
@@ -209,10 +208,7 @@ class Schedule:
             raise ConstraintViolation(f"noisy schedules need s, t < 1, got {s}, {t}")
         if not k_norm > 0:
             raise ConstraintViolation("coupling norm must be positive")
-        if setting == "bounded" and (
-            omega_x is None or omega_y is None or omega_x <= 0 or omega_y <= 0
-        ):
-            raise ConstraintViolation("bounded setting needs positive iterate-norm bounds")
+        _check_bounds(setting, omega_x, omega_y)
         if noisy and (chi_x < 0 or chi_y < 0):
             raise ConstraintViolation("noise levels must be nonnegative")
         if noisy and setting == "unbounded":
@@ -224,9 +220,8 @@ class Schedule:
                     factors=tuple(factors), l_f=l_f, k_norm=k_norm, horizon=horizon,
                     omega_x=omega_x, omega_y=omega_y, s=s, t=t, chi_x=chi_x,
                     chi_y=chi_y, r_tilde=r_tilde)
-        if check_up_to is None:
-            check_up_to = (horizon - 1 if noisy else
-                           BOUNDED_CHECK_UP_TO if setting == "bounded" else horizon)
+        check_up_to = (horizon - 1 if noisy else
+                       BOUNDED_CHECK_UP_TO if setting == "bounded" else horizon)
         sched.assert_conditions(np.arange(1, check_up_to + 1))
         return sched
 
@@ -355,6 +350,14 @@ def _q_constant(factors, q, r, s, t, floor_one):
     return np.maximum(q_const, 1.0) if floor_one else q_const
 
 
+def _check_bounds(setting, omega_x, omega_y):
+    """Refuse bounded-setting iterate-norm bounds that are not finite and positive."""
+    for name, omega in (("omega_x", omega_x), ("omega_y", omega_y)):
+        if setting == "bounded" and not (_is_finite(omega) and omega > 0.0):
+            raise ConstraintViolation(f"bounded setting needs a finite positive {name}, "
+                                      f"got {omega!r}")
+
+
 def _check_setting(setting):
     if setting not in SETTINGS:
         raise UnknownKind(f"unknown schedule setting {setting!r}")
@@ -416,8 +419,7 @@ def tune_qr(setting, l_f, k_norm, factors, horizon, omega_x=None, omega_y=None):
     horizon = _check_horizon(horizon)
     _check_setting(setting)
     bounded = setting == "bounded"
-    if bounded and (omega_x is None or omega_y is None):
-        raise ConstraintViolation("bounded tuning needs omega_x and omega_y")
+    _check_bounds(setting, omega_x, omega_y)
     grid = np.arange(1, 100) * 0.01
     r_grid = grid if bounded else grid[grid < 0.5]
     qq, rr = np.meshgrid(grid, r_grid, indexing="ij")

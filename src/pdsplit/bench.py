@@ -491,11 +491,11 @@ def reference_solve(problem, budget=100000, tol=1e-8):
     budget = int(budget)
     if budget < 2:
         raise ConstraintViolation("reference budget must be at least 2")
-    tol = float(tol)
-    if not (math.isfinite(tol) and tol > 0.0):
+    if not (linops._is_finite(tol) and tol > 0.0):
         raise ConstraintViolation(
-            f"reference tolerance must be finite and positive, got {tol}"
+            f"reference tolerance tol must be finite and positive, got {tol!r}"
         )
+    tol = float(tol)
     p, l = problem.dims
     zero_coupling = problem.k_norm == 0.0
     if zero_coupling:

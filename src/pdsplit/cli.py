@@ -312,56 +312,26 @@ def _mode_token(token):
 
 def _job_fb(problem, config, reference):
     kappa = config.kappa if config.kappa is not None else 0.0
-    params = fb.FbParams(
-        kappa=kappa,
-        tau=config.tau,
-        sigma=config.sigma,
-        relaxation=config.relaxation,
-        max_iters=config.max_iters,
-        record_every=config.record_every,
-    )
-    info = fb.validate_params(problem, params)
+    params = fb.FbParams(kappa=kappa, tau=config.tau, sigma=config.sigma,
+                         relaxation=config.relaxation, max_iters=config.max_iters,
+                         record_every=config.record_every)
     result = fb.run_fb(problem, params, tol=config.tol)
     label = f"fb-kappa{kappa:g}"
-    row = _summary_row(
-        label,
-        "fb",
-        "-",
-        kappa,
-        "-",
-        tau=info["tau"],
-        sigma=info["sigma"],
-        rho=info["rho"],
-        max_iters=params.max_iters,
-        iterations=result.iterations,
-        final_objective=saddle.primal_objective(problem, result.x),
-    )
+    row = _summary_row(label, "fb", "-", kappa, "-", tau=result.tau, sigma=result.sigma,
+                       rho=result.rho, max_iters=params.max_iters,
+                       iterations=result.iterations,
+                       final_objective=saddle.primal_objective(problem, result.x))
     row["slope"], row["slope_stderr"] = _slope_fields(result.trace, reference)
     return label, result.trace, row
 
 
 def _job_fbf(problem, config, reference):
-    tau = config.tau if config.tau is not None else fb.fbf_default_step(problem)
-    result = fb.run_fbf(
-        problem,
-        tau=tau,
-        alpha1=config.alpha1,
-        alpha2=config.alpha2,
-        max_iters=config.max_iters,
-        tol=config.tol,
-        record_every=config.record_every,
-    )
-    row = _summary_row(
-        "fbf",
-        "fbf",
-        "-",
-        None,
-        "-",
-        tau=tau,
-        max_iters=config.max_iters,
-        iterations=result.iterations,
-        final_objective=saddle.primal_objective(problem, result.x),
-    )
+    result = fb.run_fbf(problem, tau=config.tau, alpha1=config.alpha1, alpha2=config.alpha2,
+                        max_iters=config.max_iters, tol=config.tol,
+                        record_every=config.record_every)
+    row = _summary_row("fbf", "fbf", "-", None, "-", tau=result.tau,
+                       max_iters=config.max_iters, iterations=result.iterations,
+                       final_objective=saddle.primal_objective(problem, result.x))
     row["slope"], row["slope_stderr"] = _slope_fields(result.trace, reference)
     return "fbf", result.trace, row
 

@@ -6,33 +6,27 @@ point and leaves the metric block diagonal, while ``|kappa| = 1`` anchors
 the prox fully on one side and couples the metric blocks.  All members share
 the same fixed points, step-size region arithmetic, and relaxation cap.
 
-This module also holds ``_drive``, the one iteration loop of every runner.
-Its iterate is a ``(dim, B)`` block with one run per column: the one column
-of :func:`run_fb`, :func:`run_fbf`, :func:`pdsplit.shard.run_fb_sharded`
-and :func:`pdsplit.accel.run_accel`, the seeds of
-:func:`pdsplit.stoch.run_stoc`, or the step-size cells of a region scan in
-:func:`run_fb_block`, each with its own ``kappa``, ``tau`` and ``sigma``.
-The loop runs the steps, checks each column's pair for finiteness, records
-trace rows on the cadence with their timer and stops columns at the
-tolerance.  A step pays only for what it needs: the finiteness scan runs
-when a step residual is missing or non-finite, no mask is formed while no
-column stops or records, and what only a trace row reads, such as the
-metric distance, is evaluated in the row.  The runners supply only their
-step and their solver-specific trace columns; :func:`run_fb` is the
-one-column case of the relaxed block iteration behind :func:`run_fb_block`.
-Operators, prox maps, loss gradients and the step norm act column by
-column, and a one-column product is the product of its vector, so each
-column is bitwise the run of that column alone, at the cost of that run.
+Every relaxed run passes one gate, :func:`validate_params`, which fills in
+the recipe steps and relaxation and tests them against the region:
+:func:`run_fb` and the sharded run step with what it resolves, and their
+result carries it.  :func:`run_fb_block`, the runner of a region scan,
+probes inadmissible pairs on purpose and checks only their ranges.
 
-:func:`run_fb` and :func:`run_fbf` compute the design image ``A x`` of the
-loss ``f(x) = phi(A x)`` once per iterate and hand it to the next step's
-gradient and to the trace row, and :class:`_ErgodicMean` carries the image
-of the ergodic mean by linearity, so a trace row costs no design product.
+``_drive`` is the one iteration loop of every runner.  Its iterate is a
+``(dim, B)`` block with one run per column: the one column of
+:func:`run_fb`, :func:`run_fbf`, :func:`pdsplit.shard.run_fb_sharded` and
+:func:`pdsplit.accel.run_accel`, the seeds of :func:`pdsplit.stoch.run_stoc`
+or the cells of :func:`run_fb_block`.  The runners supply only their step
+and their trace columns.  Operators, prox maps, loss gradients and the step
+norm act column by column, so each column is bitwise the run of that column
+alone, at the cost of that run.
 
-The metric distance ``mdist`` of a :func:`run_fb` or sharded row is the
-norm of its step in the preconditioner's metric (:func:`m_norm`), one
-``K'`` product per row at any problem size.  The metric is not defined for
-:func:`run_fbf` and the accelerated runners, whose rows record ``nan``.
+:func:`run_fb` and :func:`run_fbf` compute the design image ``A x`` once per
+iterate for the next gradient and the trace row, and :class:`_ErgodicMean`
+carries the image of the ergodic mean, so a trace row costs no design
+product.  The metric distance ``mdist`` of a relaxed row (:func:`m_norm`)
+costs one ``K'`` product; :func:`run_fbf` and the accelerated runners
+record ``nan``.
 """
 
 from __future__ import annotations
@@ -45,7 +39,7 @@ import numpy as np
 
 from . import saddle, textio
 from .errors import ConstraintViolation, DegenerateProblem, DimensionError, NonFiniteIterate
-from .linops import _is_index, _is_real
+from .linops import _is_finite, _is_index, _is_real
 
 # Fraction of the theoretical caps used by the step and relaxation recipes.
 RECIPE_FACTOR = 0.9
@@ -113,7 +107,8 @@ TRACE_COLUMNS = ["k", "objective", "ergodic_objective", "residual", "mdist", "se
 
 @dataclass
 class FbResult:
-    """Outcome of a forward-backward run."""
+    """Outcome of a forward-backward run, with the steps, relaxation and
+    relaxation cap it ran with (:func:`run_fbf`: one step, cap ``nan``)."""
 
     x: np.ndarray
     y: np.ndarray
@@ -122,6 +117,8 @@ class FbResult:
     trace: IterTrace
     iterations: int
     converged: bool
+    tau: float
+    sigma: float
     rho: float
     delta: float
 
@@ -203,73 +200,56 @@ def default_step_sizes(problem, kappa):
     return tau, RECIPE_FACTOR * sigma_max
 
 
-def resolve_params(problem, params):
-    """Fill recipe step sizes, returning a concrete ``FbParams`` copy."""
-    tau, sigma = params.tau, params.sigma
-    if tau is None or sigma is None:
-        dtau, dsigma = default_step_sizes(problem, params.kappa)
-        tau = dtau if tau is None else tau
-        sigma = dsigma if sigma is None else sigma
-    return FbParams(
-        kappa=params.kappa,
-        tau=tau,
-        sigma=sigma,
-        relaxation=params.relaxation,
-        max_iters=params.max_iters,
-        record_every=params.record_every,
-    )
-
-
-def _relaxation(params, recipe):
-    """The relaxation factor of ``params``, ``recipe`` standing for ``"recipe"``;
-    anything but ``"recipe"`` or a real, non-bool number raises."""
-    value = params.relaxation
-    if isinstance(value, str) and value == "recipe":
-        return recipe
-    if not _is_real(value):
-        raise ConstraintViolation(f"relaxation must be 'recipe' or a number, got {value!r}")
-    return float(value)
-
-
 def validate_params(problem, params):
-    """Check a parameter set against the convergence region.
+    """Resolve a relaxed run's parameters and check them against the region.
+
+    A ``None`` step takes its :func:`default_step_sizes` value and
+    ``"recipe"`` relaxation ``RECIPE_FACTOR`` times the cap.
 
     Returns
     -------
     dict
-        Resolved ``tau``, ``sigma``, ``rho`` and the cap ``delta``.
+        Resolved ``tau``, ``sigma`` and ``rho`` as floats, the cap
+        ``delta`` and the region ``margins``.
 
     Raises
     ------
     ConstraintViolation
-        If ``kappa`` leaves ``[-1, 1]``, the step sizes leave the region, or
-        a constant relaxation factor reaches the cap.
+        If ``kappa``, ``tau`` or ``sigma`` is not a finite number (a bool is
+        not one), ``kappa`` leaves ``[-1, 1]``, the budget is bad, the steps
+        leave the region, or the relaxation is not ``"recipe"`` or a number
+        in ``(0, delta)``.
     """
-    params = resolve_params(problem, params)
-    if not -1.0 <= params.kappa <= 1.0:
-        raise ConstraintViolation(f"kappa must lie in [-1, 1], got {params.kappa}")
+    kappa, tau, sigma = params.kappa, params.tau, params.sigma
+    if not (_is_finite(kappa) and -1.0 <= kappa <= 1.0):
+        raise ConstraintViolation(f"kappa must be a number in [-1, 1], got {kappa!r}")
+    for name, value in (("tau", tau), ("sigma", sigma)):
+        if value is not None and not _is_finite(value):
+            raise ConstraintViolation(f"{name} must be a finite number, got {value!r}")
     _check_budget(params.max_iters, params.record_every)
-    valid, margins = convergence_region(
-        problem.L_f, problem.k_norm, params.kappa, params.tau, params.sigma
-    )
+    if tau is None or sigma is None:
+        dtau, dsigma = default_step_sizes(problem, kappa)
+        tau = dtau if tau is None else tau
+        sigma = dsigma if sigma is None else sigma
+    valid, margins = convergence_region(problem.L_f, problem.k_norm, kappa, tau, sigma)
     if not valid:
         raise ConstraintViolation(
             "step sizes leave the convergence region "
             f"(curvature margin {margins['curvature']:.3g}, "
             f"coupling margin {margins['coupling']:.3g})"
         )
-    delta = relaxation_cap(
-        problem.L_f, problem.k_norm, params.kappa, params.tau, params.sigma
-    )
-    rho = _relaxation(params, RECIPE_FACTOR * delta)
-    if params.relaxation != "recipe" and not 0.0 < rho < delta:
+    delta = relaxation_cap(problem.L_f, problem.k_norm, kappa, tau, sigma)
+    rho = params.relaxation
+    if isinstance(rho, str) and rho == "recipe":
+        rho = RECIPE_FACTOR * delta
+    elif not (_is_real(rho) and 0.0 < rho < delta):
         raise ConstraintViolation(
-            f"relaxation {rho} outside (0, {delta:.6g})"
+            f"relaxation must be 'recipe' or a number in (0, {delta:.6g}), got {rho!r}"
         )
     return {
-        "tau": params.tau,
-        "sigma": params.sigma,
-        "rho": rho,
+        "tau": float(tau),
+        "sigma": float(sigma),
+        "rho": float(rho),
         "delta": delta,
         "margins": margins,
     }
@@ -400,9 +380,12 @@ def _drive(step, row, n_steps, record_every, columns, labels=("",), tol=None,
     ------
     ConstraintViolation
         If ``n_steps`` or ``record_every`` is not an integer, ``n_steps`` is
-        negative or ``record_every`` is not positive.
+        negative or ``record_every`` is not positive, or ``tol`` is not
+        ``None`` or a nonnegative number (a bool is not one).
     """
     _check_budget(n_steps, record_every)
+    if tol is not None and not (_is_real(tol) and tol >= 0.0):
+        raise ConstraintViolation(f"tolerance must be a nonnegative number, got {tol!r}")
     traces = [IterTrace(columns) for _ in labels]
     last = np.zeros(len(labels), dtype=int)
     converged = np.zeros(len(labels), dtype=bool)
@@ -563,33 +546,28 @@ def _relaxed_run(problem, kappa, tau, sigma, rho, x, y, max_iters, record_every,
     return (*final, traces, ks, converged)
 
 
-def _relaxed_column(problem, params, rho, x, y, tol):
-    """One relaxed run from the vector pair ``(x, y)`` with resolved
-    ``params`` and relaxation ``rho``: the one-column case of
-    :func:`_relaxed_run`, behind :func:`run_fb` and the sharded run.
+def _relaxed_column(problem, params, info, x, y, tol):
+    """One relaxed run from the vector pair ``(x, y)`` with ``params`` and
+    the :func:`validate_params` dict ``info`` of them: the one-column case
+    of :func:`_relaxed_run`, behind :func:`run_fb` and the sharded run.
 
     A non-finite pair raises.  Returns ``(x, y, x_tilde, y_tilde, trace,
     iterations, converged)`` with vectors and one trace.
     """
     *pairs, traces, ks, converged = _relaxed_run(
-        problem, params.kappa, params.tau, params.sigma, rho, x[:, None], y[:, None],
-        params.max_iters, params.record_every, tol)
+        problem, params.kappa, info["tau"], info["sigma"], info["rho"], x[:, None],
+        y[:, None], params.max_iters, params.record_every, tol)
     return (*(a[:, 0] for a in pairs), traces[0], int(ks[0]), bool(converged[0]))
 
 
-def run_fb(
-    problem,
-    params,
-    x0=None,
-    y0=None,
-    tol=None,
-    validate=True,
-):
+def run_fb(problem, params, x0=None, y0=None, tol=None):
     """Run the relaxed preconditioned iteration.
 
-    Every trace row records the metric distance ``mdist`` of its step
-    (:func:`m_norm`, one ``K'`` product per row).  The run is the
-    one-column case of :func:`run_fb_block`'s block iteration.
+    ``params`` pass :func:`validate_params`, and the run steps with, and its
+    result carries, what that resolves.  Every trace row records the metric
+    distance ``mdist`` of its step (:func:`m_norm`).  The run is the
+    one-column case of :func:`run_fb_block`'s block iteration; a non-finite
+    pair raises :class:`~pdsplit.errors.NonFiniteIterate`.
 
     Parameters
     ----------
@@ -599,62 +577,44 @@ def run_fb(
         Starting points (zeros by default).
     tol : float, optional
         Stop once the unrelaxed step residual falls at or below this value.
-    validate : bool
-        Check the region before running.  Disabled by region scans, which
-        probe inadmissible parameter pairs on purpose; in that case a
-        numeric ``relaxation`` is used as given and ``"recipe"`` means 1.
 
     Returns
     -------
     FbResult
     """
     x, y = _start_point(problem, x0, y0)
-    params = resolve_params(problem, params)
-    if validate:
-        info = validate_params(problem, params)
-        rho, delta = info["rho"], info["delta"]
-    else:
-        delta = relaxation_cap(
-            problem.L_f, problem.k_norm, params.kappa, params.tau, params.sigma
-        )
-        rho = _relaxation(params, 1.0)
-
-    x, y, x_t, y_t, trace, k, converged = _relaxed_column(problem, params, rho, x, y, tol)
-    return FbResult(
-        x=x,
-        y=y,
-        x_tilde=x_t,
-        y_tilde=y_t,
-        trace=trace,
-        iterations=k,
-        converged=converged,
-        rho=rho,
-        delta=delta,
-    )
+    info = validate_params(problem, params)
+    x, y, x_t, y_t, trace, k, converged = _relaxed_column(problem, params, info, x, y, tol)
+    return FbResult(x=x, y=y, x_tilde=x_t, y_tilde=y_t, trace=trace, iterations=k,
+                    converged=converged, tau=info["tau"], sigma=info["sigma"],
+                    rho=info["rho"], delta=info["delta"])
 
 
 def run_fb_block(problem, kappa, tau, sigma, max_iters, tol):
     """Run the plain iteration once per column, all columns as one block.
 
-    Column ``j`` starts at zero and runs as
-    ``run_fb(problem, FbParams(kappa[j], tau[j], sigma[j], relaxation=1.0,
-    max_iters=max_iters, record_every=max(max_iters, 1)), tol=tol,
-    validate=False)`` would, bitwise, so its trace holds only the row of its
-    last step or of its convergence.  Each step advances every column
-    still running through one :func:`fb_step` on the block, so the
-    products per step do not grow with the column count.  A column leaves
-    the block when it converges, at the budget, or when its pair leaves the
-    finite range.  The last is an outcome here, where :func:`run_fb`
-    raises: the column records no row at that step, its result holds the
-    non-finite resolvent pair, and it has not converged.
+    Column ``j`` starts at zero and steps with ``kappa[j]``, ``tau[j]``,
+    ``sigma[j]`` and relaxation 1, recording a trace row only at its last
+    step or at its convergence.  The region is not checked, as a region
+    scan probes inadmissible pairs on purpose; a column whose pair passes
+    :func:`validate_params` is bitwise the :func:`run_fb` of
+    ``FbParams(kappa[j], tau[j], sigma[j], relaxation=1.0,
+    max_iters=max_iters, record_every=max(max_iters, 1))`` with ``tol``.
+    Each step advances every column still running through one
+    :func:`fb_step` on the block, so the products per step do not grow
+    with the column count.  A column leaves the block when it converges,
+    at the budget, or when its pair leaves the finite range.  The last is
+    an outcome here, where :func:`run_fb` raises: the column records no row
+    at that step, its result holds the non-finite resolvent pair, and it
+    has not converged.
 
     Parameters
     ----------
     problem : SaddleProblem
     kappa, tau, sigma : sequence of float
-        One continuum position and step-size pair per column; nothing is
-        checked against the region, as a region scan probes inadmissible
-        pairs on purpose.
+        One ``kappa`` in ``[-1, 1]`` and positive steps per column, else
+        :class:`ConstraintViolation`.  An infinite step, which the scan of
+        a degenerate problem forms, is taken as given.
     max_iters : int
         Iteration budget of every column.
     tol : float
@@ -668,6 +628,8 @@ def run_fb_block(problem, kappa, tau, sigma, max_iters, tol):
     kappa, tau, sigma = (np.asarray(v, dtype=float) for v in (kappa, tau, sigma))
     if kappa.ndim != 1 or tau.shape != kappa.shape or sigma.shape != kappa.shape:
         raise DimensionError("kappa, tau and sigma must be rows of one length")
+    if not ((np.abs(kappa) <= 1.0).all() and (tau > 0.0).all() and (sigma > 0.0).all()):
+        raise ConstraintViolation("every kappa must lie in [-1, 1] and every step be positive")
     p, l = problem.dims
     n = kappa.size
     x, y, x_t, y_t, traces, ks, converged = _relaxed_run(
@@ -681,20 +643,21 @@ def run_fb_block(problem, kappa, tau, sigma, max_iters, tol):
         results.append(FbResult(
             x=x[:, j].copy(), y=y[:, j].copy(),
             x_tilde=x_t[:, j].copy(), y_tilde=y_t[:, j].copy(),
-            trace=trace, iterations=int(ks[j]), converged=bool(converged[j]), rho=1.0,
+            trace=trace, iterations=int(ks[j]), converged=bool(converged[j]),
+            tau=cell[1], sigma=cell[2], rho=1.0,
             delta=relaxation_cap(problem.L_f, problem.k_norm, *cell),
         ))
     return results
 
 
-def fbf_default_step(problem, margin=0.99):
+def fbf_default_step(problem):
     """Step size for the forward-backward-forward benchmark.
 
     The forward map of the saddle operator is Lipschitz with constant
     ``L_f + ||K||``, so any step below the reciprocal works; this returns
-    ``margin`` times the cap.
+    0.99 times the cap.
     """
-    return margin / (problem.L_f + problem.k_norm)
+    return 0.99 / (problem.L_f + problem.k_norm)
 
 
 def fbf_step(problem, tau, x, y, x_prev, y_prev, alpha1=0.0, alpha2=0.0, ax=None):
@@ -722,25 +685,21 @@ def fbf_step(problem, tau, x, y, x_prev, y_prev, alpha1=0.0, alpha2=0.0, ax=None
     return x_new, y_new
 
 
-def run_fbf(
-    problem,
-    tau=None,
-    alpha1=0.0,
-    alpha2=0.0,
-    max_iters=1000,
-    x0=None,
-    y0=None,
-    tol=None,
-    record_every=1,
-):
+def run_fbf(problem, tau=None, alpha1=0.0, alpha2=0.0, max_iters=1000, x0=None, y0=None,
+            tol=None, record_every=1):
     """Run the forward-backward-forward benchmark iteration.
 
-    Returns an :class:`FbResult`; the metric distance ``mdist`` is not
-    defined for this scheme and stays ``nan``.
+    ``tau`` (by default :func:`fbf_default_step`), ``alpha1`` and ``alpha2``
+    must be finite numbers, else :class:`ConstraintViolation`.  Returns an
+    :class:`FbResult` with ``tau`` as both steps; the metric distance
+    ``mdist`` is not defined for this scheme and stays ``nan``.
     """
     x, y = _start_point(problem, x0, y0)
     if tau is None:
         tau = fbf_default_step(problem)
+    for name, value in (("tau", tau), ("alpha1", alpha1), ("alpha2", alpha2)):
+        if not _is_finite(value):
+            raise ConstraintViolation(f"{name} must be a finite number, got {value!r}")
     if tau <= 0 or tau >= 1.0 / (problem.L_f + problem.k_norm):
         raise ConstraintViolation(
             "forward-backward-forward step must satisfy tau * (L_f + ||K||) < 1"
@@ -769,4 +728,5 @@ def run_fbf(
                                        tol=tol)
     x, y = x[:, 0], y[:, 0]
     return FbResult(x=x, y=y, x_tilde=x, y_tilde=y, trace=trace, iterations=int(k),
-                    converged=bool(converged), rho=1.0, delta=np.nan)
+                    converged=bool(converged), tau=float(tau), sigma=float(tau), rho=1.0,
+                    delta=np.nan)

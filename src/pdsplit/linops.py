@@ -19,12 +19,14 @@ and reads matrices as triplet text.
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import (
+    ConstraintViolation,
     DegenerateProblem,
     DimensionError,
     IndexOutOfRange,
@@ -351,12 +353,19 @@ def op_norm(op, tol=1e-9, max_iters=10000):
 
     Raises
     ------
+    ConstraintViolation
+        If ``tol`` is not a finite number or ``max_iters`` not an integer,
+        or either is negative.
     NonConvergence
         If the residual bound has not met the tolerance within the budget.
     DegenerateProblem
         If a normal-operator product is not finite, as when ``op`` holds a
         NaN or an infinite entry.
     """
+    if not (_is_finite(tol) and tol >= 0.0):
+        raise ConstraintViolation(f"tol must be a finite nonnegative number, got {tol!r}")
+    if not (_is_index(max_iters) and max_iters >= 0):
+        raise ConstraintViolation(f"max_iters must be a nonnegative integer, got {max_iters!r}")
     rows, cols = op.shape
     if rows == 0 or cols == 0:
         return 0.0
@@ -396,14 +405,14 @@ def op_norm(op, tol=1e-9, max_iters=10000):
     raise NonConvergence(f"Lanczos did not settle in {max_iters} products")
 
 
-def safe_op_norm(op, tol=1e-9, max_iters=10000):
+def safe_op_norm(op):
     """Spectral norm estimate inflated by the safety factor.
 
     The Lanczos estimate approaches the top singular value from below, so
     values fed into step-size bounds get multiplied by ``NORM_SAFETY`` to
     stay on the conservative side.
     """
-    return NORM_SAFETY * op_norm(op, tol=tol, max_iters=max_iters)
+    return NORM_SAFETY * op_norm(op)
 
 
 def _is_index(value):
@@ -414,6 +423,11 @@ def _is_index(value):
 def _is_real(value):
     """Whether ``value`` is a real number, of Python or numpy type (a bool is not)."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_finite(value):
+    """Whether ``value`` is a finite real number (a bool is not)."""
+    return _is_real(value) and math.isfinite(value)
 
 
 def build_group_membership(groups, p):

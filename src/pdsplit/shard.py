@@ -150,7 +150,8 @@ class ShardResult:
 def run_fb_sharded(problem, params, m_workers, x0=None, y0=None, tol=None):
     """Run the base iteration with the traffic ledger of a sharded layout.
 
-    The run is the relaxed iteration of :func:`pdsplit.fb.run_fb`, so the
+    The run is the relaxed iteration of :func:`pdsplit.fb.run_fb`, with the
+    parameters that :func:`pdsplit.fb.validate_params` resolves, so the
     iterates and trace are bitwise the plain run's.  The ledger has a row
     for every step taken, each holding that step's traffic under the
     counting rules of this module.  ``x0`` and ``y0`` are starting points
@@ -162,10 +163,8 @@ def run_fb_sharded(problem, params, m_workers, x0=None, y0=None, tol=None):
     """
     x, y = fb._start_point(problem, x0, y0)
     info = fb.validate_params(problem, params)
-    params = fb.resolve_params(problem, params)
     plan = partition_problem(problem, m_workers)
-    x, y, _, _, trace, k, converged = fb._relaxed_column(
-        problem, params, info["rho"], x, y, tol)
+    x, y, _, _, trace, k, converged = fb._relaxed_column(problem, params, info, x, y, tol)
     design, coupling = fb.STEP_PRODUCTS
     loss = design * (plan.m - 1) * plan.n
     penalty = coupling * plan.cross_total

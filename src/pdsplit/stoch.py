@@ -171,7 +171,8 @@ class MaskedGradOracle(StochasticOracle):
     pi : float
         Keep probability in ``(0, 1]``.
     seed : int or sequence of int
-        Key of the counter-based generator, or one key per block column.
+        Key of the counter-based generator, a nonnegative integer, or one
+        key per block column.
     radius : float
         Bound on the norm of gradient arguments, used only for the
         declared noise level.
@@ -186,6 +187,8 @@ class MaskedGradOracle(StochasticOracle):
         self.pi = float(pi)
         self.radius = float(radius)
         seeds = [seed] if np.ndim(seed) == 0 else list(seed)
+        if not all(_is_index(s) and s >= 0 for s in seeds):
+            raise ConstraintViolation(f"seed must hold nonnegative integers, got {seed!r}")
         self.rngs = [np.random.Generator(np.random.Philox(s)) for s in seeds]
         self.chi_xf = problem.L_f * np.sqrt((1.0 - self.pi) / self.pi) * self.radius
         self.chi_xk = 0.0
@@ -230,7 +233,7 @@ def estimate_chi(oracle, problem, x, y, n_draws=CHI_DRAWS, inflation=CHI_INFLATI
     """Measure the noise levels of an oracle at a point.
 
     Estimates the root mean squared deviation of the gradient channel and
-    of both coupling channels by ``n_draws`` draws, then inflates by
+    of both coupling channels by ``n_draws >= 1`` draws, then inflates by
     ``inflation`` to stay on the conservative side of the schedules.  The
     primal level combines the gradient channel with the dual-to-primal
     coupling channel in quadrature.
@@ -240,6 +243,8 @@ def estimate_chi(oracle, problem, x, y, n_draws=CHI_DRAWS, inflation=CHI_INFLATI
     dict
         ``chi_x``, ``chi_y``, and the raw per-channel values.
     """
+    if not (_is_index(n_draws) and n_draws >= 1):
+        raise ConstraintViolation(f"n_draws must be a positive integer, got {n_draws!r}")
     g = problem.grad_f(x)
     kx = problem.K.apply(x)
     ky = problem.K.apply_adjoint(y)

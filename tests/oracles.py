@@ -9,9 +9,9 @@ two routes is meaningful.
 
 The exceptions read the package's problems and steps: they check a
 guarantee that no run reports.  :func:`region_scan_cells` is the region
-scan as one single-column ``run_fb`` per cell, the route that the block
-scan must reproduce bitwise.  :func:`relaxed_iterates` is the plain
-``fb_step`` loop that ``run_fb`` is pinned to bitwise, and
+scan as one plain ``fb_step`` loop per cell (:func:`plain_fb_run`), the
+route that the block scan must reproduce bitwise.  :func:`relaxed_iterates`
+is the plain ``fb_step`` loop that ``run_fb`` is pinned to bitwise, and
 :func:`fejer_check` measures its pairs in the preconditioner's metric
 (``fb.m_norm``).  :func:`perturbation_envelope` reads the schedule of an
 accelerated result, and :func:`lagrangian` the loss, coupling and
@@ -455,8 +455,9 @@ def fejer_check(problem, params, iterates, z_star, slack_factor=1e-10):
     """Check monotone decrease of the metric distance to a fixed point.
 
     Each distance is ``fb.m_norm`` of an iterate pair's offset from
-    ``z_star``, in the metric of the resolved ``params``.  An increase up to
-    ``slack_factor * (1 + initial distance)`` is allowed.  Returns a dict
+    ``z_star``, in the metric of the step sizes that ``validate_params``
+    resolves from ``params``.  An increase up to ``slack_factor * (1 +
+    initial distance)`` is allowed.  Returns a dict
     with the ``ok`` flag, ``max_increase``, ``slack``, the ``distances`` and
     ``first_violation``: the index into ``iterates`` of the first pair
     whose distance exceeds its predecessor's by more than the slack, or
@@ -464,10 +465,10 @@ def fejer_check(problem, params, iterates, z_star, slack_factor=1e-10):
     """
     from pdsplit import fb
 
-    params = fb.resolve_params(problem, params)
+    info = fb.validate_params(problem, params)
     xs, ys = np.asarray(z_star[0]), np.asarray(z_star[1])
     dist = np.array([
-        fb.m_norm(problem, params.kappa, params.tau, params.sigma, xi - xs, yi - ys)
+        fb.m_norm(problem, params.kappa, info["tau"], info["sigma"], xi - xs, yi - ys)
         for xi, yi in iterates
     ])
     slack = slack_factor * (1.0 + dist[0])
@@ -783,16 +784,42 @@ def balanced_sizes(total, parts):
 # region scan, one run per cell
 
 
+def plain_fb_run(problem, kappa, tau, sigma, budget, tol):
+    """A plain ``fb_step`` loop from zero at relaxation 1, stopping once the
+    unrelaxed step norm is at most ``tol``, at ``budget`` steps or when the
+    pair leaves the finite range.  Nothing is checked against the region.
+
+    Returns ``(iterations, converged, residual)``: ``residual`` is the step
+    norm of the last step, or inf when the pair left the finite range.
+    """
+    from pdsplit import fb
+
+    p, l = problem.dims
+    x, y = np.zeros(p), np.zeros(l)
+    residual = math.nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, budget + 1):
+            xt, yt = fb.fb_step(problem, kappa, tau, sigma, x, y)
+            if not (np.isfinite(xt).all() and np.isfinite(yt).all()):
+                return k, False, math.inf
+            dx, dy = xt - x, yt - y
+            residual = float(np.sqrt(dx @ dx + dy @ dy))
+            if residual <= tol:
+                return k, True, residual
+            x, y = x + dx, y + dy
+    return budget, False, residual
+
+
 def region_scan_cells(problem, kappas, grid, span_lo, span_hi, budget, tol,
                       empirics="interior"):
-    """Region-scan cells as dicts, each selected cell run by its own ``run_fb``.
+    """Region-scan cells as dicts, each selected cell run by its own
+    :func:`plain_fb_run`.
 
     The grid, the region test and the interior rule are those of
     ``pdsplit.cli.region_scan_grid``; a cell whose run leaves the finite
     range records ``converged`` 0 and ``residual`` inf.
     """
     from pdsplit import cli, fb
-    from pdsplit.errors import NonFiniteIterate
 
     l_f, k_norm = problem.L_f, problem.k_norm
     curv_scale = l_f / 2.0 if l_f > 0 else k_norm
@@ -809,15 +836,8 @@ def region_scan_cells(problem, kappas, grid, span_lo, span_hi, budget, tol,
         ran, converged, residual = 0.0, math.nan, math.nan
         if empirics == "all" or (empirics == "interior" and interior > 0):
             ran = 1.0
-            params = fb.FbParams(kappa=kappa, tau=tau, sigma=sigma, relaxation=1.0,
-                                 max_iters=budget, record_every=budget)
-            try:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    res = fb.run_fb(problem, params, tol=tol, validate=False)
-                converged = 1.0 if res.converged else 0.0
-                residual = float(res.trace.column("residual")[-1])
-            except NonFiniteIterate:
-                converged, residual = 0.0, math.inf
+            _, hit, residual = plain_fb_run(problem, kappa, tau, sigma, budget, tol)
+            converged = float(hit)
         cells.append(dict(kappa=kappa, inv_tau=inv_tau, inv_sigma=inv_sigma, tau=tau,
                           sigma=sigma, valid=float(valid), interior=interior, ran=ran,
                           converged=converged, residual=residual))

@@ -220,6 +220,25 @@ def test_schedule_constructors_reject_bad_settings(dense_problem):
         Schedule.build(**bounded, k_norm=0.0, q=0.5, omega_x=1.0, omega_y=1.0)
 
 
+@pytest.mark.parametrize("name", ["omega_x", "omega_y"])
+@pytest.mark.parametrize("value", [True, np.inf, np.nan, "a", None, 0.0])
+def test_bounded_schedules_refuse_a_bound_that_is_not_finite_and_positive(dense_problem,
+                                                                          name, value):
+    problem, _, _, _ = dense_problem
+    factors = mode_factors("kappa", 0.5)
+    bounds = {"omega_x": 2.0, "omega_y": 3.0, name: value}
+    with pytest.raises(ConstraintViolation, match=name):
+        Schedule.build("bounded", problem.L_f, problem.k_norm, factors, 0.5, 0.25, **bounds)
+    with pytest.raises(ConstraintViolation, match=name):
+        tune_qr("bounded", problem.L_f, problem.k_norm, factors, 100, **bounds)
+
+
+def test_mode_coefficients_refuse_a_kappa_that_is_not_a_number():
+    for kappa in (True, np.nan, "0.5"):
+        with pytest.raises(ConstraintViolation, match="kappa"):
+            mode_coefficients("kappa", kappa)
+
+
 def test_build_schedule_requires_setting_inputs(dense_problem):
     problem, _, _, _ = dense_problem
     with pytest.raises(ConstraintViolation):
@@ -239,12 +258,11 @@ def test_schedules_assert_their_inequalities_on_the_indices_they_serve(
     factors = mode_factors("kappa", 1.0)
     args = ("bounded", problem.L_f, problem.k_norm, factors)
     Schedule.build(*args, q=0.5, r=0.25, omega_x=2.0, omega_y=3.0)
-    Schedule.build(*args, q=0.5, r=0.25, omega_x=2.0, omega_y=3.0, check_up_to=7)
     Schedule.build("unbounded", *args[1:], q=0.5, r=0.25, horizon=40)
     Schedule.build(*args, q=0.25, r=0.2, s=0.75, t=0.8, horizon=40, omega_x=2.0,
                    omega_y=3.0, chi_x=0.5, chi_y=0.5)
     assert BOUNDED_CHECK_UP_TO == 10000
-    assert checked == [(1, BOUNDED_CHECK_UP_TO), (1, 7), (1, 40), (1, 39)]
+    assert checked == [(1, BOUNDED_CHECK_UP_TO), (1, 40), (1, 39)]
 
 
 def test_tune_qr_matches_grid_rescan():
@@ -503,7 +521,7 @@ def test_tabulated_schedule_is_bitwise_the_scalar_laws(tiny_lasso):
     for mode, kappa in (("kappa", 0.5), ("chen", 0.0)):
         factors = mode_factors(mode, kappa)
         bounded = Schedule.build("bounded", l_f, k_norm, factors, q=0.5, r=0.25,
-                                 omega_x=2.0, omega_y=3.0, check_up_to=n)
+                                 omega_x=2.0, omega_y=3.0)
         _assert_table_matches_scalar_calls(bounded, n)
         unbounded = Schedule.build("unbounded", l_f, k_norm, factors, q=0.5,
                                    r=0.25, horizon=n)

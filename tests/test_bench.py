@@ -227,7 +227,7 @@ def test_spec_real_fields_must_be_finite_numbers(field, value):
 
 @pytest.mark.parametrize("budget, tol", [
     (1, 1e-8), (0, 1e-8), (50.7, 1e-8), (50.0, 1e-8),
-    (100, math.nan), (100, math.inf), (100, 0.0), (100, -1e-8),
+    (100, math.nan), (100, math.inf), (100, 0.0), (100, -1e-8), (100, "a"), (100, True),
 ])
 def test_reference_rejects_bad_budget_or_tolerance_before_any_step(budget, tol):
     rng = np.random.default_rng(42)

@@ -1,7 +1,5 @@
 """Base iteration: region, recipe steps, steps, runner, Fejér, FBF."""
 
-import re
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -175,8 +173,6 @@ def test_validate_params_rejects_bad_settings(dense_problem):
         params = FbParams(relaxation=relaxation, max_iters=2)
         with pytest.raises(ConstraintViolation):
             validate_params(problem, params)
-        with pytest.raises(ConstraintViolation):
-            run_fb(problem, params, validate=False)
 
 
 def test_validate_params_recipe_relaxation(dense_problem):
@@ -330,6 +326,50 @@ def _assert_same_rows(got, want):
             assert got.column(name).tobytes() == want.column(name).tobytes(), name
 
 
+def _check_block_column(problem, got, kappa, tau, sigma, budget, tol):
+    """Check one ``run_fb_block`` column and return its outcome.
+
+    A column whose cell passes ``validate_params`` at relaxation 1 is
+    bitwise the validated ``run_fb`` of its cell; any other is bitwise the
+    ``_fb_pairs`` replay of its cell, and one that leaves the finite range
+    does so at the iteration ``_first_nonfinite_pair`` names, with no row.
+    """
+    assert (got.tau, got.sigma, got.rho) == (tau, sigma, 1.0)
+    params = FbParams(kappa=kappa, tau=tau, sigma=sigma, relaxation=1.0,
+                      max_iters=budget, record_every=max(budget, 1))
+    try:
+        validate_params(problem, params)
+    except ConstraintViolation:
+        pass
+    else:
+        want = run_fb(problem, params, tol=tol)
+        for field in ("x", "y", "x_tilde", "y_tilde"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+        assert (got.iterations, got.converged) == (want.iterations, want.converged)
+        assert (got.rho, got.delta) == (want.rho, want.delta)
+        _assert_same_rows(got.trace, want.trace)
+        return "converged" if got.converged else "budget"
+    p, l = problem.dims
+    start = (np.zeros(p), np.zeros(l))
+    left = _first_nonfinite_pair(_fb_pairs(problem, tau, sigma, 1.0, *start, kappa), budget)
+    want, k, hit = (*start, *start), 0, False
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (xt, yt, x, y) in zip(range(1, budget + 1),
+                                     _fb_pairs(problem, tau, sigma, 1.0, *start, kappa)):
+            dx, dy = xt - x, yt - y
+            want = (x + 1.0 * dx, y + 1.0 * dy, xt, yt)
+            hit = bool(np.sqrt(dx @ dx + dy @ dy) <= tol)
+            if k == left or hit:
+                break
+    for field, value in zip(("x", "y", "x_tilde", "y_tilde"), want):
+        assert getattr(got, field).tobytes() == value.tobytes(), field
+    assert (got.iterations, got.converged) == (k, hit)
+    if left is not None:
+        assert k == left and len(got.trace) == 0
+        return "left"
+    return "converged" if hit else "budget"
+
+
 @pytest.mark.parametrize("name", ["dense", "csr", "split-dual", "latent"])
 def test_run_fb_block_columns_are_run_fb(name):
     problem = _metric_problems()[name]
@@ -343,35 +383,8 @@ def test_run_fb_block_columns_are_run_fb(name):
     budget, tol = 80, 1e-1
     with np.errstate(over="ignore", invalid="ignore"):
         block = run_fb_block(problem, kappa, tau, sigma, budget, tol)
-    outcomes = set()
-    for j, got in enumerate(block):
-        params = FbParams(kappa=kappa[j], tau=tau[j], sigma=sigma[j], relaxation=1.0,
-                          max_iters=budget, record_every=budget)
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                want = run_fb(problem, params, tol=tol, validate=False)
-        except NonFiniteIterate as exc:
-            # The column left the finite range where run_fb raises: it holds
-            # the non-finite pair, has not converged and recorded the rows
-            # of the steps before (none before the budget's last step).
-            left = int(re.search(r"iteration (\d+)", str(exc)).group(1))
-            assert got.iterations == left and not got.converged
-            assert not (np.isfinite(got.x_tilde).all() and np.isfinite(got.y_tilde).all())
-            with np.errstate(over="ignore", invalid="ignore"):
-                short = run_fb(problem, FbParams(**{**params.__dict__, "max_iters": left - 1}),
-                               tol=tol, validate=False)
-            on_cadence = short.trace.column("k") % budget == 0
-            for column in ("k", "objective", "ergodic_objective", "residual", "mdist"):
-                assert (got.trace.column(column).tobytes()
-                        == short.trace.column(column)[on_cadence].tobytes())
-            outcomes.add("left")
-            continue
-        for field in ("x", "y", "x_tilde", "y_tilde"):
-            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
-        assert (got.iterations, got.converged) == (want.iterations, want.converged)
-        assert (got.rho, got.delta) == (want.rho, want.delta)
-        _assert_same_rows(got.trace, want.trace)
-        outcomes.add("converged" if got.converged else "budget")
+    outcomes = {_check_block_column(problem, got, kappa[j], tau[j], sigma[j], budget, tol)
+                for j, got in enumerate(block)}
     assert {"converged", "budget"} <= outcomes
     if name != "split-dual":  # a bounded dual and no loss: its primal grows linearly
         assert "left" in outcomes
@@ -385,15 +398,11 @@ def test_run_fb_block_of_no_columns_makes_no_step(tiny_lasso):
 
 def test_run_fb_block_of_no_steps_is_the_start_point(tiny_lasso):
     problem = tiny_lasso.problem
-    block = run_fb_block(problem, [0.5, 0.0], [0.1, 0.2], [0.1, 0.3], 0, 1e-6)
-    for j, got in enumerate(block):
-        params = FbParams(kappa=[0.5, 0.0][j], tau=[0.1, 0.2][j], sigma=[0.1, 0.3][j],
-                          relaxation=1.0, max_iters=0)
-        want = run_fb(problem, params, tol=1e-6, validate=False)
-        for field in ("x", "y", "x_tilde", "y_tilde"):
-            assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
-        assert (got.iterations, got.converged) == (want.iterations, want.converged) == (0, False)
-        assert len(got.trace) == len(want.trace) == 0
+    cells = ([0.5, 0.0], [0.1, 0.2], [0.1, 0.3])
+    block = run_fb_block(problem, *cells, 0, 1e-6)
+    for got, cell in zip(block, zip(*cells)):
+        assert _check_block_column(problem, got, *cell, 0, 1e-6) == "budget"
+        assert (got.iterations, got.converged, len(got.trace)) == (0, False, 0)
 
 
 def test_metric_distance_needs_no_dense_metric_above_two_thousand_rows():
@@ -450,12 +459,19 @@ def test_run_fb_ergodic_average_replays_step_mean(tiny_lasso):
     assert res.trace.column("ergodic_objective")[-1] == pytest.approx(expected)
 
 
-def test_run_fb_flags_divergence():
+def _understated_lasso():
+    """A lasso whose loss understates its curvature, so that its recipe
+    steps leave the region and a validated run diverges."""
     problem = identity_lasso_problem(np.eye(2), np.array([3.0, -1.0]), 0.5)
-    params = FbParams(tau=50.0, sigma=50.0, relaxation=1.0, max_iters=2000)
+    loss = problem.loss
+    return SaddleProblem(type(loss)(loss.A, loss.phi, loss.phi_grad, 0.01), problem.K,
+                         problem.hconj)
+
+
+def test_run_fb_flags_divergence():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteIterate):
-            run_fb(problem, params, x0=np.ones(2), validate=False)
+            run_fb(_understated_lasso(), FbParams(max_iters=5000), x0=np.ones(2))
 
 
 def _fb_pairs(problem, tau, sigma, rho, x, y, kappa=0.0):
@@ -529,29 +545,23 @@ def test_runners_flag_the_first_nonfinite_pair_of_an_independent_replay():
     problem = identity_lasso_problem(np.eye(2), np.array([3.0, -1.0]), 0.5)
     x0, y0 = np.ones(2), np.zeros(2)
 
-    params = FbParams(tau=50.0, sigma=50.0, relaxation=1.0, max_iters=2000)
-    want = _first_nonfinite_pair(_fb_pairs(problem, 50.0, 50.0, 1.0, x0, y0), 2000)
-    got = _nonfinite_iteration(lambda: run_fb(problem, params, x0=x0, validate=False))
-    assert want is not None and got == want
-
     tau = fbf_default_step(problem)
     want = _first_nonfinite_pair(_fbf_pairs(problem, tau, 3.0, x0, y0), 5000)
     got = _nonfinite_iteration(
         lambda: run_fbf(problem, alpha1=3.0, alpha2=3.0, max_iters=5000, x0=x0))
     assert want is not None and got == want
 
-    # The sharded run validates its parameters, so it diverges on a loss
+    # The relaxed runs validate their parameters, so they diverge on a loss
     # that understates its curvature: the recipe steps then leave the region.
-    loss = problem.loss
-    understated = SaddleProblem(
-        type(loss)(loss.A, loss.phi, loss.phi_grad, 0.01), problem.K, problem.hconj
-    )
+    understated = _understated_lasso()
     params = FbParams(max_iters=5000)
     info = validate_params(understated, params)
     want = _first_nonfinite_pair(
         _fb_pairs(understated, info["tau"], info["sigma"], info["rho"], x0, y0), 5000)
-    got = _nonfinite_iteration(lambda: run_fb_sharded(understated, params, 2, x0=x0))
-    assert want is not None and got == want
+    assert want is not None
+    for run in (lambda: run_fb(understated, params, x0=x0),
+                lambda: run_fb_sharded(understated, params, 2, x0=x0)):
+        assert _nonfinite_iteration(run) == want
 
 
 @pytest.mark.parametrize("runner", ["run_fb", "run_fbf", "run_fb_sharded"])
@@ -614,9 +624,7 @@ def _stoc_every(problem, n_steps, every):
 
 
 BUDGET_RUNNERS = {
-    "run_fb": lambda pr, n, every: run_fb(
-        pr, FbParams(max_iters=n, record_every=every), validate=False
-    ),
+    "run_fb": lambda pr, n, every: run_fb(pr, FbParams(max_iters=n, record_every=every)),
     "run_fbf": lambda pr, n, every: run_fbf(pr, max_iters=n, record_every=every),
     "run_fb_sharded": lambda pr, n, every: run_fb_sharded(
         pr, FbParams(max_iters=n, record_every=every), 3
@@ -647,12 +655,66 @@ def test_runners_reject_negative_budget_and_zero_cadence(tiny_lasso, runner,
         BUDGET_RUNNERS[runner](tiny_lasso.problem, n_steps, every)
 
 
-def test_run_fb_uses_numeric_relaxation_without_validation(tiny_lasso):
+# A bool, a string and NaN: none is a number a run can use.
+BAD_VALUES = (True, "a", np.nan)
+
+
+@pytest.mark.parametrize("field, value",
+                         [(f, v) for f in ("kappa", "tau", "sigma") for v in BAD_VALUES])
+def test_relaxed_runs_refuse_a_bool_string_or_nan_setting(tiny_lasso, field, value):
     problem = tiny_lasso.problem
-    for relaxation, rho in ((2, 2.0), (0.5, 0.5), ("recipe", 1.0)):
-        res = run_fb(problem, FbParams(max_iters=2, relaxation=relaxation),
-                     validate=False)
-        assert res.rho == rho
+    params = FbParams(**{field: value}, max_iters=2)
+    for run in (lambda: validate_params(problem, params),
+                lambda: run_fb(problem, params),
+                lambda: run_fb_sharded(problem, params, 2)):
+        with pytest.raises(ConstraintViolation, match=field):
+            run()
+
+
+TOL_RUNNERS = {
+    "run_fb": lambda pr, tol: run_fb(pr, FbParams(max_iters=2), tol=tol),
+    "run_fbf": lambda pr, tol: run_fbf(pr, max_iters=2, tol=tol),
+    "run_fb_block": lambda pr, tol: run_fb_block(pr, [0.0], [0.1], [0.1], 2, tol),
+    "run_fb_sharded": lambda pr, tol: run_fb_sharded(pr, FbParams(max_iters=2), 2, tol=tol),
+}
+
+
+@pytest.mark.parametrize("runner, tol", [(name, tol) for name in sorted(TOL_RUNNERS)
+                                         for tol in (*BAD_VALUES, -1e-3)])
+def test_runners_refuse_a_bool_string_nan_or_negative_tolerance(tiny_lasso, runner, tol):
+    with pytest.raises(ConstraintViolation, match="tolerance"):
+        TOL_RUNNERS[runner](tiny_lasso.problem, tol)
+
+
+@pytest.mark.parametrize("name, value", [(n, v) for n in ("tau", "alpha1", "alpha2")
+                                         for v in (*BAD_VALUES, np.inf)])
+def test_run_fbf_refuses_a_step_or_inertia_that_is_not_finite(tiny_lasso, name, value):
+    with pytest.raises(ConstraintViolation, match=name):
+        run_fbf(tiny_lasso.problem, max_iters=2, **{name: value})
+
+
+@pytest.mark.parametrize("cell", [(5.0, 0.1, 0.1), (np.nan, 0.1, 0.1), (0.0, -0.1, 0.1),
+                                  (0.0, 0.1, 0.0), (0.0, np.nan, 0.1), (0.0, 0.1, np.nan)])
+def test_run_fb_block_refuses_a_cell_off_the_continuum_or_a_nonpositive_step(tiny_lasso,
+                                                                            cell):
+    kappa, tau, sigma = cell
+    with pytest.raises(ConstraintViolation):
+        run_fb_block(tiny_lasso.problem, [0.5, kappa], [0.1, tau], [0.1, sigma], 5, 1e-6)
+
+
+def test_run_fb_block_takes_an_infinite_step_as_given(tiny_lasso):
+    # The region scan of a degenerate problem forms infinite steps.
+    with np.errstate(over="ignore", invalid="ignore"):
+        [res] = run_fb_block(tiny_lasso.problem, [0.0], [np.inf], [0.1], 5, 1e-6)
+    assert (res.tau, res.iterations, res.converged) == (np.inf, 1, False)
+    assert not np.isfinite(res.x_tilde).all()
+
+
+def test_run_fb_stores_an_admissible_numeric_relaxation_as_a_float(tiny_lasso):
+    problem = tiny_lasso.problem
+    for relaxation in (1, 0.5, np.float64(0.5)):
+        res = run_fb(problem, FbParams(max_iters=2, relaxation=relaxation))
+        assert res.rho == relaxation
         assert type(res.rho) is float
 
 
@@ -791,7 +853,7 @@ def test_fbf_zero_inertia_without_coupling_is_double_gradient_step():
 
 def test_run_fbf_replays_inertial_step_loop(tiny_lasso):
     problem = tiny_lasso.problem
-    tau = fbf_default_step(problem, margin=0.5)
+    tau = 0.5 / (problem.L_f + problem.k_norm)
     res = run_fbf(problem, tau=tau, alpha1=0.2, alpha2=0.1, max_iters=17,
                   record_every=4)
     x = np.zeros(problem.dims[0])
@@ -905,7 +967,7 @@ def test_run_fb_ergodic_image_matches_direct_evaluation():
 
 def test_run_fbf_ergodic_image_matches_direct_evaluation():
     problem, _ = _counted_problem()
-    tau = fbf_default_step(problem, margin=0.8)
+    tau = 0.8 / (problem.L_f + problem.k_norm)
     res = run_fbf(problem, tau=tau, alpha1=0.2, alpha2=0.1, max_iters=30)
     x = np.zeros(8)
     y = np.zeros(5)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from pdsplit import linops, textio
 from pdsplit.errors import (
+    ConstraintViolation,
     DegenerateProblem,
     DimensionError,
     IndexOutOfRange,
@@ -132,6 +133,17 @@ def test_op_norm_reports_non_convergence():
     a = rng.standard_normal((8, 8))
     with pytest.raises(NonConvergence):
         linops.op_norm(linops.DenseOp(a), tol=1e-14, max_iters=2)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("tol", np.nan), ("tol", np.inf), ("tol", -1e-9), ("tol", True), ("tol", "a"),
+    ("max_iters", 2.5), ("max_iters", -1), ("max_iters", True), ("max_iters", None),
+])
+def test_op_norm_refuses_a_bad_tolerance_or_budget(name, value):
+    op = CountingDenseOp(np.random.default_rng(5).standard_normal((8, 8)))
+    with pytest.raises(ConstraintViolation, match=name):
+        linops.op_norm(op, **{name: value})
+    assert (op.forward, op.adjoint) == (0, 0)
 
 
 def test_op_norm_budget_counts_normal_products():

@@ -124,6 +124,20 @@ def test_masked_oracle_rejects_bad_parameters(tiny_lasso):
             _masked(tiny_lasso.problem, pi, radius=radius)
 
 
+@pytest.mark.parametrize("seed", [1.5, True, -1, None, [0, 1.5], [0, True]])
+def test_masked_oracle_refuses_a_seed_that_is_not_a_nonnegative_integer(tiny_lasso, seed):
+    with pytest.raises(ConstraintViolation, match="seed"):
+        _masked(tiny_lasso.problem, 0.5, seed=seed)
+
+
+@pytest.mark.parametrize("n_draws", [0, -3, 2.5, True])
+def test_estimate_chi_refuses_a_draw_count_that_is_not_positive(tiny_lasso, n_draws):
+    problem = tiny_lasso.problem
+    p, l = problem.dims
+    with pytest.raises(ConstraintViolation, match="n_draws"):
+        estimate_chi(_masked(problem, 0.5), problem, np.zeros(p), np.zeros(l), n_draws=n_draws)
+
+
 def test_declared_channels_combine_in_quadrature():
     oracle = StochasticOracle()
     oracle.chi_xf = 3.0
