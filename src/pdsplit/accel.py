@@ -189,7 +189,8 @@ class Schedule:
         steps through (``1..horizon``, or ``1..horizon - 1`` when noisy) and
         on ``1..BOUNDED_CHECK_UP_TO`` for a deterministic bounded schedule.
         An unknown ``setting`` raises :class:`UnknownKind`, any other bad
-        input :class:`ConstraintViolation`.
+        input, a ``q``, ``r``, ``s`` or ``t`` that is not a finite number (a
+        bool is not) included, :class:`ConstraintViolation`.
         """
         noisy = chi_x is not None
         horizon = _schedule_horizon(horizon, noisy, setting)
@@ -198,6 +199,9 @@ class Schedule:
         _check_setting(setting)
         if noisy:
             chi_x, chi_y = float(chi_x), float(chi_y)
+        for name, value in (("q", q), ("r", r), ("s", s), ("t", t)):
+            if not _is_finite(value):
+                raise ConstraintViolation(f"{name} must be a finite number, got {value!r}")
         if not 0.0 < q < s <= 1.0:
             raise ConstraintViolation(f"need 0 < q < s <= 1, got q = {q}, s = {s}")
         if not 0.0 < r < t <= 1.0:

@@ -612,9 +612,10 @@ def run_fb_block(problem, kappa, tau, sigma, max_iters, tol):
     ----------
     problem : SaddleProblem
     kappa, tau, sigma : sequence of float
-        One ``kappa`` in ``[-1, 1]`` and positive steps per column, else
-        :class:`ConstraintViolation`.  An infinite step, which the scan of
-        a degenerate problem forms, is taken as given.
+        One ``kappa`` in ``[-1, 1]`` and positive steps per column, each a
+        real number (a bool is not), else :class:`ConstraintViolation`.
+        An infinite step, which the scan of a degenerate problem forms, is
+        taken as given.
     max_iters : int
         Iteration budget of every column.
     tol : float
@@ -625,9 +626,14 @@ def run_fb_block(problem, kappa, tau, sigma, max_iters, tol):
     list of FbResult
         One result per column, in order.
     """
-    kappa, tau, sigma = (np.asarray(v, dtype=float) for v in (kappa, tau, sigma))
+    kappa, tau, sigma = (np.asarray(v, dtype=object) for v in (kappa, tau, sigma))
     if kappa.ndim != 1 or tau.shape != kappa.shape or sigma.shape != kappa.shape:
         raise DimensionError("kappa, tau and sigma must be rows of one length")
+    for name, row in (("kappa", kappa), ("tau", tau), ("sigma", sigma)):
+        bad = [v for v in row if not _is_real(v)]
+        if bad:
+            raise ConstraintViolation(f"every {name} must be a real number, got {bad[0]!r}")
+    kappa, tau, sigma = (row.astype(float) for row in (kappa, tau, sigma))
     if not ((np.abs(kappa) <= 1.0).all() and (tau > 0.0).all() and (sigma > 0.0).all()):
         raise ConstraintViolation("every kappa must lie in [-1, 1] and every step be positive")
     p, l = problem.dims

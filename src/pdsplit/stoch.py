@@ -229,12 +229,12 @@ def masked_oracle_factory(problem, params, pi):
     return factory
 
 
-def estimate_chi(oracle, problem, x, y, n_draws=CHI_DRAWS, inflation=CHI_INFLATION):
+def estimate_chi(oracle, problem, x, y, n_draws=CHI_DRAWS):
     """Measure the noise levels of an oracle at a point.
 
     Estimates the root mean squared deviation of the gradient channel and
     of both coupling channels by ``n_draws >= 1`` draws, then inflates by
-    ``inflation`` to stay on the conservative side of the schedules.  The
+    ``CHI_INFLATION`` to stay on the conservative side of the schedules.  The
     primal level combines the gradient channel with the dual-to-primal
     coupling channel in quadrature.
 
@@ -260,8 +260,8 @@ def estimate_chi(oracle, problem, x, y, n_draws=CHI_DRAWS, inflation=CHI_INFLATI
     chi_xk = np.sqrt(acc_ky / n_draws)
     chi_yk = np.sqrt(acc_kx / n_draws)
     return {
-        "chi_x": inflation * float(np.sqrt(chi_xf**2 + chi_xk**2)),
-        "chi_y": inflation * float(chi_yk),
+        "chi_x": CHI_INFLATION * float(np.sqrt(chi_xf**2 + chi_xk**2)),
+        "chi_y": CHI_INFLATION * float(chi_yk),
         "chi_xf": float(chi_xf),
         "chi_xk": float(chi_xk),
         "chi_yk": float(chi_yk),

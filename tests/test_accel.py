@@ -233,6 +233,23 @@ def test_bounded_schedules_refuse_a_bound_that_is_not_finite_and_positive(dense_
         tune_qr("bounded", problem.L_f, problem.k_norm, factors, 100, **bounds)
 
 
+@pytest.mark.parametrize("name", ["q", "r", "s", "t"])
+@pytest.mark.parametrize("value", [True, False, "a", np.nan, 0.5j, None])
+def test_schedules_refuse_a_splitting_parameter_that_is_not_a_finite_number(dense_problem,
+                                                                           name, value):
+    problem, _, _, _ = dense_problem
+    factors = mode_factors("kappa", 0.5)
+    splitting = {"q": 0.5, "r": 0.25, "s": 1.0, "t": 1.0, name: value}
+    with pytest.raises(ConstraintViolation, match=f"^{name} must be a finite number"):
+        Schedule.build("bounded", problem.L_f, problem.k_norm, factors, omega_x=2.0,
+                       omega_y=3.0, **splitting)
+    if name in ("q", "r"):
+        params = AccelParams(setting="bounded", omega_x=2.0, omega_y=3.0, max_iters=2,
+                             **{name: value})
+        with pytest.raises(ConstraintViolation, match=f"^{name} must be a finite number"):
+            run_accel(problem, params)
+
+
 def test_mode_coefficients_refuse_a_kappa_that_is_not_a_number():
     for kappa in (True, np.nan, "0.5"):
         with pytest.raises(ConstraintViolation, match="kappa"):

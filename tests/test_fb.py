@@ -702,6 +702,16 @@ def test_run_fb_block_refuses_a_cell_off_the_continuum_or_a_nonpositive_step(tin
         run_fb_block(tiny_lasso.problem, [0.5, kappa], [0.1, tau], [0.1, sigma], 5, 1e-6)
 
 
+@pytest.mark.parametrize("row", ["kappa", "tau", "sigma"])
+@pytest.mark.parametrize("value", [True, np.True_, "a", 0.1j, None])
+def test_run_fb_block_refuses_an_entry_that_is_not_a_real_number(tiny_lasso, row, value):
+    cells = {"kappa": [0.5, 0.0], "tau": [0.1, 0.1], "sigma": [0.1, 0.1]}
+    cells[row][1] = value
+    with pytest.raises(ConstraintViolation, match=f"every {row} must be a real number"):
+        run_fb_block(tiny_lasso.problem, cells["kappa"], cells["tau"], cells["sigma"], 5,
+                     1e-6)
+
+
 def test_run_fb_block_takes_an_infinite_step_as_given(tiny_lasso):
     # The region scan of a degenerate problem forms infinite steps.
     with np.errstate(over="ignore", invalid="ignore"):

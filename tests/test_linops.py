@@ -146,15 +146,45 @@ def test_op_norm_refuses_a_bad_tolerance_or_budget(name, value):
     assert (op.forward, op.adjoint) == (0, 0)
 
 
-def test_op_norm_budget_counts_normal_products():
+@pytest.fixture
+def product_path(monkeypatch):
+    """Put every dense operator above the Gram threshold, so that ``op_norm``
+    makes one forward and one adjoint product per Lanczos step."""
+    monkeypatch.setattr(linops, "GRAM_NORM_DIM", 0)
+
+
+@pytest.fixture
+def lanczos_steps(monkeypatch):
+    """A list that grows by one entry, the size of the projected matrix, at
+    each Lanczos step of ``op_norm`` (one ``eigh`` per step)."""
+    sizes = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(matrix):
+        sizes.append(matrix.shape[0])
+        return eigh(matrix)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    return sizes
+
+
+def test_op_norm_budget_counts_normal_products(product_path):
     op = CountingDenseOp(np.random.default_rng(5).standard_normal((8, 8)))
     with pytest.raises(NonConvergence):
         linops.op_norm(op, tol=1e-14, max_iters=3)
     assert (op.forward, op.adjoint) == (3, 3)
 
 
+def test_op_norm_budget_counts_gram_steps(lanczos_steps):
+    op = CountingDenseOp(np.random.default_rng(5).standard_normal((8, 8)))
+    with pytest.raises(NonConvergence):
+        linops.op_norm(op, tol=1e-14, max_iters=3)
+    assert len(lanczos_steps) == 3
+    assert (op.forward, op.adjoint) == (0, 0)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_op_norm_of_non_finite_operator_fails_at_first_product(bad):
+def test_op_norm_of_non_finite_operator_fails_at_first_product(bad, product_path):
     a = np.random.default_rng(9).standard_normal((12, 7))
     a[4, 2] = bad
     op = CountingDenseOp(a)
@@ -165,6 +195,44 @@ def test_op_norm_of_non_finite_operator_fails_at_first_product(bad):
         assert (op.forward, op.adjoint) == (1, 1)
         with pytest.raises(DegenerateProblem):
             quadratic_loss(op, np.zeros(12))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_op_norm_of_non_finite_gram_operator_fails_before_any_product(bad, lanczos_steps):
+    a = np.random.default_rng(9).standard_normal((12, 7))
+    a[4, 2] = bad
+    op = CountingDenseOp(a)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateProblem):
+            linops.op_norm(op)
+        with pytest.raises(DegenerateProblem):
+            quadratic_loss(op, np.zeros(12))
+    assert (op.forward, op.adjoint) == (0, 0)
+    assert lanczos_steps == []
+
+
+@pytest.mark.parametrize("shape", [(90, 30), (30, 90), (90, 31), (31, 90)],
+                         ids=["tall-at", "wide-at", "tall-above", "wide-above"])
+def test_op_norm_gram_and_product_paths_agree(monkeypatch, shape):
+    # With the threshold at 30, the smaller sides 30 and 31 sit on either
+    # side of it: the first takes the Gram path by default, the second the
+    # product path.
+    monkeypatch.setattr(linops, "GRAM_NORM_DIM", 30)
+    for seed in range(4):
+        op = CountingDenseOp(np.random.default_rng(seed).standard_normal(shape))
+        default = linops.op_norm(op)
+        gram = min(shape) <= linops.GRAM_NORM_DIM
+        assert (op.forward == 0) == gram
+        with monkeypatch.context() as patch:
+            patch.setattr(linops, "GRAM_NORM_DIM", min(shape) - 1)
+            by_products = linops.op_norm(op)
+        with monkeypatch.context() as patch:
+            patch.setattr(linops, "GRAM_NORM_DIM", min(shape))
+            by_gram = linops.op_norm(op)
+        assert default == (by_gram if gram else by_products)
+        assert by_gram == pytest.approx(by_products, rel=1e-12)
+        assert by_gram == pytest.approx(oracles.spectral_norm_gram(op.array), rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -230,26 +298,18 @@ class CountingSparseOp(linops.SparseOp):
         return super().apply_adjoint(y)
 
 
-def test_op_norm_separates_a_near_degenerate_top_pair_in_bounded_work(monkeypatch):
+def test_op_norm_separates_a_near_degenerate_top_pair_in_bounded_work(lanczos_steps):
     # Top pair 1e-8 apart over a dense spectrum reaching 1 - 1e-7: Lanczos
     # needs several hundred products, so the restarts must bound the size
     # of every tridiagonal eigenproblem, and the products stay well inside
     # the budget.
     gram = np.concatenate([[1.0, 1.0 - 1e-8], np.linspace(0.0, 1.0 - 1e-7, 3000)])
     op = CountingSparseOp(sp.diags_array(np.sqrt(gram)).tocsr())
-    sizes = []
-    eigh = np.linalg.eigh
-
-    def recording_eigh(matrix):
-        sizes.append(matrix.shape[0])
-        return eigh(matrix)
-
-    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
     assert linops.op_norm(op) == pytest.approx(1.0, rel=1e-9)
     # About 550 normal-operator products, a tenth of the default budget.
     assert op.forward == op.adjoint <= 1000
-    assert len(sizes) > linops.LANCZOS_BASIS
-    assert max(sizes) == linops.LANCZOS_BASIS
+    assert len(lanczos_steps) > linops.LANCZOS_BASIS
+    assert max(lanczos_steps) == linops.LANCZOS_BASIS
 
 
 def test_sparse_operator_shares_a_float64_csr_matrix():
@@ -273,13 +333,24 @@ POWER_ITERATION_PRODUCTS = [
 ]
 
 
-def test_op_norm_spends_a_fifth_of_the_power_iteration_products():
+def test_op_norm_spends_a_fifth_of_the_power_iteration_products(product_path):
     spent = []
     for seed in range(len(POWER_ITERATION_PRODUCTS)):
         op = CountingDenseOp(np.random.default_rng(seed).standard_normal((300, 1200)))
         linops.op_norm(op)
         assert op.forward == op.adjoint
         spent.append(op.adjoint)
+    assert 5 * sum(spent) <= sum(POWER_ITERATION_PRODUCTS)
+
+
+def test_op_norm_spends_a_fifth_of_the_power_iteration_products_in_gram_steps(lanczos_steps):
+    spent = []
+    for seed in range(len(POWER_ITERATION_PRODUCTS)):
+        op = CountingDenseOp(np.random.default_rng(seed).standard_normal((300, 1200)))
+        before = len(lanczos_steps)
+        linops.op_norm(op)
+        assert (op.forward, op.adjoint) == (0, 0)
+        spent.append(len(lanczos_steps) - before)
     assert 5 * sum(spent) <= sum(POWER_ITERATION_PRODUCTS)
 
 

@@ -36,7 +36,7 @@ DEFAULTS = {
                       "subnet_size": 5, "n_subnets": 40, "n_active": 4, "dim": 20,
                       "lam": None, "noise_sd": None},
     "auto_norm_bounds": {"warm_iters": 2000},
-    "estimate_chi": {"n_draws": 1000, "inflation": 1.5},
+    "estimate_chi": {"n_draws": 1000},
     "fb_step": {"ax": None},
     "mode_coefficients": {"kappa": 0.0},
     "mode_factors": {"kappa": 0.0},
