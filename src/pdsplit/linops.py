@@ -16,10 +16,9 @@ blocks (a design that reads part of a stacked variable).
 CSR operator.  This module does no file I/O; :mod:`pdsplit.textio` writes
 and reads matrices as triplet text.
 :func:`op_norm` runs Lanczos on the smaller normal operator, and its budget
-counts Lanczos steps, one normal-operator product each.  A dense operator
-whose smaller side is at most ``GRAM_NORM_DIM`` forms that normal operator
-once as a Gram matrix and multiplies by it, so it makes no forward or
-adjoint product; every other operator makes one of each per step.
+counts Lanczos steps, one normal-operator product each: a forward and an
+adjoint product, or, once a dense operator has formed its Gram matrix, one
+product by that matrix.
 """
 
 from __future__ import annotations
@@ -50,12 +49,18 @@ NORM_SAFETY = 1.01
 LANCZOS_BASIS = 64
 LANCZOS_KEPT = 16
 
-# Dense operators whose smaller side is at most this form their smaller Gram
-# matrix once for a norm estimate; larger ones multiply by the operator twice
-# per Lanczos step.  With OpenBLAS on one x86-64 core the Gram matrix paid for
-# itself at every side swept (600 to 3,000) when the larger side is at least
-# twice the smaller, and up to a side of about 1,300 on square operators.
-GRAM_NORM_DIM = 2048
+# Forming the smaller Gram matrix of an s x l dense operator (one syrk) costs
+# about s / GRAM_COST_SIDE passes over the operator: 18 to 44 over shapes
+# from 600 x 600 to 2,048 x 10,240 with OpenBLAS on one x86-64 core, median
+# 26.  A Lanczos step reads the operator twice (2sl entries) or the Gram
+# matrix once (s^2 entries).  op_norm forms the Gram matrix once the steps it
+# has taken would have paid for it out of what each later step saves, as one
+# rents skis until the rent paid would have bought them.  Where the constant
+# is right, that bounds the cost at twice that of the cheaper product
+# throughout, whatever the spectrum.  The sweep measured at most 1.32 times
+# the product path, and 2.5 times the Gram path on a 3,000 x 6,000 operator
+# whose syrk cost less than the constant says.
+GRAM_COST_SIDE = 24
 
 
 class LinearOperator:
@@ -326,26 +331,14 @@ def densify(op):
     raise UnknownKind(f"cannot densify operator kind {op.kind!r}")
 
 
-def _normal_product(op):
-    """The product by the smaller normal operator of ``op``: ``A'A`` when
-    ``rows >= cols``, else ``A A'``.
-
-    A :class:`DenseOp` whose smaller side is at most ``GRAM_NORM_DIM`` forms
-    that Gram matrix once, after checking that its entries are finite, and
-    multiplies by it; any other operator makes one forward and one adjoint
-    product per call.
-    """
-    rows, cols = op.shape
-    if isinstance(op, DenseOp) and min(rows, cols) <= GRAM_NORM_DIM:
-        a = op.array
-        if not np.isfinite(a).all():
-            raise DegenerateProblem("dense operator holds a non-finite entry")
-        gram = a @ a.T if rows < cols else a.T @ a
-        return lambda v: gram @ v
-    first, second = op.apply, op.apply_adjoint
-    if rows < cols:
-        first, second = second, first
-    return lambda v: second(first(v))
+def _gram_switch(op):
+    """The Lanczos step from which ``op`` multiplies by its Gram matrix
+    (infinite unless it is dense)."""
+    if not isinstance(op, DenseOp):
+        return math.inf
+    small, large = sorted(op.shape)
+    form = small * small * large / GRAM_COST_SIDE
+    return math.ceil(form / (2 * small * large - small * small))
 
 
 def op_norm(op, tol=1e-9, max_iters=10000):
@@ -366,11 +359,10 @@ def op_norm(op, tol=1e-9, max_iters=10000):
     counter-based generator keyed at zero so repeated calls give identical
     results.
 
-    A dense operator whose smaller side is at most ``GRAM_NORM_DIM`` forms
-    the normal operator once as a Gram matrix (``a @ a.T`` or ``a.T @ a``,
-    one symmetric rank-k update), and a step multiplies by it instead of
-    passing over ``op`` twice.  Every other operator, a larger dense one
-    included, makes one forward and one adjoint product per step.
+    A step makes one forward and one adjoint product.  A dense operator
+    forms its smaller Gram matrix (``a @ a.T`` or ``a.T @ a``) once the
+    steps taken would have paid for it out of what each later step saves
+    (see ``GRAM_COST_SIDE``), and a step multiplies by it from then on.
 
     Parameters
     ----------
@@ -383,9 +375,9 @@ def op_norm(op, tol=1e-9, max_iters=10000):
         caps the distance from ``lambda`` to an eigenvalue of the normal
         operator, at any scale of ``op``.
     max_iters : int
-        Budget of Lanczos steps, one normal-operator product each: a
-        product by the Gram matrix, or one forward and one adjoint product
-        of ``op``.  Forming the Gram matrix is not counted.
+        Budget of Lanczos steps, one normal-operator product each: one
+        forward and one adjoint product of ``op``, or a product by its Gram
+        matrix.  Forming the Gram matrix is not counted.
 
     Returns
     -------
@@ -400,9 +392,7 @@ def op_norm(op, tol=1e-9, max_iters=10000):
     NonConvergence
         If the residual bound has not met the tolerance within the budget.
     DegenerateProblem
-        If a dense operator that forms its Gram matrix holds a NaN or an
-        infinite entry (checked before any product), or if a
-        normal-operator product is not finite.
+        If a normal-operator product is not finite.
     """
     if not (_is_finite(tol) and tol >= 0.0):
         raise ConstraintViolation(f"tol must be a finite nonnegative number, got {tol!r}")
@@ -411,15 +401,21 @@ def op_norm(op, tol=1e-9, max_iters=10000):
     rows, cols = op.shape
     if rows == 0 or cols == 0:
         return 0.0
-    normal = _normal_product(op)
+    first, second = op.apply, op.apply_adjoint
+    if rows < cols:
+        first, second = second, first
+    switch = _gram_switch(op)
     rng = np.random.Generator(np.random.Philox(0))
     q = rng.standard_normal(min(rows, cols))
     basis = np.empty((LANCZOS_BASIS, q.size))
     proj = np.zeros((LANCZOS_BASIS, LANCZOS_BASIS))
     basis[0] = q / np.linalg.norm(q)
     j = 0
-    for _ in range(max_iters):
-        w = normal(basis[j])
+    for step in range(max_iters):
+        if step == switch:
+            a = op.array
+            gram = a @ a.T if rows < cols else a.T @ a
+        w = second(first(basis[j])) if step < switch else gram @ basis[j]
         if not np.all(np.isfinite(w)):
             raise DegenerateProblem("normal-operator product is not finite")
         done = basis[: j + 1]

@@ -1,6 +1,7 @@
 """Operator abstraction: dispatch, adjoints, norms, builders, triplet IO."""
 
 import ast
+import math
 import os
 import pathlib
 import subprocess
@@ -148,9 +149,9 @@ def test_op_norm_refuses_a_bad_tolerance_or_budget(name, value):
 
 @pytest.fixture
 def product_path(monkeypatch):
-    """Put every dense operator above the Gram threshold, so that ``op_norm``
-    makes one forward and one adjoint product per Lanczos step."""
-    monkeypatch.setattr(linops, "GRAM_NORM_DIM", 0)
+    """Never form a Gram matrix, so that ``op_norm`` makes one forward and
+    one adjoint product per Lanczos step."""
+    monkeypatch.setattr(linops, "_gram_switch", lambda op: math.inf)
 
 
 @pytest.fixture
@@ -175,16 +176,18 @@ def test_op_norm_budget_counts_normal_products(product_path):
     assert (op.forward, op.adjoint) == (3, 3)
 
 
-def test_op_norm_budget_counts_gram_steps(lanczos_steps):
+def test_op_norm_budget_counts_steps_on_both_sides_of_the_gram_switch(lanczos_steps):
     op = CountingDenseOp(np.random.default_rng(5).standard_normal((8, 8)))
+    switch = linops._gram_switch(op)
+    assert 0 < switch < 3
     with pytest.raises(NonConvergence):
         linops.op_norm(op, tol=1e-14, max_iters=3)
     assert len(lanczos_steps) == 3
-    assert (op.forward, op.adjoint) == (0, 0)
+    assert (op.forward, op.adjoint) == (switch, switch)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_op_norm_of_non_finite_operator_fails_at_first_product(bad, product_path):
+def test_op_norm_of_non_finite_operator_fails_at_first_product(bad):
     a = np.random.default_rng(9).standard_normal((12, 7))
     a[4, 2] = bad
     op = CountingDenseOp(a)
@@ -197,42 +200,44 @@ def test_op_norm_of_non_finite_operator_fails_at_first_product(bad, product_path
             quadratic_loss(op, np.zeros(12))
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_op_norm_of_non_finite_gram_operator_fails_before_any_product(bad, lanczos_steps):
-    a = np.random.default_rng(9).standard_normal((12, 7))
-    a[4, 2] = bad
-    op = CountingDenseOp(a)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(DegenerateProblem):
-            linops.op_norm(op)
-        with pytest.raises(DegenerateProblem):
-            quadratic_loss(op, np.zeros(12))
-    assert (op.forward, op.adjoint) == (0, 0)
-    assert lanczos_steps == []
+@pytest.mark.parametrize("shape", [(1, 1), (1, 500), (500, 1), (8, 8), (7, 12)])
+def test_a_dense_operator_makes_a_product_step_before_its_gram_matrix(shape):
+    # The first product sees a non-finite entry, so no Gram matrix of one
+    # is ever formed.
+    assert linops._gram_switch(linops.DenseOp(np.ones(shape))) >= 1
 
 
-@pytest.mark.parametrize("shape", [(90, 30), (30, 90), (90, 31), (31, 90)],
-                         ids=["tall-at", "wide-at", "tall-above", "wide-above"])
-def test_op_norm_gram_and_product_paths_agree(monkeypatch, shape):
-    # With the threshold at 30, the smaller sides 30 and 31 sit on either
-    # side of it: the first takes the Gram path by default, the second the
-    # product path.
-    monkeypatch.setattr(linops, "GRAM_NORM_DIM", 30)
-    for seed in range(4):
+@pytest.mark.parametrize("shape", [(90, 30), (30, 90), (1200, 300), (300, 1200)],
+                         ids=["tall", "wide", "tall-large", "wide-large"])
+def test_op_norm_gram_and_product_paths_agree(monkeypatch, lanczos_steps, shape):
+    for seed in range(2):
         op = CountingDenseOp(np.random.default_rng(seed).standard_normal(shape))
+        switch = linops._gram_switch(op)
+        lanczos_steps.clear()
         default = linops.op_norm(op)
-        gram = min(shape) <= linops.GRAM_NORM_DIM
-        assert (op.forward == 0) == gram
+        # Lanczos outlasts the switch on a Gaussian operator: products up to
+        # it, the Gram matrix after it.
+        assert len(lanczos_steps) > switch
+        assert (op.forward, op.adjoint) == (switch, switch)
         with monkeypatch.context() as patch:
-            patch.setattr(linops, "GRAM_NORM_DIM", min(shape) - 1)
+            patch.setattr(linops, "_gram_switch", lambda op: math.inf)
             by_products = linops.op_norm(op)
         with monkeypatch.context() as patch:
-            patch.setattr(linops, "GRAM_NORM_DIM", min(shape))
+            patch.setattr(linops, "_gram_switch", lambda op: 0)
             by_gram = linops.op_norm(op)
-        assert default == (by_gram if gram else by_products)
         assert by_gram == pytest.approx(by_products, rel=1e-12)
+        assert default == pytest.approx(by_products, rel=1e-12)
         assert by_gram == pytest.approx(oracles.spectral_norm_gram(op.array), rel=1e-12)
+
+
+def test_op_norm_that_settles_before_the_switch_forms_no_gram_matrix(lanczos_steps):
+    # Entries uniform on [0, 1): the top singular value stands far above the
+    # rest, and Lanczos settles in fewer steps than a Gram matrix pays for.
+    op = CountingDenseOp(np.random.default_rng(0).random((300, 1200)))
+    norm = linops.op_norm(op)
+    assert len(lanczos_steps) < linops._gram_switch(op)
+    assert (op.forward, op.adjoint) == (len(lanczos_steps), len(lanczos_steps))
+    assert norm == pytest.approx(oracles.spectral_norm_gram(op.array), rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -343,13 +348,14 @@ def test_op_norm_spends_a_fifth_of_the_power_iteration_products(product_path):
     assert 5 * sum(spent) <= sum(POWER_ITERATION_PRODUCTS)
 
 
-def test_op_norm_spends_a_fifth_of_the_power_iteration_products_in_gram_steps(lanczos_steps):
+def test_op_norm_spends_a_fifth_of_the_power_iteration_products_with_a_gram_switch(lanczos_steps):
     spent = []
     for seed in range(len(POWER_ITERATION_PRODUCTS)):
         op = CountingDenseOp(np.random.default_rng(seed).standard_normal((300, 1200)))
         before = len(lanczos_steps)
         linops.op_norm(op)
-        assert (op.forward, op.adjoint) == (0, 0)
+        switch = linops._gram_switch(op)
+        assert (op.forward, op.adjoint) == (switch, switch)
         spent.append(len(lanczos_steps) - before)
     assert 5 * sum(spent) <= sum(POWER_ITERATION_PRODUCTS)
 
