@@ -39,7 +39,7 @@ import numpy as np
 from . import saddle
 from .errors import ConstraintViolation, UnknownKind
 from .fb import IterTrace, _column, _drive, _start_point, _step_norm
-from .linops import _is_finite, _is_index
+from .linops import _is_finite, _is_index, _is_real
 
 ACCEL_TRACE_COLUMNS = [
     "k",
@@ -168,14 +168,14 @@ class Schedule:
     factors: tuple
     l_f: float
     k_norm: float
-    horizon: int | None = None
-    omega_x: float | None = None
-    omega_y: float | None = None
-    s: float = 1.0
-    t: float = 1.0
-    chi_x: float | None = None
-    chi_y: float | None = None
-    r_tilde: float | None = None
+    horizon: int | None
+    omega_x: float | None
+    omega_y: float | None
+    s: float
+    t: float
+    chi_x: float | None
+    chi_y: float | None
+    r_tilde: float | None
 
     @classmethod
     def build(cls, setting, l_f, k_norm, factors, q, r, *, s=1.0, t=1.0, horizon=None,
@@ -189,16 +189,21 @@ class Schedule:
         steps through (``1..horizon``, or ``1..horizon - 1`` when noisy) and
         on ``1..BOUNDED_CHECK_UP_TO`` for a deterministic bounded schedule.
         An unknown ``setting`` raises :class:`UnknownKind`, any other bad
-        input, a ``q``, ``r``, ``s`` or ``t`` that is not a finite number (a
-        bool is not) included, :class:`ConstraintViolation`.
+        input :class:`ConstraintViolation`, a ``q``, ``r``, ``s`` or ``t``
+        that is not a finite number (a bool is not) and a noise level or
+        ``r_tilde`` that is not a real number included.
         """
         noisy = chi_x is not None
         horizon = _schedule_horizon(horizon, noisy, setting)
-        if noisy and (np.isnan(chi_x) or np.isnan(chi_y)):
-            raise ConstraintViolation("noise levels are unresolved; run estimate_chi first")
-        _check_setting(setting)
         if noisy:
+            for name, value in (("chi_x", chi_x), ("chi_y", chi_y)):
+                if not _is_real(value):
+                    raise ConstraintViolation(f"{name} must be a number, got {value!r}")
+                if np.isnan(value):
+                    raise ConstraintViolation(
+                        "noise levels are unresolved; run estimate_chi first")
             chi_x, chi_y = float(chi_x), float(chi_y)
+        _check_setting(setting)
         for name, value in (("q", q), ("r", r), ("s", s), ("t", t)):
             if not _is_finite(value):
                 raise ConstraintViolation(f"{name} must be a finite number, got {value!r}")
@@ -216,8 +221,9 @@ class Schedule:
         if noisy and (chi_x < 0 or chi_y < 0):
             raise ConstraintViolation("noise levels must be nonnegative")
         if noisy and setting == "unbounded":
-            if r_tilde is None or r_tilde <= 0:
-                raise ConstraintViolation("unbounded setting needs a positive r_tilde")
+            if not (_is_real(r_tilde) and r_tilde > 0):
+                raise ConstraintViolation(
+                    f"unbounded setting needs a positive r_tilde, got {r_tilde!r}")
             r_tilde = float(r_tilde)
         q_const = _q_constant(factors, q, r, s, t, floor_one=setting == "unbounded")
         sched = cls(setting=setting, q=q, r=r, P=1.0 / (s - q), Q=float(q_const),
@@ -503,7 +509,7 @@ def accel_step(problem, alpha, beta, schedule, k, state):
     ``schedule`` is a :class:`Schedule` or its :class:`ScheduleTable`.
     """
     return _accel_core(
-        problem.grad_f,
+        problem.loss.grad,
         problem.K.apply,
         problem.K.apply_adjoint,
         problem.hconj.prox,
@@ -579,14 +585,13 @@ def _run_schedule(problem, schedule, advance, x, y, n_steps, record_every, stamp
         state = advance(k, state, table)
         if k == 1:
             first = (state.xt.copy(), state.yt.copy())
-        return state.xt, state.yt, None
+        return state.xt, state.yt, _step_norm(state.xt - state.xt_prev, state.yt - state.yt_prev)
 
     def row(k, res, which):
-        residual = _step_norm(state.xt - state.xt_prev, state.yt - state.yt_prev)
         return [dict(
             objective=saddle.primal_objective(problem, _column(state.xt, j)),
             ergodic_objective=saddle.primal_objective(problem, _column(state.x, j)),
-            residual=residual[j],
+            residual=res[j],
             mdist=np.nan,
             tau_k=table.tau(k),
             sigma_k=table.sigma(k),

@@ -1,14 +1,15 @@
 """Synthetic problem generators, reference solutions, and rate diagnostics.
 
-Three seeded generator families produce least-squares instances: overlapping
-group lasso (chained groups sharing a fixed ten-coordinate overlap),
-graph-guided fused lasso (differences over a clustered gene-network graph),
-and the latent variant of the group problem built on the same data.  A plain
-lasso generator covers tiny smoke problems.  Generated problems round-trip
-through a bundle directory of text artifacts, high-accuracy solutions come
-from a warm-started bounded accelerated run with a plain polishing phase,
-skipping the accelerated run when the warm pair already meets its residual
-certificate, and convergence-rate slopes are fit on the final decade of a trace.
+Four seeded kinds of least-squares instance come from two draws.  One
+chained-group design feeds the overlapping group lasso (chained groups
+sharing a fixed ten-coordinate overlap), its latent variant, and a plain
+lasso for tiny smoke problems; the graph-guided fused lasso draws its own
+clustered gene-network design and takes differences over its graph.
+Generated problems round-trip through a bundle directory of text artifacts,
+high-accuracy solutions come from a warm-started bounded accelerated run
+with a plain polishing phase, skipping the accelerated run when the warm
+pair already meets its residual certificate, and convergence-rate slopes
+are fit on the final decade of a trace.
 """
 
 from __future__ import annotations
@@ -34,6 +35,9 @@ from .prox import BoxClip, GroupL2Balls, GroupPartition
 
 # Number of coordinates shared by consecutive groups of the chained design.
 OVERLAP = 10
+
+# Relative fixed-point residual that certifies a reference solution.
+REFERENCE_TOL = 1e-8
 
 # Correlation between a hub variable and each of its satellite variables in
 # the clustered network design.
@@ -215,7 +219,9 @@ def overlapping_groups(n_groups, group_size):
 
 
 def _chained_group_data(spec):
-    """Draw the design, response, and ground truth of the group designs.
+    """Draw the design, response, and ground truth of every kind but the
+    network design: the overlapping and latent group designs and the plain
+    lasso.
 
     Draw order: the full design matrix first, then the observation noise.
     """
@@ -230,8 +236,17 @@ def _chained_group_data(spec):
 def _assemble(spec, a, b, coupling):
     """The saddle problem of ``spec`` on design ``a``, response ``b`` and
     ``coupling`` (an operator or a matrix): the one assembly of each kind,
-    shared by the generators and :func:`load_bundle`.  The lasso and latent
-    kinds build their coupling from the spec and ignore the one given."""
+    shared by :func:`generate` and :func:`load_bundle`.  The lasso (an
+    identity coupling) and the latent kind build their coupling from the
+    spec and ignore the one given; the overlapping kind builds its group
+    membership when given none.
+
+    The group penalty weighs each group's Euclidean norm by
+    ``lam * sqrt(group size)``.  The overlapping coupling stacks the group
+    selectors, so every group reads its own copy of the shared overlap; the
+    latent kind puts the same groups on the duplicated-variable
+    construction, whose primal variable stacks ``x`` with one latent block
+    per group."""
     lam, p = spec.penalty_weight, spec.primal_dim
     if spec.kind == "graph-guided-fused-lasso":
         hconj = BoxClip(lam, coupling.shape[0])
@@ -242,6 +257,8 @@ def _assemble(spec, a, b, coupling):
         radii = lam * np.sqrt([len(g) for g in groups])
         if spec.kind == "latent-group-lasso":
             return saddle.latent_group_construct(groups, a, b, radii)
+        if coupling is None:
+            coupling = linops.build_group_membership(groups, p)
         hconj = GroupL2Balls(GroupPartition([len(g) for g in groups]), radii)
     return saddle.SaddleProblem(saddle.quadratic_loss(a, b), coupling, hconj)
 
@@ -268,32 +285,6 @@ def _generated(spec, a, b, x_true, coupling=None, **extra_meta):
     else:
         meta["dim"] = spec.dim
     return GeneratedProblem(spec, problem, a, b, x_true, {**meta, **extra_meta})
-
-
-def gen_overlapping_group_lasso(spec):
-    """Least-squares problem with an overlapping group penalty.
-
-    The penalty is a weighted sum of group Euclidean norms with weights
-    ``lam * sqrt(group size)``; the coupling operator stacks the group
-    selectors so every group reads its own copy of the shared overlap.
-
-    Returns
-    -------
-    GeneratedProblem
-    """
-    groups = overlapping_groups(spec.n_groups, spec.group_size)
-    k_op = linops.build_group_membership(groups, spec.primal_dim)
-    return _generated(spec, *_chained_group_data(spec), k_op)
-
-
-def gen_latent_group_lasso(spec):
-    """Latent-variable variant of the overlapping group problem.
-
-    Uses the same seeded data as :func:`gen_overlapping_group_lasso` and the
-    duplicated-variable construction, so the primal variable stacks ``x``
-    with one latent block per group.
-    """
-    return _generated(spec, *_chained_group_data(spec))
 
 
 def gen_graph_guided_fused_lasso(spec):
@@ -364,28 +355,26 @@ def gen_graph_guided_fused_lasso(spec):
     return _generated(spec, a, b, x_true, k_op, n_edges=len(edges))
 
 
-def gen_lasso(spec):
-    """Plain lasso with an identity coupling, for tiny smoke problems."""
-    p = spec.primal_dim
-    rng = _rng(spec.seed)
-    a = rng.standard_normal((spec.n_samples, p))
-    x_true = _decaying_signal(p)
-    b = a @ x_true + spec.noise_scale * rng.standard_normal(spec.n_samples)
-    return _generated(spec, a, b, x_true)
-
-
-_GENERATORS = {
-    "overlapping-group-lasso": gen_overlapping_group_lasso,
-    "graph-guided-fused-lasso": gen_graph_guided_fused_lasso,
-    "latent-group-lasso": gen_latent_group_lasso,
-    "lasso": gen_lasso,
-}
-GENERATOR_KINDS = tuple(_GENERATORS)
+# The generator kinds, in the order of the CLI's ``problem`` choices.
+GENERATOR_KINDS = (
+    "overlapping-group-lasso", "graph-guided-fused-lasso", "latent-group-lasso", "lasso")
 
 
 def generate(spec):
-    """Dispatch to the generator named by ``spec.kind``."""
-    return _GENERATORS[spec.kind](spec)
+    """The problem of ``spec``, with its data and ground truth.
+
+    The network kind draws its own clustered data
+    (:func:`gen_graph_guided_fused_lasso`); every other kind draws the one
+    chained-group design and its response (``_chained_group_data``) and
+    assembles its problem on it (``_assemble``).
+
+    Returns
+    -------
+    GeneratedProblem
+    """
+    if spec.kind == "graph-guided-fused-lasso":
+        return gen_graph_guided_fused_lasso(spec)
+    return _generated(spec, *_chained_group_data(spec))
 
 
 def save_bundle(path, generated):
@@ -458,15 +447,15 @@ def auto_norm_bounds(problem, warm_iters=2000):
     return omega_x, omega_y, warm
 
 
-def reference_solve(problem, budget=100000, tol=1e-8):
+def reference_solve(problem, budget=100000):
     """Compute a high-accuracy solution pair with a residual certificate.
 
-    The certificate is a relative fixed-point residual of at most ``tol``.
-    The pipeline warm-starts with a short plain run, derives iterate-norm
-    bounds from the warm point, runs the bounded accelerated iteration at the
-    block-diagonal continuum position with splitting parameters tuned for a
-    ``budget``-step horizon, and then polishes with the plain iteration until
-    the certificate holds.  ``budget`` is a cap: the certificate is checked
+    The certificate is a relative fixed-point residual of at most
+    ``REFERENCE_TOL``.  The pipeline warm-starts with a short plain run,
+    derives iterate-norm bounds from the warm point, runs the bounded
+    accelerated iteration at the block-diagonal continuum position with
+    splitting parameters tuned for a ``budget``-step horizon, and then
+    polishes with the plain iteration until the certificate holds.  ``budget`` is a cap: the certificate is checked
     on the warm pair, and when it holds there the accelerated phase and the
     polish are skipped and ``method`` is ``"plain"``.  A problem whose
     coupling norm is zero skips straight to the polish (the accelerated dual
@@ -483,19 +472,14 @@ def reference_solve(problem, budget=100000, tol=1e-8):
     Raises
     ------
     ConstraintViolation
-        If ``budget`` is not an integer of at least 2 or ``tol`` is not
-        finite and positive.
+        If ``budget`` is not an integer of at least 2.
     """
     if not linops._is_index(budget):
         raise ConstraintViolation(f"reference budget must be an integer, got {budget!r}")
     budget = int(budget)
     if budget < 2:
         raise ConstraintViolation("reference budget must be at least 2")
-    if not (linops._is_finite(tol) and tol > 0.0):
-        raise ConstraintViolation(
-            f"reference tolerance tol must be finite and positive, got {tol!r}"
-        )
-    tol = float(tol)
+    tol = REFERENCE_TOL
     p, l = problem.dims
     zero_coupling = problem.k_norm == 0.0
     if zero_coupling:
@@ -615,12 +599,13 @@ def load_reference(path):
     )
 
 
-def rate_slope(trace, f_star, column="ergodic_objective"):
+def rate_slope(trace, f_star):
     """Least-squares slope of log gap against log k on the final decade.
 
-    Keeps rows with ``k`` in the last decade (at or above a tenth of the
-    largest recorded index) whose gap to ``f_star`` sits above the rounding
-    floor ``100 * eps * |f_star|``, then fits a line to log gap over log k.
+    Reads the trace's ``ergodic_objective`` column and keeps rows with
+    ``k`` in the last decade (at or above a tenth of the largest recorded
+    index) whose gap to ``f_star`` sits above the rounding floor
+    ``100 * eps * |f_star|``, then fits a line to log gap over log k.
 
     Returns
     -------
@@ -632,7 +617,7 @@ def rate_slope(trace, f_star, column="ergodic_objective"):
         If fewer than 10 usable points remain.
     """
     ks = trace.column("k")
-    vals = trace.column(column)
+    vals = trace.column("ergodic_objective")
     if ks.size == 0:
         raise InsufficientData("trace is empty")
     window = ks >= ks.max() / 10.0

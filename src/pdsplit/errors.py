@@ -22,7 +22,7 @@ class SelfLoop(SolverError):
 
 
 class UnknownKind(SolverError):
-    """A descriptor carries a kind tag this module does not recognize."""
+    """A mode, setting, problem kind or class this module does not recognize."""
 
 
 class BadLabels(SolverError):

@@ -349,16 +349,15 @@ def _drive(step, row, n_steps, record_every, columns, labels=("",), tol=None,
     The iterate is a block with one column per label (``""`` for the one
     column of a single run).  ``step(k)`` advances every column still in the
     block and returns the new resolvent block pair and the ``(B,)`` array of
-    step residuals (``None`` for runners that evaluate it only on recorded
-    rows, which cannot stop at ``tol``).  The pair is scanned for
-    finiteness only when a residual is missing or not finite: a non-finite
-    entry makes its column's residual non-finite, while squares of large
-    finite entries can overflow it, so the scan decides and an overflowing
-    residual of a finite pair is recorded.  ``row(k, res, which)`` returns a
-    dict of the trace columns other than ``k`` and ``seconds`` for each
-    block position in ``which``.  Each label keeps a trace, with a row every
-    ``record_every`` steps and when its column stops; every column stops at
-    the last step.  Three behaviours are set independently:
+    step residuals.  The pair is scanned for finiteness only when a
+    residual is not finite: a non-finite entry makes its column's residual
+    non-finite, while squares of large finite entries can overflow it, so
+    the scan decides and an overflowing residual of a finite pair is
+    recorded.  ``row(k, res, which)`` returns a dict of the trace columns
+    other than ``k`` and ``seconds`` for each block position in ``which``.
+    Each label keeps a trace, with a row every ``record_every`` steps and
+    when its column stops; every column stops at the last step.  Three
+    behaviours are set independently:
 
     * ``raise_lost``: a non-finite column raises
       :class:`~pdsplit.errors.NonFiniteIterate` naming the iteration and its
@@ -367,8 +366,9 @@ def _drive(step, row, n_steps, record_every, columns, labels=("",), tol=None,
       converged.
     * ``leave(gone, where)`` receives the mask of the stopping block
       positions and their label indices; the runner keeps their final state
-      and drops them from its block.  Without it the block keeps its
-      columns, and the first step at which a column stops ends the loop.
+      and drops them from its block.  A runner without it must stop all its
+      columns at one step: it has one column, or it has no ``tol`` and
+      raises on a lost column.
 
     Returns
     -------
@@ -401,9 +401,9 @@ def _drive(step, row, n_steps, record_every, columns, labels=("",), tol=None,
         if not where.size:
             break
         x_t, y_t, res = step(k)
-        values = () if res is None else res.tolist()
+        values = res.tolist()
         lost = None
-        if res is None or not math.isfinite(sum(values)):
+        if not math.isfinite(sum(values)):
             lost = _lost_columns(x_t, y_t)
             if not lost.any():
                 lost = None
@@ -424,8 +424,6 @@ def _drive(step, row, n_steps, record_every, columns, labels=("",), tol=None,
         record(k, res, np.flatnonzero(~lost if due else hit))
         gone = hit | lost | (k == n_steps)
         if gone.any():
-            if leave is None:
-                gone[:] = True
             last[where[gone]] = k
             converged[where[gone]] = hit[gone]
             if leave is not None:

@@ -1,12 +1,12 @@
 """Linear operators with lazy composition and Lanczos norm estimates.
 
 Every operator exposes ``apply`` (forward product) and ``apply_adjoint``
-(transpose product) on 1-d numpy vectors, together with a ``kind`` tag and a
-``shape`` attribute.  Both products also map a block of vectors, a 2-d
-array with one vector per column, to the block of their images, and every
-kind does so column-exactly: column ``j`` of a block image is bitwise the
-image of column ``j`` alone.  A multi-seed run and a region scan advance
-all their columns through one block product each.
+(transpose product) on 1-d numpy vectors, together with a ``shape``
+attribute; its class is its kind.  Both products also map a block of
+vectors, a 2-d array with one vector per column, to the block of their
+images, and every kind does so column-exactly: column ``j`` of a block
+image is bitwise the image of column ``j`` alone.  A multi-seed run and a
+region scan advance all their columns through one block product each.
 Structured operators (identity, zero, stacks) stay lazy so that large
 penalty operators never have to be materialized.
 Stacks go both ways: :class:`VStackOp` stacks row blocks (a coupling
@@ -68,13 +68,9 @@ class LinearOperator:
 
     Attributes
     ----------
-    kind : str
-        Tag identifying the concrete representation.
     shape : tuple of int
         ``(rows, cols)`` of the represented matrix.
     """
-
-    kind = "abstract"
 
     def __init__(self, shape):
         rows, cols = int(shape[0]), int(shape[1])
@@ -122,8 +118,6 @@ class DenseOp(LinearOperator):
     the product of that column alone, as for every other operator kind.
     """
 
-    kind = "dense"
-
     def __init__(self, array):
         array = np.asarray(array, dtype=float)
         if array.ndim != 2:
@@ -141,8 +135,6 @@ class DenseOp(LinearOperator):
 class SparseOp(LinearOperator):
     """Operator backed by a scipy CSR matrix; a float64 CSR array is shared,
     not copied, as :class:`DenseOp` shares its array."""
-
-    kind = "sparse-csr"
 
     def __init__(self, matrix):
         matrix = sp.csr_array(matrix)
@@ -164,8 +156,6 @@ class SparseOp(LinearOperator):
 class IdentityOp(LinearOperator):
     """Square identity of a given dimension."""
 
-    kind = "identity"
-
     def __init__(self, n):
         super().__init__((n, n))
 
@@ -178,8 +168,6 @@ class IdentityOp(LinearOperator):
 
 class ZeroOp(LinearOperator):
     """All-zero operator of a given shape."""
-
-    kind = "zero"
 
     def apply(self, x):
         x = self._check_vec(x, self.shape[1], "input")
@@ -196,8 +184,6 @@ class VStackOp(LinearOperator):
     The stack stays lazy: forward products concatenate block outputs and
     adjoint products sum block adjoints over the matching row segments.
     """
-
-    kind = "vstack"
 
     def __init__(self, blocks):
         blocks = list(blocks)
@@ -235,8 +221,6 @@ class HStackOp(LinearOperator):
     matching column segments, left to right, and adjoint products
     concatenate block adjoints.
     """
-
-    kind = "hstack"
 
     def __init__(self, blocks):
         blocks = list(blocks)
@@ -291,7 +275,8 @@ def to_sparse(op):
     converted, the identity and the zero operator are sparse, and a stack
     stacks its blocks' CSR matrices.  No dense array is formed for a
     structured operator, and its stored entries are exactly the nonzeros of
-    :func:`densify`'s array, row by row with sorted columns.
+    its matrix, row by row with sorted columns.  Any other class raises
+    :class:`UnknownKind` naming it.
     """
     if isinstance(op, SparseOp):
         return op.matrix
@@ -307,28 +292,7 @@ def to_sparse(op):
         out.sum_duplicates()
         out.eliminate_zeros()
         return out
-    raise UnknownKind(f"no sparse matrix for operator kind {op.kind!r}")
-
-
-def densify(op):
-    """Materialize an operator as a dense array.
-
-    Intended for diagnostics and small problems only; stacks are resolved
-    recursively.
-    """
-    if isinstance(op, DenseOp):
-        return op.array.copy()
-    if isinstance(op, SparseOp):
-        return op.matrix.toarray()
-    if isinstance(op, IdentityOp):
-        return np.eye(op.shape[0])
-    if isinstance(op, ZeroOp):
-        return np.zeros(op.shape)
-    if isinstance(op, VStackOp):
-        return np.vstack([densify(b) for b in op.blocks])
-    if isinstance(op, HStackOp):
-        return np.hstack([densify(b) for b in op.blocks])
-    raise UnknownKind(f"cannot densify operator kind {op.kind!r}")
+    raise UnknownKind(f"no sparse matrix for operator class {type(op).__name__}")
 
 
 def _gram_switch(op):

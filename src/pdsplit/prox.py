@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BadLabels, DegenerateProblem, DimensionError, UnknownKind
+from .linops import _is_real
 
 
 class GroupPartition:
@@ -59,6 +60,14 @@ class GroupPartition:
         return np.repeat(per_block, self.sizes, axis=0)
 
 
+def _weight(value, what="penalty weight"):
+    """``value`` as a float, once it is a real number (a bool is not), not
+    NaN and not negative."""
+    if not (_is_real(value) and value >= 0):
+        raise DegenerateProblem(f"{what} must be a nonnegative number, got {value!r}")
+    return float(value)
+
+
 def _per_row(values, v):
     """One value per row of ``v``, shaped to broadcast over its columns."""
     return values.reshape(values.shape + (1,) * (v.ndim - 1))
@@ -77,13 +86,9 @@ class ConjugateProx:
 
     Attributes
     ----------
-    kind : str
-        Tag identifying the penalty family.
     dim : int
         Length of the dual vectors the spec acts on.
     """
-
-    kind = "abstract"
 
     def __init__(self, dim):
         dim = int(dim)
@@ -109,21 +114,13 @@ class ConjugateProx:
         """
         raise NotImplementedError
 
-    def conj_value(self, y):
-        """Value of ``h*`` at ``y`` (``inf`` outside its domain)."""
-        return self.conj_value_with_tol(y, 0.0)
+    def conj_value(self, y, tol):
+        """Value of ``h*`` at ``y``, ``inf`` outside its domain; points within
+        ``tol`` of the domain count as in it."""
+        raise NotImplementedError
 
     def primal_value(self, u):
         """Value of the penalty ``h`` at ``u``."""
-        raise NotImplementedError
-
-    def feasible(self, y, tol=1e-9):
-        """Whether ``y`` lies in the domain of ``h*`` within ``tol``."""
-        return np.isfinite(self.conj_value_with_tol(y, tol))
-
-    def conj_value_with_tol(self, y, tol):
-        """Value of ``h*`` at ``y``, declaring points within ``tol`` of its
-        domain in."""
         raise NotImplementedError
 
 
@@ -134,19 +131,15 @@ class BoxClip(ConjugateProx):
     prox is a coordinatewise clip independent of the step.
     """
 
-    kind = "box-clip"
-
     def __init__(self, lam, dim):
         super().__init__(dim)
-        if lam < 0:
-            raise DegenerateProblem("penalty weight must be nonnegative")
-        self.lam = float(lam)
+        self.lam = _weight(lam)
 
     def prox(self, v, sigma):
         v = self._check(v, block=True)
         return np.clip(v, -self.lam, self.lam)
 
-    def conj_value_with_tol(self, y, tol):
+    def conj_value(self, y, tol):
         y = self._check(y)
         if np.max(np.abs(y), initial=0.0) > self.lam + tol:
             return np.inf
@@ -164,13 +157,9 @@ class L2Ball(ConjugateProx):
     the prox is the radial projection onto that ball.
     """
 
-    kind = "l2-ball"
-
     def __init__(self, lam, dim):
         super().__init__(dim)
-        if lam < 0:
-            raise DegenerateProblem("penalty weight must be nonnegative")
-        self.lam = float(lam)
+        self.lam = _weight(lam)
 
     def prox(self, v, sigma):
         v = self._check(v, block=True)
@@ -179,11 +168,9 @@ class L2Ball(ConjugateProx):
         nrm = np.linalg.norm(v)
         if nrm <= self.lam:
             return v.copy()
-        if nrm == 0.0:
-            return v.copy()
         return v * (self.lam / nrm)
 
-    def conj_value_with_tol(self, y, tol):
+    def conj_value(self, y, tol):
         y = self._check(y)
         if np.linalg.norm(y) > self.lam + tol:
             return np.inf
@@ -201,13 +188,9 @@ class L1Ball(ConjugateProx):
     prox is the exact sort-based projection onto that ball.
     """
 
-    kind = "l1-ball"
-
     def __init__(self, lam, dim):
         super().__init__(dim)
-        if lam < 0:
-            raise DegenerateProblem("penalty weight must be nonnegative")
-        self.lam = float(lam)
+        self.lam = _weight(lam)
 
     def prox(self, v, sigma):
         v = self._check(v, block=True)
@@ -215,7 +198,7 @@ class L1Ball(ConjugateProx):
             return _columnwise(lambda c: project_l1_ball(c, self.lam), v)
         return project_l1_ball(v, self.lam)
 
-    def conj_value_with_tol(self, y, tol):
+    def conj_value(self, y, tol):
         y = self._check(y)
         if np.abs(y).sum() > self.lam + tol:
             return np.inf
@@ -236,17 +219,14 @@ class GroupL2Balls(ConjugateProx):
     norms.
     """
 
-    kind = "group-l2-balls"
-
     def __init__(self, partition, radii):
         if not isinstance(partition, GroupPartition):
             raise DimensionError("group-l2-balls needs a GroupPartition")
         super().__init__(partition.total)
-        radii = np.broadcast_to(
-            np.asarray(radii, dtype=float), (partition.n_blocks,)
-        ).copy()
-        if np.any(radii < 0):
-            raise DegenerateProblem("group radii must be nonnegative")
+        # An object array keeps each entry's own type: a float array would
+        # hide a bool among floats.
+        radii = np.broadcast_to(np.asarray(radii, dtype=object), (partition.n_blocks,))
+        radii = np.array([_weight(r, "group radii") for r in radii])
         self.partition = partition
         self.radii = radii
 
@@ -259,7 +239,7 @@ class GroupL2Balls(ConjugateProx):
         np.divide(radii, nrm, out=scale, where=over)
         return v * self.partition.expand(scale)
 
-    def conj_value_with_tol(self, y, tol):
+    def conj_value(self, y, tol):
         y = self._check(y)
         if np.any(self.partition.block_norms(y) > self.radii + tol):
             return np.inf
@@ -278,8 +258,6 @@ class HingeConj(ConjugateProx):
     every ``b_i y_i`` lies in ``[-1, 0]``.  The prox shifts by
     ``sigma * b`` and clips to that interval.
     """
-
-    kind = "hinge-conj"
 
     def __init__(self, labels):
         labels = np.asarray(labels, dtype=float)
@@ -300,7 +278,7 @@ class HingeConj(ConjugateProx):
             _per_row(self._hi, v),
         )
 
-    def conj_value_with_tol(self, y, tol):
+    def conj_value(self, y, tol):
         y = self._check(y)
         by = self.labels * y
         if np.any(by < -1.0 - tol) or np.any(by > tol):
@@ -321,8 +299,6 @@ class IdentityShift(ConjugateProx):
     tracked through the solver residual, not through the objective.
     """
 
-    kind = "identity-shift"
-
     def __init__(self, dim, shift=None):
         super().__init__(dim)
         if shift is None:
@@ -333,7 +309,7 @@ class IdentityShift(ConjugateProx):
         v = self._check(v, block=True)
         return v - sigma * _per_row(self.shift, v)
 
-    def conj_value_with_tol(self, y, tol):
+    def conj_value(self, y, tol):
         y = self._check(y)
         return float(self.shift @ y)
 
@@ -348,8 +324,6 @@ class Composite(ConjugateProx):
     The dual vector splits into consecutive segments, one per part, and each
     part acts on its own segment.  Values add across parts.
     """
-
-    kind = "composite"
 
     def __init__(self, parts):
         parts = list(parts)
@@ -372,11 +346,11 @@ class Composite(ConjugateProx):
             [part.prox(seg, sigma) for part, seg in self._segments(v)]
         )
 
-    def conj_value_with_tol(self, y, tol):
+    def conj_value(self, y, tol):
         y = self._check(y)
         total = 0.0
         for part, seg in self._segments(y):
-            val = part.conj_value_with_tol(seg, tol)
+            val = part.conj_value(seg, tol)
             if not np.isfinite(val):
                 return np.inf
             total += val

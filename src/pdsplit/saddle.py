@@ -209,10 +209,6 @@ class SaddleProblem:
         self._k_norm = None
 
     @property
-    def grad_f(self):
-        return self.loss.grad
-
-    @property
     def L_f(self):
         return self.loss.L_f
 
@@ -242,7 +238,7 @@ def fixed_point_residual(problem, x, y, tau, sigma):
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    gx = problem.grad_f(x) + problem.K.apply_adjoint(y)
+    gx = problem.loss.grad(x) + problem.K.apply_adjoint(y)
     ry = y - problem.hconj.prox(y + sigma * problem.K.apply(x), sigma)
     return float(np.sqrt(tau * tau * float(gx @ gx) + float(ry @ ry)))
 

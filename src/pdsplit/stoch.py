@@ -203,7 +203,7 @@ class MaskedGradOracle(StochasticOracle):
         p = self.problem.dims[0]
         draws = np.array([rng.random(p) for rng in self.rngs]).T
         mask = (draws < self.pi).reshape(x.shape).astype(float) / self.pi
-        return self.problem.grad_f(mask * x)
+        return self.problem.loss.grad(mask * x)
 
     def kx(self, x):
         return self.problem.K.apply(x)
@@ -245,7 +245,7 @@ def estimate_chi(oracle, problem, x, y, n_draws=CHI_DRAWS):
     """
     if not (_is_index(n_draws) and n_draws >= 1):
         raise ConstraintViolation(f"n_draws must be a positive integer, got {n_draws!r}")
-    g = problem.grad_f(x)
+    g = problem.loss.grad(x)
     kx = problem.K.apply(x)
     ky = problem.K.apply_adjoint(y)
     acc_f = acc_kx = acc_ky = 0.0

@@ -7,10 +7,12 @@ oracles; the oracles themselves are kept deliberately naive (explicit loops,
 dense algebra, bisection instead of sorting) so that agreement between the
 two routes is meaningful.
 
-The exceptions read the package's problems and steps: they check a
-guarantee that no run reports.  :func:`region_scan_cells` is the region
-scan as one plain ``fb_step`` loop per cell (:func:`plain_fb_run`), the
-route that the block scan must reproduce bitwise.  :func:`relaxed_iterates`
+The exceptions read the package's operators, problems and steps.
+:func:`densify` builds the dense matrix of an operator from its parts.  The
+others check a guarantee that no run reports.  :func:`region_scan_cells` is
+the region scan as one plain ``fb_step`` loop per cell
+(:func:`plain_fb_run`), the route that the block scan must reproduce
+bitwise.  :func:`relaxed_iterates`
 is the plain ``fb_step`` loop that ``run_fb`` is pinned to bitwise, and
 :func:`fejer_check` measures its pairs in the preconditioner's metric
 (``fb.m_norm``).  :func:`perturbation_envelope` reads the schedule of an
@@ -37,6 +39,27 @@ def spectral_norm_gram(a):
     a = np.asarray(a, dtype=float)
     gram = a.T @ a if a.shape[0] >= a.shape[1] else a @ a.T
     return float(np.sqrt(max(np.linalg.eigvalsh(gram).max(), 0.0)))
+
+
+def densify(op):
+    """The dense matrix of a package operator, built from its parts: the
+    stored array or CSR matrix, the identity, zeros, or a stack of its
+    blocks' matrices."""
+    from pdsplit import linops
+
+    if isinstance(op, linops.DenseOp):
+        return op.array.copy()
+    if isinstance(op, linops.SparseOp):
+        return op.matrix.toarray()
+    if isinstance(op, linops.IdentityOp):
+        return np.eye(op.shape[0])
+    if isinstance(op, linops.ZeroOp):
+        return np.zeros(op.shape)
+    if isinstance(op, linops.VStackOp):
+        return np.vstack([densify(b) for b in op.blocks])
+    if isinstance(op, linops.HStackOp):
+        return np.hstack([densify(b) for b in op.blocks])
+    raise TypeError(f"no dense matrix for {type(op).__name__}")
 
 
 def column_by_column(vector_map, block):
@@ -426,7 +449,7 @@ def lagrangian(problem, x, y, tol=1e-9):
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    conj = problem.hconj.conj_value_with_tol(y, tol)
+    conj = problem.hconj.conj_value(y, tol)
     if not np.isfinite(conj):
         return -np.inf
     return float(problem.loss.value(x)) + float(problem.K.apply(x) @ y) - conj
@@ -641,6 +664,31 @@ def chained_group_indices(n_groups, group_size, overlap=10):
     """Zero-based chained groups, each sharing ``overlap`` coordinates."""
     step = group_size - overlap
     return [list(range(j * step, j * step + group_size)) for j in range(n_groups)]
+
+
+def chained_group_problem(seed, p, n_samples, noise_sd):
+    """The least-squares data of the chained-group kinds, coordinate by
+    coordinate.
+
+    Replays the generator's draws on a Philox stream in order: the whole
+    ``n_samples x p`` design, then the observation noise.  The signal is
+    ``(-1)^(j+1) exp(-j/100)`` at coordinate ``j``, with numpy's ``exp`` on
+    each scalar (``math.exp`` rounds some of them differently).  Returns the
+    design, response and signal.
+    """
+    rng = np.random.Generator(np.random.Philox(int(seed)))
+    a = rng.standard_normal((n_samples, p))
+    x_true = np.array([(-1.0) ** (j + 1) * np.exp(-j / 100.0) for j in range(p)])
+    b = a @ x_true + noise_sd * rng.standard_normal(n_samples)
+    return a, b, x_true
+
+
+def group_membership_coo(groups, p):
+    """Group selector matrix built from COO: one row per listed index, with
+    a one in that index's column, group after group."""
+    cols = [int(i) for group in groups for i in group]
+    return sp.csr_array((np.ones(len(cols)), (np.arange(len(cols)), cols)),
+                        shape=(len(cols), p))
 
 
 def clustered_edge_count(n_subnets, subnet_size, n_active):

@@ -492,7 +492,7 @@ def _perturbation(problem, params, res, anchor):
     ``oracles.perturbation_vector`` at its last index, with the envelope of
     ``oracles.perturbation_envelope``."""
     alpha, beta = mode_coefficients(params.mode, params.kappa)
-    k = linops.densify(problem.K)
+    k = oracles.densify(problem.K)
     sched, n = res.schedule, res.iterations
     v_x, v_y = oracles.perturbation_vector(
         -alpha * k, beta * k, k, sched.tau(n), sched.sigma(n), sched.rho(n),

@@ -304,7 +304,7 @@ def _metric_problems():
 @pytest.mark.parametrize("name", ["dense", "csr", "split-dual", "latent"])
 def test_m_norm_matches_the_dense_metric_across_continuum(name):
     problem = _metric_problems()[name]
-    k = linops.densify(problem.K)
+    k = oracles.densify(problem.K)
     rng = np.random.default_rng(48)
     p, l = problem.dims
     tau = 0.2

@@ -187,8 +187,8 @@ def test_composite_equals_blockwise_concatenation():
 
 def test_composite_values_add_and_propagate_infeasibility():
     spec = prox.Composite([prox.BoxClip(1.0, 2), prox.IdentityShift(1, [2.0])])
-    assert spec.conj_value(np.array([0.5, -0.5, 3.0])) == pytest.approx(6.0)
-    assert spec.conj_value(np.array([1.5, 0.0, 0.0])) == np.inf
+    assert spec.conj_value(np.array([0.5, -0.5, 3.0]), 0.0) == pytest.approx(6.0)
+    assert spec.conj_value(np.array([1.5, 0.0, 0.0]), 0.0) == np.inf
     assert spec.primal_value(np.array([0.5, -2.0, 9.0])) == pytest.approx(2.5)
 
 
@@ -204,7 +204,7 @@ def test_identity_shift_prox_and_value():
     spec = prox.IdentityShift(2, shift)
     v = np.array([0.5, 0.5])
     np.testing.assert_allclose(spec.prox(v, 3.0), v - 3.0 * shift)
-    assert spec.conj_value(v) == pytest.approx(float(shift @ v))
+    assert spec.conj_value(v, 0.0) == pytest.approx(float(shift @ v))
     plain = prox.IdentityShift(2)
     np.testing.assert_array_equal(plain.prox(v, 5.0), v)
 
@@ -218,10 +218,10 @@ def test_group_partition_blocks_cover_total():
 
 def test_feasibility_and_conj_values():
     spec = prox.BoxClip(1.0, 2)
-    assert spec.feasible(np.array([1.0, -1.0]))
-    assert not spec.feasible(np.array([1.1, 0.0]))
-    assert spec.conj_value(np.array([0.2, 0.3])) == 0.0
-    assert spec.conj_value(np.array([2.0, 0.0])) == np.inf
+    assert spec.conj_value(np.array([1.0, -1.0]), 1e-9) == 0.0
+    assert spec.conj_value(np.array([1.1, 0.0]), 1e-9) == np.inf
+    assert spec.conj_value(np.array([0.2, 0.3]), 0.0) == 0.0
+    assert spec.conj_value(np.array([2.0, 0.0]), 0.0) == np.inf
     assert spec.primal_value(np.array([2.0, -3.0])) == pytest.approx(5.0)
 
 
@@ -296,11 +296,11 @@ def test_group_l2_balls_values_match_per_block_oracle():
     nudged[3:5] *= 1.0 + 1e-10
     for y in (v, inside, nudged):
         for tol in (0.0, 1e-9):
-            assert spec.conj_value_with_tol(y, tol) == oracles.group_ball_indicator(
+            assert spec.conj_value(y, tol) == oracles.group_ball_indicator(
                 y, sizes, radii, tol)
-    assert spec.conj_value(inside) == 0.0
-    assert spec.conj_value(nudged) == np.inf
-    assert spec.conj_value_with_tol(nudged, 1e-9) == 0.0
+    assert spec.conj_value(inside, 0.0) == 0.0
+    assert spec.conj_value(nudged, 0.0) == np.inf
+    assert spec.conj_value(nudged, 1e-9) == 0.0
 
 
 @pytest.mark.parametrize("scale", [0.3, 1.0])
@@ -314,6 +314,12 @@ def test_group_primal_prox_matches_per_block_oracle(scale):
     np.testing.assert_array_equal(out[5:9], v[5:9])
     if scale == 1.0:
         np.testing.assert_array_equal(out[3:5], 0.0)
+
+
+# The class of each prox kind that ``_block_specs`` builds.
+_CLASSES = {"box-clip": prox.BoxClip, "l2-ball": prox.L2Ball, "l1-ball": prox.L1Ball,
+            "group-l2-balls": prox.GroupL2Balls, "hinge-conj": prox.HingeConj,
+            "identity-shift": prox.IdentityShift, "composite": prox.Composite}
 
 
 def _block_specs():
@@ -338,7 +344,7 @@ def _block_specs():
 @pytest.mark.parametrize("kind", sorted(_block_specs()))
 def test_block_prox_maps_each_column_bitwise(kind):
     spec = _block_specs()[kind]
-    assert spec.kind == kind
+    assert isinstance(spec, _CLASSES[kind])
     rng = np.random.default_rng(93)
     # Columns from deep inside to far outside every set, plus a zero column.
     scales = np.array([0.01, 0.3, 1.0, 3.0, 0.0])
@@ -367,10 +373,36 @@ def test_block_prox_takes_one_step_per_column(kind, width):
 def test_block_is_accepted_by_prox_only():
     spec = prox.L2Ball(1.0, 3)
     block = np.ones((3, 2))
-    for method in (spec.conj_value, spec.primal_value):
-        with pytest.raises(DimensionError):
-            method(block)
+    with pytest.raises(DimensionError):
+        spec.conj_value(block, 0.0)
+    with pytest.raises(DimensionError):
+        spec.primal_value(block)
     with pytest.raises(DimensionError):
         spec.prox(np.ones((4, 2)), 1.0)
     with pytest.raises(DimensionError):
         spec.prox(np.ones((3, 2, 1)), 1.0)
+
+
+_WEIGHTED = {
+    "box-clip": lambda w: prox.BoxClip(w, 3),
+    "l2-ball": lambda w: prox.L2Ball(w, 3),
+    "l1-ball": lambda w: prox.L1Ball(w, 3),
+    "group-radius": lambda w: prox.GroupL2Balls(prox.GroupPartition([2, 1]), [1.0, w]),
+    "group-radii": lambda w: prox.GroupL2Balls(prox.GroupPartition([2, 1]), w),
+}
+
+
+@pytest.mark.parametrize("weight", [np.nan, True, np.True_, "a", None, -1.0, -np.inf],
+                         ids=repr)
+@pytest.mark.parametrize("kind", sorted(_WEIGHTED))
+def test_prox_weights_are_nonnegative_numbers(kind, weight):
+    with pytest.raises(DegenerateProblem):
+        _WEIGHTED[kind](weight)
+
+
+@pytest.mark.parametrize("kind", sorted(_WEIGHTED))
+def test_prox_weights_of_any_real_type_are_stored_as_floats(kind):
+    for weight in (2, np.int64(2), np.float32(2.0), 2.0):
+        spec = _WEIGHTED[kind](weight)
+        stored = spec.radii if kind.startswith("group") else np.array([spec.lam])
+        assert stored.dtype == float and stored[-1] == 2.0

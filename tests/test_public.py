@@ -2,7 +2,11 @@
 
 import inspect
 
+import numpy as np
+import scipy.sparse as sp
+
 import pdsplit
+from pdsplit import linops, prox, saddle
 
 
 def test_every_public_name_resolves_once_in_sorted_order():
@@ -24,8 +28,6 @@ DEFAULTS = {
                  "max_iters": 1000, "record_every": 1},
     "IdentityShift": {"shift": None},
     "MaskedGradOracle": {"radius": 1.0},
-    "Schedule": {"horizon": None, "omega_x": None, "omega_y": None, "s": 1.0, "t": 1.0,
-                 "chi_x": None, "chi_y": None, "r_tilde": None},
     "Schedule.build": {"s": 1.0, "t": 1.0, "horizon": None, "omega_x": None,
                        "omega_y": None, "chi_x": None, "chi_y": None, "r_tilde": None},
     "StocParams": {"mode": "kappa", "kappa": 1.0, "setting": "bounded", "omega_x": None,
@@ -42,8 +44,7 @@ DEFAULTS = {
     "mode_factors": {"kappa": 0.0},
     "op_norm": {"tol": 1e-09, "max_iters": 10000},
     "primal_objective": {"ax": None},
-    "rate_slope": {"column": "ergodic_objective"},
-    "reference_solve": {"budget": 100000, "tol": 1e-08},
+    "reference_solve": {"budget": 100000},
     "run_accel": {"x0": None, "y0": None},
     "run_fb": {"x0": None, "y0": None, "tol": None},
     "run_fb_sharded": {"x0": None, "y0": None, "tol": None},
@@ -66,3 +67,54 @@ def test_public_callables_take_exactly_the_pinned_defaulted_parameters():
            and not (isinstance(obj, type) and issubclass(obj, Exception))}
     got["Schedule.build"] = _defaults(pdsplit.Schedule.build)
     assert {name: d for name, d in got.items() if d} == DEFAULTS
+
+
+# The public attribute names (methods, properties, class and instance
+# attributes) of four base classes together with every subclass the package
+# defines.  A second name for something, an alias or a kind tag, edits this
+# table.
+ATTRIBUTES = {
+    "LinearOperator": {"apply", "apply_adjoint", "array", "blocks", "matrix", "offsets",
+                       "shape"},
+    "ConjugateProx": {"conj_value", "dim", "labels", "lam", "offsets", "partition", "parts",
+                      "primal_value", "prox", "radii", "shift"},
+    "SmoothLoss": {"A", "L_f", "grad", "on", "phi", "phi_grad", "value"},
+    "SaddleProblem": {"K", "L_f", "dims", "hconj", "k_norm", "loss"},
+}
+
+
+def _family(base):
+    """``base`` and every subclass of it that the package defines."""
+    classes = [base]
+    for cls in classes:
+        classes += [c for c in cls.__subclasses__() if c.__module__.startswith("pdsplit.")]
+    return classes
+
+
+def _instances():
+    """One instance of every class of each family."""
+    eye = linops.IdentityOp(2)
+    box = prox.BoxClip(1.0, 2)
+    loss = saddle.quadratic_loss(np.eye(2), np.ones(2))
+    return {
+        linops.LinearOperator: [linops.DenseOp(np.eye(2)), linops.SparseOp(sp.eye_array(2)),
+                                eye, linops.ZeroOp((2, 2)), linops.VStackOp([eye]),
+                                linops.HStackOp([eye])],
+        prox.ConjugateProx: [box, prox.L2Ball(1.0, 2), prox.L1Ball(1.0, 2),
+                             prox.GroupL2Balls(prox.GroupPartition([2]), 1.0),
+                             prox.HingeConj([1.0, -1.0]), prox.IdentityShift(2),
+                             prox.Composite([box])],
+        saddle.SmoothLoss: [loss],
+        saddle.SaddleProblem: [saddle.SaddleProblem(loss, eye, box)],
+    }
+
+
+def test_base_classes_and_their_subclasses_have_exactly_the_pinned_attributes():
+    got = {}
+    for base, instances in _instances().items():
+        family = _family(base)
+        assert {type(obj) for obj in instances} | {base} == set(family)
+        names = {name for cls in family for name in vars(cls)}
+        names |= {name for obj in instances for name in vars(obj)}
+        got[base.__name__] = {name for name in names if not name.startswith("_")}
+    assert got == ATTRIBUTES

@@ -53,7 +53,7 @@ def test_masked_gradient_is_unbiased():
     problem = identity_lasso_problem(a, rng.standard_normal(6), 1.0)
     oracle = _masked(problem, 0.4, seed=7)
     x = rng.standard_normal(4)
-    exact = problem.grad_f(x)
+    exact = problem.loss.grad(x)
     draws = np.array([oracle.grad(x) for _ in range(10000)])
     err = draws.mean(axis=0) - exact
     se = draws.std(axis=0, ddof=1) / np.sqrt(draws.shape[0])
@@ -67,7 +67,7 @@ def test_masked_oracle_exact_at_full_keep_probability():
     oracle = _masked(problem, 1.0, seed=3)
     x = rng.standard_normal(3)
     for _ in range(10):
-        np.testing.assert_array_equal(oracle.grad(x), problem.grad_f(x))
+        np.testing.assert_array_equal(oracle.grad(x), problem.loss.grad(x))
 
 
 def test_masked_variance_matches_pattern_enumeration():
@@ -77,10 +77,10 @@ def test_masked_variance_matches_pattern_enumeration():
     pi = 0.3
     oracle = _masked(problem, pi, seed=11)
     x = rng.standard_normal(3)
-    exact_moment = oracles.enumerate_mask_second_moment(problem.grad_f, x, pi)
+    exact_moment = oracles.enumerate_mask_second_moment(problem.loss.grad, x, pi)
     n_draws = 200000
     acc = 0.0
-    g = problem.grad_f(x)
+    g = problem.loss.grad(x)
     for _ in range(n_draws):
         d = oracle.grad(x) - g
         acc += float(d @ d)
@@ -155,7 +155,7 @@ def test_estimate_chi_measures_and_inflates():
     oracle = _masked(problem, 0.3, seed=9)
     x = rng.standard_normal(3)
     measured = estimate_chi(oracle, problem, x, np.zeros(3), n_draws=4000)
-    exact_moment = oracles.enumerate_mask_second_moment(problem.grad_f, x, 0.3)
+    exact_moment = oracles.enumerate_mask_second_moment(problem.loss.grad, x, 0.3)
     assert measured["chi_xf"] == pytest.approx(np.sqrt(exact_moment), rel=0.1)
     assert measured["chi_x"] == pytest.approx(1.5 * measured["chi_xf"],
                                               rel=1e-12)
@@ -335,6 +335,24 @@ def test_unresolved_noise_levels_are_refused(dense_problem):
     # A missing horizon is reported first, as the default parameters show.
     with pytest.raises(ConstraintViolation, match="need a horizon"):
         build_stoc_schedule(problem, StocParams())
+
+
+@pytest.mark.parametrize("name", ["chi_x", "chi_y", "r_tilde"])
+@pytest.mark.parametrize("value", [True, np.True_, "a", 0.5j])
+def test_noise_levels_and_anchor_radius_must_be_real_numbers(dense_problem, name, value):
+    problem, _, _, _ = dense_problem
+    inputs = {"chi_x": 0.5, "chi_y": 0.5, "r_tilde": 2.0, name: value}
+    with pytest.raises(ConstraintViolation, match=name):
+        Schedule.build("unbounded", problem.L_f, problem.k_norm, mode_factors("kappa", 1.0),
+                       0.25, 0.2, s=0.75, t=0.8, horizon=40, **inputs)
+
+
+@pytest.mark.parametrize("name", ["chi_x", "chi_y"])
+def test_run_stoc_refuses_a_bool_noise_level(tiny_lasso, name):
+    problem = tiny_lasso.problem
+    params = StocParams(omega_x=5.0, omega_y=5.0, horizon=20, **{name: True})
+    with pytest.raises(ConstraintViolation, match=f"^{name} must be a number"):
+        run_stoc(problem, params, masked_oracle_factory(problem, params, 0.5), seeds=[0])
 
 
 @pytest.mark.parametrize("horizon", [None, 50.5, True, 1])
