@@ -21,7 +21,8 @@ satisfy two per-iteration inequalities that are asserted at construction.
 relaxation and extrapolation laws both for this module's schedules and for
 the noisy ones of :mod:`pdsplit.stoch`, which add noise levels and the
 splitting parameters ``s, t < 1``.  Every schedule comes from
-:meth:`Schedule.build`, the one place that validates a schedule's inputs.
+:meth:`Schedule.build`, which checks each input and the conditions that tie
+them together.
 
 The recursion runs on a ``(dim, B)`` column block, through the one
 iteration loop of :mod:`pdsplit.fb`: :func:`run_accel` is its one-column
@@ -37,9 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import saddle
-from .errors import ConstraintViolation, UnknownKind
+from .errors import ConstraintViolation, _arg, _check_fields, _Domain
 from .fb import IterTrace, _column, _drive, _start_point, _step_norm
-from .linops import _is_finite, _is_index, _is_real
 
 ACCEL_TRACE_COLUMNS = [
     "k",
@@ -57,6 +57,7 @@ ACCEL_TRACE_COLUMNS = [
 # configurations are exactly tight in real arithmetic.
 COND_TOL = 1e-12
 
+_MODES = ("kappa", "chen")
 SETTINGS = ("bounded", "unbounded")
 # Last index at which a deterministic bounded schedule, which has no horizon,
 # asserts its inequalities by default.
@@ -67,38 +68,47 @@ BOUNDED_CHECK_UP_TO = 10000
 class AccelParams:
     """Configuration of an accelerated run.
 
+    At construction an unknown mode or setting raises
+    :class:`~pdsplit.errors.UnknownKind` and another field outside its
+    declared domain :class:`ConstraintViolation` naming it (a bool is not a
+    number).
+
     Attributes
     ----------
     mode : str
         ``"kappa"`` or ``"chen"``.
     kappa : float
-        Continuum position for the ``kappa`` mode.
+        Continuum position for the ``kappa`` mode, a number in ``[-1, 1]``.
     setting : str
         ``"bounded"`` (needs ``omega_x``/``omega_y``) or ``"unbounded"``
         (needs ``horizon``).
     omega_x, omega_y : float or None
-        Iterate-norm bounds of the bounded setting.
+        Iterate-norm bounds of the bounded setting, finite and positive.
     horizon : int or None
-        Step horizon ``N`` of the unbounded setting; the run performs ``N``
-        steps.
+        Step horizon ``N`` of the unbounded setting, an integer of at least
+        2; the run performs ``N`` steps.
     q, r : float
-        Splitting parameters of the schedule inequalities.
+        Splitting parameters of the schedule inequalities, in ``(0, 1)``.
     max_iters : int or None
-        Step count for bounded runs (unbounded runs take the horizon).
+        Step count, a nonnegative integer, for bounded runs, which need it
+        (unbounded runs take the horizon, or this count when smaller).
     record_every : int
-        Trace row cadence.
+        Trace row cadence, a positive integer.
     """
 
-    mode: str = "kappa"
-    kappa: float = 0.0
-    setting: str = "bounded"
-    omega_x: float | None = None
-    omega_y: float | None = None
-    horizon: int | None = None
-    q: float = 0.5
-    r: float = 0.25
-    max_iters: int | None = None
-    record_every: int = 1
+    mode: str = _arg("kappa", "word", words=_MODES)
+    kappa: float = _arg(0.0, "real", "[-1, 1]")
+    setting: str = _arg("bounded", "word", words=SETTINGS)
+    omega_x: float | None = _arg(None, "real", "(0, inf)")
+    omega_y: float | None = _arg(None, "real", "(0, inf)")
+    horizon: int | None = _arg(None, "index", "[2, inf)")
+    q: float = _arg(0.5, "real", "(0, 1)")
+    r: float = _arg(0.25, "real", "(0, 1)")
+    max_iters: int | None = _arg(None, "index", "[0, inf)")
+    record_every: int = _arg(1, "index", "[1, inf)")
+
+    def __post_init__(self):
+        _check_fields(self)
 
 
 def mode_coefficients(mode, kappa=0.0):
@@ -110,16 +120,13 @@ def mode_coefficients(mode, kappa=0.0):
     ------
     ConstraintViolation
         If ``kappa`` is not a number in ``[-1, 1]`` (a bool is not one).
-    UnknownKind
+    ~pdsplit.errors.UnknownKind
         If the mode is neither ``kappa`` nor ``chen``.
     """
-    if mode == "kappa":
-        if not (_is_finite(kappa) and -1.0 <= kappa <= 1.0):
-            raise ConstraintViolation(f"kappa must be a number in [-1, 1], got {kappa!r}")
-        return float(kappa), float(kappa)
+    _check_fields(AccelParams, mode=mode, kappa=kappa)
     if mode == "chen":
         return 1.0, 0.0
-    raise UnknownKind(f"unknown accelerated mode {mode!r}")
+    return float(kappa), float(kappa)
 
 
 def mode_factors(mode, kappa=0.0):
@@ -182,34 +189,34 @@ class Schedule:
               omega_x=None, omega_y=None, chi_x=None, chi_y=None, r_tilde=None):
         """Check the inputs of any schedule, build it and assert its inequalities.
 
-        The schedule is noisy when ``chi_x`` is given (a ``nan`` level is
-        unresolved) and then needs a horizon, as the unbounded setting does.
+        The schedule is noisy when ``chi_x`` is given and then needs a
+        horizon, as the unbounded setting does.
         The bounded setting reads ``omega_x``/``omega_y``, a noisy unbounded
         one ``r_tilde``.  The inequalities are asserted on the indices a run
         steps through (``1..horizon``, or ``1..horizon - 1`` when noisy) and
         on ``1..BOUNDED_CHECK_UP_TO`` for a deterministic bounded schedule.
-        An unknown ``setting`` raises :class:`UnknownKind`, any other bad
-        input :class:`ConstraintViolation`, a ``q``, ``r``, ``s`` or ``t``
-        that is not a finite number (a bool is not) and a noise level or
-        ``r_tilde`` that is not a real number included.
+        The inputs named like :class:`AccelParams` fields take their
+        domains, ``s`` and ``t`` take ``(0, 1]``, ``r_tilde`` and the noise
+        levels finite positive and nonnegative numbers.  An unknown
+        ``setting`` raises :class:`~pdsplit.errors.UnknownKind`, any other
+        bad input :class:`ConstraintViolation`.
         """
         noisy = chi_x is not None
-        horizon = _schedule_horizon(horizon, noisy, setting)
+        _check_fields(AccelParams, setting=setting, q=q, r=r, horizon=horizon,
+                      omega_x=omega_x, omega_y=omega_y)
+        for name, value in (("s", s), ("t", t)):
+            _Domain("real", "(0, 1]").check(name, value)
+        _Domain("real", "(0, inf)", none=True).check("r_tilde", r_tilde)
+        _check_needs(setting, noisy, horizon, omega_x, omega_y, r_tilde)
+        horizon = None if horizon is None else int(horizon)
+        r_tilde = None if r_tilde is None else float(r_tilde)
         if noisy:
             for name, value in (("chi_x", chi_x), ("chi_y", chi_y)):
-                if not _is_real(value):
-                    raise ConstraintViolation(f"{name} must be a number, got {value!r}")
-                if np.isnan(value):
-                    raise ConstraintViolation(
-                        "noise levels are unresolved; run estimate_chi first")
+                _Domain("real", "[0, inf)").check(name, value)
             chi_x, chi_y = float(chi_x), float(chi_y)
-        _check_setting(setting)
-        for name, value in (("q", q), ("r", r), ("s", s), ("t", t)):
-            if not _is_finite(value):
-                raise ConstraintViolation(f"{name} must be a finite number, got {value!r}")
-        if not 0.0 < q < s <= 1.0:
+        if not q < s:
             raise ConstraintViolation(f"need 0 < q < s <= 1, got q = {q}, s = {s}")
-        if not 0.0 < r < t <= 1.0:
+        if not r < t:
             raise ConstraintViolation(f"need 0 < r < t <= 1, got r = {r}, t = {t}")
         if setting == "unbounded" and r >= 0.5:
             raise ConstraintViolation(f"r must stay below 0.5 when unbounded, got {r}")
@@ -217,14 +224,6 @@ class Schedule:
             raise ConstraintViolation(f"noisy schedules need s, t < 1, got {s}, {t}")
         if not k_norm > 0:
             raise ConstraintViolation("coupling norm must be positive")
-        _check_bounds(setting, omega_x, omega_y)
-        if noisy and (chi_x < 0 or chi_y < 0):
-            raise ConstraintViolation("noise levels must be nonnegative")
-        if noisy and setting == "unbounded":
-            if not (_is_real(r_tilde) and r_tilde > 0):
-                raise ConstraintViolation(
-                    f"unbounded setting needs a positive r_tilde, got {r_tilde!r}")
-            r_tilde = float(r_tilde)
         q_const = _q_constant(factors, q, r, s, t, floor_one=setting == "unbounded")
         sched = cls(setting=setting, q=q, r=r, P=1.0 / (s - q), Q=float(q_const),
                     factors=tuple(factors), l_f=l_f, k_norm=k_norm, horizon=horizon,
@@ -360,37 +359,18 @@ def _q_constant(factors, q, r, s, t, floor_one):
     return np.maximum(q_const, 1.0) if floor_one else q_const
 
 
-def _check_bounds(setting, omega_x, omega_y):
-    """Refuse bounded-setting iterate-norm bounds that are not finite and positive."""
-    for name, omega in (("omega_x", omega_x), ("omega_y", omega_y)):
-        if setting == "bounded" and not (_is_finite(omega) and omega > 0.0):
-            raise ConstraintViolation(f"bounded setting needs a finite positive {name}, "
-                                      f"got {omega!r}")
-
-
-def _check_setting(setting):
-    if setting not in SETTINGS:
-        raise UnknownKind(f"unknown schedule setting {setting!r}")
-
-
-def _check_horizon(horizon):
-    if not _is_index(horizon):
-        raise ConstraintViolation(f"horizon must be an integer, got {horizon!r}")
-    if horizon < 2:
-        raise ConstraintViolation("horizon must be at least 2")
-    return int(horizon)
-
-
-def _schedule_horizon(horizon, noisy, setting):
-    """The checked horizon of a schedule: a noisy or unbounded one needs one,
-    a deterministic bounded one may go without (``None``)."""
-    if horizon is None:
-        if noisy or setting == "unbounded":
-            raise ConstraintViolation(
-                "stochastic runs need a horizon" if noisy else "unbounded setting needs a horizon"
-            )
-        return None
-    return _check_horizon(horizon)
+def _check_needs(setting, noisy, horizon, omega_x, omega_y, r_tilde=None):
+    """Refuse a schedule without an input it needs: a noisy or unbounded one
+    a horizon, a bounded one the iterate-norm bounds, a noisy unbounded one
+    ``r_tilde``."""
+    if horizon is None and (noisy or setting == "unbounded"):
+        raise ConstraintViolation(
+            "stochastic runs need a horizon" if noisy else "unbounded setting needs a horizon")
+    needs = {"omega_x": omega_x, "omega_y": omega_y} if setting == "bounded" else (
+        {"r_tilde": r_tilde} if noisy else {})
+    for name, value in needs.items():
+        if value is None:
+            raise ConstraintViolation(f"{setting} setting needs {name}")
 
 
 def _gap_bound(p_const, q_const, l_f, k_norm, omega_x, omega_y, k):
@@ -426,10 +406,10 @@ def tune_qr(setting, l_f, k_norm, factors, horizon, omega_x=None, omega_y=None):
     minimize the perturbation-energy bound.  Ties break toward smaller
     ``q``, then smaller ``r``.
     """
-    horizon = _check_horizon(horizon)
-    _check_setting(setting)
+    _check_fields(AccelParams, setting=setting, omega_x=omega_x, omega_y=omega_y)
+    _Domain("index", "[2, inf)").check("horizon", horizon)
+    _check_needs(setting, False, horizon, omega_x, omega_y)
     bounded = setting == "bounded"
-    _check_bounds(setting, omega_x, omega_y)
     grid = np.arange(1, 100) * 0.01
     r_grid = grid if bounded else grid[grid < 0.5]
     qq, rr = np.meshgrid(grid, r_grid, indexing="ij")
@@ -614,7 +594,7 @@ def run_accel(problem, params, x0=None, y0=None):
     """Run the accelerated iteration.
 
     Bounded runs take ``params.max_iters`` steps; unbounded runs take
-    ``params.horizon`` steps.  The trace's ``objective`` column tracks the
+    ``params.horizon`` steps, or ``max_iters`` when smaller.  The trace's ``objective`` column tracks the
     resolvent point and ``ergodic_objective`` the averaged point carrying
     the rate guarantee.
 
@@ -624,14 +604,11 @@ def run_accel(problem, params, x0=None, y0=None):
     """
     x, y = _start_point(problem, x0, y0)
     schedule = build_schedule(problem, params)
-    if params.setting == "bounded":
-        if params.max_iters is None or params.max_iters < 0:
-            raise ConstraintViolation("bounded runs need a nonnegative max_iters")
-        n_steps = params.max_iters
-    else:
-        n_steps = params.horizon if params.max_iters is None else min(
-            params.horizon, params.max_iters
-        )
+    bounded = params.setting == "bounded"
+    if bounded and params.max_iters is None:
+        raise ConstraintViolation("bounded runs need max_iters")
+    n_steps = min(n for n in (params.max_iters, None if bounded else params.horizon)
+                  if n is not None)
     alpha, beta = mode_coefficients(params.mode, params.kappa)
     [result] = _run_schedule(
         problem,

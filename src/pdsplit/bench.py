@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
@@ -28,8 +28,8 @@ from .errors import (
     InsufficientData,
     InsufficientInactives,
     ResidualTooLarge,
-    UnknownKind,
 )
+from .errors import _arg, _check_fields, _Domain
 from .linops import IdentityOp
 from .prox import BoxClip, GroupL2Balls, GroupPartition
 
@@ -49,35 +49,34 @@ BUNDLE_RESPONSE = "response.txt"
 BUNDLE_COUPLING = "coupling.txt"
 BUNDLE_SIGNAL = "signal.txt"
 
-# The integer fields of a spec.
-_SPEC_INTEGERS = ("seed", "n_samples", "n_groups", "group_size", "subnet_size", "n_subnets",
-                  "n_active", "dim")
-
-# Types of the numeric keys of bundle metadata and reference summaries.
-_VALUE_TYPES = dict.fromkeys(("lam", "noise_sd", "objective", "residual_rel"), float)
-_VALUE_TYPES.update(dict.fromkeys((
-    *_SPEC_INTEGERS, "n_edges", "primal_dim", "dual_dim", "iterations", "best_effort"), int))
+# The generator kinds, in the order of the CLI's ``problem`` choices.
+GENERATOR_KINDS = (
+    "overlapping-group-lasso", "graph-guided-fused-lasso", "latent-group-lasso", "lasso")
 
 
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Parameters of one synthetic problem instance.
 
+    At construction an unknown kind raises :class:`~pdsplit.errors.UnknownKind`
+    and another field outside its declared domain :class:`ConstraintViolation`
+    naming it.  Counts are integers (a bool is not one), positive unless said.
+
     Attributes
     ----------
     kind : str
         One of ``GENERATOR_KINDS``.
     seed : int
-        Counter-based generator seed; the same spec and seed reproduce the
-        problem bit for bit on any platform.
+        Counter-based generator seed, nonnegative; the same spec and seed
+        reproduce the problem bit for bit on any platform.
     n_samples : int
         Number of observation rows.
     n_groups, group_size : int
-        Group count and size of the chained-group designs (each group shares
-        ``OVERLAP`` coordinates with its successor).
+        Group count and size, above ``OVERLAP``, of the chained-group designs
+        (each group shares ``OVERLAP`` coordinates with its successor).
     subnet_size, n_subnets, n_active : int
-        Cluster size, cluster count, and number of signal-carrying clusters
-        of the network design.
+        Cluster size, cluster count, and number (0 to ``n_subnets``) of
+        signal-carrying clusters of the network design.
     dim : int
         Coordinate count of the plain lasso design.
     lam : float or None
@@ -89,53 +88,25 @@ class SyntheticSpec:
         selects the kind's default (100 for the network design, 1 otherwise).
     """
 
-    kind: str
-    seed: int = 0
-    n_samples: int = 200
-    n_groups: int = 10
-    group_size: int = 20
-    subnet_size: int = 5
-    n_subnets: int = 40
-    n_active: int = 4
-    dim: int = 20
-    lam: float | None = None
-    noise_sd: float | None = None
+    kind: str = _arg(MISSING, "word", words=GENERATOR_KINDS)
+    seed: int = _arg(0, "index", "[0, inf)")
+    n_samples: int = _arg(200, "index", "[1, inf)")
+    n_groups: int = _arg(10, "index", "[1, inf)")
+    group_size: int = _arg(20, "index", "[1, inf)")
+    subnet_size: int = _arg(5, "index", "[1, inf)")
+    n_subnets: int = _arg(40, "index", "[1, inf)")
+    n_active: int = _arg(4, "index", "[0, inf)")
+    dim: int = _arg(20, "index", "[1, inf)")
+    lam: float | None = _arg(None, "real", "[0, inf)")
+    noise_sd: float | None = _arg(None, "real", "[0, inf)")
 
     def __post_init__(self):
-        if self.kind not in GENERATOR_KINDS:
-            raise UnknownKind(f"unknown generator kind {self.kind!r}")
-        for name in _SPEC_INTEGERS:
-            value = getattr(self, name)
-            if not linops._is_index(value):
-                raise ConstraintViolation(f"{name} must be an integer, got {value!r}")
-        if self.seed < 0:
-            raise ConstraintViolation("seed must be nonnegative")
-        if self.n_samples < 1:
-            raise ConstraintViolation("n_samples must be positive")
+        _check_fields(self)
         if self.kind in ("overlapping-group-lasso", "latent-group-lasso"):
-            if self.n_groups < 1:
-                raise ConstraintViolation("n_groups must be positive")
             if self.group_size <= OVERLAP:
-                raise ConstraintViolation(
-                    f"group_size must exceed the overlap {OVERLAP}"
-                )
-        elif self.kind == "graph-guided-fused-lasso":
-            if self.subnet_size < 1 or self.n_subnets < 1:
-                raise ConstraintViolation("cluster counts must be positive")
-            if not 0 <= self.n_active <= self.n_subnets:
-                raise ConstraintViolation(
-                    "n_active must lie between 0 and n_subnets"
-                )
-        elif self.dim < 1:
-            raise ConstraintViolation("dim must be positive")
-        for name in ("lam", "noise_sd"):
-            value = getattr(self, name)
-            if value is None:
-                continue
-            if not (linops._is_real(value) and math.isfinite(value)):
-                raise ConstraintViolation(f"{name} must be a finite number, got {value!r}")
-            if value < 0:
-                raise ConstraintViolation(f"{name} must be nonnegative")
+                raise ConstraintViolation(f"group_size must exceed the overlap {OVERLAP}")
+        elif self.kind == "graph-guided-fused-lasso" and self.n_active > self.n_subnets:
+            raise ConstraintViolation("n_active must lie between 0 and n_subnets")
 
     @property
     def primal_dim(self):
@@ -161,6 +132,13 @@ class SyntheticSpec:
         if self.noise_sd is not None:
             return float(self.noise_sd)
         return 100.0 if self.kind == "graph-guided-fused-lasso" else 1.0
+
+
+# Types of the numeric keys of bundle metadata and reference summaries.
+_VALUE_TYPES = {f.name: float if f.metadata["domain"].kind == "real" else int
+                for f in fields(SyntheticSpec) if f.name != "kind"}
+_VALUE_TYPES.update(objective=float, residual_rel=float, n_edges=int, primal_dim=int,
+                    dual_dim=int, iterations=int, best_effort=int)
 
 
 @dataclass
@@ -355,11 +333,6 @@ def gen_graph_guided_fused_lasso(spec):
     return _generated(spec, a, b, x_true, k_op, n_edges=len(edges))
 
 
-# The generator kinds, in the order of the CLI's ``problem`` choices.
-GENERATOR_KINDS = (
-    "overlapping-group-lasso", "graph-guided-fused-lasso", "latent-group-lasso", "lasso")
-
-
 def generate(spec):
     """The problem of ``spec``, with its data and ground truth.
 
@@ -474,11 +447,7 @@ def reference_solve(problem, budget=100000):
     ConstraintViolation
         If ``budget`` is not an integer of at least 2.
     """
-    if not linops._is_index(budget):
-        raise ConstraintViolation(f"reference budget must be an integer, got {budget!r}")
-    budget = int(budget)
-    if budget < 2:
-        raise ConstraintViolation("reference budget must be at least 2")
+    budget = int(_Domain("index", "[2, inf)").check("reference budget", budget))
     tol = REFERENCE_TOL
     p, l = problem.dims
     zero_coupling = problem.k_norm == 0.0

@@ -39,7 +39,7 @@ import numpy as np
 
 from . import saddle, textio
 from .errors import ConstraintViolation, DegenerateProblem, DimensionError, NonFiniteIterate
-from .linops import _is_finite, _is_index, _is_real
+from .errors import _arg, _check_fields, _Domain
 
 # Fraction of the theoretical caps used by the step and relaxation recipes.
 RECIPE_FACTOR = 0.9
@@ -49,26 +49,34 @@ RECIPE_FACTOR = 0.9
 class FbParams:
     """Parameters of the relaxed preconditioned iteration.
 
+    A field outside its declared domain raises :class:`ConstraintViolation`
+    naming it at construction (a bool is not a number).
+
     Attributes
     ----------
     kappa : float
-        Continuum position in ``[-1, 1]``.
+        Continuum position, a number in ``[-1, 1]``.
     tau, sigma : float or None
-        Primal and dual step sizes; ``None`` selects the recipe values.
+        Primal and dual steps, finite and positive; ``None`` selects each
+        recipe value.
     relaxation : float or str
-        A constant relaxation factor, or ``"recipe"`` for 0.9 times the cap.
+        A constant relaxation factor, finite and positive, or ``"recipe"``
+        for 0.9 times the cap.
     max_iters : int
-        Iteration budget.
+        Iteration budget, a nonnegative integer.
     record_every : int
-        Trace row cadence (the final row is always recorded).
+        Trace row cadence, positive (the final row is always recorded).
     """
 
-    kappa: float = 0.0
-    tau: float | None = None
-    sigma: float | None = None
-    relaxation: float | str = "recipe"
-    max_iters: int = 1000
-    record_every: int = 1
+    kappa: float = _arg(0.0, "real", "[-1, 1]")
+    tau: float | None = _arg(None, "real", "(0, inf)")
+    sigma: float | None = _arg(None, "real", "(0, inf)")
+    relaxation: float | str = _arg("recipe", "real", "(0, inf)", words=("recipe",))
+    max_iters: int = _arg(1000, "index", "[0, inf)")
+    record_every: int = _arg(1, "index", "[1, inf)")
+
+    def __post_init__(self):
+        _check_fields(self)
 
 
 class IterTrace:
@@ -215,18 +223,9 @@ def validate_params(problem, params):
     Raises
     ------
     ConstraintViolation
-        If ``kappa``, ``tau`` or ``sigma`` is not a finite number (a bool is
-        not one), ``kappa`` leaves ``[-1, 1]``, the budget is bad, the steps
-        leave the region, or the relaxation is not ``"recipe"`` or a number
-        in ``(0, delta)``.
+        If the steps leave the region or a relaxation reaches the cap.
     """
     kappa, tau, sigma = params.kappa, params.tau, params.sigma
-    if not (_is_finite(kappa) and -1.0 <= kappa <= 1.0):
-        raise ConstraintViolation(f"kappa must be a number in [-1, 1], got {kappa!r}")
-    for name, value in (("tau", tau), ("sigma", sigma)):
-        if value is not None and not _is_finite(value):
-            raise ConstraintViolation(f"{name} must be a finite number, got {value!r}")
-    _check_budget(params.max_iters, params.record_every)
     if tau is None or sigma is None:
         dtau, dsigma = default_step_sizes(problem, kappa)
         tau = dtau if tau is None else tau
@@ -240,9 +239,9 @@ def validate_params(problem, params):
         )
     delta = relaxation_cap(problem.L_f, problem.k_norm, kappa, tau, sigma)
     rho = params.relaxation
-    if isinstance(rho, str) and rho == "recipe":
+    if rho == "recipe":
         rho = RECIPE_FACTOR * delta
-    elif not (_is_real(rho) and 0.0 < rho < delta):
+    elif not rho < delta:
         raise ConstraintViolation(
             f"relaxation must be 'recipe' or a number in (0, {delta:.6g}), got {rho!r}"
         )
@@ -333,15 +332,6 @@ def _start_point(problem, x0, y0):
     return x, y
 
 
-def _check_budget(n_steps, record_every):
-    if not (_is_index(n_steps) and _is_index(record_every)):
-        raise ConstraintViolation("iteration budget and recording cadence must be "
-                                  f"integers, got {n_steps!r} and {record_every!r}")
-    if n_steps < 0 or record_every < 1:
-        raise ConstraintViolation("iteration budget must be nonnegative and "
-                                  "the recording cadence positive")
-
-
 def _drive(step, row, n_steps, record_every, columns, labels=("",), tol=None,
            raise_lost=True, leave=None):
     """The iteration loop of every runner.
@@ -379,13 +369,10 @@ def _drive(step, row, n_steps, record_every, columns, labels=("",), tol=None,
     Raises
     ------
     ConstraintViolation
-        If ``n_steps`` or ``record_every`` is not an integer, ``n_steps`` is
-        negative or ``record_every`` is not positive, or ``tol`` is not
-        ``None`` or a nonnegative number (a bool is not one).
+        If ``tol`` is not ``None`` or a nonnegative number (a bool is not
+        one).
     """
-    _check_budget(n_steps, record_every)
-    if tol is not None and not (_is_real(tol) and tol >= 0.0):
-        raise ConstraintViolation(f"tolerance must be a nonnegative number, got {tol!r}")
+    _Domain("real", "[0, inf]", none=True).check("tolerance", tol)
     traces = [IterTrace(columns) for _ in labels]
     last = np.zeros(len(labels), dtype=int)
     converged = np.zeros(len(labels), dtype=bool)
@@ -615,7 +602,7 @@ def run_fb_block(problem, kappa, tau, sigma, max_iters, tol):
         An infinite step, which the scan of a degenerate problem forms, is
         taken as given.
     max_iters : int
-        Iteration budget of every column.
+        Iteration budget of every column, a nonnegative integer.
     tol : float
         Per-column stopping tolerance on the unrelaxed step residual.
 
@@ -627,13 +614,12 @@ def run_fb_block(problem, kappa, tau, sigma, max_iters, tol):
     kappa, tau, sigma = (np.asarray(v, dtype=object) for v in (kappa, tau, sigma))
     if kappa.ndim != 1 or tau.shape != kappa.shape or sigma.shape != kappa.shape:
         raise DimensionError("kappa, tau and sigma must be rows of one length")
-    for name, row in (("kappa", kappa), ("tau", tau), ("sigma", sigma)):
-        bad = [v for v in row if not _is_real(v)]
-        if bad:
-            raise ConstraintViolation(f"every {name} must be a real number, got {bad[0]!r}")
+    for name, row, interval in (("kappa", kappa, "[-1, 1]"), ("tau", tau, "(0, inf]"),
+                                ("sigma", sigma, "(0, inf]")):
+        for value in row:
+            _Domain("real", interval).check(f"every {name}", value)
+    _check_fields(FbParams, max_iters=max_iters)
     kappa, tau, sigma = (row.astype(float) for row in (kappa, tau, sigma))
-    if not ((np.abs(kappa) <= 1.0).all() and (tau > 0.0).all() and (sigma > 0.0).all()):
-        raise ConstraintViolation("every kappa must lie in [-1, 1] and every step be positive")
     p, l = problem.dims
     n = kappa.size
     x, y, x_t, y_t, traces, ks, converged = _relaxed_run(
@@ -693,18 +679,20 @@ def run_fbf(problem, tau=None, alpha1=0.0, alpha2=0.0, max_iters=1000, x0=None, 
             tol=None, record_every=1):
     """Run the forward-backward-forward benchmark iteration.
 
-    ``tau`` (by default :func:`fbf_default_step`), ``alpha1`` and ``alpha2``
-    must be finite numbers, else :class:`ConstraintViolation`.  Returns an
-    :class:`FbResult` with ``tau`` as both steps; the metric distance
-    ``mdist`` is not defined for this scheme and stays ``nan``.
+    ``tau`` (by default :func:`fbf_default_step`), ``max_iters`` and
+    ``record_every`` take the domains of those :class:`FbParams` fields,
+    and ``alpha1`` and ``alpha2`` any finite number, else
+    :class:`ConstraintViolation`.  Returns an :class:`FbResult` with ``tau``
+    as both steps; the metric distance ``mdist`` is not defined for this
+    scheme and stays ``nan``.
     """
     x, y = _start_point(problem, x0, y0)
+    _check_fields(FbParams, tau=tau, max_iters=max_iters, record_every=record_every)
+    for name, value in (("alpha1", alpha1), ("alpha2", alpha2)):
+        _Domain("real").check(name, value)
     if tau is None:
         tau = fbf_default_step(problem)
-    for name, value in (("tau", tau), ("alpha1", alpha1), ("alpha2", alpha2)):
-        if not _is_finite(value):
-            raise ConstraintViolation(f"{name} must be a finite number, got {value!r}")
-    if tau <= 0 or tau >= 1.0 / (problem.L_f + problem.k_norm):
+    if tau >= 1.0 / (problem.L_f + problem.k_norm):
         raise ConstraintViolation(
             "forward-backward-forward step must satisfy tau * (L_f + ||K||) < 1"
         )

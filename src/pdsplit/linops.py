@@ -24,13 +24,11 @@ product by that matrix.
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import (
-    ConstraintViolation,
     DegenerateProblem,
     DimensionError,
     IndexOutOfRange,
@@ -38,6 +36,7 @@ from .errors import (
     SelfLoop,
     UnknownKind,
 )
+from .errors import _Domain, _is_index
 
 # Sparse matrices strictly smaller than this along both axes are stored dense.
 DENSE_FALLBACK_DIM = 64
@@ -358,10 +357,8 @@ def op_norm(op, tol=1e-9, max_iters=10000):
     DegenerateProblem
         If a normal-operator product is not finite.
     """
-    if not (_is_finite(tol) and tol >= 0.0):
-        raise ConstraintViolation(f"tol must be a finite nonnegative number, got {tol!r}")
-    if not (_is_index(max_iters) and max_iters >= 0):
-        raise ConstraintViolation(f"max_iters must be a nonnegative integer, got {max_iters!r}")
+    _Domain("real", "[0, inf)").check("tol", tol)
+    _Domain("index", "[0, inf)").check("max_iters", max_iters)
     rows, cols = op.shape
     if rows == 0 or cols == 0:
         return 0.0
@@ -413,21 +410,6 @@ def safe_op_norm(op):
     stay on the conservative side.
     """
     return NORM_SAFETY * op_norm(op)
-
-
-def _is_index(value):
-    """Whether ``value`` is an integer, of Python or numpy type (a bool is not)."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _is_real(value):
-    """Whether ``value`` is a real number, of Python or numpy type (a bool is not)."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _is_finite(value):
-    """Whether ``value`` is a finite real number (a bool is not)."""
-    return _is_real(value) and math.isfinite(value)
 
 
 def build_group_membership(groups, p):

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BadLabels, DegenerateProblem, DimensionError, UnknownKind
-from .linops import _is_real
+from .errors import BadLabels, DegenerateProblem, DimensionError, UnknownKind, _is_real
 
 
 class GroupPartition:
@@ -61,10 +60,11 @@ class GroupPartition:
 
 
 def _weight(value, what="penalty weight"):
-    """``value`` as a float, once it is a real number (a bool is not), not
-    NaN and not negative."""
-    if not (_is_real(value) and value >= 0):
-        raise DegenerateProblem(f"{what} must be a nonnegative number, got {value!r}")
+    """``value`` as a float, once it is a finite nonnegative real number (a
+    bool is not): an infinite weight has no finite penalty, not even at
+    zero."""
+    if not (_is_real(value) and 0 <= value < np.inf):
+        raise DegenerateProblem(f"{what} must be a finite nonnegative number, got {value!r}")
     return float(value)
 
 

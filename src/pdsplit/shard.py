@@ -31,9 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fb
-from .errors import ConstraintViolation, TooManyWorkers
+from .errors import TooManyWorkers, _Domain
 from .fb import IterTrace
-from .linops import _is_index, to_sparse
+from .linops import to_sparse
 
 LEDGER_COLUMNS = ["iter", "loss_comm", "penalty_comm", "total_comm"]
 
@@ -117,11 +117,7 @@ def partition_problem(problem, m_workers):
     TooManyWorkers
         If there are more workers than feature columns.
     """
-    if not _is_index(m_workers):
-        raise ConstraintViolation(f"worker count must be an integer, got {m_workers!r}")
-    m = int(m_workers)
-    if m < 1:
-        raise ConstraintViolation("worker count must be positive")
+    m = int(_Domain("index", "[1, inf)").check("worker count m_workers", m_workers))
     p, l = problem.dims
     if m > p:
         raise TooManyWorkers(f"{m} workers for {p} features")

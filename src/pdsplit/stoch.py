@@ -36,16 +36,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .accel import (
+    SETTINGS,
     Schedule,
+    _MODES,
     _accel_core,
+    _check_needs,
     _run_schedule,
-    _schedule_horizon,
     mode_coefficients,
     mode_factors,
 )
 from .errors import ConstraintViolation, DimensionError, UnsupportedMode
+from .errors import _arg, _check_fields, _Domain
 from .fb import IterTrace, _start_point
-from .linops import _is_index, _is_real
 
 AGGREGATE_COLUMNS = ["k", "mean_objective", "median_objective", "q10", "q90"]
 
@@ -62,39 +64,50 @@ class StocParams:
     The horizon ``N`` fixes the step denominators in both settings; a run
     performs ``N - 1`` steps so the final iterate carries index ``N``.
 
+    Fields are checked at construction, as in :class:`~pdsplit.accel.AccelParams`.
+
     Attributes
     ----------
     mode, kappa : str, float
-        Operator mode, as in the deterministic module.
+        Operator mode, as in the deterministic module, and a continuum
+        position in ``[-1, 1]``.
     setting : str
         ``"bounded"`` (needs ``omega_x``/``omega_y``) or ``"unbounded"``
-        (needs ``r_tilde``, an anchor-radius estimate).
+        (needs ``r_tilde``, an anchor-radius estimate); both finite and
+        positive.
+    horizon : int or None
+        The horizon ``N``, an integer of at least 2; a run needs it.
     q, r, s, t : float
-        Splitting parameters with ``0 < q < s < 1`` and ``0 < r < t < 1``
+        Splitting parameters in ``(0, 1)`` with ``q < s`` and ``r < t``
         (``r < 1/2`` in the unbounded setting).
     chi_x, chi_y : float or None
-        Noise levels of the primal and dual estimate channels; ``None``
-        defers to the oracle's declared bounds (or, when those are also
-        undeclared, a measurement at the starting point).
+        Noise levels of the primal and dual estimate channels, finite and
+        nonnegative; ``None`` defers to the oracle's declared bounds, or else
+        to a measurement at the starting point.
+    record_every : int
+        Trace row cadence, a positive integer.
     unproven : bool
-        Allow modes without a stochastic guarantee.
+        Allow modes without a stochastic guarantee; only a bool is taken.
     """
 
-    mode: str = "kappa"
-    kappa: float = 1.0
-    setting: str = "bounded"
-    omega_x: float | None = None
-    omega_y: float | None = None
-    horizon: int | None = None
-    q: float = 0.25
-    r: float = 0.2
-    s: float = 0.75
-    t: float = 0.8
-    chi_x: float | None = None
-    chi_y: float | None = None
-    r_tilde: float | None = None
-    record_every: int = 1
-    unproven: bool = False
+    mode: str = _arg("kappa", "word", words=_MODES)
+    kappa: float = _arg(1.0, "real", "[-1, 1]")
+    setting: str = _arg("bounded", "word", words=SETTINGS)
+    omega_x: float | None = _arg(None, "real", "(0, inf)")
+    omega_y: float | None = _arg(None, "real", "(0, inf)")
+    horizon: int | None = _arg(None, "index", "[2, inf)")
+    q: float = _arg(0.25, "real", "(0, 1)")
+    r: float = _arg(0.2, "real", "(0, 1)")
+    s: float = _arg(0.75, "real", "(0, 1)")
+    t: float = _arg(0.8, "real", "(0, 1)")
+    chi_x: float | None = _arg(None, "real", "[0, inf)")
+    chi_y: float | None = _arg(None, "real", "[0, inf)")
+    r_tilde: float | None = _arg(None, "real", "(0, inf)")
+    record_every: int = _arg(1, "index", "[1, inf)")
+    unproven: bool = _arg(False, "bool")
+
+    def __post_init__(self):
+        _check_fields(self)
 
 
 class StochasticOracle:
@@ -179,16 +192,14 @@ class MaskedGradOracle(StochasticOracle):
     """
 
     def __init__(self, problem, pi, seed, radius=1.0):
-        if not (_is_real(pi) and 0.0 < pi <= 1.0):
-            raise ConstraintViolation(f"keep probability must lie in (0, 1], got {pi!r}")
-        if not (_is_real(radius) and radius > 0.0):
-            raise ConstraintViolation(f"declaration radius must be positive, got {radius!r}")
+        _Domain("real", "(0, 1]").check("pi", pi)
+        _Domain("real", "(0, inf)").check("radius", radius)
         self.problem = problem
         self.pi = float(pi)
         self.radius = float(radius)
         seeds = [seed] if np.ndim(seed) == 0 else list(seed)
-        if not all(_is_index(s) and s >= 0 for s in seeds):
-            raise ConstraintViolation(f"seed must hold nonnegative integers, got {seed!r}")
+        for s in seeds:
+            _Domain("index", "[0, inf)").check("seed", s)
         self.rngs = [np.random.Generator(np.random.Philox(s)) for s in seeds]
         self.chi_xf = problem.L_f * np.sqrt((1.0 - self.pi) / self.pi) * self.radius
         self.chi_xk = 0.0
@@ -243,8 +254,7 @@ def estimate_chi(oracle, problem, x, y, n_draws=CHI_DRAWS):
     dict
         ``chi_x``, ``chi_y``, and the raw per-channel values.
     """
-    if not (_is_index(n_draws) and n_draws >= 1):
-        raise ConstraintViolation(f"n_draws must be a positive integer, got {n_draws!r}")
+    _Domain("index", "[1, inf)").check("n_draws", n_draws)
     g = problem.loss.grad(x)
     kx = problem.K.apply(x)
     ky = problem.K.apply_adjoint(y)
@@ -307,19 +317,23 @@ def check_proven_mode(params):
 def build_stoc_schedule(problem, params):
     """Construct the noisy schedule requested by ``params``.
 
-    An unresolved noise level (``None``) goes on as ``nan``, which the
-    schedule refuses.  A bounded schedule reads the iterate-norm bounds, an
+    A missing horizon is refused first, then an unresolved noise level
+    (``None``).  A bounded schedule reads the iterate-norm bounds, an
     unbounded one the anchor-radius estimate ``r_tilde``.
     """
+    _check_needs(params.setting, True, params.horizon, params.omega_x, params.omega_y,
+                 params.r_tilde)
+    if params.chi_x is None or params.chi_y is None:
+        raise ConstraintViolation("noise levels are unresolved; run estimate_chi first")
     factors = mode_factors(params.mode, params.kappa)
-    chi_x, chi_y = (np.nan if chi is None else chi for chi in (params.chi_x, params.chi_y))
     bounded = params.setting == "bounded"
     return Schedule.build(
         params.setting, problem.L_f, problem.k_norm, factors, params.q, params.r,
         s=params.s, t=params.t, horizon=params.horizon,
         omega_x=params.omega_x if bounded else None,
         omega_y=params.omega_y if bounded else None,
-        chi_x=chi_x, chi_y=chi_y, r_tilde=None if bounded else params.r_tilde,
+        chi_x=params.chi_x, chi_y=params.chi_y,
+        r_tilde=None if bounded else params.r_tilde,
     )
 
 
@@ -383,20 +397,20 @@ def run_stoc(problem, params, oracle_factory, seeds, x0=None, y0=None):
     ConstraintViolation
         Before any draw, if ``seeds`` is empty or holds a seed that is not
         an integer (a bool is not one) or that repeats, or if the horizon
-        is missing, not an integer or below 2.
+        or an input of the setting is missing.
     """
     check_proven_mode(params)
     seeds = list(seeds)
     if not seeds:
         raise ConstraintViolation("run_stoc needs at least one seed")
     for j, seed in enumerate(seeds):
-        if not _is_index(seed):
-            raise ConstraintViolation(f"seeds must be integers, got {seed!r}")
+        _Domain("index").check("seeds", seed)
         if seed in seeds[:j]:
             raise ConstraintViolation(f"seed {seed} repeats")
     seeds = [int(s) for s in seeds]
     x_start, y_start = _start_point(problem, x0, y0)
-    _schedule_horizon(params.horizon, True, params.setting)
+    _check_needs(params.setting, True, params.horizon, params.omega_x, params.omega_y,
+                 params.r_tilde)
 
     chi_x, chi_y = params.chi_x, params.chi_y
     if chi_x is None or chi_y is None:

@@ -244,9 +244,9 @@ def test_schedules_refuse_a_splitting_parameter_that_is_not_a_finite_number(dens
         Schedule.build("bounded", problem.L_f, problem.k_norm, factors, omega_x=2.0,
                        omega_y=3.0, **splitting)
     if name in ("q", "r"):
-        params = AccelParams(setting="bounded", omega_x=2.0, omega_y=3.0, max_iters=2,
-                             **{name: value})
         with pytest.raises(ConstraintViolation, match=f"^{name} must be a finite number"):
+            params = AccelParams(setting="bounded", omega_x=2.0, omega_y=3.0, max_iters=2,
+                                 **{name: value})
             run_accel(problem, params)
 
 
@@ -447,8 +447,8 @@ def test_run_accel_unbounded_runs_horizon_steps(tiny_lasso):
 def test_horizon_must_be_an_integer(tiny_lasso):
     problem = tiny_lasso.problem
     for horizon in (10.7, 10.0, np.float64(10.0), True):
-        params = AccelParams(setting="unbounded", horizon=horizon)
         with pytest.raises(ConstraintViolation):
+            params = AccelParams(setting="unbounded", horizon=horizon)
             run_accel(problem, params)
         with pytest.raises(ConstraintViolation):
             tune_qr("unbounded", problem.L_f, problem.k_norm, mode_factors("kappa"),

@@ -145,7 +145,7 @@ def test_run_writes_artifacts_and_exits_zero(tmp_path):
 
 def test_zero_recording_cadence_is_a_solver_error(tmp_path, capsys):
     assert _run(tmp_path, TINY_FBF + "record_every=0\n") == 2
-    assert "recording cadence" in capsys.readouterr().err
+    assert "record_every" in capsys.readouterr().err
 
 
 def test_accel_modes_write_one_trace_per_mode(tmp_path):

@@ -1,12 +1,17 @@
-"""The public surface: ``pdsplit.__all__`` names what the package exports."""
+"""The public surface: the names the package exports, their options, and the
+inputs they refuse."""
 
+import dataclasses
 import inspect
+import math
 
 import numpy as np
+import pytest
 import scipy.sparse as sp
 
 import pdsplit
-from pdsplit import linops, prox, saddle
+from pdsplit import errors, fb, linops, prox, saddle
+from pdsplit.errors import SolverError
 
 
 def test_every_public_name_resolves_once_in_sorted_order():
@@ -118,3 +123,169 @@ def test_base_classes_and_their_subclasses_have_exactly_the_pinned_attributes():
         names |= {name for obj in instances for name in vars(obj)}
         got[base.__name__] = {name for name in names if not name.startswith("_")}
     assert got == ATTRIBUTES
+
+
+# Every kind of value an input can be given wrongly or at an edge.
+SWEEP = (True, math.nan, math.inf, -math.inf, "a", 1 + 2j, None, -1, 0, 2.5)
+
+# Defaulted parameters in DEFAULTS that take an array, not a number.
+ARRAY_PARAMETERS = {"x0", "y0", "ax", "shift"}
+
+RECORDS = ("FbParams", "AccelParams", "StocParams", "SyntheticSpec")
+
+
+def _outputs(out):
+    """The numbers a call returned: its trace objectives, the objective of
+    a generated problem or a penalty at zero, a schedule's first steps, or
+    the numbers themselves."""
+    if isinstance(out, pdsplit.FbResult | pdsplit.AccelResult):
+        out = out.trace.column("objective")
+    if isinstance(out, pdsplit.StocResult):
+        out = np.concatenate([run.trace.column("objective") for run in out.runs])
+    if isinstance(out, list):
+        out = np.concatenate([r.trace.column("objective") for r in out] or [[]])
+    if isinstance(out, dict):
+        out = list(out.values())
+    if isinstance(out, pdsplit.GeneratedProblem):
+        out = saddle.primal_objective(out.problem, np.zeros(out.problem.dims[0]))
+    if isinstance(out, pdsplit.Schedule):
+        out = (out.tau(1), out.sigma(1))
+    if isinstance(out, prox.ConjugateProx):
+        out = out.primal_value(np.zeros(out.dim))
+    return np.atleast_1d(np.asarray(out, dtype=object)).tolist()
+
+
+def _calls(problem):
+    """Every swept callable on a tiny lasso, by name, with its base arguments.
+
+    Each call runs at most five steps.  Records are built, then run (or
+    generated); the callables of DEFAULTS take their base arguments as
+    keywords, and so do a few public functions of bare numbers that have no
+    defaulted parameter.
+    """
+    p, l = problem.dims
+    z_p, z_l = np.zeros(p), np.zeros(l)
+    factors = pdsplit.mode_factors("kappa", 1.0)
+
+    def record(cls, run, **base):
+        return lambda **kw: run(cls(**{**base, **kw})), base
+
+    def stoc(params):
+        factory = pdsplit.masked_oracle_factory(problem, params, 0.5)
+        return pdsplit.run_stoc(problem, params, factory, seeds=[0])
+
+    def block(kappa=0.0, tau=0.1, sigma=0.1, max_iters=3, tol=1e-12):
+        return fb.run_fb_block(problem, [kappa], [tau], [sigma], max_iters, tol)
+
+    def schedule(setting="bounded", q=0.25, r=0.2, **kw):
+        return pdsplit.Schedule.build(setting, problem.L_f, problem.k_norm, factors, q, r,
+                                      **kw)
+
+    noisy = dict(s=0.75, t=0.8, horizon=5, omega_x=2.0, omega_y=2.0, chi_x=0.5, chi_y=0.5)
+    return {
+        "FbParams": record(pdsplit.FbParams, lambda pr: pdsplit.run_fb(problem, pr),
+                           max_iters=3),
+        "AccelParams": record(pdsplit.AccelParams,
+                              lambda pr: pdsplit.run_accel(problem, pr),
+                              omega_x=2.0, omega_y=2.0, max_iters=3),
+        "StocParams": record(pdsplit.StocParams, stoc, kappa=0.5, unproven=True,
+                             omega_x=2.0, omega_y=2.0, horizon=4),
+        "SyntheticSpec": record(pdsplit.SyntheticSpec, pdsplit.generate, kind="lasso",
+                                n_samples=6, dim=3),
+        "MaskedGradOracle": (lambda **kw: pdsplit.MaskedGradOracle(problem, 0.5, 0, **kw),
+                             {"radius": 1.0}),
+        "Schedule.build": (schedule, {"q": 0.25, "r": 0.2, **noisy}),
+        "Schedule.build unbounded": (
+            lambda **kw: schedule("unbounded", **kw),
+            {**noisy, "r_tilde": 2.0, "omega_x": None, "omega_y": None}),
+        "auto_norm_bounds": (lambda **kw: pdsplit.auto_norm_bounds(problem, **kw)[:2],
+                             {"warm_iters": 3}),
+        "estimate_chi": (lambda **kw: pdsplit.estimate_chi(
+            pdsplit.MaskedGradOracle(problem, 0.5, 0), problem, z_p, z_l, **kw),
+            {"n_draws": 3}),
+        "mode_coefficients": (lambda **kw: pdsplit.mode_coefficients("kappa", **kw),
+                              {"kappa": 0.0}),
+        "mode_factors": (lambda **kw: pdsplit.mode_factors("kappa", **kw), {"kappa": 0.0}),
+        "op_norm": (lambda **kw: pdsplit.op_norm(problem.loss.A, **kw),
+                    {"tol": 1e-9, "max_iters": 5}),
+        "reference_solve": (lambda **kw: pdsplit.reference_solve(problem, **kw),
+                            {"budget": 5}),
+        "run_fb": (lambda **kw: pdsplit.run_fb(problem, pdsplit.FbParams(max_iters=3), **kw),
+                   {"tol": None}),
+        "run_fb_sharded": (lambda **kw: pdsplit.run_fb_sharded(
+            problem, pdsplit.FbParams(max_iters=3), 2, **kw), {"tol": None}),
+        "run_fbf": (lambda **kw: pdsplit.run_fbf(problem, **kw),
+                    {"tau": None, "alpha1": 0.0, "alpha2": 0.0, "max_iters": 3, "tol": None,
+                     "record_every": 1}),
+        "tune_qr": (lambda **kw: pdsplit.tune_qr(
+            "bounded", problem.L_f, problem.k_norm, factors, **kw),
+            {"horizon": 10, "omega_x": 2.0, "omega_y": 2.0}),
+        "partition_problem": (lambda **kw: pdsplit.partition_problem(problem, **kw).m,
+                              {"m_workers": 2}),
+        "run_fb_block": (block, {"kappa": 0.0, "tau": 0.1, "sigma": 0.1, "max_iters": 3,
+                                 "tol": 1e-12}),
+        "BoxClip": (lambda **kw: pdsplit.BoxClip(dim=2, **kw), {"lam": 1.0}),
+        "L2Ball": (lambda **kw: pdsplit.L2Ball(dim=2, **kw), {"lam": 1.0}),
+        "L1Ball": (lambda **kw: pdsplit.L1Ball(dim=2, **kw), {"lam": 1.0}),
+        "GroupL2Balls": (lambda **kw: pdsplit.GroupL2Balls(prox.GroupPartition([2]),
+                                                           **kw), {"radii": 1.0}),
+    }
+
+
+def _swept():
+    """``(callable, parameter, takes_a_bool)``: every field of the four records,
+    every numeric defaulted parameter of DEFAULTS, and the parameters of the
+    calls that have no defaults (their base arguments in ``_calls``)."""
+    targets = [(name, f.name) for name in RECORDS
+               for f in dataclasses.fields(getattr(pdsplit, name))]
+    targets += [(name, param) for name, defaults in DEFAULTS.items()
+                if name not in RECORDS for param, default in defaults.items()
+                if param not in ARRAY_PARAMETERS
+                and (default is None or isinstance(default, int | float))]
+    targets += [("Schedule.build", "q"), ("Schedule.build", "r"),
+                ("Schedule.build unbounded", "r_tilde"), ("tune_qr", "horizon"),
+                ("partition_problem", "m_workers")]
+    targets += [("run_fb_block", param) for param in ("kappa", "tau", "sigma", "max_iters",
+                                                      "tol")]
+    targets += [(name, "radii" if name == "GroupL2Balls" else "lam")
+                for name in ("BoxClip", "L2Ball", "L1Ball", "GroupL2Balls")]
+    return [(name, param, isinstance(DEFAULTS.get(name, {}).get(param), bool))
+            for name, param in targets]
+
+
+def _wrong_type(value, takes_a_bool):
+    """Whether ``value`` can never be the value of such a parameter: a
+    string, a complex number or NaN anywhere, a bool where a number goes and
+    anything else where a bool goes."""
+    if takes_a_bool:
+        return not isinstance(value, bool)
+    return value is True or isinstance(value, str | complex) or (
+        isinstance(value, float) and math.isnan(value))
+
+
+@pytest.mark.parametrize("name, param, takes_a_bool", _swept(),
+                         ids=[f"{n}-{p}" for n, p, _ in _swept()])
+def test_every_input_is_taken_or_refused_with_a_solver_error(tiny_lasso, name, param,
+                                                             takes_a_bool):
+    call, base = _calls(tiny_lasso.problem)[name]
+    failures = []
+    for value in SWEEP:
+        try:
+            with np.errstate(all="ignore"):  # an infinite block step is taken as given
+                out = call(**{**base, param: value})
+        except SolverError:
+            continue
+        except Exception as exc:  # the defect this test looks for
+            failures.append(f"{value!r}: raw {type(exc).__name__}: {exc}")
+            continue
+        if _wrong_type(value, takes_a_bool):
+            failures.append(f"{value!r}: accepted")
+        elif any(isinstance(v, float) and math.isnan(v) for v in _outputs(out)):
+            failures.append(f"{value!r}: NaN objective")
+    assert not failures, f"{name}({param}=...): " + "; ".join(failures)
+
+
+def test_every_record_field_declares_its_domain():
+    for name in RECORDS:
+        for f in dataclasses.fields(getattr(pdsplit, name)):
+            assert isinstance(f.metadata.get("domain"), errors._Domain), (name, f.name)

@@ -320,17 +320,23 @@ def test_qrst_ordering_is_enforced(dense_problem):
 
 def test_build_stoc_schedule_rejects_an_unknown_setting(dense_problem):
     problem, _, _, _ = dense_problem
-    params = StocParams(setting="adaptive", horizon=10, chi_x=0.5, chi_y=0.5)
     with pytest.raises(UnknownKind):
+        params = StocParams(setting="adaptive", horizon=10, chi_x=0.5, chi_y=0.5)
         build_stoc_schedule(problem, params)
 
 
 def test_unresolved_noise_levels_are_refused(dense_problem):
     problem, _, _, _ = dense_problem
-    for chi_x, chi_y in ((None, 0.5), (0.5, None), (np.nan, 0.5), (0.5, np.nan)):
+    for chi_x, chi_y in ((None, 0.5), (0.5, None)):
         params = StocParams(omega_x=2.0, omega_y=3.0, horizon=50, chi_x=chi_x,
                             chi_y=chi_y)
         with pytest.raises(ConstraintViolation, match="unresolved"):
+            build_stoc_schedule(problem, params)
+    # A NaN level is not a value of the record, which names the field.
+    for chi_x, chi_y, name in ((np.nan, 0.5, "chi_x"), (0.5, np.nan, "chi_y")):
+        with pytest.raises(ConstraintViolation, match=name):
+            params = StocParams(omega_x=2.0, omega_y=3.0, horizon=50, chi_x=chi_x,
+                                chi_y=chi_y)
             build_stoc_schedule(problem, params)
     # A missing horizon is reported first, as the default parameters show.
     with pytest.raises(ConstraintViolation, match="need a horizon"):
@@ -350,8 +356,8 @@ def test_noise_levels_and_anchor_radius_must_be_real_numbers(dense_problem, name
 @pytest.mark.parametrize("name", ["chi_x", "chi_y"])
 def test_run_stoc_refuses_a_bool_noise_level(tiny_lasso, name):
     problem = tiny_lasso.problem
-    params = StocParams(omega_x=5.0, omega_y=5.0, horizon=20, **{name: True})
-    with pytest.raises(ConstraintViolation, match=f"^{name} must be a number"):
+    with pytest.raises(ConstraintViolation, match=f"^{name} must be a finite number"):
+        params = StocParams(omega_x=5.0, omega_y=5.0, horizon=20, **{name: True})
         run_stoc(problem, params, masked_oracle_factory(problem, params, 0.5), seeds=[0])
 
 
@@ -367,8 +373,8 @@ def test_bad_horizon_is_refused_before_noise_is_measured(tiny_lasso, horizon):
         oracle.grad = lambda x: draws.append(seed) or grad(x)
         return oracle
 
-    params = StocParams(omega_x=2.0, omega_y=2.0, horizon=horizon)
     with pytest.raises(ConstraintViolation, match="horizon"):
+        params = StocParams(omega_x=2.0, omega_y=2.0, horizon=horizon)
         run_stoc(problem, params, factory, seeds=[0])
     assert draws == []
 
