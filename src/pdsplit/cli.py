@@ -11,10 +11,13 @@ allowed); values may use JSON escaping where needed.  Each key is one field
 of :class:`ExperimentConfig`, which declares its converter and its default.
 Unknown or duplicate keys, values that would be coerced (a fraction for an
 integer, a boolean or non-finite number for a float, an empty list) and
-lists that repeat an entry are rejected before anything runs.  Every verb
-runs serially in the calling thread, and every artifact is written through
-:mod:`pdsplit.textio`.  Exit codes: 0 on success, 1 for configuration
-errors, 2 for solver failures.
+lists that repeat an entry are rejected before anything runs, and ``run``
+checks each job's record before it generates the problem.  Every verb runs
+its jobs one after another in the calling thread (only a large dense
+product lends half its rows to :mod:`pdsplit.linops`'s worker thread), and
+every artifact is written through :mod:`pdsplit.textio`; ``run`` writes
+each job's trace as soon as that job finishes.  Exit codes: 0 on success, 1
+for configuration errors, 2 for solver failures.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -310,15 +313,16 @@ def _mode_token(token):
     return "kappa", kappa, f"kappa{kappa:g}"
 
 
-def _job_fb(problem, config, reference):
-    kappa = config.kappa if config.kappa is not None else 0.0
-    params = fb.FbParams(kappa=kappa, tau=config.tau, sigma=config.sigma,
-                         relaxation=config.relaxation, max_iters=config.max_iters,
-                         record_every=config.record_every)
+def _given(config, *names):
+    """The config values of ``names`` that the config gives (not ``None``)."""
+    return {name: getattr(config, name) for name in names if getattr(config, name) is not None}
+
+
+def _job_fb(problem, config, params, reference):
     result = fb.run_fb(problem, params, tol=config.tol)
-    label = f"fb-kappa{kappa:g}"
-    row = _summary_row(label, "fb", "-", kappa, "-", tau=result.tau, sigma=result.sigma,
-                       rho=result.rho, max_iters=params.max_iters,
+    label = f"fb-kappa{params.kappa:g}"
+    row = _summary_row(label, "fb", "-", params.kappa, "-", tau=result.tau,
+                       sigma=result.sigma, rho=result.rho, max_iters=params.max_iters,
                        iterations=result.iterations,
                        final_objective=saddle.primal_objective(problem, result.x))
     row["slope"], row["slope_stderr"] = _slope_fields(result.trace, reference)
@@ -336,12 +340,23 @@ def _job_fbf(problem, config, reference):
     return "fbf", result.trace, row
 
 
-def _job_accel(problem, config, token, reference, omega_x, omega_y):
-    mode, kappa, mode_label = _mode_token(token)
-    setting, max_iters = config.setting, config.max_iters
+def _accel_record(config, token):
+    """The record of one accelerated mode before the problem exists: ``q``
+    and ``r`` at their defaults unless the config gives them, the omegas
+    ``None`` unless it does."""
+    mode, kappa, _ = _mode_token(token)
     horizon = config.horizon
-    if setting == "unbounded" and horizon is None:
-        horizon = max_iters
+    if config.setting == "unbounded" and horizon is None:
+        horizon = config.max_iters
+    return accel.AccelParams(mode=mode, kappa=kappa, setting=config.setting,
+                             horizon=horizon, max_iters=config.max_iters,
+                             record_every=config.record_every,
+                             **_given(config, "omega_x", "omega_y", "q", "r"))
+
+
+def _job_accel(problem, config, params, reference, omega_x, omega_y):
+    mode, kappa, setting = params.mode, params.kappa, params.setting
+    horizon, max_iters = params.horizon, params.max_iters
     tuning_horizon = horizon if setting == "unbounded" else max(2, max_iters)
     factors = accel.mode_factors(mode, kappa)
     q, r = config.q, config.r
@@ -357,19 +372,9 @@ def _job_accel(problem, config, token, reference, omega_x, omega_y):
         )
         q = tuned_q if q is None else q
         r = tuned_r if r is None else r
-    params = accel.AccelParams(
-        mode=mode,
-        kappa=kappa,
-        setting=setting,
-        omega_x=omega_x,
-        omega_y=omega_y,
-        horizon=horizon,
-        q=q,
-        r=r,
-        max_iters=max_iters,
-        record_every=config.record_every,
-    )
+    params = replace(params, omega_x=omega_x, omega_y=omega_y, q=q, r=r)
     result = accel.run_accel(problem, params)
+    mode_label = "chen" if mode == "chen" else f"kappa{kappa:g}"
     label = f"accel-{mode_label}-{setting}"
     row = _summary_row(
         label,
@@ -400,31 +405,30 @@ def _omegas(problem, config):
     return omega_x, omega_y
 
 
-def _job_stoc(problem, config, args, reference):
-    mode, setting = config.mode, config.setting
-    kappa = config.kappa if config.kappa is not None else 1.0
-    mode_label = "chen" if mode == "chen" else f"kappa{kappa:g}"
-    horizon = config.horizon if config.horizon is not None else config.max_iters
-    omega_x, omega_y = _omegas(problem, config)
-    split_kwargs = {}
-    for name in ("q", "r", "s", "t"):
-        value = getattr(config, name)
-        if value is not None:
-            split_kwargs[name] = value
-    params = stoch.StocParams(
-        mode=mode,
-        kappa=kappa,
-        setting=setting,
-        omega_x=omega_x,
-        omega_y=omega_y,
-        horizon=horizon,
+def _stoc_record(config, args):
+    """The stochastic record before the problem exists, the omegas ``None``
+    unless the config gives them."""
+    return stoch.StocParams(
+        mode=config.mode,
+        kappa=config.kappa if config.kappa is not None else 1.0,
+        setting=config.setting,
+        omega_x=config.omega_x,
+        omega_y=config.omega_y,
+        horizon=config.horizon if config.horizon is not None else config.max_iters,
         chi_x=config.chi_x,
         chi_y=config.chi_y,
         r_tilde=config.r_tilde,
         record_every=config.record_every,
         unproven=args.unproven,
-        **split_kwargs,
+        **_given(config, "q", "r", "s", "t"),
     )
+
+
+def _job_stoc(problem, config, args, params, reference):
+    mode, kappa, setting = params.mode, params.kappa, params.setting
+    mode_label = "chen" if mode == "chen" else f"kappa{kappa:g}"
+    omega_x, omega_y = _omegas(problem, config)
+    params = replace(params, omega_x=omega_x, omega_y=omega_y)
     factory = stoch.masked_oracle_factory(problem, params, config.pi)
     seeds = config.seeds if config.seeds is not None else [args.seed + i for i in range(5)]
     result = stoch.run_stoc(problem, params, factory, seeds)
@@ -447,7 +451,7 @@ def _job_stoc(problem, config, args, reference):
             chi_y=result.chi_y,
             omega_x=omega_x,
             omega_y=omega_y,
-            horizon=horizon,
+            horizon=params.horizon,
             max_iters=run.iterations,
             iterations=run.iterations,
             final_objective=saddle.primal_objective(problem, run.x),
@@ -457,12 +461,60 @@ def _job_stoc(problem, config, args, reference):
     return outputs
 
 
+def _jobs(config, args):
+    """The run's jobs: a generator function of the problem and the
+    reference that yields each label, trace and summary row as its job
+    finishes.
+
+    Every record is built here, before any problem exists, so a value
+    outside its field's domain fails before generation and the reference.
+    """
+    if config.algorithm == "fb":
+        params = fb.FbParams(kappa=config.kappa if config.kappa is not None else 0.0,
+                             tau=config.tau, sigma=config.sigma,
+                             relaxation=config.relaxation, max_iters=config.max_iters,
+                             record_every=config.record_every)
+
+        def run(problem, reference):
+            yield _job_fb(problem, config, params, reference)
+    elif config.algorithm == "fbf":
+        fb._check_fbf_args(config.tau, config.alpha1, config.alpha2, config.max_iters,
+                           config.record_every)
+
+        def run(problem, reference):
+            yield _job_fbf(problem, config, reference)
+    elif config.algorithm == "accel":
+        if config.mode == "chen":
+            default_token = "chen"
+        else:
+            default_token = str(config.kappa if config.kappa is not None else 0.0)
+        tokens = config.modes if config.modes is not None else [default_token]
+        records = [_accel_record(config, token) for token in tokens]
+
+        def run(problem, reference):
+            omega_x, omega_y = _omegas(problem, config)
+            for params in records:
+                yield _job_accel(problem, config, params, reference, omega_x, omega_y)
+    else:
+        params = _stoc_record(config, args)
+
+        def run(problem, reference):
+            yield from _job_stoc(problem, config, args, params, reference)
+    return run
+
+
 def cmd_run(config, args):
-    """Execute one configured experiment and write its artifacts."""
+    """Execute one configured experiment and write its artifacts.
+
+    Each job's record is checked before the problem is generated, and each
+    job's trace is written as soon as that job finishes, so a failing job
+    leaves the traces of the jobs before it.
+    """
     if config.algorithm is None:
         raise ConfigError("run needs an algorithm (fb, fbf, accel, or stoc)")
     if config.modes is not None and config.algorithm != "accel":
         raise ConfigError("the modes key only applies to algorithm=accel")
+    jobs = _jobs(config, args)
     problem = resolve_problem(config, args.seed).problem
 
     reference = None
@@ -470,25 +522,8 @@ def cmd_run(config, args):
         reference = bench.reference_solve(problem, budget=config.reference_budget)
         bench.save_reference(os.path.join(args.out, "reference"), reference)
 
-    outputs = []
-    if config.algorithm == "fb":
-        outputs.append(_job_fb(problem, config, reference))
-    elif config.algorithm == "fbf":
-        outputs.append(_job_fbf(problem, config, reference))
-    elif config.algorithm == "accel":
-        if config.mode == "chen":
-            default_token = "chen"
-        else:
-            default_token = str(config.kappa if config.kappa is not None else 0.0)
-        tokens = config.modes if config.modes is not None else [default_token]
-        omega_x, omega_y = _omegas(problem, config)
-        for token in tokens:
-            outputs.append(_job_accel(problem, config, token, reference, omega_x, omega_y))
-    else:
-        outputs.extend(_job_stoc(problem, config, args, reference))
-
     rows = []
-    for label, trace, row in outputs:
+    for label, trace, row in jobs(problem, reference):
         trace.to_csv(os.path.join(args.out, f"trace-{label}.csv"))
         rows.append(row)
     rows.sort(key=lambda r: (math.isnan(r["final_objective"]), r["final_objective"]))

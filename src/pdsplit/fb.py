@@ -19,7 +19,12 @@ probes inadmissible pairs on purpose and checks only their ranges.
 or the cells of :func:`run_fb_block`.  The runners supply only their step
 and their trace columns.  Operators, prox maps, loss gradients and the step
 norm act column by column, so each column is bitwise the run of that column
-alone, at the cost of that run.
+alone, and a block costs its columns' runs: a dense block product is one
+matrix-vector product per column, since a matrix-matrix product would round
+a column differently.  A dense product of ``linops.SPLIT_MIN_ENTRIES``
+entries or more, of a vector or a block, splits its rows across two threads
+where the process may run on two CPUs, bitwise the same (see
+:mod:`pdsplit.linops`).
 
 :func:`run_fb` and :func:`run_fbf` compute the design image ``A x`` once per
 iterate for the next gradient and the trace row, and :class:`_ErgodicMean`
@@ -675,6 +680,15 @@ def fbf_step(problem, tau, x, y, x_prev, y_prev, alpha1=0.0, alpha2=0.0, ax=None
     return x_new, y_new
 
 
+def _check_fbf_args(tau, alpha1, alpha2, max_iters, record_every):
+    """Check :func:`run_fbf`'s arguments against their domains, as it does
+    first: those of the :class:`FbParams` fields of the same names, and any
+    finite number for the inertias; else :class:`ConstraintViolation`."""
+    _check_fields(FbParams, tau=tau, max_iters=max_iters, record_every=record_every)
+    for name, value in (("alpha1", alpha1), ("alpha2", alpha2)):
+        _Domain("real").check(name, value)
+
+
 def run_fbf(problem, tau=None, alpha1=0.0, alpha2=0.0, max_iters=1000, x0=None, y0=None,
             tol=None, record_every=1):
     """Run the forward-backward-forward benchmark iteration.
@@ -687,9 +701,7 @@ def run_fbf(problem, tau=None, alpha1=0.0, alpha2=0.0, max_iters=1000, x0=None, 
     scheme and stays ``nan``.
     """
     x, y = _start_point(problem, x0, y0)
-    _check_fields(FbParams, tau=tau, max_iters=max_iters, record_every=record_every)
-    for name, value in (("alpha1", alpha1), ("alpha2", alpha2)):
-        _Domain("real").check(name, value)
+    _check_fbf_args(tau, alpha1, alpha2, max_iters, record_every)
     if tau is None:
         tau = fbf_default_step(problem)
     if tau >= 1.0 / (problem.L_f + problem.k_norm):

@@ -9,6 +9,11 @@ image is bitwise the image of column ``j`` alone.  A multi-seed run and a
 region scan advance all their columns through one block product each.
 Structured operators (identity, zero, stacks) stay lazy so that large
 penalty operators never have to be materialized.
+A dense product of at least ``SPLIT_MIN_ENTRIES`` matrix entries, in a
+process that may run on two CPUs or more, splits its output rows between
+the calling thread and one persistent daemon worker thread, the only
+thread the package starts.  Each half is the same BLAS call on a row
+slice, so every entry is bitwise that of the one-thread product.
 Stacks go both ways: :class:`VStackOp` stacks row blocks (a coupling
 operator that pairs two penalties) and :class:`HStackOp` stacks column
 blocks (a design that reads part of a stacked variable).
@@ -24,6 +29,8 @@ product by that matrix.
 from __future__ import annotations
 
 import math
+import os
+import threading
 
 import numpy as np
 import scipy.sparse as sp
@@ -60,6 +67,19 @@ LANCZOS_KEPT = 16
 # the product path, and 2.5 times the Gram path on a 3,000 x 6,000 operator
 # whose syrk cost less than the constant says.
 GRAM_COST_SIDE = 24
+
+# A dense product of at least this many matrix entries splits its output rows
+# between the calling thread and the worker thread.  Below it, the handoff
+# costs more than the half product saves: with OpenBLAS on one thread of a
+# 2-core x86-64 machine, a forward vector product by a 200 x 1,000 matrix
+# took 1.24 times as long split, and products of 2^20 entries or more
+# 0.42-0.67 times.  Where BLAS runs its own threads, the split took 0.79-1.33
+# times (BENCH_split_products.json).
+SPLIT_MIN_ENTRIES = 1 << 20
+
+# numpy's matmul holds the interpreter lock while it computes an output of at
+# most this many entries, so two such halves would run one after the other.
+MATMUL_LOCKED_OUTPUT = 500
 
 
 class LinearOperator:
@@ -103,11 +123,133 @@ def _column_products(matrix, v):
     is bitwise ``matrix @ block[:, j]``.  A one-column block is the gemv of
     its contiguous column, which costs what the product of a vector costs.
     """
+    product = _row_split_product if matrix.size >= SPLIT_MIN_ENTRIES else np.matmul
     if v.ndim == 1:
-        return matrix @ v
+        return product(matrix, v)
     if v.shape[1] == 1:
-        return (matrix @ np.ascontiguousarray(v[:, 0]))[:, None]
-    return np.matmul(matrix, np.ascontiguousarray(v.T)[:, :, None])[:, :, 0].T
+        return product(matrix, np.ascontiguousarray(v[:, 0]))[:, None]
+    return product(matrix, np.ascontiguousarray(v.T)[:, :, None])[:, :, 0].T
+
+
+def _row_split_product(matrix, operand):
+    """``matrix @ operand`` for a vector or a ``(B, k, 1)`` stack of vectors,
+    ``matrix`` of at least ``SPLIT_MIN_ENTRIES`` entries.
+
+    In a process that may run on two CPUs or more, the rows of ``matrix``
+    from a multiple of 8 near the middle go to the worker thread and the
+    rows above it are made in the calling thread.  Each half is one BLAS
+    matrix-vector call per vector, as the whole product is, and the split
+    point keeps every row in a kernel block of the same shape as in the
+    whole product, so the halves join bitwise into the one-thread product.
+    Halves of a C-order matrix go through ``np.dot``, one vector at a time,
+    which releases the interpreter lock at any size.  Any other layout needs
+    ``matmul`` (``np.dot`` leaves BLAS on a strided slice), which holds the
+    lock unless its output has more than ``MATMUL_LOCKED_OUTPUT`` entries;
+    such a product stays whole, since its halves would run in turn.
+    """
+    mid = matrix.shape[0] // 16 * 8
+    width = 1 if operand.ndim == 1 else operand.shape[0]
+    dot = matrix.flags.c_contiguous
+    if mid == 0 or (not dot and width * mid <= MATMUL_LOCKED_OUTPUT) or _cpu_count() < 2:
+        return matrix @ operand
+    worker = _shared_worker()
+    if not worker.busy.acquire(blocking=False):
+        # Another thread's product holds the worker: this one goes alone.
+        return matrix @ operand
+    top, bottom = worker.split(_dot_rows if dot else np.matmul, matrix, operand, mid)
+    return np.concatenate([top, bottom], axis=0 if operand.ndim == 1 else 1)
+
+
+def _dot_rows(matrix, operand):
+    """``matrix @ operand`` by one ``np.dot`` per vector."""
+    if operand.ndim == 1:
+        return np.dot(matrix, operand)
+    return np.stack([np.dot(matrix, column) for column in operand[:, :, 0]])[:, :, None]
+
+
+def _cpu_count():
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _Worker:
+    """A daemon thread that makes the lower rows of split products.
+
+    A caller takes ``busy`` and calls :meth:`split`, which posts the lower
+    rows through ``_go``, makes the upper rows itself, waits on ``_done``
+    and gives ``busy`` back.  A wait cut short by an interrupt keeps
+    ``busy``, so no later product can take the result of a product still
+    running in the worker: later products all go alone.  Between products
+    the worker holds no reference to any operand or result, so it keeps no
+    freed operator alive.
+    """
+
+    def __init__(self):
+        self.busy = threading.Lock()
+        self._go = threading.Lock()
+        self._done = threading.Lock()
+        self._go.acquire()
+        self._done.acquire()
+        self._task = self._result = None
+        threading.Thread(target=self._serve, name="pdsplit-products", daemon=True).start()
+
+    def _serve(self):
+        while True:
+            self._go.acquire()
+            self._run()
+            self._done.release()
+
+    def _run(self):
+        product, matrix, operand = self._task
+        self._task = None
+        try:
+            self._result = product(matrix, operand), None
+        except Exception as exc:
+            # Handed to the caller, which raises it.
+            self._result = None, exc
+
+    def split(self, product, matrix, operand, mid):
+        """``product`` of the rows above ``mid`` here and of the rest in the
+        worker, as the pair of results; the worker's error is raised here.
+        The caller holds ``busy``."""
+        self._task = product, matrix[mid:], operand
+        self._go.release()
+        try:
+            top = product(matrix[:mid], operand)
+        finally:
+            self._done.acquire()
+            bottom, error = self._result
+            self._result = None
+            self.busy.release()
+        if error is not None:
+            raise error
+        return top, bottom
+
+
+_worker = None
+_worker_start = threading.Lock()
+
+
+def _shared_worker():
+    """The process's worker, started by the first split product."""
+    global _worker
+    with _worker_start:
+        if _worker is None:
+            _worker = _Worker()
+        return _worker
+
+
+def _forget_worker():
+    """A forked child has no worker thread, and a lock may have been held
+    by a thread that it does not have either: it starts afresh."""
+    global _worker, _worker_start
+    _worker, _worker_start = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
 
 
 class DenseOp(LinearOperator):
@@ -115,6 +257,10 @@ class DenseOp(LinearOperator):
 
     Block products are column-exact: each column of the image is bitwise
     the product of that column alone, as for every other operator kind.
+    A product by an array of at least ``SPLIT_MIN_ENTRIES`` entries splits
+    its output rows between the calling thread and the module's one worker
+    thread when the process may run on two CPUs or more; every entry is
+    bitwise that of the one-thread product.
     """
 
     def __init__(self, array):

@@ -5,7 +5,8 @@ import threading
 import numpy as np
 import pytest
 
-from pdsplit import bench, cli, fb, textio
+from pdsplit import accel, bench, cli, fb, textio
+from pdsplit.errors import NonFiniteIterate
 from pdsplit.prox import BoxClip
 from pdsplit.saddle import SaddleProblem, quadratic_loss
 
@@ -109,6 +110,50 @@ def test_config_errors_exit_one_before_any_problem_or_output(
     assert named in capsys.readouterr().err
     assert generated == []
     assert not (tmp_path / "out").exists()
+
+
+_CADENCE = "record_every must be an integer in [1, inf), got 0"
+_HORIZON = "horizon must be an integer in [2, inf) or None, got 1"
+
+
+@pytest.mark.parametrize("algorithm, text, message", [
+    ("fb", "record_every=0\n", _CADENCE),
+    ("fbf", "record_every=0\n", _CADENCE),
+    ("accel", "record_every=0\n", _CADENCE),
+    ("stoc", "record_every=0\n", _CADENCE),
+    ("accel", "setting=unbounded\nmax_iters=1\n", _HORIZON),
+    ("stoc", "max_iters=1\n", _HORIZON),
+])
+def test_a_record_value_outside_its_domain_fails_before_the_problem_and_reference(
+        tmp_path, monkeypatch, capsys, algorithm, text, message):
+    generated = []
+    monkeypatch.setattr(bench, "generate", generated.append)
+    config = f"problem=lasso\ndim=10\nn_samples=30\nalgorithm={algorithm}\nreference=1\n"
+    assert _run(tmp_path, config + text) == 2
+    assert capsys.readouterr().err == f"solver error: {message}\n"
+    assert generated == []
+    assert not (tmp_path / "out" / "reference").exists()
+
+
+def test_a_failing_last_job_keeps_the_traces_of_the_jobs_before_it(tmp_path, monkeypatch, capsys):
+    text = TINY + "algorithm=accel\nmodes=0.5,chen,0\nmax_iters=6\n"
+    assert _verb(tmp_path, "run", text, out="whole") == 0
+    run_accel, calls = accel.run_accel, []
+
+    def third_call_fails(problem, params):
+        calls.append(params.mode)
+        if len(calls) == 3:
+            raise NonFiniteIterate("the third job diverged")
+        return run_accel(problem, params)
+
+    monkeypatch.setattr(accel, "run_accel", third_call_fails)
+    capsys.readouterr()
+    assert _run(tmp_path, text) == 2
+    assert capsys.readouterr().err == "solver error: the third job diverged\n"
+    kept = _artifacts(tmp_path / "out")
+    assert sorted(kept) == ["trace-accel-chen-bounded.csv", "trace-accel-kappa0.5-bounded.csv"]
+    whole = _artifacts(tmp_path / "whole")
+    assert all(kept[name] == whole[name] for name in kept)
 
 
 def test_integral_floats_are_read_as_integers(tmp_path):

@@ -1,12 +1,18 @@
 """Operator abstraction: dispatch, adjoints, norms, builders, triplet IO."""
 
 import ast
+import contextlib
+import gc
 import math
 import os
 import pathlib
+import signal
 import subprocess
 import sys
+import threading
+import time
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -760,3 +766,175 @@ def test_block_products_reject_wrong_rows_and_rank():
         op.apply_adjoint(np.zeros((3, 2)))
     with pytest.raises(DimensionError):
         op.apply(np.zeros((3, 2, 2)))
+
+
+@contextlib.contextmanager
+def _split_products():
+    """Every dense product of 16 rows or more splits, as on two CPUs.
+
+    Yields the list of split products made, one entry each.
+    """
+    splits = []
+    split = linops._Worker.split
+
+    def counted(worker, *args):
+        splits.append(threading.current_thread().name)
+        return split(worker, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linops, "SPLIT_MIN_ENTRIES", 1)
+        patch.setattr(linops, "MATMUL_LOCKED_OUTPUT", 0)
+        patch.setattr(linops, "_cpu_count", lambda: 2)
+        patch.setattr(linops._Worker, "split", counted)
+        yield splits
+
+
+def _one_thread_columns(matrix, block):
+    """``matrix @ v`` for a vector, one column at a time for a block."""
+    if block.ndim == 1:
+        return matrix @ block
+    return oracles.column_by_column(matrix.__matmul__, block)
+
+
+_SIDES = st.integers(2, 9).map(lambda k: 8 * k) | st.integers(16, 80)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rows=_SIDES, cols=_SIDES, order=st.sampled_from("CF"),
+       width=st.sampled_from([None, 1, 2, 5]), seed=st.integers(0, 2**32 - 1))
+def test_split_products_are_bitwise_the_one_thread_products(rows, cols, order, width, seed):
+    rng = np.random.default_rng(seed)
+    array = np.asarray(rng.standard_normal((rows, cols)), order=order)
+    op = linops.DenseOp(array)
+    with _split_products() as splits:
+        for matrix, product in ((array, op.apply), (array.T, op.apply_adjoint)):
+            shape = matrix.shape[1] if width is None else (matrix.shape[1], width)
+            block = rng.standard_normal(shape)
+            got = product(block)
+            want = _one_thread_columns(matrix, block)
+            assert got.shape == want.shape
+            assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+    assert len(splits) == 2
+
+
+def test_split_products_from_many_threads_at_once_stay_bitwise():
+    # More threads than cores, switching as often as the interpreter lets
+    # them: a product that finds the worker busy makes its rows alone.
+    rng = np.random.default_rng(41)
+    ops = [linops.DenseOp(rng.standard_normal((72, 56))) for _ in range(4)]
+    inputs = [rng.standard_normal(56), rng.standard_normal((56, 3))] * 2
+    wants = [_one_thread_columns(op.array, v) for op, v in zip(ops, inputs)]
+    right = [0] * 4
+
+    def work(i):
+        for _ in range(300):
+            right[i] += ops[i].apply(inputs[i]).tobytes() == wants[i].tobytes()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with _split_products() as splits:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert right == [300] * 4
+    assert splits
+
+
+def test_a_product_that_fails_in_the_worker_raises_in_the_caller():
+    rng = np.random.default_rng(42)
+    op = linops.DenseOp(rng.standard_normal((40, 30)))
+    x = rng.standard_normal(30)
+    failed_in = []
+
+    def lower_rows_fail(matrix, operand):
+        # The calling thread makes the upper 40 // 16 * 8 = 16 rows.
+        if matrix.shape[0] != 16:
+            failed_in.append(threading.current_thread().name)
+            raise FloatingPointError("lower rows")
+        return np.dot(matrix, operand)
+
+    with _split_products() as splits:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(linops, "_dot_rows", lower_rows_fail)
+            with pytest.raises(FloatingPointError, match="lower rows"):
+                op.apply(x)
+        assert op.apply(x).tobytes() == (op.array @ x).tobytes()
+    assert failed_in == ["pdsplit-products"]
+    assert len(splits) == 2
+
+
+def test_the_worker_keeps_no_operand_or_result_after_a_product():
+    rng = np.random.default_rng(43)
+    array = rng.standard_normal((48, 40))
+    op = linops.DenseOp(array)
+    halves = []
+
+    def recorded(matrix, operand):
+        out = np.dot(matrix, operand)
+        halves.append(weakref.ref(out))
+        return out
+
+    with _split_products() as splits:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(linops, "_dot_rows", recorded)
+            image = op.apply(rng.standard_normal(40))
+    operands = [weakref.ref(array), weakref.ref(image)]
+    del array, op, image
+    gc.collect()
+    assert len(splits) == 1 and len(halves) == 2
+    assert [ref() for ref in halves + operands] == [None] * 4
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_makes_split_products_on_a_worker_of_its_own():
+    rng = np.random.default_rng(44)
+    op = linops.DenseOp(rng.standard_normal((64, 48)))
+    x = rng.standard_normal(48)
+    want = (op.array @ x).tobytes()
+    with _split_products() as splits:
+        assert op.apply(x).tobytes() == want
+        with warnings.catch_warnings():
+            # Python 3.12 and later warn on a fork of a process with threads.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                code = 0 if op.apply(x).tobytes() == want else 3
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child's split product did not finish")
+            time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(status) == 0
+    assert len(splits) == 1
+
+
+def test_only_linops_imports_threads_or_processes():
+    package = pathlib.Path(linops.__file__).parent
+    importers = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] in ("threading", "_thread", "concurrent",
+                                          "multiprocessing") for name in names):
+                importers.add(path.name)
+    assert importers == {"linops.py"}
