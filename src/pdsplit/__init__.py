@@ -86,7 +86,6 @@ from .linops import (
     IdentityOp,
     LinearOperator,
     SparseOp,
-    VStackOp,
     ZeroOp,
     build_graph_difference,
     build_group_membership,
@@ -97,22 +96,15 @@ from .prox import (
     BoxClip,
     Composite,
     GroupL2Balls,
-    HingeConj,
     IdentityShift,
-    L1Ball,
-    L2Ball,
-    project_l1_ball,
 )
 from .saddle import (
     SaddleProblem,
     SmoothLoss,
     fixed_point_residual,
     latent_group_construct,
-    logistic_loss,
     primal_objective,
     quadratic_loss,
-    split_dual_construct,
-    zero_loss,
 )
 from .shard import (
     ShardPlan,
@@ -147,14 +139,11 @@ __all__ = [
     "GeneratedProblem",
     "GroupL2Balls",
     "HStackOp",
-    "HingeConj",
     "IdentityOp",
     "IdentityShift",
     "InsufficientData",
     "InsufficientInactives",
     "IterTrace",
-    "L1Ball",
-    "L2Ball",
     "LinearOperator",
     "MaskedGradOracle",
     "NonFiniteIterate",
@@ -174,7 +163,6 @@ __all__ = [
     "SyntheticSpec",
     "UnknownKind",
     "UnsupportedMode",
-    "VStackOp",
     "ZeroOp",
     "auto_norm_bounds",
     "bounded_gap_bound",
@@ -190,7 +178,6 @@ __all__ = [
     "latent_group_construct",
     "load_bundle",
     "load_reference",
-    "logistic_loss",
     "masked_oracle_factory",
     "matrix_operator",
     "mode_coefficients",
@@ -199,7 +186,6 @@ __all__ = [
     "overlapping_groups",
     "partition_problem",
     "primal_objective",
-    "project_l1_ball",
     "quadratic_loss",
     "rate_slope",
     "reference_solve",
@@ -211,8 +197,6 @@ __all__ = [
     "run_stoc",
     "save_bundle",
     "save_reference",
-    "split_dual_construct",
     "tune_qr",
     "validate_params",
-    "zero_loss",
 ]

@@ -16,8 +16,8 @@ checks each job's record before it generates the problem.  Every verb runs
 its jobs one after another in the calling thread (only a large dense
 product lends half its rows to :mod:`pdsplit.linops`'s worker thread), and
 every artifact is written through :mod:`pdsplit.textio`; ``run`` writes
-each job's trace as soon as that job finishes.  Exit codes: 0 on success, 1
-for configuration errors, 2 for solver failures.
+each job's trace and its summary so far as soon as that job finishes.  Exit
+codes: 0 on success, 1 for configuration errors, 2 for solver failures.
 """
 
 from __future__ import annotations
@@ -506,9 +506,10 @@ def _jobs(config, args):
 def cmd_run(config, args):
     """Execute one configured experiment and write its artifacts.
 
-    Each job's record is checked before the problem is generated, and each
-    job's trace is written as soon as that job finishes, so a failing job
-    leaves the traces of the jobs before it.
+    Each job's record is checked before the problem is generated.  Each
+    job's trace is written, and ``summary.csv`` rewritten with the rows of
+    every job so far, as soon as that job finishes, so a failing job leaves
+    the traces and summary rows of the jobs before it.
     """
     if config.algorithm is None:
         raise ConfigError("run needs an algorithm (fb, fbf, accel, or stoc)")
@@ -526,8 +527,8 @@ def cmd_run(config, args):
     for label, trace, row in jobs(problem, reference):
         trace.to_csv(os.path.join(args.out, f"trace-{label}.csv"))
         rows.append(row)
-    rows.sort(key=lambda r: (math.isnan(r["final_objective"]), r["final_objective"]))
-    _write_summary(os.path.join(args.out, "summary.csv"), rows)
+        rows.sort(key=lambda r: (math.isnan(r["final_objective"]), r["final_objective"]))
+        _write_summary(os.path.join(args.out, "summary.csv"), rows)
     for row in rows:
         print(f"{row['label']}: objective {row['final_objective']:.12g}")
     return 0

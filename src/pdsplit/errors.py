@@ -30,10 +30,6 @@ class UnknownKind(SolverError):
     """A mode, setting, problem kind or class this module does not recognize."""
 
 
-class BadLabels(SolverError):
-    """Classification labels must take values in {-1, +1}."""
-
-
 class DegenerateProblem(SolverError):
     """Problem data is degenerate (zero operator, empty groups, and alike)."""
 

@@ -7,16 +7,15 @@ vectors, a 2-d array with one vector per column, to the block of their
 images, and every kind does so column-exactly: column ``j`` of a block
 image is bitwise the image of column ``j`` alone.  A multi-seed run and a
 region scan advance all their columns through one block product each.
-Structured operators (identity, zero, stacks) stay lazy so that large
-penalty operators never have to be materialized.
+Structured operators (identity, zero, the column stack) stay lazy so that
+large penalty operators never have to be materialized.
 A dense product of at least ``SPLIT_MIN_ENTRIES`` matrix entries, in a
 process that may run on two CPUs or more, splits its output rows between
 the calling thread and one persistent daemon worker thread, the only
 thread the package starts.  Each half is the same BLAS call on a row
 slice, so every entry is bitwise that of the one-thread product.
-Stacks go both ways: :class:`VStackOp` stacks row blocks (a coupling
-operator that pairs two penalties) and :class:`HStackOp` stacks column
-blocks (a design that reads part of a stacked variable).
+:class:`HStackOp` stacks column blocks: the latent group problem's design
+reads only the leading part of its stacked variable.
 :func:`to_sparse` gives the CSR matrix of any operator, the stored one of a
 CSR operator.  This module does no file I/O; :mod:`pdsplit.textio` writes
 and reads matrices as triplet text.
@@ -323,42 +322,6 @@ class ZeroOp(LinearOperator):
         return np.zeros((self.shape[1],) + y.shape[1:])
 
 
-class VStackOp(LinearOperator):
-    """Vertical stack of operators sharing a common column dimension.
-
-    The stack stays lazy: forward products concatenate block outputs and
-    adjoint products sum block adjoints over the matching row segments.
-    """
-
-    def __init__(self, blocks):
-        blocks = list(blocks)
-        if not blocks:
-            raise DegenerateProblem("vstack of zero blocks")
-        cols = blocks[0].shape[1]
-        for b in blocks:
-            if not isinstance(b, LinearOperator):
-                raise UnknownKind("vstack blocks must be LinearOperator instances")
-            if b.shape[1] != cols:
-                raise DimensionError(
-                    f"vstack blocks disagree on columns: {b.shape[1]} vs {cols}"
-                )
-        rows = sum(b.shape[0] for b in blocks)
-        super().__init__((rows, cols))
-        self.blocks = blocks
-        self.offsets = np.cumsum([0] + [b.shape[0] for b in blocks])
-
-    def apply(self, x):
-        x = self._check_vec(x, self.shape[1], "input")
-        return np.concatenate([b.apply(x) for b in self.blocks])
-
-    def apply_adjoint(self, y):
-        y = self._check_vec(y, self.shape[0], "adjoint input")
-        out = np.zeros((self.shape[1],) + y.shape[1:])
-        for b, lo, hi in zip(self.blocks, self.offsets[:-1], self.offsets[1:]):
-            out += b.apply_adjoint(y[lo:hi])
-        return out
-
-
 class HStackOp(LinearOperator):
     """Horizontal stack of operators sharing a common row dimension.
 
@@ -417,8 +380,8 @@ def to_sparse(op):
     """The matrix of ``op`` as a CSR array, the stored one for a CSR operator.
 
     Any other kind is built from its own structure: a dense array is
-    converted, the identity and the zero operator are sparse, and a stack
-    stacks its blocks' CSR matrices.  No dense array is formed for a
+    converted, the identity and the zero operator are sparse, and a column
+    stack joins its blocks' CSR matrices.  No dense array is formed for a
     structured operator, and its stored entries are exactly the nonzeros of
     its matrix, row by row with sorted columns.  Any other class raises
     :class:`UnknownKind` naming it.
@@ -431,9 +394,8 @@ def to_sparse(op):
         return sp.eye_array(op.shape[0], format="csr")
     if isinstance(op, ZeroOp):
         return sp.csr_array(op.shape)
-    if isinstance(op, (VStackOp, HStackOp)):
-        stack = sp.vstack if isinstance(op, VStackOp) else sp.hstack
-        out = stack([to_sparse(b) for b in op.blocks], format="csr")
+    if isinstance(op, HStackOp):
+        out = sp.hstack([to_sparse(b) for b in op.blocks], format="csr")
         out.sum_duplicates()
         out.eliminate_zeros()
         return out

@@ -1,9 +1,13 @@
 """Proximal maps for penalty conjugates.
 
 The dual update of every solver in this package needs the proximal map of a
-penalty conjugate ``h*``.  For the supported penalties ``h*`` is either an
-indicator of a simple set (so the prox is a projection), a linear function,
-or a blockwise combination of those.  Each spec also knows the primal value
+penalty conjugate ``h*``.  The penalties are those of the generated
+problems: the weighted l1 norm (:class:`BoxClip`, whose conjugate is a box
+indicator) and a weighted sum of group Euclidean norms
+(:class:`GroupL2Balls`, a product of balls), so the prox is a projection.
+The latent group problem pairs the group penalty, in a :class:`Composite`,
+with an equality constraint (:class:`IdentityShift`), whose conjugate is
+linear, so its prox is a shift.  Each spec also knows the primal value
 ``h(u)`` so objective reporting does not need a second description.  The
 primal prox is ``prox_{s h}(z) = z - s * prox_{h*/s}(z / s)`` (the Moreau
 identity) and needs no rule of its own.
@@ -19,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BadLabels, DegenerateProblem, DimensionError, UnknownKind, _is_real
+from .errors import DegenerateProblem, DimensionError, UnknownKind, _is_real
 
 
 class GroupPartition:
@@ -71,14 +75,6 @@ def _weight(value, what="penalty weight"):
 def _per_row(values, v):
     """One value per row of ``v``, shaped to broadcast over its columns."""
     return values.reshape(values.shape + (1,) * (v.ndim - 1))
-
-
-def _columnwise(vector_map, block):
-    """Apply a map of 1-d vectors to every column of a 2-d block."""
-    out = np.empty_like(block)
-    for j in range(block.shape[1]):
-        out[:, j] = vector_map(np.ascontiguousarray(block[:, j]))
-    return out
 
 
 class ConjugateProx:
@@ -150,65 +146,6 @@ class BoxClip(ConjugateProx):
         return self.lam * float(np.abs(u).sum())
 
 
-class L2Ball(ConjugateProx):
-    """Conjugate of the Euclidean-norm penalty ``lam * ||u||_2``.
-
-    The conjugate is the indicator of the Euclidean ball of radius ``lam``;
-    the prox is the radial projection onto that ball.
-    """
-
-    def __init__(self, lam, dim):
-        super().__init__(dim)
-        self.lam = _weight(lam)
-
-    def prox(self, v, sigma):
-        v = self._check(v, block=True)
-        if v.ndim == 2:
-            return _columnwise(lambda c: self.prox(c, sigma), v)
-        nrm = np.linalg.norm(v)
-        if nrm <= self.lam:
-            return v.copy()
-        return v * (self.lam / nrm)
-
-    def conj_value(self, y, tol):
-        y = self._check(y)
-        if np.linalg.norm(y) > self.lam + tol:
-            return np.inf
-        return 0.0
-
-    def primal_value(self, u):
-        u = self._check(u)
-        return self.lam * float(np.linalg.norm(u))
-
-
-class L1Ball(ConjugateProx):
-    """Conjugate of the max-norm penalty ``lam * max_i |u_i|``.
-
-    The conjugate is the indicator of the l1 ball of radius ``lam``; the
-    prox is the exact sort-based projection onto that ball.
-    """
-
-    def __init__(self, lam, dim):
-        super().__init__(dim)
-        self.lam = _weight(lam)
-
-    def prox(self, v, sigma):
-        v = self._check(v, block=True)
-        if v.ndim == 2:
-            return _columnwise(lambda c: project_l1_ball(c, self.lam), v)
-        return project_l1_ball(v, self.lam)
-
-    def conj_value(self, y, tol):
-        y = self._check(y)
-        if np.abs(y).sum() > self.lam + tol:
-            return np.inf
-        return 0.0
-
-    def primal_value(self, u):
-        u = self._check(u)
-        return self.lam * float(np.max(np.abs(u), initial=0.0))
-
-
 class GroupL2Balls(ConjugateProx):
     """Conjugate of a weighted sum of blockwise Euclidean norms.
 
@@ -248,46 +185,6 @@ class GroupL2Balls(ConjugateProx):
     def primal_value(self, u):
         u = self._check(u)
         return float(self.radii @ self.partition.block_norms(u))
-
-
-class HingeConj(ConjugateProx):
-    """Conjugate of the hinge loss ``sum_i max(0, 1 - b_i * u_i)``.
-
-    For labels ``b_i`` in ``{-1, +1}`` the conjugate is linear on a
-    coordinatewise interval: ``h*(y) = sum_i b_i y_i`` on the set where
-    every ``b_i y_i`` lies in ``[-1, 0]``.  The prox shifts by
-    ``sigma * b`` and clips to that interval.
-    """
-
-    def __init__(self, labels):
-        labels = np.asarray(labels, dtype=float)
-        if labels.ndim != 1 or labels.size == 0:
-            raise BadLabels("labels must be a non-empty vector")
-        if not np.all(np.isin(labels, (-1.0, 1.0))):
-            raise BadLabels("labels must take values in {-1, +1}")
-        super().__init__(labels.size)
-        self.labels = labels
-        self._lo = np.minimum(-labels, 0.0)
-        self._hi = np.maximum(-labels, 0.0)
-
-    def prox(self, v, sigma):
-        v = self._check(v, block=True)
-        return np.clip(
-            v - sigma * _per_row(self.labels, v),
-            _per_row(self._lo, v),
-            _per_row(self._hi, v),
-        )
-
-    def conj_value(self, y, tol):
-        y = self._check(y)
-        by = self.labels * y
-        if np.any(by < -1.0 - tol) or np.any(by > tol):
-            return np.inf
-        return float((self.labels * y).sum())
-
-    def primal_value(self, u):
-        u = self._check(u)
-        return float(np.maximum(0.0, 1.0 - self.labels * u).sum())
 
 
 class IdentityShift(ConjugateProx):
@@ -360,36 +257,3 @@ class Composite(ConjugateProx):
         u = self._check(u)
         return float(sum(part.primal_value(seg) for part, seg in self._segments(u)))
 
-
-def project_l1_ball(v, radius):
-    """Exact Euclidean projection onto the l1 ball of a given radius.
-
-    Uses the sort-based threshold search: order the magnitudes, find the
-    largest prefix whose soft threshold stays positive, and shrink toward
-    zero by the resulting threshold.
-
-    Parameters
-    ----------
-    v : ndarray
-    radius : float
-        Nonnegative ball radius.
-
-    Returns
-    -------
-    ndarray
-        The closest point with ``sum |out_i| <= radius``.
-    """
-    v = np.asarray(v, dtype=float)
-    if radius < 0:
-        raise DegenerateProblem("l1 ball radius must be nonnegative")
-    a = np.abs(v)
-    if a.sum() <= radius:
-        return v.copy()
-    if radius == 0.0:
-        return np.zeros_like(v)
-    u = np.sort(a)[::-1]
-    cssv = np.cumsum(u)
-    counts = np.arange(1, u.size + 1)
-    rho = np.nonzero(u * counts > cssv - radius)[0][-1]
-    theta = (cssv[rho] - radius) / (rho + 1.0)
-    return np.sign(v) * np.maximum(a - theta, 0.0)

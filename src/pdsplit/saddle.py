@@ -6,7 +6,9 @@ linear model, ``f(x) = phi(A x)``: a :class:`SmoothLoss` carries its design
 operator ``A`` next to ``phi``, its gradient and the curvature bound, so
 whatever needs the design (a sharded run sizing its traffic) reads it from
 the loss.  A :class:`SaddleProblem` is exactly the loss, the
-coupling operator ``K`` and the conjugate-prox spec of the penalty.
+coupling operator ``K`` and the conjugate-prox spec of the penalty.  The
+loss is least squares, :func:`quadratic_loss`, and
+:func:`latent_group_construct` builds the latent group problem on it.
 
 The design image ``A x`` is what both the loss value and its gradient read.
 ``SmoothLoss.value``, ``SmoothLoss.grad`` and :func:`primal_objective` take
@@ -25,14 +27,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import linops
-from .errors import BadLabels, DegenerateProblem, DimensionError
+from .errors import DegenerateProblem, DimensionError
 from .linops import HStackOp, LinearOperator, ZeroOp, matrix_operator
 from .prox import (
     Composite,
     ConjugateProx,
     GroupL2Balls,
     GroupPartition,
-    HingeConj,
     IdentityShift,
     _per_row,
 )
@@ -74,16 +75,6 @@ class SmoothLoss:
         return SmoothLoss(design, self.phi, self.phi_grad, self.L_f)
 
 
-def _design(a, b, what):
-    a_op = a if isinstance(a, LinearOperator) else matrix_operator(a)
-    b = np.asarray(b, dtype=float)
-    if b.ndim != 1 or b.shape[0] != a_op.shape[0]:
-        raise DimensionError(
-            f"{what} length {b.shape} does not match {a_op.shape[0]} rows"
-        )
-    return a_op, b
-
-
 def quadratic_loss(a, b):
     """Least-squares loss ``f(x) = 0.5 * ||A x - b||^2``.
 
@@ -105,7 +96,10 @@ def quadratic_loss(a, b):
     DegenerateProblem
         If ``0.5 * ||b||^2``, the loss at zero, is not finite.
     """
-    a_op, b = _design(a, b, "response")
+    a_op = a if isinstance(a, LinearOperator) else matrix_operator(a)
+    b = np.asarray(b, dtype=float)
+    if b.ndim != 1 or b.shape[0] != a_op.shape[0]:
+        raise DimensionError(f"response length {b.shape} does not match {a_op.shape[0]} rows")
     with np.errstate(over="ignore"):
         half = 0.5 * float(b @ b)
     if not np.isfinite(half):
@@ -120,57 +114,6 @@ def quadratic_loss(a, b):
         return t - _per_row(b, t)
 
     return SmoothLoss(a_op, phi, phi_grad, linops.safe_op_norm(a_op) ** 2)
-
-
-def logistic_loss(a, b):
-    """Logistic negative log-likelihood with labels in ``{0, 1}``.
-
-    ``f(x) = sum_i log(1 + exp(a_i' x)) - b_i * (a_i' x)``, computed through
-    ``logaddexp`` for overflow safety.  The curvature bound is a quarter of
-    the squared spectral norm of ``A``.
-
-    Parameters
-    ----------
-    a : LinearOperator or matrix
-    b : ndarray
-        0/1 labels matching the rows of ``a``.
-
-    Returns
-    -------
-    SmoothLoss
-
-    Raises
-    ------
-    BadLabels
-        If any label is outside ``{0, 1}``.
-    """
-    a_op, b = _design(a, b, "label")
-    if not np.all(np.isin(b, (0.0, 1.0))):
-        raise BadLabels("logistic labels must take values in {0, 1}")
-
-    def phi(t):
-        return float(np.sum(np.logaddexp(0.0, t) - b * t))
-
-    def phi_grad(t):
-        return 1.0 / (1.0 + np.exp(-t)) - _per_row(b, t)
-
-    return SmoothLoss(a_op, phi, phi_grad, 0.25 * linops.safe_op_norm(a_op) ** 2)
-
-
-def zero_loss(p):
-    """Vanishing smooth part for problems handled entirely by the penalty.
-
-    Its design has no rows, so the gradient is the zero vector of length
-    ``p`` and the value is 0.
-    """
-
-    def phi(t):
-        return 0.0
-
-    def phi_grad(t):
-        return t
-
-    return SmoothLoss(ZeroOp((0, p)), phi, phi_grad, 0.0)
 
 
 class SaddleProblem:
@@ -241,42 +184,6 @@ def fixed_point_residual(problem, x, y, tau, sigma):
     gx = problem.loss.grad(x) + problem.K.apply_adjoint(y)
     ry = y - problem.hconj.prox(y + sigma * problem.K.apply(x), sigma)
     return float(np.sqrt(tau * tau * float(gx @ gx) + float(ry @ ry)))
-
-
-def split_dual_construct(pen_op, pen_conj, a, labels):
-    """Build the penalty-plus-hinge problem with a vanishing smooth part.
-
-    The model ``min_x P(D x) + sum_i max(0, 1 - b_i * a_i' x)`` is driven
-    entirely by the penalty machinery: the coupling operator stacks the
-    penalty operator on top of the data matrix and the conjugate spec pairs
-    the penalty conjugate with the hinge conjugate.
-
-    Parameters
-    ----------
-    pen_op : LinearOperator
-        Structure operator ``D`` of the penalty.
-    pen_conj : ConjugateProx
-        Conjugate spec of the penalty ``P``.
-    a : LinearOperator or matrix
-        Data matrix with one row per sample.
-    labels : ndarray
-        Sample labels in ``{-1, +1}``.
-
-    Returns
-    -------
-    SaddleProblem
-    """
-    a_op = a if isinstance(a, LinearOperator) else matrix_operator(a)
-    if pen_op.shape[1] != a_op.shape[1]:
-        raise DimensionError(
-            f"penalty columns {pen_op.shape[1]} do not match data columns {a_op.shape[1]}"
-        )
-    hinge = HingeConj(labels)
-    if hinge.dim != a_op.shape[0]:
-        raise DimensionError("one label per data row is required")
-    k_op = linops.VStackOp([pen_op, a_op])
-    hconj = Composite([pen_conj, hinge])
-    return SaddleProblem(zero_loss(k_op.shape[1]), k_op, hconj)
 
 
 def latent_group_construct(groups, a, b, radii):

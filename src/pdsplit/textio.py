@@ -125,12 +125,28 @@ def read_vector(path):
 
 
 def write_triplets(path, matrix):
-    """Write the stored entries of ``matrix`` (anything that
-    ``scipy.sparse.coo_array`` takes) as triplets."""
-    coo = sp.coo_array(matrix)
-    header = f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n"
-    lines = _formatted("%d %d %.17g\n", coo.row + 1, coo.col + 1, coo.data)
+    """Write ``matrix`` as triplets: the stored entries of a scipy sparse
+    matrix, or the nonzeros of a 2-d array in row-major order.  An array is
+    read one band of rows at a time, so no index array of the whole matrix
+    is formed."""
+    if sp.issparse(matrix):
+        coo = sp.coo_array(matrix)
+        nnz, lines = coo.nnz, _formatted("%d %d %.17g\n", coo.row + 1, coo.col + 1, coo.data)
+    else:
+        matrix = np.asarray(matrix)
+        nnz, lines = np.count_nonzero(matrix), _nonzero_lines(matrix)
+    header = f"{matrix.shape[0]} {matrix.shape[1]} {nnz}\n"
     write_text(path, itertools.chain([header], lines))
+
+
+def _nonzero_lines(array):
+    """Triplet lines of the nonzeros of ``array``, about ``CHUNK_LINES``
+    entries of it (at least one row) at a time."""
+    band = max(1, CHUNK_LINES // max(array.shape[1], 1))
+    for lo in range(0, array.shape[0], band):
+        rows, cols = np.nonzero(array[lo : lo + band])
+        rows += lo
+        yield from _formatted("%d %d %.17g\n", rows + 1, cols + 1, array[rows, cols])
 
 
 def read_triplets(path):

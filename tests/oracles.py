@@ -3,9 +3,8 @@
 Every function here works on plain dense numpy arrays and is transcribed
 directly from the published update rules and closed forms, sharing no code
 with the package under test.  Tests compare package outputs against these
-oracles; the oracles themselves are kept deliberately naive (explicit loops,
-dense algebra, bisection instead of sorting) so that agreement between the
-two routes is meaningful.
+oracles; the oracles themselves are kept deliberately naive (explicit loops and
+dense algebra) so that agreement between the two routes is meaningful.
 
 The exceptions read the package's operators, problems and steps.
 :func:`densify` builds the dense matrix of an operator from its parts.  The
@@ -27,7 +26,6 @@ import math
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.optimize import linprog
 
 
 # ---------------------------------------------------------------------------
@@ -43,8 +41,8 @@ def spectral_norm_gram(a):
 
 def densify(op):
     """The dense matrix of a package operator, built from its parts: the
-    stored array or CSR matrix, the identity, zeros, or a stack of its
-    blocks' matrices."""
+    stored array or CSR matrix, the identity, zeros, or a column stack of
+    its blocks' matrices."""
     from pdsplit import linops
 
     if isinstance(op, linops.DenseOp):
@@ -55,8 +53,6 @@ def densify(op):
         return np.eye(op.shape[0])
     if isinstance(op, linops.ZeroOp):
         return np.zeros(op.shape)
-    if isinstance(op, linops.VStackOp):
-        return np.vstack([densify(b) for b in op.blocks])
     if isinstance(op, linops.HStackOp):
         return np.hstack([densify(b) for b in op.blocks])
     raise TypeError(f"no dense matrix for {type(op).__name__}")
@@ -90,26 +86,6 @@ def soft_threshold(z, t):
     """Coordinatewise shrinkage toward zero by ``t``."""
     z = np.asarray(z, dtype=float)
     return np.sign(z) * np.maximum(np.abs(z) - t, 0.0)
-
-
-def l1_ball_project_bisect(z, radius, tol=1e-12):
-    """Euclidean projection onto the l1 ball by bisection on the threshold.
-
-    Solves ``sum(max(|z_i| - theta, 0)) = radius`` for the shrinkage level
-    ``theta`` when ``z`` is infeasible; feasible inputs return unchanged.
-    """
-    z = np.asarray(z, dtype=float)
-    if np.abs(z).sum() <= radius:
-        return z.copy()
-    lo, hi = 0.0, float(np.abs(z).max())
-    while hi - lo > tol * max(1.0, hi):
-        mid = 0.5 * (lo + hi)
-        if np.maximum(np.abs(z) - mid, 0.0).sum() > radius:
-            lo = mid
-        else:
-            hi = mid
-    theta = 0.5 * (lo + hi)
-    return soft_threshold(z, theta)
 
 
 def metric_matrix(k_mat, kappa, tau, sigma):
@@ -531,79 +507,6 @@ def lasso_objective(a, b, lam, x):
     return 0.5 * float(r @ r) + lam * float(np.abs(x).sum())
 
 
-def hinge_l1_objective(a, labels, lam, x):
-    """Sparse margin-classifier objective: hinge losses plus an l1 penalty."""
-    margins = 1.0 - np.asarray(labels, dtype=float) * (np.asarray(a) @ x)
-    return float(np.maximum(margins, 0.0).sum()) + lam * float(np.abs(x).sum())
-
-
-def subgradient_hinge_l1(a, labels, lam, n_stages=60, stage_len=4000, step0=0.5,
-                         decay=0.8):
-    """Stagewise-decayed subgradient descent on the sparse margin objective.
-
-    Tracks the best objective seen; the geometric stage decay gives the
-    standard convergence of subgradient methods on polyhedral objectives.
-    """
-    a = np.asarray(a, dtype=float)
-    labels = np.asarray(labels, dtype=float)
-    x = np.zeros(a.shape[1])
-    best_x = x.copy()
-    best_val = hinge_l1_objective(a, labels, lam, x)
-    step = step0
-    for _ in range(n_stages):
-        for _ in range(stage_len):
-            margins = 1.0 - labels * (a @ x)
-            sub = lam * np.sign(x) - a.T @ (labels * (margins > 0.0))
-            norm = np.linalg.norm(sub)
-            if norm == 0.0:
-                return x, hinge_l1_objective(a, labels, lam, x)
-            x = x - (step / norm) * sub
-            val = hinge_l1_objective(a, labels, lam, x)
-            if val < best_val:
-                best_val = val
-                best_x = x.copy()
-        step *= decay
-        x = best_x.copy()
-    return best_x, best_val
-
-
-def linprog_hinge_l1(a, labels, lam):
-    """Exact sparse margin-classifier optimum via linear programming.
-
-    Variables are (x, u, xi) with |x| <= u and hinge slacks xi; both
-    auxiliary blocks enter the objective linearly.
-    """
-    a = np.asarray(a, dtype=float)
-    labels = np.asarray(labels, dtype=float)
-    n, p = a.shape
-    cost = np.concatenate([np.zeros(p), lam * np.ones(p), np.ones(n)])
-    rows = []
-    rhs = []
-    for j in range(p):
-        row = np.zeros(2 * p + n)
-        row[j] = 1.0
-        row[p + j] = -1.0
-        rows.append(row)
-        rhs.append(0.0)
-        row = np.zeros(2 * p + n)
-        row[j] = -1.0
-        row[p + j] = -1.0
-        rows.append(row)
-        rhs.append(0.0)
-    for i in range(n):
-        row = np.zeros(2 * p + n)
-        row[:p] = -labels[i] * a[i]
-        row[2 * p + i] = -1.0
-        rows.append(row)
-        rhs.append(-1.0)
-    bounds = [(None, None)] * p + [(0.0, None)] * (p + n)
-    res = linprog(cost, A_ub=np.array(rows), b_ub=np.array(rhs), bounds=bounds,
-                  method="highs")
-    if not res.success:
-        raise RuntimeError(f"linear program failed: {res.message}")
-    return res.x[:p], float(res.fun)
-
-
 # ---------------------------------------------------------------------------
 # blockwise Euclidean balls, one block at a time
 
@@ -890,3 +793,19 @@ def region_scan_cells(problem, kappas, grid, span_lo, span_hi, budget, tol,
                           sigma=sigma, valid=float(valid), interior=interior, ran=ran,
                           converged=converged, residual=residual))
     return cells
+
+
+# ---------------------------------------------------------------------------
+# triplet text of a whole matrix at once
+
+
+def triplet_text(matrix):
+    """The triplet file of ``matrix`` as the whole-matrix writer made it: a
+    ``rows cols nnz`` header, then every stored entry of
+    ``scipy.sparse.coo_array(matrix)`` (the nonzeros of a dense array in
+    row-major order), 1-based, with 17 significant digits."""
+    coo = sp.coo_array(matrix)
+    lines = [f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n"]
+    for i, j, value in zip(coo.row, coo.col, coo.data):
+        lines.append("%d %d %.17g\n" % (i + 1, j + 1, value))
+    return "".join(lines)

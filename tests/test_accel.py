@@ -200,6 +200,34 @@ def test_bounded_gap_bound_matches_oracle(dense_problem):
         bounded_gap_bound(sched, 1)
 
 
+@pytest.fixture(scope="module")
+def bounded_lasso():
+    """A lasso with its reference objective and ``auto_norm_bounds`` omegas."""
+    spec = bench.SyntheticSpec(kind="lasso", seed=3, n_samples=40, dim=30)
+    problem = bench.generate(spec).problem
+    omega_x, omega_y, _ = bench.auto_norm_bounds(problem)
+    return problem, bench.reference_solve(problem), omega_x, omega_y
+
+
+@pytest.mark.parametrize("mode, kappa", [("kappa", -1.0), ("kappa", 0.0), ("kappa", 0.5),
+                                         ("kappa", 1.0), ("chen", 0.0)])
+def test_bounded_run_stays_under_its_gap_bound(bounded_lasso, mode, kappa):
+    problem, reference, omega_x, omega_y = bounded_lasso
+    # With x* in the omega_x ball and the whole dual box (every maximizer of
+    # the Lagrangian in y) in the omega_y ball, the primal suboptimality of
+    # the averaged point is at most the restricted gap that the bound caps.
+    assert np.linalg.norm(reference.x) <= omega_x
+    assert problem.hconj.lam * np.sqrt(problem.dims[1]) <= omega_y
+    params = AccelParams(mode=mode, kappa=kappa, omega_x=omega_x, omega_y=omega_y,
+                         max_iters=400)
+    res = run_accel(problem, params)
+    ks = res.trace.column("k")
+    assert np.array_equal(ks, np.arange(1, 401))
+    gap = res.trace.column("ergodic_objective") - reference.objective
+    for k, value in zip(ks[1:], gap[1:]):
+        assert value <= bounded_gap_bound(res.schedule, k), k
+
+
 def test_schedule_constructors_reject_bad_settings(dense_problem):
     problem, _, _, _ = dense_problem
     factors = mode_factors("kappa", 0.5)

@@ -151,8 +151,14 @@ def test_a_failing_last_job_keeps_the_traces_of_the_jobs_before_it(tmp_path, mon
     assert _run(tmp_path, text) == 2
     assert capsys.readouterr().err == "solver error: the third job diverged\n"
     kept = _artifacts(tmp_path / "out")
-    assert sorted(kept) == ["trace-accel-chen-bounded.csv", "trace-accel-kappa0.5-bounded.csv"]
+    assert sorted(kept) == ["summary.csv", "trace-accel-chen-bounded.csv",
+                            "trace-accel-kappa0.5-bounded.csv"]
     whole = _artifacts(tmp_path / "whole")
+    # The summary holds the rows of the two finished jobs, in the order of the
+    # whole run's summary.
+    summary = whole["summary.csv"]
+    whole["summary.csv"] = [row for row in summary if not row.startswith("accel-kappa0-")]
+    assert len(whole["summary.csv"]) == len(summary) - 1 == 3
     assert all(kept[name] == whole[name] for name in kept)
 
 

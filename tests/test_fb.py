@@ -34,7 +34,6 @@ from pdsplit.saddle import (
     SaddleProblem,
     primal_objective,
     quadratic_loss,
-    split_dual_construct,
 )
 from pdsplit.shard import run_fb_sharded
 from pdsplit.stoch import StocParams, masked_oracle_factory, run_stoc
@@ -284,24 +283,28 @@ def test_fb_step_is_stationary_at_closed_form_fixed_point():
 
 
 def _metric_problems():
-    """A dense, a CSR, a split-dual ``VStackOp`` and a latent coupling."""
+    """A dense, a CSR and a latent coupling, and a column stack of CSR blocks
+    under an all-zero design (``L_f = 0``) whose penalty ties part of ``K x``
+    to a shift."""
     rng = np.random.default_rng(47)
     csr = sp.random_array((70, 80), density=0.05, format="csr", rng=rng)
     a = rng.standard_normal((9, 80))
-    labels = np.where(rng.standard_normal(9) > 0, 1.0, -1.0)
+    shift = 0.1 * (csr[40:] @ rng.standard_normal(80))
     latent = bench.SyntheticSpec(kind="latent-group-lasso", seed=7, n_groups=3,
                                  group_size=12, n_samples=15)
     return {
         "dense": make_dense_problem()[0],
         "csr": SaddleProblem(quadratic_loss(a, rng.standard_normal(9)),
                              linops.SparseOp(csr), prox.BoxClip(1.0, 70)),
-        "split-dual": split_dual_construct(linops.SparseOp(csr), prox.BoxClip(1.0, 70),
-                                           a, labels),
+        "zero-design": SaddleProblem(
+            quadratic_loss(np.zeros((9, 80)), rng.standard_normal(9)),
+            linops.HStackOp([linops.SparseOp(csr[:, :40]), linops.SparseOp(csr[:, 40:])]),
+            prox.Composite([prox.BoxClip(1.0, 40), prox.IdentityShift(30, shift)])),
         "latent": bench.generate(latent).problem,
     }
 
 
-@pytest.mark.parametrize("name", ["dense", "csr", "split-dual", "latent"])
+@pytest.mark.parametrize("name", ["dense", "csr", "zero-design", "latent"])
 def test_m_norm_matches_the_dense_metric_across_continuum(name):
     problem = _metric_problems()[name]
     k = oracles.densify(problem.K)
@@ -370,7 +373,7 @@ def _check_block_column(problem, got, kappa, tau, sigma, budget, tol):
     return "converged" if hit else "budget"
 
 
-@pytest.mark.parametrize("name", ["dense", "csr", "split-dual", "latent"])
+@pytest.mark.parametrize("name", ["dense", "csr", "zero-design", "latent"])
 def test_run_fb_block_columns_are_run_fb(name):
     problem = _metric_problems()[name]
     kappa, tau, sigma = [], [], []
@@ -385,9 +388,7 @@ def test_run_fb_block_columns_are_run_fb(name):
         block = run_fb_block(problem, kappa, tau, sigma, budget, tol)
     outcomes = {_check_block_column(problem, got, kappa[j], tau[j], sigma[j], budget, tol)
                 for j, got in enumerate(block)}
-    assert {"converged", "budget"} <= outcomes
-    if name != "split-dual":  # a bounded dual and no loss: its primal grows linearly
-        assert "left" in outcomes
+    assert outcomes == {"converged", "budget", "left"}
 
 
 def test_run_fb_block_of_no_columns_makes_no_step(tiny_lasso):

@@ -58,26 +58,6 @@ def test_dense_adjoint_matches_explicit_transpose():
     np.testing.assert_allclose(linops.DenseOp(m).apply_adjoint(v), m.T @ v)
 
 
-def test_vstack_adjoint_sums_block_adjoints():
-    rng = np.random.default_rng(1)
-    d = rng.standard_normal((3, 4))
-    a = rng.standard_normal((5, 4))
-    op = linops.VStackOp([linops.DenseOp(d), linops.DenseOp(a)])
-    w = rng.standard_normal(8)
-    np.testing.assert_allclose(
-        op.apply_adjoint(w), d.T @ w[:3] + a.T @ w[3:], atol=1e-14
-    )
-
-
-def test_vstack_forward_concatenates_blocks():
-    rng = np.random.default_rng(2)
-    d = rng.standard_normal((3, 4))
-    a = rng.standard_normal((5, 4))
-    op = linops.VStackOp([linops.DenseOp(d), linops.DenseOp(a)])
-    v = rng.standard_normal(4)
-    np.testing.assert_allclose(op.apply(v), np.concatenate([d @ v, a @ v]))
-
-
 def test_hstack_forward_sums_column_segment_products():
     rng = np.random.default_rng(3)
     d1 = rng.standard_normal((5, 2))
@@ -254,10 +234,6 @@ def test_op_norm_that_settles_before_the_switch_forms_no_gram_matrix(lanczos_ste
         pytest.param(lambda a: linops.DenseOp(a), id="dense-wide"),
         pytest.param(lambda a: linops.SparseOp(sp.csr_array(a)), id="csr"),
         pytest.param(
-            lambda a: linops.VStackOp([linops.DenseOp(a), linops.IdentityOp(45)]),
-            id="vstack",
-        ),
-        pytest.param(
             lambda a: linops.HStackOp([linops.DenseOp(a), linops.IdentityOp(20)]),
             id="hstack",
         ),
@@ -385,12 +361,12 @@ def test_norm_estimates_import_no_scipy_linear_algebra():
     assert out.stdout.strip() == "[]"
 
 
-def test_vstack_norm_bounded_by_stacked_squares():
+def test_hstack_norm_bounded_by_stacked_squares():
     rng = np.random.default_rng(6)
-    d = rng.standard_normal((3, 4))
-    a = rng.standard_normal((5, 4))
+    d = rng.standard_normal((4, 3))
+    a = rng.standard_normal((4, 5))
     stacked = linops.op_norm(
-        linops.VStackOp([linops.DenseOp(d), linops.DenseOp(a)]), tol=1e-10
+        linops.HStackOp([linops.DenseOp(d), linops.DenseOp(a)]), tol=1e-10
     )
     parts = (
         linops.op_norm(linops.DenseOp(d), tol=1e-10) ** 2
@@ -405,7 +381,6 @@ def test_adjoint_consistency_on_random_pairs():
     ops = [
         linops.DenseOp(mat),
         linops.SparseOp(sp.csr_array(mat)),
-        linops.VStackOp([linops.DenseOp(mat), linops.IdentityOp(6)]),
         linops.HStackOp([linops.DenseOp(mat), linops.IdentityOp(4)]),
     ]
     for op in ops:
@@ -643,11 +618,11 @@ def test_vector_round_trip(tmp_path):
 # The operator class of each kind that the tests below build.
 _CLASSES = {"dense": linops.DenseOp, "sparse-csr": linops.SparseOp,
             "identity": linops.IdentityOp, "zero": linops.ZeroOp,
-            "vstack": linops.VStackOp, "hstack": linops.HStackOp}
+            "hstack": linops.HStackOp}
 
 
 def _block_operators():
-    """One operator of every kind; the stacks mix dense and CSR blocks."""
+    """One operator of every kind; the stack mixes dense and CSR blocks."""
     rng = np.random.default_rng(90)
     csr = sp.csr_array(sp.random(70, 80, density=0.1, random_state=3))
     return {
@@ -655,10 +630,6 @@ def _block_operators():
         "sparse-csr": linops.SparseOp(csr),
         "identity": linops.IdentityOp(80),
         "zero": linops.ZeroOp((70, 80)),
-        "vstack": linops.VStackOp(
-            [linops.SparseOp(csr), linops.IdentityOp(80), linops.ZeroOp((5, 80)),
-             linops.DenseOp(rng.standard_normal((15, 80)))]
-        ),
         "hstack": linops.HStackOp(
             [linops.SparseOp(csr[:, :30]), linops.ZeroOp((70, 20)),
              linops.SparseOp(csr[:, 30:]), linops.DenseOp(rng.standard_normal((70, 40)))]
@@ -689,8 +660,8 @@ def test_to_sparse_stores_the_nonzeros_of_densify(kind):
         # A stack in a stack, beside a CSR block with unsorted columns, a
         # duplicate entry and an explicit zero.
         odd = sp.csr_array((np.array([0.0, 2.0, 1.0, 1.5]), np.array([1, 0, 2, 2]),
-                            np.r_[0, 2, 4, np.full(168, 4)]), shape=(170, 3))
-        op = linops.HStackOp([ops["vstack"], linops.SparseOp(odd)])
+                            np.r_[0, 2, 4, np.full(68, 4)]), shape=(70, 3))
+        op = linops.HStackOp([ops["hstack"], linops.SparseOp(odd)])
     else:
         op = ops[kind]
     want = sp.csr_array(oracles.densify(op))
@@ -722,8 +693,6 @@ def _operator_of_kind(kind, rows, cols, rng):
         return linops.IdentityOp(cols)
     if kind == "zero":
         return linops.ZeroOp((rows, cols))
-    if kind == "vstack":
-        return linops.VStackOp([dense(rows, cols), csr(2, cols), linops.IdentityOp(cols)])
     return linops.HStackOp([dense(rows, cols), csr(rows, 3), linops.ZeroOp((rows, 2))])
 
 

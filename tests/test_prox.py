@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from pdsplit import prox
-from pdsplit.errors import BadLabels, DegenerateProblem, DimensionError, UnknownKind
+from pdsplit.errors import DegenerateProblem, DimensionError, UnknownKind
 
 import oracles
 
@@ -18,77 +18,11 @@ def test_box_clip_pinned_values():
     np.testing.assert_array_equal(out, [1.0, -0.5, -1.0])
 
 
-def test_l2_ball_scales_radially_and_keeps_interior():
-    spec = prox.L2Ball(1.0, 2)
-    np.testing.assert_allclose(spec.prox(np.array([3.0, 4.0]), 1.0), [0.6, 0.8])
-    inside = np.array([0.3, -0.4])
-    np.testing.assert_array_equal(spec.prox(inside, 2.0), inside)
-
-
-def test_hinge_conj_pinned_values_positive_label():
-    spec = prox.HingeConj(np.array([1.0]))
-    assert spec.prox(np.array([0.5]), 1.0)[0] == pytest.approx(-0.5)
-    assert spec.prox(np.array([3.0]), 1.0)[0] == pytest.approx(0.0)
-    assert spec.prox(np.array([-2.0]), 1.0)[0] == pytest.approx(-1.0)
-
-
-def test_hinge_conj_negative_label_mirrors_interval():
-    spec = prox.HingeConj(-np.ones(33))
-    out = spec.prox(np.linspace(-4.0, 4.0, 33), 0.5)
-    assert np.all(out >= 0.0) and np.all(out <= 1.0)
-
-
-def test_hinge_conj_rejects_bad_labels():
-    with pytest.raises(BadLabels):
-        prox.HingeConj(np.array([1.0, 0.0]))
-    with pytest.raises(BadLabels):
-        prox.HingeConj(np.zeros(0))
-
-
-def test_l1_ball_prox_pinned_and_matches_bisection():
-    spec = prox.L1Ball(1.0, 2)
-    np.testing.assert_allclose(spec.prox(np.array([2.0, 1.0]), 1.0), [1.0, 0.0],
-                               atol=1e-12)
-    rng = np.random.default_rng(10)
-    for _ in range(20):
-        z = rng.standard_normal(5) * 3.0
-        np.testing.assert_allclose(
-            spec.prox(z[:2], 1.0),
-            oracles.l1_ball_project_bisect(z[:2], 1.0),
-            atol=1e-10,
-        )
-
-
-def test_project_l1_ball_keeps_feasible_point():
-    z = np.array([0.3, -0.2])
-    np.testing.assert_array_equal(prox.project_l1_ball(z, 1.0), z)
-
-
-def test_project_l1_ball_single_coordinate():
-    np.testing.assert_allclose(
-        prox.project_l1_ball(np.array([3.0, 0.0]), 1.0), [1.0, 0.0], atol=1e-12
-    )
-
-
-def test_project_l1_ball_matches_bisection_oracle():
-    rng = np.random.default_rng(11)
-    for _ in range(50):
-        z = rng.standard_normal(5) * 2.0
-        radius = float(rng.uniform(0.1, 3.0))
-        np.testing.assert_allclose(
-            prox.project_l1_ball(z, radius),
-            oracles.l1_ball_project_bisect(z, radius),
-            atol=1e-10,
-        )
-
-
 def _primal_prox(spec, z, scale):
     """Prox of ``scale * h`` by the oracles' direct primal rules: soft
-    threshold, vector shrink (one block) and block shrink."""
+    threshold and block shrink."""
     if isinstance(spec, prox.BoxClip):
         return oracles.soft_threshold(z, scale * spec.lam)
-    if isinstance(spec, prox.L2Ball):
-        return oracles.group_shrink(z, [spec.dim], [scale * spec.lam])
     return oracles.group_shrink(z, spec.partition.sizes, scale * spec.radii)
 
 
@@ -110,7 +44,7 @@ def test_moreau_primal_route_matches_ball_projection():
     spec = prox.GroupL2Balls(partition, [1.5])
     rng = np.random.default_rng(12)
     z = rng.standard_normal(4) * 3.0
-    direct = prox.L2Ball(1.5, 4).prox(z, 2.0)
+    direct = oracles.group_ball_project(z, [4], [1.5])
     np.testing.assert_allclose(
         _moreau_prox_primal(spec, z, 2.0), direct, atol=1e-12
     )
@@ -127,7 +61,7 @@ def _moreau_cases():
     partition = prox.GroupPartition([2, 3])
     return [
         (prox.BoxClip(0.7, 5), 5),
-        (prox.L2Ball(1.2, 5), 5),
+        (prox.GroupL2Balls(prox.GroupPartition([5]), [1.2]), 5),
         (prox.GroupL2Balls(partition, [0.5, 2.0]), 5),
     ]
 
@@ -146,8 +80,6 @@ def test_projection_prox_idempotent():
     rng = np.random.default_rng(14)
     specs = [
         prox.BoxClip(1.0, 4),
-        prox.L2Ball(0.8, 4),
-        prox.L1Ball(1.3, 4),
         prox.GroupL2Balls(prox.GroupPartition([2, 2]), [0.6, 1.1]),
     ]
     for spec in specs:
@@ -160,10 +92,7 @@ def test_prox_nonexpansive_on_random_pairs():
     rng = np.random.default_rng(15)
     specs = [
         prox.BoxClip(1.0, 6),
-        prox.L2Ball(1.5, 6),
-        prox.L1Ball(2.0, 6),
         prox.GroupL2Balls(prox.GroupPartition([3, 3]), [1.0, 0.4]),
-        prox.HingeConj(np.array([1.0, -1.0, 1.0, 1.0, -1.0, -1.0])),
         prox.IdentityShift(6, rng.standard_normal(6)),
     ]
     for spec in specs:
@@ -176,7 +105,7 @@ def test_prox_nonexpansive_on_random_pairs():
 
 def test_composite_equals_blockwise_concatenation():
     part_a = prox.BoxClip(1.0, 2)
-    part_b = prox.HingeConj(np.array([1.0, -1.0, 1.0]))
+    part_b = prox.IdentityShift(3, np.array([1.0, -1.0, 1.0]))
     spec = prox.Composite([part_a, part_b])
     rng = np.random.default_rng(16)
     v = rng.standard_normal(5)
@@ -240,17 +169,6 @@ def test_prox_conjugate_validates_step():
 def test_box_clip_output_always_in_box(z, lam, sigma):
     out = prox.BoxClip(lam, 4).prox(z, sigma)
     assert np.all(np.abs(out) <= lam)
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    z=hnp.arrays(np.float64, 5, elements=st.floats(-20, 20)),
-    radius=st.floats(0.1, 10.0),
-)
-def test_l1_projection_feasible_and_idempotent(z, radius):
-    out = prox.project_l1_ball(z, radius)
-    assert np.abs(out).sum() <= radius * (1.0 + 1e-12) + 1e-12
-    np.testing.assert_allclose(prox.project_l1_ball(out, radius), out, atol=1e-12)
 
 
 def _group_case():
@@ -317,8 +235,7 @@ def test_group_primal_prox_matches_per_block_oracle(scale):
 
 
 # The class of each prox kind that ``_block_specs`` builds.
-_CLASSES = {"box-clip": prox.BoxClip, "l2-ball": prox.L2Ball, "l1-ball": prox.L1Ball,
-            "group-l2-balls": prox.GroupL2Balls, "hinge-conj": prox.HingeConj,
+_CLASSES = {"box-clip": prox.BoxClip, "group-l2-balls": prox.GroupL2Balls,
             "identity-shift": prox.IdentityShift, "composite": prox.Composite}
 
 
@@ -326,17 +243,13 @@ def _block_specs():
     """One spec of every prox kind."""
     rng = np.random.default_rng(92)
     partition = prox.GroupPartition([3, 5, 1, 4])
-    labels = np.where(rng.standard_normal(6) > 0, 1.0, -1.0)
     return {
         "box-clip": prox.BoxClip(0.7, 6),
-        "l2-ball": prox.L2Ball(1.5, 6),
-        "l1-ball": prox.L1Ball(1.2, 6),
         "group-l2-balls": prox.GroupL2Balls(partition, [0.5, 2.0, 0.1, 1.0]),
-        "hinge-conj": prox.HingeConj(labels),
         "identity-shift": prox.IdentityShift(6, rng.standard_normal(6)),
         "composite": prox.Composite(
             [prox.GroupL2Balls(prox.GroupPartition([2, 2]), 0.8),
-             prox.L1Ball(0.5, 3), prox.IdentityShift(2)]
+             prox.BoxClip(0.5, 3), prox.IdentityShift(2)]
         ),
     }
 
@@ -371,7 +284,7 @@ def test_block_prox_takes_one_step_per_column(kind, width):
 
 
 def test_block_is_accepted_by_prox_only():
-    spec = prox.L2Ball(1.0, 3)
+    spec = prox.BoxClip(1.0, 3)
     block = np.ones((3, 2))
     with pytest.raises(DimensionError):
         spec.conj_value(block, 0.0)
@@ -385,8 +298,6 @@ def test_block_is_accepted_by_prox_only():
 
 _WEIGHTED = {
     "box-clip": lambda w: prox.BoxClip(w, 3),
-    "l2-ball": lambda w: prox.L2Ball(w, 3),
-    "l1-ball": lambda w: prox.L1Ball(w, 3),
     "group-radius": lambda w: prox.GroupL2Balls(prox.GroupPartition([2, 1]), [1.0, w]),
     "group-radii": lambda w: prox.GroupL2Balls(prox.GroupPartition([2, 1]), w),
 }

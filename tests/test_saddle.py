@@ -5,17 +5,14 @@ import pytest
 import scipy.sparse as sp
 
 from pdsplit import linops, prox
-from pdsplit.errors import BadLabels, DegenerateProblem, DimensionError
+from pdsplit.errors import DegenerateProblem, DimensionError
 from pdsplit.fb import FbParams, run_fb
 from pdsplit.saddle import (
     SaddleProblem,
     fixed_point_residual,
     latent_group_construct,
-    logistic_loss,
     primal_objective,
     quadratic_loss,
-    split_dual_construct,
-    zero_loss,
 )
 
 import oracles
@@ -48,37 +45,6 @@ def test_quadratic_loss_gradient_matches_finite_differences():
 def test_quadratic_loss_rejects_mismatched_response():
     with pytest.raises(DimensionError):
         quadratic_loss(np.eye(3), np.zeros(4))
-
-
-def test_logistic_loss_at_origin():
-    rng = np.random.default_rng(21)
-    a = rng.standard_normal((6, 4))
-    b = (rng.uniform(size=6) > 0.5).astype(float)
-    loss = logistic_loss(a, b)
-    assert loss.value(np.zeros(4)) == pytest.approx(6.0 * np.log(2.0))
-    np.testing.assert_allclose(loss.grad(np.zeros(4)), a.T @ (0.5 - b))
-
-
-def test_logistic_loss_gradient_matches_finite_differences():
-    rng = np.random.default_rng(22)
-    a = rng.standard_normal((7, 3))
-    b = (rng.uniform(size=7) > 0.5).astype(float)
-    loss = logistic_loss(a, b)
-    x = 0.5 * rng.standard_normal(3)
-    numeric = oracles.central_diff_grad(loss.value, x)
-    np.testing.assert_allclose(loss.grad(x), numeric, rtol=1e-5, atol=1e-7)
-
-
-def test_logistic_loss_rejects_signed_labels():
-    with pytest.raises(BadLabels):
-        logistic_loss(np.eye(2), np.array([-1.0, 1.0]))
-
-
-def test_zero_loss_vanishes():
-    loss = zero_loss(4)
-    assert loss.value(np.ones(4)) == 0.0
-    np.testing.assert_array_equal(loss.grad(np.ones(4)), np.zeros(4))
-    assert loss.L_f == 0.0
 
 
 def test_loss_reads_through_another_operator_for_the_same_matrix():
@@ -128,16 +94,12 @@ def test_problem_rejects_design_with_other_column_count():
 def test_gradient_lipschitz_bound_holds_on_samples():
     rng = np.random.default_rng(23)
     a = rng.standard_normal((9, 5))
-    losses = [
-        quadratic_loss(a, rng.standard_normal(9)),
-        logistic_loss(a, (rng.uniform(size=9) > 0.5).astype(float)),
-    ]
-    for loss in losses:
-        for _ in range(50):
-            x1 = rng.standard_normal(5) * 2.0
-            x2 = rng.standard_normal(5) * 2.0
-            lhs = np.linalg.norm(loss.grad(x1) - loss.grad(x2))
-            assert lhs <= loss.L_f * np.linalg.norm(x1 - x2) + 1e-10
+    loss = quadratic_loss(a, rng.standard_normal(9))
+    for _ in range(50):
+        x1 = rng.standard_normal(5) * 2.0
+        x2 = rng.standard_normal(5) * 2.0
+        lhs = np.linalg.norm(loss.grad(x1) - loss.grad(x2))
+        assert lhs <= loss.L_f * np.linalg.norm(x1 - x2) + 1e-10
 
 
 def test_lagrangian_reduces_to_loss_at_zero_dual():
@@ -219,45 +181,6 @@ def test_fixed_point_residual_positive_away_from_solution(tiny_lasso):
     assert res > 1e-3
 
 
-def test_split_dual_blocks_and_dims():
-    rng = np.random.default_rng(28)
-    a = rng.standard_normal((5, 3))
-    labels = np.sign(rng.standard_normal(5))
-    labels[labels == 0] = 1.0
-    problem = split_dual_construct(linops.IdentityOp(3),
-                                   prox.BoxClip(0.4, 3), a, labels)
-    assert problem.dims == (3, 8)
-    assert problem.L_f == 0.0
-    x = rng.standard_normal(3)
-    kx = problem.K.apply(x)
-    np.testing.assert_allclose(kx[:3], x)
-    np.testing.assert_allclose(kx[3:], a @ x)
-    expected = 0.4 * np.abs(x).sum() + np.maximum(0.0, 1.0 - labels * (a @ x)).sum()
-    assert primal_objective(problem, x) == pytest.approx(expected)
-
-
-def test_split_dual_rejects_mismatched_shapes():
-    a = np.ones((4, 3))
-    labels = np.ones(4)
-    with pytest.raises(DimensionError):
-        split_dual_construct(linops.IdentityOp(2), prox.BoxClip(1.0, 2), a,
-                             labels)
-    with pytest.raises(DimensionError):
-        split_dual_construct(linops.IdentityOp(3), prox.BoxClip(1.0, 3), a,
-                             np.ones(3))
-
-
-def test_hinge_reference_oracles_agree():
-    rng = np.random.default_rng(29)
-    a = rng.standard_normal((6, 3))
-    labels = np.sign(rng.standard_normal(6))
-    labels[labels == 0] = 1.0
-    x_lp, f_lp = oracles.linprog_hinge_l1(a, labels, 0.3)
-    x_sg, f_sg = oracles.subgradient_hinge_l1(a, labels, 0.3)
-    assert f_sg == pytest.approx(f_lp, rel=1e-6)
-    assert f_sg >= f_lp - 1e-9
-
-
 def test_latent_group_adjoint_consistency():
     rng = np.random.default_rng(30)
     a = rng.standard_normal((8, 6))
@@ -313,7 +236,7 @@ def test_supplied_design_image_replaces_the_product():
     assert problem.loss.value(x, np.zeros_like(ax)) == problem.loss.value(np.zeros_like(x))
 
 
-@pytest.mark.parametrize("make_loss", [quadratic_loss, logistic_loss])
+@pytest.mark.parametrize("make_loss", [quadratic_loss])
 def test_loss_gradient_maps_each_column_of_a_block(make_loss):
     rng = np.random.default_rng(94)
     a = sp.random(80, 70, density=0.1, random_state=4, format="csr")

@@ -10,9 +10,7 @@ from pdsplit.prox import BoxClip
 from pdsplit.saddle import (
     SaddleProblem,
     latent_group_construct,
-    logistic_loss,
     quadratic_loss,
-    split_dual_construct,
 )
 from pdsplit.shard import partition_problem, run_fb_sharded
 
@@ -65,26 +63,15 @@ def test_latent_group_problem_shards():
     assert np.all(res.ledger.column("loss_comm") == 2 * 2 * 12)
 
 
-def test_logistic_problem_shards():
-    rng = np.random.default_rng(62)
-    a = rng.standard_normal((20, 9))
-    labels = (rng.random(20) < 0.5).astype(float)
-    diff = linops.build_graph_difference([(i, i + 1) for i in range(8)], 9)
-    problem = SaddleProblem(logistic_loss(a, labels), diff, BoxClip(0.3, 8))
-    res = _assert_agrees_with_plain_run(problem, 3)
-    # Each of the two loss products moves 2 * 20 entries, at every step.
-    assert np.all(res.ledger.column("loss_comm") == 2 * 2 * 20)
-    assert np.all(res.ledger.column("penalty_comm") == 3 * res.plan.cross_total)
-
-
-def test_partitioning_a_split_dual_problem_densifies_nothing():
+def test_partitioning_a_stacked_coupling_densifies_nothing():
     # The package has no densify (test_linops checks), so the cross table
     # comes from the stack's own CSR blocks.
     rng = np.random.default_rng(63)
     diff = linops.build_graph_difference([(i, i + 1) for i in range(8)], 9)
-    problem = split_dual_construct(diff, BoxClip(0.3, 8), rng.standard_normal((12, 9)),
-                                   np.where(rng.random(12) < 0.5, -1.0, 1.0))
-    assert isinstance(problem.K, linops.VStackOp)
+    coupling = linops.HStackOp([diff, linops.IdentityOp(8)])
+    problem = SaddleProblem(quadratic_loss(rng.standard_normal((12, 17)),
+                                           rng.standard_normal(12)),
+                            coupling, BoxClip(0.3, 8))
     k_dense = oracles.densify(problem.K)
     plan = partition_problem(problem, 3)
     rows = oracles.cross_block_rows(k_dense, plan.row_offsets, plan.col_offsets)
@@ -165,16 +152,16 @@ def test_cross_counts_are_rows_of_off_diagonal_blocks(small_ggfl, workers):
     assert plan.cross_total <= entries
 
 
-def _vstack_design_problem():
+def _hstack_design_problem():
     rng = np.random.default_rng(64)
     a = rng.standard_normal((9, 5))
-    design = linops.VStackOp([linops.DenseOp(a[:4]), linops.DenseOp(a[4:])])
+    design = linops.HStackOp([linops.DenseOp(a[:, :2]), linops.DenseOp(a[:, 2:])])
     return SaddleProblem(quadratic_loss(design, rng.standard_normal(9)),
                          linops.IdentityOp(5), BoxClip(0.5, 5))
 
 
-def test_vstack_design_problem_shards():
-    _assert_agrees_with_plain_run(_vstack_design_problem(), 2)
+def test_hstack_design_problem_shards():
+    _assert_agrees_with_plain_run(_hstack_design_problem(), 2)
 
 
 def _assert_bitwise_plain_run(problem, workers):
@@ -196,7 +183,7 @@ def test_sharded_run_is_bitwise_the_plain_run(small_ggfl, workers):
 
 
 @pytest.mark.parametrize("build, workers",
-                         [(_latent_problem, 3), (_vstack_design_problem, 2)])
+                         [(_latent_problem, 3), (_hstack_design_problem, 2)])
 def test_other_design_kinds_run_bitwise_the_plain_run(build, workers):
     _assert_bitwise_plain_run(build(), workers)
 

@@ -15,6 +15,8 @@ from pdsplit import cli, textio
 from pdsplit.errors import ConfigError, DimensionError
 from pdsplit.fb import IterTrace
 
+import oracles
+
 EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-308,
                1.7976931348623157e308, -1.7976931348623157e308, 1e308, -1e-308,
                np.inf, -np.inf, np.nan, 0.1, 1.0 / 3.0]
@@ -65,6 +67,20 @@ def test_tables_round_trip_bitwise(tmp_path_factory, width, data):
     assert got_columns == columns
     assert values.shape == (len(table), width)
     assert _bits(values) == _bits(np.reshape(table, (len(table), width)))
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 4), (4, 0), (1, 1), (9, 7), (700, 7), (3, 5000)])
+def test_triplets_are_bytewise_those_of_the_whole_matrix_writer(tmp_path, rows, cols):
+    # Bands of several rows, of one row, and ends inside a band; zeros of
+    # both signs among the edge values.
+    rng = np.random.default_rng(rows * 7919 + cols)
+    dense = rng.choice(np.array(EDGE_VALUES), size=(rows, cols))
+    dense[rng.random((rows, cols)) < 0.5] = 0.0
+    stored = sp.csr_array(dense)
+    stored.data[::3] = 0.0  # explicit zeros that the CSR array keeps
+    for matrix in (dense, stored, np.asfortranarray(dense)):
+        textio.write_triplets(tmp_path / "m.txt", matrix)
+        assert (tmp_path / "m.txt").read_bytes() == oracles.triplet_text(matrix).encode()
 
 
 def test_empty_matrix_and_header_only_trace_round_trip_without_warnings(tmp_path):
