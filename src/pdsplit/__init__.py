@@ -117,7 +117,6 @@ from .stoch import (
     StocParams,
     StocResult,
     StochasticOracle,
-    estimate_chi,
     masked_oracle_factory,
     run_stoc,
 )
@@ -171,7 +170,6 @@ __all__ = [
     "build_schedule",
     "convergence_region",
     "default_step_sizes",
-    "estimate_chi",
     "fb_step",
     "fixed_point_residual",
     "generate",

@@ -283,7 +283,10 @@ def _write_summary(path, rows):
     textio.write_table(path, _SUMMARY_COLUMNS, cells)
 
 
-def _summary_row(label, algorithm, mode, kappa, setting, **extra):
+def _summary_row(label, algorithm, mode, kappa, setting, problem, result, reference,
+                 **extra):
+    """One job's summary row: the given cells, the objective at the final ``x``, and
+    the rate slope of the trace (NaN without a reference or enough rows)."""
     row = {c: math.nan for c in _SUMMARY_COLUMNS}
     row["label"] = label
     row["algorithm"] = algorithm
@@ -292,25 +295,19 @@ def _summary_row(label, algorithm, mode, kappa, setting, **extra):
     row["kappa"] = math.nan if kappa is None else float(kappa)
     for key, value in extra.items():
         row[key] = math.nan if value is None else value
+    row["final_objective"] = saddle.primal_objective(problem, result.x)
+    if reference is not None:
+        try:
+            est = bench.rate_slope(result.trace, reference.objective)
+            row["slope"], row["slope_stderr"] = est.slope, est.stderr
+        except InsufficientData:
+            pass
     return row
 
 
-def _slope_fields(trace, reference):
-    if reference is None:
-        return math.nan, math.nan
-    try:
-        est = bench.rate_slope(trace, reference.objective)
-    except InsufficientData:
-        return math.nan, math.nan
-    return est.slope, est.stderr
-
-
-def _mode_token(token):
-    token = str(token)
-    if token == "chen":
-        return "chen", 0.0, "chen"
-    kappa = float(token)
-    return "kappa", kappa, f"kappa{kappa:g}"
+def _mode_label(mode, kappa):
+    """The label part of an accelerated or stochastic mode."""
+    return "chen" if mode == "chen" else f"kappa{kappa:g}"
 
 
 def _given(config, *names):
@@ -321,11 +318,9 @@ def _given(config, *names):
 def _job_fb(problem, config, params, reference):
     result = fb.run_fb(problem, params, tol=config.tol)
     label = f"fb-kappa{params.kappa:g}"
-    row = _summary_row(label, "fb", "-", params.kappa, "-", tau=result.tau,
-                       sigma=result.sigma, rho=result.rho, max_iters=params.max_iters,
-                       iterations=result.iterations,
-                       final_objective=saddle.primal_objective(problem, result.x))
-    row["slope"], row["slope_stderr"] = _slope_fields(result.trace, reference)
+    row = _summary_row(label, "fb", "-", params.kappa, "-", problem, result, reference,
+                       tau=result.tau, sigma=result.sigma, rho=result.rho,
+                       max_iters=params.max_iters, iterations=result.iterations)
     return label, result.trace, row
 
 
@@ -333,10 +328,9 @@ def _job_fbf(problem, config, reference):
     result = fb.run_fbf(problem, tau=config.tau, alpha1=config.alpha1, alpha2=config.alpha2,
                         max_iters=config.max_iters, tol=config.tol,
                         record_every=config.record_every)
-    row = _summary_row("fbf", "fbf", "-", None, "-", tau=result.tau,
-                       max_iters=config.max_iters, iterations=result.iterations,
-                       final_objective=saddle.primal_objective(problem, result.x))
-    row["slope"], row["slope_stderr"] = _slope_fields(result.trace, reference)
+    row = _summary_row("fbf", "fbf", "-", None, "-", problem, result, reference,
+                       tau=result.tau, max_iters=config.max_iters,
+                       iterations=result.iterations)
     return "fbf", result.trace, row
 
 
@@ -344,7 +338,7 @@ def _accel_record(config, token):
     """The record of one accelerated mode before the problem exists: ``q``
     and ``r`` at their defaults unless the config gives them, the omegas
     ``None`` unless it does."""
-    mode, kappa, _ = _mode_token(token)
+    mode, kappa = ("chen", 0.0) if token == "chen" else ("kappa", float(token))
     horizon = config.horizon
     if config.setting == "unbounded" and horizon is None:
         horizon = config.max_iters
@@ -374,14 +368,14 @@ def _job_accel(problem, config, params, reference, omega_x, omega_y):
         r = tuned_r if r is None else r
     params = replace(params, omega_x=omega_x, omega_y=omega_y, q=q, r=r)
     result = accel.run_accel(problem, params)
-    mode_label = "chen" if mode == "chen" else f"kappa{kappa:g}"
-    label = f"accel-{mode_label}-{setting}"
+    label = f"accel-{_mode_label(mode, kappa)}-{setting}"
     row = _summary_row(
         label,
         "accel",
         mode,
         kappa,
         setting,
+        problem, result, reference,
         q=q,
         r=r,
         omega_x=omega_x,
@@ -389,9 +383,7 @@ def _job_accel(problem, config, params, reference, omega_x, omega_y):
         horizon=horizon,
         max_iters=max_iters,
         iterations=result.iterations,
-        final_objective=saddle.primal_objective(problem, result.x),
     )
-    row["slope"], row["slope_stderr"] = _slope_fields(result.trace, reference)
     return label, result.trace, row
 
 
@@ -424,13 +416,12 @@ def _stoc_record(config, args):
     )
 
 
-def _job_stoc(problem, config, args, params, reference):
+def _job_stoc(problem, config, args, params, seeds, reference):
     mode, kappa, setting = params.mode, params.kappa, params.setting
-    mode_label = "chen" if mode == "chen" else f"kappa{kappa:g}"
+    mode_label = _mode_label(mode, kappa)
     omega_x, omega_y = _omegas(problem, config)
     params = replace(params, omega_x=omega_x, omega_y=omega_y)
     factory = stoch.masked_oracle_factory(problem, params, config.pi)
-    seeds = config.seeds if config.seeds is not None else [args.seed + i for i in range(5)]
     result = stoch.run_stoc(problem, params, factory, seeds)
     result.aggregate.to_csv(os.path.join(args.out, f"stoc-{mode_label}-aggregate.csv"))
     outputs = []
@@ -442,6 +433,7 @@ def _job_stoc(problem, config, args, params, reference):
             mode,
             kappa,
             setting,
+            problem, run, reference,
             q=params.q,
             r=params.r,
             s=params.s,
@@ -454,9 +446,7 @@ def _job_stoc(problem, config, args, params, reference):
             horizon=params.horizon,
             max_iters=run.iterations,
             iterations=run.iterations,
-            final_objective=saddle.primal_objective(problem, run.x),
         )
-        row["slope"], row["slope_stderr"] = _slope_fields(run.trace, reference)
         outputs.append((label, run.trace, row))
     return outputs
 
@@ -467,8 +457,11 @@ def _jobs(config, args):
     finishes.
 
     Every record is built here, before any problem exists, so a value
-    outside its field's domain fails before generation and the reference.
+    outside its field's domain fails before generation and the reference, as
+    does a tolerance, keep probability or seed outside its runner's domain.
     """
+    if config.algorithm in ("fb", "fbf"):
+        fb._TOL.check("tolerance", config.tol)
     if config.algorithm == "fb":
         params = fb.FbParams(kappa=config.kappa if config.kappa is not None else 0.0,
                              tau=config.tau, sigma=config.sigma,
@@ -497,9 +490,13 @@ def _jobs(config, args):
                 yield _job_accel(problem, config, params, reference, omega_x, omega_y)
     else:
         params = _stoc_record(config, args)
+        stoch._PI.check("pi", config.pi)
+        seeds = config.seeds if config.seeds is not None else [args.seed + i for i in range(5)]
+        for seed in seeds:
+            stoch._SEED.check("seed", seed)
 
         def run(problem, reference):
-            yield from _job_stoc(problem, config, args, params, reference)
+            yield from _job_stoc(problem, config, args, params, seeds, reference)
     return run
 
 

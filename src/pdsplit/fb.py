@@ -49,6 +49,9 @@ from .errors import _arg, _check_fields, _Domain
 # Fraction of the theoretical caps used by the step and relaxation recipes.
 RECIPE_FACTOR = 0.9
 
+# The domain of a stopping tolerance on the step residual.
+_TOL = _Domain("real", "[0, inf]", none=True)
+
 
 @dataclass
 class FbParams:
@@ -377,7 +380,7 @@ def _drive(step, row, n_steps, record_every, columns, labels=("",), tol=None,
         If ``tol`` is not ``None`` or a nonnegative number (a bool is not
         one).
     """
-    _Domain("real", "[0, inf]", none=True).check("tolerance", tol)
+    _TOL.check("tolerance", tol)
     traces = [IterTrace(columns) for _ in labels]
     last = np.zeros(len(labels), dtype=int)
     converged = np.zeros(len(labels), dtype=bool)
@@ -696,12 +699,15 @@ def run_fbf(problem, tau=None, alpha1=0.0, alpha2=0.0, max_iters=1000, x0=None, 
     ``tau`` (by default :func:`fbf_default_step`), ``max_iters`` and
     ``record_every`` take the domains of those :class:`FbParams` fields,
     and ``alpha1`` and ``alpha2`` any finite number, else
-    :class:`ConstraintViolation`.  Returns an :class:`FbResult` with ``tau``
-    as both steps; the metric distance ``mdist`` is not defined for this
-    scheme and stays ``nan``.
+    :class:`ConstraintViolation`; a problem with ``L_f + ||K|| = 0``
+    raises :class:`DegenerateProblem`.  Returns an :class:`FbResult` with
+    ``tau`` as both steps; the metric distance ``mdist`` is not defined for
+    this scheme and stays ``nan``.
     """
     x, y = _start_point(problem, x0, y0)
     _check_fbf_args(tau, alpha1, alpha2, max_iters, record_every)
+    if problem.L_f + problem.k_norm == 0:
+        raise DegenerateProblem("the forward map is zero: L_f + ||K|| = 0")
     if tau is None:
         tau = fbf_default_step(problem)
     if tau >= 1.0 / (problem.L_f + problem.k_norm):

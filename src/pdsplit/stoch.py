@@ -15,7 +15,9 @@ require the caller to opt in explicitly.
 The noisy schedules are instances of the deterministic module's
 :class:`~pdsplit.accel.Schedule` with noise levels set, built by the same
 :meth:`~pdsplit.accel.Schedule.build`, so both share the laws, the
-inequality checks, the input checks and the constant ``Q``.
+inequality checks, the input checks and the constant ``Q``.  A run takes
+each noise level from its parameters or, when they leave it unset, as its
+oracle declares it.
 
 :func:`run_stoc` advances all its seeds together as one block iterate, a
 ``(dim, B)`` array with one column per seed, by :func:`stoc_accel_step`
@@ -31,7 +33,7 @@ traces.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -51,10 +53,9 @@ from .fb import IterTrace, _start_point
 
 AGGREGATE_COLUMNS = ["k", "mean_objective", "median_objective", "q10", "q90"]
 
-# Draw count and inflation applied by the built-in variance estimation.
-CHI_DRAWS = 1000
-CHI_INFLATION = 1.5
-_CHI_SEED = 987654321
+# The domains of the masked oracle's keep probability and of each seed key.
+_PI = _Domain("real", "(0, 1]")
+_SEED = _Domain("index", "[0, inf)")
 
 
 @dataclass
@@ -82,8 +83,7 @@ class StocParams:
         (``r < 1/2`` in the unbounded setting).
     chi_x, chi_y : float or None
         Noise levels of the primal and dual estimate channels, finite and
-        nonnegative; ``None`` defers to the oracle's declared bounds, or else
-        to a measurement at the starting point.
+        nonnegative; ``None`` defers to the oracle's declared level.
     record_every : int
         Trace row cadence, a positive integer.
     unproven : bool
@@ -121,28 +121,15 @@ class StochasticOracle:
     products for every argument, because the accelerated step
     draws each coupling estimate at a combined argument that folds in the
     mode's auxiliary operators.  Implementations declare their noise levels
-    through the per-channel attributes ``chi_xf`` (gradient), ``chi_xk``
-    (dual-to-primal coupling) and ``chi_yk`` (primal-to-dual coupling):
-    each bounds the root mean squared deviation of its channel over the
-    region the iterates can visit.  ``None`` means undeclared, in which
-    case the runner falls back to measuring at the starting point.
+    as ``chi_x``, which bounds the root mean squared deviation of the primal
+    estimate (the gradient draw and the ``K' y`` draw together), and
+    ``chi_y``, which bounds that of the dual estimate (the ``K x`` draw),
+    over the region the iterates can visit.  ``None`` means undeclared: a
+    run then needs the level in its parameters.
     """
 
-    chi_xf: float | None = None
-    chi_xk: float | None = None
-    chi_yk: float | None = None
-
-    @property
-    def chi_x(self):
-        """Combined primal noise level, or ``None`` if undeclared."""
-        if self.chi_xf is None or self.chi_xk is None:
-            return None
-        return float(np.sqrt(self.chi_xf**2 + self.chi_xk**2))
-
-    @property
-    def chi_y(self):
-        """Dual noise level, or ``None`` if undeclared."""
-        return self.chi_yk
+    chi_x: float | None = None
+    chi_y: float | None = None
 
     def grad(self, x):
         """Estimate of the smooth-part gradient at ``x``."""
@@ -167,11 +154,11 @@ class MaskedGradOracle(StochasticOracle):
     exact, so only the gradient channel carries noise, and at ``pi = 1``
     every draw is exact.
 
-    The declared gradient noise level combines the Lipschitz modulus with
-    the mask variance: the masked point deviates from ``x`` by
+    The declared primal noise level ``chi_x`` combines the Lipschitz
+    modulus with the mask variance: the masked point deviates from ``x`` by
     ``sqrt((1 - pi) / pi) ||x||`` in root mean square, so over arguments
     with ``||x|| <= radius`` the deviation of the draw is bounded by
-    ``L_f sqrt((1 - pi) / pi) radius``.
+    ``L_f sqrt((1 - pi) / pi) radius``.  The dual level ``chi_y`` is 0.
 
     One oracle serves every seed of a run: it keeps a counter-based
     generator per seed, and a draw at a block gives column ``j`` the mask
@@ -192,18 +179,17 @@ class MaskedGradOracle(StochasticOracle):
     """
 
     def __init__(self, problem, pi, seed, radius=1.0):
-        _Domain("real", "(0, 1]").check("pi", pi)
+        _PI.check("pi", pi)
         _Domain("real", "(0, inf)").check("radius", radius)
         self.problem = problem
         self.pi = float(pi)
         self.radius = float(radius)
         seeds = [seed] if np.ndim(seed) == 0 else list(seed)
         for s in seeds:
-            _Domain("index", "[0, inf)").check("seed", s)
+            _SEED.check("seed", s)
         self.rngs = [np.random.Generator(np.random.Philox(s)) for s in seeds]
-        self.chi_xf = problem.L_f * np.sqrt((1.0 - self.pi) / self.pi) * self.radius
-        self.chi_xk = 0.0
-        self.chi_yk = 0.0
+        self.chi_x = float(problem.L_f * np.sqrt((1.0 - self.pi) / self.pi) * self.radius)
+        self.chi_y = 0.0
 
     def grad(self, x):
         x = np.asarray(x, dtype=float)
@@ -238,44 +224,6 @@ def masked_oracle_factory(problem, params, pi):
         return MaskedGradOracle(problem, pi, seed, radius=radius)
 
     return factory
-
-
-def estimate_chi(oracle, problem, x, y, n_draws=CHI_DRAWS):
-    """Measure the noise levels of an oracle at a point.
-
-    Estimates the root mean squared deviation of the gradient channel and
-    of both coupling channels by ``n_draws >= 1`` draws, then inflates by
-    ``CHI_INFLATION`` to stay on the conservative side of the schedules.  The
-    primal level combines the gradient channel with the dual-to-primal
-    coupling channel in quadrature.
-
-    Returns
-    -------
-    dict
-        ``chi_x``, ``chi_y``, and the raw per-channel values.
-    """
-    _Domain("index", "[1, inf)").check("n_draws", n_draws)
-    g = problem.loss.grad(x)
-    kx = problem.K.apply(x)
-    ky = problem.K.apply_adjoint(y)
-    acc_f = acc_kx = acc_ky = 0.0
-    for _ in range(n_draws):
-        df = oracle.grad(x) - g
-        dkx = oracle.kx(x) - kx
-        dky = oracle.ky(y) - ky
-        acc_f += float(df @ df)
-        acc_kx += float(dkx @ dkx)
-        acc_ky += float(dky @ dky)
-    chi_xf = np.sqrt(acc_f / n_draws)
-    chi_xk = np.sqrt(acc_ky / n_draws)
-    chi_yk = np.sqrt(acc_kx / n_draws)
-    return {
-        "chi_x": CHI_INFLATION * float(np.sqrt(chi_xf**2 + chi_xk**2)),
-        "chi_y": CHI_INFLATION * float(chi_yk),
-        "chi_xf": float(chi_xf),
-        "chi_xk": float(chi_xk),
-        "chi_yk": float(chi_yk),
-    }
 
 
 def stoc_gap_bound(schedule):
@@ -324,7 +272,7 @@ def build_stoc_schedule(problem, params):
     _check_needs(params.setting, True, params.horizon, params.omega_x, params.omega_y,
                  params.r_tilde)
     if params.chi_x is None or params.chi_y is None:
-        raise ConstraintViolation("noise levels are unresolved; run estimate_chi first")
+        raise ConstraintViolation("noise levels are unresolved: neither given nor declared")
     factors = mode_factors(params.mode, params.kappa)
     bounded = params.setting == "bounded"
     return Schedule.build(
@@ -379,9 +327,9 @@ def run_stoc(problem, params, oracle_factory, seeds, x0=None, y0=None):
     is called once and must return an oracle whose draws at a block give
     column ``j`` the estimate of seed ``seeds[j]``, from that seed's own
     stream.  Column ``j`` therefore follows the run of seed ``seeds[j]``
-    alone bitwise, as every block product is column-exact.  Unset noise levels
-    are measured at the starting point with a dedicated estimation oracle,
-    ``oracle_factory`` of one seed.  A seed whose pair leaves the finite
+    alone bitwise, as every block product is column-exact.  Each noise level
+    is taken from ``params`` when given, else as the oracle declares it
+    (:class:`StochasticOracle`).  A seed whose pair leaves the finite
     range raises :class:`~pdsplit.errors.NonFiniteIterate` naming the seed
     at the first such step.
 
@@ -396,8 +344,9 @@ def run_stoc(problem, params, oracle_factory, seeds, x0=None, y0=None):
     ------
     ConstraintViolation
         Before any draw, if ``seeds`` is empty or holds a seed that is not
-        an integer (a bool is not one) or that repeats, or if the horizon
-        or an input of the setting is missing.
+        an integer (a bool is not one) or that repeats, if the horizon or an
+        input of the setting is missing, or if a noise level is neither
+        given nor declared.
     """
     check_proven_mode(params)
     seeds = list(seeds)
@@ -409,24 +358,13 @@ def run_stoc(problem, params, oracle_factory, seeds, x0=None, y0=None):
             raise ConstraintViolation(f"seed {seed} repeats")
     seeds = [int(s) for s in seeds]
     x_start, y_start = _start_point(problem, x0, y0)
-    _check_needs(params.setting, True, params.horizon, params.omega_x, params.omega_y,
-                 params.r_tilde)
-
-    chi_x, chi_y = params.chi_x, params.chi_y
-    if chi_x is None or chi_y is None:
-        probe = oracle_factory(_CHI_SEED)
-        declared_x, declared_y = probe.chi_x, probe.chi_y
-        if declared_x is None or declared_y is None:
-            measured = estimate_chi(probe, problem, x_start, y_start)
-            declared_x = measured["chi_x"] if declared_x is None else declared_x
-            declared_y = measured["chi_y"] if declared_y is None else declared_y
-        chi_x = declared_x if chi_x is None else chi_x
-        chi_y = declared_y if chi_y is None else chi_y
-    resolved = StocParams(**{**params.__dict__, "chi_x": chi_x, "chi_y": chi_y})
+    oracle = oracle_factory(seeds)
+    chi_x = oracle.chi_x if params.chi_x is None else params.chi_x
+    chi_y = oracle.chi_y if params.chi_y is None else params.chi_y
+    resolved = replace(params, chi_x=chi_x, chi_y=chi_y)
     schedule = build_stoc_schedule(problem, resolved)
 
     alpha, beta = mode_coefficients(params.mode, params.kappa)
-    oracle = oracle_factory(seeds)
     runs = _run_schedule(
         problem,
         schedule,

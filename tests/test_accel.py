@@ -23,6 +23,7 @@ from pdsplit.accel import (
 from pdsplit.errors import ConstraintViolation, UnknownKind
 from pdsplit.fb import fb_step
 from pdsplit.saddle import primal_objective
+from pdsplit.stoch import StocParams, masked_oracle_factory, run_stoc, stoc_gap_bound
 
 import oracles
 from conftest import counted_coupling_problem
@@ -226,6 +227,26 @@ def test_bounded_run_stays_under_its_gap_bound(bounded_lasso, mode, kappa):
     gap = res.trace.column("ergodic_objective") - reference.objective
     for k, value in zip(ks[1:], gap[1:]):
         assert value <= bounded_gap_bound(res.schedule, k), k
+
+
+@pytest.mark.parametrize("horizon", [100, 400])
+@pytest.mark.parametrize("mode, kappa", [("kappa", 1.0), ("chen", 0.0)])
+def test_bounded_noisy_runs_stay_under_their_gap_bound_in_expectation(bounded_lasso, mode,
+                                                                       kappa, horizon):
+    problem, reference, omega_x, omega_y = bounded_lasso
+    # The restricted gap that the bound caps is at least the primal
+    # suboptimality, as in the deterministic test above.
+    assert np.linalg.norm(reference.x) <= omega_x
+    assert problem.hconj.lam * np.sqrt(problem.dims[1]) <= omega_y
+    params = StocParams(mode=mode, kappa=kappa, omega_x=omega_x, omega_y=omega_y,
+                        horizon=horizon, record_every=horizon)
+    seeds = list(range(16))
+    res = run_stoc(problem, params, masked_oracle_factory(problem, params, 0.5), seeds)
+    gaps = np.array([primal_objective(problem, run.x) for run in res.runs]) - reference.objective
+    # The bound holds in expectation: the seed mean may exceed the expected
+    # gap by three standard errors of the mean.
+    stderr = gaps.std(ddof=1) / np.sqrt(len(seeds))
+    assert gaps.mean() + 3.0 * stderr <= stoc_gap_bound(res.schedule)
 
 
 def test_schedule_constructors_reject_bad_settings(dense_problem):

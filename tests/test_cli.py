@@ -114,6 +114,7 @@ def test_config_errors_exit_one_before_any_problem_or_output(
 
 _CADENCE = "record_every must be an integer in [1, inf), got 0"
 _HORIZON = "horizon must be an integer in [2, inf) or None, got 1"
+_TOLERANCE = "tolerance must be a real number in [0, inf] or None, got -1.0"
 
 
 @pytest.mark.parametrize("algorithm, text, message", [
@@ -123,6 +124,10 @@ _HORIZON = "horizon must be an integer in [2, inf) or None, got 1"
     ("stoc", "record_every=0\n", _CADENCE),
     ("accel", "setting=unbounded\nmax_iters=1\n", _HORIZON),
     ("stoc", "max_iters=1\n", _HORIZON),
+    ("fb", "tol=-1\n", _TOLERANCE),
+    ("fbf", "tol=-1\n", _TOLERANCE),
+    ("stoc", "pi=1.5\n", "pi must be a finite number in (0, 1], got 1.5"),
+    ("stoc", "seeds=-1\n", "seed must be an integer in [0, inf), got -1"),
 ])
 def test_a_record_value_outside_its_domain_fails_before_the_problem_and_reference(
         tmp_path, monkeypatch, capsys, algorithm, text, message):
@@ -133,6 +138,20 @@ def test_a_record_value_outside_its_domain_fails_before_the_problem_and_referenc
     assert capsys.readouterr().err == f"solver error: {message}\n"
     assert generated == []
     assert not (tmp_path / "out" / "reference").exists()
+
+
+def test_fbf_on_a_bundle_with_no_design_or_coupling_entry_is_a_solver_error(tmp_path,
+                                                                            capsys):
+    text = ("problem=graph-guided-fused-lasso\nn_subnets=3\nn_active=1\nsubnet_size=3\n"
+            "n_samples=12\n")
+    assert _verb(tmp_path, "gen", text) == 0
+    bundle = tmp_path / "out" / "bundle"
+    for name in ("design.txt", "coupling.txt"):
+        rows, cols, _ = (bundle / name).read_text().split("\n", 1)[0].split()
+        (bundle / name).write_text(f"{rows} {cols} 0\n")
+    capsys.readouterr()
+    assert _verb(tmp_path, "run", f"bundle={bundle}\nalgorithm=fbf\n", out="run") == 2
+    assert capsys.readouterr().err.startswith("solver error: ")
 
 
 def test_a_failing_last_job_keeps_the_traces_of_the_jobs_before_it(tmp_path, monkeypatch, capsys):

@@ -893,6 +893,15 @@ def test_fbf_rejects_overlong_step(tiny_lasso):
     assert fbf_default_step(problem) == pytest.approx(0.99 * cap)
 
 
+@pytest.mark.parametrize("tau", [None, 0.5])
+def test_run_fbf_refuses_a_problem_whose_forward_map_is_zero(tau):
+    problem = SaddleProblem(quadratic_loss(linops.DenseOp(np.zeros((3, 4))), np.ones(3)),
+                            linops.ZeroOp((2, 4)), prox.BoxClip(1.0, 2))
+    assert problem.L_f + problem.k_norm == 0.0
+    with pytest.raises(DegenerateProblem, match="L_f"):
+        run_fbf(problem, tau=tau, max_iters=3)
+
+
 def test_trace_round_trips_through_csv(tmp_path, tiny_lasso):
     res = run_fb(tiny_lasso.problem, FbParams(max_iters=20, record_every=4))
     path = tmp_path / "trace.csv"

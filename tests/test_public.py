@@ -12,7 +12,7 @@ import pytest
 import scipy.sparse as sp
 
 import pdsplit
-from pdsplit import errors, fb, linops, prox, saddle
+from pdsplit import errors, fb, linops, prox, saddle, stoch
 from pdsplit.errors import SolverError
 
 
@@ -75,7 +75,6 @@ DEFAULTS = {
                       "subnet_size": 5, "n_subnets": 40, "n_active": 4, "dim": 20,
                       "lam": None, "noise_sd": None},
     "auto_norm_bounds": {"warm_iters": 2000},
-    "estimate_chi": {"n_draws": 1000},
     "fb_step": {"ax": None},
     "mode_coefficients": {"kappa": 0.0},
     "mode_factors": {"kappa": 0.0},
@@ -107,7 +106,7 @@ def test_public_callables_take_exactly_the_pinned_defaulted_parameters():
 
 
 # The public attribute names (methods, properties, class and instance
-# attributes) of four base classes together with every subclass the package
+# attributes) of five base classes together with every subclass the package
 # defines.  A second name for something, an alias or a kind tag, edits this
 # table.
 ATTRIBUTES = {
@@ -117,6 +116,8 @@ ATTRIBUTES = {
                       "primal_value", "prox", "radii", "shift"},
     "SmoothLoss": {"A", "L_f", "grad", "on", "phi", "phi_grad", "value"},
     "SaddleProblem": {"K", "L_f", "dims", "hconj", "k_norm", "loss"},
+    "StochasticOracle": {"chi_x", "chi_y", "grad", "kx", "ky", "pi", "problem", "radius",
+                         "rngs"},
 }
 
 
@@ -133,13 +134,15 @@ def _instances():
     eye = linops.IdentityOp(2)
     box = prox.BoxClip(1.0, 2)
     loss = saddle.quadratic_loss(np.eye(2), np.ones(2))
+    problem = saddle.SaddleProblem(loss, eye, box)
     return {
         linops.LinearOperator: [linops.DenseOp(np.eye(2)), linops.SparseOp(sp.eye_array(2)),
                                 eye, linops.ZeroOp((2, 2)), linops.HStackOp([eye])],
         prox.ConjugateProx: [box, prox.GroupL2Balls(prox.GroupPartition([2]), 1.0),
                              prox.IdentityShift(2), prox.Composite([box])],
         saddle.SmoothLoss: [loss],
-        saddle.SaddleProblem: [saddle.SaddleProblem(loss, eye, box)],
+        saddle.SaddleProblem: [problem],
+        stoch.StochasticOracle: [stoch.MaskedGradOracle(problem, 0.5, 0)],
     }
 
 
@@ -192,8 +195,6 @@ def _calls(problem):
     keywords, and so do a few public functions of bare numbers that have no
     defaulted parameter.
     """
-    p, l = problem.dims
-    z_p, z_l = np.zeros(p), np.zeros(l)
     factors = pdsplit.mode_factors("kappa", 1.0)
 
     def record(cls, run, **base):
@@ -229,9 +230,6 @@ def _calls(problem):
             {**noisy, "r_tilde": 2.0, "omega_x": None, "omega_y": None}),
         "auto_norm_bounds": (lambda **kw: pdsplit.auto_norm_bounds(problem, **kw)[:2],
                              {"warm_iters": 3}),
-        "estimate_chi": (lambda **kw: pdsplit.estimate_chi(
-            pdsplit.MaskedGradOracle(problem, 0.5, 0), problem, z_p, z_l, **kw),
-            {"n_draws": 3}),
         "mode_coefficients": (lambda **kw: pdsplit.mode_coefficients("kappa", **kw),
                               {"kappa": 0.0}),
         "mode_factors": (lambda **kw: pdsplit.mode_factors("kappa", **kw), {"kappa": 0.0}),

@@ -27,7 +27,6 @@ from pdsplit.stoch import (
     StochasticOracle,
     build_stoc_schedule,
     check_proven_mode,
-    estimate_chi,
     masked_oracle_factory,
     run_stoc,
     stoc_accel_step,
@@ -97,7 +96,7 @@ def test_masked_coupling_channels_are_exact():
     y = rng.standard_normal(3)
     np.testing.assert_array_equal(oracle.kx(x), problem.K.apply(x))
     np.testing.assert_array_equal(oracle.ky(y), problem.K.apply_adjoint(y))
-    assert oracle.chi_yk == 0.0
+    assert oracle.chi_y == 0.0
 
 
 def test_masked_oracle_declares_noise_from_radius():
@@ -106,9 +105,23 @@ def test_masked_oracle_declares_noise_from_radius():
                                      rng.standard_normal(5), 1.0)
     pi, radius = 0.25, 2.0
     oracle = _masked(problem, pi, radius=radius)
-    expected = problem.L_f * np.sqrt((1.0 - pi) / pi) * radius
-    assert oracle.chi_xf == pytest.approx(expected)
-    assert oracle.chi_x == pytest.approx(expected)
+    assert oracle.chi_x == problem.L_f * np.sqrt((1.0 - pi) / pi) * radius
+
+
+@pytest.mark.parametrize("pi", [0.25, 0.5, 0.9])
+def test_masked_oracle_declares_a_true_bound_on_the_gradient_noise(pi):
+    # The exact root mean squared deviation of the draw, summed over every
+    # mask, stays at or below the declared level wherever ||x|| <= radius.
+    rng = np.random.default_rng(76)
+    problem = identity_lasso_problem(rng.standard_normal((6, 4)),
+                                     rng.standard_normal(6), 1.0)
+    radius = 2.5
+    oracle = _masked(problem, pi, radius=radius)
+    for scale in (1.0, 1.0, 1.0, 0.5, 0.1):
+        x = rng.standard_normal(4)
+        x *= scale * radius / np.linalg.norm(x)
+        moment = oracles.enumerate_mask_second_moment(problem.loss.grad, x, pi)
+        assert np.sqrt(moment) <= oracle.chi_x
 
 
 def test_masked_oracle_rejects_bad_parameters(tiny_lasso):
@@ -128,38 +141,6 @@ def test_masked_oracle_rejects_bad_parameters(tiny_lasso):
 def test_masked_oracle_refuses_a_seed_that_is_not_a_nonnegative_integer(tiny_lasso, seed):
     with pytest.raises(ConstraintViolation, match="seed"):
         _masked(tiny_lasso.problem, 0.5, seed=seed)
-
-
-@pytest.mark.parametrize("n_draws", [0, -3, 2.5, True])
-def test_estimate_chi_refuses_a_draw_count_that_is_not_positive(tiny_lasso, n_draws):
-    problem = tiny_lasso.problem
-    p, l = problem.dims
-    with pytest.raises(ConstraintViolation, match="n_draws"):
-        estimate_chi(_masked(problem, 0.5), problem, np.zeros(p), np.zeros(l), n_draws=n_draws)
-
-
-def test_declared_channels_combine_in_quadrature():
-    oracle = StochasticOracle()
-    oracle.chi_xf = 3.0
-    oracle.chi_xk = 4.0
-    oracle.chi_yk = 2.0
-    assert oracle.chi_x == pytest.approx(5.0)
-    assert oracle.chi_y == pytest.approx(2.0)
-    assert StochasticOracle().chi_x is None
-
-
-def test_estimate_chi_measures_and_inflates():
-    rng = np.random.default_rng(75)
-    problem = identity_lasso_problem(rng.standard_normal((5, 3)),
-                                     rng.standard_normal(5), 1.0)
-    oracle = _masked(problem, 0.3, seed=9)
-    x = rng.standard_normal(3)
-    measured = estimate_chi(oracle, problem, x, np.zeros(3), n_draws=4000)
-    exact_moment = oracles.enumerate_mask_second_moment(problem.loss.grad, x, 0.3)
-    assert measured["chi_xf"] == pytest.approx(np.sqrt(exact_moment), rel=0.1)
-    assert measured["chi_x"] == pytest.approx(1.5 * measured["chi_xf"],
-                                              rel=1e-12)
-    assert measured["chi_y"] == 0.0
 
 
 def test_bounded_noisy_schedule_matches_closed_forms(dense_problem):
@@ -368,7 +349,6 @@ def test_bad_horizon_is_refused_before_noise_is_measured(tiny_lasso, horizon):
 
     def factory(seed):
         oracle = _masked(problem, 0.5, seed)
-        oracle.chi_xf = None  # undeclared, so the run would measure it
         grad = oracle.grad
         oracle.grad = lambda x: draws.append(seed) or grad(x)
         return oracle
@@ -674,6 +654,46 @@ def test_run_stoc_uses_declared_noise_levels(tiny_lasso):
     assert res.chi_x == pytest.approx(probe.chi_x)
     assert res.chi_y == pytest.approx(0.0)
     assert res.schedule.chi_x == pytest.approx(probe.chi_x)
+
+
+class _ExactOracle(StochasticOracle):
+    """Exact draws on all three channels, counted; no noise level declared."""
+
+    def __init__(self, problem):
+        self.problem = problem
+        self.draws = 0
+
+    def grad(self, x):
+        self.draws += 1
+        return self.problem.loss.grad(x)
+
+    def kx(self, x):
+        return self.problem.K.apply(x)
+
+    def ky(self, y):
+        return self.problem.K.apply_adjoint(y)
+
+
+def test_an_oracle_that_declares_nothing_needs_the_levels_in_the_parameters(tiny_lasso):
+    problem = tiny_lasso.problem
+    made = []
+
+    def factory(seeds):
+        made.append(_ExactOracle(problem))
+        return made[-1]
+
+    params = StocParams(omega_x=3.0, omega_y=3.0, horizon=20)
+    for given in ({}, {"chi_x": 0.5}, {"chi_y": 0.0}):
+        with pytest.raises(ConstraintViolation, match="unresolved"):
+            run_stoc(problem, StocParams(**{**params.__dict__, **given}), factory, seeds=[0])
+        assert made[-1].draws == 0
+    params = StocParams(**{**params.__dict__, "chi_x": 0.5, "chi_y": 0.0})
+    res = run_stoc(problem, params, factory, seeds=[0])
+    assert made[-1].draws == 19
+    assert (res.chi_x, res.chi_y) == (0.5, 0.0)
+    # Exact draws make the run of a masked oracle that keeps every coordinate.
+    masked = run_stoc(problem, params, masked_oracle_factory(problem, params, 1.0), seeds=[0])
+    assert res.runs[0].x.tobytes() == masked.runs[0].x.tobytes()
 
 
 def test_run_stoc_requires_seeds_and_gates_modes(tiny_lasso):
