@@ -503,21 +503,13 @@ def accel_step(problem, alpha, beta, schedule, k, state):
 
 @dataclass
 class AccelResult:
-    """Outcome of an accelerated run.
-
-    Besides the averaged pair it keeps the final two resolvent pairs and the
-    first one (``xt_first``, ``yt_first``; ``None`` after zero steps): with
-    the schedule they fix the perturbation vector of an unbounded run.
-    """
+    """Outcome of an accelerated run: the averaged pair ``(x, y)``, the last
+    resolvent pair ``(xt, yt)``, the trace, the step count and the schedule."""
 
     x: np.ndarray
     y: np.ndarray
     xt: np.ndarray
     yt: np.ndarray
-    xt_prev: np.ndarray
-    yt_prev: np.ndarray
-    xt_first: np.ndarray
-    yt_first: np.ndarray
     trace: IterTrace
     iterations: int
     schedule: Schedule
@@ -557,14 +549,11 @@ def _run_schedule(problem, schedule, advance, x, y, n_steps, record_every, stamp
         One per column, in order.
     """
     state = AccelState.start(x, y)
-    first = (None, None)
     table = ScheduleTable(schedule, n_steps)
 
     def step(k):
-        nonlocal state, first
+        nonlocal state
         state = advance(k, state, table)
-        if k == 1:
-            first = (state.xt.copy(), state.yt.copy())
         return state.xt, state.yt, _step_norm(state.xt - state.xt_prev, state.yt - state.yt_prev)
 
     def row(k, res, which):
@@ -582,9 +571,9 @@ def _run_schedule(problem, schedule, advance, x, y, n_steps, record_every, stamp
     names = ACCEL_TRACE_COLUMNS + list(stamps[0])
     labels = [" ".join(f"{key} {value}" for key, value in stamp.items()) for stamp in stamps]
     traces, ks, _ = _drive(step, row, n_steps, record_every, names, labels)
-    arrays = (state.x, state.y, state.xt, state.yt, state.xt_prev, state.yt_prev, *first)
+    arrays = (state.x, state.y, state.xt, state.yt)
     return [
-        AccelResult(*(None if a is None else a[:, j].copy() for a in arrays),
+        AccelResult(*(a[:, j].copy() for a in arrays),
                     trace=trace, iterations=int(ks[j]), schedule=schedule)
         for j, trace in enumerate(traces)
     ]

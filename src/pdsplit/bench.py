@@ -38,6 +38,8 @@ OVERLAP = 10
 
 # Relative fixed-point residual that certifies a reference solution.
 REFERENCE_TOL = 1e-8
+# The domain of a reference solve's step budget.
+_BUDGET = _Domain("index", "[2, inf)")
 
 # Correlation between a hub variable and each of its satellite variables in
 # the clustered network design.
@@ -447,7 +449,7 @@ def reference_solve(problem, budget=100000):
     ConstraintViolation
         If ``budget`` is not an integer of at least 2.
     """
-    budget = int(_Domain("index", "[2, inf)").check("reference budget", budget))
+    budget = int(_BUDGET.check("reference budget", budget))
     tol = REFERENCE_TOL
     p, l = problem.dims
     zero_coupling = problem.k_norm == 0.0

@@ -7,17 +7,21 @@ and records predicted against observed convergence; ``gen`` emits a problem
 bundle; ``reference`` computes and stores a high-accuracy solution.
 
 Configuration is flat ``key=value`` text (``#`` comments and blank lines
-allowed); values may use JSON escaping where needed.  Each key is one field
-of :class:`ExperimentConfig`, which declares its converter and its default.
-Unknown or duplicate keys, values that would be coerced (a fraction for an
-integer, a boolean or non-finite number for a float, an empty list) and
-lists that repeat an entry are rejected before anything runs, and ``run``
-checks each job's record before it generates the problem.  Every verb runs
-its jobs one after another in the calling thread (only a large dense
+allowed); values may use JSON escaping where needed.  A key that names a field
+of a record (:class:`~pdsplit.bench.SyntheticSpec`, ``FbParams``,
+``AccelParams``, ``StocParams``) takes its type from that field's domain, and
+the record its own default when the key is absent; any other key is a field of
+:class:`ExperimentConfig`, which declares its converter and default.  A given
+key that the verb, or for ``run`` its algorithm, does not read (``_READS``) is
+refused, as are unknown or duplicate keys, values that would be coerced (a
+fraction for an integer, a boolean or non-finite number for a float, an empty
+list) and lists that repeat an entry, all before anything runs; each verb also
+checks its records and budgets before it generates the problem.  Every verb
+runs its jobs one after another in the calling thread (only a large dense
 product lends half its rows to :mod:`pdsplit.linops`'s worker thread), and
-every artifact is written through :mod:`pdsplit.textio`; ``run`` writes
-each job's trace and its summary so far as soon as that job finishes.  Exit
-codes: 0 on success, 1 for configuration errors, 2 for solver failures.
+every artifact is written through :mod:`pdsplit.textio`; ``run`` writes each
+job's trace and its summary so far as soon as that job finishes.  Exit codes:
+0 on success, 1 for configuration errors, 2 for solver failures.
 """
 
 from __future__ import annotations
@@ -158,10 +162,14 @@ def _as_mode_list(key, value):
     return tokens
 
 
-def _as_relaxation(key, value):
-    if isinstance(value, str) and value == "recipe":
-        return value
-    return _as_float(key, value)
+def _as_field(domain):
+    """The converter of a key that names a record field: a choice among the
+    words of a word field, else that of the field's number kind, which passes
+    the field's words through."""
+    if domain.kind == "word":
+        return _as_choice(domain.words)
+    convert = {"real": _as_float, "index": _as_int, "bool": _as_bool}[domain.kind]
+    return lambda key, value: value if value in domain.words else convert(key, value)
 
 
 def _key(convert, default=None):
@@ -173,48 +181,27 @@ def _key(convert, default=None):
 class ExperimentConfig:
     """Validated flat experiment configuration.
 
-    Every field is one config key and carries its converter and default.
-    A ``None`` default marks a key whose value, when absent, the verb works
-    out from the problem, the base seed or another key, or goes without.
+    Every field but ``given`` is one config key that no record field
+    declares, or whose default differs from the record's (``max_iters``;
+    :class:`~pdsplit.accel.AccelParams` has ``None``), and carries its
+    converter and default.  A ``None`` default marks a key whose value, when
+    absent, the verb works out from the problem, the base seed or another
+    key, or goes without.  ``given`` maps each key that the file gave to its
+    converted value: the keys of record fields are read from it alone, and
+    the verb refuses a given key outside the set it reads (``_READS``).
     """
 
     bundle: str | None = _key(_as_str)
     problem: str | None = _key(_as_choice(bench.GENERATOR_KINDS))
     problem_seed: int | None = _key(_as_int)
-    n_samples: int | None = _key(_as_int)
-    n_groups: int | None = _key(_as_int)
-    group_size: int | None = _key(_as_int)
-    subnet_size: int | None = _key(_as_int)
-    n_subnets: int | None = _key(_as_int)
-    n_active: int | None = _key(_as_int)
-    dim: int | None = _key(_as_int)
-    lam: float | None = _key(_as_float)
-    noise_sd: float | None = _key(_as_float)
     algorithm: str | None = _key(_as_choice(("fb", "fbf", "accel", "stoc")))
-    kappa: float | None = _key(_as_float)
-    mode: str = _key(_as_choice(("kappa", "chen")), "kappa")
     modes: list | None = _key(_as_mode_list)
-    setting: str = _key(_as_choice(("bounded", "unbounded")), "bounded")
-    omega_x: float | None = _key(_as_float)
-    omega_y: float | None = _key(_as_float)
-    horizon: int | None = _key(_as_int)
-    q: float | None = _key(_as_float)
-    r: float | None = _key(_as_float)
-    s: float | None = _key(_as_float)
-    t: float | None = _key(_as_float)
-    tau: float | None = _key(_as_float)
-    sigma: float | None = _key(_as_float)
-    relaxation: float | str = _key(_as_relaxation, "recipe")
     alpha1: float = _key(_as_float, 0.0)
     alpha2: float = _key(_as_float, 0.0)
     max_iters: int = _key(_as_int, 1000)
-    record_every: int = _key(_as_int, 1)
     tol: float | None = _key(_as_float)
     seeds: list | None = _key(_as_int_list)
     pi: float = _key(_as_float, 0.5)
-    chi_x: float | None = _key(_as_float)
-    chi_y: float | None = _key(_as_float)
-    r_tilde: float | None = _key(_as_float)
     reference: bool = _key(_as_bool, False)
     reference_budget: int = _key(_as_int, 100000)
     kappas: tuple = _key(_as_float_list, (0.0, 0.25, 0.5, 0.75, 1.0))
@@ -224,9 +211,39 @@ class ExperimentConfig:
     region_budget: int = _key(_as_int, 2000)
     region_tol: float = _key(_as_float, 1e-6)
     empirics: str = _key(_as_choice(("interior", "all", "none")), "interior")
+    given: dict = field(default_factory=dict)
 
 
-_CONVERTERS = {f.name: f.metadata["convert"] for f in fields(ExperimentConfig)}
+# The records whose fields are config keys.  Their ``kind`` and ``seed`` are
+# the ``problem`` and ``problem_seed`` keys, and ``unproven`` the --unproven flag.
+_RECORDS = (bench.SyntheticSpec, fb.FbParams, accel.AccelParams, stoch.StocParams)
+_NOT_KEYS = {"kind", "seed", "unproven"}
+
+
+def _keys(record, *extra):
+    """The config keys of ``record``'s fields, and ``extra``."""
+    return {f.name for f in fields(record)} - _NOT_KEYS | set(extra)
+
+
+_DECLARED = {f.name: f.metadata["convert"] for f in fields(ExperimentConfig)
+             if "convert" in f.metadata}
+_CONVERTERS = {**{f.name: _as_field(f.metadata["domain"]) for record in _RECORDS
+                  for f in fields(record) if f.name not in _NOT_KEYS}, **_DECLARED}
+
+_PROBLEM_KEYS = _keys(bench.SyntheticSpec, "bundle", "problem", "problem_seed")
+# The keys that each verb reads, and those that ``run`` reads besides under
+# each algorithm.
+_READS = {
+    "gen": _PROBLEM_KEYS,
+    "reference": _PROBLEM_KEYS | {"reference_budget"},
+    "region-scan": _PROBLEM_KEYS | {"kappas", "grid", "span_lo", "span_hi", "region_budget",
+                                    "region_tol", "empirics"},
+    "run": _PROBLEM_KEYS | {"algorithm", "reference", "reference_budget"},
+    "algorithm=fb": _keys(fb.FbParams, "tol"),
+    "algorithm=fbf": {"tau", "alpha1", "alpha2", "max_iters", "record_every", "tol"},
+    "algorithm=accel": _keys(accel.AccelParams, "modes"),
+    "algorithm=stoc": _keys(stoch.StocParams, "max_iters", "seeds", "pi"),
+}
 
 
 def parse_config(path):
@@ -250,7 +267,28 @@ def parse_config(path):
         except json.JSONDecodeError:
             value = text
         raw[key] = _CONVERTERS[key](key, value)
-    return ExperimentConfig(**raw)
+    declared = {key: value for key, value in raw.items() if key in _DECLARED}
+    return ExperimentConfig(**declared, given=raw)
+
+
+def _check_reads(config, verb):
+    """Refuse a given key that ``verb``, or for ``run`` its algorithm, does not read."""
+    reader = verb
+    if verb == "run":
+        if config.algorithm is None:
+            raise ConfigError("run needs an algorithm (fb, fbf, accel, or stoc)")
+        reader = f"algorithm={config.algorithm}"
+    reads = _READS[verb] | _READS[reader]
+    for key in config.given:
+        if key not in reads:
+            raise ConfigError(f"config key {key!r} is not read by {reader}")
+
+
+def _record(cls, config, **values):
+    """A ``cls`` record of the given config keys of its fields, ``values``
+    taking precedence; a field with neither takes its own default."""
+    given = {f.name: config.given[f.name] for f in fields(cls) if f.name in config.given}
+    return cls(**{**given, **values})
 
 
 def resolve_problem(config, base_seed):
@@ -261,18 +299,9 @@ def resolve_problem(config, base_seed):
         return bench.load_bundle(config.bundle)
     if config.problem is None:
         raise ConfigError("config needs a problem kind or a bundle path")
-    kwargs = {"kind": config.problem}
-    kwargs["seed"] = (
-        config.problem_seed if config.problem_seed is not None else base_seed
-    )
-    for spec_field in fields(bench.SyntheticSpec):
-        if spec_field.name in ("kind", "seed"):
-            continue
-        value = getattr(config, spec_field.name, None)
-        if value is not None:
-            kwargs[spec_field.name] = value
+    seed = config.problem_seed if config.problem_seed is not None else base_seed
     try:
-        spec = bench.SyntheticSpec(**kwargs)
+        spec = _record(bench.SyntheticSpec, config, kind=config.problem, seed=seed)
     except SolverError as exc:
         raise ConfigError(f"invalid problem spec: {exc}")
     return bench.generate(spec)
@@ -310,11 +339,6 @@ def _mode_label(mode, kappa):
     return "chen" if mode == "chen" else f"kappa{kappa:g}"
 
 
-def _given(config, *names):
-    """The config values of ``names`` that the config gives (not ``None``)."""
-    return {name: getattr(config, name) for name in names if getattr(config, name) is not None}
-
-
 def _job_fb(problem, config, params, reference):
     result = fb.run_fb(problem, params, tol=config.tol)
     label = f"fb-kappa{params.kappa:g}"
@@ -324,49 +348,49 @@ def _job_fb(problem, config, params, reference):
     return label, result.trace, row
 
 
-def _job_fbf(problem, config, reference):
-    result = fb.run_fbf(problem, tau=config.tau, alpha1=config.alpha1, alpha2=config.alpha2,
-                        max_iters=config.max_iters, tol=config.tol,
-                        record_every=config.record_every)
+def _job_fbf(problem, config, params, reference):
+    result = fb.run_fbf(problem, tau=params.tau, alpha1=config.alpha1, alpha2=config.alpha2,
+                        max_iters=params.max_iters, tol=config.tol,
+                        record_every=params.record_every)
     row = _summary_row("fbf", "fbf", "-", None, "-", problem, result, reference,
-                       tau=result.tau, max_iters=config.max_iters,
+                       tau=result.tau, max_iters=params.max_iters,
                        iterations=result.iterations)
     return "fbf", result.trace, row
 
 
-def _accel_record(config, token):
-    """The record of one accelerated mode before the problem exists: ``q``
-    and ``r`` at their defaults unless the config gives them, the omegas
-    ``None`` unless it does."""
-    mode, kappa = ("chen", 0.0) if token == "chen" else ("kappa", float(token))
-    horizon = config.horizon
-    if config.setting == "unbounded" and horizon is None:
-        horizon = config.max_iters
-    return accel.AccelParams(mode=mode, kappa=kappa, setting=config.setting,
-                             horizon=horizon, max_iters=config.max_iters,
-                             record_every=config.record_every,
-                             **_given(config, "omega_x", "omega_y", "q", "r"))
+def _accel_records(config):
+    """The record of each accelerated mode before the problem exists: one
+    per ``modes`` entry, else the one of the ``mode`` and ``kappa`` keys,
+    ``chen`` at kappa 0.  An unbounded record given no horizon takes
+    ``max_iters``."""
+    given = config.given
+    tokens = config.modes or ["chen" if given.get("mode") == "chen"
+                              else given.get("kappa", accel.AccelParams.kappa)]
+    records = []
+    for token in tokens:
+        mode, kappa = ("chen", 0.0) if token == "chen" else ("kappa", float(token))
+        params = _record(accel.AccelParams, config, mode=mode, kappa=kappa,
+                         max_iters=config.max_iters)
+        if params.setting == "unbounded" and params.horizon is None:
+            params = replace(params, horizon=config.max_iters)
+        records.append(params)
+    return records
 
 
 def _job_accel(problem, config, params, reference, omega_x, omega_y):
+    """One accelerated mode's job: the ``q`` and ``r`` that the config does
+    not give are tuned to the problem."""
     mode, kappa, setting = params.mode, params.kappa, params.setting
     horizon, max_iters = params.horizon, params.max_iters
-    tuning_horizon = horizon if setting == "unbounded" else max(2, max_iters)
-    factors = accel.mode_factors(mode, kappa)
-    q, r = config.q, config.r
-    if q is None or r is None:
-        tuned_q, tuned_r = accel.tune_qr(
-            setting,
-            problem.L_f,
-            problem.k_norm,
-            factors,
-            tuning_horizon,
-            omega_x=omega_x,
-            omega_y=omega_y,
-        )
-        q = tuned_q if q is None else q
-        r = tuned_r if r is None else r
-    params = replace(params, omega_x=omega_x, omega_y=omega_y, q=q, r=r)
+    tuned = {}
+    if not {"q", "r"} <= config.given.keys():
+        tuning_horizon = horizon if setting == "unbounded" else max(2, max_iters)
+        q, r = accel.tune_qr(setting, problem.L_f, problem.k_norm,
+                             accel.mode_factors(mode, kappa), tuning_horizon,
+                             omega_x=omega_x, omega_y=omega_y)
+        tuned = {name: value for name, value in (("q", q), ("r", r))
+                 if name not in config.given}
+    params = replace(params, omega_x=omega_x, omega_y=omega_y, **tuned)
     result = accel.run_accel(problem, params)
     label = f"accel-{_mode_label(mode, kappa)}-{setting}"
     row = _summary_row(
@@ -376,8 +400,8 @@ def _job_accel(problem, config, params, reference, omega_x, omega_y):
         kappa,
         setting,
         problem, result, reference,
-        q=q,
-        r=r,
+        q=params.q,
+        r=params.r,
         omega_x=omega_x,
         omega_y=omega_y,
         horizon=horizon,
@@ -387,39 +411,20 @@ def _job_accel(problem, config, params, reference, omega_x, omega_y):
     return label, result.trace, row
 
 
-def _omegas(problem, config):
-    """The configured omegas, gaps filled by automatic bounds when bounded."""
-    omega_x, omega_y = config.omega_x, config.omega_y
-    if config.setting == "bounded" and (omega_x is None or omega_y is None):
+def _omegas(problem, params):
+    """The record's omegas, gaps filled by automatic bounds when bounded."""
+    omega_x, omega_y = params.omega_x, params.omega_y
+    if params.setting == "bounded" and (omega_x is None or omega_y is None):
         auto_x, auto_y, _ = bench.auto_norm_bounds(problem)
         omega_x = auto_x if omega_x is None else omega_x
         omega_y = auto_y if omega_y is None else omega_y
     return omega_x, omega_y
 
 
-def _stoc_record(config, args):
-    """The stochastic record before the problem exists, the omegas ``None``
-    unless the config gives them."""
-    return stoch.StocParams(
-        mode=config.mode,
-        kappa=config.kappa if config.kappa is not None else 1.0,
-        setting=config.setting,
-        omega_x=config.omega_x,
-        omega_y=config.omega_y,
-        horizon=config.horizon if config.horizon is not None else config.max_iters,
-        chi_x=config.chi_x,
-        chi_y=config.chi_y,
-        r_tilde=config.r_tilde,
-        record_every=config.record_every,
-        unproven=args.unproven,
-        **_given(config, "q", "r", "s", "t"),
-    )
-
-
 def _job_stoc(problem, config, args, params, seeds, reference):
     mode, kappa, setting = params.mode, params.kappa, params.setting
     mode_label = _mode_label(mode, kappa)
-    omega_x, omega_y = _omegas(problem, config)
+    omega_x, omega_y = _omegas(problem, params)
     params = replace(params, omega_x=omega_x, omega_y=omega_y)
     factory = stoch.masked_oracle_factory(problem, params, config.pi)
     result = stoch.run_stoc(problem, params, factory, seeds)
@@ -439,8 +444,8 @@ def _job_stoc(problem, config, args, params, seeds, reference):
             s=params.s,
             t=params.t,
             pi=config.pi,
-            chi_x=result.chi_x,
-            chi_y=result.chi_y,
+            chi_x=result.schedule.chi_x,
+            chi_y=result.schedule.chi_y,
             omega_x=omega_x,
             omega_y=omega_y,
             horizon=params.horizon,
@@ -459,37 +464,26 @@ def _jobs(config, args):
     Every record is built here, before any problem exists, so a value
     outside its field's domain fails before generation and the reference, as
     does a tolerance, keep probability or seed outside its runner's domain.
+    The fbf job takes its step, step count and cadence from an
+    :class:`~pdsplit.fb.FbParams`, whose fields of those names bound them.
     """
     if config.algorithm in ("fb", "fbf"):
         fb._TOL.check("tolerance", config.tol)
-    if config.algorithm == "fb":
-        params = fb.FbParams(kappa=config.kappa if config.kappa is not None else 0.0,
-                             tau=config.tau, sigma=config.sigma,
-                             relaxation=config.relaxation, max_iters=config.max_iters,
-                             record_every=config.record_every)
+        params = _record(fb.FbParams, config)
+        job = _job_fb if config.algorithm == "fb" else _job_fbf
 
         def run(problem, reference):
-            yield _job_fb(problem, config, params, reference)
-    elif config.algorithm == "fbf":
-        fb._check_fbf_args(config.tau, config.alpha1, config.alpha2, config.max_iters,
-                           config.record_every)
-
-        def run(problem, reference):
-            yield _job_fbf(problem, config, reference)
+            yield job(problem, config, params, reference)
     elif config.algorithm == "accel":
-        if config.mode == "chen":
-            default_token = "chen"
-        else:
-            default_token = str(config.kappa if config.kappa is not None else 0.0)
-        tokens = config.modes if config.modes is not None else [default_token]
-        records = [_accel_record(config, token) for token in tokens]
+        records = _accel_records(config)
 
         def run(problem, reference):
-            omega_x, omega_y = _omegas(problem, config)
+            omega_x, omega_y = _omegas(problem, records[0])
             for params in records:
                 yield _job_accel(problem, config, params, reference, omega_x, omega_y)
     else:
-        params = _stoc_record(config, args)
+        horizon = config.given.get("horizon", config.max_iters)
+        params = _record(stoch.StocParams, config, horizon=horizon, unproven=args.unproven)
         stoch._PI.check("pi", config.pi)
         seeds = config.seeds if config.seeds is not None else [args.seed + i for i in range(5)]
         for seed in seeds:
@@ -508,11 +502,9 @@ def cmd_run(config, args):
     every job so far, as soon as that job finishes, so a failing job leaves
     the traces and summary rows of the jobs before it.
     """
-    if config.algorithm is None:
-        raise ConfigError("run needs an algorithm (fb, fbf, accel, or stoc)")
-    if config.modes is not None and config.algorithm != "accel":
-        raise ConfigError("the modes key only applies to algorithm=accel")
     jobs = _jobs(config, args)
+    if config.reference:
+        bench._BUDGET.check("reference budget", config.reference_budget)
     problem = resolve_problem(config, args.seed).problem
 
     reference = None
@@ -602,6 +594,7 @@ def cmd_region_scan(config, args):
     for kappa in config.kappas:
         if not -1.0 <= kappa <= 1.0:
             raise ConfigError(f"kappa {kappa} outside [-1, 1]")
+    fb._TOL.check("tolerance", config.region_tol)
 
     trace, n_ran, n_interior, n_agree = region_scan_grid(
         resolve_problem(config, args.seed).problem,
@@ -638,6 +631,7 @@ def cmd_gen(config, args):
 
 def cmd_reference(config, args):
     """Compute and store a reference solution for the configured problem."""
+    bench._BUDGET.check("reference budget", config.reference_budget)
     problem = resolve_problem(config, args.seed).problem
     ref = bench.reference_solve(problem, budget=config.reference_budget)
     ref_dir = os.path.join(args.out, "reference")
@@ -692,7 +686,9 @@ _VERBS = {
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return _VERBS[args.verb](parse_config(args.config), args)
+        config = parse_config(args.config)
+        _check_reads(config, args.verb)
+        return _VERBS[args.verb](config, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

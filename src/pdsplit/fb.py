@@ -683,15 +683,6 @@ def fbf_step(problem, tau, x, y, x_prev, y_prev, alpha1=0.0, alpha2=0.0, ax=None
     return x_new, y_new
 
 
-def _check_fbf_args(tau, alpha1, alpha2, max_iters, record_every):
-    """Check :func:`run_fbf`'s arguments against their domains, as it does
-    first: those of the :class:`FbParams` fields of the same names, and any
-    finite number for the inertias; else :class:`ConstraintViolation`."""
-    _check_fields(FbParams, tau=tau, max_iters=max_iters, record_every=record_every)
-    for name, value in (("alpha1", alpha1), ("alpha2", alpha2)):
-        _Domain("real").check(name, value)
-
-
 def run_fbf(problem, tau=None, alpha1=0.0, alpha2=0.0, max_iters=1000, x0=None, y0=None,
             tol=None, record_every=1):
     """Run the forward-backward-forward benchmark iteration.
@@ -705,7 +696,9 @@ def run_fbf(problem, tau=None, alpha1=0.0, alpha2=0.0, max_iters=1000, x0=None, 
     this scheme and stays ``nan``.
     """
     x, y = _start_point(problem, x0, y0)
-    _check_fbf_args(tau, alpha1, alpha2, max_iters, record_every)
+    _check_fields(FbParams, tau=tau, max_iters=max_iters, record_every=record_every)
+    for name, value in (("alpha1", alpha1), ("alpha2", alpha2)):
+        _Domain("real").check(name, value)
     if problem.L_f + problem.k_norm == 0:
         raise DegenerateProblem("the forward map is zero: L_f + ||K|| = 0")
     if tau is None:

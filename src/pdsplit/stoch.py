@@ -309,13 +309,12 @@ def stoc_accel_step(problem, oracle, alpha, beta, schedule, k, state):
 
 @dataclass
 class StocResult:
-    """Outcome of a multi-seed stochastic run."""
+    """Outcome of a multi-seed stochastic run.  The noise levels that the
+    run took are its schedule's ``chi_x`` and ``chi_y``."""
 
     runs: list
     aggregate: IterTrace
     schedule: Schedule
-    chi_x: float
-    chi_y: float
     seeds: list
 
 
@@ -393,7 +392,5 @@ def run_stoc(problem, params, oracle_factory, seeds, x0=None, y0=None):
         runs=runs,
         aggregate=aggregate,
         schedule=schedule,
-        chi_x=float(chi_x),
-        chi_y=float(chi_y),
         seeds=seeds,
     )

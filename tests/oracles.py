@@ -380,21 +380,21 @@ def perturbation_vector(a_mat, b_mat, k_mat, tau, sigma, rho, xt_first, yt_first
     return v_x, v_y
 
 
-def perturbation_envelope(result, anchor):
+def perturbation_envelope(result, first, anchor):
     """Certified envelope of an unbounded accelerated run's perturbation.
 
-    ``result`` is the run's ``AccelResult`` and ``anchor`` a solution pair
-    or a trusted approximation of one.  Returns a dict with the bound
-    ``v_norm_bound`` on the norm of :func:`perturbation_vector` at the last
-    index, the perturbation energy ``eps`` and the anchor radius
-    ``r_tilde`` measured from the first resolvent pair.
+    ``result`` is the run's ``AccelResult``, ``first`` its first resolvent
+    pair and ``anchor`` a solution pair or a trusted approximation of one.
+    Returns a dict with the bound ``v_norm_bound`` on the norm of
+    :func:`perturbation_vector` at the last index, the perturbation energy
+    ``eps`` and the anchor radius ``r_tilde`` measured from ``first``.
     """
     schedule = result.schedule
     k = result.iterations
     tau, sigma, rho = schedule.tau(k), schedule.sigma(k), schedule.rho(k)
     tau1, sigma1 = schedule.tau(1), schedule.sigma(1)
-    ex = np.asarray(anchor[0], dtype=float) - result.xt_first
-    ey = np.asarray(anchor[1], dtype=float) - result.yt_first
+    ex = np.asarray(anchor[0], dtype=float) - first[0]
+    ey = np.asarray(anchor[1], dtype=float) - first[1]
     r_tilde = float(np.sqrt(ex @ ex + (tau1 / sigma1) * (ey @ ey)))
     q, r = schedule.q, schedule.r
     mu = np.sqrt(1.0 / (1.0 - q))

@@ -446,12 +446,8 @@ def test_run_accel_replays_step_loop(dense_problem):
         state = AccelState.start(x0, y0)
         for k in range(1, 31):
             state = accel_step(problem, alpha, beta, res.schedule, k, state)
-            if k == 1:
-                first = state
         for got, want in ((res.x, state.x), (res.y, state.y),
-                          (res.xt, state.xt), (res.yt, state.yt),
-                          (res.xt_prev, state.xt_prev),
-                          (res.xt_first, first.xt), (res.yt_first, first.yt)):
+                          (res.xt, state.xt), (res.yt, state.yt)):
             np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(res.trace.column("k"), [7, 14, 21, 28, 30])
 
@@ -537,17 +533,25 @@ def test_four_modes_agree_on_tiny_lasso(tiny_lasso, tiny_lasso_reference):
 
 
 def _perturbation(problem, params, res, anchor):
-    """The perturbation of an unbounded run: the norm of
+    """The perturbation of an unbounded run from zero: the norm of
     ``oracles.perturbation_vector`` at its last index, with the envelope of
-    ``oracles.perturbation_envelope``."""
+    ``oracles.perturbation_envelope``.  The first and the last two resolvent
+    pairs come from an ``accel_step`` replay of the run, which
+    ``test_run_accel_replays_step_loop`` pins to the run bitwise."""
     alpha, beta = mode_coefficients(params.mode, params.kappa)
-    k = oracles.densify(problem.K)
     sched, n = res.schedule, res.iterations
+    state = AccelState.start(*(np.zeros(d) for d in problem.dims))
+    for step in range(1, n + 1):
+        state = accel_step(problem, alpha, beta, sched, step, state)
+        if step == 1:
+            first = (state.xt, state.yt)
+    assert state.xt.tobytes() == res.xt.tobytes()
+    k = oracles.densify(problem.K)
     v_x, v_y = oracles.perturbation_vector(
         -alpha * k, beta * k, k, sched.tau(n), sched.sigma(n), sched.rho(n),
-        res.xt_first, res.yt_first, res.xt, res.yt, res.xt_prev, res.yt_prev)
+        *first, state.xt, state.yt, state.xt_prev, state.yt_prev)
     return SimpleNamespace(v_norm=float(np.sqrt(v_x @ v_x + v_y @ v_y)),
-                           **oracles.perturbation_envelope(res, anchor))
+                           **oracles.perturbation_envelope(res, first, anchor))
 
 
 def test_perturbation_shrinks_with_horizon(tiny_lasso, tiny_lasso_reference):

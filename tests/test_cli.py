@@ -1,12 +1,14 @@
 """Command-line runner: exit codes and the artifacts of each solver path."""
 
+import dataclasses
+import math
 import threading
 
 import numpy as np
 import pytest
 
-from pdsplit import accel, bench, cli, fb, textio
-from pdsplit.errors import NonFiniteIterate
+from pdsplit import accel, bench, cli, fb, stoch, textio
+from pdsplit.errors import ConfigError, NonFiniteIterate
 from pdsplit.prox import BoxClip
 from pdsplit.saddle import SaddleProblem, quadratic_loss
 
@@ -128,6 +130,7 @@ _TOLERANCE = "tolerance must be a real number in [0, inf] or None, got -1.0"
     ("fbf", "tol=-1\n", _TOLERANCE),
     ("stoc", "pi=1.5\n", "pi must be a finite number in (0, 1], got 1.5"),
     ("stoc", "seeds=-1\n", "seed must be an integer in [0, inf), got -1"),
+    ("fb", "reference_budget=1\n", "reference budget must be an integer in [2, inf), got 1"),
 ])
 def test_a_record_value_outside_its_domain_fails_before_the_problem_and_reference(
         tmp_path, monkeypatch, capsys, algorithm, text, message):
@@ -138,6 +141,74 @@ def test_a_record_value_outside_its_domain_fails_before_the_problem_and_referenc
     assert capsys.readouterr().err == f"solver error: {message}\n"
     assert generated == []
     assert not (tmp_path / "out" / "reference").exists()
+
+
+@pytest.mark.parametrize("verb, text, message", [
+    ("reference", "reference_budget=0\n",
+     "reference budget must be an integer in [2, inf), got 0"),
+    ("region-scan", "region_tol=-1\n",
+     "tolerance must be a real number in [0, inf] or None, got -1.0"),
+])
+def test_a_budget_or_tolerance_outside_its_domain_fails_before_the_problem(
+        tmp_path, monkeypatch, capsys, verb, text, message):
+    generated = []
+    monkeypatch.setattr(bench, "generate", generated.append)
+    assert _verb(tmp_path, verb, TINY + text) == 2
+    assert capsys.readouterr().err == f"solver error: {message}\n"
+    assert generated == []
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("verb, text, key, reader", [
+    # Keys of the stochastic and accelerated runs on an fb run: the first is named.
+    ("run", "algorithm=fb\npi=7\nseeds=-3\nchi_x=-2\nhorizon=1\nq=5\n", "pi", "algorithm=fb"),
+    ("run", "algorithm=fb\nalpha1=0.5\n", "alpha1", "algorithm=fb"),
+    ("run", "algorithm=fbf\nsigma=0.5\n", "sigma", "algorithm=fbf"),
+    ("run", "algorithm=accel\nseeds=1,2\n", "seeds", "algorithm=accel"),
+    ("run", "algorithm=stoc\nmodes=0.5,chen\n", "modes", "algorithm=stoc"),
+    ("gen", "reference=1\n", "reference", "gen"),
+    ("reference", "tau=0.1\n", "tau", "reference"),
+    ("region-scan", "algorithm=fb\n", "algorithm", "region-scan"),
+])
+def test_a_key_that_the_verb_or_algorithm_does_not_read_exits_one_before_any_problem(
+        tmp_path, monkeypatch, capsys, verb, text, key, reader):
+    generated = []
+    monkeypatch.setattr(bench, "generate", generated.append)
+    assert _verb(tmp_path, verb, TINY + text) == 1
+    assert capsys.readouterr().err == f"config error: config key {key!r} is not read by {reader}\n"
+    assert generated == []
+    assert not (tmp_path / "out").exists()
+
+
+def _outcome(convert, value):
+    try:
+        return convert("key", value)
+    except ConfigError:
+        return "refused"
+
+
+def test_every_record_field_is_a_key_of_its_builder_with_its_domains_converter():
+    builders = {bench.SyntheticSpec: ["gen", "reference", "region-scan", "run"],
+                fb.FbParams: ["algorithm=fb"], accel.AccelParams: ["algorithm=accel"],
+                stoch.StocParams: ["algorithm=stoc"]}
+    number = {"real": cli._as_float, "index": cli._as_int, "bool": cli._as_bool}
+    probes = [3, 2.5, "0.5", True, "x", math.inf, "recipe", "kappa", "bounded"]
+    for record, readers in builders.items():
+        for f in dataclasses.fields(record):
+            if f.name in ("kind", "seed", "unproven"):
+                continue
+            assert all(f.name in cli._READS[reader] for reader in readers), f.name
+            domain = f.metadata["domain"]
+            for value in probes:
+                if value in domain.words:
+                    want = value
+                elif domain.kind == "word":
+                    want = "refused"
+                else:
+                    want = _outcome(number[domain.kind], value)
+                assert _outcome(cli._CONVERTERS[f.name], value) == want, (f.name, value)
+    # Every key is read by some verb.
+    assert set().union(*cli._READS.values()) == set(cli._CONVERTERS)
 
 
 def test_fbf_on_a_bundle_with_no_design_or_coupling_entry_is_a_solver_error(tmp_path,

@@ -536,7 +536,7 @@ def test_run_stoc_block_matches_single_seed_runs(tiny_lasso):
                     primal_objective(problem, state.x))
                 assert run.trace.column("residual")[i] == float(
                     np.sqrt(dx @ dx + dy @ dy))
-        for name in ("x", "y", "xt", "yt", "xt_prev", "yt_prev"):
+        for name in ("x", "y", "xt", "yt"):
             assert getattr(run, name).tobytes() == getattr(state, name).tobytes()
 
     # Each column of the block follows its own seed's run, drawing the same masks.
@@ -545,7 +545,7 @@ def test_run_stoc_block_matches_single_seed_runs(tiny_lasso):
         assert np.all(run.trace.column("seed") == seed)
         np.testing.assert_array_equal(run.trace.column("k"),
                                       alone.trace.column("k"))
-        for name in ("x", "y", "xt", "yt", "xt_prev", "yt_prev", "xt_first", "yt_first"):
+        for name in ("x", "y", "xt", "yt"):
             assert getattr(run, name).tobytes() == getattr(alone, name).tobytes()
         for name in ("objective", "ergodic_objective", "residual", "tau_k", "sigma_k",
                      "rho_k"):
@@ -651,9 +651,8 @@ def test_run_stoc_uses_declared_noise_levels(tiny_lasso):
     factory = masked_oracle_factory(problem, params, 0.5)
     res = run_stoc(problem, params, factory, seeds=[0])
     probe = factory(0)
-    assert res.chi_x == pytest.approx(probe.chi_x)
-    assert res.chi_y == pytest.approx(0.0)
     assert res.schedule.chi_x == pytest.approx(probe.chi_x)
+    assert res.schedule.chi_y == pytest.approx(0.0)
 
 
 class _ExactOracle(StochasticOracle):
@@ -690,7 +689,7 @@ def test_an_oracle_that_declares_nothing_needs_the_levels_in_the_parameters(tiny
     params = StocParams(**{**params.__dict__, "chi_x": 0.5, "chi_y": 0.0})
     res = run_stoc(problem, params, factory, seeds=[0])
     assert made[-1].draws == 19
-    assert (res.chi_x, res.chi_y) == (0.5, 0.0)
+    assert (res.schedule.chi_x, res.schedule.chi_y) == (0.5, 0.0)
     # Exact draws make the run of a masked oracle that keeps every coordinate.
     masked = run_stoc(problem, params, masked_oracle_factory(problem, params, 1.0), seeds=[0])
     assert res.runs[0].x.tobytes() == masked.runs[0].x.tobytes()
