@@ -18,7 +18,8 @@ Solvers act on that container:
   products would move between workers.
 
 All five runners share one iteration loop, the private driver in
-:mod:`pdsplit.fb`; each supplies only its step and its trace columns.  The
+:mod:`pdsplit.fb`; each supplies only its step and its trace columns, and a
+run's result is a :class:`~pdsplit.fb.RunResult` with its own fields.  The
 paper's guarantees that no run reports (Fejér monotonicity in the
 preconditioner's metric, the perturbation envelope of unbounded
 accelerated runs, the Moreau split behind the conjugate prox) are checked
@@ -49,7 +50,6 @@ from .bench import (
     generate,
     load_bundle,
     load_reference,
-    overlapping_groups,
     rate_slope,
     reference_solve,
     save_bundle,
@@ -72,6 +72,7 @@ from .fb import (
     FbParams,
     FbResult,
     IterTrace,
+    RunResult,
     convergence_region,
     default_step_sizes,
     fb_step,
@@ -149,6 +150,7 @@ __all__ = [
     "RateEstimate",
     "ReferenceSolution",
     "ResidualTooLarge",
+    "RunResult",
     "SaddleProblem",
     "Schedule",
     "ShardPlan",
@@ -181,7 +183,6 @@ __all__ = [
     "mode_coefficients",
     "mode_factors",
     "op_norm",
-    "overlapping_groups",
     "partition_problem",
     "primal_objective",
     "quadratic_loss",

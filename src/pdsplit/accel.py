@@ -39,7 +39,7 @@ import numpy as np
 
 from . import saddle
 from .errors import ConstraintViolation, _arg, _check_fields, _Domain
-from .fb import IterTrace, _column, _drive, _start_point, _step_norm
+from .fb import RunResult, _column, _drive, _start_point, _step_norm
 
 ACCEL_TRACE_COLUMNS = [
     "k",
@@ -502,16 +502,10 @@ def accel_step(problem, alpha, beta, schedule, k, state):
 
 
 @dataclass
-class AccelResult:
-    """Outcome of an accelerated run: the averaged pair ``(x, y)``, the last
-    resolvent pair ``(xt, yt)``, the trace, the step count and the schedule."""
+class AccelResult(RunResult):
+    """Outcome of an accelerated run, whose ``(x, y)`` is the averaged pair,
+    with the schedule it ran."""
 
-    x: np.ndarray
-    y: np.ndarray
-    xt: np.ndarray
-    yt: np.ndarray
-    trace: IterTrace
-    iterations: int
     schedule: Schedule
 
 

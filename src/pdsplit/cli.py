@@ -272,13 +272,18 @@ def parse_config(path):
 
 
 def _check_reads(config, verb):
-    """Refuse a given key that ``verb``, or for ``run`` its algorithm, does not read."""
+    """Refuse a given key that ``verb``, or for ``run`` its algorithm, does not
+    read: accelerated ``modes`` set each mode and kappa, and ``mode=chen`` kappa."""
     reader = verb
     if verb == "run":
         if config.algorithm is None:
             raise ConfigError("run needs an algorithm (fb, fbf, accel, or stoc)")
         reader = f"algorithm={config.algorithm}"
     reads = _READS[verb] | _READS[reader]
+    if reader == "algorithm=accel" and "modes" in config.given:
+        reads, reader = reads - {"mode", "kappa"}, f"{reader} with modes"
+    elif reader == "algorithm=accel" and config.given.get("mode") == "chen":
+        reads, reader = reads - {"kappa"}, f"{reader} with mode=chen"
     for key in config.given:
         if key not in reads:
             raise ConfigError(f"config key {key!r} is not read by {reader}")
@@ -360,17 +365,14 @@ def _job_fbf(problem, config, params, reference):
 
 def _accel_records(config):
     """The record of each accelerated mode before the problem exists: one
-    per ``modes`` entry, else the one of the ``mode`` and ``kappa`` keys,
-    ``chen`` at kappa 0.  An unbounded record given no horizon takes
+    per ``modes`` entry, ``chen`` at kappa 0, else the one of the ``mode``
+    and ``kappa`` keys.  An unbounded record given no horizon takes
     ``max_iters``."""
-    given = config.given
-    tokens = config.modes or ["chen" if given.get("mode") == "chen"
-                              else given.get("kappa", accel.AccelParams.kappa)]
+    modes = [{"mode": "chen", "kappa": 0.0} if token == "chen"
+             else {"mode": "kappa", "kappa": float(token)} for token in config.modes or ()]
     records = []
-    for token in tokens:
-        mode, kappa = ("chen", 0.0) if token == "chen" else ("kappa", float(token))
-        params = _record(accel.AccelParams, config, mode=mode, kappa=kappa,
-                         max_iters=config.max_iters)
+    for mode in modes or [{}]:
+        params = _record(accel.AccelParams, config, **mode, max_iters=config.max_iters)
         if params.setting == "unbounded" and params.horizon is None:
             params = replace(params, horizon=config.max_iters)
         records.append(params)
@@ -430,7 +432,7 @@ def _job_stoc(problem, config, args, params, seeds, reference):
     result = stoch.run_stoc(problem, params, factory, seeds)
     result.aggregate.to_csv(os.path.join(args.out, f"stoc-{mode_label}-aggregate.csv"))
     outputs = []
-    for seed, run in zip(result.seeds, result.runs):
+    for seed, run in zip(seeds, result.runs):
         label = f"stoc-{mode_label}-seed{seed}"
         row = _summary_row(
             label,

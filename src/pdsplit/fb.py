@@ -8,9 +8,11 @@ the same fixed points, step-size region arithmetic, and relaxation cap.
 
 Every relaxed run passes one gate, :func:`validate_params`, which fills in
 the recipe steps and relaxation and tests them against the region:
-:func:`run_fb` and the sharded run step with what it resolves, and their
-result carries it.  :func:`run_fb_block`, the runner of a region scan,
-probes inadmissible pairs on purpose and checks only their ranges.
+:func:`run_fb` and the sharded run step with, and return, the steps and
+relaxation it resolves.  :func:`run_fb_block`, the runner of a region
+scan, probes inadmissible pairs on purpose and checks only their ranges.
+
+Every run's result is a :class:`RunResult` with its runner's own fields.
 
 ``_drive`` is the one iteration loop of every runner.  Its iterate is a
 ``(dim, B)`` block with one run per column: the one column of
@@ -122,9 +124,10 @@ TRACE_COLUMNS = ["k", "objective", "ergodic_objective", "residual", "mdist", "se
 
 
 @dataclass
-class FbResult:
-    """Outcome of a forward-backward run, with the steps, relaxation and
-    relaxation cap it ran with (:func:`run_fbf`: one step, cap ``nan``)."""
+class RunResult:
+    """Outcome of one run of the family: the final pair ``(x, y)``, the last
+    resolvent pair ``(x_tilde, y_tilde)``, the trace and the step count.
+    Each runner's result adds its own fields."""
 
     x: np.ndarray
     y: np.ndarray
@@ -132,11 +135,17 @@ class FbResult:
     y_tilde: np.ndarray
     trace: IterTrace
     iterations: int
+
+
+@dataclass
+class FbResult(RunResult):
+    """Outcome of a forward-backward run, with the steps and relaxation it
+    ran with (:func:`run_fbf`: one step as both)."""
+
     converged: bool
     tau: float
     sigma: float
     rho: float
-    delta: float
 
 
 def convergence_region(l_f, k_norm, kappa, tau, sigma):
@@ -539,28 +548,28 @@ def _relaxed_run(problem, kappa, tau, sigma, rho, x, y, max_iters, record_every,
     return (*final, traces, ks, converged)
 
 
-def _relaxed_column(problem, params, info, x, y, tol):
-    """One relaxed run from the vector pair ``(x, y)`` with ``params`` and
-    the :func:`validate_params` dict ``info`` of them: the one-column case
-    of :func:`_relaxed_run`, behind :func:`run_fb` and the sharded run.
-
-    A non-finite pair raises.  Returns ``(x, y, x_tilde, y_tilde, trace,
-    iterations, converged)`` with vectors and one trace.
-    """
+def _relaxed_column(problem, params, x0, y0, tol):
+    """The :class:`FbResult` of one relaxed run from ``(x0, y0)``, behind
+    :func:`run_fb` and the sharded run: the one-column case of
+    :func:`_relaxed_run`.  The start and ``params`` are checked before any
+    step, and a non-finite pair raises."""
+    x, y = _start_point(problem, x0, y0)
+    info = validate_params(problem, params)
     *pairs, traces, ks, converged = _relaxed_run(
         problem, params.kappa, info["tau"], info["sigma"], info["rho"], x[:, None],
         y[:, None], params.max_iters, params.record_every, tol)
-    return (*(a[:, 0] for a in pairs), traces[0], int(ks[0]), bool(converged[0]))
+    return FbResult(*(a[:, 0] for a in pairs), traces[0], int(ks[0]), bool(converged[0]),
+                    info["tau"], info["sigma"], info["rho"])
 
 
 def run_fb(problem, params, x0=None, y0=None, tol=None):
     """Run the relaxed preconditioned iteration.
 
     ``params`` pass :func:`validate_params`, and the run steps with, and its
-    result carries, what that resolves.  Every trace row records the metric
-    distance ``mdist`` of its step (:func:`m_norm`).  The run is the
-    one-column case of :func:`run_fb_block`'s block iteration; a non-finite
-    pair raises :class:`~pdsplit.errors.NonFiniteIterate`.
+    result carries, the steps and relaxation that resolves.  Every trace
+    row records the metric distance ``mdist`` of its step (:func:`m_norm`).
+    The run is the one-column case of :func:`run_fb_block`'s block
+    iteration; a non-finite pair raises :class:`~pdsplit.errors.NonFiniteIterate`.
 
     Parameters
     ----------
@@ -575,12 +584,7 @@ def run_fb(problem, params, x0=None, y0=None, tol=None):
     -------
     FbResult
     """
-    x, y = _start_point(problem, x0, y0)
-    info = validate_params(problem, params)
-    x, y, x_t, y_t, trace, k, converged = _relaxed_column(problem, params, info, x, y, tol)
-    return FbResult(x=x, y=y, x_tilde=x_t, y_tilde=y_t, trace=trace, iterations=k,
-                    converged=converged, tau=info["tau"], sigma=info["sigma"],
-                    rho=info["rho"], delta=info["delta"])
+    return _relaxed_column(problem, params, x0, y0, tol)
 
 
 def run_fb_block(problem, kappa, tau, sigma, max_iters, tol):
@@ -617,7 +621,7 @@ def run_fb_block(problem, kappa, tau, sigma, max_iters, tol):
     Returns
     -------
     list of FbResult
-        One result per column, in order.
+        One result per column, in order, with its steps and relaxation 1.
     """
     kappa, tau, sigma = (np.asarray(v, dtype=object) for v in (kappa, tau, sigma))
     if kappa.ndim != 1 or tau.shape != kappa.shape or sigma.shape != kappa.shape:
@@ -635,17 +639,9 @@ def run_fb_block(problem, kappa, tau, sigma, max_iters, tol):
         max_iters, max(max_iters, 1), tol, labels=[f"column {j}" for j in range(n)],
         raise_lost=False,
     )
-    results = []
-    for j, trace in enumerate(traces):
-        cell = (float(kappa[j]), float(tau[j]), float(sigma[j]))
-        results.append(FbResult(
-            x=x[:, j].copy(), y=y[:, j].copy(),
-            x_tilde=x_t[:, j].copy(), y_tilde=y_t[:, j].copy(),
-            trace=trace, iterations=int(ks[j]), converged=bool(converged[j]),
-            tau=cell[1], sigma=cell[2], rho=1.0,
-            delta=relaxation_cap(problem.L_f, problem.k_norm, *cell),
-        ))
-    return results
+    return [FbResult(*(a[:, j].copy() for a in (x, y, x_t, y_t)), trace, int(ks[j]),
+                     bool(converged[j]), float(tau[j]), float(sigma[j]), 1.0)
+            for j, trace in enumerate(traces)]
 
 
 def fbf_default_step(problem):
@@ -731,5 +727,4 @@ def run_fbf(problem, tau=None, alpha1=0.0, alpha2=0.0, max_iters=1000, x0=None, 
                                        tol=tol)
     x, y = x[:, 0], y[:, 0]
     return FbResult(x=x, y=y, x_tilde=x, y_tilde=y, trace=trace, iterations=int(k),
-                    converged=bool(converged), tau=float(tau), sigma=float(tau), rho=1.0,
-                    delta=np.nan)
+                    converged=bool(converged), tau=float(tau), sigma=float(tau), rho=1.0)

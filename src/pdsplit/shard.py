@@ -130,42 +130,33 @@ def partition_problem(problem, m_workers):
 
 
 @dataclass
-class ShardResult:
-    """Outcome of a sharded run; ``ledger`` has the ``LEDGER_COLUMNS`` and
-    one row per step."""
+class ShardResult(fb.FbResult):
+    """Outcome of a sharded run: the plain run's result and the ``ledger``,
+    with the ``LEDGER_COLUMNS`` and one row per step."""
 
-    x: np.ndarray
-    y: np.ndarray
-    trace: IterTrace
     ledger: IterTrace
-    iterations: int
-    converged: bool
-    plan: ShardPlan
 
 
 def run_fb_sharded(problem, params, m_workers, x0=None, y0=None, tol=None):
     """Run the base iteration with the traffic ledger of a sharded layout.
 
     The run is the relaxed iteration of :func:`pdsplit.fb.run_fb`, with the
-    parameters that :func:`pdsplit.fb.validate_params` resolves, so the
-    iterates and trace are bitwise the plain run's.  The ledger has a row
-    for every step taken, each holding that step's traffic under the
-    counting rules of this module.  ``x0`` and ``y0`` are starting points
-    (zeros by default).
+    parameters that :func:`pdsplit.fb.validate_params` resolves, so its
+    result is bitwise the plain run's.  The ledger has a row for every step
+    taken, each holding that step's traffic under the counting rules of
+    this module.  ``x0`` and ``y0`` are starting points (zeros by default).
+    The worker count, start and ``params`` are checked before any step.
 
     Returns
     -------
     ShardResult
     """
-    x, y = fb._start_point(problem, x0, y0)
-    info = fb.validate_params(problem, params)
     plan = partition_problem(problem, m_workers)
-    x, y, _, _, trace, k, converged = fb._relaxed_column(problem, params, info, x, y, tol)
+    result = fb._relaxed_column(problem, params, x0, y0, tol)
     design, coupling = fb.STEP_PRODUCTS
     loss = design * (plan.m - 1) * plan.n
     penalty = coupling * plan.cross_total
     ledger = IterTrace(LEDGER_COLUMNS)
-    for i in range(1, k + 1):
+    for i in range(1, result.iterations + 1):
         ledger.append(iter=i, loss_comm=loss, penalty_comm=penalty, total_comm=loss + penalty)
-    return ShardResult(x=x, y=y, trace=trace, ledger=ledger, iterations=k,
-                       converged=converged, plan=plan)
+    return ShardResult(**vars(result), ledger=ledger)

@@ -315,7 +315,6 @@ class StocResult:
     runs: list
     aggregate: IterTrace
     schedule: Schedule
-    seeds: list
 
 
 def run_stoc(problem, params, oracle_factory, seeds, x0=None, y0=None):
@@ -335,7 +334,7 @@ def run_stoc(problem, params, oracle_factory, seeds, x0=None, y0=None):
     Returns
     -------
     StocResult
-        Per-seed results (with ``seed``-stamped traces) plus an aggregate
+        Per-seed results in ``seeds`` order (``seed``-stamped traces), and an aggregate
         trace of the averaged-point objective across seeds: mean, median,
         and the 10/90 percent quantiles per recorded index.
 
@@ -388,9 +387,4 @@ def run_stoc(problem, params, oracle_factory, seeds, x0=None, y0=None):
     aggregate = IterTrace(AGGREGATE_COLUMNS)
     for row in zip(*summary):
         aggregate.append(**dict(zip(AGGREGATE_COLUMNS, row)))
-    return StocResult(
-        runs=runs,
-        aggregate=aggregate,
-        schedule=schedule,
-        seeds=seeds,
-    )
+    return StocResult(runs=runs, aggregate=aggregate, schedule=schedule)

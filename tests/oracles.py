@@ -383,8 +383,10 @@ def perturbation_vector(a_mat, b_mat, k_mat, tau, sigma, rho, xt_first, yt_first
 def perturbation_envelope(result, first, anchor):
     """Certified envelope of an unbounded accelerated run's perturbation.
 
-    ``result`` is the run's ``AccelResult``, ``first`` its first resolvent
-    pair and ``anchor`` a solution pair or a trusted approximation of one.
+    ``result`` is the run's ``AccelResult``, of which the ``schedule`` and
+    ``iterations`` are read; ``first`` is the run's first resolvent pair, the
+    ``(x_tilde, y_tilde)`` of its first step, and ``anchor`` a solution pair
+    or a trusted approximation of one.
     Returns a dict with the bound ``v_norm_bound`` on the norm of
     :func:`perturbation_vector` at the last index, the perturbation energy
     ``eps`` and the anchor radius ``r_tilde`` measured from ``first``.

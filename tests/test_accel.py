@@ -9,6 +9,7 @@ from pdsplit import bench, linops
 from pdsplit.accel import (
     BOUNDED_CHECK_UP_TO,
     AccelParams,
+    AccelResult,
     AccelState,
     Schedule,
     ScheduleTable,
@@ -21,7 +22,7 @@ from pdsplit.accel import (
     tune_qr,
 )
 from pdsplit.errors import ConstraintViolation, UnknownKind
-from pdsplit.fb import fb_step
+from pdsplit.fb import RunResult, fb_step
 from pdsplit.saddle import primal_objective
 from pdsplit.stoch import StocParams, masked_oracle_factory, run_stoc, stoc_gap_bound
 
@@ -407,8 +408,8 @@ def test_run_accel_matches_general_recursion_oracle(dense_problem):
             )
             np.testing.assert_allclose(res.x, ox, atol=1e-12)
             np.testing.assert_allclose(res.y, oy, atol=1e-12)
-            np.testing.assert_allclose(res.xt, oxt, atol=1e-12)
-            np.testing.assert_allclose(res.yt, oyt, atol=1e-12)
+            np.testing.assert_allclose(res.x_tilde, oxt, atol=1e-12)
+            np.testing.assert_allclose(res.y_tilde, oyt, atol=1e-12)
 
 
 def test_run_accel_chen_matches_six_line_oracle(dense_problem):
@@ -427,8 +428,17 @@ def test_run_accel_chen_matches_six_line_oracle(dense_problem):
         )
         np.testing.assert_allclose(res.x, ox, atol=1e-12)
         np.testing.assert_allclose(res.y, oy, atol=1e-12)
-        np.testing.assert_allclose(res.xt, oxt, atol=1e-12)
-        np.testing.assert_allclose(res.yt, oyt, atol=1e-12)
+        np.testing.assert_allclose(res.x_tilde, oxt, atol=1e-12)
+        np.testing.assert_allclose(res.y_tilde, oyt, atol=1e-12)
+
+
+def test_run_accel_returns_a_run_result_of_its_own_class(dense_problem):
+    problem = dense_problem[0]
+    for mode, setting in (("kappa", "bounded"), ("chen", "unbounded")):
+        params = AccelParams(mode=mode, setting=setting, omega_x=2.0, omega_y=3.0,
+                             horizon=5, max_iters=5)
+        result = run_accel(problem, params)
+        assert type(result) is AccelResult and isinstance(result, RunResult)
 
 
 def test_run_accel_replays_step_loop(dense_problem):
@@ -447,7 +457,7 @@ def test_run_accel_replays_step_loop(dense_problem):
         for k in range(1, 31):
             state = accel_step(problem, alpha, beta, res.schedule, k, state)
         for got, want in ((res.x, state.x), (res.y, state.y),
-                          (res.xt, state.xt), (res.yt, state.yt)):
+                          (res.x_tilde, state.xt), (res.y_tilde, state.yt)):
             np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(res.trace.column("k"), [7, 14, 21, 28, 30])
 
@@ -545,7 +555,7 @@ def _perturbation(problem, params, res, anchor):
         state = accel_step(problem, alpha, beta, sched, step, state)
         if step == 1:
             first = (state.xt, state.yt)
-    assert state.xt.tobytes() == res.xt.tobytes()
+    assert state.xt.tobytes() == res.x_tilde.tobytes()
     k = oracles.densify(problem.K)
     v_x, v_y = oracles.perturbation_vector(
         -alpha * k, beta * k, k, sched.tau(n), sched.sigma(n), sched.rho(n),

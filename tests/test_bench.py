@@ -61,6 +61,13 @@ def test_bundle_round_trip_is_exact(tmp_path, spec):
     assert loaded.problem.dims == generated.problem.dims
 
 
+def test_generate_and_load_bundle_return_generated_problems(tmp_path):
+    generated = bench.generate(SMALL_SPECS[-1])
+    bench.save_bundle(str(tmp_path), generated)
+    for problem in (generated, bench.load_bundle(str(tmp_path))):
+        assert type(problem) is bench.GeneratedProblem
+
+
 # The benchmark's graph-guided instance size (p = 1,000, 14,400 edges).
 GGFL_SIZE = dict(subnet_size=10, n_subnets=100, n_active=10, n_samples=200)
 GRAPH_PARITY_SPECS = [
@@ -166,6 +173,12 @@ def test_rate_slope_recovers_power_laws(power):
     est = bench.rate_slope(_trace(ks, 5.0 + 3.0 * ks**-power), 5.0)
     assert abs(est.slope + power) <= 1e-9
     assert est.n_points == 901          # k = 100 .. 1000
+
+
+def test_rate_slope_returns_a_rate_estimate():
+    ks = np.arange(1, 101, dtype=float)
+    est = bench.rate_slope(_trace(ks, 5.0 + 3.0 / ks), 5.0)
+    assert type(est) is bench.RateEstimate
 
 
 def test_rate_slope_needs_ten_usable_points():

@@ -7,8 +7,8 @@ import threading
 import numpy as np
 import pytest
 
-from pdsplit import accel, bench, cli, fb, stoch, textio
-from pdsplit.errors import ConfigError, NonFiniteIterate
+from pdsplit import accel, bench, cli, errors, fb, stoch, textio
+from pdsplit.errors import ConfigError, NonFiniteIterate, SolverError
 from pdsplit.prox import BoxClip
 from pdsplit.saddle import SaddleProblem, quadratic_loss
 
@@ -166,6 +166,11 @@ def test_a_budget_or_tolerance_outside_its_domain_fails_before_the_problem(
     ("run", "algorithm=fbf\nsigma=0.5\n", "sigma", "algorithm=fbf"),
     ("run", "algorithm=accel\nseeds=1,2\n", "seeds", "algorithm=accel"),
     ("run", "algorithm=stoc\nmodes=0.5,chen\n", "modes", "algorithm=stoc"),
+    # ``modes`` sets each mode and kappa, and chen runs at kappa 0.
+    ("run", "algorithm=accel\nmodes=0.5\nkappa=5\n", "kappa", "algorithm=accel with modes"),
+    ("run", "algorithm=accel\nmodes=0.5\nmode=chen\n", "mode", "algorithm=accel with modes"),
+    ("run", "algorithm=accel\nmode=chen\nkappa=0.5\n", "kappa",
+     "algorithm=accel with mode=chen"),
     ("gen", "reference=1\n", "reference", "gen"),
     ("reference", "tau=0.1\n", "tau", "reference"),
     ("region-scan", "algorithm=fb\n", "algorithm", "region-scan"),
@@ -178,6 +183,26 @@ def test_a_key_that_the_verb_or_algorithm_does_not_read_exits_one_before_any_pro
     assert capsys.readouterr().err == f"config error: config key {key!r} is not read by {reader}\n"
     assert generated == []
     assert not (tmp_path / "out").exists()
+
+
+_ERRORS = [cls for cls in vars(errors).values()
+           if isinstance(cls, type) and issubclass(cls, Exception)]
+
+
+@pytest.mark.parametrize("error", _ERRORS, ids=lambda cls: cls.__name__)
+def test_every_solver_error_but_a_config_error_exits_two(tmp_path, monkeypatch, capsys,
+                                                         error):
+    def fail(config, args):
+        raise error("at the verb")
+
+    monkeypatch.setitem(cli._VERBS, "gen", fail)
+    if not issubclass(error, SolverError):
+        with pytest.raises(error):
+            _verb(tmp_path, "gen", TINY)
+        return
+    code, kind = (1, "config") if issubclass(error, ConfigError) else (2, "solver")
+    assert _verb(tmp_path, "gen", TINY) == code
+    assert capsys.readouterr().err == f"{kind} error: at the verb\n"
 
 
 def _outcome(convert, value):

