@@ -145,9 +145,8 @@ _VALUE_TYPES.update(objective=float, residual_rel=float, n_edges=int, primal_dim
 
 @dataclass
 class GeneratedProblem:
-    """A generated instance with its raw data and ground truth."""
+    """A generated instance, its data and ground truth; ``meta`` holds its spec's values."""
 
-    spec: SyntheticSpec
     problem: saddle.SaddleProblem
     design: np.ndarray
     response: np.ndarray
@@ -264,7 +263,7 @@ def _generated(spec, a, b, x_true, coupling=None, **extra_meta):
         meta["n_active"] = spec.n_active
     else:
         meta["dim"] = spec.dim
-    return GeneratedProblem(spec, problem, a, b, x_true, {**meta, **extra_meta})
+    return GeneratedProblem(problem, a, b, x_true, {**meta, **extra_meta})
 
 
 def gen_graph_guided_fused_lasso(spec):
@@ -369,9 +368,11 @@ def save_bundle(path, generated):
 
 def _read_typed(path, required):
     """The entries of a ``key=value`` file, typed by ``_VALUE_TYPES``; each
-    key of ``required`` must be present."""
+    key of ``required`` must be present, and no key may repeat."""
     values = {}
     for lineno, key, text in textio.read_keyvalue(path):
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         kind = _VALUE_TYPES.get(key, str)
         try:
             values[key] = kind(text)
@@ -388,9 +389,12 @@ def load_bundle(path):
 
     The stored matrices are authoritative and go through the assembly of
     the kind's generator; the latent and lasso couplings, deterministic
-    functions of the spec, are reassembled instead of read.
+    functions of the spec, are reassembled instead of read.  A
+    ``primal_dim`` or ``dual_dim`` entry that disagrees with the assembled
+    problem raises :class:`ConfigError` naming the file and the key.
     """
-    meta = _read_typed(os.path.join(path, BUNDLE_META), ["kind"])
+    meta_path = os.path.join(path, BUNDLE_META)
+    meta = _read_typed(meta_path, ["kind"])
     spec_fields = {f.name for f in fields(SyntheticSpec)}
     spec = SyntheticSpec(**{k: v for k, v in meta.items() if k in spec_fields})
     design = textio.read_triplets(os.path.join(path, BUNDLE_DESIGN)).toarray()
@@ -398,7 +402,11 @@ def load_bundle(path):
     signal = textio.read_vector(os.path.join(path, BUNDLE_SIGNAL))
     coupling = textio.read_triplets(os.path.join(path, BUNDLE_COUPLING))
     problem = _assemble(spec, design, response, coupling)
-    return GeneratedProblem(spec, problem, design, response, signal, meta)
+    for key, dim in zip(("primal_dim", "dual_dim"), problem.dims):
+        if meta.get(key, dim) != dim:
+            raise ConfigError(f"{meta_path}: {key}={meta[key]} disagrees with the "
+                              f"stored matrices, which give {dim}")
+    return GeneratedProblem(problem, design, response, signal, meta)
 
 
 def _relative_residual(problem, x, y, tau, sigma):

@@ -234,8 +234,8 @@ def validate_params(problem, params):
     Returns
     -------
     dict
-        Resolved ``tau``, ``sigma`` and ``rho`` as floats, the cap
-        ``delta`` and the region ``margins``.
+        Resolved ``tau``, ``sigma`` and ``rho`` as floats and the
+        relaxation cap ``delta``.
 
     Raises
     ------
@@ -267,7 +267,6 @@ def validate_params(problem, params):
         "sigma": float(sigma),
         "rho": float(rho),
         "delta": delta,
-        "margins": margins,
     }
 
 

@@ -8,7 +8,9 @@ images, and every kind does so column-exactly: column ``j`` of a block
 image is bitwise the image of column ``j`` alone.  A multi-seed run and a
 region scan advance all their columns through one block product each.
 Structured operators (identity, zero, the column stack) stay lazy so that
-large penalty operators never have to be materialized.
+large penalty operators never have to be materialized, and a concrete
+matrix keeps its storage: an array is dense and a scipy sparse matrix CSR,
+at any size (:func:`matrix_operator`).
 A dense product of at least ``SPLIT_MIN_ENTRIES`` matrix entries, in a
 process that may run on two CPUs or more, splits its output rows between
 the calling thread and one persistent daemon worker thread, the only
@@ -43,9 +45,6 @@ from .errors import (
     UnknownKind,
 )
 from .errors import _Domain, _is_index
-
-# Sparse matrices strictly smaller than this along both axes are stored dense.
-DENSE_FALLBACK_DIM = 64
 
 # Safety factor applied on top of iterative norm estimates.
 NORM_SAFETY = 1.01
@@ -364,14 +363,10 @@ class HStackOp(LinearOperator):
 def matrix_operator(a):
     """Wrap a concrete matrix, keeping its storage kind.
 
-    A numpy array stays dense.  A scipy sparse matrix is stored as CSR,
-    unless it is smaller than ``DENSE_FALLBACK_DIM`` along both axes, where
-    it is densified.
+    A numpy array stays dense, and a scipy sparse matrix of any size is
+    stored as CSR.
     """
     if sp.issparse(a):
-        rows, cols = a.shape
-        if rows < DENSE_FALLBACK_DIM and cols < DENSE_FALLBACK_DIM:
-            return DenseOp(a.toarray())
         return SparseOp(a)
     return DenseOp(a)
 

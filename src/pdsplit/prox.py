@@ -8,9 +8,11 @@ indicator) and a weighted sum of group Euclidean norms
 The latent group problem pairs the group penalty, in a :class:`Composite`,
 with an equality constraint (:class:`IdentityShift`), whose conjugate is
 linear, so its prox is a shift.  Each spec also knows the primal value
-``h(u)`` so objective reporting does not need a second description.  The
-primal prox is ``prox_{s h}(z) = z - s * prox_{h*/s}(z / s)`` (the Moreau
-identity) and needs no rule of its own.
+``h(u)`` for reported objectives.  No run evaluates ``h*`` itself, so no
+spec does; its public data (``lam``, ``partition`` and ``radii``, ``shift``,
+a composite's ``parts``) describe it.  The primal prox is
+``prox_{s h}(z) = z - s * prox_{h*/s}(z / s)`` (the Moreau identity) and
+needs no rule of its own.
 
 Every ``prox`` also maps a block, a 2-d array with one dual vector per
 column, column by column: a multi-seed run projects all its seeds in one
@@ -78,7 +80,7 @@ def _per_row(values, v):
 
 
 class ConjugateProx:
-    """Base class for penalty-conjugate prox specs.
+    """Base class for penalty-conjugate prox specs: ``h*``'s prox, ``h``'s value.
 
     Attributes
     ----------
@@ -110,11 +112,6 @@ class ConjugateProx:
         """
         raise NotImplementedError
 
-    def conj_value(self, y, tol):
-        """Value of ``h*`` at ``y``, ``inf`` outside its domain; points within
-        ``tol`` of the domain count as in it."""
-        raise NotImplementedError
-
     def primal_value(self, u):
         """Value of the penalty ``h`` at ``u``."""
         raise NotImplementedError
@@ -134,12 +131,6 @@ class BoxClip(ConjugateProx):
     def prox(self, v, sigma):
         v = self._check(v, block=True)
         return np.clip(v, -self.lam, self.lam)
-
-    def conj_value(self, y, tol):
-        y = self._check(y)
-        if np.max(np.abs(y), initial=0.0) > self.lam + tol:
-            return np.inf
-        return 0.0
 
     def primal_value(self, u):
         u = self._check(u)
@@ -176,12 +167,6 @@ class GroupL2Balls(ConjugateProx):
         np.divide(radii, nrm, out=scale, where=over)
         return v * self.partition.expand(scale)
 
-    def conj_value(self, y, tol):
-        y = self._check(y)
-        if np.any(self.partition.block_norms(y) > self.radii + tol):
-            return np.inf
-        return 0.0
-
     def primal_value(self, u):
         u = self._check(u)
         return float(self.radii @ self.partition.block_norms(u))
@@ -205,10 +190,6 @@ class IdentityShift(ConjugateProx):
     def prox(self, v, sigma):
         v = self._check(v, block=True)
         return v - sigma * _per_row(self.shift, v)
-
-    def conj_value(self, y, tol):
-        y = self._check(y)
-        return float(self.shift @ y)
 
     def primal_value(self, u):
         self._check(u)
@@ -242,16 +223,6 @@ class Composite(ConjugateProx):
         return np.concatenate(
             [part.prox(seg, sigma) for part, seg in self._segments(v)]
         )
-
-    def conj_value(self, y, tol):
-        y = self._check(y)
-        total = 0.0
-        for part, seg in self._segments(y):
-            val = part.conj_value(seg, tol)
-            if not np.isfinite(val):
-                return np.inf
-            total += val
-        return float(total)
 
     def primal_value(self, u):
         u = self._check(u)

@@ -73,8 +73,8 @@ class ShardPlan:
     ----------
     m : int
         Worker count.
-    n, p, l : int
-        Sample, feature, and dual-row counts.
+    n : int
+        Sample count; the feature and dual-row counts are the problem's ``dims``.
     col_offsets : ndarray
         Feature boundaries; worker ``j`` owns ``col_offsets[j]:col_offsets[j+1]``.
     row_offsets : ndarray
@@ -89,8 +89,6 @@ class ShardPlan:
 
     m: int
     n: int
-    p: int
-    l: int
     col_offsets: np.ndarray
     row_offsets: np.ndarray
     cross_table: np.ndarray
@@ -124,7 +122,7 @@ def partition_problem(problem, m_workers):
     col_offsets = _balanced_offsets(p, m)
     row_offsets = _balanced_offsets(l, m)
     cross_table = _cross_table(problem.K, row_offsets, col_offsets)
-    return ShardPlan(m=m, n=problem.loss.A.shape[0], p=p, l=l, col_offsets=col_offsets,
+    return ShardPlan(m=m, n=problem.loss.A.shape[0], col_offsets=col_offsets,
                      row_offsets=row_offsets, cross_table=cross_table,
                      cross_total=int(cross_table.sum() - np.trace(cross_table)))
 

@@ -156,7 +156,9 @@ def read_triplets(path):
     A header is refused before anything is allocated when its ``nnz``
     exceeds ``rows * cols`` or the bytes after it cannot hold ``nnz`` entry
     lines (``1 1 0`` and a newline is the shortest, the last newline may be
-    missing).
+    missing).  A repeated ``(row, col)`` entry is refused too, naming it: the
+    CSR build adds repeats up, so it shows as a drop in the stored count and
+    a valid file pays for no sort.
     """
     with _open(path) as fh:
         line = fh.readline()
@@ -180,4 +182,12 @@ def read_triplets(path):
             done += len(block)
     if done < nnz:
         raise DimensionError(f"{path}: {nnz} entries declared, {done} found")
-    return sp.csr_array(sp.coo_array((values, (ij[0], ij[1])), shape=(rows, cols)))
+    matrix = sp.csr_array(sp.coo_array((values, (ij[0], ij[1])), shape=(rows, cols)))
+    if matrix.nnz < nnz:
+        keys = ij[0] * cols + ij[1]
+        order = np.argsort(keys, kind="stable")
+        # The first entry, in file order, that repeats an earlier one.
+        k = int(order[1:][np.diff(keys[order]) == 0].min())
+        raise DimensionError(f"{path}: entry {k + 1} repeats row {ij[0, k] + 1} "
+                             f"col {ij[1, k] + 1}")
+    return matrix

@@ -15,10 +15,12 @@ bitwise.  :func:`relaxed_iterates`
 is the plain ``fb_step`` loop that ``run_fb`` is pinned to bitwise, and
 :func:`fejer_check` measures its pairs in the preconditioner's metric
 (``fb.m_norm``).  :func:`perturbation_envelope` reads the schedule of an
-accelerated result, and :func:`lagrangian` the loss, coupling and
-conjugate of a problem.  The graph oracles return their difference matrix as a
-scipy CSR array built from COO triplets, the arrays the package's direct
-CSR build must reproduce.
+accelerated result, and :func:`lagrangian` the loss and coupling of a
+problem; its conjugate comes from the prox spec's public data
+(:func:`conjugate_value`), since the package evaluates no ``h*``.  The
+graph oracles return their difference matrix as a scipy CSR array built
+from COO triplets, the arrays the package's direct CSR build must
+reproduce.
 """
 
 import itertools
@@ -419,15 +421,41 @@ def perturbation_envelope(result, first, anchor):
 # saddle values and the relaxed iteration, step by step
 
 
+def conjugate_value(hconj, y, tol):
+    """``h*(y)`` from a prox spec's public data, ``inf`` outside its domain;
+    points within ``tol`` of the domain count as in it.
+
+    A box clip's conjugate is the indicator of ``[-lam, lam]^dim``, a group
+    spec's that of its balls (:func:`group_ball_indicator`), an identity
+    shift's the linear map ``<shift, y>``, and a composite's the sum of its
+    parts' values on their segments.
+    """
+    from pdsplit import prox
+
+    y = np.asarray(y, dtype=float)
+    if isinstance(hconj, prox.Composite):
+        bounds = zip(hconj.offsets[:-1], hconj.offsets[1:])
+        return sum(conjugate_value(part, y[lo:hi], tol)
+                   for part, (lo, hi) in zip(hconj.parts, bounds))
+    if isinstance(hconj, prox.BoxClip):
+        return 0.0 if all(abs(v) <= hconj.lam + tol for v in y) else np.inf
+    if isinstance(hconj, prox.GroupL2Balls):
+        return group_ball_indicator(y, hconj.partition.sizes, hconj.radii, tol)
+    if isinstance(hconj, prox.IdentityShift):
+        return float(sum(s * v for s, v in zip(hconj.shift, y)))
+    raise TypeError(f"no conjugate oracle for {type(hconj).__name__}")
+
+
 def lagrangian(problem, x, y, tol=1e-9):
-    """Saddle value ``f(x) + <Kx, y> - h*(y)`` of a problem.
+    """Saddle value ``f(x) + <Kx, y> - h*(y)`` of a problem, with ``h*`` from
+    :func:`conjugate_value`.
 
     Returns ``-inf`` when ``y`` is infeasible for ``h*`` (the conjugate is
     ``+inf`` there); ``tol`` absorbs the boundary rounding of prox outputs.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    conj = problem.hconj.conj_value(y, tol)
+    conj = conjugate_value(problem.hconj, y, tol)
     if not np.isfinite(conj):
         return -np.inf
     return float(problem.loss.value(x)) + float(problem.K.apply(x) @ y) - conj

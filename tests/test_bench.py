@@ -36,15 +36,13 @@ def _bits(a):
 
 
 def _assert_same_operator(op, k_mat):
-    """``op`` stores exactly the CSR matrix ``k_mat``, or its dense array."""
-    if isinstance(op, linops.SparseOp):
-        assert op.matrix.shape == k_mat.shape
-        for name in ("indices", "indptr", "data"):
-            got, want = getattr(op.matrix, name), getattr(k_mat, name)
-            assert got.dtype == want.dtype
-            assert got.tobytes() == want.tobytes()
-    else:
-        assert _bits(op.array) == _bits(k_mat.toarray())
+    """``op`` stores exactly the CSR matrix ``k_mat``."""
+    assert isinstance(op, linops.SparseOp)
+    assert op.matrix.shape == k_mat.shape
+    for name in ("indices", "indptr", "data"):
+        got, want = getattr(op.matrix, name), getattr(k_mat, name)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("spec", SMALL_SPECS, ids=lambda s: s.kind)
@@ -59,6 +57,36 @@ def test_bundle_round_trip_is_exact(tmp_path, spec):
         oracles.densify(generated.problem.K))
     assert loaded.meta == generated.meta
     assert loaded.problem.dims == generated.problem.dims
+
+
+@pytest.mark.parametrize("spec", SMALL_SPECS, ids=lambda s: s.kind)
+@pytest.mark.parametrize("key", ["primal_dim", "dual_dim"])
+def test_a_bundle_whose_dimension_disagrees_with_its_matrices_is_refused(
+        tmp_path, spec, key):
+    bench.save_bundle(str(tmp_path), bench.generate(spec))
+    meta = tmp_path / bench.BUNDLE_META
+    lines = meta.read_text().splitlines(keepends=True)
+    meta.write_text("".join(f"{key}=7\n" if l.startswith(f"{key}=") else l
+                            for l in lines))
+    with pytest.raises(ConfigError, match=f"meta.txt: {key}=7 disagrees"):
+        bench.load_bundle(str(tmp_path))
+
+
+def test_a_repeated_key_in_a_bundle_or_reference_is_refused(tmp_path):
+    generated = bench.generate(SMALL_SPECS[-1])
+    bench.save_bundle(str(tmp_path), generated)
+    meta = tmp_path / bench.BUNDLE_META
+    meta.write_text(meta.read_text() + "seed=3\n")
+    with pytest.raises(ConfigError, match=r"meta.txt:\d+: duplicate key 'seed'"):
+        bench.load_bundle(str(tmp_path))
+    ref = bench.ReferenceSolution(x=np.array([1.0]), y=np.array([0.5]), objective=1.25,
+                                  method="plain", iterations=7, residual_rel=1e-9,
+                                  best_effort=False)
+    bench.save_reference(str(tmp_path), ref)
+    summary = tmp_path / bench.REFERENCE_SUMMARY
+    summary.write_text(summary.read_text() + "iterations=8\n")
+    with pytest.raises(ConfigError, match=r"reference.txt:\d+: duplicate key 'iterations'"):
+        bench.load_reference(str(tmp_path))
 
 
 def test_generate_and_load_bundle_return_generated_problems(tmp_path):
@@ -195,7 +223,7 @@ def test_rate_slope_needs_ten_usable_points():
 
 def test_reference_matches_ista_on_tiny_lasso(tiny_lasso, tiny_lasso_reference):
     ref = tiny_lasso_reference
-    lam = tiny_lasso.spec.penalty_weight
+    lam = tiny_lasso.meta["lam"]
     x_star = oracles.ista_lasso(tiny_lasso.design, tiny_lasso.response, lam)
     f_star = oracles.lasso_objective(tiny_lasso.design, tiny_lasso.response, lam, x_star)
     assert not ref.best_effort

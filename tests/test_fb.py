@@ -807,6 +807,35 @@ def test_diagonal_lasso_saddle_point_is_stationary():
         np.testing.assert_allclose(yt, y_star, atol=1e-14)
 
 
+@pytest.mark.parametrize("kappa", [-1.0, -0.5, 0.0, 0.5, 1.0])
+def test_plain_continuum_ergodic_gap_is_order_one_over_n(kappa):
+    # The paper's O(1/N) ergodic rate over the continuum: at relaxation 1
+    # (each resolvent pair is the next iterate) and steps inside the region,
+    # the means of the first N resolvent pairs keep N times the gap
+    # L(x_N, y*) - L(x*, y_N) below ||z_0 - z*||_M^2 / 2.
+    d, b, lam = np.array([0.5, 2.0, 1.0]), np.array([3.0, 0.2, -2.0]), 0.5
+    problem, (x_star, y_star) = _diagonal_lasso(d, b, lam)
+    x0, y0 = np.array([2.0, -1.0, 0.5]), np.array([-0.3, 0.4, 0.1])
+    dz = np.concatenate([x0 - x_star, y0 - y_star])
+    # Fractions of the curvature cap, then of the largest dual step there.
+    for tau_frac, sigma_frac in ((0.9, 0.9), (0.5, 0.3), (0.1, 0.95), (0.95, 0.1)):
+        tau = tau_frac * 2.0 / problem.L_f
+        half = tau * problem.L_f / 2.0
+        sigma = sigma_frac * (1.0 - half) / (
+            (1.0 - (1.0 - kappa**2) * half) * tau * problem.k_norm**2)
+        assert convergence_region(problem.L_f, problem.k_norm, kappa, tau, sigma)[0]
+        metric = oracles.metric_matrix(oracles.densify(problem.K), kappa, tau, sigma)
+        bound = float(dz @ metric @ dz) / 2.0
+        x, y, sum_x, sum_y = x0, y0, np.zeros(3), np.zeros(3)
+        for n in range(1, 4097):
+            x, y = fb_step(problem, kappa, tau, sigma, x, y)
+            sum_x, sum_y = sum_x + x, sum_y + y
+            if n in (16, 64, 256, 1024, 4096):
+                gap = (oracles.lagrangian(problem, sum_x / n, y_star)
+                       - oracles.lagrangian(problem, x_star, sum_y / n))
+                assert -1e-12 <= gap and n * gap <= bound, (tau_frac, sigma_frac, n)
+
+
 @st.composite
 def _region_runs(draw):
     """A diagonal lasso, a start, ``kappa`` in ``[-1, 1]``, a step pair

@@ -429,7 +429,7 @@ def test_densify_round_trips_apply(rows, cols, seed):
     np.testing.assert_allclose(oracles.densify(op) @ v, op.apply(v), atol=1e-12)
 
 
-def test_matrix_operator_keeps_arrays_dense_and_large_sparse_as_csr():
+def test_matrix_operator_keeps_arrays_dense_and_every_sparse_as_csr():
     big = np.random.default_rng(13).standard_normal((100, 200))
     op = linops.matrix_operator(big)
     assert isinstance(op, linops.DenseOp)
@@ -437,8 +437,8 @@ def test_matrix_operator_keeps_arrays_dense_and_large_sparse_as_csr():
     assert isinstance(linops.matrix_operator(sp.csr_array(big)), linops.SparseOp)
     assert isinstance(linops.matrix_operator(sp.csr_array(big[:10])), linops.SparseOp)
     small = linops.matrix_operator(sp.csr_array(big[:10, :20]))
-    assert isinstance(small, linops.DenseOp)
-    np.testing.assert_array_equal(small.array, big[:10, :20])
+    assert isinstance(small, linops.SparseOp)
+    np.testing.assert_array_equal(small.matrix.toarray(), big[:10, :20])
     with pytest.raises(DimensionError):
         linops.matrix_operator(np.zeros(3))
 

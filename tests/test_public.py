@@ -51,6 +51,28 @@ def test_every_public_name_is_read_by_a_test_module():
     assert {name for name, readers in table.items() if not readers} == UNREAD, table
 
 
+# Fields of the public dataclasses that neither the package nor the
+# benchmark reads as an attribute, each with the reason it may stay so.
+UNREAD_FIELDS = {
+    "ShardPlan.col_offsets": "the layout itself: each worker's feature block",
+    "ShardPlan.row_offsets": "the layout itself: each worker's dual-row block",
+    "ShardPlan.cross_table": "the layout itself: the rows each sub-block moves",
+    "RateEstimate.n_points": "the fit's window size, which a test checks",
+}
+
+
+def test_every_public_dataclass_field_is_read_by_the_package_or_the_benchmark():
+    root = pathlib.Path(__file__).parent.parent
+    read = {node.attr
+            for path in [*root.glob("src/pdsplit/*.py"), *root.glob("perfbench/*.py")]
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    fields = {f"{name}.{f.name}": f.name for name in pdsplit.__all__
+              if dataclasses.is_dataclass(cls := getattr(pdsplit, name))
+              and isinstance(cls, type) for f in dataclasses.fields(cls)}
+    assert {key for key, field in fields.items() if field not in read} == set(UNREAD_FIELDS)
+
+
 # The defaulted parameters of every public callable and of ``Schedule.build``,
 # the one schedule constructor.  Adding, dropping or changing an option edits
 # this table.
@@ -109,8 +131,8 @@ def test_public_callables_take_exactly_the_pinned_defaulted_parameters():
 ATTRIBUTES = {
     "LinearOperator": {"apply", "apply_adjoint", "array", "blocks", "matrix", "offsets",
                        "shape"},
-    "ConjugateProx": {"conj_value", "dim", "lam", "offsets", "partition", "parts",
-                      "primal_value", "prox", "radii", "shift"},
+    "ConjugateProx": {"dim", "lam", "offsets", "partition", "parts", "primal_value",
+                      "prox", "radii", "shift"},
     "SmoothLoss": {"A", "L_f", "grad", "on", "phi", "phi_grad", "value"},
     "SaddleProblem": {"K", "L_f", "dims", "hconj", "k_norm", "loss"},
     "StochasticOracle": {"chi_x", "chi_y", "grad", "kx", "ky", "pi", "problem", "radius",

@@ -144,6 +144,17 @@ def test_malformed_triplets_name_the_line(tmp_path, text, line):
         textio.read_triplets(path)
 
 
+def test_a_repeated_triplet_entry_is_refused_naming_it(tmp_path):
+    # Read as a sum, the two entries would give 4.0 at (1, 1).
+    path = tmp_path / "m.txt"
+    path.write_text("2 2 2\n1 1 1.5\n1 1 2.5\n")
+    with pytest.raises(DimensionError, match="m.txt: entry 2 repeats row 1 col 1"):
+        textio.read_triplets(path)
+    path.write_text("3 3 5\n2 3 1\n1 1 1\n3 1 1\n1 1 0\n2 3 1\n")
+    with pytest.raises(DimensionError, match="m.txt: entry 4 repeats row 1 col 1"):
+        textio.read_triplets(path)
+
+
 def test_malformed_vector_names_the_line_and_blank_lines_hold_no_entry(tmp_path):
     path = tmp_path / "v.txt"
     path.write_text("1.5\n\n2.5\n")
