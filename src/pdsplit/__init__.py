@@ -1,9 +1,9 @@
 """Primal-dual splitting solvers for composite problems ``f(x) + h(Kx)``.
 
 The package is organized around :class:`~pdsplit.saddle.SaddleProblem`, which
-bundles a smooth loss ``f(x) = phi(A x)`` that carries its design operator
-``A``, a coupling operator ``K``, and the conjugate prox of the penalty.
-Solvers act on that container:
+bundles a least-squares loss ``f(x) = 0.5 * ||A x - b||^2`` that carries its
+design operator ``A``, a coupling operator ``K``, and the conjugate prox of
+the penalty.  Solvers act on that container:
 
 - :func:`~pdsplit.fb.run_fb` runs the relaxed preconditioned iteration whose
   position on the continuum is set by ``kappa`` in ``[-1, 1]``.

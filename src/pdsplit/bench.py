@@ -145,11 +145,11 @@ _VALUE_TYPES.update(objective=float, residual_rel=float, n_edges=int, primal_dim
 
 @dataclass
 class GeneratedProblem:
-    """A generated instance, its data and ground truth; ``meta`` holds its spec's values."""
+    """A generated instance, its design and ground truth; ``meta`` holds its
+    spec's values, and the loss ``problem.loss`` its response ``b``."""
 
     problem: saddle.SaddleProblem
     design: np.ndarray
-    response: np.ndarray
     signal: np.ndarray
     meta: dict
 
@@ -263,7 +263,7 @@ def _generated(spec, a, b, x_true, coupling=None, **extra_meta):
         meta["n_active"] = spec.n_active
     else:
         meta["dim"] = spec.dim
-    return GeneratedProblem(problem, a, b, x_true, {**meta, **extra_meta})
+    return GeneratedProblem(problem, a, x_true, {**meta, **extra_meta})
 
 
 def gen_graph_guided_fused_lasso(spec):
@@ -360,7 +360,7 @@ def save_bundle(path, generated):
     """
     textio.write_keyvalue(os.path.join(path, BUNDLE_META), generated.meta)
     textio.write_triplets(os.path.join(path, BUNDLE_DESIGN), generated.design)
-    textio.write_vector(os.path.join(path, BUNDLE_RESPONSE), generated.response)
+    textio.write_vector(os.path.join(path, BUNDLE_RESPONSE), generated.problem.loss.b)
     coupling = linops.to_sparse(generated.problem.K)
     textio.write_triplets(os.path.join(path, BUNDLE_COUPLING), coupling)
     textio.write_vector(os.path.join(path, BUNDLE_SIGNAL), generated.signal)
@@ -406,7 +406,7 @@ def load_bundle(path):
         if meta.get(key, dim) != dim:
             raise ConfigError(f"{meta_path}: {key}={meta[key]} disagrees with the "
                               f"stored matrices, which give {dim}")
-    return GeneratedProblem(problem, design, response, signal, meta)
+    return GeneratedProblem(problem, design, signal, meta)
 
 
 def _relative_residual(problem, x, y, tau, sigma):

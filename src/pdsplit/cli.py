@@ -9,19 +9,20 @@ bundle; ``reference`` computes and stores a high-accuracy solution.
 Configuration is flat ``key=value`` text (``#`` comments and blank lines
 allowed); values may use JSON escaping where needed.  A key that names a field
 of a record (:class:`~pdsplit.bench.SyntheticSpec`, ``FbParams``,
-``AccelParams``, ``StocParams``) takes its type from that field's domain, and
-the record its own default when the key is absent; any other key is a field of
-:class:`ExperimentConfig`, which declares its converter and default.  A given
-key that the verb, or for ``run`` its algorithm, does not read (``_READS``) is
-refused, as are unknown or duplicate keys, values that would be coerced (a
-fraction for an integer, a boolean or non-finite number for a float, an empty
-list) and lists that repeat an entry, all before anything runs; each verb also
-checks its records and budgets before it generates the problem.  Every verb
+``AccelParams``, ``StocParams``) takes that field's domain, and the record its
+own default when the key is absent; any other key is a field of
+:class:`ExperimentConfig`, which declares its domain and default.  Every verb
 runs its jobs one after another in the calling thread (only a large dense
 product lends half its rows to :mod:`pdsplit.linops`'s worker thread), and
 every artifact is written through :mod:`pdsplit.textio`; ``run`` writes each
 job's trace and its summary so far as soon as that job finishes.  Exit codes:
-0 on success, 1 for configuration errors, 2 for solver failures.
+0 on success; 1 for anything wrong in what the config gives, before any
+problem, reference or output exists: an unknown, duplicate or unread key
+(``_READS``), a value that cannot be read or would be coerced (a fraction for
+an integer, a boolean or non-finite number for a float, an empty list, a
+repeated entry), a value outside its key's domain, or a missing or
+conflicting key; 2 for what the run meets: derived values (a horizon taken
+from ``max_iters``) and solver failures.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from . import accel, bench, fb, saddle, stoch, textio
-from .errors import ConfigError, InsufficientData, SolverError
+from .errors import ConfigError, InsufficientData, SolverError, _Domain
 from .fb import IterTrace
 
 # Minimum relative slack for a grid point to count as interior to its
@@ -116,22 +117,6 @@ def _as_bool(key, value):
     raise ConfigError(f"config key {key!r}: expected a boolean (0/1/true/false)")
 
 
-def _as_str(key, value):
-    return str(value)
-
-
-def _as_choice(options):
-    def parse(key, value):
-        value = str(value)
-        if value not in options:
-            raise ConfigError(
-                f"config key {key!r}: {value!r} is not one of {sorted(options)}"
-            )
-        return value
-
-    return parse
-
-
 def _as_list(key, value):
     if not isinstance(value, list):
         value = [tok.strip() for tok in str(value).split(",") if tok.strip()]
@@ -148,33 +133,39 @@ def _distinct(key, values):
     return values
 
 
-def _as_int_list(key, value):
-    return _distinct(key, [_as_int(key, tok) for tok in _as_list(key, value)])
-
-
-def _as_float_list(key, value):
-    return _distinct(key, tuple(_as_float(key, tok) for tok in _as_list(key, value)))
-
-
-def _as_mode_list(key, value):
-    tokens = [str(tok) for tok in _as_list(key, value)]
-    _distinct(key, [tok if tok == "chen" else _as_float(key, tok) for tok in tokens])
-    return tokens
+def _as_word(key, value, words):
+    value = str(value)
+    if value not in words:
+        raise ConfigError(f"config key {key!r}: {value!r} is not one of {sorted(words)}")
+    return value
 
 
 def _as_field(domain):
-    """The converter of a key that names a record field: a choice among the
-    words of a word field, else that of the field's number kind, which passes
-    the field's words through."""
+    """The converter of a key of ``domain``: a choice among the words of a
+    word domain, else that of its number kind, which passes its words
+    through."""
     if domain.kind == "word":
-        return _as_choice(domain.words)
+        return lambda key, value: _as_word(key, value, domain.words)
     convert = {"real": _as_float, "index": _as_int, "bool": _as_bool}[domain.kind]
     return lambda key, value: value if value in domain.words else convert(key, value)
 
 
-def _key(convert, default=None):
-    """A config key: the converter of its value and its default when absent."""
-    return field(default=default, metadata={"convert": convert})
+def _as_entries(domain):
+    """The converter of a list key: that of ``domain`` on each entry, no two
+    entries equal."""
+    convert = _as_field(domain)
+    return lambda key, value: _distinct(key, [convert(key, tok) for tok in _as_list(key, value)])
+
+
+def _declared(record, name):
+    """The domain that ``record`` declares for its field ``name``."""
+    return next(f.metadata["domain"] for f in fields(record) if f.name == name)
+
+
+def _key(domain, default=None, listed=False):
+    """A config key: the domain of its value, or with ``listed`` of each
+    entry of its list, and its default when absent."""
+    return field(default=default, metadata={"domain": domain, "listed": listed})
 
 
 @dataclass
@@ -183,34 +174,36 @@ class ExperimentConfig:
 
     Every field but ``given`` is one config key that no record field
     declares, or whose default differs from the record's (``max_iters``;
-    :class:`~pdsplit.accel.AccelParams` has ``None``), and carries its
-    converter and default.  A ``None`` default marks a key whose value, when
-    absent, the verb works out from the problem, the base seed or another
-    key, or goes without.  ``given`` maps each key that the file gave to its
-    converted value: the keys of record fields are read from it alone, and
-    the verb refuses a given key outside the set it reads (``_READS``).
+    :class:`~pdsplit.accel.AccelParams` has ``None``).  Each but ``bundle``
+    (a path) declares the domain of its value or list entries, the runner's
+    or record's own where one exists, and its default; ``None`` marks a key
+    that, when absent, the verb works out or goes without.  ``given`` maps
+    each key that the file gave to its converted value, which :func:`main`
+    checks against the key's domain; record fields are read from it alone.
     """
 
-    bundle: str | None = _key(_as_str)
-    problem: str | None = _key(_as_choice(bench.GENERATOR_KINDS))
-    problem_seed: int | None = _key(_as_int)
-    algorithm: str | None = _key(_as_choice(("fb", "fbf", "accel", "stoc")))
-    modes: list | None = _key(_as_mode_list)
-    alpha1: float = _key(_as_float, 0.0)
-    alpha2: float = _key(_as_float, 0.0)
-    max_iters: int = _key(_as_int, 1000)
-    tol: float | None = _key(_as_float)
-    seeds: list | None = _key(_as_int_list)
-    pi: float = _key(_as_float, 0.5)
-    reference: bool = _key(_as_bool, False)
-    reference_budget: int = _key(_as_int, 100000)
-    kappas: tuple = _key(_as_float_list, (0.0, 0.25, 0.5, 0.75, 1.0))
-    grid: int = _key(_as_int, 20)
-    span_lo: float = _key(_as_float, 0.4)
-    span_hi: float = _key(_as_float, 5.0)
-    region_budget: int = _key(_as_int, 2000)
-    region_tol: float = _key(_as_float, 1e-6)
-    empirics: str = _key(_as_choice(("interior", "all", "none")), "interior")
+    bundle: str | None = None
+    problem: str | None = _key(_declared(bench.SyntheticSpec, "kind"))
+    problem_seed: int | None = _key(_declared(bench.SyntheticSpec, "seed"))
+    algorithm: str | None = _key(_Domain("word", words=("fb", "fbf", "accel", "stoc")))
+    modes: list | None = _key(replace(_declared(fb.FbParams, "kappa"), words=("chen",)),
+                              listed=True)
+    alpha1: float = _key(_Domain("real"), 0.0)
+    alpha2: float = _key(_Domain("real"), 0.0)
+    max_iters: int = _key(_declared(fb.FbParams, "max_iters"), 1000)
+    tol: float | None = _key(fb._TOL)
+    seeds: list | None = _key(stoch._SEED, listed=True)
+    pi: float = _key(stoch._PI, 0.5)
+    reference: bool = _key(_Domain("bool"), False)
+    reference_budget: int = _key(bench._BUDGET, 100000)
+    kappas: list | tuple = _key(_declared(fb.FbParams, "kappa"), (0.0, 0.25, 0.5, 0.75, 1.0),
+                                listed=True)
+    grid: int = _key(_Domain("index", "[2, inf)"), 20)
+    span_lo: float = _key(_Domain("real", "(0, inf)"), 0.4)
+    span_hi: float = _key(_Domain("real", "(0, inf)"), 5.0)
+    region_budget: int = _key(_Domain("index", "[1, inf)"), 2000)
+    region_tol: float = _key(fb._TOL, 1e-6)
+    empirics: str = _key(_Domain("word", words=("interior", "all", "none")), "interior")
     given: dict = field(default_factory=dict)
 
 
@@ -225,10 +218,17 @@ def _keys(record, *extra):
     return {f.name for f in fields(record)} - _NOT_KEYS | set(extra)
 
 
-_DECLARED = {f.name: f.metadata["convert"] for f in fields(ExperimentConfig)
-             if "convert" in f.metadata}
-_CONVERTERS = {**{f.name: _as_field(f.metadata["domain"]) for record in _RECORDS
-                  for f in fields(record) if f.name not in _NOT_KEYS}, **_DECLARED}
+# The keys of ``ExperimentConfig``, each key's domain (the config's own, else
+# a record field's, which every record that declares the field shares) and
+# the keys whose domain is that of each entry of a list.
+_OWN = {f.name: f.metadata for f in fields(ExperimentConfig) if f.name != "given"}
+_DOMAINS = {**{f.name: f.metadata["domain"] for record in _RECORDS for f in fields(record)
+               if f.name not in _NOT_KEYS},
+            **{key: metadata["domain"] for key, metadata in _OWN.items() if metadata}}
+_LISTED = {key for key, metadata in _OWN.items() if metadata.get("listed")}
+_CONVERTERS = {key: (_as_entries if key in _LISTED else _as_field)(domain)
+               for key, domain in _DOMAINS.items()}
+_CONVERTERS["bundle"] = lambda key, value: str(value)
 
 _PROBLEM_KEYS = _keys(bench.SyntheticSpec, "bundle", "problem", "problem_seed")
 # The keys that each verb reads, and those that ``run`` reads besides under
@@ -267,8 +267,8 @@ def parse_config(path):
         except json.JSONDecodeError:
             value = text
         raw[key] = _CONVERTERS[key](key, value)
-    declared = {key: value for key, value in raw.items() if key in _DECLARED}
-    return ExperimentConfig(**declared, given=raw)
+    return ExperimentConfig(**{key: value for key, value in raw.items() if key in _OWN},
+                            given=raw)
 
 
 def _check_reads(config, verb):
@@ -287,6 +287,18 @@ def _check_reads(config, verb):
     for key in config.given:
         if key not in reads:
             raise ConfigError(f"config key {key!r} is not read by {reader}")
+
+
+def _check_domains(config):
+    """Refuse a given value, or an entry of a given list, outside its key's
+    domain, with the domain's message, which names the key."""
+    for key, value in config.given.items():
+        if key in _DOMAINS:
+            for entry in value if key in _LISTED else [value]:
+                try:
+                    _DOMAINS[key].check(key, entry)
+                except SolverError as exc:
+                    raise ConfigError(str(exc))
 
 
 def _record(cls, config, **values):
@@ -368,8 +380,8 @@ def _accel_records(config):
     per ``modes`` entry, ``chen`` at kappa 0, else the one of the ``mode``
     and ``kappa`` keys.  An unbounded record given no horizon takes
     ``max_iters``."""
-    modes = [{"mode": "chen", "kappa": 0.0} if token == "chen"
-             else {"mode": "kappa", "kappa": float(token)} for token in config.modes or ()]
+    modes = [{"mode": "chen", "kappa": 0.0} if entry == "chen"
+             else {"mode": "kappa", "kappa": entry} for entry in config.modes or ()]
     records = []
     for mode in modes or [{}]:
         params = _record(accel.AccelParams, config, **mode, max_iters=config.max_iters)
@@ -463,14 +475,13 @@ def _jobs(config, args):
     reference that yields each label, trace and summary row as its job
     finishes.
 
-    Every record is built here, before any problem exists, so a value
-    outside its field's domain fails before generation and the reference, as
-    does a tolerance, keep probability or seed outside its runner's domain.
-    The fbf job takes its step, step count and cadence from an
-    :class:`~pdsplit.fb.FbParams`, whose fields of those names bound them.
+    Every record is built here, before any problem exists, so a derived
+    value outside its field's domain (a horizon taken from ``max_iters``)
+    fails before generation and the reference, as does a seed derived from
+    ``--seed`` outside the runner's domain.  The fbf job takes its step,
+    step count and cadence from an :class:`~pdsplit.fb.FbParams`.
     """
     if config.algorithm in ("fb", "fbf"):
-        fb._TOL.check("tolerance", config.tol)
         params = _record(fb.FbParams, config)
         job = _job_fb if config.algorithm == "fb" else _job_fbf
 
@@ -486,10 +497,7 @@ def _jobs(config, args):
     else:
         horizon = config.given.get("horizon", config.max_iters)
         params = _record(stoch.StocParams, config, horizon=horizon, unproven=args.unproven)
-        stoch._PI.check("pi", config.pi)
-        seeds = config.seeds if config.seeds is not None else [args.seed + i for i in range(5)]
-        for seed in seeds:
-            stoch._SEED.check("seed", seed)
+        seeds = config.seeds or [stoch._SEED.check("seed", args.seed + i) for i in range(5)]
 
         def run(problem, reference):
             yield from _job_stoc(problem, config, args, params, seeds, reference)
@@ -505,8 +513,6 @@ def cmd_run(config, args):
     the traces and summary rows of the jobs before it.
     """
     jobs = _jobs(config, args)
-    if config.reference:
-        bench._BUDGET.check("reference budget", config.reference_budget)
     problem = resolve_problem(config, args.seed).problem
 
     reference = None
@@ -587,17 +593,8 @@ def region_scan_grid(
 
 def cmd_region_scan(config, args):
     """Sweep a step-size grid per continuum position and record outcomes."""
-    if config.grid < 2:
-        raise ConfigError("grid must be at least 2")
-    if config.region_budget < 1:
-        raise ConfigError("region_budget must be at least 1")
-    if not 0.0 < config.span_lo < config.span_hi:
-        raise ConfigError("need 0 < span_lo < span_hi")
-    for kappa in config.kappas:
-        if not -1.0 <= kappa <= 1.0:
-            raise ConfigError(f"kappa {kappa} outside [-1, 1]")
-    fb._TOL.check("tolerance", config.region_tol)
-
+    if not config.span_lo < config.span_hi:
+        raise ConfigError("need span_lo < span_hi")
     trace, n_ran, n_interior, n_agree = region_scan_grid(
         resolve_problem(config, args.seed).problem,
         config.kappas,
@@ -633,7 +630,6 @@ def cmd_gen(config, args):
 
 def cmd_reference(config, args):
     """Compute and store a reference solution for the configured problem."""
-    bench._BUDGET.check("reference budget", config.reference_budget)
     problem = resolve_problem(config, args.seed).problem
     ref = bench.reference_solve(problem, budget=config.reference_budget)
     ref_dir = os.path.join(args.out, "reference")
@@ -690,6 +686,7 @@ def main(argv=None):
     try:
         config = parse_config(args.config)
         _check_reads(config, args.verb)
+        _check_domains(config)
         return _VERBS[args.verb](config, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

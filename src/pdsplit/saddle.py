@@ -1,14 +1,15 @@
 """Smooth-plus-composite problems in saddle form.
 
 A problem ``min_x f(x) + h(Kx)`` is handled through its saddle formulation
-``min_x max_y f(x) + <Kx, y> - h*(y)``.  The smooth part is a loss on a
-linear model, ``f(x) = phi(A x)``: a :class:`SmoothLoss` carries its design
-operator ``A`` next to ``phi``, its gradient and the curvature bound, so
-whatever needs the design (a sharded run sizing its traffic) reads it from
-the loss.  A :class:`SaddleProblem` is exactly the loss, the
-coupling operator ``K`` and the conjugate-prox spec of the penalty.  The
-loss is least squares, :func:`quadratic_loss`, and
-:func:`latent_group_construct` builds the latent group problem on it.
+``min_x max_y f(x) + <Kx, y> - h*(y)``.  The smooth part is the
+least-squares loss of a linear model, ``f(x) = 0.5 * ||A x - b||^2``: a
+:class:`SmoothLoss` carries its design operator ``A`` next to the response
+``b`` and the curvature bound, so whatever needs the design (a sharded run
+sizing its traffic) or the response (a saved bundle) reads it from the
+loss.  A :class:`SaddleProblem` is exactly the loss, the coupling operator
+``K`` and the conjugate-prox spec of the penalty.  :func:`quadratic_loss`
+builds the loss, and :func:`latent_group_construct` the latent group
+problem on it.
 
 The design image ``A x`` is what both the loss value and its gradient read.
 ``SmoothLoss.value``, ``SmoothLoss.grad`` and :func:`primal_objective` take
@@ -17,8 +18,8 @@ forward-backward runners compute it once per iterate) passes it in, and
 the design product is then skipped.
 
 ``SmoothLoss.grad`` also maps a block of points, one per column, to the
-block of their gradients: the design products and ``phi_grad`` of every
-loss here act column by column.
+block of their gradients: the design products and the residual act column
+by column.
 """
 
 from __future__ import annotations
@@ -39,32 +40,34 @@ from .prox import (
 )
 
 class SmoothLoss:
-    """Smooth convex loss ``f(x) = phi(A x)`` with an explicit curvature bound.
+    """Least-squares loss ``f(x) = 0.5 * ||A x - b||^2`` with an explicit
+    curvature bound.
 
     Attributes
     ----------
     A : LinearOperator
         Design operator of the linear model.
-    phi, phi_grad : callable
-        Outer function on the row space of ``A`` and its gradient;
-        ``phi_grad`` maps a block of images, one per column, columnwise.
+    b : ndarray
+        Response vector, one entry per row of ``A``.
     L_f : float
         Lipschitz constant of the gradient of ``f`` (0 for a vanishing loss).
     """
 
-    def __init__(self, design, phi, phi_grad, lipschitz):
+    def __init__(self, design, response, lipschitz):
         self.A = design
-        self.phi = phi
-        self.phi_grad = phi_grad
+        self.b = response
         self.L_f = float(lipschitz)
 
     def value(self, x, ax=None):
-        """``phi(A x)``; a supplied ``ax`` must equal ``A x``."""
-        return self.phi(self.A.apply(x) if ax is None else ax)
+        """``0.5 * ||A x - b||^2``; a supplied ``ax`` must equal ``A x``."""
+        r = (self.A.apply(x) if ax is None else ax) - self.b
+        return 0.5 * float(r @ r)
 
     def grad(self, x, ax=None):
-        """``A' phi_grad(A x)``; a supplied ``ax`` must equal ``A x``."""
-        return self.A.apply_adjoint(self.phi_grad(self.A.apply(x) if ax is None else ax))
+        """``A' (A x - b)``, columnwise for a block ``x``; a supplied ``ax``
+        must equal ``A x``."""
+        t = self.A.apply(x) if ax is None else ax
+        return self.A.apply_adjoint(t - _per_row(self.b, t))
 
     def on(self, design):
         """The same loss read through another operator for the same matrix.
@@ -72,7 +75,7 @@ class SmoothLoss:
         ``L_f`` is kept as it is, so ``design`` must have the spectral norm
         of ``A``, as ``A`` padded with zero columns has.
         """
-        return SmoothLoss(design, self.phi, self.phi_grad, self.L_f)
+        return SmoothLoss(design, self.b, self.L_f)
 
 
 def quadratic_loss(a, b):
@@ -105,15 +108,7 @@ def quadratic_loss(a, b):
     if not np.isfinite(half):
         raise DegenerateProblem(f"the loss at zero, 0.5 * ||b||^2, is {half}: "
                                 "the response is not finite or too large")
-
-    def phi(t):
-        r = t - b
-        return 0.5 * float(r @ r)
-
-    def phi_grad(t):
-        return t - _per_row(b, t)
-
-    return SmoothLoss(a_op, phi, phi_grad, linops.safe_op_norm(a_op) ** 2)
+    return SmoothLoss(a_op, b, linops.safe_op_norm(a_op) ** 2)
 
 
 class SaddleProblem:
@@ -122,7 +117,7 @@ class SaddleProblem:
     Attributes
     ----------
     loss : SmoothLoss
-        Smooth part ``f(x) = phi(A x)``.
+        Smooth part ``f(x) = 0.5 * ||A x - b||^2``.
     K : LinearOperator
         Coupling operator from primal to dual space.
     hconj : ConjugateProx

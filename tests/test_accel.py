@@ -23,6 +23,7 @@ from pdsplit.accel import (
 )
 from pdsplit.errors import ConstraintViolation, UnknownKind
 from pdsplit.fb import RunResult, fb_step
+from pdsplit.prox import BoxClip
 from pdsplit.saddle import primal_objective
 from pdsplit.stoch import StocParams, masked_oracle_factory, run_stoc, stoc_gap_bound
 
@@ -202,24 +203,50 @@ def test_bounded_gap_bound_matches_oracle(dense_problem):
         bounded_gap_bound(sched, 1)
 
 
-@pytest.fixture(scope="module")
-def bounded_lasso():
-    """A lasso with its reference objective and ``auto_norm_bounds`` omegas."""
-    spec = bench.SyntheticSpec(kind="lasso", seed=3, n_samples=40, dim=30)
+def _bounded_instance(spec):
+    """A problem with its reference solution and ``auto_norm_bounds`` omegas."""
     problem = bench.generate(spec).problem
     omega_x, omega_y, _ = bench.auto_norm_bounds(problem)
     return problem, bench.reference_solve(problem), omega_x, omega_y
 
 
-@pytest.mark.parametrize("mode, kappa", [("kappa", -1.0), ("kappa", 0.0), ("kappa", 0.5),
-                                         ("kappa", 1.0), ("chen", 0.0)])
-def test_bounded_run_stays_under_its_gap_bound(bounded_lasso, mode, kappa):
-    problem, reference, omega_x, omega_y = bounded_lasso
-    # With x* in the omega_x ball and the whole dual box (every maximizer of
+@pytest.fixture(scope="module")
+def bounded_lasso():
+    """A lasso with its reference objective and ``auto_norm_bounds`` omegas."""
+    return _bounded_instance(bench.SyntheticSpec(kind="lasso", seed=3, n_samples=40, dim=30))
+
+
+@pytest.fixture(scope="module")
+def bounded_overlapping():
+    """An overlapping group lasso (6 groups of 15), whose dual set is a
+    product of balls, with its reference and omegas."""
+    return _bounded_instance(bench.SyntheticSpec(
+        kind="overlapping-group-lasso", seed=3, n_groups=6, group_size=15, n_samples=80))
+
+
+def _dual_set_radius(hconj):
+    """The largest norm in the dual set: the corner of the lasso's box, or
+    the stacked radii of the group balls."""
+    if isinstance(hconj, BoxClip):
+        return hconj.lam * np.sqrt(hconj.dim)
+    return np.sqrt(np.sum(hconj.radii**2))
+
+
+_MODES = [("kappa", -1.0), ("kappa", 0.0), ("kappa", 0.5), ("kappa", 1.0), ("chen", 0.0)]
+
+
+@pytest.mark.parametrize("instance, mode, kappa", [
+    *(pytest.param("bounded_lasso", *m, id=f"{m[0]}-{m[1]}") for m in _MODES),
+    *(pytest.param("bounded_overlapping", *m, id=f"overlapping-{m[0]}-{m[1]}") for m in _MODES),
+])
+def test_bounded_run_stays_under_its_gap_bound(request, instance, mode, kappa):
+    problem, reference, omega_x, omega_y = request.getfixturevalue(instance)
+    # With x* in the omega_x ball and the whole dual set (every maximizer of
     # the Lagrangian in y) in the omega_y ball, the primal suboptimality of
     # the averaged point is at most the restricted gap that the bound caps.
+    assert not reference.best_effort
     assert np.linalg.norm(reference.x) <= omega_x
-    assert problem.hconj.lam * np.sqrt(problem.dims[1]) <= omega_y
+    assert _dual_set_radius(problem.hconj) <= omega_y
     params = AccelParams(mode=mode, kappa=kappa, omega_x=omega_x, omega_y=omega_y,
                          max_iters=400)
     res = run_accel(problem, params)

@@ -51,7 +51,7 @@ def test_bundle_round_trip_is_exact(tmp_path, spec):
     bench.save_bundle(str(tmp_path), generated)
     loaded = bench.load_bundle(str(tmp_path))
     assert _bits(loaded.design) == _bits(generated.design)
-    assert _bits(loaded.response) == _bits(generated.response)
+    assert _bits(loaded.problem.loss.b) == _bits(generated.problem.loss.b)
     assert _bits(loaded.signal) == _bits(generated.signal)
     assert _bits(oracles.densify(loaded.problem.K)) == _bits(
         oracles.densify(generated.problem.K))
@@ -125,7 +125,7 @@ def test_graph_generation_is_bitwise_the_loop_oracle(values):
     assert k_mat.shape == (rows, spec.primal_dim)
     assert generated.meta["n_edges"] == rows
     _assert_same_operator(generated.problem.K, k_mat)
-    for got, want in ((generated.design, a), (generated.response, b),
+    for got, want in ((generated.design, a), (generated.problem.loss.b, b),
                       (generated.signal, x_true)):
         assert got.dtype == want.dtype and _bits(got) == _bits(want)
     assert generated.meta == {
@@ -154,7 +154,7 @@ def test_chained_group_generation_is_bitwise_the_oracle_draw(values):
     p = spec.primal_dim
     a, b, x_true = oracles.chained_group_problem(spec.seed, p, spec.n_samples,
                                                  spec.noise_scale)
-    for got, want in ((generated.design, a), (generated.response, b),
+    for got, want in ((generated.design, a), (generated.problem.loss.b, b),
                       (generated.signal, x_true)):
         assert got.dtype == want.dtype and _bits(got) == _bits(want)
     if spec.kind == "overlapping-group-lasso":
@@ -224,8 +224,8 @@ def test_rate_slope_needs_ten_usable_points():
 def test_reference_matches_ista_on_tiny_lasso(tiny_lasso, tiny_lasso_reference):
     ref = tiny_lasso_reference
     lam = tiny_lasso.meta["lam"]
-    x_star = oracles.ista_lasso(tiny_lasso.design, tiny_lasso.response, lam)
-    f_star = oracles.lasso_objective(tiny_lasso.design, tiny_lasso.response, lam, x_star)
+    x_star = oracles.ista_lasso(tiny_lasso.design, tiny_lasso.problem.loss.b, lam)
+    f_star = oracles.lasso_objective(tiny_lasso.design, tiny_lasso.problem.loss.b, lam, x_star)
     assert not ref.best_effort
     assert ref.method == "plain"
     np.testing.assert_allclose(ref.x, x_star, rtol=0, atol=1e-9)

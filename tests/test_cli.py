@@ -1,8 +1,10 @@
 """Command-line runner: exit codes and the artifacts of each solver path."""
 
 import dataclasses
+import importlib.util
 import math
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,9 +116,9 @@ def test_config_errors_exit_one_before_any_problem_or_output(
     assert not (tmp_path / "out").exists()
 
 
-_CADENCE = "record_every must be an integer in [1, inf), got 0"
-_HORIZON = "horizon must be an integer in [2, inf) or None, got 1"
-_TOLERANCE = "tolerance must be a real number in [0, inf] or None, got -1.0"
+_CADENCE = "config error: record_every must be an integer in [1, inf), got 0"
+_HORIZON = "solver error: horizon must be an integer in [2, inf) or None, got 1"
+_TOLERANCE = "config error: tol must be a real number in [0, inf] or None, got -1.0"
 
 
 @pytest.mark.parametrize("algorithm, text, message", [
@@ -128,33 +130,36 @@ _TOLERANCE = "tolerance must be a real number in [0, inf] or None, got -1.0"
     ("stoc", "max_iters=1\n", _HORIZON),
     ("fb", "tol=-1\n", _TOLERANCE),
     ("fbf", "tol=-1\n", _TOLERANCE),
-    ("stoc", "pi=1.5\n", "pi must be a finite number in (0, 1], got 1.5"),
-    ("stoc", "seeds=-1\n", "seed must be an integer in [0, inf), got -1"),
-    ("fb", "reference_budget=1\n", "reference budget must be an integer in [2, inf), got 1"),
+    ("stoc", "pi=1.5\n", "config error: pi must be a finite number in (0, 1], got 1.5"),
+    ("stoc", "seeds=-1\n", "config error: seeds must be an integer in [0, inf), got -1"),
+    ("fb", "reference_budget=1\n",
+     "config error: reference_budget must be an integer in [2, inf), got 1"),
 ])
 def test_a_record_value_outside_its_domain_fails_before_the_problem_and_reference(
         tmp_path, monkeypatch, capsys, algorithm, text, message):
+    # A given value outside its key's domain is a config error; a derived
+    # one (a horizon taken from max_iters) fails at its record, a solver error.
     generated = []
     monkeypatch.setattr(bench, "generate", generated.append)
     config = f"problem=lasso\ndim=10\nn_samples=30\nalgorithm={algorithm}\nreference=1\n"
-    assert _run(tmp_path, config + text) == 2
-    assert capsys.readouterr().err == f"solver error: {message}\n"
+    assert _run(tmp_path, config + text) == (1 if message.startswith("config") else 2)
+    assert capsys.readouterr().err == f"{message}\n"
     assert generated == []
     assert not (tmp_path / "out" / "reference").exists()
 
 
 @pytest.mark.parametrize("verb, text, message", [
     ("reference", "reference_budget=0\n",
-     "reference budget must be an integer in [2, inf), got 0"),
+     "reference_budget must be an integer in [2, inf), got 0"),
     ("region-scan", "region_tol=-1\n",
-     "tolerance must be a real number in [0, inf] or None, got -1.0"),
+     "region_tol must be a real number in [0, inf] or None, got -1.0"),
 ])
 def test_a_budget_or_tolerance_outside_its_domain_fails_before_the_problem(
         tmp_path, monkeypatch, capsys, verb, text, message):
     generated = []
     monkeypatch.setattr(bench, "generate", generated.append)
-    assert _verb(tmp_path, verb, TINY + text) == 2
-    assert capsys.readouterr().err == f"solver error: {message}\n"
+    assert _verb(tmp_path, verb, TINY + text) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
     assert generated == []
     assert not (tmp_path / "out").exists()
 
@@ -236,6 +241,106 @@ def test_every_record_field_is_a_key_of_its_builder_with_its_domains_converter()
     assert set().union(*cli._READS.values()) == set(cli._CONVERTERS)
 
 
+def test_a_field_that_several_records_declare_has_one_domain():
+    # The config key of such a field is checked against one of them, so
+    # every record must declare the same kind, interval and words for it.
+    declared = {}
+    for record in (*cli._RECORDS, cli.ExperimentConfig):
+        for f in dataclasses.fields(record):
+            if "domain" in f.metadata:
+                domain = f.metadata["domain"]
+                declared.setdefault(f.name, []).append(
+                    (domain.kind, domain.interval, domain.words))
+    shared = {name: set(forms) for name, forms in declared.items() if len(forms) > 1}
+    assert {"kappa", "mode", "setting", "q", "r", "horizon", "omega_x", "omega_y",
+            "record_every", "max_iters"} <= set(shared)
+    assert all(len(forms) == 1 for forms in shared.values()), shared
+    # The config's own keys take the runners' domains, not restated copies.
+    for key, domain in (("tol", fb._TOL), ("region_tol", fb._TOL), ("pi", stoch._PI),
+                        ("seeds", stoch._SEED), ("reference_budget", bench._BUDGET)):
+        assert cli._DOMAINS[key] is domain, key
+
+
+def _outside(domain):
+    """The values just outside each finite end of ``domain``'s interval."""
+    lo, hi = (float(end) for end in domain.interval[1:-1].split(","))
+    index = domain.kind == "index"
+    values = []
+    if math.isfinite(lo):
+        values.append(lo if domain.interval[0] == "(" else
+                      lo - 1 if index else np.nextafter(lo, -math.inf))
+    if math.isfinite(hi):
+        values.append(hi if domain.interval[-1] == ")" else
+                      hi + 1 if index else np.nextafter(hi, math.inf))
+    return [int(value) if index else float(value) for value in values]
+
+
+def _inside(domain):
+    """Two values of ``domain``."""
+    inside = []
+    for value in (0, 0.5, 1, 2):
+        try:
+            inside.append(domain.check("entry", value))
+        except SolverError:
+            pass
+    return inside[:2]
+
+
+_OUTSIDE = [(key, bad) for key, domain in sorted(cli._DOMAINS.items())
+            if domain.kind in ("real", "index") for bad in _outside(domain)]
+
+
+@pytest.mark.parametrize("key, bad", _OUTSIDE, ids=[f"{k}={v!r}" for k, v in _OUTSIDE])
+def test_a_given_value_outside_its_keys_domain_exits_one_before_any_problem(
+        tmp_path, monkeypatch, capsys, key, bad):
+    generated = []
+    monkeypatch.setattr(bench, "generate", generated.append)
+    reader = next(reader for reader, keys in cli._READS.items() if key in keys)
+    verb, algorithm = ("run", f"{reader}\n") if "=" in reader else (reader, "")
+    domain = cli._DOMAINS[key]
+    value = repr(bad)
+    if key in cli._LISTED:
+        # One bad entry among good ones.
+        good = _inside(domain)
+        value = f"{good[0]},{value},{good[1]}"
+    with pytest.raises(SolverError) as refused:
+        domain.check(key, bad)
+    assert _verb(tmp_path, verb, f"problem=lasso\n{algorithm}{key}={value}\n") == 1
+    err = capsys.readouterr().err
+    assert err == f"config error: {refused.value}\n"
+    assert err.startswith(f"config error: {key} must be ") and f"got {bad!r}" in err
+    assert generated == []
+    assert not (tmp_path / "out").exists()
+
+
+WORKLOADS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+def test_the_gated_cli_mix_configs_pass_the_read_and_domain_checks(tmp_path):
+    # A domain declared too tightly fails here, not as failed benchmark operations.
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PATH)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    warm_gen = dict(problem="overlapping-group-lasso", n_groups=3, group_size=15, n_samples=30)
+    warm_run = {**workloads.CLI_RUN, "horizon": 20, "record_every": 5, "reference_budget": 50}
+    warm_scan = {**workloads.CLI_SCAN, "grid": 2, "region_budget": 20}
+    bundle = str(tmp_path / "gen" / "bundle")
+    configs = [
+        ("gen", {**workloads.CLI_GEN, "problem_seed": 1}),
+        ("gen", {**warm_gen, "problem_seed": 0}),
+        ("run", {**workloads.CLI_RUN, "bundle": bundle, "seeds": "4,5,6,7"}),
+        ("run", {**warm_run, "bundle": bundle, "seeds": "0,1"}),
+        ("region-scan", {**workloads.CLI_SCAN, "problem_seed": 1}),
+        ("region-scan", {**warm_scan, "problem_seed": 0}),
+    ]
+    for i, (verb, values) in enumerate(configs):
+        path = workloads._write_config(str(tmp_path / f"{i}.cfg"), values)
+        config = cli.parse_config(path)
+        assert set(config.given) == set(values)
+        cli._check_reads(config, verb)
+        cli._check_domains(config)
+
+
 def test_fbf_on_a_bundle_with_no_design_or_coupling_entry_is_a_solver_error(tmp_path,
                                                                             capsys):
     text = ("problem=graph-guided-fused-lasso\nn_subnets=3\nn_active=1\nsubnet_size=3\n"
@@ -307,11 +412,6 @@ def test_jobs_starts_no_thread_and_changes_no_artifact(tmp_path, monkeypatch, ve
 def test_run_writes_artifacts_and_exits_zero(tmp_path):
     assert _run(tmp_path, TINY_FBF + "record_every=2\n") == 0
     assert any((tmp_path / "out").iterdir())
-
-
-def test_zero_recording_cadence_is_a_solver_error(tmp_path, capsys):
-    assert _run(tmp_path, TINY_FBF + "record_every=0\n") == 2
-    assert "record_every" in capsys.readouterr().err
 
 
 def test_accel_modes_write_one_trace_per_mode(tmp_path):

@@ -475,8 +475,7 @@ def _understated_lasso():
     steps leave the region and a validated run diverges."""
     problem = identity_lasso_problem(np.eye(2), np.array([3.0, -1.0]), 0.5)
     loss = problem.loss
-    return SaddleProblem(type(loss)(loss.A, loss.phi, loss.phi_grad, 0.01), problem.K,
-                         problem.hconj)
+    return SaddleProblem(type(loss)(loss.A, loss.b, 0.01), problem.K, problem.hconj)
 
 
 def test_run_fb_flags_divergence():

@@ -133,7 +133,7 @@ ATTRIBUTES = {
                        "shape"},
     "ConjugateProx": {"dim", "lam", "offsets", "partition", "parts", "primal_value",
                       "prox", "radii", "shift"},
-    "SmoothLoss": {"A", "L_f", "grad", "on", "phi", "phi_grad", "value"},
+    "SmoothLoss": {"A", "L_f", "b", "grad", "on", "value"},
     "SaddleProblem": {"K", "L_f", "dims", "hconj", "k_norm", "loss"},
     "StochasticOracle": {"chi_x", "chi_y", "grad", "kx", "ky", "pi", "problem", "radius",
                          "rngs"},
