@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
@@ -165,6 +165,9 @@ class ReferenceSolution:
     iterations: int
     residual_rel: float
     best_effort: bool
+    # The plain warm-up run, which ``auto_norm_bounds`` can resume; None
+    # when the solve skipped it or the solution was loaded.
+    warm: fb.FbResult | None
 
 
 @dataclass
@@ -414,17 +417,25 @@ def _relative_residual(problem, x, y, tau, sigma):
     return resid / (1.0 + float(np.linalg.norm(x)) + float(np.linalg.norm(y)))
 
 
-def auto_norm_bounds(problem, warm_iters=2000):
+def auto_norm_bounds(problem, warm_iters=2000, warm=None):
     """Iterate-norm bounds for the bounded schedules, from a plain warmup.
 
     Runs the plain iteration from zero for ``warm_iters`` steps and returns
     ``2 * sqrt(2)`` times each block norm, floored at 1, together with the
-    warmup result for warm-starting.
+    warmup result for warm-starting.  Given ``warm``, a plain run from zero
+    of fewer steps, it resumes that run for the remaining steps instead,
+    which ends on the same pair, and returns the resumed run; a ``warm`` of
+    ``warm_iters`` steps or more is used as it is.
     """
-    warm = fb.run_fb(
-        problem,
-        fb.FbParams(kappa=0.0, max_iters=warm_iters, record_every=warm_iters),
-    )
+    if not (warm is None or isinstance(warm, fb.FbResult)):
+        raise ConstraintViolation(f"warm must be a plain run result or None, got {warm!r}")
+    params = fb.FbParams(kappa=0.0, max_iters=warm_iters, record_every=warm_iters)
+    if warm is None:
+        warm = fb.run_fb(problem, params)
+    elif warm.iterations < warm_iters:
+        steps = warm_iters - warm.iterations
+        warm = fb.run_fb(problem, replace(params, max_iters=steps, record_every=steps),
+                         x0=warm.x, y0=warm.y)
     omega_x = 2.0 * math.sqrt(2.0) * max(1.0, float(np.linalg.norm(warm.x)))
     omega_y = 2.0 * math.sqrt(2.0) * max(1.0, float(np.linalg.norm(warm.y)))
     return omega_x, omega_y, warm
@@ -450,7 +461,8 @@ def reference_solve(problem, budget=100000):
     Returns
     -------
     ReferenceSolution
-        ``iterations`` counts the steps the phases actually took.
+        ``iterations`` counts the steps the phases actually took, and
+        ``warm`` is the plain warm-up run.
 
     Raises
     ------
@@ -472,6 +484,7 @@ def reference_solve(problem, budget=100000):
         tau, sigma = fb.default_step_sizes(problem, 0.0)
 
     iterations = 0
+    warm = None
     if zero_coupling:
         x = np.zeros(p)
         y = np.zeros(l)
@@ -545,6 +558,7 @@ def reference_solve(problem, budget=100000):
         iterations=iterations,
         residual_rel=residual_rel,
         best_effort=best_effort,
+        warm=warm,
     )
 
 
@@ -575,6 +589,7 @@ def load_reference(path):
         iterations=summary["iterations"],
         residual_rel=summary["residual_rel"],
         best_effort=bool(summary["best_effort"]),
+        warm=None,
     )
 
 

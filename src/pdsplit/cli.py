@@ -20,9 +20,9 @@ job's trace and its summary so far as soon as that job finishes.  Exit codes:
 problem, reference or output exists: an unknown, duplicate or unread key
 (``_READS``), a value that cannot be read or would be coerced (a fraction for
 an integer, a boolean or non-finite number for a float, an empty list, a
-repeated entry), a value outside its key's domain, or a missing or
-conflicting key; 2 for what the run meets: derived values (a horizon taken
-from ``max_iters``) and solver failures.
+repeated entry), a value outside its key's domain, a negative ``--seed``,
+or a missing or conflicting key; 2 for what the run meets: derived values
+(a horizon taken from ``max_iters``) and solver failures.
 """
 
 from __future__ import annotations
@@ -289,16 +289,22 @@ def _check_reads(config, verb):
             raise ConfigError(f"config key {key!r} is not read by {reader}")
 
 
+def _within(domain, name, value):
+    """Refuse ``value`` outside ``domain`` with the domain's message, which
+    names ``name``, as a config error."""
+    try:
+        domain.check(name, value)
+    except SolverError as exc:
+        raise ConfigError(str(exc))
+
+
 def _check_domains(config):
     """Refuse a given value, or an entry of a given list, outside its key's
-    domain, with the domain's message, which names the key."""
+    domain."""
     for key, value in config.given.items():
         if key in _DOMAINS:
             for entry in value if key in _LISTED else [value]:
-                try:
-                    _DOMAINS[key].check(key, entry)
-                except SolverError as exc:
-                    raise ConfigError(str(exc))
+                _within(_DOMAINS[key], key, entry)
 
 
 def _record(cls, config, **values):
@@ -425,11 +431,13 @@ def _job_accel(problem, config, params, reference, omega_x, omega_y):
     return label, result.trace, row
 
 
-def _omegas(problem, params):
-    """The record's omegas, gaps filled by automatic bounds when bounded."""
+def _omegas(problem, params, reference):
+    """The record's omegas, gaps filled by automatic bounds when bounded,
+    which resume the reference's plain warm-up when there is one."""
     omega_x, omega_y = params.omega_x, params.omega_y
     if params.setting == "bounded" and (omega_x is None or omega_y is None):
-        auto_x, auto_y, _ = bench.auto_norm_bounds(problem)
+        warm = None if reference is None else reference.warm
+        auto_x, auto_y, _ = bench.auto_norm_bounds(problem, warm=warm)
         omega_x = auto_x if omega_x is None else omega_x
         omega_y = auto_y if omega_y is None else omega_y
     return omega_x, omega_y
@@ -438,7 +446,7 @@ def _omegas(problem, params):
 def _job_stoc(problem, config, args, params, seeds, reference):
     mode, kappa, setting = params.mode, params.kappa, params.setting
     mode_label = _mode_label(mode, kappa)
-    omega_x, omega_y = _omegas(problem, params)
+    omega_x, omega_y = _omegas(problem, params, reference)
     params = replace(params, omega_x=omega_x, omega_y=omega_y)
     factory = stoch.masked_oracle_factory(problem, params, config.pi)
     result = stoch.run_stoc(problem, params, factory, seeds)
@@ -477,8 +485,7 @@ def _jobs(config, args):
 
     Every record is built here, before any problem exists, so a derived
     value outside its field's domain (a horizon taken from ``max_iters``)
-    fails before generation and the reference, as does a seed derived from
-    ``--seed`` outside the runner's domain.  The fbf job takes its step,
+    fails before generation and the reference.  The fbf job takes its step,
     step count and cadence from an :class:`~pdsplit.fb.FbParams`.
     """
     if config.algorithm in ("fb", "fbf"):
@@ -491,13 +498,13 @@ def _jobs(config, args):
         records = _accel_records(config)
 
         def run(problem, reference):
-            omega_x, omega_y = _omegas(problem, records[0])
+            omega_x, omega_y = _omegas(problem, records[0], reference)
             for params in records:
                 yield _job_accel(problem, config, params, reference, omega_x, omega_y)
     else:
         horizon = config.given.get("horizon", config.max_iters)
         params = _record(stoch.StocParams, config, horizon=horizon, unproven=args.unproven)
-        seeds = config.seeds or [stoch._SEED.check("seed", args.seed + i) for i in range(5)]
+        seeds = config.seeds or [args.seed + i for i in range(5)]
 
         def run(problem, reference):
             yield from _job_stoc(problem, config, args, params, seeds, reference)
@@ -658,7 +665,8 @@ def build_parser():
         sp = sub.add_parser(verb, help=text)
         sp.add_argument("--config", required=True, help="path to key=value config")
         sp.add_argument("--out", default="out", help="output directory")
-        sp.add_argument("--seed", type=int, default=0, help="base seed")
+        sp.add_argument("--seed", type=int, default=0,
+                        help="base seed, an integer in [0, inf)")
         sp.add_argument(
             "--jobs",
             type=int,
@@ -687,6 +695,9 @@ def main(argv=None):
         config = parse_config(args.config)
         _check_reads(config, args.verb)
         _check_domains(config)
+        # --seed takes the domain of the problem seed and of each stochastic
+        # seed, so the seeds derived from it need no check of their own.
+        _within(stoch._SEED, "--seed", args.seed)
         return _VERBS[args.verb](config, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -50,8 +50,18 @@ from .errors import _Domain, _is_index
 NORM_SAFETY = 1.01
 
 # Lanczos basis size, and the top Ritz vectors kept when a full basis restarts.
-LANCZOS_BASIS = 64
-LANCZOS_KEPT = 16
+# Every step solves the projected eigenproblem, up to LANCZOS_BASIS wide, so a
+# call's eigen work (the sum of j^3 over its j x j eigenproblems) grows with
+# the cube of the basis, while the kept Ritz vectors carry convergence over a
+# restart, so a narrower basis costs only a few more steps.  Against 64/16,
+# 32/8 takes 0-8% more steps on the generated designs and couplings, the
+# eigen work of those that pass 32 steps falls to between 0.56 (ggfl-tol's
+# design, 37 steps) and 0.15 (its coupling, 70 steps) of what it was, and no
+# estimate moves by more than 1.4e-15 relative.  16/4 and 24/6 take more
+# products than the near-degenerate pair of tests/test_linops.py allows, and
+# 48/12 saves much less work (the sweep is in BENCH_lanczos_basis.json).
+LANCZOS_BASIS = 32
+LANCZOS_KEPT = 8
 
 # Forming the smaller Gram matrix of an s x l dense operator (one syrk) costs
 # about s / GRAM_COST_SIDE passes over the operator: 18 to 44 over shapes
@@ -421,9 +431,11 @@ def op_norm(op, tol=1e-9, max_iters=10000):
     top ``LANCZOS_KEPT`` Ritz vectors and goes on from the residual
     direction (Wu & Simon, SIAM J. Matrix Anal. Appl. 22(2), 2000).  The
     stored basis and the eigenproblem solved at every step therefore stay
-    bounded whatever the budget.  The starting vector comes from a
-    counter-based generator keyed at zero so repeated calls give identical
-    results.
+    bounded whatever the budget.  The basis size trades the eigen work of
+    each step, cubic in the basis, against the few extra steps that more
+    frequent restarts take (see ``LANCZOS_BASIS``).  The starting vector
+    comes from a counter-based generator keyed at zero so repeated calls
+    give identical results.
 
     A step makes one forward and one adjoint product.  A dense operator
     forms its smaller Gram matrix (``a @ a.T`` or ``a.T @ a``) once the

@@ -81,7 +81,7 @@ def test_a_repeated_key_in_a_bundle_or_reference_is_refused(tmp_path):
         bench.load_bundle(str(tmp_path))
     ref = bench.ReferenceSolution(x=np.array([1.0]), y=np.array([0.5]), objective=1.25,
                                   method="plain", iterations=7, residual_rel=1e-9,
-                                  best_effort=False)
+                                  best_effort=False, warm=None)
     bench.save_reference(str(tmp_path), ref)
     summary = tmp_path / bench.REFERENCE_SUMMARY
     summary.write_text(summary.read_text() + "iterations=8\n")
@@ -260,6 +260,33 @@ def test_reference_reports_best_effort_when_the_budget_is_short():
     assert ref.residual_rel > 1e-8
 
 
+@pytest.mark.parametrize("spec", SMALL_SPECS, ids=lambda s: s.kind)
+def test_auto_norm_bounds_resumed_from_a_warm_run_match_a_run_from_zero(spec):
+    problem = bench.generate(spec).problem
+    _, _, warm = bench.auto_norm_bounds(problem, 300)
+    omega_x, omega_y, resumed = bench.auto_norm_bounds(problem, 700, warm=warm)
+    expected_x, expected_y, from_zero = bench.auto_norm_bounds(problem, 700)
+    assert resumed.iterations == 400
+    assert _bits(resumed.x) == _bits(from_zero.x)
+    assert _bits(resumed.y) == _bits(from_zero.y)
+    assert (omega_x, omega_y) == (expected_x, expected_y)
+    # A warm run of the full length or more is used as it is.
+    assert bench.auto_norm_bounds(problem, 700, warm=from_zero)[2] is from_zero
+    assert bench.auto_norm_bounds(problem, 200, warm=warm)[2] is warm
+
+
+@pytest.mark.parametrize("budget", [20, 5000, 50000])
+def test_reference_hands_on_its_plain_warm_up(budget):
+    problem = bench.generate(SMALL_SPECS[1]).problem
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResidualTooLarge)
+        ref = bench.reference_solve(problem, budget=budget)
+    steps = max(10, min(2000, budget // 10))
+    _, _, warm = bench.auto_norm_bounds(problem, steps)
+    assert ref.warm.iterations == steps
+    assert (_bits(ref.warm.x), _bits(ref.warm.y)) == (_bits(warm.x), _bits(warm.y))
+
+
 def test_reference_of_a_zero_coupling_problem_is_least_squares():
     rng = np.random.default_rng(41)
     a = rng.standard_normal((9, 4))
@@ -273,6 +300,7 @@ def test_reference_of_a_zero_coupling_problem_is_least_squares():
     np.testing.assert_allclose(ref.x, np.linalg.lstsq(a, b, rcond=None)[0],
                                rtol=0, atol=1e-7)
     np.testing.assert_array_equal(ref.y, np.zeros(3))
+    assert ref.warm is None
 
 
 @pytest.mark.parametrize("field, value", [
@@ -319,7 +347,7 @@ def test_reference_rejects_a_bad_budget_before_any_step(budget):
 def test_a_reference_without_one_of_its_keys_is_a_config_error(tmp_path, key):
     ref = bench.ReferenceSolution(x=np.array([1.0, -2.0]), y=np.array([0.5]),
                                   objective=1.25, method="plain", iterations=7,
-                                  residual_rel=1e-9, best_effort=False)
+                                  residual_rel=1e-9, best_effort=False, warm=None)
     bench.save_reference(str(tmp_path), ref)
     loaded = bench.load_reference(str(tmp_path))
     assert (loaded.method, loaded.iterations, loaded.best_effort) == ("plain", 7, False)

@@ -1,5 +1,6 @@
 """Command-line runner: exit codes and the artifacts of each solver path."""
 
+import csv
 import dataclasses
 import importlib.util
 import math
@@ -162,6 +163,60 @@ def test_a_budget_or_tolerance_outside_its_domain_fails_before_the_problem(
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert generated == []
     assert not (tmp_path / "out").exists()
+
+
+_SEED_READERS = [("gen", ""), ("reference", ""), ("region-scan", ""),
+                 *(("run", f"algorithm={algorithm}\n")
+                   for algorithm in ("fb", "fbf", "accel", "stoc"))]
+
+
+@pytest.mark.parametrize("problem_seed", ["", "problem_seed=0\n"],
+                         ids=["base-seed", "problem_seed"])
+@pytest.mark.parametrize("verb, algorithm", _SEED_READERS,
+                         ids=[f"{verb}-{algorithm.strip()}" for verb, algorithm in _SEED_READERS])
+def test_a_negative_seed_exits_one_before_any_problem(
+        tmp_path, monkeypatch, capsys, verb, algorithm, problem_seed):
+    # --seed shares the domain of the problem seed and of each stochastic
+    # seed derived from it, so every verb refuses it before it generates.
+    generated = []
+    monkeypatch.setattr(bench, "generate", generated.append)
+    config = tmp_path / "seed.cfg"
+    config.write_text(TINY + problem_seed + algorithm)
+    out = tmp_path / "out"
+    assert cli.main([verb, "--config", str(config), "--out", str(out), "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == (
+        "config error: --seed must be an integer in [0, inf), got -1\n")
+    assert generated == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("algorithm, text", [
+    ("accel", "max_iters=6\n"),
+    ("stoc", "kappa=1\nhorizon=6\nseeds=0,1\n"),
+], ids=["accel", "stoc"])
+def test_a_bounded_run_resumes_the_references_plain_warm_up(tmp_path, monkeypatch,
+                                                            algorithm, text):
+    # The bounded job's omegas come from 2,000 plain steps from zero.  The
+    # reference (budget 10,000) warms up for the first 1,000 of them, and the
+    # job takes only the other 1,000, ending on the same omegas.
+    steps = []
+    run_fb = fb.run_fb
+
+    def counting(*args, **kwargs):
+        result = run_fb(*args, **kwargs)
+        steps.append(result.iterations)
+        return result
+
+    monkeypatch.setattr(fb, "run_fb", counting)
+    config = TINY + f"algorithm={algorithm}\nreference=1\nreference_budget=10000\n" + text
+    assert _run(tmp_path, config) == 0
+    assert steps == [1000, 1000]
+    problem = bench.generate(bench.SyntheticSpec(kind="lasso", dim=5, n_samples=10)).problem
+    omega_x, omega_y, _ = bench.auto_norm_bounds(problem)
+    with open(tmp_path / "out" / "summary.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows and all((float(row["omega_x"]), float(row["omega_y"])) == (omega_x, omega_y)
+                        for row in rows)
 
 
 @pytest.mark.parametrize("verb, text, key, reader", [

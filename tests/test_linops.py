@@ -20,7 +20,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdsplit import linops, textio
+from pdsplit import bench, linops, textio
 from pdsplit.errors import (
     ConstraintViolation,
     DegenerateProblem,
@@ -294,10 +294,46 @@ def test_op_norm_separates_a_near_degenerate_top_pair_in_bounded_work(lanczos_st
     gram = np.concatenate([[1.0, 1.0 - 1e-8], np.linspace(0.0, 1.0 - 1e-7, 3000)])
     op = CountingSparseOp(sp.diags_array(np.sqrt(gram)).tocsr())
     assert linops.op_norm(op) == pytest.approx(1.0, rel=1e-9)
-    # About 550 normal-operator products, a tenth of the default budget.
+    # About 710 normal-operator products, a fourteenth of the default budget.
     assert op.forward == op.adjoint <= 1000
     assert len(lanczos_steps) > linops.LANCZOS_BASIS
     assert max(lanczos_steps) == linops.LANCZOS_BASIS
+
+
+def _lanczos_costs(lanczos_steps, ops):
+    """Each operator's estimate, and the Lanczos steps and the eigen work
+    (the sum of j^3 over the j x j projected eigenproblems) of them all."""
+    lanczos_steps.clear()
+    estimates = [linops.op_norm(op) for op in ops]
+    return estimates, len(lanczos_steps), sum(j**3 for j in lanczos_steps)
+
+
+# The graph difference of a ggfl-tol instance in the benchmark (14,400 x
+# 1,000), and the 300 x 1200 Gaussian designs of seeds 0 to 15.
+_GGFL_SPEC = bench.SyntheticSpec(kind="graph-guided-fused-lasso", seed=6, subnet_size=10,
+                                 n_subnets=100, n_active=10, n_samples=200)
+_BASIS_OPERATORS = {
+    "ggfl-tol-coupling": lambda: [bench.generate(_GGFL_SPEC).problem.K],
+    "gaussian-300x1200": lambda: [
+        linops.DenseOp(np.random.default_rng(seed).standard_normal((300, 1200)))
+        for seed in range(16)],
+}
+
+
+@pytest.mark.parametrize("operators", _BASIS_OPERATORS.values(), ids=_BASIS_OPERATORS.keys())
+def test_op_norm_basis_takes_few_more_steps_for_a_third_of_the_eigen_work(
+        monkeypatch, lanczos_steps, operators):
+    # Against the 64-vector basis keeping 16 that BENCH_lanczos_basis.json
+    # swept it from, the basis restarts twice as often but keeps the top
+    # Ritz vectors, so it adds few steps and solves smaller eigenproblems.
+    ops = operators()
+    estimates, steps, work = _lanczos_costs(lanczos_steps, ops)
+    monkeypatch.setattr(linops, "LANCZOS_BASIS", 64)
+    monkeypatch.setattr(linops, "LANCZOS_KEPT", 16)
+    wide_estimates, wide_steps, wide_work = _lanczos_costs(lanczos_steps, ops)
+    assert steps <= 1.1 * wide_steps
+    assert 3 * work <= wide_work
+    assert estimates == pytest.approx(wide_estimates, rel=1e-14)
 
 
 def test_sparse_operator_shares_a_float64_csr_matrix():

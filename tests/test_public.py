@@ -93,7 +93,7 @@ DEFAULTS = {
     "SyntheticSpec": {"seed": 0, "n_samples": 200, "n_groups": 10, "group_size": 20,
                       "subnet_size": 5, "n_subnets": 40, "n_active": 4, "dim": 20,
                       "lam": None, "noise_sd": None},
-    "auto_norm_bounds": {"warm_iters": 2000},
+    "auto_norm_bounds": {"warm_iters": 2000, "warm": None},
     "fb_step": {"ax": None},
     "mode_coefficients": {"kappa": 0.0},
     "mode_factors": {"kappa": 0.0},
